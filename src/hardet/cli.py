@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .geom import Offsets, decode, iou
+from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
 from .losses import HyperParams, gradient_surface, harmonic_det_loss, positive_sample_from_json
 from .metrics import (
     DEFAULT_AP_THRESHOLDS,
@@ -39,6 +39,7 @@ from .harness import (
     OptimizerConfig,
     SceneConfig,
     ToyModel,
+    consistency_pairs,
     generate_scenes,
     model_detections,
     refinement_experiment,
@@ -251,6 +252,11 @@ def _fmt(x: float) -> str:
 def cmd_gradcheck(cfg: dict, out: Path) -> int:
     hp = _build_hyperparams(cfg)
     gc = cfg["gradcheck"]
+    # a sweep over no samples would report PASS without checking anything
+    if gc["samples"] < 1:
+        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
+    if gc["batch_draws"] < 0:
+        raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
     report = run_gradcheck(
         hp,
         num_samples=int(gc["samples"]),
@@ -341,8 +347,6 @@ def _evaluate_trained(
     cfg: dict, scene_set, model: ToyModel
 ) -> tuple[list[tuple[float, float]], dict, list[dict], list[tuple[float, float]]]:
     """NMS + AP + scatter + AIC pairs for a trained model on its scenes."""
-    from .harness import _flatten_matches
-
     t = cfg["train"]
     per_scene = model_detections(scene_set, model)
     kept: list[list[Detection]] = [nms(dets, float(t["nms_threshold"])) for dets in per_scene]
@@ -374,21 +378,8 @@ def _evaluate_trained(
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
-
-    flat = _flatten_matches(scene_set)
-    probs = model.probs()
-    aic_pairs: list[tuple[float, float]] = []
-    a = scene_set.anchors_per_scene
-    for s_idx, m in enumerate(flat.matches):
-        for la, g_i in zip(m.pos_anchor, m.pos_gt):
-            fa = s_idx * a + la
-            p = float(probs[fa][m.scene.gt_classes[g_i]])
-            u = iou(
-                decode(Offsets.from_array(model.offsets[fa]), scene_set.anchors[la]),
-                m.scene.gt_boxes[g_i],
-            )
-            aic_pairs.append((p, u))
-    return aic_pairs, ap_payload, det_rows, scatter_rows
+    # the matching train_toy built is cached on the scene set
+    return consistency_pairs(scene_set, model), ap_payload, det_rows, scatter_rows
 
 
 def cmd_train(cfg: dict, out: Path) -> int:

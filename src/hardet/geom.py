@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -199,3 +199,88 @@ def decode_jacobian(d: Offsets, anchor: Box, log_cap: float = DECODE_LOG_CAP) ->
             [0.0, ha, 0.0, half_h],
         ]
     )
+
+
+# --- array forms ---------------------------------------------------------------
+#
+# Row-wise versions of the functions above over (..., 4) corner or offset
+# arrays, for the training and refinement loops. They repeat the scalar
+# arithmetic operation for operation and agree with it bit for bit, because
+# training amplifies any last-bit difference into a different trajectory. They
+# validate nothing: callers check box order, positive anchor and ground-truth
+# size, and the decode log cap once at their own boundary.
+
+
+def elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each entry of a 1-D array as a Python float.
+
+    The array forms take exp, log and pow through here, from the C library
+    like the scalar forms: numpy's vectorized versions can differ in the last
+    bit.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`iou`; ``a`` and ``b`` broadcast against each other."""
+    span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    overlap = np.maximum(0.0, span)
+    inter = overlap[..., 0] * overlap[..., 1]
+    size_a = a[..., 2:] - a[..., :2]
+    size_b = b[..., 2:] - b[..., :2]
+    union = size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
+
+
+def iou_and_grad_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`iou` and :func:`iou_grad` w.r.t. ``a`` of (N, 4) boxes,
+    sharing the overlap terms; every union must be positive."""
+    span = np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])
+    overlap = np.maximum(0.0, span)
+    inter = overlap[:, 0] * overlap[:, 1]
+    size_a = a[:, 2:] - a[:, :2]
+    size_b = b[:, 2:] - b[:, :2]
+    union = size_a[:, 0] * size_a[:, 1] + size_b[:, 0] * size_b[:, 1] - inter
+    # same subgradient conventions as the scalar form: (x, y) columns hold
+    # d(inter)/d(width) and d(inter)/d(height) where the clamp is active
+    side = np.where(span >= 0.0, overlap[:, ::-1], 0.0)
+    d_inter = np.concatenate(
+        [np.where(a[:, :2] > b[:, :2], -side, 0.0), np.where(a[:, 2:] < b[:, 2:], side, 0.0)],
+        axis=1,
+    )
+    height_width = size_a[:, ::-1]
+    d_union = np.concatenate([-height_width, height_width], axis=1) - d_inter
+    grad = (d_inter * union[:, None] - inter[:, None] * d_union) / (union * union)[:, None]
+    return inter / union, grad
+
+
+def _size_and_scale(d: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor (width, height) and (e^tw, e^th), row-wise."""
+    scale = elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
+    return anchors[:, 2:] - anchors[:, :2], scale
+
+
+def decode_arrays(d: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`decode` of (N, 4) offsets against (N, 4) anchors."""
+    size, scale = _size_and_scale(d, anchors)
+    center = d[:, :2] * size + 0.5 * (anchors[:, :2] + anchors[:, 2:])
+    half = 0.5 * (size * scale)
+    return np.concatenate([center - half, center + half], axis=1)
+
+
+# row-major positions of wa, ha, wa, ha, -hw, -hh, hw, hh in the 4x4 decode
+# Jacobian
+_JACOBIAN_SLOTS = [0, 5, 8, 13, 2, 7, 10, 15]
+
+
+def decode_vjp_arrays(d: np.ndarray, anchors: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise ``decode_jacobian(d, anchor).T @ g``: pulls a gradient w.r.t.
+    the decoded corners back to the offsets.
+
+    Runs the same matrix-vector product per row as the scalar expression.
+    """
+    size, scale = _size_and_scale(d, anchors)
+    half = 0.5 * size * scale
+    jac = np.zeros((d.shape[0], 16))
+    jac[:, _JACOBIAN_SLOTS] = np.concatenate([size, size, -half, half], axis=1)
+    return np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), g[:, :, None])[:, :, 0]

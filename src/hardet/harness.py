@@ -13,23 +13,38 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geom import Box, Offsets, decode, decode_jacobian, encode, iou, iou_grad
+from .geom import (
+    DECODE_LOG_CAP,
+    Box,
+    Offsets,
+    decode,
+    decode_arrays,
+    decode_jacobian,
+    decode_vjp_arrays,
+    encode,
+    iou,
+    iou_and_grad_arrays,
+    iou_arrays,
+    iou_grad,
+)
 from .losses import (
-    BatchResult,
+    BatchArrays,
     HyperParams,
     NegativeSample,
     PositiveSample,
     batch_objective,
+    batch_objective_arrays,
     full_loc_loss,
     harmonic_cls_grad,
     harmonic_det_loss,
     harmonic_loss,
     harmonic_reg_grad,
-    hiou_slope,
+    hiou_slope_arrays,
     smooth_l1,
     tc_loss,
 )
@@ -43,13 +58,22 @@ class NumericalError(RuntimeError):
 
 
 class DivergenceError(NumericalError):
-    """Raised when the training objective stops being finite."""
+    """Raised when a per-step check of a training loop fails.
 
-    def __init__(self, step: int, value: float, detail: str = ""):
-        extra = f": {detail}" if detail else ""
-        super().__init__(f"objective became non-finite ({value!r}) at step {step}{extra}")
+    ``check`` names it: non-finite probabilities, size offsets past the
+    decode log cap, or a non-finite objective.
+    """
+
+    def __init__(self, step: int, check: str):
+        super().__init__(f"training diverged at step {step}: {check}")
         self.step = step
-        self.value = value
+        self.check = check
+
+
+def _check_decode_cap(step: int, offsets: np.ndarray) -> None:
+    # written so that NaN offsets fail it too
+    if not np.all(np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP):
+        raise DivergenceError(step, f"size offsets past the decode log cap {DECODE_LOG_CAP:g}")
 
 
 class GradientCheckError(NumericalError):
@@ -149,6 +173,11 @@ class SceneSet:
     def total_anchors(self) -> int:
         return len(self.anchors) * len(self.scenes)
 
+    @cached_property
+    def matching(self) -> "Matching":
+        """Every scene's anchor matching, computed once per scene set."""
+        return _match_scene_set(self)
+
 
 def _anchor_grid(cfg: SceneConfig) -> tuple[Box, ...]:
     w, h = cfg.canvas
@@ -244,32 +273,29 @@ class MatchResult:
         return positives, negatives
 
 
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
 def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
     """Max-IoU assignment with a forced best anchor per ground truth."""
     if not anchors:
         raise ValueError("match_anchors needs a non-empty anchor set")
     n, g = len(anchors), len(scene.gt_boxes)
-    mat = np.zeros((n, g))
-    for i, a in enumerate(anchors):
-        for j, b in enumerate(scene.gt_boxes):
-            mat[i, j] = iou(a, b)
     assigned: dict[int, int] = {}
     if g > 0:
+        mat = iou_arrays(_corners(anchors)[:, None, :], _corners(scene.gt_boxes)[None, :, :])
         best_gt = np.argmax(mat, axis=1)
         best_iou = mat[np.arange(n), best_gt]
-        for i in range(n):
-            if best_iou[i] >= threshold:
-                assigned[i] = int(best_gt[i])
-        # forced pass: every GT claims its best still-unforced anchor, so the
-        # positive count never drops below the GT count
-        forced: set[int] = set()
-        for j in range(g):
-            order = sorted(range(n), key=lambda i: (-mat[i, j], i))
-            for i in order:
-                if i not in forced:
-                    forced.add(i)
-                    assigned[i] = j
-                    break
+        for i in np.flatnonzero(best_iou >= threshold):
+            assigned[int(i)] = int(best_gt[i])
+        # forced pass: every GT claims its best still-unforced anchor (ties to
+        # the lowest index), so the positive count never drops below the GT count
+        unforced = np.ones(n, dtype=bool)
+        for j in range(min(g, n)):
+            i = int(np.argmax(np.where(unforced, mat[:, j], -np.inf)))
+            unforced[i] = False
+            assigned[i] = j
     pos = sorted(assigned)
     neg = [i for i in range(n) if i not in assigned]
     return MatchResult(
@@ -356,56 +382,66 @@ class TrainLog:
         ]
 
 
-@dataclass(frozen=True)
-class _FlatMatch:
-    """Scene matchings flattened onto the model's global anchor axis."""
+@dataclass(frozen=True, eq=False)
+class Matching:
+    """Scene matchings flattened onto the model's global anchor axis.
+
+    Positive ``k`` is model row ``pos_flat[k]``: anchor ``anchors[k]`` matched
+    to box ``gt[k]`` of class ``gt_class[k]``, with regression target
+    ``d_hat[k] = encode(gt[k], anchors[k])``. Negatives are rows ``neg_flat``.
+    Positives run scene by scene in anchor order. The arrays are read-only.
+    """
 
     matches: tuple[MatchResult, ...]
     pos_flat: np.ndarray
     neg_flat: np.ndarray
+    anchors: np.ndarray
+    gt: np.ndarray
+    gt_class: np.ndarray
+    d_hat: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("pos_flat", "neg_flat", "anchors", "gt", "gt_class", "d_hat"):
+            getattr(self, name).flags.writeable = False
 
 
-def _flatten_matches(scene_set: SceneSet) -> _FlatMatch:
+def _match_scene_set(scene_set: SceneSet) -> Matching:
     matches = []
     pos_flat: list[int] = []
     neg_flat: list[int] = []
+    pairs: list[tuple[Box, Box, int]] = []
     a = scene_set.anchors_per_scene
     for s_idx, scene in enumerate(scene_set.scenes):
         m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
         matches.append(m)
         pos_flat.extend(s_idx * a + i for i in m.pos_anchor)
         neg_flat.extend(s_idx * a + i for i in m.neg_anchor)
-    return _FlatMatch(tuple(matches), np.array(pos_flat, dtype=int), np.array(neg_flat, dtype=int))
-
-
-def _assemble_batch(
-    scene_set: SceneSet, flat: _FlatMatch, model: ToyModel
-) -> tuple[list[PositiveSample], list[NegativeSample]]:
-    probs = model.probs()
-    a = scene_set.anchors_per_scene
-    positives: list[PositiveSample] = []
-    negatives: list[NegativeSample] = []
-    for s_idx, m in enumerate(flat.matches):
-        base = s_idx * a
-        p, n = m.build_samples(probs[base : base + a], model.offsets[base : base + a])
-        positives.extend(p)
-        negatives.extend(n)
-    return positives, negatives
-
-
-def _softmax_chain(probs_row: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. probabilities back to the logits."""
-    return probs_row * (grad_probs - float(grad_probs @ probs_row))
-
-
-def _consistency_pairs(positives: Sequence[PositiveSample]) -> list[tuple[float, float]]:
-    return [
-        (
-            float(s.probs[s.gt_class]),
-            iou(decode(s.d, s.anchor), s.gt_box),
+        pairs.extend(
+            (scene_set.anchors[i], scene.gt_boxes[g], scene.gt_classes[g])
+            for i, g in zip(m.pos_anchor, m.pos_gt)
         )
-        for s in positives
-    ]
+    return Matching(
+        matches=tuple(matches),
+        pos_flat=np.array(pos_flat, dtype=int),
+        neg_flat=np.array(neg_flat, dtype=int),
+        anchors=_corners([anchor for anchor, _, _ in pairs]),
+        gt=_corners([box for _, box, _ in pairs]),
+        gt_class=np.array([c for _, _, c in pairs], dtype=int),
+        # encode validates both boxes, once, for every loop that uses them
+        d_hat=np.array([encode(box, anchor).as_array() for anchor, box, _ in pairs]).reshape(-1, 4),
+    )
+
+
+def consistency_pairs(scene_set: SceneSet, model: ToyModel) -> list[tuple[float, float]]:
+    """(p_gt, IoU of the decoded box) per positive, in matching order.
+
+    These are the pairs AIC averages; offsets must lie within the decode log
+    cap, as :func:`train_toy` leaves them.
+    """
+    m = scene_set.matching
+    p = model.probs()[m.pos_flat, m.gt_class]
+    u = iou_arrays(decode_arrays(model.offsets[m.pos_flat], m.anchors), m.gt)
+    return list(zip(p.tolist(), u.tolist()))
 
 
 def train_toy(
@@ -417,8 +453,10 @@ def train_toy(
     """Gradient descent on the batch objective; logs factors and AIC.
 
     Standard mode optimizes the compatibility reduction (frozen factors,
-    alpha = 0), which equals the classic CE + smooth L1 objective. Raises
-    :class:`DivergenceError` if the objective stops being finite.
+    alpha = 0), which equals the classic CE + smooth L1 objective. Each step
+    runs :func:`batch_objective_arrays` and raises :class:`DivergenceError`
+    when the probabilities stop being finite, a positive's size offset leaves
+    the decode log cap, or the objective stops being finite.
     """
     if hp.num_classes != scene_set.config.num_classes:
         raise ValueError("hyperparams and scene config disagree on num_classes")
@@ -433,7 +471,7 @@ def train_toy(
         if not report.passed:
             raise GradientCheckError(report.max_err, opt.gradcheck_tolerance)
     model = model.copy()
-    flat = _flatten_matches(scene_set)
+    m = scene_set.matching
     n_total = scene_set.total_anchors
     if model.logits.shape != (n_total, hp.num_classes) or model.offsets.shape != (n_total, 4):
         raise ValueError(
@@ -443,47 +481,45 @@ def train_toy(
 
     records: list[TrainRecord] = []
 
-    def log_state(step: int, batch: BatchResult, positives: Sequence[PositiveSample]) -> None:
+    def log_state(step: int, batch: BatchArrays) -> None:
         records.append(
             TrainRecord(
                 step=step,
                 objective=batch.value,
-                mean_factor_r=float(np.mean([1.0 + b.beta_r for b in batch.breakdowns])),
-                mean_factor_c=float(np.mean([1.0 + b.beta_c for b in batch.breakdowns])),
-                aic=aic(_consistency_pairs(positives)),
+                mean_factor_r=float(np.mean(1.0 + batch.beta_r)),
+                mean_factor_c=float(np.mean(1.0 + batch.beta_c)),
+                aic=aic(list(zip(batch.p_gt.tolist(), batch.iou.tolist()))),
             )
         )
 
-    def batch_or_diverge(step: int) -> tuple[list[PositiveSample], BatchResult]:
-        # runaway parameters surface as validation errors (nan probs,
-        # offsets past the decode cap) before the objective goes non-finite
-        try:
-            positives, negatives = _assemble_batch(scene_set, flat, model)
-            batch = batch_objective(positives, negatives, hp_eff)
-        except ValueError as exc:
-            raise DivergenceError(step, math.nan, str(exc)) from exc
+    def objective(step: int) -> tuple[np.ndarray, BatchArrays]:
+        probs = model.probs()
+        if not np.all(np.isfinite(probs)):
+            raise DivergenceError(step, "non-finite probabilities")
+        _check_decode_cap(step, model.offsets[m.pos_flat])
+        batch = batch_objective_arrays(
+            probs, model.offsets, m.anchors, m.gt, m.gt_class, m.d_hat, m.pos_flat, m.neg_flat,
+            hp_eff,
+        )
         if not math.isfinite(batch.value):
-            raise DivergenceError(step, batch.value)
-        return positives, batch
+            raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
+        return probs, batch
 
     for step in range(opt.steps):
-        positives, batch = batch_or_diverge(step)
+        probs, batch = objective(step)
         if step % opt.log_every == 0:
-            log_state(step, batch, positives)
-        probs = model.probs()
-        grad_logits = np.zeros_like(model.logits)
-        grad_offsets = np.zeros_like(model.offsets)
-        for fa, b in zip(flat.pos_flat, batch.breakdowns):
-            grad_logits[fa] += _softmax_chain(probs[fa], b.grad_probs)
-            grad_offsets[fa] += b.grad_d
-        for fa, g in zip(flat.neg_flat, batch.negative_grad_probs):
-            grad_logits[fa] += _softmax_chain(probs[fa], g)
+            log_state(step, batch)
+        # softmax chain back to the logits; the row-wise dot runs as a stacked
+        # matmul, the same dot product per row as the per-sample reference
+        g = batch.grad_probs
+        dots = np.matmul(g[:, None, :], probs[:, :, None])[:, :, 0]
+        grad_logits = probs * (g - dots)
         scale = opt.learning_rate / batch.num_positives
         model.logits -= scale * grad_logits
-        model.offsets -= scale * grad_offsets
+        model.offsets -= scale * batch.grad_d
 
-    positives, batch = batch_or_diverge(opt.steps)
-    log_state(opt.steps, batch, positives)
+    _, batch = objective(opt.steps)
+    log_state(opt.steps, batch)
     return model, TrainLog(tuple(records))
 
 
@@ -498,8 +534,8 @@ def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[d
     probs = model.probs()
     a = scene_set.anchors_per_scene
     records = []
-    for s_idx, scene in enumerate(scene_set.scenes):
-        m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
+    for s_idx, m in enumerate(scene_set.matching.matches):
+        scene = m.scene
         for local_a, g in zip(m.pos_anchor, m.pos_gt):
             fa = s_idx * a + local_a
             records.append(
@@ -552,6 +588,9 @@ def finite_diff_grad(
 # --- finite-difference gate -------------------------------------------------
 
 PROB_FD_STEP = 5e-7  # keeps perturbed vectors inside the sum-to-one tolerance
+# smallest class probability an oracle draw may hold: near 1e-5 the truncation
+# error of the PROB_FD_STEP central difference alone exceeds the 1e-5 tolerance
+PROB_DRAW_FLOOR = 1e-3
 KINK_MARGIN = 1e-3
 
 
@@ -597,7 +636,7 @@ def random_positive_sample(
         probs = rng.dirichlet(np.ones(hp.num_classes))
         gt_class = int(rng.integers(1, hp.num_classes))
         p = float(probs[gt_class])
-        if p < 0.02 or p > 0.98 or np.any(probs < 1e-6):
+        if p < 0.02 or p > 0.98 or np.any(probs < PROB_DRAW_FLOOR):
             continue
         if abs(p - u) < kink_margin or abs(abs(p - u) - hp.margin) < kink_margin:
             continue
@@ -729,7 +768,7 @@ def _check_batch(rng: np.random.Generator, hp: HyperParams) -> float:
     negatives = []
     for _ in range(3):
         probs = rng.dirichlet(np.ones(hp.num_classes))
-        if np.any(probs < 1e-6):
+        if np.any(probs < PROB_DRAW_FLOOR):
             probs = (probs + 1e-3) / (1.0 + hp.num_classes * 1e-3)
         negatives.append(NegativeSample(probs=probs, gt_class=BACKGROUND_CLASS))
     batch = batch_objective(positives, negatives, hp_diff)
@@ -785,8 +824,13 @@ def run_gradcheck(
 
     Errors are normalized by max(1, |gradient|). Sample checks fan out over
     at most ``worker_count()`` threads and reduce by max, so the report does
-    not depend on scheduling.
+    not depend on scheduling. At least one sample is required, so that a
+    report never passes without checking anything.
     """
+    if num_samples < 1:
+        raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
+    if batch_draws < 0:
+        raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
     rng = np.random.default_rng(seed)
     draws = [
         (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
@@ -823,24 +867,20 @@ class RefinementResult:
     pairs_weighted: tuple[tuple[float, float], ...]
 
 
-def _train_offsets_only(
-    scene_set: SceneSet, flat: _FlatMatch, gamma: float, opt: OptimizerConfig
-) -> np.ndarray:
-    """Descend the IoU-based loss alone; each positive updates independently."""
-    offsets = np.zeros((scene_set.total_anchors, 4))
-    a = scene_set.anchors_per_scene
-    for _ in range(opt.steps):
-        for s_idx, m in enumerate(flat.matches):
-            for local_a, g in zip(m.pos_anchor, m.pos_gt):
-                fa = s_idx * a + local_a
-                anchor = scene_set.anchors[local_a]
-                gt = m.scene.gt_boxes[g]
-                d = Offsets.from_array(offsets[fa])
-                decoded = decode(d, anchor)
-                u = iou(decoded, gt)
-                du_dd = decode_jacobian(d, anchor).T @ iou_grad(decoded, gt)
-                offsets[fa] -= opt.learning_rate * hiou_slope(u, gamma) * du_dd
-    return offsets
+def _train_offsets_only(m: Matching, gamma: float, opt: OptimizerConfig) -> np.ndarray:
+    """Descend the IoU-based loss alone; returns the positives' offsets.
+
+    Each positive updates independently, so the step runs on all of them at
+    once. Raises :class:`DivergenceError` if an offset leaves the decode cap.
+    """
+    d = np.zeros_like(m.anchors)
+    for step in range(opt.steps):
+        _check_decode_cap(step, d)
+        u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, m.anchors), m.gt)
+        du_dd = decode_vjp_arrays(d, m.anchors, du_dcorners)
+        d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
+    _check_decode_cap(opt.steps, d)
+    return d
 
 
 def refinement_experiment(
@@ -851,23 +891,15 @@ def refinement_experiment(
     Both runs share the schedule and matching; only the focusing exponent
     differs. IoU before is anchor-vs-GT, after is decoded-vs-GT.
     """
-    flat = _flatten_matches(scene_set)
-    a = scene_set.anchors_per_scene
+    m = scene_set.matching
+    before = iou_arrays(m.anchors, m.gt).tolist()
 
-    def pairs_for(offsets: np.ndarray) -> tuple[tuple[float, float], ...]:
-        out = []
-        for s_idx, m in enumerate(flat.matches):
-            for local_a, g in zip(m.pos_anchor, m.pos_gt):
-                fa = s_idx * a + local_a
-                anchor = scene_set.anchors[local_a]
-                gt = m.scene.gt_boxes[g]
-                before = iou(anchor, gt)
-                after = iou(decode(Offsets.from_array(offsets[fa]), anchor), gt)
-                out.append((before, after))
-        return tuple(out)
+    def pairs_for(d: np.ndarray) -> tuple[tuple[float, float], ...]:
+        after = iou_arrays(decode_arrays(d, m.anchors), m.gt).tolist()
+        return tuple(zip(before, after))
 
-    plain = _train_offsets_only(scene_set, flat, 0.0, opt)
-    weighted = _train_offsets_only(scene_set, flat, hp.gamma, opt)
+    plain = _train_offsets_only(m, 0.0, opt)
+    weighted = _train_offsets_only(m, hp.gamma, opt)
     return RefinementResult(
         gamma_plain=0.0,
         gamma_weighted=hp.gamma,

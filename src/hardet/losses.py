@@ -2,8 +2,10 @@
 
 Every operation works on one sample at a time and returns plain floats and
 small numpy vectors, so each analytic gradient can be checked against finite
-differences without an autodiff framework. Batch reductions sum in sample
-index order for bit-reproducible objectives.
+differences without an autodiff framework. These per-sample functions are the
+reference; :func:`batch_objective_arrays` is the same batch objective over
+arrays, which the training loop runs and the tests hold to the reference.
+Batch reductions sum in sample index order for bit-reproducible objectives.
 
 Probability vectors are softmax outputs over ``num_classes`` entries
 (background included). Entries may be exactly 0 or 1; logs and divisions are
@@ -18,7 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Box, Offsets, decode, decode_jacobian, encode, iou, iou_grad
+from .geom import (
+    Box,
+    Offsets,
+    decode,
+    decode_arrays,
+    decode_jacobian,
+    decode_vjp_arrays,
+    elementwise,
+    encode,
+    iou,
+    iou_and_grad_arrays,
+    iou_grad,
+)
 
 PROB_SUM_TOL = 1e-6
 DHAT_TOL = 1e-9
@@ -230,6 +244,18 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     """d(hiou_loss)/d(IoU); non-positive on [0, 1] whenever gamma <= 1."""
     u = _check_unit(iou_value, "iou_value")
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
+
+
+def hiou_loss_arrays(u: np.ndarray, gamma: float) -> np.ndarray:
+    """Element-wise :func:`hiou_loss`; ``u`` is not range-checked."""
+    return elementwise(lambda v: (1.0 + v) ** gamma, u) * (1.0 - u)
+
+
+def hiou_slope_arrays(u: np.ndarray, gamma: float) -> np.ndarray:
+    """Element-wise :func:`hiou_slope`; ``u`` is not range-checked."""
+    return elementwise(lambda v: (1.0 + v) ** (gamma - 1.0), u) * (
+        gamma * (1.0 - u) - (1.0 + u)
+    )
 
 
 @dataclass(frozen=True)
@@ -457,6 +483,125 @@ def batch_objective(
         g[n.gt_class] = -1.0 / max(float(n.probs[n.gt_class]), hp.prob_floor)
         neg_grads.append(g)
     return BatchResult(total / len(positives), breakdowns, neg_grads)
+
+
+@dataclass(frozen=True)
+class BatchArrays:
+    """:func:`batch_objective_arrays` output.
+
+    ``grad_probs`` (N, C) and ``grad_d`` (N, 4) hold per-row gradients in the
+    convention of :class:`BatchResult`: divide by ``num_positives`` for the
+    objective's gradient. Rows that are neither positive nor negative stay 0.
+    The per-positive vectors follow ``pos_idx`` order; ``p_gt`` is the
+    unfloored ground-truth probability and ``iou`` the decoded-box IoU.
+    """
+
+    value: float
+    grad_probs: np.ndarray
+    grad_d: np.ndarray
+    beta_r: np.ndarray
+    beta_c: np.ndarray
+    p_gt: np.ndarray
+    iou: np.ndarray
+
+    @property
+    def num_positives(self) -> int:
+        return int(self.p_gt.size)
+
+
+def batch_objective_arrays(
+    probs: np.ndarray,
+    offsets: np.ndarray,
+    anchors: np.ndarray,
+    gt: np.ndarray,
+    gt_class: np.ndarray,
+    d_hat: np.ndarray,
+    pos_idx: np.ndarray,
+    neg_idx: np.ndarray,
+    hp: HyperParams,
+) -> BatchArrays:
+    """:func:`batch_objective` over arrays, for the training loop.
+
+    ``probs`` (N, C) and ``offsets`` (N, 4) are per-row predictions; the
+    positives are rows ``pos_idx``, matched to ``anchors``, ``gt``,
+    ``gt_class`` and ``d_hat = encode(gt, anchors)``, all in ``pos_idx``
+    order. Negatives are rows ``neg_idx`` with the background class 0. The
+    arithmetic mirrors :func:`harmonic_det_loss` branch for branch and sums
+    in sample-index order; inputs are not validated (see the scalar form).
+    """
+    if pos_idx.size == 0:
+        raise ValueError("batch objective needs at least one positive sample")
+    pp = probs[pos_idx]
+    d = offsets[pos_idx]
+    p_raw = probs[pos_idx, gt_class]
+    p = np.maximum(p_raw, hp.prob_floor)
+    ce = -elementwise(math.log, p)
+    grad_probs = np.zeros(probs.shape)
+    grad_offsets = np.zeros(offsets.shape)
+
+    # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
+    decoded = decode_arrays(d, anchors)
+    u, du_dcorners = iou_and_grad_arrays(decoded, gt)
+    du_dd = decode_vjp_arrays(d, anchors, du_dcorners)
+    x = d - d_hat
+    ax = np.abs(x)
+    quadratic = ax < 1.0
+    sl1 = np.where(quadratic, 0.5 * ax * ax, ax - 0.5).sum(axis=1)
+    sl1_grad = np.where(quadratic, x, np.sign(x))
+    loc = sl1 + hp.alpha * hiou_loss_arrays(u, hp.gamma)
+    loc_grad = sl1_grad + (hp.alpha * hiou_slope_arrays(u, hp.gamma))[:, None] * du_dd
+
+    if hp.freeze_factors:
+        totals = ce + loc
+        grad_probs[pos_idx, gt_class] = -1.0 / p
+        grad_offsets[pos_idx] = loc_grad
+        beta_r = beta_c = np.zeros_like(p)
+    else:
+        loc_beta, loc_beta_grad = (
+            (sl1, sl1_grad) if hp.harmonic_mode == "smooth_l1" else (loc, loc_grad)
+        )
+        beta_r = elementwise(math.exp, -loc_beta)
+        beta_c = elementwise(math.exp, -ce)
+
+        # task-contrastive hinge on |p - IoU|, entropy-weighted
+        logs = np.log(np.maximum(pp, hp.prob_floor))
+        beta_e = elementwise(math.exp, -(pp * logs).sum(axis=1))
+        weight = 1.0 / (1.0 + beta_e)
+        diff = p - u
+        raw = np.abs(diff) - hp.margin
+        active = raw > 0.0
+        signed = np.where(active, weight * np.copysign(1.0, diff), 0.0)
+        tc = np.where(active, weight * raw, 0.0)
+        grad_probs[pos_idx, gt_class] = signed
+        if not hp.beta_e_stop_grad:
+            squared = elementwise(lambda v: v**2, 1.0 + beta_e)
+            coef = np.where(active, raw * (-beta_e / squared), 0.0)
+            grad_probs[pos_idx] += coef[:, None] * -(1.0 + logs)
+        tc_grad_d = (-signed)[:, None] * du_dd if hp.tc_through_iou else 0.0
+
+        totals = (1.0 + beta_r) * ce + (1.0 + beta_c) * loc + tc
+        # the CE clamp kills both probability terms below the floor
+        dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - (1.0 + beta_r) / p, 0.0)
+        grad_probs[pos_idx, gt_class] += dp
+        grad_offsets[pos_idx] = (
+            (1.0 + beta_c)[:, None] * loc_grad
+            - (ce * beta_r)[:, None] * loc_beta_grad
+            + tc_grad_d
+        )
+
+    neg_p = np.maximum(probs[neg_idx, 0], hp.prob_floor)
+    grad_probs[neg_idx, 0] = -1.0 / neg_p
+    # sequential sums in sample order, as the scalar batch objective adds
+    total = float(np.concatenate([totals, -elementwise(math.log, neg_p)]).cumsum()[-1])
+    return BatchArrays(
+        value=total / pos_idx.size,
+        grad_probs=grad_probs,
+        grad_d=grad_offsets,
+        beta_r=beta_r,
+        beta_c=beta_c,
+        p_gt=p_raw,
+        iou=u,
+    )
 
 
 def gradient_surface(

@@ -83,6 +83,20 @@ class TestGradcheckCommand:
         assert len(ops) == len(set(ops)) == 8
 
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"batch_draws": -1}, "batch_draws")],
+    )
+    def test_empty_sweep_is_a_config_error(self, tmp_path, capsys, block, key):
+        cfg = write_config(tmp_path, {"gradcheck": block})
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"config.gradcheck.{key}" in captured.err
+        assert "PASS" not in captured.out
+        assert not (out / "gradcheck_report.json").exists()
+
+
 class TestLossEvalCommand:
     def sample_line(self):
         return {
@@ -202,6 +216,18 @@ class TestTrainCommand:
         payload["optimizer"] = {**FAST_TRAIN["optimizer"], "learning_rate": 1e9, "gradcheck_samples": 0}
         cfg = write_config(tmp_path, payload)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+
+    def test_zero_gradcheck_samples_skips_the_gate(self, tmp_path):
+        payload = {**FAST_TRAIN, "optimizer": {**FAST_TRAIN["optimizer"], "gradcheck_samples": 0}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_divergence_message_names_step_and_check(self, tmp_path, capsys):
+        payload = dict(FAST_TRAIN)
+        payload["optimizer"] = {**FAST_TRAIN["optimizer"], "learning_rate": 1e9, "gradcheck_samples": 0}
+        cfg = write_config(tmp_path, payload)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "step 1: size offsets past the decode log cap" in capsys.readouterr().err
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         payload = {"hyperparams": {"num_classes": 3}, "scene": {"num_classes": 5}, **{"optimizer": FAST_TRAIN["optimizer"]}}

@@ -5,7 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from hardet.geom import Box, Offsets, decode, decode_jacobian, encode, iou, iou_grad
+from hardet.geom import (
+    Box,
+    Offsets,
+    decode,
+    decode_arrays,
+    decode_jacobian,
+    decode_vjp_arrays,
+    encode,
+    iou,
+    iou_and_grad_arrays,
+    iou_arrays,
+    iou_grad,
+)
 from hardet.harness import _random_box_pair, finite_diff_grad
 
 
@@ -181,3 +193,83 @@ class TestDecodeJacobian:
                 lo = decode(Offsets.from_array(d.as_array() - step), a).as_array()
                 fd[:, col] = (hi - lo) / 2e-6
             np.testing.assert_allclose(j, fd, rtol=1e-6, atol=1e-6)
+
+
+def random_pairs(rng, n):
+    """Overlapping, disjoint and nested pairs on a coarse grid, so that
+    touching edges and coincident corners occur often."""
+    pairs = []
+    for _ in range(n):
+        x1, y1 = rng.integers(0, 6, size=2) * 0.5
+        w1, h1 = rng.integers(1, 6, size=2) * 0.5
+        x2, y2 = rng.integers(0, 6, size=2) * 0.5
+        w2, h2 = rng.integers(1, 6, size=2) * 0.5
+        pairs.append((Box(x1, y1, x1 + w1, y1 + h1), Box(x2, y2, x2 + w2, y2 + h2)))
+    return pairs
+
+
+def stacked(boxes):
+    return np.array([b.as_array() for b in boxes])
+
+
+TOUCHING = [
+    (Box(0, 0, 1, 1), Box(1, 0, 2, 1)),  # shared edge
+    (Box(0, 0, 1, 1), Box(1, 1, 2, 2)),  # shared corner
+    (Box(0, 0, 1, 1), Box(0, 0, 1, 1)),  # coincident
+    (Box(0, 0, 2, 2), Box(0, 0, 1, 1)),  # nested with shared corner
+    (Box(0, 0, 1, 1), Box(0, 1, 1, 3)),  # stacked vertically
+]
+
+
+class TestArrayForms:
+    """The array forms agree with the scalar reference bit for bit."""
+
+    def test_iou_equals_scalar_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        pairs = [_random_box_pair(rng) for _ in range(300)] + random_pairs(rng, 300)
+        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
+        got = iou_arrays(a, b)
+        want = np.array([iou(x, y) for x, y in pairs])
+        assert np.array_equal(got, want)
+
+    def test_iou_equals_scalar_on_touching_and_degenerate_pairs(self):
+        pairs = TOUCHING + [(Box(0, 0, 0, 1), Box(0, 0, 0, 1)), (Box(0, 0, 1, 1), Box(3, 3, 4, 4))]
+        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
+        want = np.array([iou(x, y) for x, y in pairs])
+        assert np.array_equal(iou_arrays(a, b), want)
+        assert np.array_equal(iou_arrays(b, a), want)
+
+    def test_iou_broadcasts_to_a_matrix(self):
+        rng = np.random.default_rng(12)
+        boxes = [p[0] for p in random_pairs(rng, 7)]
+        others = [p[1] for p in random_pairs(rng, 3)]
+        mat = iou_arrays(stacked(boxes)[:, None, :], stacked(others)[None, :, :])
+        assert mat.shape == (7, 3)
+        want = np.array([[iou(x, y) for y in others] for x in boxes])
+        assert np.array_equal(mat, want)
+
+    def test_iou_and_grad_equal_scalar(self):
+        rng = np.random.default_rng(13)
+        pairs = TOUCHING + [_random_box_pair(rng) for _ in range(200)] + random_pairs(rng, 200)
+        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
+        u, grad = iou_and_grad_arrays(a, b)
+        assert np.array_equal(u, [iou(x, y) for x, y in pairs])
+        assert np.array_equal(grad, [iou_grad(x, y) for x, y in pairs])
+
+    def test_decode_and_jacobian_product_equal_scalar(self):
+        rng = np.random.default_rng(14)
+        anchors = [_random_box_pair(rng)[0] for _ in range(200)]
+        d = rng.uniform(-2.0, 2.0, size=(200, 4))
+        g = rng.normal(size=(200, 4))
+        a = stacked(anchors)
+        want_boxes = np.array(
+            [decode(Offsets.from_array(row), anc).as_array() for row, anc in zip(d, anchors)]
+        )
+        want_vjp = np.array(
+            [
+                decode_jacobian(Offsets.from_array(row), anc).T @ gi
+                for row, anc, gi in zip(d, anchors, g)
+            ]
+        )
+        assert np.array_equal(decode_arrays(d, a), want_boxes)
+        assert np.array_equal(decode_vjp_arrays(d, a, g), want_vjp)

@@ -12,6 +12,7 @@ from hardet.losses import (
     NegativeSample,
     PositiveSample,
     batch_objective,
+    batch_objective_arrays,
     cross_entropy,
     full_loc_loss,
     gradient_surface,
@@ -517,6 +518,127 @@ class TestBatchObjective:
         pos = [random_positive_sample(rng, HP5) for _ in range(4)]
         neg = [random_negative(rng, 5) for _ in range(3)]
         assert batch_objective(pos, neg, HP5).value == batch_objective(pos, neg, HP5).value
+
+
+def batch_arrays(positives, negatives, rng):
+    """The samples as kernel inputs, rows shuffled so that the scatter shows."""
+    n = len(positives) + len(negatives)
+    rows = rng.permutation(n)
+    pos_idx, neg_idx = rows[: len(positives)], rows[len(positives) :]
+    probs = np.zeros((n, positives[0].num_classes))
+    offsets = np.zeros((n, 4))
+    probs[pos_idx] = [s.probs for s in positives]
+    offsets[pos_idx] = [s.d.as_array() for s in positives]
+    if negatives:
+        probs[neg_idx] = [s.probs for s in negatives]
+    return (
+        probs,
+        offsets,
+        np.array([s.anchor.as_array() for s in positives]),
+        np.array([s.gt_box.as_array() for s in positives]),
+        np.array([s.gt_class for s in positives]),
+        np.array([s.d_hat.as_array() for s in positives]),
+        pos_idx,
+        neg_idx,
+    )
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+def check_against_reference(positives, negatives, hp, rng):
+    args = batch_arrays(positives, negatives, rng)
+    pos_idx, neg_idx = args[-2], args[-1]
+    got = batch_objective_arrays(*args, hp)
+    want = batch_objective(positives, negatives, hp)
+    assert_close(got.value, want.value)
+    assert got.num_positives == want.num_positives
+    for k, b in enumerate(want.breakdowns):
+        assert_close(got.grad_probs[pos_idx[k]], b.grad_probs)
+        assert_close(got.grad_d[pos_idx[k]], b.grad_d)
+        assert_close(got.beta_r[k], b.beta_r)
+        assert_close(got.beta_c[k], b.beta_c)
+        assert_close(got.iou[k], b.iou_value)
+        assert got.p_gt[k] == positives[k].probs[positives[k].gt_class]
+    for j, g in enumerate(want.negative_grad_probs):
+        assert_close(got.grad_probs[neg_idx[j]], g)
+        assert np.all(got.grad_d[neg_idx[j]] == 0.0)
+    return got, want
+
+
+def random_batch(rng, hp, max_pos=8, max_neg=8):
+    positives = [random_positive_sample(rng, hp) for _ in range(int(rng.integers(1, max_pos)))]
+    # plus samples on the smooth-L1 and TC kinks the oracle's sampler avoids
+    for _ in range(3):
+        s = random_positive_sample(rng, hp)
+        positives.append(s.with_d(Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
+    negatives = [random_negative(rng, hp.num_classes) for _ in range(int(rng.integers(0, max_neg)))]
+    return positives, negatives
+
+
+KINK_CASES = {
+    "default": HP5,
+    "compat_standard": HP5.compat_standard(),
+    "freeze_factors_with_alpha": replace(HP5, freeze_factors=True),
+    "harmonic_mode_smooth_l1": replace(HP5, harmonic_mode="smooth_l1"),
+    "entropy_weight_differentiated": replace(HP5, beta_e_stop_grad=False),
+    "tc_not_through_iou": replace(HP5, tc_through_iou=False),
+    "tc_hinge_always_on": replace(HP5, margin=0.0, beta_e_stop_grad=False),
+    "tc_hinge_always_off": replace(HP5, margin=0.99),
+    "high_prob_floor": replace(HP5, prob_floor=0.3, beta_e_stop_grad=False),
+}
+
+
+class TestBatchObjectiveArrays:
+    """The array kernel against the per-sample reference, to 1e-12."""
+
+    @pytest.mark.parametrize("case", sorted(KINK_CASES))
+    def test_matches_reference_on_random_batches(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(sorted(KINK_CASES).index(case))
+        for _ in range(15):
+            check_against_reference(*random_batch(rng, hp), hp, rng)
+
+    @pytest.mark.parametrize("case", sorted(KINK_CASES))
+    def test_probability_floor_clamp(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(90)
+        zero_gt = make_sample([0.5, 0.0, 0.5, 0.0, 0.0], gt_class=1, d=[0.1, -0.2, 0.05, 0.1])
+        certain = make_sample([0.0, 1.0, 0.0, 0.0, 0.0], gt_class=1)
+        zero_bg = NegativeSample(probs=np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
+        check_against_reference([zero_gt, certain], [zero_bg, random_negative(rng, 5)], hp, rng)
+
+    def test_hinge_cases_are_exercised(self):
+        rng = np.random.default_rng(91)
+        positives, negatives = random_batch(rng, HP5, max_pos=20)
+        on, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_on"], rng)
+        off, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_off"], rng)
+        assert on.value != off.value
+
+    def test_bit_equal_to_reference(self):
+        # training amplifies last-bit differences into a different trajectory
+        rng = np.random.default_rng(92)
+        positives, negatives = random_batch(rng, HP5)
+        args = batch_arrays(positives, negatives, rng)
+        got = batch_objective_arrays(*args, HP5)
+        want = batch_objective(positives, negatives, HP5)
+        assert got.value == want.value
+        pos_idx, neg_idx = args[-2], args[-1]
+        assert np.array_equal(got.grad_probs[pos_idx], [b.grad_probs for b in want.breakdowns])
+        assert np.array_equal(got.grad_d[pos_idx], [b.grad_d for b in want.breakdowns])
+        if negatives:
+            assert np.array_equal(got.grad_probs[neg_idx], want.negative_grad_probs)
+
+    def test_no_positives_rejected(self):
+        empty = np.array([], dtype=int)
+        with pytest.raises(ValueError):
+            batch_objective_arrays(
+                np.full((2, 5), 0.2), np.zeros((2, 4)), np.zeros((0, 4)), np.zeros((0, 4)),
+                empty, np.zeros((0, 4)), empty, np.arange(2), HP5,
+            )
 
 
 class TestGradientSurface:
