@@ -16,8 +16,9 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .metrics import (
     Detection,
     GroundTruth,
     average_precision,
+    check_iou_thresholds,
     consistency_scatter,
     iou_histogram,
     nms,
@@ -56,35 +58,22 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-_HP_KEYS = {
-    "alpha": float,
-    "gamma": float,
-    "margin": float,
-    "num_classes": int,
-    "prob_floor": float,
-    "beta_e_stop_grad": bool,
-    "harmonic_mode": str,
-    "tc_through_iou": bool,
-    "allow_gamma_above_one": bool,
-}
-_SCENE_KEYS = {
-    "num_scenes": int,
-    "objects_per_scene": list,
-    "canvas": list,
-    "anchor_spacing": float,
-    "anchor_scales": list,
-    "jitter": float,
-    "num_classes": int,
-    "positive_iou_threshold": float,
-}
-_OPT_KEYS = {
-    "learning_rate": float,
-    "steps": int,
-    "log_every": int,
-    "loss_mode": str,
-    "gradcheck_samples": int,
-    "gradcheck_tolerance": float,
-}
+
+def _schema(cls: type, exclude: tuple[str, ...] = ()) -> dict[str, type]:
+    """A config block's keys and JSON types, read from a dataclass's fields."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: list if get_origin(hints[f.name]) is tuple else hints[f.name]
+        for f in fields(cls)
+        if f.name not in exclude
+    }
+
+
+# freeze_factors is reached only through loss_mode "standard"; the scene seed
+# is the top-level seed
+_HP_KEYS = _schema(HyperParams, exclude=("freeze_factors",))
+_SCENE_KEYS = _schema(SceneConfig, exclude=("seed",))
+_OPT_KEYS = _schema(OptimizerConfig)
 _GRADCHECK_KEYS = {"samples": int, "tolerance": float, "batch_draws": int}
 _SURFACE_KEYS = {
     "p_min": float,
@@ -138,7 +127,10 @@ def _check_block(block: Any, allowed: dict[str, type], path: str) -> dict:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
         expected = allowed[key]
-        if expected in (float, int):
+        if expected is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        elif expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
         elif not isinstance(value, expected):
@@ -195,6 +187,8 @@ def effective_config(
     out["seed"] = cfg.get("seed", out["seed"])
     if seed_override is not None:
         out["seed"] = seed_override
+    if out["seed"] < 0:
+        raise ConfigError(f"config.seed: must be >= 0, got {out['seed']}")
     return out
 
 
@@ -213,10 +207,7 @@ def _build_hyperparams(cfg: dict) -> HyperParams:
 
 
 def _build_scene_config(cfg: dict) -> SceneConfig:
-    block = dict(cfg["scene"])
-    for key in ("objects_per_scene", "canvas", "anchor_scales"):
-        if key in block:
-            block[key] = tuple(block[key])
+    block = {k: tuple(v) if _SCENE_KEYS[k] is list else v for k, v in cfg["scene"].items()}
     try:
         return SceneConfig(seed=cfg["seed"], **block)
     except (TypeError, ValueError) as exc:
@@ -303,16 +294,7 @@ def cmd_loss_eval(cfg: dict, out: Path, samples_path: str) -> int:
         try:
             record = json.loads(line)
             sample = positive_sample_from_json(record)
-            if sample.num_classes != hp.num_classes:
-                hp_line = HyperParams(
-                    **{
-                        **{k: getattr(hp, k) for k in _HP_KEYS},
-                        "num_classes": sample.num_classes,
-                    }
-                )
-            else:
-                hp_line = hp
-            breakdown = harmonic_det_loss(sample, hp_line)
+            breakdown = harmonic_det_loss(sample, replace(hp, num_classes=sample.num_classes))
         except (ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc
         out_lines.append(json.dumps(breakdown.to_json(), sort_keys=True))
@@ -343,13 +325,25 @@ def cmd_surface(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _train_thresholds(cfg: dict) -> tuple[float, list[float]]:
+    """The train block's NMS and AP thresholds, checked as nms and AP check them."""
+    t = cfg["train"]
+    try:
+        (nms_threshold,) = check_iou_thresholds([t["nms_threshold"]])
+    except ValueError as exc:
+        raise ConfigError(f"config.train.nms_threshold: {exc}") from exc
+    try:
+        return nms_threshold, check_iou_thresholds(t["ap_thresholds"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.train.ap_thresholds: {exc}") from exc
+
+
 def _evaluate_trained(
-    cfg: dict, scene_set, model: ToyModel
+    scene_set, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
 ) -> tuple[list[tuple[float, float]], dict, list[dict], list[tuple[float, float]]]:
     """NMS + AP + scatter + AIC pairs for a trained model on its scenes."""
-    t = cfg["train"]
     per_scene = model_detections(scene_set, model)
-    kept: list[list[Detection]] = [nms(dets, float(t["nms_threshold"])) for dets in per_scene]
+    kept: list[list[Detection]] = [nms(dets, nms_threshold) for dets in per_scene]
 
     # AP with scene-namespaced class keys so matches stay within a scene
     all_dets: list[Detection] = []
@@ -373,7 +367,7 @@ def _evaluate_trained(
             )
         for g in gts:
             all_gts.append(GroundTruth(box=g.box, class_id=s_idx * 10_000 + g.class_id))
-    ap = average_precision(all_dets, all_gts, [float(x) for x in t["ap_thresholds"]])
+    ap = average_precision(all_dets, all_gts, ap_thresholds)
     ap_payload = {
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
@@ -392,6 +386,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
             "config: hyperparams.num_classes and scene.num_classes must agree"
         )
     opt = _build_optimizer(cfg)
+    nms_threshold, ap_thresholds = _train_thresholds(cfg)
     scene_set = generate_scenes(scene_cfg)
     model = ToyModel.zeros(scene_set.total_anchors, scene_cfg.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
@@ -401,7 +396,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
         rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
-    aic_pairs, ap_payload, det_rows, scatter_rows = _evaluate_trained(cfg, scene_set, model)
+    aic_pairs, ap_payload, det_rows, scatter_rows = _evaluate_trained(
+        scene_set, model, nms_threshold, ap_thresholds
+    )
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )

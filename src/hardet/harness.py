@@ -10,8 +10,6 @@ function of (inputs, seed); repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -88,20 +86,6 @@ class GradientCheckError(NumericalError):
         self.tolerance = tolerance
 
 
-def worker_count() -> int:
-    """Parallelism cap from HARDET_THREADS; defaults to the machine's cores."""
-    raw = os.environ.get("HARDET_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"HARDET_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValueError(f"HARDET_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Synthetic scene and anchor-grid settings.
@@ -125,6 +109,9 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.num_scenes < 1:
             raise ValueError(f"num_scenes must be >= 1, got {self.num_scenes}")
+        for name in ("objects_per_scene", "canvas"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must have 2 entries, got {getattr(self, name)}")
         lo, hi = self.objects_per_scene
         if lo < 1 or hi < lo:
             raise ValueError(f"objects_per_scene range invalid: ({lo}, {hi})")
@@ -665,14 +652,7 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
 
 
 def _fd_probs(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
-    grad = np.zeros(sample.num_classes)
-    for k in range(sample.num_classes):
-        step = np.zeros(sample.num_classes)
-        step[k] = PROB_FD_STEP
-        hi = value_fn(sample.with_probs(sample.probs + step))
-        lo = value_fn(sample.with_probs(sample.probs - step))
-        grad[k] = (hi - lo) / (2.0 * PROB_FD_STEP)
-    return grad
+    return finite_diff_grad(lambda v: value_fn(sample.with_probs(v)), sample.probs, PROB_FD_STEP)
 
 
 def _fd_offsets(
@@ -719,17 +699,14 @@ def _check_one(sample: PositiveSample, pair: tuple[Box, Box], hp: HyperParams) -
     fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
     errs["iou_grad"] = _grad_err(iou_grad(a, b), fd)
 
-    anchor = sample.anchor
-
-    def corners(vec: np.ndarray) -> np.ndarray:
-        return decode(Offsets.from_array(vec), anchor).as_array()
-
-    jac = decode_jacobian(sample.d, anchor)
-    fd_jac = np.zeros((4, 4))
-    for col in range(4):
-        step = np.zeros(4)
-        step[col] = 1e-6
-        fd_jac[:, col] = (corners(sample.d.as_array() + step) - corners(sample.d.as_array() - step)) / 2e-6
+    jac = decode_jacobian(sample.d, sample.anchor)
+    fd_jac = np.array([
+        finite_diff_grad(
+            lambda v, r=r: decode(Offsets.from_array(v), sample.anchor).as_array()[r],
+            sample.d.as_array(),
+        )
+        for r in range(4)
+    ])
     errs["decode_jacobian"] = _grad_err(jac.ravel(), fd_jac.ravel())
 
     loc, _ = full_loc_loss(sample, hp)
@@ -790,13 +767,7 @@ def _check_batch(rng: np.random.Generator, hp: HyperParams) -> float:
             swapped[j] = NegativeSample(probs=probs, gt_class=neg.gt_class)
             return batch_objective(positives, swapped, hp_diff).value
 
-        fd = np.zeros(hp.num_classes)
-        for k in range(hp.num_classes):
-            step = np.zeros(hp.num_classes)
-            step[k] = PROB_FD_STEP
-            fd[k] = (neg_value(neg.probs + step) - neg_value(neg.probs - step)) / (
-                2.0 * PROB_FD_STEP
-            )
+        fd = finite_diff_grad(neg_value, neg.probs, PROB_FD_STEP)
         worst = max(worst, _grad_err(batch.negative_grad_probs[j] / n, fd))
     return worst
 
@@ -822,10 +793,9 @@ def run_gradcheck(
 ) -> GradCheckReport:
     """Analytic-vs-FD sweep over every differentiated operation.
 
-    Errors are normalized by max(1, |gradient|). Sample checks fan out over
-    at most ``worker_count()`` threads and reduce by max, so the report does
-    not depend on scheduling. At least one sample is required, so that a
-    report never passes without checking anything.
+    Errors are normalized by max(1, |gradient|) and reduced by max over the
+    draws. At least one sample is required, so that a report never passes
+    without checking anything.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
@@ -836,14 +806,8 @@ def run_gradcheck(
         (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
     ]
     worst = {op: 0.0 for op in GRADCHECK_OPS}
-    workers = min(worker_count(), max(1, len(draws)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sp: _check_one(sp[0], sp[1], hp), draws))
-    else:
-        results = [_check_one(s, p, hp) for s, p in draws]
-    for errs in results:
-        for op, e in errs.items():
+    for sample, pair in draws:
+        for op, e in _check_one(sample, pair, hp).items():
             worst[op] = max(worst[op], e)
     for _ in range(batch_draws):
         worst["batch_objective"] = max(worst["batch_objective"], _check_batch(rng, hp))

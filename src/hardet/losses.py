@@ -186,21 +186,26 @@ class LossBreakdown:
         }
 
 
-def positive_sample_from_json(obj: dict) -> PositiveSample:
+def positive_sample_from_json(obj: object) -> PositiveSample:
     """Build a sample from the JSONL record format of this package."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"sample record must be an object, got {type(obj).__name__}")
     missing = {"probs", "gt_class", "anchor", "gt_box", "d"} - obj.keys()
     if missing:
         raise ValueError(f"sample record missing fields: {sorted(missing)}")
     unknown = obj.keys() - {"probs", "gt_class", "anchor", "gt_box", "d"}
     if unknown:
         raise ValueError(f"sample record has unknown fields: {sorted(unknown)}")
-    return PositiveSample(
-        probs=np.asarray(obj["probs"], dtype=float),
-        gt_class=int(obj["gt_class"]),
-        d=Offsets.from_array(obj["d"]),
-        anchor=Box.from_array(obj["anchor"]),
-        gt_box=Box.from_array(obj["gt_box"]),
-    )
+    try:
+        return PositiveSample(
+            probs=np.asarray(obj["probs"], dtype=float),
+            gt_class=int(obj["gt_class"]),
+            d=Offsets.from_array(obj["d"]),
+            anchor=Box.from_array(obj["anchor"]),
+            gt_box=Box.from_array(obj["gt_box"]),
+        )
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"sample record field of the wrong type or range: {exc}") from exc
 
 
 def cross_entropy(probs: np.ndarray, gt_class: int, prob_floor: float = 1e-12) -> float:

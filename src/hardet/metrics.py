@@ -60,10 +60,20 @@ def ground_truth_from_json(obj: dict) -> GroundTruth:
     return GroundTruth(box=Box.from_array(obj["box"]), class_id=int(obj["class_id"]))
 
 
+def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """The NMS/AP thresholds as floats; at least one, each in (0, 1]."""
+    out = [float(t) for t in thresholds]
+    if not out:
+        raise ValueError("need at least one IoU threshold")
+    for t in out:
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"IoU threshold must lie in (0, 1], got {t}")
+    return out
+
+
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy class-wise suppression; keeps score order, ties by input index."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    check_iou_thresholds([iou_threshold])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept: list[int] = []
     for i in order:
@@ -145,12 +155,7 @@ def average_precision(
     Classes without ground truth are absent from the report; detections for
     such classes do not enter any other class's precision.
     """
-    thresholds = [float(t) for t in iou_thresholds]
-    if not thresholds:
-        raise ValueError("need at least one IoU threshold")
-    for t in thresholds:
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"IoU threshold must lie in (0, 1], got {t}")
+    thresholds = check_iou_thresholds(iou_thresholds)
     classes = sorted({gt.class_id for gt in gts})
     per_class: dict[int, dict[float, float]] = {}
     for cls in classes:

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -54,6 +56,84 @@ class TestConfigHandling:
         assert main(["train", "--config", cfg, "--seed", "9", "--out", str(out)]) == EXIT_OK
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 9
+
+
+class TestNoTracebacks:
+    @pytest.mark.parametrize(
+        "command, payload, flags, path",
+        [
+            ("train", {"train": {"nms_threshold": 0}}, [], "config.train.nms_threshold"),
+            ("train", {"train": {"ap_thresholds": []}}, [], "config.train.ap_thresholds"),
+            ("train", {"train": {"ap_thresholds": [None]}}, [], "config.train.ap_thresholds"),
+            ("train", {"scene": {"canvas": [16]}}, [], "config.scene: canvas"),
+            ("train", {"scene": {"objects_per_scene": [1, 2, 3]}}, [], "config.scene: objects_per_scene"),
+            ("train", {"seed": -1}, [], "config.seed"),
+            ("train", {}, ["--seed", "-1"], "config.seed"),
+            ("train", {"optimizer": {"steps": 2.5}}, [], "config.optimizer.steps"),
+            ("train", {"scene": {"num_scenes": True}}, [], "config.scene.num_scenes"),
+            ("gradcheck", {"gradcheck": {"samples": 2.5}}, [], "config.gradcheck.samples"),
+            ("gradcheck", {"gradcheck": {"samples": 2.0}}, [], "config.gradcheck.samples: expected an integer"),
+            ("surface", {"surface": {"p_steps": 2.5}}, [], "config.surface.p_steps"),
+        ],
+    )
+    def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):
+        merged = {**FAST_TRAIN, **payload} if command == "train" else payload
+        cfg = write_config(tmp_path, merged)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, *flags, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert path in err
+        assert "Traceback" not in err
+        # the train block is checked before training starts, not after it
+        assert not (out / "trainlog.csv").exists()
+
+    def test_float_keys_still_take_integers(self, tmp_path):
+        cfg = write_config(tmp_path, {"surface": {"p_max": 1, "loc_max": 2, "p_steps": 3}})
+        assert main(["surface", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_non_object_sample_line_exits_1(self, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("[1, 2]\n")
+        assert main(["loss-eval", "--samples", str(samples), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "samples line 1" in err
+        assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=5), children, max_size=5),
+    max_leaves=12,
+)
+_NUMBERS = st.lists(st.floats() | st.integers(-3, 10), max_size=6)
+_RECORDS = st.fixed_dictionaries(
+    {key: _NUMBERS | _JSON for key in ("probs", "gt_class", "anchor", "gt_box", "d")}
+)
+_BOXES = st.tuples(*[st.floats(-10, 10)] * 2, *[st.floats(1e-3, 10)] * 2).map(
+    lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]]
+)
+# well-formed records with extreme offsets reach the loss itself
+_SAMPLES = st.fixed_dictionaries(
+    {
+        "probs": st.sampled_from([[0.1, 0.7, 0.1, 0.05, 0.05], [0.5, 0.5], [0.0, 1.0, 0.0]]),
+        "gt_class": st.integers(-1, 2),
+        "anchor": _BOXES,
+        "gt_box": _BOXES,
+        "d": st.lists(st.floats(-5, 5) | st.floats(), min_size=4, max_size=4),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON | _RECORDS | _SAMPLES)
+def test_any_json_sample_line_exits_0_or_1(tmp_path_factory, value):
+    tmp = tmp_path_factory.mktemp("loss_eval")
+    samples = tmp / "samples.jsonl"
+    samples.write_text(json.dumps(value) + "\n")
+    assert main(["loss-eval", "--samples", str(samples), "--out", str(tmp / "out")]) in (
+        EXIT_OK,
+        EXIT_VALIDATION,
+    )
 
 
 class TestGradcheckCommand:
