@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Sequence, get_origin, get_type_hints
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .metrics import (
     DEFAULT_IOU_BIN_EDGES,
     Detection,
     GroundTruth,
+    aic,
     average_precision,
     check_iou_thresholds,
     consistency_scatter,
@@ -40,6 +41,7 @@ from .harness import (
     NumericalError,
     OptimizerConfig,
     SceneConfig,
+    SceneSet,
     ToyModel,
     consistency_pairs,
     generate_scenes,
@@ -59,41 +61,13 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _schema(cls: type, exclude: tuple[str, ...] = ()) -> dict[str, type]:
-    """A config block's keys and JSON types, read from a dataclass's fields."""
+def _schema(cls: type, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
+    """A config block's keys and JSON types, read from a dataclass's fields;
+    a tuple field is a JSON list of its element type."""
     hints = get_type_hints(cls)
-    return {
-        f.name: list if get_origin(hints[f.name]) is tuple else hints[f.name]
-        for f in fields(cls)
-        if f.name not in exclude
-    }
+    types = {f.name: hints[f.name] for f in fields(cls) if f.name not in exclude}
+    return {k: list[get_args(t)[0]] if get_origin(t) is tuple else t for k, t in types.items()}
 
-
-# freeze_factors is reached only through loss_mode "standard"; the scene seed
-# is the top-level seed
-_HP_KEYS = _schema(HyperParams, exclude=("freeze_factors",))
-_SCENE_KEYS = _schema(SceneConfig, exclude=("seed",))
-_OPT_KEYS = _schema(OptimizerConfig)
-_GRADCHECK_KEYS = {"samples": int, "tolerance": float, "batch_draws": int}
-_SURFACE_KEYS = {
-    "p_min": float,
-    "p_max": float,
-    "p_steps": int,
-    "loc_min": float,
-    "loc_max": float,
-    "loc_steps": int,
-    "mode": str,
-}
-_TRAIN_KEYS = {"nms_threshold": float, "ap_thresholds": list}
-_TOP_KEYS = {
-    "seed": int,
-    "hyperparams": dict,
-    "scene": dict,
-    "optimizer": dict,
-    "gradcheck": dict,
-    "surface": dict,
-    "train": dict,
-}
 
 # calibrated demo defaults: train shows the paired-run dynamics, refine the
 # per-bin gain contrast, at second-scale runtimes
@@ -120,23 +94,46 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
-def _check_block(block: Any, allowed: dict[str, type], path: str) -> dict:
+# freeze_factors is reached only through loss_mode "standard"; the scene seed
+# is the top-level seed. The other blocks are declared by their defaults.
+_BLOCK_KEYS = {
+    "hyperparams": _schema(HyperParams, exclude=("freeze_factors",)),
+    "scene": _schema(SceneConfig, exclude=("seed",)),
+    "optimizer": _schema(OptimizerConfig),
+    **{
+        name: {k: list[type(v[0])] if isinstance(v, list) else type(v) for k, v in block.items()}
+        for name, block in _DEFAULTS.items()
+        if name in ("gradcheck", "surface", "train")
+    },
+}
+_TOP_KEYS = {"seed": int, **{name: dict for name in _BLOCK_KEYS}}
+
+
+def _check_value(value: Any, expected: Any, path: str) -> None:
+    if get_origin(expected) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected list, got {type(value).__name__}")
+        for k, item in enumerate(value):
+            _check_value(item, get_args(expected)[0], f"{path}[{k}]")
+    elif expected is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    elif expected is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path}: integer out of the float range")
+    elif not isinstance(value, expected):
+        raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
+
+
+def _check_block(block: Any, allowed: dict[str, Any], path: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
     for key, value in block.items():
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
-        expected = allowed[key]
-        if expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        elif expected is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        elif not isinstance(value, expected):
-            raise ConfigError(
-                f"{path}.{key}: expected {expected.__name__}, got {type(value).__name__}"
-            )
+        _check_value(value, allowed[key], f"{path}.{key}")
     return dict(block)
 
 
@@ -155,14 +152,7 @@ def load_config(path: str | None) -> dict:
             f"config {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     cfg = _check_block(raw, _TOP_KEYS, "config")
-    for name, keys in (
-        ("hyperparams", _HP_KEYS),
-        ("scene", _SCENE_KEYS),
-        ("optimizer", _OPT_KEYS),
-        ("gradcheck", _GRADCHECK_KEYS),
-        ("surface", _SURFACE_KEYS),
-        ("train", _TRAIN_KEYS),
-    ):
+    for name, keys in _BLOCK_KEYS.items():
         if name in cfg:
             cfg[name] = _check_block(cfg[name], keys, f"config.{name}")
     return cfg
@@ -176,7 +166,7 @@ def effective_config(
 ) -> dict:
     """Merge defaults, the config file, and flag overrides (flags win)."""
     out = json.loads(json.dumps(_DEFAULTS))
-    for name in ("hyperparams", "scene", "optimizer", "gradcheck", "surface", "train"):
+    for name in _BLOCK_KEYS:
         block = dict(out.get(name, {}))
         if name == "scene" and scene_defaults:
             block.update(scene_defaults)
@@ -206,11 +196,11 @@ def _build_hyperparams(cfg: dict) -> HyperParams:
         raise ConfigError(f"config.hyperparams: {exc}") from exc
 
 
-def _build_scene_config(cfg: dict) -> SceneConfig:
-    block = {k: tuple(v) if _SCENE_KEYS[k] is list else v for k, v in cfg["scene"].items()}
+def _build_scene_set(cfg: dict) -> SceneSet:
+    block = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg["scene"].items()}
     try:
-        return SceneConfig(seed=cfg["seed"], **block)
-    except (TypeError, ValueError) as exc:
+        return generate_scenes(SceneConfig(seed=cfg["seed"], **block))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.scene: {exc}") from exc
 
 
@@ -248,34 +238,20 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
         raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
     if gc["batch_draws"] < 0:
         raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
+    # the schema checked the integer keys; an integer tolerance is reported as a float
     report = run_gradcheck(
-        hp,
-        num_samples=int(gc["samples"]),
-        tolerance=float(gc["tolerance"]),
-        seed=int(cfg["seed"]),
-        batch_draws=int(gc["batch_draws"]),
+        hp, gc["samples"], float(gc["tolerance"]), cfg["seed"], batch_draws=gc["batch_draws"]
     )
-    lines = []
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
-        lines.append(f"{e.op:20s} samples={e.samples:5d} max_err={e.max_err:.3e} {status}")
-    print("\n".join(lines))
+        print(f"{e.op:20s} samples={e.samples:5d} max_err={e.max_err:.3e} {status}")
     print(f"gradcheck: {'PASS' if report.passed else 'FAIL'} (tolerance {gc['tolerance']:g})")
     payload = {
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "tolerance": gc["tolerance"],
         "passed": report.passed,
-        "entries": [
-            {
-                "op": e.op,
-                "samples": e.samples,
-                "max_err": e.max_err,
-                "tolerance": e.tolerance,
-                "passed": e.passed,
-            }
-            for e in report.entries
-        ],
+        "entries": [{**vars(e), "passed": e.passed} for e in report.entries],
     }
     (out / "gradcheck_report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_NUMERICAL
@@ -334,61 +310,40 @@ def _train_thresholds(cfg: dict) -> tuple[float, list[float]]:
         raise ConfigError(f"config.train.nms_threshold: {exc}") from exc
     try:
         return nms_threshold, check_iou_thresholds(t["ap_thresholds"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config.train.ap_thresholds: {exc}") from exc
 
 
 def _evaluate_trained(
     scene_set, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
-) -> tuple[list[tuple[float, float]], dict, list[dict], list[tuple[float, float]]]:
-    """NMS + AP + scatter + AIC pairs for a trained model on its scenes."""
-    per_scene = model_detections(scene_set, model)
-    kept: list[list[Detection]] = [nms(dets, nms_threshold) for dets in per_scene]
-
-    # AP with scene-namespaced class keys so matches stay within a scene
-    all_dets: list[Detection] = []
-    all_gts: list[GroundTruth] = []
-    det_rows: list[dict] = []
-    scatter_rows: list[tuple[float, float]] = []
-    for s_idx, (scene, dets) in enumerate(zip(scene_set.scenes, kept)):
-        gts = [GroundTruth(box=b, class_id=c) for b, c in zip(scene.gt_boxes, scene.gt_classes)]
-        scatter_rows.extend(consistency_scatter(dets, gts))
-        for d in dets:
-            all_dets.append(
-                Detection(box=d.box, class_id=s_idx * 10_000 + d.class_id, score=d.score)
-            )
-            det_rows.append(
-                {
-                    "scene": s_idx,
-                    "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-                    "class_id": d.class_id,
-                    "score": d.score,
-                }
-            )
-        for g in gts:
-            all_gts.append(GroundTruth(box=g.box, class_id=s_idx * 10_000 + g.class_id))
-    ap = average_precision(all_dets, all_gts, ap_thresholds)
+) -> tuple[list[tuple[float, float]], dict, list[Detection], list[tuple[float, float]]]:
+    """AIC pairs, AP payload, kept detections and scatter rows of a trained
+    model on its scenes; AP and scatter match within (scene, class) groups."""
+    kept = [d for dets in model_detections(scene_set, model) for d in nms(dets, nms_threshold)]
+    gts = [
+        GroundTruth(box=box, class_id=c, scene=s)
+        for s, scene in enumerate(scene_set.scenes)
+        for box, c in zip(scene.gt_boxes, scene.gt_classes)
+    ]
+    ap = average_precision(kept, gts, ap_thresholds)
     ap_payload = {
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
     # the matching train_toy built is cached on the scene set
-    return consistency_pairs(scene_set, model), ap_payload, det_rows, scatter_rows
+    return consistency_pairs(scene_set, model), ap_payload, kept, consistency_scatter(kept, gts)
 
 
 def cmd_train(cfg: dict, out: Path) -> int:
-    from .metrics import aic as aic_metric
-
-    scene_cfg = _build_scene_config(cfg)
+    scene_set = _build_scene_set(cfg)
     hp = _build_hyperparams(cfg)
-    if hp.num_classes != scene_cfg.num_classes:
+    if hp.num_classes != scene_set.config.num_classes:
         raise ConfigError(
             "config: hyperparams.num_classes and scene.num_classes must agree"
         )
     opt = _build_optimizer(cfg)
     nms_threshold, ap_thresholds = _train_thresholds(cfg)
-    scene_set = generate_scenes(scene_cfg)
-    model = ToyModel.zeros(scene_set.total_anchors, scene_cfg.num_classes)
+    model = ToyModel.zeros(scene_set.total_anchors, hp.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
 
     rows = [_csv_header(cfg), "step,objective,mean_factor_r,mean_factor_c,aic\n"]
@@ -396,13 +351,16 @@ def cmd_train(cfg: dict, out: Path) -> int:
         rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
-    aic_pairs, ap_payload, det_rows, scatter_rows = _evaluate_trained(
+    aic_pairs, ap_payload, kept, scatter_rows = _evaluate_trained(
         scene_set, model, nms_threshold, ap_thresholds
     )
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
-    det_lines = [meta_line] + [json.dumps(r, sort_keys=True) for r in det_rows]
+    det_lines = [meta_line] + [
+        json.dumps({**vars(d), "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2]}, sort_keys=True)
+        for d in kept
+    ]
     (out / "detections.jsonl").write_text("".join(line + "\n" for line in det_lines))
 
     rows = [_csv_header(cfg), "score,iou\n"]
@@ -415,8 +373,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
         "loss_mode": opt.loss_mode,
         "final_objective": log.records[-1].objective,
         "num_positives": len(aic_pairs),
-        "aic_mean": aic_metric(aic_pairs, mode="mean"),
-        "aic_sum": aic_metric(aic_pairs, mode="sum"),
+        "aic_mean": aic(aic_pairs, mode="mean"),
+        "aic_sum": aic(aic_pairs, mode="sum"),
         "ap": ap_payload,
     }
     (out / "aic_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -429,10 +387,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def cmd_refine(cfg: dict, out: Path) -> int:
-    scene_cfg = _build_scene_config(cfg)
+    scene_set = _build_scene_set(cfg)
     hp = _build_hyperparams(cfg)
     opt = _build_optimizer(cfg)
-    scene_set = generate_scenes(scene_cfg)
     result = refinement_experiment(scene_set, opt, hp)
     plain = refinement_gain(result.pairs_plain)
     weighted = refinement_gain(result.pairs_weighted)

@@ -221,6 +221,11 @@ def elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
+def corners(boxes: Sequence[Box]) -> np.ndarray:
+    """The (N, 4) corner array of a box sequence, (0, 4) when empty."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
 def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise :func:`iou`; ``a`` and ``b`` broadcast against each other."""
     span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])

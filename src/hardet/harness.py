@@ -20,6 +20,7 @@ from .geom import (
     DECODE_LOG_CAP,
     Box,
     Offsets,
+    corners,
     decode,
     decode_arrays,
     decode_jacobian,
@@ -49,6 +50,8 @@ from .losses import (
 from .metrics import Detection, aic
 
 BACKGROUND_CLASS = 0
+# largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
+MAX_SCENE_ANCHORS = 1_000_000
 
 
 class NumericalError(RuntimeError):
@@ -115,13 +118,14 @@ class SceneConfig:
         lo, hi = self.objects_per_scene
         if lo < 1 or hi < lo:
             raise ValueError(f"objects_per_scene range invalid: ({lo}, {hi})")
-        if self.canvas[0] <= 0.0 or self.canvas[1] <= 0.0:
+        # written so that NaN fails these checks too
+        if not (self.canvas[0] > 0.0 and self.canvas[1] > 0.0):
             raise ValueError(f"canvas extents must be positive, got {self.canvas}")
-        if self.anchor_spacing <= 0.0:
+        if not self.anchor_spacing > 0.0:
             raise ValueError(f"anchor_spacing must be positive, got {self.anchor_spacing}")
-        if not self.anchor_scales or any(s <= 0.0 for s in self.anchor_scales):
+        if not self.anchor_scales or not all(s > 0.0 for s in self.anchor_scales):
             raise ValueError(f"anchor_scales must be positive, got {self.anchor_scales}")
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -136,6 +140,15 @@ class SceneConfig:
             )
         if min(self.canvas) < self.anchor_spacing:
             raise ValueError("canvas too small for even one anchor cell")
+        # counted in floats before any grid exists: a tiny spacing gives inf
+        # cells, not an int overflow or a grid that never ends
+        with np.errstate(over="ignore"):
+            cells = np.prod(np.floor(np.divide(self.canvas, self.anchor_spacing)))
+        n, per_scene = self.num_scenes, float(cells) * len(self.anchor_scales)
+        if n > MAX_SCENE_ANCHORS or not n * per_scene <= MAX_SCENE_ANCHORS:
+            raise ValueError(
+                f"{n} scenes of {per_scene:g} anchors exceed the limit {MAX_SCENE_ANCHORS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -260,10 +273,6 @@ class MatchResult:
         return positives, negatives
 
 
-def _corners(boxes: Sequence[Box]) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
-
-
 def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
     """Max-IoU assignment with a forced best anchor per ground truth."""
     if not anchors:
@@ -271,7 +280,7 @@ def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> Mat
     n, g = len(anchors), len(scene.gt_boxes)
     assigned: dict[int, int] = {}
     if g > 0:
-        mat = iou_arrays(_corners(anchors)[:, None, :], _corners(scene.gt_boxes)[None, :, :])
+        mat = iou_arrays(corners(anchors)[:, None, :], corners(scene.gt_boxes)[None, :, :])
         best_gt = np.argmax(mat, axis=1)
         best_iou = mat[np.arange(n), best_gt]
         for i in np.flatnonzero(best_iou >= threshold):
@@ -411,8 +420,8 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
         matches=tuple(matches),
         pos_flat=np.array(pos_flat, dtype=int),
         neg_flat=np.array(neg_flat, dtype=int),
-        anchors=_corners([anchor for anchor, _, _ in pairs]),
-        gt=_corners([box for _, box, _ in pairs]),
+        anchors=corners([anchor for anchor, _, _ in pairs]),
+        gt=corners([box for _, box, _ in pairs]),
         gt_class=np.array([c for _, _, c in pairs], dtype=int),
         # encode validates both boxes, once, for every loop that uses them
         d_hat=np.array([encode(box, anchor).as_array() for anchor, box, _ in pairs]).reshape(-1, 4),
@@ -538,19 +547,21 @@ def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[d
 
 
 def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detection]]:
-    """Per-scene detections: argmax foreground class, decoded box."""
+    """Per-scene detections tagged with their scene: argmax foreground class,
+    decoded box. Raises ``ValueError`` if a size offset exceeds the decode
+    log cap."""
+    over = np.flatnonzero(~np.all(np.abs(model.offsets[:, 2:]) <= DECODE_LOG_CAP, axis=1))
+    if over.size:
+        raise ValueError(f"size offsets of model row {over[0]} exceed the exp cap {DECODE_LOG_CAP}")
     probs = model.probs()
+    cls = np.argmax(probs[:, 1:], axis=1) + 1
+    scores = probs[np.arange(cls.size), cls]
+    anchors = np.tile(corners(scene_set.anchors), (len(scene_set.scenes), 1))
+    boxes = decode_arrays(model.offsets, anchors).tolist()
     a = scene_set.anchors_per_scene
-    out: list[list[Detection]] = []
-    for s_idx in range(len(scene_set.scenes)):
-        dets = []
-        for i, anchor in enumerate(scene_set.anchors):
-            row = probs[s_idx * a + i]
-            cls = int(np.argmax(row[1:])) + 1
-            box = decode(Offsets.from_array(model.offsets[s_idx * a + i]), anchor)
-            dets.append(Detection(box=box, class_id=cls, score=float(row[cls])))
-        out.append(dets)
-    return out
+    rows = enumerate(zip(boxes, cls.tolist(), scores.tolist()))
+    dets = [Detection(Box(*box), c, p, scene=k // a) for k, (box, c, p) in rows]
+    return [dets[s * a : (s + 1) * a] for s in range(len(scene_set.scenes))]
 
 
 def finite_diff_grad(
@@ -595,7 +606,8 @@ def random_positive_sample(
 
     Avoided kinks: decoded-vs-gt corner ties and touching edges, smooth-L1
     curvature breaks at |x| = 1, the TC hinge boundary and the |p - IoU|
-    crease, and the probability floor.
+    crease, and the probability floor. Raises :class:`NumericalError` when
+    no draw qualifies, as with so many classes that the floor is out of reach.
     """
     for _ in range(10_000):
         cx, cy = rng.uniform(5.0, 11.0, size=2)
@@ -628,7 +640,7 @@ def random_positive_sample(
         if abs(p - u) < kink_margin or abs(abs(p - u) - hp.margin) < kink_margin:
             continue
         return PositiveSample(probs=probs, gt_class=gt_class, d=d, anchor=anchor, gt_box=gt)
-    raise RuntimeError("could not sample a kink-free configuration")
+    raise NumericalError("gradcheck could not draw a kink-free sample in 10000 tries")
 
 
 def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
@@ -689,53 +701,65 @@ class GradCheckReport:
         return max(e.max_err for e in self.entries)
 
 
-def _check_one(sample: PositiveSample, pair: tuple[Box, Box], hp: HyperParams) -> dict[str, float]:
-    """Max normalized analytic-vs-FD error per operation, for one draw."""
+def _check_one(
+    sample: PositiveSample, pair: tuple[Box, Box], hp: HyperParams
+) -> dict[str, Callable[[], float]]:
+    """Per operation, a thunk for its max normalized analytic-vs-FD error on
+    one draw, so that a failure can be charged to its operation."""
     # probability directions need the differentiable entropy weight
     hp_diff = replace(hp, beta_e_stop_grad=False)
-    errs: dict[str, float] = {}
-
     a, b = pair
-    fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
-    errs["iou_grad"] = _grad_err(iou_grad(a, b), fd)
 
-    jac = decode_jacobian(sample.d, sample.anchor)
-    fd_jac = np.array([
-        finite_diff_grad(
-            lambda v, r=r: decode(Offsets.from_array(v), sample.anchor).as_array()[r],
-            sample.d.as_array(),
+    def iou_grad_err() -> float:
+        fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
+        return _grad_err(iou_grad(a, b), fd)
+
+    def decode_jacobian_err() -> float:
+        fd_jac = np.array([
+            finite_diff_grad(
+                lambda v, r=r: decode(Offsets.from_array(v), sample.anchor).as_array()[r],
+                sample.d.as_array(),
+            )
+            for r in range(4)
+        ])
+        return _grad_err(decode_jacobian(sample.d, sample.anchor).ravel(), fd_jac.ravel())
+
+    def harmonic_cls_grad_err() -> float:
+        loc, _ = full_loc_loss(sample, hp)
+        loc_mode = smooth_l1(sample.d, sample.d_hat) if hp.harmonic_mode == "smooth_l1" else loc
+        fd = _fd_probs(sample, lambda s: harmonic_loss(s, hp, loc_mode)[0])
+        return _grad_err(harmonic_cls_grad(sample, loc_mode), fd[sample.gt_class])
+
+    def probs_and_offsets_err(
+        value_fn: Callable[[PositiveSample], float], grad_probs: np.ndarray, grad_d: np.ndarray
+    ) -> float:
+        err_p = _grad_err(grad_probs, _fd_probs(sample, value_fn))
+        err_d = _grad_err(grad_d, _fd_offsets(sample, value_fn))
+        return max(err_p, err_d)
+
+    def tc_loss_err() -> float:
+        _, _, tc_gp, tc_gd = tc_loss(sample, hp_diff)
+        return probs_and_offsets_err(lambda s: tc_loss(s, hp_diff)[0], tc_gp, tc_gd)
+
+    def harmonic_det_loss_err() -> float:
+        bd = harmonic_det_loss(sample, hp_diff)
+        return probs_and_offsets_err(
+            lambda s: harmonic_det_loss(s, hp_diff).total, bd.grad_probs, bd.grad_d
         )
-        for r in range(4)
-    ])
-    errs["decode_jacobian"] = _grad_err(jac.ravel(), fd_jac.ravel())
 
-    loc, _ = full_loc_loss(sample, hp)
-    loc_mode = smooth_l1(sample.d, sample.d_hat) if hp.harmonic_mode == "smooth_l1" else loc
-    fd = _fd_probs(sample, lambda s: harmonic_loss(s, hp, loc_mode)[0])
-    errs["harmonic_cls_grad"] = _grad_err(
-        harmonic_cls_grad(sample, loc_mode), fd[sample.gt_class]
-    )
-
-    fd = _fd_offsets(sample, lambda s: harmonic_loss(s, hp)[0])
-    errs["harmonic_reg_grad"] = _grad_err(harmonic_reg_grad(sample, hp), fd)
-
-    fd = _fd_offsets(sample, lambda s: full_loc_loss(s, hp)[0])
-    errs["full_loc_loss"] = _grad_err(full_loc_loss(sample, hp)[1], fd)
-
-    _, _, tc_gp, tc_gd = tc_loss(sample, hp_diff)
-    err_p = _grad_err(tc_gp, _fd_probs(sample, lambda s: tc_loss(s, hp_diff)[0]))
-    err_d = _grad_err(tc_gd, _fd_offsets(sample, lambda s: tc_loss(s, hp_diff)[0]))
-    errs["tc_loss"] = max(err_p, err_d)
-
-    bd = harmonic_det_loss(sample, hp_diff)
-    err_p = _grad_err(
-        bd.grad_probs, _fd_probs(sample, lambda s: harmonic_det_loss(s, hp_diff).total)
-    )
-    err_d = _grad_err(
-        bd.grad_d, _fd_offsets(sample, lambda s: harmonic_det_loss(s, hp_diff).total)
-    )
-    errs["harmonic_det_loss"] = max(err_p, err_d)
-    return errs
+    return {
+        "iou_grad": iou_grad_err,
+        "decode_jacobian": decode_jacobian_err,
+        "harmonic_cls_grad": harmonic_cls_grad_err,
+        "harmonic_reg_grad": lambda: _grad_err(
+            harmonic_reg_grad(sample, hp), _fd_offsets(sample, lambda s: harmonic_loss(s, hp)[0])
+        ),
+        "full_loc_loss": lambda: _grad_err(
+            full_loc_loss(sample, hp)[1], _fd_offsets(sample, lambda s: full_loc_loss(s, hp)[0])
+        ),
+        "tc_loss": tc_loss_err,
+        "harmonic_det_loss": harmonic_det_loss_err,
+    }
 
 
 def _check_batch(rng: np.random.Generator, hp: HyperParams) -> float:
@@ -795,7 +819,9 @@ def run_gradcheck(
 
     Errors are normalized by max(1, |gradient|) and reduced by max over the
     draws. At least one sample is required, so that a report never passes
-    without checking anything.
+    without checking anything. Raises :class:`NumericalError`, naming the
+    operation, when a check fails to compute, as when a loss is not finite
+    near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
@@ -805,12 +831,15 @@ def run_gradcheck(
     draws = [
         (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
     ]
+    checks = [item for sample, pair in draws for item in _check_one(sample, pair, hp).items()]
+    checks += [("batch_objective", lambda: _check_batch(rng, hp))] * batch_draws
     worst = {op: 0.0 for op in GRADCHECK_OPS}
-    for sample, pair in draws:
-        for op, e in _check_one(sample, pair, hp).items():
-            worst[op] = max(worst[op], e)
-    for _ in range(batch_draws):
-        worst["batch_objective"] = max(worst["batch_objective"], _check_batch(rng, hp))
+    for op, err in checks:
+        try:
+            e = err()
+        except ValueError as exc:
+            raise NumericalError(f"gradcheck {op}: {exc}") from exc
+        worst[op] = max(worst[op], e)
     entries = tuple(
         GradCheckEntry(op=op, samples=num_samples, max_err=worst[op], tolerance=tolerance)
         for op in GRADCHECK_OPS

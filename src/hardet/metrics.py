@@ -1,9 +1,10 @@
 """Detection-quality and consistency metrics.
 
-Greedy class-wise NMS, averaged AP over IoU thresholds, the average
-inconsistency coefficient (AIC) between scores and IoUs, IoU histograms,
-per-bin refinement gains, and score-vs-IoU scatter rows. All functions are
-pure and deterministic; ties break by input index.
+Greedy NMS, averaged AP over IoU thresholds, the average inconsistency
+coefficient (AIC) between scores and IoUs, IoU histograms, per-bin
+refinement gains, and score-vs-IoU scatter rows. NMS, AP and the scatter
+group boxes by (scene, class_id) and compare only within a group. All
+functions are pure and deterministic; ties break by input index.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, iou
+from .geom import Box, corners, iou_arrays
+from .geom import iou  # noqa: F401 - unused; perfbench's tracer test patches hardet.metrics.iou
 
 DEFAULT_AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_IOU_BIN_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -22,42 +24,46 @@ DEFAULT_GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 @dataclass(frozen=True)
 class Detection:
-    """A decoded box with class id and confidence score."""
+    """A decoded box with class id and confidence score, in one scene."""
 
     box: Box
     class_id: int
     score: float
+    scene: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
-    """An annotated box; ``matched`` is evaluation bookkeeping."""
+    """An annotated box with class id, in one scene."""
 
     box: Box
     class_id: int
-    matched: bool = False
+    scene: int = 0
 
 
-def detection_from_json(obj: dict) -> Detection:
+def _check_record(obj: object, required: set[str], kind: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} record must be an object, got {type(obj).__name__}")
+    missing = required - obj.keys()
+    if missing:
+        raise ValueError(f"{kind} record missing fields: {sorted(missing)}")
+
+
+def detection_from_json(obj: object) -> Detection:
     """Build a detection from the JSONL record format of this package."""
-    missing = {"box", "class_id", "score"} - obj.keys()
-    if missing:
-        raise ValueError(f"detection record missing fields: {sorted(missing)}")
-    return Detection(
-        box=Box.from_array(obj["box"]), class_id=int(obj["class_id"]), score=float(obj["score"])
-    )
+    _check_record(obj, {"box", "class_id", "score"}, "detection")
+    box, scene = Box.from_array(obj["box"]), int(obj.get("scene", 0))
+    return Detection(box, int(obj["class_id"]), float(obj["score"]), scene)
 
 
-def ground_truth_from_json(obj: dict) -> GroundTruth:
+def ground_truth_from_json(obj: object) -> GroundTruth:
     """Build a ground truth from the JSONL record format of this package."""
-    missing = {"box", "class_id"} - obj.keys()
-    if missing:
-        raise ValueError(f"ground-truth record missing fields: {sorted(missing)}")
-    return GroundTruth(box=Box.from_array(obj["box"]), class_id=int(obj["class_id"]))
+    _check_record(obj, {"box", "class_id"}, "ground-truth")
+    return GroundTruth(Box.from_array(obj["box"]), int(obj["class_id"]), int(obj.get("scene", 0)))
 
 
 def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
@@ -71,20 +77,29 @@ def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
     return out
 
 
+Key = tuple[int, int]
+
+
+def _groups(items: Sequence[Detection | GroundTruth]) -> dict[Key, list[int]]:
+    """Input indices per (scene, class_id) group, in input order."""
+    groups: dict[Key, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault((item.scene, item.class_id), []).append(i)
+    return groups
+
+
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy class-wise suppression; keeps score order, ties by input index."""
+    """Greedy suppression within each (scene, class) group; keeps score
+    order, ties by input index."""
     check_iou_thresholds([iou_threshold])
+    boxes = corners([d.box for d in dets])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept: list[int] = []
+    kept_in: dict[Key, list[int]] = {}
     for i in order:
-        suppressed = False
-        for j in kept:
-            if dets[j].class_id != dets[i].class_id:
-                continue
-            if iou(dets[i].box, dets[j].box) >= iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
+        group = kept_in.setdefault((dets[i].scene, dets[i].class_id), [])
+        if not np.any(iou_arrays(boxes[i], boxes[group]) >= iou_threshold):
+            group.append(i)
             kept.append(i)
     return [dets[i] for i in kept]
 
@@ -110,39 +125,29 @@ def _ap_from_matches(tp_flags: Sequence[bool], num_gt: int) -> float:
     return float(ap)
 
 
-def _match_class(
-    dets: list[tuple[int, Detection]],
-    gts: list[GroundTruth],
-    threshold: float,
-) -> list[bool]:
-    """Greedy TP/FP flags for one class at one IoU threshold."""
-    taken = [False] * len(gts)
+def _match_group(ious: list[list[float]], threshold: float) -> list[bool]:
+    """Greedy TP/FP flags at one IoU threshold; ``ious`` rows are the
+    group's detections in score order, columns its ground truths. Each
+    detection takes the free ground truth of highest IoU (ties to the lowest
+    index) and is a TP if that IoU reaches the threshold."""
+    taken: set[int] = set()
     flags: list[bool] = []
-    for _, det in sorted(dets, key=lambda pair: (-pair[1].score, pair[0])):
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(det.box, gt.box)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0 and best_iou >= threshold:
-            taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    for row in ious:
+        best, neg_j = max(((v, -j) for j, v in enumerate(row) if j not in taken), default=(0.0, 0))
+        flags.append(best >= threshold)
+        if flags[-1]:
+            taken.add(-neg_j)
     return flags
 
 
 @dataclass(frozen=True)
 class APResult:
-    """Per-threshold AP averaged over classes with ground truth, plus detail."""
+    """Per-threshold AP averaged over (scene, class) groups with ground
+    truth, plus the per-group detail."""
 
     per_threshold: dict[float, float]
     mean: float
-    per_class: dict[int, dict[float, float]] = field(default_factory=dict)
+    per_class: dict[Key, dict[float, float]] = field(default_factory=dict)
 
 
 def average_precision(
@@ -152,22 +157,23 @@ def average_precision(
 ) -> APResult:
     """COCO-style AP: greedy score-ordered matching, all-point envelope.
 
-    Classes without ground truth are absent from the report; detections for
-    such classes do not enter any other class's precision.
+    Matching and averaging run per (scene, class) group. Groups without
+    ground truth are absent from the report; their detections do not enter
+    any other group's precision.
     """
     thresholds = check_iou_thresholds(iou_thresholds)
-    classes = sorted({gt.class_id for gt in gts})
-    per_class: dict[int, dict[float, float]] = {}
-    for cls in classes:
-        cls_dets = [(i, d) for i, d in enumerate(dets) if d.class_id == cls]
-        cls_gts = [g for g in gts if g.class_id == cls]
-        per_class[cls] = {
-            t: _ap_from_matches(_match_class(cls_dets, cls_gts, t), len(cls_gts))
-            for t in thresholds
-        }
+    det_groups, gt_groups = _groups(dets), _groups(gts)
+    det_boxes, gt_boxes = corners([d.box for d in dets]), corners([g.box for g in gts])
+    keys = sorted(gt_groups)
+    per_class: dict[Key, dict[float, float]] = {}
+    for key in keys:
+        rows = sorted(det_groups.get(key, []), key=lambda i: (-dets[i].score, i))
+        cols = gt_groups[key]
+        # one IoU matrix per group, shared by every threshold
+        ious = iou_arrays(det_boxes[rows][:, None, :], gt_boxes[cols][None, :, :]).tolist()
+        per_class[key] = {t: _ap_from_matches(_match_group(ious, t), len(cols)) for t in thresholds}
     per_threshold = {
-        t: (sum(per_class[c][t] for c in classes) / len(classes)) if classes else 0.0
-        for t in thresholds
+        t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0 for t in thresholds
     }
     mean = sum(per_threshold.values()) / len(thresholds)
     return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class)
@@ -261,13 +267,13 @@ def refinement_gain(
 def consistency_scatter(
     dets: Sequence[Detection], gts: Sequence[GroundTruth]
 ) -> list[tuple[float, float]]:
-    """(score, best same-class IoU) row per detection; 0 IoU when no GT."""
-    rows: list[tuple[float, float]] = []
-    for det in dets:
-        best = 0.0
-        for gt in gts:
-            if gt.class_id != det.class_id:
-                continue
-            best = max(best, iou(det.box, gt.box))
-        rows.append((det.score, best))
-    return rows
+    """(score, best IoU with a ground truth of its scene and class) per
+    detection; 0 IoU when there is none."""
+    det_boxes, gt_boxes = corners([d.box for d in dets]), corners([g.box for g in gts])
+    best = np.zeros(len(dets))
+    gt_groups = _groups(gts)
+    for key, rows in _groups(dets).items():
+        if key in gt_groups:
+            ious = iou_arrays(det_boxes[rows][:, None, :], gt_boxes[gt_groups[key]][None, :, :])
+            best[rows] = ious.max(axis=1)
+    return [(d.score, b) for d, b in zip(dets, best.tolist())]

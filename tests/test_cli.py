@@ -3,12 +3,15 @@
 import csv
 import json
 from pathlib import Path
+from typing import get_args, get_origin
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardet import cli
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from hardet.metrics import detection_from_json
 
 FAST_TRAIN = {
     "scene": {"num_scenes": 2, "objects_per_scene": [2, 3], "anchor_spacing": 4.0},
@@ -74,6 +77,13 @@ class TestNoTracebacks:
             ("gradcheck", {"gradcheck": {"samples": 2.5}}, [], "config.gradcheck.samples"),
             ("gradcheck", {"gradcheck": {"samples": 2.0}}, [], "config.gradcheck.samples: expected an integer"),
             ("surface", {"surface": {"p_steps": 2.5}}, [], "config.surface.p_steps"),
+            ("train", {"scene": {"objects_per_scene": [2.5, 4]}}, [], "config.scene.objects_per_scene[0]"),
+            ("train", {"scene": {"objects_per_scene": [True, 2]}}, [], "config.scene.objects_per_scene[0]"),
+            ("train", {"train": {"ap_thresholds": [True]}}, [], "config.train.ap_thresholds[0]"),
+            # the scene set is bounded before any grid is built
+            ("train", {"scene": {"anchor_spacing": 5e-324}}, [], "config.scene: 4 scenes of inf anchors"),
+            ("train", {"scene": {"anchor_spacing": 1e-300}}, [], "config.scene: 4 scenes of inf anchors"),
+            ("train", {"scene": {"num_scenes": 100000000}}, [], "config.scene: 100000000 scenes"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):
@@ -90,6 +100,27 @@ class TestNoTracebacks:
     def test_float_keys_still_take_integers(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": {"p_max": 1, "loc_max": 2, "p_steps": 3}})
         assert main(["surface", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("train", {**FAST_TRAIN, "hyperparams": {"alpha": 1e308}}),
+            ("gradcheck", {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2, "batch_draws": 1}}),
+        ],
+    )
+    def test_overflow_in_the_gradient_gate_exits_2(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: gradcheck batch_objective: loss not finite" in err
+        assert "Traceback" not in err
+
+    def test_unreachable_probability_floor_exits_2(self, tmp_path, capsys):
+        # 200 classes almost never all draw the oracle's 1e-3 probability floor
+        payload = {"hyperparams": {"num_classes": 200}, "gradcheck": {"samples": 1, "batch_draws": 0}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "numerical failure: gradcheck could not draw" in capsys.readouterr().err
 
     def test_non_object_sample_line_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "samples.jsonl"
@@ -134,6 +165,103 @@ def test_any_json_sample_line_exits_0_or_1(tmp_path_factory, value):
         EXIT_OK,
         EXIT_VALIDATION,
     )
+
+
+# --- config-file fuzzer --------------------------------------------------------
+
+_EXTREME = st.sampled_from(
+    [0, -1, 10**400, -(10**400), 1e308, -1e308, 5e-324, 1e-300, float("inf"), float("-inf"), float("nan")]
+)
+_JUNK = st.none() | st.booleans() | st.text(max_size=3) | st.just([]) | st.just({"x": 1})
+# keys whose size sets the run time or the memory: integers stay small, and
+# floats are either moderate or extreme enough to be rejected
+_SMALL_INT = st.integers(-1, 3)
+_SCENE_FLOAT = st.floats(1.0, 8.0) | _EXTREME
+_COSTLY = {
+    ("optimizer", "steps"): _SMALL_INT,
+    ("optimizer", "gradcheck_samples"): _SMALL_INT,
+    ("gradcheck", "samples"): _SMALL_INT,
+    ("gradcheck", "batch_draws"): _SMALL_INT,
+    ("scene", "num_scenes"): _SMALL_INT,
+    ("scene", "num_classes"): st.integers(-1, 6),
+    ("hyperparams", "num_classes"): st.integers(-1, 6),
+    ("scene", "objects_per_scene"): st.lists(st.integers(-1, 4), max_size=3),
+    ("scene", "canvas"): st.lists(st.floats(4.0, 24.0) | _EXTREME, max_size=3),
+    ("scene", "anchor_spacing"): _SCENE_FLOAT,
+    ("scene", "anchor_scales"): st.lists(_SCENE_FLOAT, max_size=3),
+    ("surface", "p_steps"): _SMALL_INT,
+    ("surface", "loc_steps"): _SMALL_INT,
+}
+_BLOCKS = cli._BLOCK_KEYS
+
+
+def _typed(expected) -> st.SearchStrategy:
+    """Values of the schema type, extremes included."""
+    if get_origin(expected) is list:
+        return st.lists(_typed(get_args(expected)[0]), max_size=3)
+    if expected is int:
+        return st.integers() | _EXTREME.filter(lambda v: isinstance(v, int))
+    if expected is float:
+        return st.floats() | st.integers(-3, 3) | _EXTREME
+    if expected is bool:
+        return st.booleans()
+    return st.sampled_from(["standard", "harmonic", "harmonic_det", "full_loc", "smooth_l1", "x"])
+
+
+def _entries(junk: bool) -> st.SearchStrategy:
+    """A few (block, key, value) settings: real keys with values of their
+    type, extremes included; with ``junk``, also values of other types,
+    unknown keys, blocks that are not objects and a bad seed."""
+    entries = [
+        st.tuples(st.just(name), st.just(key), _COSTLY.get((name, key), _typed(t)))
+        for name, schema in _BLOCKS.items()
+        for key, t in sorted(schema.items())
+    ]
+    if junk:
+        entries += [
+            st.tuples(
+                st.sampled_from([(n, k) for n in _BLOCKS for k in [*_BLOCKS[n], "junk"]]), _JUNK
+            ).map(lambda pair: (*pair[0], pair[1])),
+            st.tuples(st.sampled_from(sorted(_BLOCKS)), st.none(), _JUNK),
+            st.tuples(st.sampled_from(["seed", "junk"]), st.none(), _SMALL_INT | _EXTREME | _JUNK),
+        ]
+    return st.lists(st.one_of(entries), max_size=3)
+
+
+def _config(entries: list) -> dict:
+    drawn: dict = {}
+    for name, key, value in entries:
+        if key is None:
+            drawn[name] = value
+        elif isinstance(drawn.setdefault(name, {}), dict):
+            drawn[name][key] = value
+    return drawn
+
+
+_CONFIG = _entries(junk=False).map(_config) | _entries(junk=True).map(_config)
+# fast settings a draw overrides key by key
+_BASE = {
+    "gradcheck": {"gradcheck": {"samples": 2, "batch_draws": 1}},
+    "surface": {"surface": {"p_steps": 3, "loc_steps": 3}},
+    "train": FAST_TRAIN,
+    "refine": FAST_REFINE,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_BASE)), drawn=_CONFIG)
+def test_any_config_file_exits_0_1_or_2(tmp_path_factory, command, drawn):
+    """main reports config and numerical errors as exit 1 and 2; any other
+    exception escapes it as a traceback and fails this test."""
+    base = _BASE[command]
+    payload = {**base, **drawn}
+    for name, block in drawn.items():
+        if isinstance(block, dict) and isinstance(base.get(name), dict):
+            payload[name] = {**base[name], **block}
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = write_config(tmp, payload)
+    code = main([command, "--config", cfg, "--out", str(tmp / "out")])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
 
 
 class TestGradcheckCommand:
@@ -282,6 +410,16 @@ class TestTrainCommand:
         )
         det_lines = (out / "detections.jsonl").read_text().splitlines()
         assert "config_hash" in det_lines[0]
+
+    def test_detection_rows_round_trip(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_TRAIN)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = [json.loads(line) for line in (out / "detections.jsonl").read_text().splitlines()[1:]]
+        dets = [detection_from_json(r) for r in rows]
+        assert [d.scene for d in dets] == [r["scene"] for r in rows]
+        assert {d.scene for d in dets} == {0, 1}
+        assert [[d.box.x1, d.box.y1, d.box.x2, d.box.y2] for d in dets] == [r["box"] for r in rows]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, FAST_TRAIN)

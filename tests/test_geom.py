@@ -8,6 +8,7 @@ import pytest
 from hardet.geom import (
     Box,
     Offsets,
+    corners,
     decode,
     decode_arrays,
     decode_jacobian,
@@ -223,6 +224,11 @@ TOUCHING = [
 
 class TestArrayForms:
     """The array forms agree with the scalar reference bit for bit."""
+
+    def test_corners_rows_are_box_arrays(self):
+        boxes = [Box(0, 1, 2, 3), unit_square(4, 5)]
+        assert np.array_equal(corners(boxes), np.array([b.as_array() for b in boxes]))
+        assert corners([]).shape == (0, 4)
 
     def test_iou_equals_scalar_on_random_pairs(self):
         rng = np.random.default_rng(11)

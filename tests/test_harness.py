@@ -11,9 +11,11 @@ from hardet.cli import main
 from hardet.geom import Box, Offsets, decode, decode_jacobian, iou, iou_grad
 from hardet.losses import HyperParams, batch_objective, hiou_slope
 from hardet.harness import (
+    MAX_SCENE_ANCHORS,
     PROB_DRAW_FLOOR,
     DivergenceError,
     GradientCheckError,
+    NumericalError,
     OptimizerConfig,
     Scene,
     SceneConfig,
@@ -44,6 +46,20 @@ class TestSceneConfig:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             SceneConfig(positive_iou_threshold=1.0)
+
+    def test_anchor_count_bounded_before_generation(self):
+        # the default grid has 8 x 8 cells of one scale
+        per_scene = 64
+        SceneConfig(num_scenes=MAX_SCENE_ANCHORS // per_scene)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            SceneConfig(num_scenes=MAX_SCENE_ANCHORS // per_scene + 1)
+        with pytest.raises(ValueError, match="inf anchors"):
+            SceneConfig(anchor_spacing=5e-324)
+
+    @pytest.mark.parametrize("key", ["anchor_spacing", "jitter"])
+    def test_nan_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            SceneConfig(**{key: float("nan")})
 
 
 class TestGenerateScenes:
@@ -374,6 +390,24 @@ class TestToyModel:
         dets = model_detections(ss, model)
         assert len(dets) == len(ss.scenes)
         assert all(len(d) == ss.anchors_per_scene for d in dets)
+        assert [{d.scene for d in scene_dets} for scene_dets in dets] == [{0}, {1}]
+
+    def test_detections_match_scalar_decode(self):
+        ss, hp, model = small_setup()
+        rng = np.random.default_rng(3)
+        model = ToyModel(rng.normal(size=model.logits.shape), rng.normal(size=model.offsets.shape))
+        a = ss.anchors_per_scene
+        for s_idx, scene_dets in enumerate(model_detections(ss, model)):
+            for i, d in enumerate(scene_dets):
+                row = s_idx * a + i
+                assert d.box == decode(Offsets.from_array(model.offsets[row]), ss.anchors[i])
+                assert d.class_id == int(np.argmax(model.probs()[row, 1:])) + 1
+
+    def test_detections_check_the_decode_cap(self):
+        ss, hp, model = small_setup()
+        model.offsets[5, 3] = 17.0
+        with pytest.raises(ValueError, match="model row 5 exceed the exp cap"):
+            model_detections(ss, model)
 
 
 class TestSampleExport:
@@ -414,6 +448,11 @@ class TestFiniteDiff:
 
 
 class TestGradCheck:
+    def test_non_finite_loss_names_the_operation(self):
+        hp = HyperParams(num_classes=5, alpha=float("inf"))
+        with pytest.raises(NumericalError, match="gradcheck harmonic_cls_grad: loss not finite"):
+            run_gradcheck(hp, num_samples=2, batch_draws=0)
+
     def test_report_covers_every_operation_once(self):
         hp = HyperParams(num_classes=5)
         report = run_gradcheck(hp, num_samples=10, seed=0)

@@ -1,10 +1,15 @@
 """NMS, average precision, AIC, histograms, refinement gains, scatter."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardet.geom import Box, iou
 from hardet.metrics import (
+    APResult,
     Detection,
     GroundTruth,
     aic,
@@ -16,6 +21,7 @@ from hardet.metrics import (
     nms,
     refinement_gain,
 )
+from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_from_matches, check_iou_thresholds
 
 
 def det(x1, y1, x2, y2, cls=1, score=0.5):
@@ -137,7 +143,7 @@ class TestAveragePrecision:
         gts = [gt(0, 0, 2, 2, cls=1)]
         dets = [det(0, 0, 2, 2, cls=1, score=0.9), det(4, 4, 5, 5, cls=7, score=0.8)]
         result = average_precision(dets, gts, [0.5])
-        assert 7 not in result.per_class
+        assert (0, 7) not in result.per_class
         assert result.per_threshold[0.5] == pytest.approx(1.0)
 
     def test_ap_in_unit_interval(self):
@@ -237,11 +243,24 @@ class TestJsonIngestion:
         assert d.class_id == 3
         assert d.score == 0.7
         assert d.box == Box(0, 0, 2, 2)
+        assert d.scene == 0
+
+    def test_scene_read_when_present(self):
+        record = {"box": [0, 0, 2, 2], "class_id": 3, "score": 0.7, "scene": 4}
+        assert detection_from_json(record).scene == 4
+        assert ground_truth_from_json({"box": [0, 0, 2, 2], "class_id": 1, "scene": 2}).scene == 2
+
+    @pytest.mark.parametrize("record", [[1, 2], "box", None])
+    def test_non_object_rejected(self, record):
+        with pytest.raises(ValueError, match="must be an object"):
+            detection_from_json(record)
+        with pytest.raises(ValueError, match="must be an object"):
+            ground_truth_from_json(record)
 
     def test_ground_truth_round_trip(self):
         g = ground_truth_from_json({"box": [1, 1, 4, 3], "class_id": 2})
         assert g.class_id == 2
-        assert not g.matched
+        assert g.scene == 0
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -266,3 +285,181 @@ class TestConsistencyScatter:
     def test_no_same_class_gt_gives_zero(self):
         rows = consistency_scatter([det(0, 0, 2, 2, cls=3)], [gt(0, 0, 2, 2, cls=1)])
         assert rows == [(0.5, 0.0)]
+
+
+# --- scalar oracle -------------------------------------------------------------
+#
+# The class-wise scalar loops that NMS, AP and the scatter ran on before they
+# grouped by (scene, class): one scalar iou per pair. Scenes reach them as
+# classes remapped to scene * 10_000 + class_id, as the train command did.
+
+
+def oracle_nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
+    """Greedy class-wise suppression; keeps score order, ties by input index."""
+    check_iou_thresholds([iou_threshold])
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept: list[int] = []
+    for i in order:
+        suppressed = False
+        for j in kept:
+            if dets[j].class_id != dets[i].class_id:
+                continue
+            if iou(dets[i].box, dets[j].box) >= iou_threshold:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
+def oracle_match_class(
+    dets: list[tuple[int, Detection]],
+    gts: list[GroundTruth],
+    threshold: float,
+) -> list[bool]:
+    """Greedy TP/FP flags for one class at one IoU threshold."""
+    taken = [False] * len(gts)
+    flags: list[bool] = []
+    for _, det in sorted(dets, key=lambda pair: (-pair[1].score, pair[0])):
+        best_iou = 0.0
+        best_j = -1
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            v = iou(det.box, gt.box)
+            if v > best_iou:
+                best_iou = v
+                best_j = j
+        if best_j >= 0 and best_iou >= threshold:
+            taken[best_j] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def oracle_average_precision(
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruth],
+    iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
+) -> APResult:
+    """COCO-style AP: greedy score-ordered matching, all-point envelope.
+
+    Classes without ground truth are absent from the report; detections for
+    such classes do not enter any other class's precision.
+    """
+    thresholds = check_iou_thresholds(iou_thresholds)
+    classes = sorted({gt.class_id for gt in gts})
+    per_class: dict[int, dict[float, float]] = {}
+    for cls in classes:
+        cls_dets = [(i, d) for i, d in enumerate(dets) if d.class_id == cls]
+        cls_gts = [g for g in gts if g.class_id == cls]
+        per_class[cls] = {
+            t: _ap_from_matches(oracle_match_class(cls_dets, cls_gts, t), len(cls_gts))
+            for t in thresholds
+        }
+    per_threshold = {
+        t: (sum(per_class[c][t] for c in classes) / len(classes)) if classes else 0.0
+        for t in thresholds
+    }
+    mean = sum(per_threshold.values()) / len(thresholds)
+    return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class)
+
+
+def oracle_consistency_scatter(
+    dets: Sequence[Detection], gts: Sequence[GroundTruth]
+) -> list[tuple[float, float]]:
+    """(score, best same-class IoU) row per detection; 0 IoU when no GT."""
+    rows: list[tuple[float, float]] = []
+    for det in dets:
+        best = 0.0
+        for gt in gts:
+            if gt.class_id != det.class_id:
+                continue
+            best = max(best, iou(det.box, gt.box))
+        rows.append((det.score, best))
+    return rows
+
+
+def remapped(items):
+    """Scene folded into the class id, scene 0 everywhere."""
+    return [type(x)(**{**vars(x), "class_id": x.scene * 10_000 + x.class_id, "scene": 0}) for x in items]
+
+
+# half-unit grid: identical, nested, touching and degenerate boxes are common
+_BOX = st.tuples(*[st.integers(0, 6)] * 2, *[st.integers(0, 3)] * 2).map(
+    lambda b: Box(b[0] / 2, b[1] / 2, (b[0] + b[2]) / 2, (b[1] + b[3]) / 2)
+)
+# few distinct scores: ties are common
+_SCORE = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _dets_and_gts(draw):
+    """Detections and ground truths drawing boxes from one small pool, so
+    that exact matches (IoU 1) are common. Ground truths take classes 1 and
+    2 only: class 3 detections never have ground truth."""
+    pool = draw(st.lists(_BOX, min_size=1, max_size=4))
+    box = st.sampled_from(pool) | _BOX
+    scene = st.integers(0, 1)
+    dets = draw(st.lists(
+        st.builds(Detection, box=box, class_id=st.integers(1, 3), score=_SCORE, scene=scene),
+        max_size=24,
+    ))
+    gts = draw(st.lists(
+        st.builds(GroundTruth, box=box, class_id=st.integers(1, 2), scene=scene), max_size=8
+    ))
+    return dets, gts
+
+
+_THRESHOLD = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0)
+
+
+class TestMatchesScalarOracle:
+    """Grouped array paths against the scalar loops, floats equal bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=_dets_and_gts(), threshold=_THRESHOLD)
+    # the same box in two scenes: neither suppresses the other
+    @example(
+        sets=([det(0, 0, 1, 1, score=0.9), Detection(Box(0, 0, 1, 1), 1, 0.8, scene=1)], []),
+        threshold=0.5,
+    )
+    def test_nms(self, sets, threshold):
+        dets, _ = sets
+        index = {id(d): i for i, d in enumerate(dets)}
+        flat = remapped(dets)
+        flat_index = {id(d): i for i, d in enumerate(flat)}
+        kept = [index[id(d)] for d in nms(dets, threshold)]
+        assert kept == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=_dets_and_gts(), thresholds=st.lists(_THRESHOLD, min_size=1, max_size=5))
+    # the first detection overlaps both ground truths at IoU 0.5 and must take
+    # the lower index, leaving the second detection nothing to match
+    @example(
+        sets=(
+            [det(0, 0, 2, 1, score=0.9), det(0, 0, 1, 1, score=0.8)],
+            [gt(0, 0, 1, 1), gt(1, 0, 2, 1)],
+        ),
+        thresholds=[0.5],
+    )
+    # tied scores rank by input index: the matching detection comes first
+    @example(
+        sets=([det(0, 0, 1, 1, score=0.5), det(2, 2, 3, 3, score=0.5)], [gt(0, 0, 1, 1)]),
+        thresholds=[0.5],
+    )
+    def test_average_precision(self, sets, thresholds):
+        dets, gts = sets
+        new = average_precision(dets, gts, thresholds)
+        old = oracle_average_precision(remapped(dets), remapped(gts), thresholds)
+        assert repr(new.per_threshold) == repr(old.per_threshold)
+        assert repr(new.mean) == repr(old.mean)
+        assert repr({s * 10_000 + c: v for (s, c), v in new.per_class.items()}) == repr(old.per_class)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=_dets_and_gts())
+    def test_consistency_scatter(self, sets):
+        dets, gts = sets
+        new = consistency_scatter(dets, gts)
+        assert repr(new) == repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
