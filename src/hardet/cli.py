@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -43,7 +44,6 @@ from .harness import (
     SceneConfig,
     SceneSet,
     ToyModel,
-    consistency_pairs,
     generate_scenes,
     model_detections,
     refinement_experiment,
@@ -123,6 +123,8 @@ def _check_value(value: Any, expected: Any, path: str) -> None:
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ConfigError(f"{path}: integer out of the float range")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     elif not isinstance(value, expected):
         raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
 
@@ -213,7 +215,10 @@ def _build_optimizer(cfg: dict) -> OptimizerConfig:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -316,9 +321,9 @@ def _train_thresholds(cfg: dict) -> tuple[float, list[float]]:
 
 def _evaluate_trained(
     scene_set, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
-) -> tuple[list[tuple[float, float]], dict, list[Detection], list[tuple[float, float]]]:
-    """AIC pairs, AP payload, kept detections and scatter rows of a trained
-    model on its scenes; AP and scatter match within (scene, class) groups."""
+) -> tuple[dict, list[Detection], list[tuple[float, float]]]:
+    """AP payload, kept detections and scatter rows of a trained model on its
+    scenes; AP and scatter match within (scene, class) groups."""
     kept = [d for dets in model_detections(scene_set, model) for d in nms(dets, nms_threshold)]
     gts = [
         GroundTruth(box=box, class_id=c, scene=s)
@@ -330,8 +335,7 @@ def _evaluate_trained(
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
-    # the matching train_toy built is cached on the scene set
-    return consistency_pairs(scene_set, model), ap_payload, kept, consistency_scatter(kept, gts)
+    return ap_payload, kept, consistency_scatter(kept, gts)
 
 
 def cmd_train(cfg: dict, out: Path) -> int:
@@ -351,7 +355,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
         rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
-    aic_pairs, ap_payload, kept, scatter_rows = _evaluate_trained(
+    ap_payload, kept, scatter_rows = _evaluate_trained(
         scene_set, model, nms_threshold, ap_thresholds
     )
     meta_line = json.dumps(
@@ -372,9 +376,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
         "seed": cfg["seed"],
         "loss_mode": opt.loss_mode,
         "final_objective": log.records[-1].objective,
-        "num_positives": len(aic_pairs),
-        "aic_mean": aic(aic_pairs, mode="mean"),
-        "aic_sum": aic(aic_pairs, mode="sum"),
+        "num_positives": len(log.final_pairs),
+        "aic_mean": aic(log.final_pairs, mode="mean"),
+        "aic_sum": aic(log.final_pairs, mode="sum"),
         "ap": ap_payload,
     }
     (out / "aic_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -90,9 +90,6 @@ class Offsets:
         return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
 
 
-ZERO_OFFSETS = Offsets(0.0, 0.0, 0.0, 0.0)
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union in [0, 1]; 0 when the union has zero area."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)

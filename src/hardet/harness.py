@@ -52,6 +52,9 @@ from .metrics import Detection, aic
 BACKGROUND_CLASS = 0
 # largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
 MAX_SCENE_ANCHORS = 1_000_000
+# largest anchors x objects IoU matrix match_anchors builds for one scene
+# (~64 MB of temporaries); a 10^4-anchor scene may hold 100 objects
+MAX_MATCH_PAIRS = 1_000_000
 
 
 class NumericalError(RuntimeError):
@@ -149,6 +152,16 @@ class SceneConfig:
             raise ValueError(
                 f"{n} scenes of {per_scene:g} anchors exceed the limit {MAX_SCENE_ANCHORS}"
             )
+        # every object claims an anchor of its own in match_anchors' forced pass
+        if hi > per_scene:
+            raise ValueError(
+                f"objects_per_scene upper bound {hi} exceeds the {per_scene:g} anchors per scene"
+            )
+        if per_scene * hi > MAX_MATCH_PAIRS:
+            raise ValueError(
+                f"{per_scene:g} anchors x {hi} objects per scene exceed the matching limit "
+                f"{MAX_MATCH_PAIRS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,44 +246,9 @@ class MatchResult:
     its best anchor even below the threshold.
     """
 
-    scene: Scene
-    anchors: tuple[Box, ...]
     pos_anchor: tuple[int, ...]
     pos_gt: tuple[int, ...]
     neg_anchor: tuple[int, ...]
-
-    def build_samples(
-        self,
-        probs: np.ndarray | None = None,
-        offsets: np.ndarray | None = None,
-        num_classes: int = 2,
-    ) -> tuple[list[PositiveSample], list[NegativeSample]]:
-        """Materialize samples from per-anchor predictions.
-
-        ``probs`` is (num_anchors, C) and ``offsets`` (num_anchors, 4); both
-        default to an untrained model (uniform probabilities, zero offsets).
-        """
-        n = len(self.anchors)
-        if probs is None:
-            c = num_classes
-            probs = np.full((n, c), 1.0 / c)
-        if offsets is None:
-            offsets = np.zeros((n, 4))
-        positives = [
-            PositiveSample(
-                probs=probs[a],
-                gt_class=self.scene.gt_classes[g],
-                d=Offsets.from_array(offsets[a]),
-                anchor=self.anchors[a],
-                gt_box=self.scene.gt_boxes[g],
-            )
-            for a, g in zip(self.pos_anchor, self.pos_gt)
-        ]
-        negatives = [
-            NegativeSample(probs=probs[a], gt_class=BACKGROUND_CLASS)
-            for a in self.neg_anchor
-        ]
-        return positives, negatives
 
 
 def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
@@ -295,8 +273,6 @@ def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> Mat
     pos = sorted(assigned)
     neg = [i for i in range(n) if i not in assigned]
     return MatchResult(
-        scene=scene,
-        anchors=tuple(anchors),
         pos_anchor=tuple(pos),
         pos_gt=tuple(assigned[i] for i in pos),
         neg_anchor=tuple(neg),
@@ -369,7 +345,11 @@ class TrainRecord:
 
 @dataclass(frozen=True)
 class TrainLog:
+    """Logged records, and the trained model's (p_gt, IoU of the decoded box)
+    per positive, in matching order: the pairs the last record's AIC averages."""
+
     records: tuple[TrainRecord, ...]
+    final_pairs: tuple[tuple[float, float], ...]
 
     def csv_rows(self) -> list[tuple]:
         return [
@@ -388,7 +368,6 @@ class Matching:
     Positives run scene by scene in anchor order. The arrays are read-only.
     """
 
-    matches: tuple[MatchResult, ...]
     pos_flat: np.ndarray
     neg_flat: np.ndarray
     anchors: np.ndarray
@@ -402,14 +381,12 @@ class Matching:
 
 
 def _match_scene_set(scene_set: SceneSet) -> Matching:
-    matches = []
     pos_flat: list[int] = []
     neg_flat: list[int] = []
     pairs: list[tuple[Box, Box, int]] = []
     a = scene_set.anchors_per_scene
     for s_idx, scene in enumerate(scene_set.scenes):
         m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
-        matches.append(m)
         pos_flat.extend(s_idx * a + i for i in m.pos_anchor)
         neg_flat.extend(s_idx * a + i for i in m.neg_anchor)
         pairs.extend(
@@ -417,7 +394,6 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
             for i, g in zip(m.pos_anchor, m.pos_gt)
         )
     return Matching(
-        matches=tuple(matches),
         pos_flat=np.array(pos_flat, dtype=int),
         neg_flat=np.array(neg_flat, dtype=int),
         anchors=corners([anchor for anchor, _, _ in pairs]),
@@ -428,25 +404,14 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
     )
 
 
-def consistency_pairs(scene_set: SceneSet, model: ToyModel) -> list[tuple[float, float]]:
-    """(p_gt, IoU of the decoded box) per positive, in matching order.
-
-    These are the pairs AIC averages; offsets must lie within the decode log
-    cap, as :func:`train_toy` leaves them.
-    """
-    m = scene_set.matching
-    p = model.probs()[m.pos_flat, m.gt_class]
-    u = iou_arrays(decode_arrays(model.offsets[m.pos_flat], m.anchors), m.gt)
-    return list(zip(p.tolist(), u.tolist()))
-
-
 def train_toy(
     scene_set: SceneSet,
     model: ToyModel,
     opt: OptimizerConfig,
     hp: HyperParams,
 ) -> tuple[ToyModel, TrainLog]:
-    """Gradient descent on the batch objective; logs factors and AIC.
+    """Gradient descent on the batch objective; logs factors and AIC, and
+    keeps the trained model's (p_gt, IoU) pairs as ``TrainLog.final_pairs``.
 
     Standard mode optimizes the compatibility reduction (frozen factors,
     alpha = 0), which equals the classic CE + smooth L1 objective. Each step
@@ -477,16 +442,18 @@ def train_toy(
 
     records: list[TrainRecord] = []
 
-    def log_state(step: int, batch: BatchArrays) -> None:
+    def log_state(step: int, batch: BatchArrays) -> tuple[tuple[float, float], ...]:
+        pairs = tuple(zip(batch.p_gt.tolist(), batch.iou.tolist()))
         records.append(
             TrainRecord(
                 step=step,
                 objective=batch.value,
                 mean_factor_r=float(np.mean(1.0 + batch.beta_r)),
                 mean_factor_c=float(np.mean(1.0 + batch.beta_c)),
-                aic=aic(list(zip(batch.p_gt.tolist(), batch.iou.tolist()))),
+                aic=aic(pairs),
             )
         )
+        return pairs
 
     def objective(step: int) -> tuple[np.ndarray, BatchArrays]:
         probs = model.probs()
@@ -515,8 +482,8 @@ def train_toy(
         model.offsets -= scale * batch.grad_d
 
     _, batch = objective(opt.steps)
-    log_state(opt.steps, batch)
-    return model, TrainLog(tuple(records))
+    final_pairs = log_state(opt.steps, batch)
+    return model, TrainLog(tuple(records), final_pairs)
 
 
 def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[dict]:
@@ -527,23 +494,17 @@ def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[d
     """
     if model is None:
         model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
-    probs = model.probs()
-    a = scene_set.anchors_per_scene
-    records = []
-    for s_idx, m in enumerate(scene_set.matching.matches):
-        scene = m.scene
-        for local_a, g in zip(m.pos_anchor, m.pos_gt):
-            fa = s_idx * a + local_a
-            records.append(
-                {
-                    "probs": [float(p) for p in probs[fa]],
-                    "gt_class": int(scene.gt_classes[g]),
-                    "anchor": [float(v) for v in scene_set.anchors[local_a].as_array()],
-                    "gt_box": [float(v) for v in scene.gt_boxes[g].as_array()],
-                    "d": [float(x) for x in model.offsets[fa]],
-                }
-            )
-    return records
+    m = scene_set.matching
+    rows = zip(
+        model.probs()[m.pos_flat].tolist(),
+        m.gt_class.tolist(),
+        m.anchors.tolist(),
+        m.gt.tolist(),
+        model.offsets[m.pos_flat].tolist(),
+    )
+    return [
+        {"probs": p, "gt_class": c, "anchor": a, "gt_box": g, "d": d} for p, c, a, g, d in rows
+    ]
 
 
 def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detection]]:
@@ -667,13 +628,11 @@ def _fd_probs(sample: PositiveSample, value_fn: Callable[[PositiveSample], float
     return finite_diff_grad(lambda v: value_fn(sample.with_probs(v)), sample.probs, PROB_FD_STEP)
 
 
-def _fd_offsets(
-    sample: PositiveSample, value_fn: Callable[[PositiveSample], float], h: float = 1e-6
-) -> np.ndarray:
+def _fd_offsets(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
     def fn(vec: np.ndarray) -> float:
         return value_fn(sample.with_d(Offsets.from_array(vec)))
 
-    return finite_diff_grad(fn, sample.d.as_array(), h)
+    return finite_diff_grad(fn, sample.d.as_array())
 
 
 @dataclass(frozen=True)

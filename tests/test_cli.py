@@ -84,6 +84,27 @@ class TestNoTracebacks:
             ("train", {"scene": {"anchor_spacing": 5e-324}}, [], "config.scene: 4 scenes of inf anchors"),
             ("train", {"scene": {"anchor_spacing": 1e-300}}, [], "config.scene: 4 scenes of inf anchors"),
             ("train", {"scene": {"num_scenes": 100000000}}, [], "config.scene: 100000000 scenes"),
+            # every object needs an anchor of its own, and one scene's IoU matrix is bounded
+            (
+                "train",
+                {"scene": {"canvas": [16, 16], "anchor_spacing": 8, "objects_per_scene": [6, 6]}},
+                [],
+                "config.scene: objects_per_scene upper bound 6 exceeds the 4 anchors per scene",
+            ),
+            ("train", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
+            ("train", {"scene": {"objects_per_scene": [2, 100000000]}}, [], "config.scene: objects_per_scene"),
+            (
+                "train",
+                {"scene": {"num_scenes": 1, "canvas": [400, 400], "anchor_spacing": 1, "objects_per_scene": [2, 7]}},
+                [],
+                "config.scene: 160000 anchors x 7 objects per scene exceed the matching limit",
+            ),
+            # non-finite floats are rejected when the config is read
+            ("surface", {"surface": {"p_min": float("nan")}}, [], "config.surface.p_min: expected a finite number"),
+            ("train", {"optimizer": {"learning_rate": float("nan")}}, [], "config.optimizer.learning_rate: expected a finite"),
+            ("train", {"hyperparams": {"gamma": float("nan")}}, [], "config.hyperparams.gamma: expected a finite number"),
+            ("gradcheck", {"gradcheck": {"tolerance": float("nan")}}, [], "config.gradcheck.tolerance: expected a finite"),
+            ("train", {"train": {"ap_thresholds": [float("inf")]}}, [], "config.train.ap_thresholds[0]: expected a finite"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):
@@ -96,6 +117,14 @@ class TestNoTracebacks:
         assert "Traceback" not in err
         # the train block is checked before training starts, not after it
         assert not (out / "trainlog.csv").exists()
+
+    def test_output_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["surface", "--out", str(taken)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {taken}" in err
+        assert "Traceback" not in err
 
     def test_float_keys_still_take_integers(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": {"p_max": 1, "loc_max": 2, "p_steps": 3}})

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardet.geom import (
     Box,
@@ -279,3 +281,64 @@ class TestArrayForms:
         )
         assert np.array_equal(decode_arrays(d, a), want_boxes)
         assert np.array_equal(decode_vjp_arrays(d, a, g), want_vjp)
+
+
+# --- properties ---------------------------------------------------------------
+
+# corners on a coarse grid (ties, touching edges, zero sizes) or continuous
+_GRID = st.integers(-8, 8).map(lambda k: k * 0.5)
+
+
+def boxes(coord=_GRID | st.floats(-20.0, 20.0), size=_GRID.map(abs) | st.floats(0.0, 20.0)):
+    return st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), coord, coord, size, size)
+
+
+_SOLID = boxes(size=st.integers(1, 8).map(lambda k: k * 0.5) | st.floats(0.01, 20.0))
+
+
+class TestGeomProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(a=boxes(), b=boxes())
+    def test_iou_is_symmetric_bounded_and_one_on_itself(self, a, b):
+        v = iou(a, b)
+        assert v == iou(b, a)
+        assert 0.0 <= v <= 1.0
+        for box in (a, b):
+            assert iou(box, box) == (1.0 if box.area > 0.0 else 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchor=_SOLID, gt=_SOLID)
+    def test_encode_then_decode_returns_the_box(self, anchor, gt):
+        back = decode(encode(gt, anchor), anchor).as_array()
+        scale = max(1.0, *np.abs(anchor.as_array()), *np.abs(gt.as_array()))
+        np.testing.assert_allclose(back, gt.as_array(), rtol=0.0, atol=1e-12 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=boxes(st.floats(-10.0, 10.0), st.floats(0.5, 8.0)),
+        b=boxes(st.floats(-10.0, 10.0), st.floats(0.5, 8.0)),
+    )
+    def test_iou_grad_matches_finite_differences_away_from_kinks(self, a, b):
+        # kinks: coincident corresponding edges and zero-width contact
+        assume(np.all(np.abs(a.as_array() - b.as_array()) >= 1e-3))
+        iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+        ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+        assume(abs(iw) >= 1e-3 and abs(ih) >= 1e-3)
+        g = iou_grad(a, b)
+        fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
+        np.testing.assert_allclose(g, fd, rtol=0.0, atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(boxes(), boxes()), min_size=1, max_size=8))
+    def test_iou_arrays_equals_scalar_bit_for_bit(self, pairs):
+        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
+        want = np.array([iou(x, y) for x, y in pairs])
+        assert iou_arrays(a, b).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(_SOLID, _SOLID), min_size=1, max_size=8))
+    def test_iou_and_grad_arrays_equal_scalar_bit_for_bit(self, pairs):
+        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
+        u, grad = iou_and_grad_arrays(a, b)
+        assert u.tobytes() == np.array([iou(x, y) for x, y in pairs]).tobytes()
+        assert grad.tobytes() == np.array([iou_grad(x, y) for x, y in pairs]).tobytes()

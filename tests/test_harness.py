@@ -8,9 +8,20 @@ import pytest
 
 import hardet.harness as harness
 from hardet.cli import main
-from hardet.geom import Box, Offsets, decode, decode_jacobian, iou, iou_grad
-from hardet.losses import HyperParams, batch_objective, hiou_slope
+from hardet.geom import (
+    Box,
+    Offsets,
+    decode,
+    decode_arrays,
+    decode_jacobian,
+    iou,
+    iou_arrays,
+    iou_grad,
+)
+from hardet.losses import HyperParams, NegativeSample, PositiveSample, batch_objective, hiou_slope
 from hardet.harness import (
+    BACKGROUND_CLASS,
+    MAX_MATCH_PAIRS,
     MAX_SCENE_ANCHORS,
     PROB_DRAW_FLOOR,
     DivergenceError,
@@ -31,7 +42,7 @@ from hardet.harness import (
     train_toy,
 )
 from hardet.losses import positive_sample_from_json
-from hardet.metrics import iou_histogram
+from hardet.metrics import aic, iou_histogram
 
 
 class TestSceneConfig:
@@ -55,6 +66,18 @@ class TestSceneConfig:
             SceneConfig(num_scenes=MAX_SCENE_ANCHORS // per_scene + 1)
         with pytest.raises(ValueError, match="inf anchors"):
             SceneConfig(anchor_spacing=5e-324)
+
+    def test_objects_bounded_before_generation(self):
+        # 4 anchors per scene: every object must be able to claim one
+        small = {"canvas": (16.0, 16.0), "anchor_spacing": 8.0}
+        SceneConfig(objects_per_scene=(4, 4), **small)
+        with pytest.raises(ValueError, match="upper bound 5 exceeds the 4 anchors per scene"):
+            SceneConfig(objects_per_scene=(5, 5), **small)
+        # 250 x 250 anchors: the IoU matrix of one scene is bounded
+        big = {"num_scenes": 1, "canvas": (250.0, 250.0), "anchor_spacing": 1.0}
+        SceneConfig(objects_per_scene=(1, MAX_MATCH_PAIRS // 62500), **big)
+        with pytest.raises(ValueError, match="exceed the matching limit"):
+            SceneConfig(objects_per_scene=(1, MAX_MATCH_PAIRS // 62500 + 1), **big)
 
     @pytest.mark.parametrize("key", ["anchor_spacing", "jitter"])
     def test_nan_rejected(self, key):
@@ -106,8 +129,14 @@ class TestMatchAnchors:
         scene = Scene(gt_boxes=(ss.anchors[10],), gt_classes=(2,))
         m = match_anchors(scene, ss.anchors, 0.5)
         assert 10 in m.pos_anchor
-        positives, _ = m.build_samples(num_classes=5)
-        matched = positives[m.pos_anchor.index(10)]
+        g = m.pos_gt[m.pos_anchor.index(10)]
+        matched = PositiveSample(
+            probs=np.full(5, 0.2),
+            gt_class=scene.gt_classes[g],
+            d=Offsets(0.0, 0.0, 0.0, 0.0),
+            anchor=ss.anchors[10],
+            gt_box=scene.gt_boxes[g],
+        )
         np.testing.assert_allclose(matched.d_hat.as_array(), np.zeros(4), atol=1e-12)
 
     def test_every_gt_claims_an_anchor(self):
@@ -183,12 +212,13 @@ class TestMatching:
         ss = generate_scenes(SceneConfig(seed=4, num_scenes=3))
         m = ss.matching
         k = 0
-        for s_idx, match in enumerate(m.matches):
+        for s_idx, scene in enumerate(ss.scenes):
+            match = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
             for a, g in zip(match.pos_anchor, match.pos_gt):
                 assert m.pos_flat[k] == s_idx * ss.anchors_per_scene + a
                 assert np.array_equal(m.anchors[k], ss.anchors[a].as_array())
-                assert np.array_equal(m.gt[k], match.scene.gt_boxes[g].as_array())
-                assert m.gt_class[k] == match.scene.gt_classes[g]
+                assert np.array_equal(m.gt[k], scene.gt_boxes[g].as_array())
+                assert m.gt_class[k] == scene.gt_classes[g]
                 k += 1
         assert k == m.pos_flat.size
         assert m.pos_flat.size + m.neg_flat.size == ss.total_anchors
@@ -317,6 +347,16 @@ class TestTrainToy:
         close(got.logits, want.logits)
         close(got.offsets, want.offsets)
 
+    @pytest.mark.parametrize("loss_mode", ["harmonic_det", "standard"])
+    def test_final_pairs_equal_a_fresh_decode_of_the_trained_model(self, loss_mode):
+        ss, hp, model = small_setup(seed=3)
+        opt = OptimizerConfig(steps=30, log_every=10, loss_mode=loss_mode, gradcheck_samples=0)
+        trained, log = train_toy(ss, model, opt, hp)
+        want = fresh_consistency_pairs(ss, trained)
+        assert [(p.hex(), u.hex()) for p, u in log.final_pairs] == [
+            (p.hex(), u.hex()) for p, u in want
+        ]
+        assert aic(log.final_pairs) == log.records[-1].aic
 
     def test_gradient_gate_blocks_on_impossible_tolerance(self):
         ss, hp, model = small_setup()
@@ -347,6 +387,16 @@ class TestTrainToy:
         assert l1 == l2
 
 
+def fresh_consistency_pairs(scene_set, model):
+    """(p_gt, IoU of the decoded box) per positive, in matching order, decoded
+    anew from a trained model: the formula aic_summary.json used before the
+    training step's own pairs replaced it."""
+    m = scene_set.matching
+    p = model.probs()[m.pos_flat, m.gt_class]
+    u = iou_arrays(decode_arrays(model.offsets[m.pos_flat], m.anchors), m.gt)
+    return list(zip(p.tolist(), u.tolist()))
+
+
 def close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -357,13 +407,23 @@ def scalar_step(ss, model, opt, hp):
     probs = model.probs()
     a = ss.anchors_per_scene
     positives, negatives, pos_rows, neg_rows = [], [], [], []
-    for s_idx, m in enumerate(ss.matching.matches):
+    for s_idx, scene in enumerate(ss.scenes):
+        m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
         base = s_idx * a
-        p, n = m.build_samples(probs[base : base + a], model.offsets[base : base + a])
-        positives += p
-        negatives += n
-        pos_rows += [base + i for i in m.pos_anchor]
-        neg_rows += [base + i for i in m.neg_anchor]
+        for i, g in zip(m.pos_anchor, m.pos_gt):
+            positives.append(
+                PositiveSample(
+                    probs=probs[base + i],
+                    gt_class=scene.gt_classes[g],
+                    d=Offsets.from_array(model.offsets[base + i]),
+                    anchor=ss.anchors[i],
+                    gt_box=scene.gt_boxes[g],
+                )
+            )
+            pos_rows.append(base + i)
+        for i in m.neg_anchor:
+            negatives.append(NegativeSample(probs=probs[base + i], gt_class=BACKGROUND_CLASS))
+            neg_rows.append(base + i)
     batch = batch_objective(positives, negatives, hp_eff)
     grad_logits = np.zeros_like(model.logits)
     grad_offsets = np.zeros_like(model.offsets)
@@ -427,6 +487,40 @@ class TestSampleExport:
         for record in sample_records(ss):
             assert record["d"] == [0.0, 0.0, 0.0, 0.0]
             np.testing.assert_allclose(record["probs"], 0.2)
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_records_equal_a_per_scene_walk(self, trained):
+        import json
+
+        ss, hp, model = small_setup(seed=6)
+        if trained:
+            rng = np.random.default_rng(6)
+            model.logits[:] = rng.normal(size=model.logits.shape)
+            model.offsets[:] = rng.uniform(-0.5, 0.5, size=model.offsets.shape)
+        got = sample_records(ss, model if trained else None)
+        want = per_scene_sample_records(ss, model)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def per_scene_sample_records(scene_set, model):
+    """Sample records built scene by scene from each scene's own matching."""
+    probs = model.probs()
+    a = scene_set.anchors_per_scene
+    records = []
+    for s_idx, scene in enumerate(scene_set.scenes):
+        m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
+        for local_a, g in zip(m.pos_anchor, m.pos_gt):
+            fa = s_idx * a + local_a
+            records.append(
+                {
+                    "probs": [float(p) for p in probs[fa]],
+                    "gt_class": int(scene.gt_classes[g]),
+                    "anchor": [float(v) for v in scene_set.anchors[local_a].as_array()],
+                    "gt_box": [float(v) for v in scene.gt_boxes[g].as_array()],
+                    "d": [float(x) for x in model.offsets[fa]],
+                }
+            )
+    return records
 
 
 class TestFiniteDiff:
@@ -567,9 +661,10 @@ class TestRefinementExperiment:
 def scalar_refine_pairs(ss, gamma, opt):
     """Per-positive scalar descent on the focused IoU loss."""
     pairs = []
-    for m in ss.matching.matches:
+    for scene in ss.scenes:
+        m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
         for a, g in zip(m.pos_anchor, m.pos_gt):
-            anchor, gt = ss.anchors[a], m.scene.gt_boxes[g]
+            anchor, gt = ss.anchors[a], scene.gt_boxes[g]
             d = Offsets(0.0, 0.0, 0.0, 0.0)
             for _ in range(opt.steps):
                 decoded = decode(d, anchor)
