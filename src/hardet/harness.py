@@ -34,9 +34,7 @@ from .geom import (
 from .losses import (
     BatchArrays,
     HyperParams,
-    NegativeSample,
     PositiveSample,
-    batch_objective,
     batch_objective_arrays,
     full_loc_loss,
     harmonic_cls_grad,
@@ -65,31 +63,45 @@ class DivergenceError(NumericalError):
     """Raised when a per-step check of a training loop fails.
 
     ``check`` names it: non-finite probabilities, size offsets past the
-    decode log cap, or a non-finite objective.
+    decode log cap, or a non-finite objective. ``row`` is the first model row
+    that failed a per-row check, None for the objective.
     """
 
-    def __init__(self, step: int, check: str):
-        super().__init__(f"training diverged at step {step}: {check}")
+    def __init__(self, step: int, check: str, row: int | None = None):
+        where = "" if row is None else f" (model row {row})"
+        super().__init__(f"training diverged at step {step}: {check}{where}")
         self.step = step
         self.check = check
+        self.row = row
 
 
-def _check_decode_cap(step: int, offsets: np.ndarray) -> None:
+def _check_decode_cap(step: int, offsets: np.ndarray, rows: np.ndarray) -> None:
+    """``offsets[k]`` belongs to model row ``rows[k]``."""
     # written so that NaN offsets fail it too
-    if not np.all(np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP):
-        raise DivergenceError(step, f"size offsets past the decode log cap {DECODE_LOG_CAP:g}")
+    ok = np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP
+    if not np.all(ok):
+        row = int(rows[np.argmin(ok.all(axis=1))])
+        raise DivergenceError(step, f"size offsets past the decode log cap {DECODE_LOG_CAP:g}", row)
 
 
 class GradientCheckError(NumericalError):
-    """Raised when the pre-training finite-difference gate fails."""
+    """Raised when the pre-training finite-difference gate fails; names every
+    operation over tolerance. ``op`` is the one with the largest error, a NaN
+    counting as the largest."""
 
-    def __init__(self, max_err: float, tolerance: float):
+    def __init__(self, failed: Sequence[GradCheckEntry]):
+        worst = max(failed, key=lambda e: (math.isnan(e.max_err), e.max_err))
         super().__init__(
-            f"analytic gradients disagree with finite differences "
-            f"(max error {max_err:.3e} > tolerance {tolerance:.3e})"
+            "gradcheck failed for "
+            + "; ".join(
+                f"{e.op}: max error {e.max_err:.3e} > tolerance {e.tolerance:.3e} "
+                f"at draw {e.worst_draw}"
+                for e in failed
+            )
         )
-        self.max_err = max_err
-        self.tolerance = tolerance
+        self.op = worst.op
+        self.max_err = worst.max_err
+        self.tolerance = worst.tolerance
 
 
 @dataclass(frozen=True)
@@ -430,7 +442,7 @@ def train_toy(
             seed=scene_set.config.seed,
         )
         if not report.passed:
-            raise GradientCheckError(report.max_err, opt.gradcheck_tolerance)
+            raise GradientCheckError([e for e in report.entries if not e.passed])
     model = model.copy()
     m = scene_set.matching
     n_total = scene_set.total_anchors
@@ -457,9 +469,11 @@ def train_toy(
 
     def objective(step: int) -> tuple[np.ndarray, BatchArrays]:
         probs = model.probs()
-        if not np.all(np.isfinite(probs)):
-            raise DivergenceError(step, "non-finite probabilities")
-        _check_decode_cap(step, model.offsets[m.pos_flat])
+        finite = np.isfinite(probs)
+        if not np.all(finite):
+            row = int(np.argmin(finite.all(axis=1)))
+            raise DivergenceError(step, "non-finite probabilities", row)
+        _check_decode_cap(step, model.offsets[m.pos_flat], m.pos_flat)
         batch = batch_objective_arrays(
             probs, model.offsets, m.anchors, m.gt, m.gt_class, m.d_hat, m.pos_flat, m.neg_flat,
             hp_eff,
@@ -526,22 +540,23 @@ def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detectio
 
 
 def finite_diff_grad(
-    loss_fn: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-6
+    loss_fn: Callable[[np.ndarray], float | np.ndarray], params: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one step per axis."""
+    """Central-difference gradient of a function of a vector, one step per
+    axis. A vector-valued ``loss_fn`` gives its Jacobian, one row per output."""
     if h <= 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     params = np.asarray(params, dtype=float)
-    grad = np.zeros_like(params)
+    columns = []
     for k in range(params.size):
         step = np.zeros_like(params)
         step[k] = h
-        hi = float(loss_fn(params + step))
-        lo = float(loss_fn(params - step))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        hi = np.asarray(loss_fn(params + step), dtype=float)
+        lo = np.asarray(loss_fn(params - step), dtype=float)
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise ValueError(f"loss not finite near params[{k}]")
-        grad[k] = (hi - lo) / (2.0 * h)
-    return grad
+        columns.append((hi - lo) / (2.0 * h))
+    return np.array(columns).T
 
 
 # --- finite-difference gate -------------------------------------------------
@@ -637,10 +652,14 @@ def _fd_offsets(sample: PositiveSample, value_fn: Callable[[PositiveSample], flo
 
 @dataclass(frozen=True)
 class GradCheckEntry:
+    """One operation's largest error, and the index of the draw it came from
+    (None when the operation had no draws); with the seed, the draw replays."""
+
     op: str
     samples: int
     max_err: float
     tolerance: float
+    worst_draw: int | None
 
     @property
     def passed(self) -> bool:
@@ -721,38 +740,79 @@ def _check_one(
     }
 
 
-def _check_batch(rng: np.random.Generator, hp: HyperParams) -> float:
-    """FD of the scalar batch objective over every sample parameter."""
-    hp_diff = replace(hp, beta_e_stop_grad=False)
-    positives = [random_positive_sample(rng, hp) for _ in range(4)]
+BATCH_POSITIVES = 4
+BATCH_NEGATIVES = 3
+
+
+def _random_batch(
+    rng: np.random.Generator, hp: HyperParams
+) -> tuple[list[PositiveSample], list[np.ndarray]]:
+    """One batch draw: kink-free positives and background probability rows."""
+    positives = [random_positive_sample(rng, hp) for _ in range(BATCH_POSITIVES)]
     negatives = []
-    for _ in range(3):
+    for _ in range(BATCH_NEGATIVES):
         probs = rng.dirichlet(np.ones(hp.num_classes))
         if np.any(probs < PROB_DRAW_FLOOR):
             probs = (probs + 1e-3) / (1.0 + hp.num_classes * 1e-3)
-        negatives.append(NegativeSample(probs=probs, gt_class=BACKGROUND_CLASS))
-    batch = batch_objective(positives, negatives, hp_diff)
-    n = len(positives)
-    worst = 0.0
-    for i, s in enumerate(positives):
-        def pos_value(sample: PositiveSample, i=i) -> float:
-            swapped = list(positives)
-            swapped[i] = sample
-            return batch_objective(swapped, negatives, hp_diff).value
+        negatives.append(probs)
+    return positives, negatives
 
-        fd_p = _fd_probs(s, pos_value)
-        fd_d = _fd_offsets(s, pos_value)
-        worst = max(worst, _grad_err(batch.breakdowns[i].grad_probs / n, fd_p))
-        worst = max(worst, _grad_err(batch.breakdowns[i].grad_d / n, fd_d))
-    for j, neg in enumerate(negatives):
-        def neg_value(probs: np.ndarray, j=j) -> float:
-            swapped = list(negatives)
-            swapped[j] = NegativeSample(probs=probs, gt_class=neg.gt_class)
-            return batch_objective(positives, swapped, hp_diff).value
 
-        fd = finite_diff_grad(neg_value, neg.probs, PROB_FD_STEP)
-        worst = max(worst, _grad_err(batch.negative_grad_probs[j] / n, fd))
-    return worst
+def _batch_errors(
+    batches: Sequence[tuple[list[PositiveSample], list[np.ndarray]]], hp: HyperParams
+) -> np.ndarray:
+    """Per batch draw, the max normalized error of :func:`batch_objective_arrays`'
+    gradients against central differences of its per-row losses.
+
+    The draws stack into one batch, every positive row before every negative
+    row. A row's loss depends on its own probabilities and offsets only, so
+    stepping one column in all rows at once differences every row with one
+    pair of kernel calls: 2 (C + 4) calls check the whole stack. Errors are
+    normalized as for one draw's objective, whose gradient is the per-row
+    gradient over the draw's positive count.
+    """
+    hp_diff = replace(hp, beta_e_stop_grad=False)
+    positives = [s for pos, _ in batches for s in pos]
+    negatives = [p for _, neg in batches for p in neg]
+    n_pos, n_rows = len(positives), len(positives) + len(negatives)
+    probs = np.array([s.probs for s in positives] + negatives)
+    offsets = np.zeros((n_rows, 4))
+    offsets[:n_pos] = [s.d.as_array() for s in positives]
+    fixed = (
+        corners([s.anchor for s in positives]),
+        corners([s.gt_box for s in positives]),
+        np.array([s.gt_class for s in positives]),
+        np.array([s.d_hat.as_array() for s in positives]),
+        np.arange(n_pos),
+        np.arange(n_pos, n_rows),
+        hp_diff,
+    )
+    draw = np.concatenate([
+        np.arange(n_pos) // BATCH_POSITIVES, np.arange(len(negatives)) // BATCH_NEGATIVES
+    ])
+
+    def losses(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+        # each row's loss, then each draw's summed loss, so that the finite
+        # check also fails a draw whose objective overflows
+        batch = batch_objective_arrays(p, d, *fixed)
+        rows = np.concatenate([batch.pos_loss, batch.neg_loss])
+        return np.concatenate([rows, np.bincount(draw, weights=rows)])
+
+    # an overflow is reported by finite_diff_grad's check, not as a warning
+    with np.errstate(all="ignore"):
+        batch = batch_objective_arrays(probs, offsets, *fixed)
+        fd_p = finite_diff_grad(
+            lambda v: losses(probs + v, offsets), np.zeros(hp.num_classes), PROB_FD_STEP
+        )[:n_rows]
+        fd_d = finite_diff_grad(lambda v: losses(probs, offsets + v), np.zeros(4))[:n_rows]
+    n = BATCH_POSITIVES
+    return np.array([
+        max(
+            _grad_err(batch.grad_probs[draw == k] / n, fd_p[draw == k] / n),
+            _grad_err(batch.grad_d[draw == k] / n, fd_d[draw == k] / n),
+        )
+        for k in range(len(batches))
+    ])
 
 
 GRADCHECK_OPS = (
@@ -776,34 +836,46 @@ def run_gradcheck(
 ) -> GradCheckReport:
     """Analytic-vs-FD sweep over every differentiated operation.
 
-    Errors are normalized by max(1, |gradient|) and reduced by max over the
-    draws. At least one sample is required, so that a report never passes
-    without checking anything. Raises :class:`NumericalError`, naming the
-    operation, when a check fails to compute, as when a loss is not finite
-    near a draw.
+    Each of ``num_samples`` draws checks the per-sample operations; then
+    ``batch_draws`` batch draws check :func:`batch_objective_arrays`, the
+    kernel that trains. Errors are normalized by max(1, |gradient|) and
+    reduced by max over the draws. At least one sample is required, so that
+    a report never passes without checking anything. Raises
+    :class:`NumericalError`, naming the operation, when a check fails to
+    compute, as when a loss is not finite near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
     if batch_draws < 0:
         raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
+
+    def computed(op: str, err: Callable[[], float | np.ndarray]) -> float | np.ndarray:
+        try:
+            return err()
+        except ValueError as exc:
+            raise NumericalError(f"gradcheck {op}: {exc}") from exc
+
     rng = np.random.default_rng(seed)
     draws = [
         (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
     ]
-    checks = [item for sample, pair in draws for item in _check_one(sample, pair, hp).items()]
-    checks += [("batch_objective", lambda: _check_batch(rng, hp))] * batch_draws
-    worst = {op: 0.0 for op in GRADCHECK_OPS}
-    for op, err in checks:
-        try:
-            e = err()
-        except ValueError as exc:
-            raise NumericalError(f"gradcheck {op}: {exc}") from exc
-        worst[op] = max(worst[op], e)
-    entries = tuple(
-        GradCheckEntry(op=op, samples=num_samples, max_err=worst[op], tolerance=tolerance)
-        for op in GRADCHECK_OPS
-    )
-    return GradCheckReport(entries)
+    errors: dict[str, list[float]] = {op: [] for op in GRADCHECK_OPS}
+    for sample, pair in draws:
+        for op, err in _check_one(sample, pair, hp).items():
+            errors[op].append(computed(op, err))
+    if batch_draws:
+        batches = [_random_batch(rng, hp) for _ in range(batch_draws)]
+        errors["batch_objective"] = list(
+            computed("batch_objective", lambda: _batch_errors(batches, hp))
+        )
+
+    def entry(op: str) -> GradCheckEntry:
+        # argmax picks a NaN error first, so a NaN fails the entry
+        worst = int(np.argmax(errors[op])) if errors[op] else None
+        max_err = 0.0 if worst is None else float(errors[op][worst])
+        return GradCheckEntry(op, num_samples, max_err, tolerance, worst)
+
+    return GradCheckReport(tuple(entry(op) for op in GRADCHECK_OPS))
 
 
 # --- refinement experiment ---------------------------------------------------
@@ -827,11 +899,11 @@ def _train_offsets_only(m: Matching, gamma: float, opt: OptimizerConfig) -> np.n
     """
     d = np.zeros_like(m.anchors)
     for step in range(opt.steps):
-        _check_decode_cap(step, d)
+        _check_decode_cap(step, d, m.pos_flat)
         u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, m.anchors), m.gt)
         du_dd = decode_vjp_arrays(d, m.anchors, du_dcorners)
         d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
-    _check_decode_cap(opt.steps, d)
+    _check_decode_cap(opt.steps, d, m.pos_flat)
     return d
 
 

@@ -499,11 +499,16 @@ class BatchArrays:
     objective's gradient. Rows that are neither positive nor negative stay 0.
     The per-positive vectors follow ``pos_idx`` order; ``p_gt`` is the
     unfloored ground-truth probability and ``iou`` the decoded-box IoU.
+    ``pos_loss`` and ``neg_loss`` (``neg_idx`` order) are the per-row losses:
+    each depends on its own row's probabilities and offsets only, and their
+    in-order sum over the positive count is ``value``.
     """
 
     value: float
     grad_probs: np.ndarray
     grad_d: np.ndarray
+    pos_loss: np.ndarray
+    neg_loss: np.ndarray
     beta_r: np.ndarray
     beta_c: np.ndarray
     p_gt: np.ndarray
@@ -596,12 +601,15 @@ def batch_objective_arrays(
 
     neg_p = np.maximum(probs[neg_idx, 0], hp.prob_floor)
     grad_probs[neg_idx, 0] = -1.0 / neg_p
+    neg_loss = -elementwise(math.log, neg_p)
     # sequential sums in sample order, as the scalar batch objective adds
-    total = float(np.concatenate([totals, -elementwise(math.log, neg_p)]).cumsum()[-1])
+    total = float(np.concatenate([totals, neg_loss]).cumsum()[-1])
     return BatchArrays(
         value=total / pos_idx.size,
         grad_probs=grad_probs,
         grad_d=grad_offsets,
+        pos_loss=totals,
+        neg_loss=neg_loss,
         beta_r=beta_r,
         beta_c=beta_c,
         p_gt=p_raw,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -143,6 +144,29 @@ class TestNoTracebacks:
         err = capsys.readouterr().err
         assert "numerical failure: gradcheck batch_objective: loss not finite" in err
         assert "Traceback" not in err
+
+    def test_overflow_in_the_gradient_gate_warns_nothing(self, tmp_path, capsys):
+        payload = {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2, "batch_draws": 1}}
+        cfg = write_config(tmp_path, payload)
+        # a numpy RuntimeWarning would escape main as an exception here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: gradcheck batch_objective: loss not finite")
+        assert "Warning" not in err
+
+    def test_failed_gradient_gate_names_the_operation(self, tmp_path, capsys):
+        payload = {**FAST_TRAIN, "optimizer": {**FAST_TRAIN["optimizer"], "gradcheck_tolerance": 0.0}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: gradcheck failed for ")
+        assert "batch_objective: max error " in err
+        assert "> tolerance 0.000e+00 at draw " in err
+        assert "Traceback" not in err
+        assert not (out / "trainlog.csv").exists()
 
     def test_unreachable_probability_floor_exits_2(self, tmp_path, capsys):
         # 200 classes almost never all draw the oracle's 1e-3 probability floor

@@ -301,6 +301,35 @@ class TestTrainToy:
         with pytest.raises(DivergenceError, match="step 0: non-finite probabilities"):
             train_toy(ss, model, opt, hp)
 
+    def test_divergence_names_the_first_offending_model_row(self):
+        ss, hp, model = small_setup()
+        opt = OptimizerConfig(steps=3, gradcheck_samples=0)
+        bad = model.copy()
+        bad.logits[[7, 3], 1] = math.nan
+        with pytest.raises(DivergenceError, match=r"non-finite probabilities \(model row 3\)$") as exc:
+            train_toy(ss, bad, opt, hp)
+        assert (exc.value.step, exc.value.row) == (0, 3)
+        # the decode-cap check names the model row, not the positive's index
+        rows = ss.matching.pos_flat
+        bad = model.copy()
+        bad.offsets[[rows[4], rows[2]], 3] = 100.0
+        with pytest.raises(DivergenceError, match=rf"decode log cap \d+ \(model row {rows[2]}\)$") as exc:
+            train_toy(ss, bad, opt, hp)
+        assert exc.value.row == rows[2] != 2
+        with pytest.raises(DivergenceError) as exc:
+            refinement_experiment(ss, replace(opt, learning_rate=1e9), hp)
+        assert exc.value.row in rows
+
+    def test_non_finite_objective_names_no_row(self, monkeypatch):
+        ss, hp, model = small_setup()
+        real = harness.batch_objective_arrays
+        monkeypatch.setattr(
+            harness, "batch_objective_arrays", lambda *a: replace(real(*a), value=math.nan)
+        )
+        with pytest.raises(DivergenceError, match=r"non-finite objective \(nan\)$") as exc:
+            train_toy(ss, model, OptimizerConfig(steps=3, gradcheck_samples=0), hp)
+        assert exc.value.row is None
+
     def test_non_finite_objective_diverges(self, monkeypatch):
         ss, hp, model = small_setup()
         real = harness.batch_objective_arrays
@@ -363,6 +392,23 @@ class TestTrainToy:
         opt = OptimizerConfig(steps=5, gradcheck_samples=5, gradcheck_tolerance=0.0)
         with pytest.raises(GradientCheckError):
             train_toy(ss, model, opt, hp)
+
+    def test_gradient_gate_error_names_the_failing_operations(self):
+        ss, hp, model = small_setup()
+        opt = OptimizerConfig(steps=5, gradcheck_samples=5, gradcheck_tolerance=0.0)
+        report = run_gradcheck(hp, num_samples=5, tolerance=0.0, seed=ss.config.seed)
+        failed = [e for e in report.entries if not e.passed]
+        worst = max(failed, key=lambda e: e.max_err)
+        with pytest.raises(GradientCheckError) as exc:
+            train_toy(ss, model, opt, hp)
+        err = exc.value
+        assert (err.op, err.max_err, err.tolerance) == (worst.op, worst.max_err, 0.0)
+        assert str(err).startswith("gradcheck failed for ")
+        for e in failed:
+            assert (
+                f"{e.op}: max error {e.max_err:.3e} > tolerance 0.000e+00 at draw {e.worst_draw}"
+                in str(err)
+            )
 
     def test_standard_mode_runs(self):
         ss, hp, model = small_setup()
@@ -540,6 +586,19 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff_grad(lambda x: math.inf, np.zeros(1))
 
+    def test_vector_function_gives_its_jacobian(self):
+        fn = lambda x: np.array([x[0] * x[1], x[1] ** 2, 3.0])  # noqa: E731
+        jac = finite_diff_grad(fn, np.array([2.0, -1.0]))
+        assert jac.shape == (3, 2)
+        np.testing.assert_allclose(jac, [[-1.0, 2.0], [0.0, -2.0], [0.0, 0.0]], atol=1e-8)
+        # each column is the scalar difference of that output, bit for bit
+        for r in range(3):
+            assert np.array_equal(jac[r], finite_diff_grad(lambda x, r=r: fn(x)[r], [2.0, -1.0]))
+
+    def test_any_non_finite_output_rejected(self):
+        with pytest.raises(ValueError, match=r"loss not finite near params\[1\]"):
+            finite_diff_grad(lambda x: np.array([1.0, math.inf if x[1] > 0 else 0.0]), np.zeros(2))
+
 
 class TestGradCheck:
     def test_non_finite_loss_names_the_operation(self):
@@ -596,17 +655,86 @@ class TestGradCheck:
             report = run_gradcheck(gate_hp, num_samples=20, seed=seed)
             assert report.passed, f"max error {report.max_err:.3e}"
 
+    def test_batch_entry_checks_the_training_kernel(self, monkeypatch):
+        real = harness.batch_objective_arrays
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", counted)
+        hp = HyperParams(num_classes=5)
+        report = run_gradcheck(hp, num_samples=2, seed=0, batch_draws=4)
+        assert report.passed
+        # one analytic call plus 2 (C + 4) differenced calls, for all four draws
+        assert len(calls) == 1 + 2 * (hp.num_classes + 4)
+        assert len(calls[0][0]) == 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # a gradient off by 0.1%
+            lambda real, *a: replace(real(*a), grad_d=real(*a).grad_d * 1.001),
+            # the TC term's gradient through the entropy weight dropped
+            lambda real, *a: real(*a[:-1], replace(a[-1], beta_e_stop_grad=True)),
+        ],
+        ids=["grad_d_scaled", "tc_entropy_term_dropped"],
+    )
+    def test_mutant_kernel_fails_the_gate(self, monkeypatch, mutant):
+        real = harness.batch_objective_arrays
+        monkeypatch.setattr(harness, "batch_objective_arrays", lambda *a: mutant(real, *a))
+        report = run_gradcheck(HyperParams(num_classes=5), num_samples=20, seed=0)
+        assert [e.op for e in report.entries if not e.passed] == ["batch_objective"]
+
+    @pytest.mark.parametrize("seed", [0, 14])
+    def test_worst_draw_replays_from_seed_and_index(self, seed):
+        hp = HyperParams(num_classes=5)
+        samples, batch_draws = 6, 3
+        report = run_gradcheck(hp, samples, tolerance=0.0, seed=seed, batch_draws=batch_draws)
+        for e in report.entries:
+            rng = np.random.default_rng(seed)
+            draws = [
+                (random_positive_sample(rng, hp), harness._random_box_pair(rng))
+                for _ in range(samples)
+            ]
+            if e.op == "batch_objective":
+                batches = [harness._random_batch(rng, hp) for _ in range(batch_draws)]
+                replayed = harness._batch_errors([batches[e.worst_draw]], hp)[0]
+            else:
+                replayed = harness._check_one(*draws[e.worst_draw], hp)[e.op]()
+            assert 0 <= e.worst_draw < (batch_draws if e.op == "batch_objective" else samples)
+            assert replayed == e.max_err > 0.0, e.op
+
+    def test_worst_draw_is_none_without_draws(self):
+        report = run_gradcheck(HyperParams(num_classes=5), num_samples=1, seed=0, batch_draws=0)
+        batch = report.entries[-1]
+        assert (batch.op, batch.max_err, batch.worst_draw) == ("batch_objective", 0.0, None)
+
+    def test_nan_error_fails_the_entry(self, monkeypatch):
+        real = harness.batch_objective_arrays
+        monkeypatch.setattr(
+            harness,
+            "batch_objective_arrays",
+            lambda *a: replace(real(*a), grad_probs=np.where(real(*a).grad_probs < 0, np.nan, 0)),
+        )
+        report = run_gradcheck(HyperParams(num_classes=5), num_samples=2, seed=0)
+        assert math.isnan(report.entries[-1].max_err)
+        assert not report.passed
+
     # max_err of every op at the commit before the central differences were
-    # folded into finite_diff_grad; the fold must not move a single bit
+    # folded into finite_diff_grad; the fold must not move a single bit. The
+    # last, batch_objective, is pinned since the entry checks the row-wise
+    # differences of batch_objective_arrays instead of the scalar objective.
     @pytest.mark.parametrize(
         "seed, expected",
         [
             (0, ["0x1.59d9f80000000p-33", "0x1.3a9e7aaef0314p-31", "0x1.4404a00000000p-31",
                  "0x1.48c96e1800000p-31", "0x1.2130600000000p-32", "0x1.4025a80000000p-35",
-                 "0x1.9b216a0000000p-31", "0x1.1cf31ff6b1960p-24"]),
+                 "0x1.9b216a0000000p-31", "0x1.1cf207cad6409p-24"]),
             (14, ["0x1.5290100000000p-33", "0x1.20f774f8c0864p-31", "0x1.5ee80f8a8b9edp-32",
                   "0x1.93db200000000p-31", "0x1.2d9cd3d397618p-32", "0x1.dbdcc00000000p-35",
-                  "0x1.93db200000000p-31", "0x1.3b0b46a92d78cp-25"]),
+                  "0x1.93db200000000p-31", "0x1.3b08550315a61p-25"]),
         ],
     )
     def test_max_errors_are_pinned_bit_for_bit(self, seed, expected):

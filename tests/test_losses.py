@@ -632,6 +632,31 @@ class TestBatchObjectiveArrays:
         if negatives:
             assert np.array_equal(got.grad_probs[neg_idx], want.negative_grad_probs)
 
+    @pytest.mark.parametrize("case", sorted(KINK_CASES))
+    def test_row_losses_match_reference(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(100 + sorted(KINK_CASES).index(case))
+        for _ in range(15):
+            positives, negatives = random_batch(rng, hp)
+            got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), hp)
+            assert_close(got.pos_loss, [harmonic_det_loss(s, hp).total for s in positives])
+            assert_close(
+                got.neg_loss, [cross_entropy(n.probs, 0, hp.prob_floor) for n in negatives]
+            )
+            # the in-order sum over the positive count is the objective, bit for bit
+            total = 0.0
+            for v in [*got.pos_loss.tolist(), *got.neg_loss.tolist()]:
+                total += v
+            assert total / len(positives) == got.value
+
+    def test_row_losses_bit_equal_to_reference(self):
+        rng = np.random.default_rng(93)
+        positives, negatives = random_batch(rng, HP5)
+        negatives.append(random_negative(rng, 5))
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP5)
+        assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP5).total for s in positives]
+        assert got.neg_loss.tolist() == [cross_entropy(n.probs, 0) for n in negatives]
+
     def test_no_positives_rejected(self):
         empty = np.array([], dtype=int)
         with pytest.raises(ValueError):
