@@ -198,11 +198,19 @@ def _build_hyperparams(cfg: dict) -> HyperParams:
         raise ConfigError(f"config.hyperparams: {exc}") from exc
 
 
-def _build_scene_set(cfg: dict) -> SceneSet:
+def _build_scene_config(cfg: dict) -> SceneConfig:
     block = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg["scene"].items()}
     try:
-        return generate_scenes(SceneConfig(seed=cfg["seed"], **block))
+        return SceneConfig(seed=cfg["seed"], **block)
     except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config.scene: {exc}") from exc
+
+
+def _build_scene_set(cfg: dict) -> SceneSet:
+    scene_cfg = _build_scene_config(cfg)
+    try:
+        return generate_scenes(scene_cfg)
+    except ValueError as exc:
         raise ConfigError(f"config.scene: {exc}") from exc
 
 
@@ -455,6 +463,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         eff = effective_config(
             cfg, seed_override=args.seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
         )
+        # every command checks the scene block, so a config file is judged the
+        # same by each; building the config draws no grid
+        _build_scene_config(eff)
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":

@@ -39,7 +39,6 @@ from .losses import (
     full_loc_loss,
     harmonic_cls_grad,
     harmonic_det_loss,
-    harmonic_loss,
     harmonic_reg_grad,
     hiou_slope_arrays,
     smooth_l1,
@@ -568,11 +567,13 @@ PROB_DRAW_FLOOR = 1e-3
 KINK_MARGIN = 1e-3
 
 
-def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    analytic = np.atleast_1d(np.asarray(analytic, dtype=float))
-    numeric = np.atleast_1d(np.asarray(numeric, dtype=float))
+def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Per row (first axis), the max normalized analytic-vs-FD error over the
+    row's entries; a NaN entry makes its row's error NaN."""
+    analytic = np.asarray(analytic, dtype=float).reshape(len(analytic), -1)
+    numeric = np.asarray(numeric, dtype=float).reshape(len(numeric), -1)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return np.max(np.abs(analytic - numeric) / denom, axis=1)
 
 
 def random_positive_sample(
@@ -639,17 +640,6 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
         return a, b
 
 
-def _fd_probs(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
-    return finite_diff_grad(lambda v: value_fn(sample.with_probs(v)), sample.probs, PROB_FD_STEP)
-
-
-def _fd_offsets(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
-    def fn(vec: np.ndarray) -> float:
-        return value_fn(sample.with_d(Offsets.from_array(vec)))
-
-    return finite_diff_grad(fn, sample.d.as_array())
-
-
 @dataclass(frozen=True)
 class GradCheckEntry:
     """One operation's largest error, and the index of the draw it came from
@@ -679,61 +669,116 @@ class GradCheckReport:
         return max(e.max_err for e in self.entries)
 
 
-def _check_one(
-    sample: PositiveSample, pair: tuple[Box, Box], hp: HyperParams
-) -> dict[str, Callable[[], float]]:
-    """Per operation, a thunk for its max normalized analytic-vs-FD error on
-    one draw, so that a failure can be charged to its operation."""
-    # probability directions need the differentiable entropy weight
+def _sample_errors(
+    draws: Sequence[tuple[PositiveSample, tuple[Box, Box]]], hp: HyperParams
+) -> dict[str, Callable[[], np.ndarray]]:
+    """Per operation, a thunk for every draw's max normalized analytic-vs-FD
+    error, so that a failure can be charged to its operation.
+
+    The gradients under test come from the per-sample functions, one call per
+    draw. The central differences run on the array value forms with the draws
+    stacked as rows: a row's value depends on its own row's inputs only, so
+    stepping one input column in every row at once differences every draw.
+    """
+    samples = [s for s, _ in draws]
+    rows = np.arange(len(samples))
+    probs = np.array([s.probs for s in samples])
+    offsets = np.array([s.d.as_array() for s in samples])
+    anchors = corners([s.anchor for s in samples])
+    gt_class = np.array([s.gt_class for s in samples])
+    fixed = (
+        anchors,
+        corners([s.gt_box for s in samples]),
+        gt_class,
+        np.array([s.d_hat.as_array() for s in samples]),
+        rows,
+        np.arange(0),  # no negatives
+    )
+    # probability directions need the differentiable entropy weight; the
+    # scalar harmonic_loss and tc_loss ignore freeze_factors (no value
+    # depends on beta_e_stop_grad)
     hp_diff = replace(hp, beta_e_stop_grad=False)
-    a, b = pair
+    hp_free = replace(hp_diff, freeze_factors=False)
 
-    def iou_grad_err() -> float:
-        fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
-        return _grad_err(iou_grad(a, b), fd)
+    def harmonic(b: BatchArrays) -> np.ndarray:
+        """Per-positive :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
+        loc = b.sl1 if hp.harmonic_mode == "smooth_l1" else b.loc
+        return (1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc
 
-    def decode_jacobian_err() -> float:
-        fd_jac = np.array([
-            finite_diff_grad(
-                lambda v, r=r: decode(Offsets.from_array(v), sample.anchor).as_array()[r],
-                sample.d.as_array(),
+    def kernel(
+        kernel_hp: HyperParams, value: Callable[[BatchArrays], np.ndarray]
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A per-positive value of the kernel as a function of (probs, offsets)."""
+        return lambda p, d: value(batch_objective_arrays(p, d, *fixed, kernel_hp))
+
+    # (draws, inputs) central differences; a non-finite value is reported by
+    # finite_diff_grad's check, not as a warning
+    def fd_probs(values: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return finite_diff_grad(
+                lambda v: values(probs + v, offsets), np.zeros(hp.num_classes), PROB_FD_STEP
             )
-            for r in range(4)
-        ])
-        return _grad_err(decode_jacobian(sample.d, sample.anchor).ravel(), fd_jac.ravel())
 
-    def harmonic_cls_grad_err() -> float:
-        loc, _ = full_loc_loss(sample, hp)
-        loc_mode = smooth_l1(sample.d, sample.d_hat) if hp.harmonic_mode == "smooth_l1" else loc
-        fd = _fd_probs(sample, lambda s: harmonic_loss(s, hp, loc_mode)[0])
-        return _grad_err(harmonic_cls_grad(sample, loc_mode), fd[sample.gt_class])
+    def fd_offsets(values: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return finite_diff_grad(lambda v: values(probs, offsets + v), np.zeros(4))
+
+    def stacked(row_of: Callable[[PositiveSample], np.ndarray]) -> np.ndarray:
+        return np.array([row_of(s) for s in samples])
+
+    def iou_grad_err() -> np.ndarray:
+        a = corners([a for _, (a, _) in draws])
+        b = corners([b for _, (_, b) in draws])
+        numeric = finite_diff_grad(lambda v: iou_arrays(a + v, b), np.zeros(4))
+        return _grad_err(np.array([iou_grad(*pair) for _, pair in draws]), numeric)
+
+    def decode_jacobian_err() -> np.ndarray:
+        # the corner-valued decode gives one (corner, offset) Jacobian per draw
+        numeric = finite_diff_grad(
+            lambda v: decode_arrays(offsets + v, anchors).ravel(), np.zeros(4)
+        )
+        analytic = stacked(lambda s: decode_jacobian(s.d, s.anchor))
+        return _grad_err(analytic, numeric.reshape(-1, 4, 4))
+
+    def harmonic_cls_grad_err() -> np.ndarray:
+        def loc_mode(s: PositiveSample) -> float:
+            if hp.harmonic_mode == "smooth_l1":
+                return smooth_l1(s.d, s.d_hat)
+            return full_loc_loss(s, hp)[0]
+
+        analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s)))
+        # the loc does not depend on the probabilities: the probability
+        # difference of harmonic_loss is its fixed-loc difference
+        return _grad_err(analytic, fd_probs(kernel(hp_free, harmonic))[rows, gt_class])
 
     def probs_and_offsets_err(
-        value_fn: Callable[[PositiveSample], float], grad_probs: np.ndarray, grad_d: np.ndarray
-    ) -> float:
-        err_p = _grad_err(grad_probs, _fd_probs(sample, value_fn))
-        err_d = _grad_err(grad_d, _fd_offsets(sample, value_fn))
-        return max(err_p, err_d)
-
-    def tc_loss_err() -> float:
-        _, _, tc_gp, tc_gd = tc_loss(sample, hp_diff)
-        return probs_and_offsets_err(lambda s: tc_loss(s, hp_diff)[0], tc_gp, tc_gd)
-
-    def harmonic_det_loss_err() -> float:
-        bd = harmonic_det_loss(sample, hp_diff)
-        return probs_and_offsets_err(
-            lambda s: harmonic_det_loss(s, hp_diff).total, bd.grad_probs, bd.grad_d
+        values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        grads: Sequence[tuple[np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """``grads`` holds each draw's (probability, offset) gradient."""
+        grad_probs, grad_d = (np.array(g) for g in zip(*grads))
+        return np.maximum(
+            _grad_err(grad_probs, fd_probs(values)), _grad_err(grad_d, fd_offsets(values))
         )
+
+    def tc_loss_err() -> np.ndarray:
+        grads = [tc_loss(s, hp_diff)[2:] for s in samples]
+        return probs_and_offsets_err(kernel(hp_free, lambda b: b.tc), grads)
+
+    def harmonic_det_loss_err() -> np.ndarray:
+        breakdowns = [harmonic_det_loss(s, hp_diff) for s in samples]
+        grads = [(bd.grad_probs, bd.grad_d) for bd in breakdowns]
+        return probs_and_offsets_err(kernel(hp_diff, lambda b: b.pos_loss), grads)
 
     return {
         "iou_grad": iou_grad_err,
         "decode_jacobian": decode_jacobian_err,
         "harmonic_cls_grad": harmonic_cls_grad_err,
         "harmonic_reg_grad": lambda: _grad_err(
-            harmonic_reg_grad(sample, hp), _fd_offsets(sample, lambda s: harmonic_loss(s, hp)[0])
+            stacked(lambda s: harmonic_reg_grad(s, hp)), fd_offsets(kernel(hp_free, harmonic))
         ),
         "full_loc_loss": lambda: _grad_err(
-            full_loc_loss(sample, hp)[1], _fd_offsets(sample, lambda s: full_loc_loss(s, hp)[0])
+            stacked(lambda s: full_loc_loss(s, hp)[1]), fd_offsets(kernel(hp_free, lambda b: b.loc))
         ),
         "tc_loss": tc_loss_err,
         "harmonic_det_loss": harmonic_det_loss_err,
@@ -806,13 +851,13 @@ def _batch_errors(
         )[:n_rows]
         fd_d = finite_diff_grad(lambda v: losses(probs, offsets + v), np.zeros(4))[:n_rows]
     n = BATCH_POSITIVES
-    return np.array([
-        max(
-            _grad_err(batch.grad_probs[draw == k] / n, fd_p[draw == k] / n),
-            _grad_err(batch.grad_d[draw == k] / n, fd_d[draw == k] / n),
-        )
-        for k in range(len(batches))
-    ])
+    err = np.maximum(
+        _grad_err(batch.grad_probs / n, fd_p / n), _grad_err(batch.grad_d / n, fd_d / n)
+    )
+    return np.maximum(
+        err[:n_pos].reshape(-1, BATCH_POSITIVES).max(axis=1),
+        err[n_pos:].reshape(-1, BATCH_NEGATIVES).max(axis=1),
+    )
 
 
 GRADCHECK_OPS = (
@@ -836,20 +881,20 @@ def run_gradcheck(
 ) -> GradCheckReport:
     """Analytic-vs-FD sweep over every differentiated operation.
 
-    Each of ``num_samples`` draws checks the per-sample operations; then
-    ``batch_draws`` batch draws check :func:`batch_objective_arrays`, the
-    kernel that trains. Errors are normalized by max(1, |gradient|) and
-    reduced by max over the draws. At least one sample is required, so that
-    a report never passes without checking anything. Raises
-    :class:`NumericalError`, naming the operation, when a check fails to
-    compute, as when a loss is not finite near a draw.
+    ``num_samples`` draws check the per-sample operations, all draws at once
+    per operation; then ``batch_draws`` batch draws check
+    :func:`batch_objective_arrays`, the kernel that trains. Errors are
+    normalized by max(1, |gradient|) and reduced by max over the draws. At
+    least one sample is required, so that a report never passes without
+    checking anything. Raises :class:`NumericalError`, naming the operation,
+    when a check fails to compute, as when a loss is not finite near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
     if batch_draws < 0:
         raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
 
-    def computed(op: str, err: Callable[[], float | np.ndarray]) -> float | np.ndarray:
+    def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
         try:
             return err()
         except ValueError as exc:
@@ -859,19 +904,15 @@ def run_gradcheck(
     draws = [
         (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
     ]
-    errors: dict[str, list[float]] = {op: [] for op in GRADCHECK_OPS}
-    for sample, pair in draws:
-        for op, err in _check_one(sample, pair, hp).items():
-            errors[op].append(computed(op, err))
+    errors = {op: computed(op, err) for op, err in _sample_errors(draws, hp).items()}
+    errors["batch_objective"] = np.zeros(0)
     if batch_draws:
         batches = [_random_batch(rng, hp) for _ in range(batch_draws)]
-        errors["batch_objective"] = list(
-            computed("batch_objective", lambda: _batch_errors(batches, hp))
-        )
+        errors["batch_objective"] = computed("batch_objective", lambda: _batch_errors(batches, hp))
 
     def entry(op: str) -> GradCheckEntry:
         # argmax picks a NaN error first, so a NaN fails the entry
-        worst = int(np.argmax(errors[op])) if errors[op] else None
+        worst = int(np.argmax(errors[op])) if errors[op].size else None
         max_err = 0.0 if worst is None else float(errors[op][worst])
         return GradCheckEntry(op, num_samples, max_err, tolerance, worst)
 

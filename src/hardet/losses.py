@@ -219,7 +219,10 @@ def cross_entropy(probs: np.ndarray, gt_class: int, prob_floor: float = 1e-12) -
 def smooth_l1(d: Offsets, d_hat: Offsets) -> float:
     """Summed smooth L1 over the four offset components."""
     x = np.abs(d.as_array() - d_hat.as_array())
-    return float(np.sum(np.where(x < 1.0, 0.5 * x * x, x - 0.5)))
+    # np.where evaluates both branches: squaring only the clipped value keeps
+    # the discarded one from overflowing
+    q = np.minimum(x, 1.0)
+    return float(np.sum(np.where(x < 1.0, 0.5 * q * q, x - 0.5)))
 
 
 def smooth_l1_grad(d: Offsets, d_hat: Offsets) -> np.ndarray:
@@ -501,7 +504,10 @@ class BatchArrays:
     unfloored ground-truth probability and ``iou`` the decoded-box IoU.
     ``pos_loss`` and ``neg_loss`` (``neg_idx`` order) are the per-row losses:
     each depends on its own row's probabilities and offsets only, and their
-    in-order sum over the positive count is ``value``.
+    in-order sum over the positive count is ``value``. ``ce``, ``sl1``,
+    ``loc`` and ``tc`` are the per-positive values of :func:`cross_entropy`,
+    :func:`smooth_l1`, :func:`full_loc_loss` and the task-contrastive term
+    (0 under ``freeze_factors``), row-wise like the losses.
     """
 
     value: float
@@ -513,6 +519,10 @@ class BatchArrays:
     beta_c: np.ndarray
     p_gt: np.ndarray
     iou: np.ndarray
+    ce: np.ndarray
+    sl1: np.ndarray
+    loc: np.ndarray
+    tc: np.ndarray
 
     @property
     def num_positives(self) -> int:
@@ -556,7 +566,8 @@ def batch_objective_arrays(
     x = d - d_hat
     ax = np.abs(x)
     quadratic = ax < 1.0
-    sl1 = np.where(quadratic, 0.5 * ax * ax, ax - 0.5).sum(axis=1)
+    q = np.minimum(ax, 1.0)
+    sl1 = np.where(quadratic, 0.5 * q * q, ax - 0.5).sum(axis=1)
     sl1_grad = np.where(quadratic, x, np.sign(x))
     loc = sl1 + hp.alpha * hiou_loss_arrays(u, hp.gamma)
     loc_grad = sl1_grad + (hp.alpha * hiou_slope_arrays(u, hp.gamma))[:, None] * du_dd
@@ -565,7 +576,7 @@ def batch_objective_arrays(
         totals = ce + loc
         grad_probs[pos_idx, gt_class] = -1.0 / p
         grad_offsets[pos_idx] = loc_grad
-        beta_r = beta_c = np.zeros_like(p)
+        beta_r = beta_c = tc = np.zeros_like(p)
     else:
         loc_beta, loc_beta_grad = (
             (sl1, sl1_grad) if hp.harmonic_mode == "smooth_l1" else (loc, loc_grad)
@@ -614,6 +625,10 @@ def batch_objective_arrays(
         beta_c=beta_c,
         p_gt=p_raw,
         iou=u,
+        ce=ce,
+        sl1=sl1,
+        loc=loc,
+        tc=tc,
     )
 
 

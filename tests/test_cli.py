@@ -106,6 +106,15 @@ class TestNoTracebacks:
             ("train", {"hyperparams": {"gamma": float("nan")}}, [], "config.hyperparams.gamma: expected a finite number"),
             ("gradcheck", {"gradcheck": {"tolerance": float("nan")}}, [], "config.gradcheck.tolerance: expected a finite"),
             ("train", {"train": {"ap_thresholds": [float("inf")]}}, [], "config.train.ap_thresholds[0]: expected a finite"),
+            # every command judges the scene block of its own effective config
+            ("surface", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
+            ("gradcheck", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
+            (
+                "loss-eval",
+                {"scene": {"objects_per_scene": [200000, 200000]}},
+                ["--samples", "never-read.jsonl"],
+                "config.scene: objects_per_scene",
+            ),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):
@@ -174,6 +183,16 @@ class TestNoTracebacks:
         cfg = write_config(tmp_path, payload)
         assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical failure: gradcheck could not draw" in capsys.readouterr().err
+
+    def test_huge_offset_sample_warns_nothing(self, tmp_path, capsys):
+        record = {"probs": [0.5, 0.5], "gt_class": 1, "anchor": [0, 0, 2, 2], "gt_box": [0.5, 0.5, 2.5, 2.5]}
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps({**record, "d": [1e200, 0, 0, 0]}) + "\n")
+        # a numpy RuntimeWarning would escape main as an exception here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["loss-eval", "--samples", str(samples), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
 
     def test_non_object_sample_line_exits_1(self, tmp_path, capsys):
         samples = tmp_path / "samples.jsonl"

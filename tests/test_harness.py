@@ -44,6 +44,8 @@ from hardet.harness import (
 from hardet.losses import positive_sample_from_json
 from hardet.metrics import aic, iou_histogram
 
+import gate_reference
+
 
 class TestSceneConfig:
     def test_zero_scenes_rejected(self):
@@ -600,6 +602,17 @@ class TestFiniteDiff:
             finite_diff_grad(lambda x: np.array([1.0, math.inf if x[1] > 0 else 0.0]), np.zeros(2))
 
 
+# the gate's hyperparameter variants: both loss modes (standard trains on
+# compat_standard), both harmonic modes, TC off the IoU, and three classes
+GATE_CASES = {
+    "default": HyperParams(num_classes=5),
+    "compat_standard": HyperParams(num_classes=5).compat_standard(),
+    "harmonic_mode_smooth_l1": HyperParams(num_classes=5, harmonic_mode="smooth_l1"),
+    "tc_not_through_iou": HyperParams(num_classes=5, tc_through_iou=False),
+    "three_classes": HyperParams(num_classes=3),
+}
+
+
 class TestGradCheck:
     def test_non_finite_loss_names_the_operation(self):
         hp = HyperParams(num_classes=5, alpha=float("inf"))
@@ -667,9 +680,11 @@ class TestGradCheck:
         hp = HyperParams(num_classes=5)
         report = run_gradcheck(hp, num_samples=2, seed=0, batch_draws=4)
         assert report.passed
-        # one analytic call plus 2 (C + 4) differenced calls, for all four draws
-        assert len(calls) == 1 + 2 * (hp.num_classes + 4)
-        assert len(calls[0][0]) == 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
+        # one analytic call plus 2 (C + 4) differenced calls, for all four draws;
+        # the per-sample entries difference their own two-row stack
+        rows = 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
+        batch_calls = [args for args in calls if len(args[0]) == rows]
+        assert len(batch_calls) == 1 + 2 * (hp.num_classes + 4)
 
     @pytest.mark.parametrize(
         "mutant",
@@ -702,9 +717,36 @@ class TestGradCheck:
                 batches = [harness._random_batch(rng, hp) for _ in range(batch_draws)]
                 replayed = harness._batch_errors([batches[e.worst_draw]], hp)[0]
             else:
-                replayed = harness._check_one(*draws[e.worst_draw], hp)[e.op]()
+                replayed = harness._sample_errors([draws[e.worst_draw]], hp)[e.op]()[0]
             assert 0 <= e.worst_draw < (batch_draws if e.op == "batch_objective" else samples)
             assert replayed == e.max_err > 0.0, e.op
+
+    @pytest.mark.parametrize("seed", [0, 7, 14])
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_stacked_errors_equal_the_per_draw_reference(self, case, seed):
+        hp = GATE_CASES[case]
+        rng = np.random.default_rng(seed)
+        draws = [
+            (random_positive_sample(rng, hp), harness._random_box_pair(rng)) for _ in range(20)
+        ]
+        stacked = {op: err() for op, err in harness._sample_errors(draws, hp).items()}
+        assert list(stacked) == list(harness.GRADCHECK_OPS[:-1])
+        for op, errors in stacked.items():
+            want = [gate_reference._check_one(sample, pair, hp)[op]() for sample, pair in draws]
+            assert errors.tolist() == want, op
+
+    @pytest.mark.parametrize("op", harness.GRADCHECK_OPS[:-1])
+    def test_mutant_scalar_gradient_fails_its_operation(self, monkeypatch, op):
+        real = getattr(harness, op)
+        # each operation's analytic gradient off by 0.1%
+        scaled = {
+            "full_loc_loss": lambda *a: (real(*a)[0], real(*a)[1] * 1.001),
+            "tc_loss": lambda *a: (*real(*a)[:2], real(*a)[2] * 1.001, real(*a)[3]),
+            "harmonic_det_loss": lambda *a: replace(real(*a), grad_d=real(*a).grad_d * 1.001),
+        }
+        monkeypatch.setattr(harness, op, scaled.get(op, lambda *a: real(*a) * 1.001))
+        report = run_gradcheck(HyperParams(num_classes=5), num_samples=20, seed=0)
+        assert [e.op for e in report.entries if not e.passed] == [op]
 
     def test_worst_draw_is_none_without_draws(self):
         report = run_gradcheck(HyperParams(num_classes=5), num_samples=1, seed=0, batch_draws=0)

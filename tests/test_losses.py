@@ -1,6 +1,7 @@
 """Loss terms, harmonic factors, and analytic gradients."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,11 +29,9 @@ from hardet.losses import (
     standard_det_loss,
     tc_loss,
 )
-from hardet.harness import (
-    _fd_offsets,
-    _fd_probs,
-    random_positive_sample,
-)
+from hardet.harness import random_positive_sample
+
+from gate_reference import _fd_offsets, _fd_probs
 
 HP5 = HyperParams(num_classes=5)
 
@@ -152,6 +151,16 @@ class TestSmoothL1:
 
     def test_linear_branch(self):
         assert smooth_l1(Offsets(2.0, 0, 0, 0), Offsets(0, 0, 0, 0)) == pytest.approx(1.5)
+
+    def test_huge_offset_warns_nothing_in_either_form(self):
+        s = make_sample([0.1, 0.7, 0.1, 0.05, 0.05], d=[1e200, 0.0, 0.0, 0.0])
+        # the squared branch np.where discards would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = smooth_l1(s.d, s.d_hat)
+            got = batch_objective_arrays(*batch_arrays([s], [], np.random.default_rng(0)), HP5)
+        assert value == 1e200
+        assert got.sl1.tolist() == [value]
 
 
 class TestIouLosses:
@@ -656,6 +665,25 @@ class TestBatchObjectiveArrays:
         got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP5)
         assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP5).total for s in positives]
         assert got.neg_loss.tolist() == [cross_entropy(n.probs, 0) for n in negatives]
+
+    @pytest.mark.parametrize("case", sorted(KINK_CASES))
+    def test_value_columns_equal_the_scalar_values(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(110 + sorted(KINK_CASES).index(case))
+        positives, negatives = random_batch(rng, hp)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), hp)
+        ce = [cross_entropy(s.probs, s.gt_class, hp.prob_floor) for s in positives]
+        assert got.ce.tolist() == ce
+        assert got.sl1.tolist() == [smooth_l1(s.d, s.d_hat) for s in positives]
+        assert got.loc.tolist() == [full_loc_loss(s, hp)[0] for s in positives]
+        if hp.freeze_factors:
+            assert not got.tc.any()
+        else:
+            assert got.tc.tolist() == [tc_loss(s, hp)[0] for s in positives]
+            # harmonic_loss's value from the columns, as the gradient gate forms it
+            loc = got.sl1 if hp.harmonic_mode == "smooth_l1" else got.loc
+            harmonic = (1.0 + got.beta_r) * got.ce + (1.0 + got.beta_c) * loc
+            assert harmonic.tolist() == [harmonic_loss(s, hp)[0] for s in positives]
 
     def test_no_positives_rejected(self):
         empty = np.array([], dtype=int)
