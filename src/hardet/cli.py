@@ -251,6 +251,8 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
         raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
     if gc["batch_draws"] < 0:
         raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
+    if gc["tolerance"] < 0:
+        raise ConfigError(f"config.gradcheck.tolerance: must be >= 0, got {gc['tolerance']}")
     # the schema checked the integer keys; an integer tolerance is reported as a float
     report = run_gradcheck(
         hp, gc["samples"], float(gc["tolerance"]), cfg["seed"], batch_draws=gc["batch_draws"]

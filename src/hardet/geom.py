@@ -224,13 +224,34 @@ def corners(boxes: Sequence[Box]) -> np.ndarray:
 
 
 def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`iou`; ``a`` and ``b`` broadcast against each other."""
+    """Row-wise :func:`iou`; ``a`` and ``b`` broadcast against each other.
+    For all pairs of two box sets use :func:`iou_matrix`."""
     span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     overlap = np.maximum(0.0, span)
     inter = overlap[..., 0] * overlap[..., 1]
     size_a = a[..., 2:] - a[..., :2]
     size_b = b[..., 2:] - b[..., :2]
     union = size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs :func:`iou` of (N, 4) and (M, 4) corners as an (N, M) matrix.
+
+    Runs :func:`iou_arrays`' operations in its order on the corner columns,
+    so it equals ``iou_arrays(a[:, None], b[None])`` bit for bit without the
+    (N, M, 2) temporaries.
+    """
+    inter = np.minimum.outer(a[:, 2], b[:, 2])
+    inter -= np.maximum.outer(a[:, 0], b[:, 0])
+    np.maximum(0.0, inter, out=inter)
+    span_y = np.minimum.outer(a[:, 3], b[:, 3])
+    span_y -= np.maximum.outer(a[:, 1], b[:, 1])
+    inter *= np.maximum(0.0, span_y, out=span_y)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = np.add.outer(area_a, area_b, out=span_y)
+    union -= inter
     return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
 
 

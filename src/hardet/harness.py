@@ -30,6 +30,7 @@ from .geom import (
     iou_and_grad_arrays,
     iou_arrays,
     iou_grad,
+    iou_matrix,
 )
 from .losses import (
     BatchArrays,
@@ -49,8 +50,9 @@ from .metrics import Detection, aic
 BACKGROUND_CLASS = 0
 # largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
 MAX_SCENE_ANCHORS = 1_000_000
-# largest anchors x objects IoU matrix match_anchors builds for one scene
-# (~64 MB of temporaries); a 10^4-anchor scene may hold 100 objects
+# largest anchors x objects IoU matrix match_anchors builds for one scene; a
+# 10^4-anchor scene may hold 100 objects, and matching it peaks at 24 MB of
+# traced allocations (tracemalloc), the 8 MB matrix included
 MAX_MATCH_PAIRS = 1_000_000
 
 
@@ -269,7 +271,7 @@ def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> Mat
     n, g = len(anchors), len(scene.gt_boxes)
     assigned: dict[int, int] = {}
     if g > 0:
-        mat = iou_arrays(corners(anchors)[:, None, :], corners(scene.gt_boxes)[None, :, :])
+        mat = iou_matrix(corners(anchors), corners(scene.gt_boxes))
         best_gt = np.argmax(mat, axis=1)
         best_iou = mat[np.arange(n), best_gt]
         for i in np.flatnonzero(best_iou >= threshold):
@@ -343,6 +345,9 @@ class OptimizerConfig:
             raise ValueError(f"unknown loss_mode: {self.loss_mode!r}")
         if self.gradcheck_samples < 0:
             raise ValueError("gradcheck_samples must be >= 0")
+        # every error exceeds a negative tolerance: that is a bad config, not a failed check
+        if self.gradcheck_tolerance < 0.0:
+            raise ValueError(f"gradcheck_tolerance must be >= 0, got {self.gradcheck_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, corners, iou_arrays
+from .geom import Box, corners, iou_matrix
 from .geom import iou  # noqa: F401 - unused; perfbench's tracer test patches hardet.metrics.iou
 
 DEFAULT_AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_IOU_BIN_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+# box pairs one block of an NMS suppression matrix holds: bounds its float
+# temporaries to 32 KB each, so a dense group costs no more memory than a small one
+NMS_BLOCK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,38 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy suppression within each (scene, class) group; keeps score
     order, ties by input index."""
     check_iou_thresholds([iou_threshold])
-    boxes = corners([d.box for d in dets])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[int] = []
-    kept_in: dict[Key, list[int]] = {}
-    for i in order:
-        group = kept_in.setdefault((dets[i].scene, dets[i].class_id), [])
-        if not np.any(iou_arrays(boxes[i], boxes[group]) >= iou_threshold):
-            group.append(i)
-            kept.append(i)
-    return [dets[i] for i in kept]
+    ranked = [dets[i] for i in order]
+    boxes = corners([d.box for d in ranked])
+    keep = np.zeros(len(ranked), dtype=bool)
+    for rows in _groups(ranked).values():
+        keep[rows] = _greedy_keep(boxes[rows], iou_threshold)
+    return [ranked[k] for k in np.flatnonzero(keep)]
+
+
+def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Kept flags of one group's boxes in score order: a box is kept unless
+    a kept box before it overlaps it at the threshold.
+
+    Works through the undecided boxes a block of rows at a time, each block
+    an ``iou_matrix`` of at most NMS_BLOCK_PAIRS pairs (at least one row)
+    against every undecided box; a box leaves as soon as it is kept or
+    suppressed, so later blocks are narrower.
+    """
+    keep = np.zeros(len(boxes), dtype=bool)
+    live = np.arange(len(boxes))
+    while live.size:
+        block = live[: max(1, NMS_BLOCK_PAIRS // live.size)]
+        hits = iou_matrix(boxes[block], boxes[live]) >= iou_threshold
+        decided = np.zeros(live.size, dtype=bool)
+        for r, i in enumerate(block.tolist()):
+            if not decided[r]:
+                keep[i] = True
+                decided |= hits[r]
+        # walked rows are decided, zero-area boxes too (their self-IoU is 0)
+        decided[: block.size] = True
+        live = live[~decided]
+    return keep
 
 
 def _ap_from_matches(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -170,7 +195,7 @@ def average_precision(
         rows = sorted(det_groups.get(key, []), key=lambda i: (-dets[i].score, i))
         cols = gt_groups[key]
         # one IoU matrix per group, shared by every threshold
-        ious = iou_arrays(det_boxes[rows][:, None, :], gt_boxes[cols][None, :, :]).tolist()
+        ious = iou_matrix(det_boxes[rows], gt_boxes[cols]).tolist()
         per_class[key] = {t: _ap_from_matches(_match_group(ious, t), len(cols)) for t in thresholds}
     per_threshold = {
         t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0 for t in thresholds
@@ -274,6 +299,6 @@ def consistency_scatter(
     gt_groups = _groups(gts)
     for key, rows in _groups(dets).items():
         if key in gt_groups:
-            ious = iou_arrays(det_boxes[rows][:, None, :], gt_boxes[gt_groups[key]][None, :, :])
+            ious = iou_matrix(det_boxes[rows], gt_boxes[gt_groups[key]])
             best[rows] = ious.max(axis=1)
     return [(d.score, b) for d, b in zip(dets, best.tolist())]

@@ -115,6 +115,14 @@ class TestNoTracebacks:
                 ["--samples", "never-read.jsonl"],
                 "config.scene: objects_per_scene",
             ),
+            # a negative tolerance fails every check: a config error, not a numerical one
+            ("gradcheck", {"gradcheck": {"tolerance": -1}}, [], "config.gradcheck.tolerance: must be >= 0"),
+            (
+                "train",
+                {"optimizer": {"gradcheck_tolerance": -1}},
+                [],
+                "config.optimizer: gradcheck_tolerance must be >= 0",
+            ),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardet.geom import (
@@ -20,6 +20,7 @@ from hardet.geom import (
     iou_and_grad_arrays,
     iou_arrays,
     iou_grad,
+    iou_matrix,
 )
 from hardet.harness import _random_box_pair, finite_diff_grad
 
@@ -296,6 +297,14 @@ def boxes(coord=_GRID | st.floats(-20.0, 20.0), size=_GRID.map(abs) | st.floats(
 _SOLID = boxes(size=st.integers(1, 8).map(lambda k: k * 0.5) | st.floats(0.01, 20.0))
 
 
+@st.composite
+def _box_sets(draw):
+    """Two box lists, the second often repeating boxes of the first."""
+    a = draw(st.lists(boxes(), max_size=6))
+    pool = st.sampled_from(a) | boxes() if a else boxes()
+    return a, draw(st.lists(pool, max_size=6))
+
+
 class TestGeomProperties:
     @settings(max_examples=300, deadline=None)
     @given(a=boxes(), b=boxes())
@@ -334,6 +343,23 @@ class TestGeomProperties:
         a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
         want = np.array([iou(x, y) for x, y in pairs])
         assert iou_arrays(a, b).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(sets=_box_sets())
+    @example(sets=([p[0] for p in TOUCHING], [p[1] for p in TOUCHING]))
+    # zero-area boxes (a line, a point) against themselves and a solid box
+    @example(
+        sets=([Box(0, 0, 0, 1), Box(1, 1, 1, 1)], [Box(0, 0, 0, 1), Box(1, 1, 1, 1), unit_square()])
+    )
+    @example(sets=([], [unit_square()]))
+    @example(sets=([unit_square()], []))
+    def test_iou_matrix_equals_broadcast_and_scalar_bit_for_bit(self, sets):
+        a, b = sets
+        got = iou_matrix(corners(a), corners(b))
+        assert got.shape == (len(a), len(b))
+        assert got.tobytes() == iou_arrays(corners(a)[:, None], corners(b)[None]).tobytes()
+        want = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(st.tuples(_SOLID, _SOLID), min_size=1, max_size=8))

@@ -21,6 +21,7 @@ from hardet.metrics import (
     nms,
     refinement_gain,
 )
+from hardet import metrics
 from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_from_matches, check_iou_thresholds
 
 
@@ -463,3 +464,37 @@ class TestMatchesScalarOracle:
         dets, gts = sets
         new = consistency_scatter(dets, gts)
         assert repr(new) == repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
+
+
+def _dense_group(rng):
+    """320 detections of scene 0, class 1 on a coarse grid (repeated boxes
+    and tied scores are common), then 14 in four other groups, two of them
+    repeating its boxes and scores."""
+    def draw(n, cls, scene):
+        xy = rng.integers(0, 12, size=(n, 2)) / 2
+        wh = rng.integers(2, 6, size=(n, 2)) / 2
+        scores = rng.integers(0, 5, size=n) / 4
+        return [
+            Detection(Box(*xy[k], *(xy[k] + wh[k])), cls, float(scores[k]), scene=scene)
+            for k in range(n)
+        ]
+
+    dense = draw(320, 1, 0)
+    others = draw(4, 2, 0) + draw(4, 1, 1) + draw(4, 3, 1)
+    copies = [Detection(dense[k].box, 2, dense[k].score, scene=s) for k, s in ((5, 0), (40, 1))]
+    return dense + others[:6] + copies + others[6:]
+
+
+@pytest.mark.parametrize("block_pairs", [metrics.NMS_BLOCK_PAIRS, 1, 7])
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 1.0])
+def test_nms_across_block_seams_matches_the_oracle(monkeypatch, block_pairs, threshold):
+    """A group far larger than one block of the suppression matrix keeps
+    exactly what the scalar loop keeps, at any block size."""
+    monkeypatch.setattr(metrics, "NMS_BLOCK_PAIRS", block_pairs)
+    dets = _dense_group(np.random.default_rng(5))
+    index = {id(d): i for i, d in enumerate(dets)}
+    flat = remapped(dets)
+    flat_index = {id(d): i for i, d in enumerate(flat)}
+    kept = [index[id(d)] for d in nms(dets, threshold)]
+    assert kept == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
+    assert 1 < sum(k < 320 for k in kept) < 320
