@@ -189,36 +189,64 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _build_hyperparams(cfg: dict) -> HyperParams:
-    block = dict(cfg["hyperparams"])
-    block.setdefault("num_classes", cfg["scene"].get("num_classes", 5))
+def _build(cls: type, cfg: dict, name: str, **extra: Any) -> Any:
+    """The dataclass of config block ``name``: JSON lists become tuples, and
+    ``extra`` fills the fields the block leaves out."""
+    block = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg[name].items()}
     try:
-        return HyperParams(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.hyperparams: {exc}") from exc
-
-
-def _build_scene_config(cfg: dict) -> SceneConfig:
-    block = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg["scene"].items()}
-    try:
-        return SceneConfig(seed=cfg["seed"], **block)
+        return cls(**{**extra, **block})
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config.scene: {exc}") from exc
+        raise ConfigError(f"config.{name}: {exc}") from exc
 
 
-def _build_scene_set(cfg: dict) -> SceneSet:
-    scene_cfg = _build_scene_config(cfg)
+def _build_scene_set(scene: SceneConfig) -> SceneSet:
     try:
-        return generate_scenes(scene_cfg)
+        return generate_scenes(scene)
     except ValueError as exc:
         raise ConfigError(f"config.scene: {exc}") from exc
 
 
-def _build_optimizer(cfg: dict) -> OptimizerConfig:
+MAX_SURFACE_POINTS = 10**6
+
+
+def _surface_grids(s: dict) -> tuple[np.ndarray, np.ndarray]:
+    # a span past the float range gives non-finite points, which
+    # gradient_surface rejects; the overflow itself is not worth a warning
+    with np.errstate(all="ignore"):
+        p_grid = np.linspace(s["p_min"], s["p_max"], s["p_steps"])
+        return p_grid, np.linspace(s["loc_min"], s["loc_max"], s["loc_steps"])
+
+
+def _check_command_blocks(cfg: dict) -> None:
+    """Check the gradcheck, surface and train blocks as the commands that
+    read them use them, so that every command judges them alike."""
+    gc, s, t = cfg["gradcheck"], cfg["surface"], cfg["train"]
+    # a sweep over no samples would report PASS without checking anything
+    if gc["samples"] < 1:
+        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
+    if gc["batch_draws"] < 0:
+        raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
+    if gc["tolerance"] < 0:
+        raise ConfigError(f"config.gradcheck.tolerance: must be >= 0, got {gc['tolerance']}")
+    if s["mode"] not in ("standard", "harmonic"):
+        raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
+    if s["p_steps"] < 1 or s["loc_steps"] < 1:
+        raise ConfigError("config.surface: p_steps and loc_steps must be >= 1")
+    # the whole grid is allocated and written one CSV row per point
+    if s["p_steps"] * s["loc_steps"] > MAX_SURFACE_POINTS:
+        points = f"{s['p_steps']} x {s['loc_steps']} grid points"
+        raise ConfigError(f"config.surface: {points} exceed the limit of {MAX_SURFACE_POINTS}")
     try:
-        return OptimizerConfig(**cfg["optimizer"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.optimizer: {exc}") from exc
+        gradient_surface(*_surface_grids(s), s["mode"])
+    except ValueError as exc:
+        raise ConfigError(f"config.surface: {exc}") from exc
+    # as nms and average_precision check them
+    thresholds = {"nms_threshold": [t["nms_threshold"]], "ap_thresholds": t["ap_thresholds"]}
+    for key, values in thresholds.items():
+        try:
+            check_iou_thresholds(values)
+        except ValueError as exc:
+            raise ConfigError(f"config.train.{key}: {exc}") from exc
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -243,16 +271,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_gradcheck(cfg: dict, out: Path) -> int:
-    hp = _build_hyperparams(cfg)
+def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams) -> int:
     gc = cfg["gradcheck"]
-    # a sweep over no samples would report PASS without checking anything
-    if gc["samples"] < 1:
-        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
-    if gc["batch_draws"] < 0:
-        raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
-    if gc["tolerance"] < 0:
-        raise ConfigError(f"config.gradcheck.tolerance: must be >= 0, got {gc['tolerance']}")
     # the schema checked the integer keys; an integer tolerance is reported as a float
     report = run_gradcheck(
         hp, gc["samples"], float(gc["tolerance"]), cfg["seed"], batch_draws=gc["batch_draws"]
@@ -272,8 +292,7 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def cmd_loss_eval(cfg: dict, out: Path, samples_path: str) -> int:
-    hp = _build_hyperparams(cfg)
+def cmd_loss_eval(out: Path, hp: HyperParams, samples_path: str) -> int:
     try:
         text = Path(samples_path).read_text()
     except OSError as exc:
@@ -297,16 +316,8 @@ def cmd_loss_eval(cfg: dict, out: Path, samples_path: str) -> int:
 
 def cmd_surface(cfg: dict, out: Path) -> int:
     s = cfg["surface"]
-    if s["mode"] not in ("standard", "harmonic"):
-        raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
-    if s["p_steps"] < 1 or s["loc_steps"] < 1:
-        raise ConfigError("config.surface: p_steps and loc_steps must be >= 1")
-    p_grid = np.linspace(s["p_min"], s["p_max"], int(s["p_steps"]))
-    loc_grid = np.linspace(s["loc_min"], s["loc_max"], int(s["loc_steps"]))
-    try:
-        grid = gradient_surface(p_grid, loc_grid, s["mode"])
-    except ValueError as exc:
-        raise ConfigError(f"config.surface: {exc}") from exc
+    p_grid, loc_grid = _surface_grids(s)
+    grid = gradient_surface(p_grid, loc_grid, s["mode"])
     rows = [_csv_header(cfg), "p,loc,grad\n"]
     for i, loc in enumerate(loc_grid):
         for j, p in enumerate(p_grid):
@@ -314,19 +325,6 @@ def cmd_surface(cfg: dict, out: Path) -> int:
     (out / "surface.csv").write_text("".join(rows))
     print(f"surface: wrote {len(p_grid) * len(loc_grid)} grid points ({s['mode']} mode)")
     return EXIT_OK
-
-
-def _train_thresholds(cfg: dict) -> tuple[float, list[float]]:
-    """The train block's NMS and AP thresholds, checked as nms and AP check them."""
-    t = cfg["train"]
-    try:
-        (nms_threshold,) = check_iou_thresholds([t["nms_threshold"]])
-    except ValueError as exc:
-        raise ConfigError(f"config.train.nms_threshold: {exc}") from exc
-    try:
-        return nms_threshold, check_iou_thresholds(t["ap_thresholds"])
-    except ValueError as exc:
-        raise ConfigError(f"config.train.ap_thresholds: {exc}") from exc
 
 
 def _evaluate_trained(
@@ -348,15 +346,12 @@ def _evaluate_trained(
     return ap_payload, kept, consistency_scatter(kept, gts)
 
 
-def cmd_train(cfg: dict, out: Path) -> int:
-    scene_set = _build_scene_set(cfg)
-    hp = _build_hyperparams(cfg)
-    if hp.num_classes != scene_set.config.num_classes:
-        raise ConfigError(
-            "config: hyperparams.num_classes and scene.num_classes must agree"
-        )
-    opt = _build_optimizer(cfg)
-    nms_threshold, ap_thresholds = _train_thresholds(cfg)
+def cmd_train(
+    cfg: dict, out: Path, scene: SceneConfig, hp: HyperParams, opt: OptimizerConfig
+) -> int:
+    if hp.num_classes != scene.num_classes:
+        raise ConfigError("config: hyperparams.num_classes and scene.num_classes must agree")
+    scene_set = _build_scene_set(scene)
     model = ToyModel.zeros(scene_set.total_anchors, hp.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
 
@@ -365,9 +360,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
         rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
-    ap_payload, kept, scatter_rows = _evaluate_trained(
-        scene_set, model, nms_threshold, ap_thresholds
-    )
+    ap_payload, kept, scatter_rows = _evaluate_trained(scene_set, model, **cfg["train"])
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
@@ -400,11 +393,10 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_refine(cfg: dict, out: Path) -> int:
-    scene_set = _build_scene_set(cfg)
-    hp = _build_hyperparams(cfg)
-    opt = _build_optimizer(cfg)
-    result = refinement_experiment(scene_set, opt, hp)
+def cmd_refine(
+    cfg: dict, out: Path, scene: SceneConfig, hp: HyperParams, opt: OptimizerConfig
+) -> int:
+    result = refinement_experiment(_build_scene_set(scene), opt, hp)
     plain = refinement_gain(result.pairs_plain)
     weighted = refinement_gain(result.pairs_weighted)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count,mean_gain_iou,mean_gain_hiou\n"]
@@ -465,22 +457,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         eff = effective_config(
             cfg, seed_override=args.seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
         )
-        # every command checks the scene block, so a config file is judged the
-        # same by each; building the config draws no grid
-        _build_scene_config(eff)
+        # every command builds and checks every block before writing anything,
+        # so a config file gets one verdict; building the scene draws no grid
+        scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
+        hp = _build(HyperParams, eff, "hyperparams", num_classes=scene.num_classes)
+        opt = _build(OptimizerConfig, eff, "optimizer")
+        _check_command_blocks(eff)
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":
-            return cmd_gradcheck(eff, out)
+            return cmd_gradcheck(eff, out, hp)
         if args.command == "loss-eval":
-            return cmd_loss_eval(eff, out, args.samples)
+            return cmd_loss_eval(out, hp, args.samples)
         if args.command == "surface":
             return cmd_surface(eff, out)
         if args.command == "train":
-            return cmd_train(eff, out)
-        if args.command == "refine":
-            return cmd_refine(eff, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_train(eff, out, scene, hp, opt)
+        return cmd_refine(eff, out, scene, hp, opt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

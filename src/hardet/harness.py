@@ -582,14 +582,18 @@ def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def random_positive_sample(
-    rng: np.random.Generator, hp: HyperParams, kink_margin: float = KINK_MARGIN
+    rng: np.random.Generator,
+    hp: HyperParams,
+    kink_margin: float = KINK_MARGIN,
+    min_prob: float = PROB_DRAW_FLOOR,
 ) -> PositiveSample:
     """Rejection-sample a valid sample away from every loss breakpoint.
 
     Avoided kinks: decoded-vs-gt corner ties and touching edges, smooth-L1
     curvature breaks at |x| = 1, the TC hinge boundary and the |p - IoU|
-    crease, and the probability floor. Raises :class:`NumericalError` when
-    no draw qualifies, as with so many classes that the floor is out of reach.
+    crease, and class probabilities below ``min_prob``. Raises
+    :class:`NumericalError` when no draw qualifies, as with so many classes
+    that ``min_prob`` is out of reach.
     """
     for _ in range(10_000):
         cx, cy = rng.uniform(5.0, 11.0, size=2)
@@ -617,7 +621,7 @@ def random_positive_sample(
         probs = rng.dirichlet(np.ones(hp.num_classes))
         gt_class = int(rng.integers(1, hp.num_classes))
         p = float(probs[gt_class])
-        if p < 0.02 or p > 0.98 or np.any(probs < PROB_DRAW_FLOOR):
+        if p < 0.02 or p > 0.98 or np.any(probs < min_prob):
             continue
         if abs(p - u) < kink_margin or abs(abs(p - u) - hp.margin) < kink_margin:
             continue
@@ -751,7 +755,7 @@ def _sample_errors(
                 return smooth_l1(s.d, s.d_hat)
             return full_loc_loss(s, hp)[0]
 
-        analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s)))
+        analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s), hp.prob_floor))
         # the loc does not depend on the probabilities: the probability
         # difference of harmonic_loss is its fixed-loc difference
         return _grad_err(analytic, fd_probs(kernel(hp_free, harmonic))[rows, gt_class])
@@ -794,16 +798,23 @@ BATCH_POSITIVES = 4
 BATCH_NEGATIVES = 3
 
 
+def _draw_floor(hp: HyperParams) -> float:
+    """Smallest class probability a gate draw may hold: clear of the loss's
+    own ``prob_floor`` clamp, where the loss is flat but its gradient is not."""
+    return max(PROB_DRAW_FLOOR, 2.0 * hp.prob_floor)
+
+
 def _random_batch(
     rng: np.random.Generator, hp: HyperParams
 ) -> tuple[list[PositiveSample], list[np.ndarray]]:
     """One batch draw: kink-free positives and background probability rows."""
-    positives = [random_positive_sample(rng, hp) for _ in range(BATCH_POSITIVES)]
+    floor = _draw_floor(hp)
+    positives = [random_positive_sample(rng, hp, min_prob=floor) for _ in range(BATCH_POSITIVES)]
     negatives = []
     for _ in range(BATCH_NEGATIVES):
         probs = rng.dirichlet(np.ones(hp.num_classes))
-        if np.any(probs < PROB_DRAW_FLOOR):
-            probs = (probs + 1e-3) / (1.0 + hp.num_classes * 1e-3)
+        if np.any(probs < floor):
+            probs = (probs + floor) / (1.0 + hp.num_classes * floor)
         negatives.append(probs)
     return positives, negatives
 
@@ -906,8 +917,10 @@ def run_gradcheck(
             raise NumericalError(f"gradcheck {op}: {exc}") from exc
 
     rng = np.random.default_rng(seed)
+    floor = _draw_floor(hp)
     draws = [
-        (random_positive_sample(rng, hp), _random_box_pair(rng)) for _ in range(num_samples)
+        (random_positive_sample(rng, hp, min_prob=floor), _random_box_pair(rng))
+        for _ in range(num_samples)
     ]
     errors = {op: computed(op, err) for op, err in _sample_errors(draws, hp).items()}
     errors["batch_objective"] = np.zeros(0)

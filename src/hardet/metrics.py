@@ -70,8 +70,9 @@ def ground_truth_from_json(obj: object) -> GroundTruth:
 
 
 def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
-    """The NMS/AP thresholds as floats; at least one, each in (0, 1]."""
-    out = [float(t) for t in thresholds]
+    """The NMS/AP thresholds as floats, duplicates dropped in order; at least
+    one, each in (0, 1]."""
+    out = list(dict.fromkeys(float(t) for t in thresholds))
     if not out:
         raise ValueError("need at least one IoU threshold")
     for t in out:

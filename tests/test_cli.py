@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, output files, determinism."""
 
+import contextlib
 import csv
+import inspect
+import io
 import json
 import warnings
 from pathlib import Path
@@ -122,6 +125,13 @@ class TestNoTracebacks:
                 {"optimizer": {"gradcheck_tolerance": -1}},
                 [],
                 "config.optimizer: gradcheck_tolerance must be >= 0",
+            ),
+            # the surface grid is bounded before any of it is allocated
+            (
+                "surface",
+                {"surface": {"p_steps": 100000, "loc_steps": 100000}},
+                [],
+                "config.surface: 100000 x 100000 grid points exceed the limit of 1000000",
             ),
         ],
     )
@@ -344,6 +354,101 @@ def test_any_config_file_exits_0_1_or_2(tmp_path_factory, command, drawn):
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
 
 
+def _merged(base: dict, drawn: dict) -> dict:
+    """``drawn`` over ``base``, block by block where both hold an object."""
+    payload = {**base, **drawn}
+    for name, block in drawn.items():
+        if isinstance(block, dict) and isinstance(base.get(name), dict):
+            payload[name] = {**base[name], **block}
+    return payload
+
+
+# one file for every command, carrying each command's fast settings
+_SHARED_BASE = {**_BASE["gradcheck"], **_BASE["surface"], **FAST_TRAIN}
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_CONFIG)
+def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
+    """gradcheck, surface and loss-eval share every default, so they reject a
+    file alike and with one message. train and refine differ from them only in
+    scene and optimizer defaults, so they reject whatever the others reject
+    with a message outside the scene block."""
+    tmp = tmp_path_factory.mktemp("verdict")
+    cfg = write_config(tmp, _merged(_SHARED_BASE, drawn))
+    samples = tmp / "samples.jsonl"
+    samples.write_text("")
+
+    def run(command: str, *flags: str) -> tuple[int, str]:
+        return _run_quietly([command, "--config", cfg, *flags, "--out", str(tmp / command)])
+
+    shared = [run("gradcheck"), run("surface"), run("loss-eval", "--samples", str(samples))]
+    rejected = {code == EXIT_VALIDATION for code, _ in shared}
+    assert len(rejected) == 1, shared
+    if rejected == {True}:
+        assert len({err for _, err in shared}) == 1, shared
+        if "config.scene" not in shared[0][1]:
+            for command in ("train", "refine"):
+                assert run(command)[0] == EXIT_VALIDATION, (command, shared[0][1])
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"train": {"nms_threshold": 0}}, "config.train.nms_threshold: IoU threshold must lie in (0, 1], got 0.0"),
+        ({"surface": {"mode": "x"}}, "config.surface.mode: expected standard|harmonic, got 'x'"),
+        ({"gradcheck": {"samples": 0}}, "config.gradcheck.samples: must be >= 1, got 0"),
+        ({"optimizer": {"steps": 0}}, "config.optimizer: steps must be >= 1, got 0"),
+        ({"hyperparams": {"alpha": -1}}, "config.hyperparams: alpha must be >= 0, got -1"),
+    ],
+)
+def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
+    """Each of these blocks was once checked by some commands only."""
+    cfg = write_config(tmp_path, payload)
+    for command, flags in [
+        ("gradcheck", []),
+        ("loss-eval", ["--samples", "never-read.jsonl"]),
+        ("surface", []),
+        ("train", []),
+        ("refine", []),
+    ]:
+        out = tmp_path / command
+        assert _run_quietly([command, "--config", cfg, *flags, "--out", str(out)]) == (
+            EXIT_VALIDATION,
+            f"error: {message}\n",
+        )
+        # rejected before the output directory or run_meta.json is written
+        assert not out.exists()
+
+
+def test_benchmark_entry_points_keep_their_names():
+    """perfbench's child and tracer reach these hardet.cli names, and its tests
+    run outside the default test paths."""
+    for name in ("main", "load_config", "effective_config", "cmd_train", "cmd_gradcheck", "cmd_refine"):
+        assert callable(getattr(cli, name)), name
+    params = inspect.signature(cli.effective_config).parameters
+    assert list(params) == ["cfg", "seed_override", "scene_defaults", "opt_defaults"]
+    # the call perfbench's child makes for each command
+    for scene_defaults, opt_defaults in [
+        (None, None),
+        (cli._TRAIN_SCENE_DEFAULTS, None),
+        (cli._REFINE_SCENE_DEFAULTS, cli._REFINE_OPT_DEFAULTS),
+    ]:
+        eff = cli.effective_config(
+            cli.load_config(None), seed_override=3, scene_defaults=scene_defaults, opt_defaults=opt_defaults
+        )
+        assert eff["seed"] == 3
+        assert set(cli._BLOCK_KEYS) <= set(eff)
+
+
 class TestGradcheckCommand:
     def test_default_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"gradcheck": {"samples": 20, "batch_draws": 1}})
@@ -369,6 +474,13 @@ class TestGradcheckCommand:
         report = json.loads((out / "gradcheck_report.json").read_text())
         ops = [e["op"] for e in report["entries"]]
         assert len(ops) == len(set(ops)) == 8
+
+    def test_raised_probability_floor_passes_the_gate(self, tmp_path):
+        hp = {"hyperparams": {"prob_floor": 0.05}}
+        cfg = write_config(tmp_path, {**hp, "gradcheck": {"samples": 200}})
+        assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "gc")]) == EXIT_OK
+        cfg = write_config(tmp_path, {**FAST_TRAIN, **hp}, name="train.json")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == EXIT_OK
 
 
     @pytest.mark.parametrize(

@@ -654,6 +654,28 @@ class TestGradCheck:
         for _ in range(300):
             assert random_positive_sample(rng, hp).probs.min() >= PROB_DRAW_FLOOR
 
+    def test_draws_stay_above_a_raised_minimum(self):
+        rng = np.random.default_rng(0)
+        hp = HyperParams(num_classes=5)
+        for _ in range(100):
+            assert random_positive_sample(rng, hp, min_prob=0.1).probs.min() >= 0.1
+
+    # below the loss's own prob_floor the loss is flat in p but its gradient
+    # is not, so the gate draws at or above twice that floor
+    @pytest.mark.parametrize("prob_floor", [0.01, 0.05])
+    def test_sweep_passes_at_a_raised_loss_floor(self, prob_floor):
+        hp = HyperParams(num_classes=5, prob_floor=prob_floor)
+        for gate_hp in (hp, hp.compat_standard()):
+            report = run_gradcheck(gate_hp, num_samples=200, seed=0)
+            assert report.passed, f"max error {report.max_err:.3e}"
+
+    def test_unreachable_loss_floor_cannot_draw(self):
+        # five probabilities of at least 0.18 each: a rare draw, and 200 of
+        # them do not all come within the rejection sampler's tries
+        hp = HyperParams(num_classes=5, prob_floor=0.09)
+        with pytest.raises(NumericalError, match="gradcheck could not draw"):
+            run_gradcheck(hp, num_samples=200, batch_draws=0)
+
     # seeds where draws with class probabilities near 1e-5 made the 5e-7
     # probability FD step too coarse for the 1e-5 tolerance
     @pytest.mark.parametrize("seed", [14, 32, 51, 53])

@@ -159,6 +159,17 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([], [gt(0, 0, 1, 1)], [0.0])
 
+    def test_duplicate_thresholds_count_once(self):
+        gts = [gt(0, 0, 2, 2), gt(4, 4, 6, 6)]
+        dets = [det(0, 0, 2, 2, score=0.9), det(4, 4, 6, 6.2, score=0.8)]
+        result = average_precision(dets, gts, [0.5, 0.5])
+        assert result.per_threshold == {0.5: 1.0}
+        assert result.mean == 1.0
+        # the mean runs over the distinct thresholds, in first-seen order
+        twice = average_precision(dets, gts, [0.95, 0.5, 0.95, 1])
+        assert twice == average_precision(dets, gts, [0.95, 0.5, 1.0])
+        assert list(twice.per_threshold) == [0.95, 0.5, 1.0]
+
 
 class TestAic:
     def test_perfect_consistency(self):
