@@ -44,6 +44,7 @@ from .harness import (
     SceneConfig,
     SceneSet,
     ToyModel,
+    check_draw_floor,
     generate_scenes,
     model_detections,
     refinement_experiment,
@@ -461,6 +462,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # so a config file gets one verdict; building the scene draws no grid
         scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
         hp = _build(HyperParams, eff, "hyperparams", num_classes=scene.num_classes)
+        try:
+            check_draw_floor(hp)
+        except ValueError as exc:
+            raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
         _check_command_blocks(eff)
         out = _out_dir(args)

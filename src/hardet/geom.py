@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -208,13 +209,20 @@ def decode_jacobian(d: Offsets, anchor: Box, log_cap: float = DECODE_LOG_CAP) ->
 # size, and the decode log cap once at their own boundary.
 
 
-def elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each entry of a 1-D array as a Python float.
+def elementwise(fn: Callable[..., float], x: np.ndarray, *more: np.ndarray | float) -> np.ndarray:
+    """``fn`` applied to each entry of a 1-D array as a Python float; with
+    ``more`` arguments, to the entries at each position, where an argument
+    that is not an array is the same value at every position.
 
     The array forms take exp, log and pow through here, from the C library
     like the scalar forms: numpy's vectorized versions can differ in the last
     bit.
     """
+    if more:
+        args = [y.tolist() if isinstance(y, np.ndarray) else repeat(y) for y in more]
+        return np.fromiter(map(fn, x.tolist(), *args), dtype=float, count=x.size)
+    # the one-argument form, called several times per training step, skips
+    # the per-argument dispatch
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
@@ -240,7 +248,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Runs :func:`iou_arrays`' operations in its order on the corner columns,
     so it equals ``iou_arrays(a[:, None], b[None])`` bit for bit without the
-    (N, M, 2) temporaries.
+    (N, M, 2) temporaries. It divides in place: where the union is not
+    positive, boxes in corner order have no intersection, which stays 0.
     """
     inter = np.minimum.outer(a[:, 2], b[:, 2])
     inter -= np.maximum.outer(a[:, 0], b[:, 0])
@@ -252,7 +261,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = np.add.outer(area_a, area_b, out=span_y)
     union -= inter
-    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
+    return np.divide(inter, union, out=inter, where=union > 0.0)
 
 
 def iou_and_grad_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,15 +286,29 @@ def iou_and_grad_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return inter / union, grad
 
 
-def _size_and_scale(d: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor (width, height) and (e^tw, e^th), row-wise."""
-    scale = elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
-    return anchors[:, 2:] - anchors[:, :2], scale
+def encode_arrays(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`encode` of (N, 4) ground truths against (N, 4) anchors."""
+    size_a = anchors[:, 2:] - anchors[:, :2]
+    size_gt = gt[:, 2:] - gt[:, :2]
+    shift = 0.5 * (gt[:, :2] + gt[:, 2:]) - 0.5 * (anchors[:, :2] + anchors[:, 2:])
+    log_ratio = elementwise(math.log, (size_gt / size_a).ravel()).reshape(-1, 2)
+    return np.concatenate([shift / size_a, log_ratio], axis=1)
 
 
-def decode_arrays(d: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`decode` of (N, 4) offsets against (N, 4) anchors."""
-    size, scale = _size_and_scale(d, anchors)
+def exp_sizes(d: np.ndarray) -> np.ndarray:
+    """(e^tw, e^th) of (N, 4) offsets, row-wise: the exp that a decode and
+    its VJP at the same offsets can share."""
+    return elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
+
+
+def decode_arrays(
+    d: np.ndarray, anchors: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise :func:`decode` of (N, 4) offsets against (N, 4) anchors;
+    ``scale`` is ``exp_sizes(d)``, computed here when not given."""
+    if scale is None:
+        scale = exp_sizes(d)
+    size = anchors[:, 2:] - anchors[:, :2]
     center = d[:, :2] * size + 0.5 * (anchors[:, :2] + anchors[:, 2:])
     half = 0.5 * (size * scale)
     return np.concatenate([center - half, center + half], axis=1)
@@ -296,13 +319,18 @@ def decode_arrays(d: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 _JACOBIAN_SLOTS = [0, 5, 8, 13, 2, 7, 10, 15]
 
 
-def decode_vjp_arrays(d: np.ndarray, anchors: np.ndarray, g: np.ndarray) -> np.ndarray:
+def decode_vjp_arrays(
+    d: np.ndarray, anchors: np.ndarray, g: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
     """Row-wise ``decode_jacobian(d, anchor).T @ g``: pulls a gradient w.r.t.
-    the decoded corners back to the offsets.
+    the decoded corners back to the offsets; ``scale`` as in
+    :func:`decode_arrays`.
 
     Runs the same matrix-vector product per row as the scalar expression.
     """
-    size, scale = _size_and_scale(d, anchors)
+    if scale is None:
+        scale = exp_sizes(d)
+    size = anchors[:, 2:] - anchors[:, :2]
     half = 0.5 * size * scale
     jac = np.zeros((d.shape[0], 16))
     jac[:, _JACOBIAN_SLOTS] = np.concatenate([size, size, -half, half], axis=1)

@@ -26,6 +26,8 @@ from .geom import (
     decode_jacobian,
     decode_vjp_arrays,
     encode,
+    encode_arrays,
+    exp_sizes,
     iou,
     iou_and_grad_arrays,
     iou_arrays,
@@ -50,9 +52,9 @@ from .metrics import Detection, aic
 BACKGROUND_CLASS = 0
 # largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
 MAX_SCENE_ANCHORS = 1_000_000
-# largest anchors x objects IoU matrix match_anchors builds for one scene; a
-# 10^4-anchor scene may hold 100 objects, and matching it peaks at 24 MB of
-# traced allocations (tracemalloc), the 8 MB matrix included
+# largest anchors x objects IoU matrix matching builds at once, over one block
+# of scenes; a 10^4-anchor scene may hold 100 objects, and matching it peaks
+# at 24 MB of traced allocations (tracemalloc), the 8 MB matrix included
 MAX_MATCH_PAIRS = 1_000_000
 
 
@@ -76,13 +78,18 @@ class DivergenceError(NumericalError):
         self.row = row
 
 
-def _check_decode_cap(step: int, offsets: np.ndarray, rows: np.ndarray) -> None:
-    """``offsets[k]`` belongs to model row ``rows[k]``."""
+def _check_decode_cap(
+    step: int, offsets: np.ndarray, rows: np.ndarray, runs: Sequence[str] = ("",)
+) -> None:
+    """``offsets`` stacks one block of ``len(rows)`` rows per run: its row
+    ``k`` belongs to model row ``rows[k % len(rows)]`` of the run that
+    ``runs[k // len(rows)]`` names in the check text."""
     # written so that NaN offsets fail it too
     ok = np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP
     if not np.all(ok):
-        row = int(rows[np.argmin(ok.all(axis=1))])
-        raise DivergenceError(step, f"size offsets past the decode log cap {DECODE_LOG_CAP:g}", row)
+        run, k = divmod(int(np.argmin(ok.all(axis=1))), len(rows))
+        check = f"size offsets{runs[run]} past the decode log cap {DECODE_LOG_CAP:g}"
+        raise DivergenceError(step, check, int(rows[k]))
 
 
 class GradientCheckError(NumericalError):
@@ -264,31 +271,62 @@ class MatchResult:
     neg_anchor: tuple[int, ...]
 
 
+def _assign(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float) -> np.ndarray:
+    """Max-IoU assignment of every scene to (N, 4) anchor corners, as an
+    (S, N) array of matched ground-truth indices, -1 for a negative.
+
+    An anchor takes its best ground truth (the lowest index among ties) when
+    their IoU reaches ``threshold``. Then, in a forced pass, ground truth j of
+    every scene at once claims its best still-unforced anchor (ties to the
+    lowest index), for j < min(g, N), so the positive count never drops below
+    the GT count. Scenes run in blocks whose padded IoU matrices hold at most
+    ``MAX_MATCH_PAIRS`` anchor x GT pairs (at least one scene per block).
+    """
+    widest = max((len(scene.gt_boxes) for scene in scenes), default=0)
+    per_block = max(1, MAX_MATCH_PAIRS // (len(anchors) * max(1, widest)))
+    return np.concatenate([
+        _assign_block(anchors, scenes[lo : lo + per_block], threshold)
+        for lo in range(0, len(scenes), per_block)
+    ])
+
+
+def _assign_block(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float) -> np.ndarray:
+    """:func:`_assign` of one block of scenes, through one IoU matrix of the
+    anchors against every scene's ground truths, padded to the widest."""
+    n = len(anchors)
+    counts = np.array([len(scene.gt_boxes) for scene in scenes])
+    width = int(counts.max())
+    if width == 0:
+        return np.full((len(scenes), n), -1)
+    gt = np.zeros((len(scenes) * width, 4))
+    gt[(np.arange(width) < counts[:, None]).ravel()] = corners(
+        [box for scene in scenes for box in scene.gt_boxes]
+    )
+    # (anchors, scenes, GT slots); a padding slot can never win
+    mat = iou_matrix(anchors, gt).reshape(n, len(scenes), width)
+    mat[:, np.arange(width) >= counts[:, None]] = -np.inf
+    best_gt = np.argmax(mat, axis=2)
+    best_iou = np.take_along_axis(mat, best_gt[:, :, None], axis=2)[:, :, 0]
+    match = np.where(best_iou >= threshold, best_gt, -1)
+    unforced = np.ones(match.shape, dtype=bool)
+    for j in range(min(width, n)):
+        cols = np.flatnonzero(counts > j)
+        rows = np.argmax(np.where(unforced[:, cols], mat[:, cols, j], -np.inf), axis=0)
+        unforced[rows, cols] = False
+        match[rows, cols] = j
+    return match.T
+
+
 def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
     """Max-IoU assignment with a forced best anchor per ground truth."""
     if not anchors:
         raise ValueError("match_anchors needs a non-empty anchor set")
-    n, g = len(anchors), len(scene.gt_boxes)
-    assigned: dict[int, int] = {}
-    if g > 0:
-        mat = iou_matrix(corners(anchors), corners(scene.gt_boxes))
-        best_gt = np.argmax(mat, axis=1)
-        best_iou = mat[np.arange(n), best_gt]
-        for i in np.flatnonzero(best_iou >= threshold):
-            assigned[int(i)] = int(best_gt[i])
-        # forced pass: every GT claims its best still-unforced anchor (ties to
-        # the lowest index), so the positive count never drops below the GT count
-        unforced = np.ones(n, dtype=bool)
-        for j in range(min(g, n)):
-            i = int(np.argmax(np.where(unforced, mat[:, j], -np.inf)))
-            unforced[i] = False
-            assigned[i] = j
-    pos = sorted(assigned)
-    neg = [i for i in range(n) if i not in assigned]
+    assigned = _assign(corners(anchors), (scene,), threshold)[0]
+    pos = np.flatnonzero(assigned >= 0)
     return MatchResult(
-        pos_anchor=tuple(pos),
-        pos_gt=tuple(assigned[i] for i in pos),
-        neg_anchor=tuple(neg),
+        pos_anchor=tuple(pos.tolist()),
+        pos_gt=tuple(assigned[pos].tolist()),
+        neg_anchor=tuple(np.flatnonzero(assigned < 0).tolist()),
     )
 
 
@@ -397,26 +435,32 @@ class Matching:
 
 
 def _match_scene_set(scene_set: SceneSet) -> Matching:
-    pos_flat: list[int] = []
-    neg_flat: list[int] = []
-    pairs: list[tuple[Box, Box, int]] = []
-    a = scene_set.anchors_per_scene
-    for s_idx, scene in enumerate(scene_set.scenes):
-        m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
-        pos_flat.extend(s_idx * a + i for i in m.pos_anchor)
-        neg_flat.extend(s_idx * a + i for i in m.neg_anchor)
-        pairs.extend(
-            (scene_set.anchors[i], scene.gt_boxes[g], scene.gt_classes[g])
-            for i, g in zip(m.pos_anchor, m.pos_gt)
-        )
+    """Every scene's :func:`match_anchors` result at once, as a :class:`Matching`."""
+    scenes = scene_set.scenes
+    anchors = corners(scene_set.anchors)
+    assigned = _assign(anchors, scenes, scene_set.config.positive_iou_threshold).ravel()
+    pos_flat = np.flatnonzero(assigned >= 0)
+    scene, anchor = np.divmod(pos_flat, len(anchors))
+    # row of each scene's first ground truth in the scene set's GT list
+    first = np.cumsum([0] + [len(s.gt_boxes) for s in scenes[:-1]])
+    gt_row = first[scene] + assigned[pos_flat]
+    pos_anchors = anchors[anchor]
+    gt = corners([box for s in scenes for box in s.gt_boxes])[gt_row]
+    # encode's checks, once, for every loop that uses the positives
+    if not np.all(pos_anchors[:, 2:] - pos_anchors[:, :2] > 0.0):
+        raise ValueError("cannot encode against a degenerate anchor")
+    if not np.all(gt[:, 2:] - gt[:, :2] > 0.0):
+        raise ValueError("cannot encode a degenerate ground-truth box")
+    d_hat = encode_arrays(gt, pos_anchors)
+    if not np.all(np.isfinite(d_hat)):
+        raise ValueError("encoded regression targets are not finite")
     return Matching(
-        pos_flat=np.array(pos_flat, dtype=int),
-        neg_flat=np.array(neg_flat, dtype=int),
-        anchors=corners([anchor for anchor, _, _ in pairs]),
-        gt=corners([box for _, box, _ in pairs]),
-        gt_class=np.array([c for _, _, c in pairs], dtype=int),
-        # encode validates both boxes, once, for every loop that uses them
-        d_hat=np.array([encode(box, anchor).as_array() for anchor, box, _ in pairs]).reshape(-1, 4),
+        pos_flat=pos_flat,
+        neg_flat=np.flatnonzero(assigned < 0),
+        anchors=pos_anchors,
+        gt=gt,
+        gt_class=np.array([c for s in scenes for c in s.gt_classes], dtype=int)[gt_row],
+        d_hat=d_hat,
     )
 
 
@@ -626,7 +670,10 @@ def random_positive_sample(
         if abs(p - u) < kink_margin or abs(abs(p - u) - hp.margin) < kink_margin:
             continue
         return PositiveSample(probs=probs, gt_class=gt_class, d=d, anchor=anchor, gt_box=gt)
-    raise NumericalError("gradcheck could not draw a kink-free sample in 10000 tries")
+    raise NumericalError(
+        "gradcheck could not draw a kink-free sample in 10000 tries with every one of "
+        f"num_classes {hp.num_classes} probabilities at or above the draw floor {min_prob:g}"
+    )
 
 
 def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
@@ -804,6 +851,17 @@ def _draw_floor(hp: HyperParams) -> float:
     return max(PROB_DRAW_FLOOR, 2.0 * hp.prob_floor)
 
 
+def check_draw_floor(hp: HyperParams) -> None:
+    """Raise ``ValueError`` when the gate's draw floor leaves it nothing to
+    draw: ``num_classes`` probabilities that sum to 1 cannot all reach it."""
+    floor = _draw_floor(hp)
+    if hp.num_classes * floor >= 1.0:
+        raise ValueError(
+            f"{hp.prob_floor:g} puts the gradient gate's draw floor at {floor:g}, which "
+            f"{hp.num_classes} class probabilities summing to 1 cannot all reach"
+        )
+
+
 def _random_batch(
     rng: np.random.Generator, hp: HyperParams
 ) -> tuple[list[PositiveSample], list[np.ndarray]]:
@@ -902,13 +960,15 @@ def run_gradcheck(
     :func:`batch_objective_arrays`, the kernel that trains. Errors are
     normalized by max(1, |gradient|) and reduced by max over the draws. At
     least one sample is required, so that a report never passes without
-    checking anything. Raises :class:`NumericalError`, naming the operation,
-    when a check fails to compute, as when a loss is not finite near a draw.
+    checking anything, and :func:`check_draw_floor` must pass. Raises
+    :class:`NumericalError`, naming the operation, when a check fails to
+    compute, as when a loss is not finite near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
     if batch_draws < 0:
         raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
+    check_draw_floor(hp)
 
     def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
         try:
@@ -950,20 +1010,32 @@ class RefinementResult:
     pairs_weighted: tuple[tuple[float, float], ...]
 
 
-def _train_offsets_only(m: Matching, gamma: float, opt: OptimizerConfig) -> np.ndarray:
-    """Descend the IoU-based loss alone; returns the positives' offsets.
+def _train_offsets_only(
+    m: Matching, runs: dict[str, float], opt: OptimizerConfig
+) -> np.ndarray:
+    """Descend the IoU-based loss alone, once per named run's focusing
+    exponent; returns the positives' offsets, shaped (runs, positives, 4).
 
-    Each positive updates independently, so the step runs on all of them at
-    once. Raises :class:`DivergenceError` if an offset leaves the decode cap.
+    Each positive of each run updates independently, so one step runs on all
+    of them at once, the runs stacked as blocks of rows. Raises
+    :class:`DivergenceError` at the earliest step at which an offset of any
+    run leaves the decode cap, naming the run and the model row.
     """
-    d = np.zeros_like(m.anchors)
+    n_runs = len(runs)
+    anchors = np.tile(m.anchors, (n_runs, 1))
+    gt = np.tile(m.gt, (n_runs, 1))
+    gamma = np.repeat(list(runs.values()), m.pos_flat.size)
+    names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
+    d = np.zeros_like(anchors)
     for step in range(opt.steps):
-        _check_decode_cap(step, d, m.pos_flat)
-        u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, m.anchors), m.gt)
-        du_dd = decode_vjp_arrays(d, m.anchors, du_dcorners)
+        _check_decode_cap(step, d, m.pos_flat, names)
+        # one exp per step, shared by the decode and its VJP
+        scale = exp_sizes(d)
+        u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
+        du_dd = decode_vjp_arrays(d, anchors, du_dcorners, scale)
         d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
-    _check_decode_cap(opt.steps, d, m.pos_flat)
-    return d
+    _check_decode_cap(opt.steps, d, m.pos_flat, names)
+    return d.reshape(n_runs, -1, 4)
 
 
 def refinement_experiment(
@@ -971,8 +1043,9 @@ def refinement_experiment(
 ) -> RefinementResult:
     """Train offsets under plain IoU loss (gamma 0) vs the weighted variant.
 
-    Both runs share the schedule and matching; only the focusing exponent
-    differs. IoU before is anchor-vs-GT, after is decoded-vs-GT.
+    Both runs share the schedule and matching, and descend together; only
+    the focusing exponent differs. IoU before is anchor-vs-GT, after is
+    decoded-vs-GT.
     """
     m = scene_set.matching
     before = iou_arrays(m.anchors, m.gt).tolist()
@@ -981,8 +1054,7 @@ def refinement_experiment(
         after = iou_arrays(decode_arrays(d, m.anchors), m.gt).tolist()
         return tuple(zip(before, after))
 
-    plain = _train_offsets_only(m, 0.0, opt)
-    weighted = _train_offsets_only(m, hp.gamma, opt)
+    plain, weighted = _train_offsets_only(m, {"plain": 0.0, "weighted": hp.gamma}, opt)
     return RefinementResult(
         gamma_plain=0.0,
         gamma_weighted=hp.gamma,

@@ -29,6 +29,7 @@ from .geom import (
     decode_vjp_arrays,
     elementwise,
     encode,
+    exp_sizes,
     iou,
     iou_and_grad_arrays,
     iou_grad,
@@ -254,16 +255,16 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
-def hiou_loss_arrays(u: np.ndarray, gamma: float) -> np.ndarray:
-    """Element-wise :func:`hiou_loss`; ``u`` is not range-checked."""
-    return elementwise(lambda v: (1.0 + v) ** gamma, u) * (1.0 - u)
+def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Element-wise :func:`hiou_loss` of 1-D ``u``; ``gamma`` is one value or
+    one per element. ``u`` is not range-checked."""
+    return elementwise(pow, 1.0 + u, gamma) * (1.0 - u)
 
 
-def hiou_slope_arrays(u: np.ndarray, gamma: float) -> np.ndarray:
-    """Element-wise :func:`hiou_slope`; ``u`` is not range-checked."""
-    return elementwise(lambda v: (1.0 + v) ** (gamma - 1.0), u) * (
-        gamma * (1.0 - u) - (1.0 + u)
-    )
+def hiou_slope_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Element-wise :func:`hiou_slope`, ``u`` and ``gamma`` as in
+    :func:`hiou_loss_arrays`."""
+    return elementwise(pow, 1.0 + u, gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
 @dataclass(frozen=True)
@@ -560,9 +561,9 @@ def batch_objective_arrays(
     grad_offsets = np.zeros(offsets.shape)
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
-    decoded = decode_arrays(d, anchors)
-    u, du_dcorners = iou_and_grad_arrays(decoded, gt)
-    du_dd = decode_vjp_arrays(d, anchors, du_dcorners)
+    scale = exp_sizes(d)
+    u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
+    du_dd = decode_vjp_arrays(d, anchors, du_dcorners, scale)
     x = d - d_hat
     ax = np.abs(x)
     quadratic = ax < 1.0

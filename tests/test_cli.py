@@ -408,6 +408,11 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
         ({"gradcheck": {"samples": 0}}, "config.gradcheck.samples: must be >= 1, got 0"),
         ({"optimizer": {"steps": 0}}, "config.optimizer: steps must be >= 1, got 0"),
         ({"hyperparams": {"alpha": -1}}, "config.hyperparams: alpha must be >= 0, got -1"),
+        (
+            {"hyperparams": {"prob_floor": 0.3}},
+            "config.hyperparams.prob_floor: 0.3 puts the gradient gate's draw floor at 0.6, "
+            "which 5 class probabilities summing to 1 cannot all reach",
+        ),
     ],
 )
 def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):

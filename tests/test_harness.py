@@ -1,10 +1,13 @@
 """Scene generation, anchor matching, toy training, and the FD oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hardet.harness as harness
 from hardet.cli import main
@@ -45,6 +48,7 @@ from hardet.losses import positive_sample_from_json
 from hardet.metrics import aic, iou_histogram
 
 import gate_reference
+import match_reference
 
 
 class TestSceneConfig:
@@ -194,21 +198,100 @@ class TestMatching:
     def test_computed_once_per_scene_set(self, monkeypatch):
         ss = generate_scenes(SceneConfig(seed=3))
         calls = []
-        real = harness.match_anchors
-        monkeypatch.setattr(harness, "match_anchors", lambda *a: calls.append(a) or real(*a))
+        real = harness._match_scene_set
+        monkeypatch.setattr(harness, "_match_scene_set", lambda *a: calls.append(a) or real(*a))
         first = ss.matching
         assert ss.matching is first
-        assert len(calls) == len(ss.scenes)
+        assert calls == [(ss,)]
 
     def test_train_command_matches_each_scene_once(self, monkeypatch, tmp_path):
         calls = []
-        real = harness.match_anchors
-        monkeypatch.setattr(harness, "match_anchors", lambda *a: calls.append(a[0]) or real(*a))
+        real = harness._match_scene_set
+        monkeypatch.setattr(harness, "_match_scene_set", lambda *a: calls.append(a[0]) or real(*a))
         cfg = tmp_path / "config.json"
         cfg.write_text('{"optimizer": {"steps": 3, "gradcheck_samples": 0}}')
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        # once per scene (4 by default), shared by training and evaluation
-        assert len(calls) == len(set(map(id, calls))) == 4
+        # the whole scene set (4 scenes by default) at once, shared by
+        # training and evaluation
+        assert len(calls) == 1
+        assert len(calls[0].scenes) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_scenes=st.integers(1, 9),
+        objects=st.tuples(st.integers(1, 5), st.integers(0, 4)),
+        canvas=st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
+        spacing=st.floats(0.5, 4.0),
+        scales=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+        jitter=st.floats(0.0, 0.6),
+        threshold=st.floats(0.05, 0.95),
+        max_pairs=st.one_of(st.integers(1, 600), st.just(MAX_MATCH_PAIRS)),
+    )
+    def test_scene_set_equals_per_scene_reference(
+        self, seed, num_scenes, objects, canvas, spacing, scales, jitter, threshold, max_pairs
+    ):
+        try:
+            ss = generate_scenes(SceneConfig(
+                seed=seed, num_scenes=num_scenes, objects_per_scene=(objects[0], sum(objects)),
+                canvas=canvas, anchor_spacing=spacing, anchor_scales=tuple(scales),
+                jitter=jitter, positive_iou_threshold=threshold,
+            ))
+        except ValueError:
+            assume(False)
+        want = match_reference.match_scene_set(ss)
+        # a small limit splits the scene set into blocks of one or more scenes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "MAX_MATCH_PAIRS", max_pairs)
+            got = harness._match_scene_set(ss)
+            per_scene = [
+                match_anchors(scene, ss.anchors, threshold) for scene in ss.scenes
+            ]
+        for name in ("pos_flat", "neg_flat", "anchors", "gt", "gt_class", "d_hat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert per_scene == [
+            match_reference.match_anchors(scene, ss.anchors, threshold) for scene in ss.scenes
+        ]
+
+    @pytest.mark.parametrize("scenes_per_block, blocks", [(1, 7), (2, 4), (7, 1)])
+    def test_blocks_hold_at_most_the_pair_limit(self, monkeypatch, scenes_per_block, blocks):
+        ss = generate_scenes(SceneConfig(seed=5, num_scenes=7, objects_per_scene=(1, 6)))
+        widest = max(len(scene.gt_boxes) for scene in ss.scenes)
+        limit = ss.anchors_per_scene * widest * scenes_per_block
+        matrices = []
+        real = harness.iou_matrix
+        monkeypatch.setattr(harness, "iou_matrix", lambda a, b: matrices.append(len(a) * len(b)) or real(a, b))
+        monkeypatch.setattr(harness, "MAX_MATCH_PAIRS", limit)
+        got = harness._match_scene_set(ss)
+        assert len(matrices) == blocks
+        assert max(matrices) <= limit
+        assert np.array_equal(got.pos_flat, match_reference.match_scene_set(ss).pos_flat)
+
+    def test_peak_at_the_pair_limit_is_no_higher_than_per_scene_matching(self):
+        # one 10^4-anchor scene of 100 objects: anchors x objects = MAX_MATCH_PAIRS
+        cfg = SceneConfig(
+            num_scenes=1, canvas=(100.0, 100.0), anchor_spacing=1.0, objects_per_scene=(100, 100)
+        )
+        ss = generate_scenes(cfg)
+        assert ss.anchors_per_scene * len(ss.scenes[0].gt_boxes) == MAX_MATCH_PAIRS
+
+        def peak(match) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                match(ss)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        for match in (harness._match_scene_set, match_reference.match_scene_set):
+            match(ss)  # warm-up
+        # both hold the anchor and GT corners and one 10^4 x 100 IoU matrix at
+        # their peak (about 24 MB); the allowance covers the few hundred bytes
+        # of Python objects by which the two drift from run to run, and is
+        # smaller than any array over the anchors (10^4 bytes at least)
+        assert peak(harness._match_scene_set) <= peak(match_reference.match_scene_set) + 4096
 
     def test_arrays_follow_the_scene_matches(self):
         ss = generate_scenes(SceneConfig(seed=4, num_scenes=3))
@@ -676,6 +759,22 @@ class TestGradCheck:
         with pytest.raises(NumericalError, match="gradcheck could not draw"):
             run_gradcheck(hp, num_samples=200, batch_draws=0)
 
+    @pytest.mark.parametrize("prob_floor", [0.1, 0.3])
+    def test_draw_floor_out_of_reach_is_rejected_before_drawing(self, prob_floor):
+        # five probabilities of at least 2 x prob_floor cannot sum to 1
+        hp = HyperParams(num_classes=5, prob_floor=prob_floor)
+        with pytest.raises(ValueError, match=rf"{prob_floor:g} puts the gradient gate's draw floor at"):
+            harness.check_draw_floor(hp)
+        with pytest.raises(ValueError, match="5 class probabilities summing to 1 cannot all reach"):
+            run_gradcheck(hp, num_samples=1)
+        # a floor within reach, however rarely drawn, is left to the sampler
+        harness.check_draw_floor(replace(hp, prob_floor=0.09))
+
+    def test_exhausted_draws_name_the_draw_floor_and_class_count(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericalError, match=r"num_classes 5 probabilities at or above the draw floor 0\.25$"):
+            random_positive_sample(rng, HyperParams(num_classes=5), min_prob=0.25)
+
     # seeds where draws with class probabilities near 1e-5 made the 5e-7
     # probability FD step too coarse for the 1e-5 tolerance
     @pytest.mark.parametrize("seed", [14, 32, 51, 53])
@@ -840,6 +939,20 @@ class TestRefinementExperiment:
         opt = OptimizerConfig(learning_rate=1e9, steps=3, gradcheck_samples=0)
         with pytest.raises(DivergenceError, match="decode log cap"):
             refinement_experiment(ss, opt, HyperParams(num_classes=5))
+
+    def test_divergence_names_the_run_and_the_model_row(self):
+        ss = generate_scenes(SceneConfig(seed=2, num_scenes=2))
+        m = ss.matching
+        opt = OptimizerConfig(learning_rate=0.05, steps=20, gradcheck_samples=0)
+        hp = HyperParams(num_classes=5, gamma=20.0, allow_gamma_above_one=True)
+        # only the weighted run leaves the cap; the plain run alone completes
+        harness._train_offsets_only(m, {"plain": 0.0}, opt)
+        with pytest.raises(DivergenceError) as alone:
+            harness._train_offsets_only(m, {"weighted": hp.gamma}, opt)
+        with pytest.raises(DivergenceError, match=r"size offsets of the weighted run \(gamma 20\) past the decode log cap 16 \(model row \d+\)$") as exc:
+            refinement_experiment(ss, opt, hp)
+        assert (exc.value.step, exc.value.row) == (alone.value.step, alone.value.row)
+        assert exc.value.row in m.pos_flat
 
     def test_gammas_recorded(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=2))

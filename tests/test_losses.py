@@ -22,7 +22,9 @@ from hardet.losses import (
     harmonic_loss,
     harmonic_reg_grad,
     hiou_loss,
+    hiou_loss_arrays,
     hiou_slope,
+    hiou_slope_arrays,
     iou_loss,
     positive_sample_from_json,
     smooth_l1,
@@ -212,6 +214,18 @@ class TestIouLosses:
             for u in (0.1, 0.4, 0.7, 0.95):
                 fd = (hiou_loss(u + 1e-7, gamma) - hiou_loss(u - 1e-7, gamma)) / 2e-7
                 assert hiou_slope(u, gamma) == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("fn, scalar", [(hiou_loss_arrays, hiou_loss), (hiou_slope_arrays, hiou_slope)])
+    def test_per_row_gamma_equals_scalar_bit_for_bit(self, fn, scalar):
+        gammas = (0.0, 0.5, HyperParams().gamma)
+        u = np.random.default_rng(0).uniform(0.0, 1.0, 30)
+        u[:3] = (0.0, 1.0, 0.5)
+        gamma = np.resize(gammas, u.size)
+        want = np.array([scalar(v, g) for v, g in zip(u.tolist(), gamma.tolist())])
+        assert fn(u, gamma).tobytes() == want.tobytes()
+        # one gamma for every row is the same as that gamma repeated
+        for g in gammas:
+            assert fn(u, g).tobytes() == np.array([scalar(v, g) for v in u.tolist()]).tobytes()
 
 
 class TestFullLocLoss:
