@@ -28,14 +28,13 @@ from .losses import HyperParams, gradient_surface, harmonic_det_loss, positive_s
 from .metrics import (
     DEFAULT_AP_THRESHOLDS,
     DEFAULT_IOU_BIN_EDGES,
-    Detection,
-    GroundTruth,
+    DetectionArrays,
     aic,
-    average_precision,
+    average_precision_arrays,
     check_iou_thresholds,
-    consistency_scatter,
+    consistency_scatter_arrays,
     iou_histogram,
-    nms,
+    nms_arrays,
     refinement_gain,
 )
 from .harness import (
@@ -218,9 +217,14 @@ def _surface_grids(s: dict) -> tuple[np.ndarray, np.ndarray]:
         return p_grid, np.linspace(s["loc_min"], s["loc_max"], s["loc_steps"])
 
 
-def _check_command_blocks(cfg: dict) -> None:
+Surface = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _check_command_blocks(cfg: dict) -> Surface:
     """Check the gradcheck, surface and train blocks as the commands that
-    read them use them, so that every command judges them alike."""
+    read them use them, so that every command judges them alike. Returns
+    the surface block's p grid, loc grid and gradient table, which checking
+    it computes."""
     gc, s, t = cfg["gradcheck"], cfg["surface"], cfg["train"]
     # a sweep over no samples would report PASS without checking anything
     if gc["samples"] < 1:
@@ -237,8 +241,9 @@ def _check_command_blocks(cfg: dict) -> None:
     if s["p_steps"] * s["loc_steps"] > MAX_SURFACE_POINTS:
         points = f"{s['p_steps']} x {s['loc_steps']} grid points"
         raise ConfigError(f"config.surface: {points} exceed the limit of {MAX_SURFACE_POINTS}")
+    p_grid, loc_grid = _surface_grids(s)
     try:
-        gradient_surface(*_surface_grids(s), s["mode"])
+        surface = p_grid, loc_grid, gradient_surface(p_grid, loc_grid, s["mode"])
     except ValueError as exc:
         raise ConfigError(f"config.surface: {exc}") from exc
     # as nms and average_precision check them
@@ -248,6 +253,7 @@ def _check_command_blocks(cfg: dict) -> None:
             check_iou_thresholds(values)
         except ValueError as exc:
             raise ConfigError(f"config.train.{key}: {exc}") from exc
+    return surface
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -315,10 +321,9 @@ def cmd_loss_eval(out: Path, hp: HyperParams, samples_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_surface(cfg: dict, out: Path) -> int:
+def cmd_surface(cfg: dict, out: Path, surface: Surface) -> int:
     s = cfg["surface"]
-    p_grid, loc_grid = _surface_grids(s)
-    grid = gradient_surface(p_grid, loc_grid, s["mode"])
+    p_grid, loc_grid, grid = surface
     rows = [_csv_header(cfg), "p,loc,grad\n"]
     for i, loc in enumerate(loc_grid):
         for j, p in enumerate(p_grid):
@@ -329,29 +334,26 @@ def cmd_surface(cfg: dict, out: Path) -> int:
 
 
 def _evaluate_trained(
-    scene_set, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
-) -> tuple[dict, list[Detection], list[tuple[float, float]]]:
-    """AP payload, kept detections and scatter rows of a trained model on its
-    scenes; AP and scatter match within (scene, class) groups."""
-    kept = [d for dets in model_detections(scene_set, model) for d in nms(dets, nms_threshold)]
-    gts = [
-        GroundTruth(box=box, class_id=c, scene=s)
-        for s, scene in enumerate(scene_set.scenes)
-        for box, c in zip(scene.gt_boxes, scene.gt_classes)
-    ]
-    ap = average_precision(kept, gts, ap_thresholds)
+    scene_set: SceneSet, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
+) -> tuple[dict, DetectionArrays, np.ndarray]:
+    """AP payload, kept detections (scene by scene, each in score order) and
+    their best IoUs with a ground truth of a trained model on its scenes; AP
+    and the IoUs match within (scene, class) groups."""
+    dets = model_detections(scene_set, model)
+    rows = nms_arrays(dets, nms_threshold)
+    kept = dets.take(rows[np.argsort(dets.scene[rows], kind="stable")])
+    gts = scene_set.ground_truth
+    ap = average_precision_arrays(kept, gts, ap_thresholds)
     ap_payload = {
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
-    return ap_payload, kept, consistency_scatter(kept, gts)
+    return ap_payload, kept, consistency_scatter_arrays(kept, gts)
 
 
 def cmd_train(
     cfg: dict, out: Path, scene: SceneConfig, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
-    if hp.num_classes != scene.num_classes:
-        raise ConfigError("config: hyperparams.num_classes and scene.num_classes must agree")
     scene_set = _build_scene_set(scene)
     model = ToyModel.zeros(scene_set.total_anchors, hp.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
@@ -361,18 +363,23 @@ def cmd_train(
         rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
-    ap_payload, kept, scatter_rows = _evaluate_trained(scene_set, model, **cfg["train"])
+    ap_payload, kept, best_iou = _evaluate_trained(scene_set, model, **cfg["train"])
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
+    # json.dumps(..., sort_keys=True) of each record, formatted directly: it
+    # renders ints and the finite floats of validated detections by repr
+    scores = kept.score.tolist()
+    records = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.scene.tolist(), scores)
     det_lines = [meta_line] + [
-        json.dumps({**vars(d), "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2]}, sort_keys=True)
-        for d in kept
+        f'{{"box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "class_id": {c}, '
+        f'"scene": {s}, "score": {p!r}}}'
+        for (x1, y1, x2, y2), c, s, p in records
     ]
     (out / "detections.jsonl").write_text("".join(line + "\n" for line in det_lines))
 
     rows = [_csv_header(cfg), "score,iou\n"]
-    rows.extend(f"{_fmt(s)},{_fmt(u)}\n" for s, u in scatter_rows)
+    rows.extend(f"{s!r},{u!r}\n" for s, u in zip(scores, best_iou.tolist()))
     (out / "scatter.csv").write_text("".join(rows))
 
     summary = {
@@ -462,12 +469,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # so a config file gets one verdict; building the scene draws no grid
         scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
         hp = _build(HyperParams, eff, "hyperparams", num_classes=scene.num_classes)
+        if args.command == "train" and hp.num_classes != scene.num_classes:
+            raise ConfigError("config: hyperparams.num_classes and scene.num_classes must agree")
         try:
             check_draw_floor(hp)
         except ValueError as exc:
             raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
-        _check_command_blocks(eff)
+        surface = _check_command_blocks(eff)
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":
@@ -475,7 +484,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "loss-eval":
             return cmd_loss_eval(out, hp, args.samples)
         if args.command == "surface":
-            return cmd_surface(eff, out)
+            return cmd_surface(eff, out, surface)
         if args.command == "train":
             return cmd_train(eff, out, scene, hp, opt)
         return cmd_refine(eff, out, scene, hp, opt)

@@ -47,7 +47,7 @@ from .losses import (
     smooth_l1,
     tc_loss,
 )
-from .metrics import Detection, aic
+from .metrics import DetectionArrays, GroundTruthArrays, aic
 
 BACKGROUND_CLASS = 0
 # largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
@@ -210,6 +210,17 @@ class SceneSet:
     def matching(self) -> "Matching":
         """Every scene's anchor matching, computed once per scene set."""
         return _match_scene_set(self)
+
+    @cached_property
+    def ground_truth(self) -> GroundTruthArrays:
+        """Every scene's ground truths as arrays, scene by scene, built once
+        per scene set."""
+        scenes = self.scenes
+        return GroundTruthArrays(
+            boxes=corners([box for s in scenes for box in s.gt_boxes]),
+            class_id=[c for s in scenes for c in s.gt_classes],
+            scene=np.repeat(np.arange(len(scenes)), [len(s.gt_boxes) for s in scenes]),
+        )
 
 
 def _anchor_grid(cfg: SceneConfig) -> tuple[Box, ...]:
@@ -445,7 +456,7 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
     first = np.cumsum([0] + [len(s.gt_boxes) for s in scenes[:-1]])
     gt_row = first[scene] + assigned[pos_flat]
     pos_anchors = anchors[anchor]
-    gt = corners([box for s in scenes for box in s.gt_boxes])[gt_row]
+    gt = scene_set.ground_truth.boxes[gt_row]
     # encode's checks, once, for every loop that uses the positives
     if not np.all(pos_anchors[:, 2:] - pos_anchors[:, :2] > 0.0):
         raise ValueError("cannot encode against a degenerate anchor")
@@ -459,7 +470,7 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
         neg_flat=np.flatnonzero(assigned < 0),
         anchors=pos_anchors,
         gt=gt,
-        gt_class=np.array([c for s in scenes for c in s.gt_classes], dtype=int)[gt_row],
+        gt_class=scene_set.ground_truth.class_id[gt_row],
         d_hat=d_hat,
     )
 
@@ -569,22 +580,22 @@ def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[d
     ]
 
 
-def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detection]]:
-    """Per-scene detections tagged with their scene: argmax foreground class,
-    decoded box. Raises ``ValueError`` if a size offset exceeds the decode
-    log cap."""
+def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:
+    """One detection per model row, scene by scene and tagged with its
+    scene: argmax foreground class and its probability, decoded box. Raises
+    ``ValueError`` if a size offset exceeds the decode log cap."""
     over = np.flatnonzero(~np.all(np.abs(model.offsets[:, 2:]) <= DECODE_LOG_CAP, axis=1))
     if over.size:
         raise ValueError(f"size offsets of model row {over[0]} exceed the exp cap {DECODE_LOG_CAP}")
     probs = model.probs()
     cls = np.argmax(probs[:, 1:], axis=1) + 1
-    scores = probs[np.arange(cls.size), cls]
-    anchors = np.tile(corners(scene_set.anchors), (len(scene_set.scenes), 1))
-    boxes = decode_arrays(model.offsets, anchors).tolist()
-    a = scene_set.anchors_per_scene
-    rows = enumerate(zip(boxes, cls.tolist(), scores.tolist()))
-    dets = [Detection(Box(*box), c, p, scene=k // a) for k, (box, c, p) in rows]
-    return [dets[s * a : (s + 1) * a] for s in range(len(scene_set.scenes))]
+    num_scenes = len(scene_set.scenes)
+    return DetectionArrays(
+        boxes=decode_arrays(model.offsets, np.tile(corners(scene_set.anchors), (num_scenes, 1))),
+        class_id=cls,
+        score=probs[np.arange(cls.size), cls],
+        scene=np.repeat(np.arange(num_scenes), scene_set.anchors_per_scene),
+    )
 
 
 def finite_diff_grad(

@@ -3,8 +3,12 @@
 Greedy NMS, averaged AP over IoU thresholds, the average inconsistency
 coefficient (AIC) between scores and IoUs, IoU histograms, per-bin
 refinement gains, and score-vs-IoU scatter rows. NMS, AP and the scatter
-group boxes by (scene, class_id) and compare only within a group. All
-functions are pure and deterministic; ties break by input index.
+group boxes by (scene, class_id) and compare only within a group. They run
+on :class:`DetectionArrays` and :class:`GroundTruthArrays` (``nms_arrays``,
+``average_precision_arrays``, ``consistency_scatter_arrays``); the forms
+over :class:`Detection` and :class:`GroundTruth` lists run those on their
+inputs' arrays. All functions are pure and deterministic; ties break by
+input index.
 """
 
 from __future__ import annotations
@@ -84,25 +88,130 @@ def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
 Key = tuple[int, int]
 
 
-def _groups(items: Sequence[Detection | GroundTruth]) -> dict[Key, list[int]]:
-    """Input indices per (scene, class_id) group, in input order."""
-    groups: dict[Key, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault((item.scene, item.class_id), []).append(i)
-    return groups
+def _own_arrays(item: object, **dtypes: type) -> None:
+    """Set the ``boxes`` field and the named fields of a frozen dataclass to
+    read-only copies of the given dtypes, and check them: (N, 4) corners
+    that pass :class:`Box`'s checks row by row, and one entry per box in
+    every other field."""
+    for name, dtype in {"boxes": float, **dtypes}.items():
+        values = np.array(getattr(item, name), dtype=dtype)
+        values.flags.writeable = False
+        object.__setattr__(item, name, values)
+    boxes = item.boxes
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must be shaped (N, 4), got {boxes.shape}")
+    for name in dtypes:
+        if getattr(item, name).shape != boxes.shape[:1]:
+            raise ValueError(f"{name} must hold one entry per box, got {getattr(item, name).shape}")
+    finite = np.isfinite(boxes)
+    if not finite.all():
+        k, c = np.argwhere(~finite)[0].tolist()
+        name = ("x1", "y1", "x2", "y2")[c]
+        raise ValueError(f"row {k}: box coordinate {name} is not finite: {boxes[k, c].item()!r}")
+    ordered = np.all(boxes[:, :2] <= boxes[:, 2:], axis=1)
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise ValueError(f"row {k}: box corners out of order: {tuple(boxes[k].tolist())}")
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionArrays:
+    """Detections as arrays: row ``k`` is box ``boxes[k]`` (corners) of class
+    ``class_id[k]`` with score ``score[k]`` in scene ``scene[k]``.
+
+    The array form of a :class:`Detection` list, validated as
+    :class:`Detection` and :class:`Box` validate each row. The arrays are
+    read-only copies of the ones given.
+    """
+
+    boxes: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+    scene: np.ndarray
+
+    def __post_init__(self) -> None:
+        _own_arrays(self, class_id=int, score=float, scene=int)
+        # written so that NaN fails it too
+        valid = (self.score >= 0.0) & (self.score <= 1.0)
+        if not valid.all():
+            k = int(np.argmin(valid))
+            raise ValueError(f"row {k}: score must lie in [0, 1], got {self.score[k].item()}")
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    @classmethod
+    def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
+        return cls(
+            corners([d.box for d in dets]),
+            [d.class_id for d in dets],
+            [d.score for d in dets],
+            [d.scene for d in dets],
+        )
+
+    def take(self, rows: np.ndarray) -> "DetectionArrays":
+        """The detections at ``rows``, in that order."""
+        return DetectionArrays(
+            self.boxes[rows], self.class_id[rows], self.score[rows], self.scene[rows]
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthArrays:
+    """Ground truths as arrays: row ``k`` is box ``boxes[k]`` of class
+    ``class_id[k]`` in scene ``scene[k]``; validated and read-only as
+    :class:`DetectionArrays`."""
+
+    boxes: np.ndarray
+    class_id: np.ndarray
+    scene: np.ndarray
+
+    def __post_init__(self) -> None:
+        _own_arrays(self, class_id=int, scene=int)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    @classmethod
+    def of(cls, gts: Sequence[GroundTruth]) -> "GroundTruthArrays":
+        return cls(corners([g.box for g in gts]), [g.class_id for g in gts], [g.scene for g in gts])
+
+
+def _by_score(dets: DetectionArrays) -> np.ndarray:
+    """Rows in score order, ties by row."""
+    return np.argsort(-dets.score, kind="stable")
+
+
+def _group_rows(
+    items: DetectionArrays | GroundTruthArrays, order: np.ndarray
+) -> dict[Key, np.ndarray]:
+    """The rows of ``order`` per (scene, class_id) group, each in ``order``'s
+    order, the groups in ascending key order: one stable sort on the key."""
+    if not order.size:
+        return {}
+    scene, cls = items.scene[order], items.class_id[order]
+    by_key = np.lexsort((cls, scene))
+    scene, cls, order = scene[by_key], cls[by_key], order[by_key]
+    starts = np.flatnonzero(np.r_[True, (scene[1:] != scene[:-1]) | (cls[1:] != cls[:-1])])
+    keys = zip(scene[starts].tolist(), cls[starts].tolist())
+    return dict(zip(keys, np.split(order, starts[1:])))
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy suppression within each (scene, class) group; keeps score
-    order, ties by input index."""
+    order, ties by input index. :func:`nms_arrays` on the detections'
+    arrays."""
+    return [dets[k] for k in nms_arrays(DetectionArrays.of(dets), iou_threshold).tolist()]
+
+
+def nms_arrays(dets: DetectionArrays, iou_threshold: float) -> np.ndarray:
+    """The rows :func:`nms` keeps, in score order (ties by row)."""
     check_iou_thresholds([iou_threshold])
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    ranked = [dets[i] for i in order]
-    boxes = corners([d.box for d in ranked])
-    keep = np.zeros(len(ranked), dtype=bool)
-    for rows in _groups(ranked).values():
-        keep[rows] = _greedy_keep(boxes[rows], iou_threshold)
-    return [ranked[k] for k in np.flatnonzero(keep)]
+    order = _by_score(dets)
+    keep = np.zeros(len(dets), dtype=bool)
+    for rows in _group_rows(dets, order).values():
+        keep[rows] = _greedy_keep(dets.boxes[rows], iou_threshold)
+    return order[keep[order]]
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -131,39 +240,52 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
 
 
 def _ap_from_matches(tp_flags: Sequence[bool], num_gt: int) -> float:
-    """Area under the running-max precision envelope (all-point AP)."""
+    """Area under the running-max precision envelope (all-point AP) of a
+    ranked list's TP/FP flags."""
+    return _ap_at(np.flatnonzero(tp_flags), num_gt)
+
+
+def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
+    """All-point AP of a ranked list whose true positives sit at the
+    ascending ranks ``tp_rank``.
+
+    Recall rises only at a true positive, so the sum runs over those alone.
+    There, the envelope (the best precision at this rank or later) is the
+    best precision at a true positive at or after it: between two true
+    positives precision only falls.
+    """
     if num_gt == 0:
         raise ValueError("AP undefined without ground truths")
-    if not tp_flags:
-        return 0.0
-    tp = np.cumsum([1.0 if f else 0.0 for f in tp_flags])
-    fp = np.cumsum([0.0 if f else 1.0 for f in tp_flags])
+    tp = np.arange(1.0, tp_rank.size + 1.0)
     recall = tp / num_gt
-    precision = tp / (tp + fp)
-    # envelope: precision at recall >= r
+    # the rank's TP + FP count
+    precision = tp / (tp_rank + 1.0)
     env = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, env):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
+    ap = prev = 0.0
+    for r, p in zip(recall.tolist(), env.tolist()):
+        ap += (r - prev) * p
+        prev = r
+    return ap
 
 
-def _match_group(ious: list[list[float]], threshold: float) -> list[bool]:
-    """Greedy TP/FP flags at one IoU threshold; ``ious`` rows are the
-    group's detections in score order, columns its ground truths. Each
+def _true_positives(ious: np.ndarray, threshold: float) -> np.ndarray:
+    """Ranks of the true positives at one IoU threshold; ``ious`` rows are
+    a group's detections in score order, columns its ground truths. Each
     detection takes the free ground truth of highest IoU (ties to the lowest
-    index) and is a TP if that IoU reaches the threshold."""
+    index) and is a TP if that IoU reaches the threshold.
+
+    A detection whose best IoU over every ground truth misses the threshold
+    is a FP that takes nothing, so only the others are walked.
+    """
+    walked = np.flatnonzero(ious.max(axis=1) >= threshold)
     taken: set[int] = set()
-    flags: list[bool] = []
-    for row in ious:
+    tps = []
+    for r, row in zip(walked.tolist(), ious[walked].tolist()):
         best, neg_j = max(((v, -j) for j, v in enumerate(row) if j not in taken), default=(0.0, 0))
-        flags.append(best >= threshold)
-        if flags[-1]:
+        if best >= threshold:
+            tps.append(r)
             taken.add(-neg_j)
-    return flags
+    return np.array(tps, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -185,19 +307,30 @@ def average_precision(
 
     Matching and averaging run per (scene, class) group. Groups without
     ground truth are absent from the report; their detections do not enter
-    any other group's precision.
+    any other group's precision. :func:`average_precision_arrays` on the
+    inputs' arrays.
     """
+    return average_precision_arrays(
+        DetectionArrays.of(dets), GroundTruthArrays.of(gts), iou_thresholds
+    )
+
+
+def average_precision_arrays(
+    dets: DetectionArrays,
+    gts: GroundTruthArrays,
+    iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
+) -> APResult:
+    """:func:`average_precision` of detection and ground-truth arrays, ties
+    in score ranked by row."""
     thresholds = check_iou_thresholds(iou_thresholds)
-    det_groups, gt_groups = _groups(dets), _groups(gts)
-    det_boxes, gt_boxes = corners([d.box for d in dets]), corners([g.box for g in gts])
-    keys = sorted(gt_groups)
+    det_groups = _group_rows(dets, _by_score(dets))
+    none = np.zeros(0, dtype=int)
     per_class: dict[Key, dict[float, float]] = {}
-    for key in keys:
-        rows = sorted(det_groups.get(key, []), key=lambda i: (-dets[i].score, i))
-        cols = gt_groups[key]
+    for key, cols in _group_rows(gts, np.arange(len(gts))).items():
         # one IoU matrix per group, shared by every threshold
-        ious = iou_matrix(det_boxes[rows], gt_boxes[cols]).tolist()
-        per_class[key] = {t: _ap_from_matches(_match_group(ious, t), len(cols)) for t in thresholds}
+        ious = iou_matrix(dets.boxes[det_groups.get(key, none)], gts.boxes[cols])
+        per_class[key] = {t: _ap_at(_true_positives(ious, t), cols.size) for t in thresholds}
+    keys = list(per_class)
     per_threshold = {
         t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0 for t in thresholds
     }
@@ -294,12 +427,18 @@ def consistency_scatter(
     dets: Sequence[Detection], gts: Sequence[GroundTruth]
 ) -> list[tuple[float, float]]:
     """(score, best IoU with a ground truth of its scene and class) per
-    detection; 0 IoU when there is none."""
-    det_boxes, gt_boxes = corners([d.box for d in dets]), corners([g.box for g in gts])
-    best = np.zeros(len(dets))
-    gt_groups = _groups(gts)
-    for key, rows in _groups(dets).items():
-        if key in gt_groups:
-            ious = iou_matrix(det_boxes[rows], gt_boxes[gt_groups[key]])
-            best[rows] = ious.max(axis=1)
+    detection; 0 IoU when there is none. The IoUs are
+    :func:`consistency_scatter_arrays` of the inputs' arrays."""
+    best = consistency_scatter_arrays(DetectionArrays.of(dets), GroundTruthArrays.of(gts))
     return [(d.score, b) for d, b in zip(dets, best.tolist())]
+
+
+def consistency_scatter_arrays(dets: DetectionArrays, gts: GroundTruthArrays) -> np.ndarray:
+    """Each detection's best IoU with a ground truth of its scene and class,
+    0 when there is none: the IoU column of :func:`consistency_scatter`."""
+    best = np.zeros(len(dets))
+    gt_groups = _group_rows(gts, np.arange(len(gts)))
+    for key, rows in _group_rows(dets, np.arange(len(dets))).items():
+        if key in gt_groups:
+            best[rows] = iou_matrix(dets.boxes[rows], gts.boxes[gt_groups[key]]).max(axis=1)
+    return best

@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 
 from hardet import cli
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from hardet.metrics import detection_from_json
+from hardet.harness import OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
+from hardet.losses import HyperParams
+from hardet.metrics import DEFAULT_AP_THRESHOLDS, detection_from_json
+
+import eval_reference
 
 FAST_TRAIN = {
     "scene": {"num_scenes": 2, "objects_per_scene": [2, 3], "anchor_spacing": 4.0},
@@ -647,7 +651,49 @@ class TestTrainCommand:
     def test_class_count_mismatch_rejected(self, tmp_path):
         payload = {"hyperparams": {"num_classes": 3}, "scene": {"num_classes": 5}, **{"optimizer": FAST_TRAIN["optimizer"]}}
         cfg = write_config(tmp_path, payload)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        out = tmp_path / "o"
+        assert _run_quietly(["train", "--config", cfg, "--out", str(out)]) == (
+            EXIT_VALIDATION,
+            "error: config: hyperparams.num_classes and scene.num_classes must agree\n",
+        )
+        # rejected before the output directory or run_meta.json is written
+        assert not out.exists()
+
+
+# the scene and optimizer settings of the train_default and train_dense
+# benchmark workloads, the gate off
+_EVAL_SETUPS = {
+    "train_default": (cli._TRAIN_SCENE_DEFAULTS, {"gradcheck_samples": 0}),
+    "train_dense": (
+        {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+        {"steps": 20, "log_every": 5, "loss_mode": "standard", "gradcheck_samples": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+@pytest.mark.parametrize("setup", sorted(_EVAL_SETUPS))
+def test_evaluation_equals_the_object_reference(setup, trained):
+    """The array evaluation keeps the rows the object pipeline keeps, in its
+    order, and gives its AP payload and scatter rows, floats equal bit for
+    bit. Untrained, every score ties, so the order rests on tie-breaking."""
+    scene_kw, opt_kw = _EVAL_SETUPS[setup]
+    scene_set = generate_scenes(SceneConfig(seed=3, **scene_kw))
+    model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
+    if trained:
+        hp = HyperParams(num_classes=scene_set.config.num_classes)
+        model, _ = train_toy(scene_set, model, OptimizerConfig(**opt_kw), hp)
+    thresholds = (0.5, list(DEFAULT_AP_THRESHOLDS))
+    ap, kept, best_iou = cli._evaluate_trained(scene_set, model, *thresholds)
+    ref_ap, ref_kept, ref_rows = eval_reference.evaluate(scene_set, model, *thresholds)
+    rows = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.score.tolist(), kept.scene.tolist())
+    assert repr(list(rows)) == repr(
+        [([d.box.x1, d.box.y1, d.box.x2, d.box.y2], d.class_id, d.score, d.scene) for d in ref_kept]
+    )
+    assert repr(ap) == repr(ref_ap)
+    assert repr(list(zip(kept.score.tolist(), best_iou.tolist()))) == repr(ref_rows)
+    if not trained:
+        assert len(set(kept.score.tolist())) == 1
 
 
 class TestRefineCommand:

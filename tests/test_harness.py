@@ -579,20 +579,22 @@ class TestToyModel:
     def test_detections_cover_all_anchors(self):
         ss, hp, model = small_setup()
         dets = model_detections(ss, model)
-        assert len(dets) == len(ss.scenes)
-        assert all(len(d) == ss.anchors_per_scene for d in dets)
-        assert [{d.scene for d in scene_dets} for scene_dets in dets] == [{0}, {1}]
+        a = ss.anchors_per_scene
+        assert len(dets) == ss.total_anchors == len(ss.scenes) * a
+        assert [set(dets.scene[s * a : (s + 1) * a].tolist()) for s in range(len(ss.scenes))] == [{0}, {1}]
 
     def test_detections_match_scalar_decode(self):
         ss, hp, model = small_setup()
         rng = np.random.default_rng(3)
         model = ToyModel(rng.normal(size=model.logits.shape), rng.normal(size=model.offsets.shape))
-        a = ss.anchors_per_scene
-        for s_idx, scene_dets in enumerate(model_detections(ss, model)):
-            for i, d in enumerate(scene_dets):
-                row = s_idx * a + i
-                assert d.box == decode(Offsets.from_array(model.offsets[row]), ss.anchors[i])
-                assert d.class_id == int(np.argmax(model.probs()[row, 1:])) + 1
+        dets = model_detections(ss, model)
+        probs = model.probs()
+        rows = zip(dets.boxes.tolist(), dets.class_id.tolist(), dets.score.tolist())
+        for row, (box, cls, score) in enumerate(rows):
+            i = row % ss.anchors_per_scene
+            assert Box(*box) == decode(Offsets.from_array(model.offsets[row]), ss.anchors[i])
+            assert cls == int(np.argmax(probs[row, 1:])) + 1
+            assert score == probs[row, cls]
 
     def test_detections_check_the_decode_cap(self):
         ss, hp, model = small_setup()

@@ -11,7 +11,9 @@ from hardet.geom import Box, iou
 from hardet.metrics import (
     APResult,
     Detection,
+    DetectionArrays,
     GroundTruth,
+    GroundTruthArrays,
     aic,
     average_precision,
     consistency_scatter,
@@ -23,6 +25,8 @@ from hardet.metrics import (
 )
 from hardet import metrics
 from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_from_matches, check_iou_thresholds
+
+import eval_reference
 
 
 def det(x1, y1, x2, y2, cls=1, score=0.5):
@@ -169,6 +173,38 @@ class TestAveragePrecision:
         twice = average_precision(dets, gts, [0.95, 0.5, 0.95, 1])
         assert twice == average_precision(dets, gts, [0.95, 0.5, 1.0])
         assert list(twice.per_threshold) == [0.95, 0.5, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(flags=st.lists(st.booleans(), max_size=40), extra_gt=st.integers(0, 5))
+    def test_ap_walk_over_true_positives_equals_the_full_walk(self, flags, extra_gt):
+        num_gt = max(1, sum(flags) + extra_gt)
+        assert repr(_ap_from_matches(flags, num_gt)) == repr(eval_reference.ap_from_matches(flags, num_gt))
+
+
+class TestDetectionArrays:
+    def test_rows_are_checked_as_detection_and_box_check_them(self):
+        ok = np.array([[0.0, 0.0, 1.0, 1.0]] * 2)
+        cases = [
+            (ok, [0.5, 1.5], "row 1: score must lie in \\[0, 1\\], got 1.5"),
+            (ok, [np.nan, 0.5], "row 0: score must lie in \\[0, 1\\], got nan"),
+            (ok + [[0, 0, 0, np.inf], [0, 0, 0, 0]], [0.5, 0.5], "row 0: box coordinate y2 is not finite"),
+            (ok[:, [2, 1, 0, 3]], [0.5, 0.5], "row 0: box corners out of order"),
+            (ok[:1], [0.5, 0.5], "must hold one entry per box"),
+            (ok.ravel(), [0.5, 0.5], "boxes must be shaped"),
+        ]
+        for boxes, score, message in cases:
+            with pytest.raises(ValueError, match=message):
+                DetectionArrays(boxes, [1, 1], score, [0, 0])
+        with pytest.raises(ValueError, match="row 1: box corners out of order"):
+            GroundTruthArrays([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]], [1, 1], [0, 0])
+
+    def test_arrays_are_read_only_copies(self):
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0]])
+        dets = DetectionArrays(boxes, [1], [0.5], [0])
+        boxes[0, 0] = 0.5
+        assert dets.boxes[0, 0] == 0.0
+        for values in (dets.boxes, dets.class_id, dets.score, dets.scene):
+            assert not values.flags.writeable
 
 
 class TestAic:
