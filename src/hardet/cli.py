@@ -352,9 +352,8 @@ def _evaluate_trained(
 
 
 def cmd_train(
-    cfg: dict, out: Path, scene: SceneConfig, hp: HyperParams, opt: OptimizerConfig
+    cfg: dict, out: Path, scene_set: SceneSet, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
-    scene_set = _build_scene_set(scene)
     model = ToyModel.zeros(scene_set.total_anchors, hp.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
 
@@ -402,9 +401,9 @@ def cmd_train(
 
 
 def cmd_refine(
-    cfg: dict, out: Path, scene: SceneConfig, hp: HyperParams, opt: OptimizerConfig
+    cfg: dict, out: Path, scene_set: SceneSet, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
-    result = refinement_experiment(_build_scene_set(scene), opt, hp)
+    result = refinement_experiment(scene_set, opt, hp)
     plain = refinement_gain(result.pairs_plain)
     weighted = refinement_gain(result.pairs_weighted)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count,mean_gain_iou,mean_gain_hiou\n"]
@@ -477,6 +476,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
         surface = _check_command_blocks(eff)
+        # the two commands that draw scenes judge the draw before writing too
+        scene_set = _build_scene_set(scene) if args.command in ("train", "refine") else None
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":
@@ -486,8 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "surface":
             return cmd_surface(eff, out, surface)
         if args.command == "train":
-            return cmd_train(eff, out, scene, hp, opt)
-        return cmd_refine(eff, out, scene, hp, opt)
+            return cmd_train(eff, out, scene_set, hp, opt)
+        return cmd_refine(eff, out, scene_set, hp, opt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -254,15 +254,12 @@ def generate_scenes(cfg: SceneConfig) -> SceneSet:
             cy += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.height
             bw = base.width * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
             bh = base.height * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            box = Box(
-                max(0.0, cx - bw / 2),
-                max(0.0, cy - bh / 2),
-                min(w, cx + bw / 2),
-                min(h, cy + bh / 2),
-            )
-            if box.width <= 0.0 or box.height <= 0.0:
+            x1, y1 = max(0.0, cx - bw / 2), max(0.0, cy - bh / 2)
+            x2, y2 = min(w, cx + bw / 2), min(h, cy + bh / 2)
+            # a clipped extent of 0 or less: Box would reject its corner order
+            if not (x2 > x1 and y2 > y1):
                 raise ValueError("generated object fell outside the canvas")
-            boxes.append(box)
+            boxes.append(Box(x1, y1, x2, y2))
             classes.append(int(rng.integers(1, cfg.num_classes)))
         scenes.append(Scene(tuple(boxes), tuple(classes)))
     return SceneSet(config=cfg, anchors=anchors, scenes=tuple(scenes))
@@ -559,27 +556,6 @@ def train_toy(
     return model, TrainLog(tuple(records), final_pairs)
 
 
-def sample_records(scene_set: SceneSet, model: ToyModel | None = None) -> list[dict]:
-    """Positives in the JSONL record format the loss evaluator ingests.
-
-    With no model, records carry the untrained predictions (uniform
-    probabilities, zero offsets).
-    """
-    if model is None:
-        model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
-    m = scene_set.matching
-    rows = zip(
-        model.probs()[m.pos_flat].tolist(),
-        m.gt_class.tolist(),
-        m.anchors.tolist(),
-        m.gt.tolist(),
-        model.offsets[m.pos_flat].tolist(),
-    )
-    return [
-        {"probs": p, "gt_class": c, "anchor": a, "gt_box": g, "d": d} for p, c, a, g, d in rows
-    ]
-
-
 def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:
     """One detection per model row, scene by scene and tagged with its
     scene: argmax foreground class and its probability, decoded box. Raises
@@ -736,59 +712,95 @@ class GradCheckReport:
         return max(e.max_err for e in self.entries)
 
 
-def _sample_errors(
-    draws: Sequence[tuple[PositiveSample, tuple[Box, Box]]], hp: HyperParams
+def _gate_errors(
+    draws: Sequence[tuple[PositiveSample, tuple[Box, Box]]],
+    batches: Sequence[tuple[list[PositiveSample], list[np.ndarray]]],
+    hp: HyperParams,
 ) -> dict[str, Callable[[], np.ndarray]]:
-    """Per operation, a thunk for every draw's max normalized analytic-vs-FD
-    error, so that a failure can be charged to its operation.
+    """Per operation of :data:`GRADCHECK_OPS`, in order, a thunk for every
+    draw's max normalized analytic-vs-FD error, so that a failure can be
+    charged to its operation.
 
-    The gradients under test come from the per-sample functions, one call per
-    draw. The central differences run on the array value forms with the draws
-    stacked as rows: a row's value depends on its own row's inputs only, so
-    stepping one input column in every row at once differences every draw.
+    The gradients under test come from the per-sample functions, one call
+    per sample draw, and from one :func:`batch_objective_arrays` call for
+    all batch draws. The central differences run on the array value forms
+    over one row stack: the sample draws, then every batch draw's positives,
+    then its negatives. A row's value depends on its own row's inputs only,
+    so stepping one input column in every row at once differences every
+    draw. The kernel is evaluated once per stepped column and read by every
+    entry that differences it: 1 + 2 (C + 4) kernel calls when the entries
+    share their hyperparameters, as in harmonic mode, 1 + 4 (C + 4) under
+    frozen factors. A batch draw's errors are normalized as for its
+    objective, whose gradient is the per-row gradient over its positive count.
     """
     samples = [s for s, _ in draws]
-    rows = np.arange(len(samples))
-    probs = np.array([s.probs for s in samples])
-    offsets = np.array([s.d.as_array() for s in samples])
-    anchors = corners([s.anchor for s in samples])
-    gt_class = np.array([s.gt_class for s in samples])
+    n = len(samples)
+    positives = samples + [s for pos, _ in batches for s in pos]
+    negatives = [p for _, neg in batches for p in neg]
+    n_pos, n_rows = len(positives), len(positives) + len(negatives)
+    probs = np.array([s.probs for s in positives] + negatives)
+    offsets = np.zeros((n_rows, 4))
+    offsets[:n_pos] = [s.d.as_array() for s in positives]
+    anchors = corners([s.anchor for s in positives])
+    gt_class = np.array([s.gt_class for s in positives])
     fixed = (
         anchors,
-        corners([s.gt_box for s in samples]),
+        corners([s.gt_box for s in positives]),
         gt_class,
-        np.array([s.d_hat.as_array() for s in samples]),
-        rows,
-        np.arange(0),  # no negatives
+        np.array([s.d_hat.as_array() for s in positives]),
+        np.arange(n_pos),
+        np.arange(n_pos, n_rows),
     )
     # probability directions need the differentiable entropy weight; the
     # scalar harmonic_loss and tc_loss ignore freeze_factors (no value
     # depends on beta_e_stop_grad)
     hp_diff = replace(hp, beta_e_stop_grad=False)
     hp_free = replace(hp_diff, freeze_factors=False)
+    evaluated: dict[tuple, BatchArrays] = {}
+
+    def kernel(kernel_hp: HyperParams, p: np.ndarray, d: np.ndarray) -> BatchArrays:
+        """The kernel over the stack at (p, d), evaluated once per distinct input."""
+        key = (kernel_hp, p.tobytes(), d.tobytes())
+        if key not in evaluated:
+            # a non-finite value is reported by finite_diff_grad's check, not as a warning
+            with np.errstate(all="ignore"):
+                evaluated[key] = batch_objective_arrays(p, d, *fixed, kernel_hp)
+        return evaluated[key]
+
+    def fd(
+        kernel_hp: HyperParams, values: Callable[[BatchArrays], np.ndarray], wrt: str
+    ) -> np.ndarray:
+        """(value rows, columns) central differences of ``values`` of the
+        kernel, stepping each column of ``wrt``, "probs" or "offsets"."""
+        if wrt == "probs":
+            return finite_diff_grad(
+                lambda v: values(kernel(kernel_hp, probs + v, offsets)),
+                np.zeros(hp.num_classes),
+                PROB_FD_STEP,
+            )
+        return finite_diff_grad(
+            lambda v: values(kernel(kernel_hp, probs, offsets + v)), np.zeros(4)
+        )
+
+    def fd_err(
+        kernel_hp: HyperParams,
+        values: Callable[[BatchArrays], np.ndarray],
+        grad_probs: np.ndarray,
+        grad_d: np.ndarray,
+        per: int = 1,
+    ) -> np.ndarray:
+        """Per gradient row, the error of both gradients against the
+        differences of as many leading rows of ``values``, all over ``per``."""
+        m = len(grad_probs)
+        return np.maximum(
+            _grad_err(grad_probs / per, fd(kernel_hp, values, "probs")[:m] / per),
+            _grad_err(grad_d / per, fd(kernel_hp, values, "offsets")[:m] / per),
+        )
 
     def harmonic(b: BatchArrays) -> np.ndarray:
-        """Per-positive :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
+        """Per sample draw, :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
         loc = b.sl1 if hp.harmonic_mode == "smooth_l1" else b.loc
-        return (1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc
-
-    def kernel(
-        kernel_hp: HyperParams, value: Callable[[BatchArrays], np.ndarray]
-    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """A per-positive value of the kernel as a function of (probs, offsets)."""
-        return lambda p, d: value(batch_objective_arrays(p, d, *fixed, kernel_hp))
-
-    # (draws, inputs) central differences; a non-finite value is reported by
-    # finite_diff_grad's check, not as a warning
-    def fd_probs(values: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return finite_diff_grad(
-                lambda v: values(probs + v, offsets), np.zeros(hp.num_classes), PROB_FD_STEP
-            )
-
-    def fd_offsets(values: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return finite_diff_grad(lambda v: values(probs, offsets + v), np.zeros(4))
+        return ((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc)[:n]
 
     def stacked(row_of: Callable[[PositiveSample], np.ndarray]) -> np.ndarray:
         return np.array([row_of(s) for s in samples])
@@ -802,7 +814,7 @@ def _sample_errors(
     def decode_jacobian_err() -> np.ndarray:
         # the corner-valued decode gives one (corner, offset) Jacobian per draw
         numeric = finite_diff_grad(
-            lambda v: decode_arrays(offsets + v, anchors).ravel(), np.zeros(4)
+            lambda v: decode_arrays(offsets[:n] + v, anchors[:n]).ravel(), np.zeros(4)
         )
         analytic = stacked(lambda s: decode_jacobian(s.d, s.anchor))
         return _grad_err(analytic, numeric.reshape(-1, 4, 4))
@@ -816,39 +828,55 @@ def _sample_errors(
         analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s), hp.prob_floor))
         # the loc does not depend on the probabilities: the probability
         # difference of harmonic_loss is its fixed-loc difference
-        return _grad_err(analytic, fd_probs(kernel(hp_free, harmonic))[rows, gt_class])
-
-    def probs_and_offsets_err(
-        values: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        grads: Sequence[tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """``grads`` holds each draw's (probability, offset) gradient."""
-        grad_probs, grad_d = (np.array(g) for g in zip(*grads))
-        return np.maximum(
-            _grad_err(grad_probs, fd_probs(values)), _grad_err(grad_d, fd_offsets(values))
-        )
+        return _grad_err(analytic, fd(hp_free, harmonic, "probs")[np.arange(n), gt_class[:n]])
 
     def tc_loss_err() -> np.ndarray:
         grads = [tc_loss(s, hp_diff)[2:] for s in samples]
-        return probs_and_offsets_err(kernel(hp_free, lambda b: b.tc), grads)
+        grad_probs, grad_d = (np.array(g) for g in zip(*grads))
+        return fd_err(hp_free, lambda b: b.tc[:n], grad_probs, grad_d)
 
     def harmonic_det_loss_err() -> np.ndarray:
         breakdowns = [harmonic_det_loss(s, hp_diff) for s in samples]
-        grads = [(bd.grad_probs, bd.grad_d) for bd in breakdowns]
-        return probs_and_offsets_err(kernel(hp_diff, lambda b: b.pos_loss), grads)
+        grad_probs = np.array([bd.grad_probs for bd in breakdowns])
+        grad_d = np.array([bd.grad_d for bd in breakdowns])
+        return fd_err(hp_diff, lambda b: b.pos_loss[:n], grad_probs, grad_d)
+
+    # each batch draw's rows, positives first; the first BATCH_POSITIVES
+    # positives belong to draw 0, and so on
+    n_batch = n_pos - n
+    draw = np.concatenate([
+        np.arange(n_batch) // BATCH_POSITIVES, np.arange(len(negatives)) // BATCH_NEGATIVES
+    ])
+
+    def batch_values(b: BatchArrays) -> np.ndarray:
+        # each batch row's loss, then each batch draw's summed loss, so that
+        # the finite check also fails a draw whose objective overflows
+        rows = np.concatenate([b.pos_loss[n:], b.neg_loss])
+        return np.concatenate([rows, np.bincount(draw, weights=rows)])
+
+    def batch_objective_err() -> np.ndarray:
+        if not batches:
+            return np.zeros(0)
+        b = kernel(hp_diff, probs, offsets)
+        err = fd_err(hp_diff, batch_values, b.grad_probs[n:], b.grad_d[n:], BATCH_POSITIVES)
+        return np.maximum(
+            err[:n_batch].reshape(-1, BATCH_POSITIVES).max(axis=1),
+            err[n_batch:].reshape(-1, BATCH_NEGATIVES).max(axis=1),
+        )
 
     return {
         "iou_grad": iou_grad_err,
         "decode_jacobian": decode_jacobian_err,
         "harmonic_cls_grad": harmonic_cls_grad_err,
         "harmonic_reg_grad": lambda: _grad_err(
-            stacked(lambda s: harmonic_reg_grad(s, hp)), fd_offsets(kernel(hp_free, harmonic))
+            stacked(lambda s: harmonic_reg_grad(s, hp)), fd(hp_free, harmonic, "offsets")
         ),
         "full_loc_loss": lambda: _grad_err(
-            stacked(lambda s: full_loc_loss(s, hp)[1]), fd_offsets(kernel(hp_free, lambda b: b.loc))
+            stacked(lambda s: full_loc_loss(s, hp)[1]), fd(hp_free, lambda b: b.loc[:n], "offsets")
         ),
         "tc_loss": tc_loss_err,
         "harmonic_det_loss": harmonic_det_loss_err,
+        "batch_objective": batch_objective_err,
     }
 
 
@@ -888,63 +916,6 @@ def _random_batch(
     return positives, negatives
 
 
-def _batch_errors(
-    batches: Sequence[tuple[list[PositiveSample], list[np.ndarray]]], hp: HyperParams
-) -> np.ndarray:
-    """Per batch draw, the max normalized error of :func:`batch_objective_arrays`'
-    gradients against central differences of its per-row losses.
-
-    The draws stack into one batch, every positive row before every negative
-    row. A row's loss depends on its own probabilities and offsets only, so
-    stepping one column in all rows at once differences every row with one
-    pair of kernel calls: 2 (C + 4) calls check the whole stack. Errors are
-    normalized as for one draw's objective, whose gradient is the per-row
-    gradient over the draw's positive count.
-    """
-    hp_diff = replace(hp, beta_e_stop_grad=False)
-    positives = [s for pos, _ in batches for s in pos]
-    negatives = [p for _, neg in batches for p in neg]
-    n_pos, n_rows = len(positives), len(positives) + len(negatives)
-    probs = np.array([s.probs for s in positives] + negatives)
-    offsets = np.zeros((n_rows, 4))
-    offsets[:n_pos] = [s.d.as_array() for s in positives]
-    fixed = (
-        corners([s.anchor for s in positives]),
-        corners([s.gt_box for s in positives]),
-        np.array([s.gt_class for s in positives]),
-        np.array([s.d_hat.as_array() for s in positives]),
-        np.arange(n_pos),
-        np.arange(n_pos, n_rows),
-        hp_diff,
-    )
-    draw = np.concatenate([
-        np.arange(n_pos) // BATCH_POSITIVES, np.arange(len(negatives)) // BATCH_NEGATIVES
-    ])
-
-    def losses(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        # each row's loss, then each draw's summed loss, so that the finite
-        # check also fails a draw whose objective overflows
-        batch = batch_objective_arrays(p, d, *fixed)
-        rows = np.concatenate([batch.pos_loss, batch.neg_loss])
-        return np.concatenate([rows, np.bincount(draw, weights=rows)])
-
-    # an overflow is reported by finite_diff_grad's check, not as a warning
-    with np.errstate(all="ignore"):
-        batch = batch_objective_arrays(probs, offsets, *fixed)
-        fd_p = finite_diff_grad(
-            lambda v: losses(probs + v, offsets), np.zeros(hp.num_classes), PROB_FD_STEP
-        )[:n_rows]
-        fd_d = finite_diff_grad(lambda v: losses(probs, offsets + v), np.zeros(4))[:n_rows]
-    n = BATCH_POSITIVES
-    err = np.maximum(
-        _grad_err(batch.grad_probs / n, fd_p / n), _grad_err(batch.grad_d / n, fd_d / n)
-    )
-    return np.maximum(
-        err[:n_pos].reshape(-1, BATCH_POSITIVES).max(axis=1),
-        err[n_pos:].reshape(-1, BATCH_NEGATIVES).max(axis=1),
-    )
-
-
 GRADCHECK_OPS = (
     "iou_grad",
     "decode_jacobian",
@@ -966,9 +937,10 @@ def run_gradcheck(
 ) -> GradCheckReport:
     """Analytic-vs-FD sweep over every differentiated operation.
 
-    ``num_samples`` draws check the per-sample operations, all draws at once
-    per operation; then ``batch_draws`` batch draws check
-    :func:`batch_objective_arrays`, the kernel that trains. Errors are
+    ``num_samples`` draws check the per-sample operations, and
+    ``batch_draws`` batch draws, drawn after them, check
+    :func:`batch_objective_arrays`, the kernel that trains; every draw is
+    checked at once, in one gate pass (:func:`_gate_errors`). Errors are
     normalized by max(1, |gradient|) and reduced by max over the draws. At
     least one sample is required, so that a report never passes without
     checking anything, and :func:`check_draw_floor` must pass. Raises
@@ -993,11 +965,8 @@ def run_gradcheck(
         (random_positive_sample(rng, hp, min_prob=floor), _random_box_pair(rng))
         for _ in range(num_samples)
     ]
-    errors = {op: computed(op, err) for op, err in _sample_errors(draws, hp).items()}
-    errors["batch_objective"] = np.zeros(0)
-    if batch_draws:
-        batches = [_random_batch(rng, hp) for _ in range(batch_draws)]
-        errors["batch_objective"] = computed("batch_objective", lambda: _batch_errors(batches, hp))
+    batches = [_random_batch(rng, hp) for _ in range(batch_draws)]
+    errors = {op: computed(op, err) for op, err in _gate_errors(draws, batches, hp).items()}
 
     def entry(op: str) -> GradCheckEntry:
         # argmax picks a NaN error first, so a NaN fails the entry

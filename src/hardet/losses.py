@@ -71,6 +71,11 @@ class HyperParams:
                 f"gamma={self.gamma} breaks HIoU monotonicity; values above 1 "
                 "need allow_gamma_above_one=True"
             )
+        # (1 + IoU)^gamma is 2^gamma at IoU 1; written so that NaN fails too
+        if not self.gamma < 1024.0:
+            raise ValueError(
+                f"gamma must be < 1024, where (1 + IoU)^gamma overflows, got {self.gamma}"
+            )
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
         if self.num_classes < 2:
@@ -639,7 +644,9 @@ def gradient_surface(
     """Classification gradient tabulated over (loc, p); rows index loc.
 
     Standard mode returns -1/p in every row; harmonic mode applies the
-    regression-supervised closed form loc - (1+e^-loc)/p.
+    regression-supervised closed form loc - (1+e^-loc)/p. Raises
+    ``ValueError`` when a tabulated gradient overflows the float range, as
+    it does at a p small enough.
     """
     p = np.asarray(p_grid, dtype=float)
     loc = np.asarray(loc_grid, dtype=float)
@@ -649,8 +656,16 @@ def gradient_surface(
         raise ValueError("p_grid values must lie in (0, 1]")
     if np.any(loc < 0.0) or not np.all(np.isfinite(loc)):
         raise ValueError("loc_grid values must be finite and >= 0")
-    if mode == "standard":
-        return np.tile(-1.0 / p, (loc.size, 1))
-    if mode == "harmonic":
-        return loc[:, None] - (1.0 + np.exp(-loc))[:, None] / p[None, :]
-    raise ValueError(f"unknown surface mode: {mode!r}")
+    if mode not in ("standard", "harmonic"):
+        raise ValueError(f"unknown surface mode: {mode!r}")
+    # an overflow is reported below, naming its p, not as a warning
+    with np.errstate(all="ignore"):
+        if mode == "standard":
+            grid = np.tile(-1.0 / p, (loc.size, 1))
+        else:
+            grid = loc[:, None] - (1.0 + np.exp(-loc))[:, None] / p[None, :]
+    finite = np.isfinite(grid).all(axis=0)
+    if not finite.all():
+        at = float(p[np.argmin(finite)])
+        raise ValueError(f"the {mode} gradient at p={at!r} overflows the float range")
+    return grid

@@ -1,7 +1,7 @@
 """The gradient gate's per-draw reference: one draw at a time, every central
 difference through the per-sample scalar functions.
 
-``harness._sample_errors`` checks all draws at once on the array value forms;
+``harness._gate_errors`` checks all draws at once on the array value forms;
 the tests hold its errors to ``_check_one``'s bit for bit.
 """
 

@@ -1,0 +1,90 @@
+"""The benchmark's reach into hardet.
+
+``perfbench/tracer.py`` resolves every traced name by ``getattr``, and
+``perfbench/child.py`` calls ``hardet.cli`` and ``hardet.harness`` names
+directly. A renamed or deleted name breaks only traced benchmark runs, and
+perfbench's own tests sit outside the default test paths and time things.
+These tests run the benchmark's own modules, loaded by path, on a small
+config, and assert no timing.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hardet import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer():
+    return _load("tracer")
+
+
+def test_tracer_installs_on_every_traced_name_and_restores(tracer):
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        wrapped = set(tracer.installed_wrappers())
+    finally:
+        tr.restore()
+    assert tracer.installed_wrappers() == []
+    for qual in tracer.traced_names():
+        layer, name = qual.split(".", 1)
+        if name.endswith(".init"):
+            want = f"hardet.{layer}.{name[: -len('.init')]}.__post_init__"
+        else:
+            want = f"hardet.{layer}.{name}"
+        assert want in wrapped, qual
+
+
+@pytest.mark.parametrize("command", ["train", "refine"])
+def test_child_runs_a_traced_command_with_its_facts(tmp_path, monkeypatch, tracer, command):
+    """``child.main`` end to end: its set-up through ``cli``, the command
+    under the tracer, and the scene facts it reads through ``hardet``."""
+    config = tmp_path / "config.json"
+    small = {
+        "scene": {"num_scenes": 2, "objects_per_scene": [2, 3]},
+        "optimizer": {"steps": 5, "log_every": 5, "gradcheck_samples": 3},
+    }
+    config.write_text(json.dumps(small))
+    out = tmp_path / "out"
+    spec = {
+        "src": str(Path(cli.__file__).resolve().parent.parent),
+        "config": str(config),
+        "seed": 3,
+        "argv": [command, "--config", str(config), "--seed", "3", "--out", str(out)],
+        "trace": True,
+        "run_id": "0",
+        "trace_path": str(tmp_path / "trace.json"),
+        "facts": True,
+        "out": str(out),
+        "result_path": str(tmp_path / "result.json"),
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    # child.py imports the tracer by name and puts its src first on sys.path
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "argv", ["child.py", str(tmp_path / "spec.json")])
+    child = _load("child")
+    child.CALIB_LOOPS = 10  # the host calibration only feeds timings
+    assert child.main() == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["exit_code"] == 0
+    assert result["facts"]["positive_count"] >= result["facts"]["gt_count"] > 0
+    metrics = json.loads((tmp_path / "trace.json").read_text())["metrics"]
+    assert metrics[f"cli.cmd_{command}.calls"] == 1
+    assert metrics["harness.generate_scenes.calls"] == 1
+    assert sum(v for k, v in metrics.items() if k.endswith(".errors")) == 0
+    assert tracer.installed_wrappers() == []

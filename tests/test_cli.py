@@ -417,6 +417,20 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
             "config.hyperparams.prob_floor: 0.3 puts the gradient gate's draw floor at 0.6, "
             "which 5 class probabilities summing to 1 cannot all reach",
         ),
+        # gradients past the float range, not a p bound: 1e-308 overflows in
+        # harmonic mode only
+        (
+            {"surface": {"p_min": 5e-324, "mode": "standard"}},
+            "config.surface: the standard gradient at p=5e-324 overflows the float range",
+        ),
+        (
+            {"surface": {"p_min": 1e-308}},
+            "config.surface: the harmonic gradient at p=1e-308 overflows the float range",
+        ),
+        (
+            {"hyperparams": {"gamma": 2600, "allow_gamma_above_one": True}},
+            "config.hyperparams: gamma must be < 1024, where (1 + IoU)^gamma overflows, got 2600",
+        ),
     ],
 )
 def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
@@ -436,6 +450,21 @@ def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
         )
         # rejected before the output directory or run_meta.json is written
         assert not out.exists()
+
+
+def test_scene_draw_off_the_canvas_exits_1_before_writing(tmp_path):
+    """The draw is judged by the two commands that draw scenes, before their
+    output directory is written; gradcheck draws none."""
+    cfg = write_config(tmp_path, {"scene": {"jitter": 0.9}, "gradcheck": {"samples": 3}})
+    for command in ("train", "refine"):
+        out = tmp_path / command
+        out.mkdir()
+        assert _run_quietly([command, "--config", cfg, "--out", str(out)]) == (
+            EXIT_VALIDATION,
+            "error: config.scene: generated object fell outside the canvas\n",
+        )
+        assert list(out.iterdir()) == []
+    assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "gradcheck")]) == EXIT_OK
 
 
 def test_benchmark_entry_points_keep_their_names():

@@ -41,10 +41,8 @@ from hardet.harness import (
     random_positive_sample,
     refinement_experiment,
     run_gradcheck,
-    sample_records,
     train_toy,
 )
-from hardet.losses import positive_sample_from_json
 from hardet.metrics import aic, iou_histogram
 
 import gate_reference
@@ -109,6 +107,12 @@ class TestGenerateScenes:
             for b in scene.gt_boxes:
                 assert 0.0 <= b.x1 <= b.x2 <= w
                 assert 0.0 <= b.y1 <= b.y2 <= h
+
+    def test_object_clipped_off_the_canvas_is_named(self):
+        # at seed 0 an object's center lands left of the canvas: clipped, its
+        # right edge falls left of its left edge
+        with pytest.raises(ValueError, match="^generated object fell outside the canvas$"):
+            generate_scenes(SceneConfig(seed=0, anchor_spacing=3.0, jitter=0.9))
 
     def test_classes_are_foreground(self):
         ss = generate_scenes(SceneConfig(seed=3, num_scenes=10))
@@ -603,59 +607,6 @@ class TestToyModel:
             model_detections(ss, model)
 
 
-class TestSampleExport:
-    def test_records_parse_back_into_samples(self):
-        import json
-
-        ss, hp, model = small_setup()
-        records = sample_records(ss, model)
-        assert records
-        for record in records:
-            line = json.dumps(record)
-            sample = positive_sample_from_json(json.loads(line))
-            assert sample.num_classes == ss.config.num_classes
-
-    def test_default_model_is_untrained(self):
-        ss, _, _ = small_setup()
-        for record in sample_records(ss):
-            assert record["d"] == [0.0, 0.0, 0.0, 0.0]
-            np.testing.assert_allclose(record["probs"], 0.2)
-
-    @pytest.mark.parametrize("trained", [False, True])
-    def test_records_equal_a_per_scene_walk(self, trained):
-        import json
-
-        ss, hp, model = small_setup(seed=6)
-        if trained:
-            rng = np.random.default_rng(6)
-            model.logits[:] = rng.normal(size=model.logits.shape)
-            model.offsets[:] = rng.uniform(-0.5, 0.5, size=model.offsets.shape)
-        got = sample_records(ss, model if trained else None)
-        want = per_scene_sample_records(ss, model)
-        assert json.dumps(got) == json.dumps(want)
-
-
-def per_scene_sample_records(scene_set, model):
-    """Sample records built scene by scene from each scene's own matching."""
-    probs = model.probs()
-    a = scene_set.anchors_per_scene
-    records = []
-    for s_idx, scene in enumerate(scene_set.scenes):
-        m = match_anchors(scene, scene_set.anchors, scene_set.config.positive_iou_threshold)
-        for local_a, g in zip(m.pos_anchor, m.pos_gt):
-            fa = s_idx * a + local_a
-            records.append(
-                {
-                    "probs": [float(p) for p in probs[fa]],
-                    "gt_class": int(scene.gt_classes[g]),
-                    "anchor": [float(v) for v in scene_set.anchors[local_a].as_array()],
-                    "gt_box": [float(v) for v in scene.gt_boxes[g].as_array()],
-                    "d": [float(x) for x in model.offsets[fa]],
-                }
-            )
-    return records
-
-
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
@@ -703,6 +654,27 @@ class TestGradCheck:
         hp = HyperParams(num_classes=5, alpha=float("inf"))
         with pytest.raises(NumericalError, match="gradcheck harmonic_cls_grad: loss not finite"):
             run_gradcheck(hp, num_samples=2, batch_draws=0)
+
+    @pytest.mark.parametrize("field", ["pos_loss", "neg_loss"])
+    def test_non_finite_batch_row_fails_the_batch_entry_only(self, monkeypatch, field):
+        # the stack's last positive and last negative belong to batch draws;
+        # the sample entries read the same evaluations but not those rows
+        real = harness.batch_objective_arrays
+
+        def poisoned(*args):
+            batch = real(*args)
+            values = getattr(batch, field).copy()
+            values[-1] = math.inf
+            return replace(batch, **{field: values})
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", poisoned)
+        hp = HyperParams(num_classes=5)
+        with pytest.raises(NumericalError, match=r"^gradcheck batch_objective: loss not finite near params\[0\]$"):
+            run_gradcheck(hp, num_samples=2, seed=0)
+        # without batch draws the last positive is a sample draw's
+        if field == "pos_loss":
+            with pytest.raises(NumericalError, match="^gradcheck harmonic_det_loss: loss not finite"):
+                run_gradcheck(hp, num_samples=2, seed=0, batch_draws=0)
 
     def test_report_covers_every_operation_once(self):
         hp = HyperParams(num_classes=5)
@@ -800,14 +772,22 @@ class TestGradCheck:
             return real(*args)
 
         monkeypatch.setattr(harness, "batch_objective_arrays", counted)
-        hp = HyperParams(num_classes=5)
-        report = run_gradcheck(hp, num_samples=2, seed=0, batch_draws=4)
-        assert report.passed
-        # one analytic call plus 2 (C + 4) differenced calls, for all four draws;
-        # the per-sample entries difference their own two-row stack
-        rows = 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
-        batch_calls = [args for args in calls if len(args[0]) == rows]
-        assert len(batch_calls) == 1 + 2 * (hp.num_classes + 4)
+        # every call runs on one stack: the two sample draws, then every
+        # batch draw's positives, then its negatives
+        rows = 2 + 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
+        for num_classes in (3, 5):
+            hp = HyperParams(num_classes=num_classes)
+            stepped = 2 * (num_classes + 4)
+            # one analytic call, then each stepped column once for all the
+            # entries that share hyperparameters: in harmonic mode all do;
+            # compat_standard frees the factors for some entries only
+            for gate_hp, want in ((hp, 1 + stepped), (hp.compat_standard(), 1 + 2 * stepped)):
+                calls.clear()
+                report = run_gradcheck(gate_hp, num_samples=2, seed=0, batch_draws=4)
+                assert report.passed
+                assert len(calls) == want
+                assert {len(args[0]) for args in calls} == {rows}
+                assert {len(args[7]) for args in calls} == {4 * harness.BATCH_NEGATIVES}
 
     @pytest.mark.parametrize(
         "mutant",
@@ -836,11 +816,11 @@ class TestGradCheck:
                 (random_positive_sample(rng, hp), harness._random_box_pair(rng))
                 for _ in range(samples)
             ]
+            batches = [harness._random_batch(rng, hp) for _ in range(batch_draws)]
             if e.op == "batch_objective":
-                batches = [harness._random_batch(rng, hp) for _ in range(batch_draws)]
-                replayed = harness._batch_errors([batches[e.worst_draw]], hp)[0]
+                replayed = harness._gate_errors([], [batches[e.worst_draw]], hp)[e.op]()[0]
             else:
-                replayed = harness._sample_errors([draws[e.worst_draw]], hp)[e.op]()[0]
+                replayed = harness._gate_errors([draws[e.worst_draw]], [], hp)[e.op]()[0]
             assert 0 <= e.worst_draw < (batch_draws if e.op == "batch_objective" else samples)
             assert replayed == e.max_err > 0.0, e.op
 
@@ -852,11 +832,15 @@ class TestGradCheck:
         draws = [
             (random_positive_sample(rng, hp), harness._random_box_pair(rng)) for _ in range(20)
         ]
-        stacked = {op: err() for op, err in harness._sample_errors(draws, hp).items()}
-        assert list(stacked) == list(harness.GRADCHECK_OPS[:-1])
-        for op, errors in stacked.items():
+        batches = [harness._random_batch(rng, hp) for _ in range(3)]
+        stacked = {op: err() for op, err in harness._gate_errors(draws, batches, hp).items()}
+        assert list(stacked) == list(harness.GRADCHECK_OPS)
+        for op in harness.GRADCHECK_OPS[:-1]:
             want = [gate_reference._check_one(sample, pair, hp)[op]() for sample, pair in draws]
-            assert errors.tolist() == want, op
+            assert stacked[op].tolist() == want, op
+        # the batch draws' errors do not depend on the rows stacked with them
+        alone = [harness._gate_errors([], [batch], hp)["batch_objective"]()[0] for batch in batches]
+        assert stacked["batch_objective"].tolist() == alone
 
     @pytest.mark.parametrize("op", harness.GRADCHECK_OPS[:-1])
     def test_mutant_scalar_gradient_fails_its_operation(self, monkeypatch, op):
@@ -905,6 +889,17 @@ class TestGradCheck:
     def test_max_errors_are_pinned_bit_for_bit(self, seed, expected):
         report = run_gradcheck(HyperParams(num_classes=5), num_samples=20, seed=seed)
         assert [e.max_err.hex() for e in report.entries] == expected
+
+    # max_err of every op at seed 0 under compat_standard, the hyperparameters
+    # standard-mode training gates, before the entries shared one stack
+    def test_standard_mode_max_errors_are_pinned_bit_for_bit(self):
+        hp = HyperParams(num_classes=5).compat_standard()
+        report = run_gradcheck(hp, num_samples=20, seed=0)
+        assert [e.max_err.hex() for e in report.entries] == [
+            "0x1.59d9f80000000p-33", "0x1.3a9e7aaef0314p-31", "0x1.7791dc3762e26p-33",
+            "0x1.51bb0f0000000p-31", "0x1.8ebc800000000p-36", "0x1.4025a80000000p-35",
+            "0x1.d877c00000000p-32", "0x1.1cf207cad6409p-24",
+        ]
 
 
 class TestRefinementExperiment:

@@ -122,6 +122,15 @@ class TestHyperParams:
         hp = HyperParams(gamma=1.5, allow_gamma_above_one=True)
         assert hp.gamma == 1.5
 
+    def test_gamma_past_the_float_range_rejected(self):
+        # the largest gamma whose HIoU weight stays finite at IoU 1
+        gamma = math.nextafter(1024.0, 0.0)
+        HyperParams(gamma=gamma, allow_gamma_above_one=True)
+        assert math.isfinite(hiou_loss(0.999, gamma))
+        for bad in (1024.0, 2600.0, math.nan):
+            with pytest.raises(ValueError, match="gamma must be < 1024"):
+                HyperParams(gamma=bad, allow_gamma_above_one=True)
+
     def test_margin_range(self):
         with pytest.raises(ValueError):
             HyperParams(margin=1.0)
@@ -730,6 +739,28 @@ class TestGradientSurface:
         assert np.all(grid < 0)
         mags = np.abs(grid)
         assert np.all(np.diff(mags, axis=0) < 0)
+
+    @pytest.mark.parametrize(
+        "mode, p_min, overflows",
+        [
+            ("standard", 5e-324, True),
+            ("standard", 1e-308, False),
+            ("harmonic", 5e-324, True),
+            # (1 + e^0) / 1e-308 is past the float range, 1 / 1e-308 is not
+            ("harmonic", 1e-308, True),
+        ],
+    )
+    def test_overflowing_gradient_is_rejected_without_a_warning(self, mode, p_min, overflows):
+        p = np.array([p_min, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflows:
+                with pytest.raises(
+                    ValueError, match=rf"^the {mode} gradient at p={p_min!r} overflows the float range$"
+                ):
+                    gradient_surface(p, [0.0, 1.2], mode)
+            else:
+                assert np.all(np.isfinite(gradient_surface(p, [0.0, 1.2], mode)))
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
