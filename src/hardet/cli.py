@@ -24,17 +24,23 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
-from .losses import HyperParams, gradient_surface, harmonic_det_loss, positive_sample_from_json
+from .losses import (
+    HyperParams,
+    LossBreakdown,
+    gradient_surface,
+    harmonic_det_loss,
+    positive_sample_from_json,
+)
 from .metrics import (
     DEFAULT_AP_THRESHOLDS,
     DEFAULT_IOU_BIN_EDGES,
     DetectionArrays,
     aic,
-    average_precision_arrays,
+    average_precision,
     check_iou_thresholds,
-    consistency_scatter_arrays,
+    consistency_scatter,
     iou_histogram,
-    nms_arrays,
+    nms,
     refinement_gain,
 )
 from .harness import (
@@ -107,6 +113,14 @@ _BLOCK_KEYS = {
     },
 }
 _TOP_KEYS = {"seed": int, **{name: dict for name in _BLOCK_KEYS}}
+# one line of a loss-eval samples file, checked as a config block is
+_SAMPLE_KEYS = {
+    "probs": list[float],
+    "gt_class": int,
+    "anchor": list[float],
+    "gt_box": list[float],
+    "d": list[float],
+}
 
 
 def _check_value(value: Any, expected: Any, path: str) -> None:
@@ -139,14 +153,20 @@ def _check_block(block: Any, allowed: dict[str, Any], path: str) -> dict:
     return dict(block)
 
 
+def _read_text(path: str, kind: str) -> str:
+    """The text of an input file; one that cannot be read, or is not UTF-8,
+    is a ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
+
+
 def load_config(path: str | None) -> dict:
     """Parse and schema-check the config file; {} when no file is given."""
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = _read_text(path, "config file")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,25 +319,26 @@ def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def cmd_loss_eval(out: Path, hp: HyperParams, samples_path: str) -> int:
-    try:
-        text = Path(samples_path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read samples file {samples_path}: {exc}") from exc
-    out_lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
+    """The loss breakdown of every non-blank line of a samples file; a line
+    that is not a valid sample is a ``ConfigError`` naming it."""
+    breakdowns = []
+    for lineno, line in enumerate(_read_text(samples_path, "samples file").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _check_block(json.loads(line), _SAMPLE_KEYS, "sample")
             sample = positive_sample_from_json(record)
-            breakdown = harmonic_det_loss(sample, replace(hp, num_classes=sample.num_classes))
+            breakdowns.append(harmonic_det_loss(sample, replace(hp, num_classes=sample.num_classes)))
         except (ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc
-        out_lines.append(json.dumps(breakdown.to_json(), sort_keys=True))
+    return breakdowns
+
+
+def cmd_loss_eval(out: Path, breakdowns: list[LossBreakdown]) -> int:
     target = out / "breakdowns.jsonl"
-    target.write_text("".join(line + "\n" for line in out_lines))
-    print(f"loss-eval: wrote {len(out_lines)} breakdowns to {target}")
+    target.write_text("".join(json.dumps(b.to_json(), sort_keys=True) + "\n" for b in breakdowns))
+    print(f"loss-eval: wrote {len(breakdowns)} breakdowns to {target}")
     return EXIT_OK
 
 
@@ -340,15 +361,15 @@ def _evaluate_trained(
     their best IoUs with a ground truth of a trained model on its scenes; AP
     and the IoUs match within (scene, class) groups."""
     dets = model_detections(scene_set, model)
-    rows = nms_arrays(dets, nms_threshold)
+    rows = nms(dets, nms_threshold)
     kept = dets.take(rows[np.argsort(dets.scene[rows], kind="stable")])
     gts = scene_set.ground_truth
-    ap = average_precision_arrays(kept, gts, ap_thresholds)
+    ap = average_precision(kept, gts, ap_thresholds)
     ap_payload = {
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
-    return ap_payload, kept, consistency_scatter_arrays(kept, gts)
+    return ap_payload, kept, consistency_scatter(kept, gts)
 
 
 def cmd_train(
@@ -476,14 +497,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
         surface = _check_command_blocks(eff)
-        # the two commands that draw scenes judge the draw before writing too
+        # the commands that draw scenes or read samples judge them before writing too
         scene_set = _build_scene_set(scene) if args.command in ("train", "refine") else None
+        breakdowns = _loss_breakdowns(args.samples, hp) if args.command == "loss-eval" else None
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":
             return cmd_gradcheck(eff, out, hp)
         if args.command == "loss-eval":
-            return cmd_loss_eval(out, hp, args.samples)
+            return cmd_loss_eval(out, breakdowns)
         if args.command == "surface":
             return cmd_surface(eff, out, surface)
         if args.command == "train":

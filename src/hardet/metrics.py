@@ -3,12 +3,9 @@
 Greedy NMS, averaged AP over IoU thresholds, the average inconsistency
 coefficient (AIC) between scores and IoUs, IoU histograms, per-bin
 refinement gains, and score-vs-IoU scatter rows. NMS, AP and the scatter
-group boxes by (scene, class_id) and compare only within a group. They run
-on :class:`DetectionArrays` and :class:`GroundTruthArrays` (``nms_arrays``,
-``average_precision_arrays``, ``consistency_scatter_arrays``); the forms
-over :class:`Detection` and :class:`GroundTruth` lists run those on their
-inputs' arrays. All functions are pure and deterministic; ties break by
-input index.
+run on :class:`DetectionArrays` and :class:`GroundTruthArrays`; they group
+boxes by (scene, class_id) and compare only within a group. All functions
+are pure and deterministic; ties break by row.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, corners, iou_matrix
+from .geom import iou_matrix
 from .geom import iou  # noqa: F401 - unused; perfbench's tracer test patches hardet.metrics.iou
 
 DEFAULT_AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -27,50 +24,6 @@ DEFAULT_GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 # box pairs one block of an NMS suppression matrix holds: bounds its float
 # temporaries to 32 KB each, so a dense group costs no more memory than a small one
 NMS_BLOCK_PAIRS = 4096
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A decoded box with class id and confidence score, in one scene."""
-
-    box: Box
-    class_id: int
-    score: float
-    scene: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """An annotated box with class id, in one scene."""
-
-    box: Box
-    class_id: int
-    scene: int = 0
-
-
-def _check_record(obj: object, required: set[str], kind: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{kind} record must be an object, got {type(obj).__name__}")
-    missing = required - obj.keys()
-    if missing:
-        raise ValueError(f"{kind} record missing fields: {sorted(missing)}")
-
-
-def detection_from_json(obj: object) -> Detection:
-    """Build a detection from the JSONL record format of this package."""
-    _check_record(obj, {"box", "class_id", "score"}, "detection")
-    box, scene = Box.from_array(obj["box"]), int(obj.get("scene", 0))
-    return Detection(box, int(obj["class_id"]), float(obj["score"]), scene)
-
-
-def ground_truth_from_json(obj: object) -> GroundTruth:
-    """Build a ground truth from the JSONL record format of this package."""
-    _check_record(obj, {"box", "class_id"}, "ground-truth")
-    return GroundTruth(Box.from_array(obj["box"]), int(obj["class_id"]), int(obj.get("scene", 0)))
 
 
 def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
@@ -119,9 +72,8 @@ class DetectionArrays:
     """Detections as arrays: row ``k`` is box ``boxes[k]`` (corners) of class
     ``class_id[k]`` with score ``score[k]`` in scene ``scene[k]``.
 
-    The array form of a :class:`Detection` list, validated as
-    :class:`Detection` and :class:`Box` validate each row. The arrays are
-    read-only copies of the ones given.
+    Every row is checked: a score in [0, 1] and a box that passes
+    :class:`Box`'s checks. The arrays are read-only copies of the ones given.
     """
 
     boxes: np.ndarray
@@ -139,15 +91,6 @@ class DetectionArrays:
 
     def __len__(self) -> int:
         return len(self.boxes)
-
-    @classmethod
-    def of(cls, dets: Sequence[Detection]) -> "DetectionArrays":
-        return cls(
-            corners([d.box for d in dets]),
-            [d.class_id for d in dets],
-            [d.score for d in dets],
-            [d.scene for d in dets],
-        )
 
     def take(self, rows: np.ndarray) -> "DetectionArrays":
         """The detections at ``rows``, in that order."""
@@ -172,10 +115,6 @@ class GroundTruthArrays:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    @classmethod
-    def of(cls, gts: Sequence[GroundTruth]) -> "GroundTruthArrays":
-        return cls(corners([g.box for g in gts]), [g.class_id for g in gts], [g.scene for g in gts])
-
 
 def _by_score(dets: DetectionArrays) -> np.ndarray:
     """Rows in score order, ties by row."""
@@ -197,15 +136,9 @@ def _group_rows(
     return dict(zip(keys, np.split(order, starts[1:])))
 
 
-def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy suppression within each (scene, class) group; keeps score
-    order, ties by input index. :func:`nms_arrays` on the detections'
-    arrays."""
-    return [dets[k] for k in nms_arrays(DetectionArrays.of(dets), iou_threshold).tolist()]
-
-
-def nms_arrays(dets: DetectionArrays, iou_threshold: float) -> np.ndarray:
-    """The rows :func:`nms` keeps, in score order (ties by row)."""
+def nms(dets: DetectionArrays, iou_threshold: float) -> np.ndarray:
+    """Greedy suppression within each (scene, class) group: the rows kept,
+    in score order, ties by row."""
     check_iou_thresholds([iou_threshold])
     order = _by_score(dets)
     keep = np.zeros(len(dets), dtype=bool)
@@ -237,12 +170,6 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
         decided[: block.size] = True
         live = live[~decided]
     return keep
-
-
-def _ap_from_matches(tp_flags: Sequence[bool], num_gt: int) -> float:
-    """Area under the running-max precision envelope (all-point AP) of a
-    ranked list's TP/FP flags."""
-    return _ap_at(np.flatnonzero(tp_flags), num_gt)
 
 
 def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
@@ -299,29 +226,17 @@ class APResult:
 
 
 def average_precision(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
-) -> APResult:
-    """COCO-style AP: greedy score-ordered matching, all-point envelope.
-
-    Matching and averaging run per (scene, class) group. Groups without
-    ground truth are absent from the report; their detections do not enter
-    any other group's precision. :func:`average_precision_arrays` on the
-    inputs' arrays.
-    """
-    return average_precision_arrays(
-        DetectionArrays.of(dets), GroundTruthArrays.of(gts), iou_thresholds
-    )
-
-
-def average_precision_arrays(
     dets: DetectionArrays,
     gts: GroundTruthArrays,
     iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
 ) -> APResult:
-    """:func:`average_precision` of detection and ground-truth arrays, ties
-    in score ranked by row."""
+    """COCO-style AP: greedy score-ordered matching, all-point envelope;
+    ties in score rank by row.
+
+    Matching and averaging run per (scene, class) group. Groups without
+    ground truth are absent from the report; their detections do not enter
+    any other group's precision.
+    """
     thresholds = check_iou_thresholds(iou_thresholds)
     det_groups = _group_rows(dets, _by_score(dets))
     none = np.zeros(0, dtype=int)
@@ -423,19 +338,9 @@ def refinement_gain(
     return BinnedGain(edges=edges, counts=counts, means=means)
 
 
-def consistency_scatter(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth]
-) -> list[tuple[float, float]]:
-    """(score, best IoU with a ground truth of its scene and class) per
-    detection; 0 IoU when there is none. The IoUs are
-    :func:`consistency_scatter_arrays` of the inputs' arrays."""
-    best = consistency_scatter_arrays(DetectionArrays.of(dets), GroundTruthArrays.of(gts))
-    return [(d.score, b) for d, b in zip(dets, best.tolist())]
-
-
-def consistency_scatter_arrays(dets: DetectionArrays, gts: GroundTruthArrays) -> np.ndarray:
+def consistency_scatter(dets: DetectionArrays, gts: GroundTruthArrays) -> np.ndarray:
     """Each detection's best IoU with a ground truth of its scene and class,
-    0 when there is none: the IoU column of :func:`consistency_scatter`."""
+    0 when there is none: the IoU column of the score-vs-IoU scatter."""
     best = np.zeros(len(dets))
     gt_groups = _group_rows(gts, np.arange(len(gts)))
     for key, rows in _group_rows(dets, np.arange(len(dets))).items():

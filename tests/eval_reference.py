@@ -6,9 +6,12 @@ threshold.
 
 ``cli._evaluate_trained`` evaluates on ``DetectionArrays`` from the decode to
 the scatter; the tests hold its kept rows, AP payload and scatter rows to
-``evaluate``'s bit for bit.
+``evaluate``'s bit for bit. The tests also build their metric inputs as
+these records and pass them to ``hardet.metrics`` through
+``detection_arrays`` and ``ground_truth_arrays``.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,12 +20,52 @@ from hardet.geom import DECODE_LOG_CAP, Box, corners, decode_arrays, iou_matrix
 from hardet.harness import SceneSet, ToyModel
 from hardet.metrics import (
     APResult,
-    Detection,
-    GroundTruth,
+    DetectionArrays,
+    GroundTruthArrays,
     Key,
     _greedy_keep,
     check_iou_thresholds,
 )
+
+
+@dataclass(frozen=True)
+class Detection:
+    """A decoded box with class id and confidence score, in one scene."""
+
+    box: Box
+    class_id: int
+    score: float
+    scene: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.score <= 1.0:
+            raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """An annotated box with class id, in one scene."""
+
+    box: Box
+    class_id: int
+    scene: int = 0
+
+
+def detection_arrays(dets: Sequence[Detection]) -> DetectionArrays:
+    """The detections as rows, in list order."""
+    return DetectionArrays(
+        corners([d.box for d in dets]),
+        [d.class_id for d in dets],
+        [d.score for d in dets],
+        [d.scene for d in dets],
+    )
+
+
+def ground_truth_arrays(gts: Sequence[GroundTruth]) -> GroundTruthArrays:
+    """The ground truths as rows, in list order."""
+    return GroundTruthArrays(
+        corners([g.box for g in gts]), [g.class_id for g in gts], [g.scene for g in gts]
+    )
 
 
 def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detection]]:

@@ -34,7 +34,13 @@ from hardet.harness import (
 )
 from hardet.geom import encode
 from hardet.losses import PositiveSample
-from hardet.metrics import Detection, GroundTruth, average_precision, nms, refinement_gain
+from hardet.metrics import (
+    DetectionArrays,
+    GroundTruthArrays,
+    average_precision,
+    nms,
+    refinement_gain,
+)
 
 
 def make_sample(probs, gt_class=1, anchor=(0, 0, 2, 2), gt=(0.5, 0.5, 2.5, 2.5)):
@@ -188,40 +194,39 @@ def test_criterion_08_gradient_surface_structure():
 
 def test_criterion_09_metrics_sanity():
     rng = np.random.default_rng(5)
-    gts = []
-    dets = []
+    boxes, classes = [], []
     for k in range(12):
         x, y = rng.uniform(0, 20, size=2)
         w, h = rng.uniform(1, 4, size=2)
-        box = Box(x, y, x + w, y + h)
-        cls = int(rng.integers(1, 4))
-        gts.append(GroundTruth(box=box, class_id=cls))
-        dets.append(Detection(box=box, class_id=cls, score=(k + 1) / 13.0))
+        boxes.append([x, y, x + w, y + h])
+        classes.append(int(rng.integers(1, 4)))
+    scenes = [0] * 12
+    gts = GroundTruthArrays(boxes, classes, scenes)
+    dets = DetectionArrays(boxes, classes, [(k + 1) / 13.0 for k in range(12)], scenes)
     result = average_precision(dets, gts, [0.5, 0.6, 0.7, 0.8, 0.9])
     for threshold, value in result.per_threshold.items():
         assert value == pytest.approx(1.0), f"AP@{threshold} = {value}"
 
     for trial in range(1000):
         n = int(rng.integers(0, 12))
-        sample = []
+        boxes, classes, scores = [], [], []
         for _ in range(n):
             x, y = rng.uniform(0, 8, size=2)
             w, h = rng.uniform(0.5, 4, size=2)
-            sample.append(
-                Detection(
-                    box=Box(x, y, x + w, y + h),
-                    class_id=int(rng.integers(1, 4)),
-                    score=float(rng.uniform(0, 1)),
-                )
-            )
+            boxes.append([x, y, x + w, y + h])
+            classes.append(int(rng.integers(1, 4)))
+            scores.append(float(rng.uniform(0, 1)))
         threshold = float(rng.uniform(0.2, 0.9))
-        kept = nms(sample, threshold)
-        assert all(any(k is d for d in sample) for k in kept), "output not a subset"
+        sample = DetectionArrays(np.reshape(boxes, (n, 4)), classes, scores, [0] * n)
+        kept = nms(sample, threshold).tolist()
+        assert len(set(kept)) == len(kept), "a row kept twice"
+        assert all(0 <= k < n for k in kept), "output not a subset"
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                if a.class_id == b.class_id:
-                    assert iou(a.box, b.box) < threshold
-        assert nms(kept, threshold) == kept, "not idempotent"
+                if classes[a] == classes[b]:
+                    assert iou(Box(*boxes[a]), Box(*boxes[b])) < threshold
+        again = nms(sample.take(np.array(kept, dtype=int)), threshold)
+        assert again.tolist() == list(range(len(kept))), "not idempotent"
     report(9, "perfect-detector AP 1.0 at all thresholds; NMS invariants on 1000 sets")
 
 

@@ -86,5 +86,9 @@ def test_child_runs_a_traced_command_with_its_facts(tmp_path, monkeypatch, trace
     metrics = json.loads((tmp_path / "trace.json").read_text())["metrics"]
     assert metrics[f"cli.cmd_{command}.calls"] == 1
     assert metrics["harness.generate_scenes.calls"] == 1
+    if command == "train":
+        # the evaluation runs under the names the benchmark traces
+        for name in ("nms", "average_precision", "consistency_scatter"):
+            assert metrics[f"metrics.{name}.calls"] == 1, name
     assert sum(v for k, v in metrics.items() if k.endswith(".errors")) == 0
     assert tracer.installed_wrappers() == []

@@ -17,7 +17,7 @@ from hardet import cli
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hardet.harness import OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
 from hardet.losses import HyperParams
-from hardet.metrics import DEFAULT_AP_THRESHOLDS, detection_from_json
+from hardet.metrics import DEFAULT_AP_THRESHOLDS, DetectionArrays
 
 import eval_reference
 
@@ -60,6 +60,15 @@ class TestConfigHandling:
     def test_missing_file(self, tmp_path):
         code = main(["surface", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        code, err = _run_quietly(["gradcheck", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: cannot read config file {bad}: 'utf-8' codec can't decode")
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, **FAST_TRAIN})
@@ -582,6 +591,43 @@ class TestLossEvalCommand:
         assert main(["loss-eval", "--samples", str(samples), "--out", str(out)]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read samples file {path}: [Errno 2]"),
+            (b"\xff\xfe{}\n", "cannot read samples file {path}: 'utf-8' codec can't decode"),
+            (b'{"probs": [1.0]}\n', "samples line 1: sample record missing fields"),
+        ],
+        ids=["missing", "non-utf8", "short-record"],
+    )
+    def test_bad_samples_file_exits_1_before_writing(self, tmp_path, content, message):
+        samples = tmp_path / "samples.jsonl"
+        if content is not None:
+            samples.write_bytes(content)
+        out = tmp_path / "out"
+        code, err = _run_quietly(["loss-eval", "--samples", str(samples), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: " + message.format(path=samples))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("gt_class", 1.7, "sample.gt_class: expected an integer, got 1.7"),
+            ("gt_class", True, "sample.gt_class: expected an integer, got True"),
+            ("gt_class", "1", "sample.gt_class: expected an integer, got '1'"),
+            ("d", [False, 0, 0, 0], "sample.d[0]: expected a number, got False"),
+            ("probs", [0.1, "0.7", 0.1, 0.05, 0.05], "sample.probs[1]: expected a number, got '0.7'"),
+        ],
+    )
+    def test_mistyped_field_exits_1_naming_it(self, tmp_path, field, value, path):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps({**self.sample_line(), field: value}) + "\n")
+        out = tmp_path / "out"
+        code, err = _run_quietly(["loss-eval", "--samples", str(samples), "--out", str(out)])
+        assert (code, err) == (EXIT_VALIDATION, f"error: samples line 1: {path}\n")
+        assert not out.exists()
+
 
 class TestSurfaceCommand:
     def test_standard_grad_independent_of_loc(self, tmp_path):
@@ -646,10 +692,11 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rows = [json.loads(line) for line in (out / "detections.jsonl").read_text().splitlines()[1:]]
-        dets = [detection_from_json(r) for r in rows]
-        assert [d.scene for d in dets] == [r["scene"] for r in rows]
-        assert {d.scene for d in dets} == {0, 1}
-        assert [[d.box.x1, d.box.y1, d.box.x2, d.box.y2] for d in dets] == [r["box"] for r in rows]
+        # building the arrays checks every row's box and score
+        dets = DetectionArrays(*([r[k] for r in rows] for k in ("box", "class_id", "score", "scene")))
+        assert dets.scene.tolist() == [r["scene"] for r in rows]
+        assert set(dets.scene.tolist()) == {0, 1}
+        assert dets.boxes.tolist() == [r["box"] for r in rows]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, FAST_TRAIN)

@@ -10,23 +10,20 @@ from hypothesis import strategies as st
 from hardet.geom import Box, iou
 from hardet.metrics import (
     APResult,
-    Detection,
     DetectionArrays,
-    GroundTruth,
     GroundTruthArrays,
     aic,
     average_precision,
     consistency_scatter,
-    detection_from_json,
-    ground_truth_from_json,
     iou_histogram,
     nms,
     refinement_gain,
 )
 from hardet import metrics
-from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_from_matches, check_iou_thresholds
+from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_at, check_iou_thresholds
 
 import eval_reference
+from eval_reference import Detection, GroundTruth, detection_arrays, ground_truth_arrays
 
 
 def det(x1, y1, x2, y2, cls=1, score=0.5):
@@ -52,24 +49,36 @@ def random_detections(rng, n, num_classes=3):
     return dets
 
 
+def kept_rows(dets, iou_threshold):
+    """The list rows :func:`nms` keeps, in its order."""
+    return nms(detection_arrays(dets), iou_threshold).tolist()
+
+
+def ap(dets, gts, *thresholds):
+    return average_precision(detection_arrays(dets), ground_truth_arrays(gts), *thresholds)
+
+
+def best_ious(dets, gts):
+    return consistency_scatter(detection_arrays(dets), ground_truth_arrays(gts)).tolist()
+
+
 class TestNms:
     def test_single_detection(self):
-        d = det(0, 0, 1, 1)
-        assert nms([d], 0.5) == [d]
+        assert kept_rows([det(0, 0, 1, 1)], 0.5) == [0]
 
     def test_identical_boxes_keep_highest(self):
         lo = det(0, 0, 1, 1, score=0.8)
         hi = det(0, 0, 1, 1, score=0.9)
-        assert nms([lo, hi], 0.5) == [hi]
+        assert kept_rows([lo, hi], 0.5) == [1]
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            nms([det(0, 0, 1, 1)], 0.0)
+            kept_rows([det(0, 0, 1, 1)], 0.0)
 
     def test_different_classes_do_not_suppress(self):
         a = det(0, 0, 1, 1, cls=1, score=0.9)
         b = det(0, 0, 1, 1, cls=2, score=0.8)
-        assert nms([a, b], 0.5) == [a, b]
+        assert kept_rows([a, b], 0.5) == [0, 1]
 
     def test_high_score_low_iou_box_survives(self):
         # the better-localized but lower-scored candidate gets suppressed
@@ -78,24 +87,24 @@ class TestNms:
         sloppy = det(0.3, 0.0, 2.3, 2.0, score=0.9)
         assert iou(accurate.box, target.box) > iou(sloppy.box, target.box)
         assert iou(accurate.box, sloppy.box) >= 0.5
-        kept = nms([accurate, sloppy], 0.5)
-        assert kept == [sloppy]
+        assert kept_rows([accurate, sloppy], 0.5) == [1]
 
     def test_tie_breaks_by_input_index(self):
         a = det(0, 0, 1, 1, score=0.5)
         b = det(0, 0, 1, 1, score=0.5)
-        kept = nms([a, b], 0.5)
-        assert kept == [a]
+        assert kept_rows([a, b], 0.5) == [0]
 
     def test_random_set_invariants(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             dets = random_detections(rng, int(rng.integers(0, 15)))
             thr = float(rng.uniform(0.2, 0.9))
-            kept = nms(dets, thr)
-            ids = [id(k) for k in kept]
-            assert all(any(k is d for d in dets) for k in kept)
-            assert len(set(ids)) == len(ids)
+            arrays = detection_arrays(dets)
+            rows = nms(arrays, thr)
+            kept = [dets[k] for k in rows.tolist()]
+            # distinct input rows
+            assert len(set(rows.tolist())) == rows.size
+            assert all(0 <= k < len(dets) for k in rows.tolist())
             by_class: dict[int, list[float]] = {}
             for i, a in enumerate(kept):
                 by_class.setdefault(a.class_id, []).append(a.score)
@@ -104,20 +113,21 @@ class TestNms:
                         assert iou(a.box, b.box) < thr
             for scores in by_class.values():
                 assert scores == sorted(scores, reverse=True)
-            assert nms(kept, thr) == kept  # idempotent
+            # idempotent
+            assert nms(arrays.take(rows), thr).tolist() == list(range(rows.size))
 
 
 class TestAveragePrecision:
     def test_perfect_detector(self):
         gts = [gt(0, 0, 2, 2, cls=1), gt(4, 4, 6, 6, cls=2)]
         dets = [det(0, 0, 2, 2, cls=1, score=0.9), det(4, 4, 6, 6, cls=2, score=0.8)]
-        result = average_precision(dets, gts)
+        result = ap(dets, gts)
         for t in (0.5, 0.6, 0.7, 0.8, 0.9):
             assert result.per_threshold[t] == pytest.approx(1.0)
         assert result.mean == pytest.approx(1.0)
 
     def test_no_detections(self):
-        result = average_precision([], [gt(0, 0, 2, 2)])
+        result = ap([], [gt(0, 0, 2, 2)])
         assert result.mean == 0.0
 
     def test_ranked_pair_gives_half(self):
@@ -125,29 +135,29 @@ class TestAveragePrecision:
         # flags (FP, TP) -> precision envelope area 0.5
         gts = [gt(0, 0, 2, 2)]
         dets = [det(0, 0, 2, 2, score=0.6), det(5, 5, 6, 6, score=0.9)]
-        result = average_precision(dets, gts, [0.5])
+        result = ap(dets, gts, [0.5])
         assert result.per_threshold[0.5] == pytest.approx(0.5)
 
     def test_score_rescaling_invariance(self):
         rng = np.random.default_rng(23)
         gts = [gt(0, 0, 2, 2), gt(3, 3, 5, 5), gt(6, 0, 7.5, 2, cls=2)]
         dets = random_detections(rng, 12)
-        base = average_precision(dets, gts)
+        base = ap(dets, gts)
         scaled = [Detection(box=d.box, class_id=d.class_id, score=d.score * 0.5) for d in dets]
-        rescored = average_precision(scaled, gts)
+        rescored = ap(scaled, gts)
         assert rescored.per_threshold == base.per_threshold
 
     def test_gt_matched_at_most_once(self):
         gts = [gt(0, 0, 2, 2)]
         dets = [det(0, 0, 2, 2, score=0.9), det(0, 0, 2, 2, score=0.8)]
-        result = average_precision(dets, gts, [0.5])
+        result = ap(dets, gts, [0.5])
         # second duplicate is a false positive: envelope gives 1.0 up to recall 1
         assert result.per_threshold[0.5] == pytest.approx(1.0)
 
     def test_class_without_gt_is_absent(self):
         gts = [gt(0, 0, 2, 2, cls=1)]
         dets = [det(0, 0, 2, 2, cls=1, score=0.9), det(4, 4, 5, 5, cls=7, score=0.8)]
-        result = average_precision(dets, gts, [0.5])
+        result = ap(dets, gts, [0.5])
         assert (0, 7) not in result.per_class
         assert result.per_threshold[0.5] == pytest.approx(1.0)
 
@@ -155,30 +165,31 @@ class TestAveragePrecision:
         rng = np.random.default_rng(29)
         gts = [gt(0, 0, 2, 2), gt(3, 3, 5, 5, cls=2)]
         for _ in range(50):
-            result = average_precision(random_detections(rng, 10), gts)
+            result = ap(random_detections(rng, 10), gts)
             for v in result.per_threshold.values():
                 assert 0.0 <= v <= 1.0
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            average_precision([], [gt(0, 0, 1, 1)], [0.0])
+            ap([], [gt(0, 0, 1, 1)], [0.0])
 
     def test_duplicate_thresholds_count_once(self):
         gts = [gt(0, 0, 2, 2), gt(4, 4, 6, 6)]
         dets = [det(0, 0, 2, 2, score=0.9), det(4, 4, 6, 6.2, score=0.8)]
-        result = average_precision(dets, gts, [0.5, 0.5])
+        result = ap(dets, gts, [0.5, 0.5])
         assert result.per_threshold == {0.5: 1.0}
         assert result.mean == 1.0
         # the mean runs over the distinct thresholds, in first-seen order
-        twice = average_precision(dets, gts, [0.95, 0.5, 0.95, 1])
-        assert twice == average_precision(dets, gts, [0.95, 0.5, 1.0])
+        twice = ap(dets, gts, [0.95, 0.5, 0.95, 1])
+        assert twice == ap(dets, gts, [0.95, 0.5, 1.0])
         assert list(twice.per_threshold) == [0.95, 0.5, 1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(flags=st.lists(st.booleans(), max_size=40), extra_gt=st.integers(0, 5))
     def test_ap_walk_over_true_positives_equals_the_full_walk(self, flags, extra_gt):
         num_gt = max(1, sum(flags) + extra_gt)
-        assert repr(_ap_from_matches(flags, num_gt)) == repr(eval_reference.ap_from_matches(flags, num_gt))
+        walked = _ap_at(np.flatnonzero(flags), num_gt)
+        assert repr(walked) == repr(eval_reference.ap_from_matches(flags, num_gt))
 
 
 class TestDetectionArrays:
@@ -285,54 +296,20 @@ class TestRefinementGain:
             refinement_gain([])
 
 
-class TestJsonIngestion:
-    def test_detection_round_trip(self):
-        d = detection_from_json({"box": [0, 0, 2, 2], "class_id": 3, "score": 0.7})
-        assert d.class_id == 3
-        assert d.score == 0.7
-        assert d.box == Box(0, 0, 2, 2)
-        assert d.scene == 0
-
-    def test_scene_read_when_present(self):
-        record = {"box": [0, 0, 2, 2], "class_id": 3, "score": 0.7, "scene": 4}
-        assert detection_from_json(record).scene == 4
-        assert ground_truth_from_json({"box": [0, 0, 2, 2], "class_id": 1, "scene": 2}).scene == 2
-
-    @pytest.mark.parametrize("record", [[1, 2], "box", None])
-    def test_non_object_rejected(self, record):
-        with pytest.raises(ValueError, match="must be an object"):
-            detection_from_json(record)
-        with pytest.raises(ValueError, match="must be an object"):
-            ground_truth_from_json(record)
-
-    def test_ground_truth_round_trip(self):
-        g = ground_truth_from_json({"box": [1, 1, 4, 3], "class_id": 2})
-        assert g.class_id == 2
-        assert g.scene == 0
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError):
-            detection_from_json({"box": [0, 0, 1, 1]})
-        with pytest.raises(ValueError):
-            ground_truth_from_json({"class_id": 1})
-
-
 class TestConsistencyScatter:
     def test_perfect_detector(self):
         gts = [gt(0, 0, 2, 2)]
         dets = [det(0, 0, 2, 2, score=1.0)]
-        assert consistency_scatter(dets, gts) == [(1.0, 1.0)]
+        assert best_ious(dets, gts) == [1.0]
 
     def test_row_per_detection(self):
         rng = np.random.default_rng(41)
         gts = [gt(0, 0, 2, 2), gt(3, 3, 5, 5, cls=2)]
         dets = random_detections(rng, 9)
-        rows = consistency_scatter(dets, gts)
-        assert len(rows) == 9
+        assert len(best_ious(dets, gts)) == 9
 
     def test_no_same_class_gt_gives_zero(self):
-        rows = consistency_scatter([det(0, 0, 2, 2, cls=3)], [gt(0, 0, 2, 2, cls=1)])
-        assert rows == [(0.5, 0.0)]
+        assert best_ious([det(0, 0, 2, 2, cls=3)], [gt(0, 0, 2, 2, cls=1)]) == [0.0]
 
 
 # --- scalar oracle -------------------------------------------------------------
@@ -403,7 +380,7 @@ def oracle_average_precision(
         cls_dets = [(i, d) for i, d in enumerate(dets) if d.class_id == cls]
         cls_gts = [g for g in gts if g.class_id == cls]
         per_class[cls] = {
-            t: _ap_from_matches(oracle_match_class(cls_dets, cls_gts, t), len(cls_gts))
+            t: _ap_at(np.flatnonzero(oracle_match_class(cls_dets, cls_gts, t)), len(cls_gts))
             for t in thresholds
         }
     per_threshold = {
@@ -475,11 +452,9 @@ class TestMatchesScalarOracle:
     )
     def test_nms(self, sets, threshold):
         dets, _ = sets
-        index = {id(d): i for i, d in enumerate(dets)}
         flat = remapped(dets)
         flat_index = {id(d): i for i, d in enumerate(flat)}
-        kept = [index[id(d)] for d in nms(dets, threshold)]
-        assert kept == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
+        assert kept_rows(dets, threshold) == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
 
     @settings(max_examples=300, deadline=None)
     @given(sets=_dets_and_gts(), thresholds=st.lists(_THRESHOLD, min_size=1, max_size=5))
@@ -499,7 +474,7 @@ class TestMatchesScalarOracle:
     )
     def test_average_precision(self, sets, thresholds):
         dets, gts = sets
-        new = average_precision(dets, gts, thresholds)
+        new = ap(dets, gts, thresholds)
         old = oracle_average_precision(remapped(dets), remapped(gts), thresholds)
         assert repr(new.per_threshold) == repr(old.per_threshold)
         assert repr(new.mean) == repr(old.mean)
@@ -509,7 +484,7 @@ class TestMatchesScalarOracle:
     @given(sets=_dets_and_gts())
     def test_consistency_scatter(self, sets):
         dets, gts = sets
-        new = consistency_scatter(dets, gts)
+        new = list(zip([d.score for d in dets], best_ious(dets, gts)))
         assert repr(new) == repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
 
 
@@ -539,9 +514,8 @@ def test_nms_across_block_seams_matches_the_oracle(monkeypatch, block_pairs, thr
     exactly what the scalar loop keeps, at any block size."""
     monkeypatch.setattr(metrics, "NMS_BLOCK_PAIRS", block_pairs)
     dets = _dense_group(np.random.default_rng(5))
-    index = {id(d): i for i, d in enumerate(dets)}
     flat = remapped(dets)
     flat_index = {id(d): i for i, d in enumerate(flat)}
-    kept = [index[id(d)] for d in nms(dets, threshold)]
+    kept = kept_rows(dets, threshold)
     assert kept == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
     assert 1 < sum(k < 320 for k in kept) < 320
