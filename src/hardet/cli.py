@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patch
 from .losses import (
     HyperParams,
     LossBreakdown,
+    check_json_block,
     gradient_surface,
     harmonic_det_loss,
     positive_sample_from_json,
@@ -113,44 +113,6 @@ _BLOCK_KEYS = {
     },
 }
 _TOP_KEYS = {"seed": int, **{name: dict for name in _BLOCK_KEYS}}
-# one line of a loss-eval samples file, checked as a config block is
-_SAMPLE_KEYS = {
-    "probs": list[float],
-    "gt_class": int,
-    "anchor": list[float],
-    "gt_box": list[float],
-    "d": list[float],
-}
-
-
-def _check_value(value: Any, expected: Any, path: str) -> None:
-    if get_origin(expected) is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected list, got {type(value).__name__}")
-        for k, item in enumerate(value):
-            _check_value(item, get_args(expected)[0], f"{path}[{k}]")
-    elif expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    elif expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        if isinstance(value, int) and abs(value) > sys.float_info.max:
-            raise ConfigError(f"{path}: integer out of the float range")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    elif not isinstance(value, expected):
-        raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
-
-
-def _check_block(block: Any, allowed: dict[str, Any], path: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
-    for key, value in block.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-        _check_value(value, allowed[key], f"{path}.{key}")
-    return dict(block)
 
 
 def _read_text(path: str, kind: str) -> str:
@@ -173,10 +135,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(
             f"config {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    cfg = _check_block(raw, _TOP_KEYS, "config")
-    for name, keys in _BLOCK_KEYS.items():
-        if name in cfg:
-            cfg[name] = _check_block(cfg[name], keys, f"config.{name}")
+    try:
+        cfg = check_json_block(raw, _TOP_KEYS, "config")
+        for name, keys in _BLOCK_KEYS.items():
+            if name in cfg:
+                cfg[name] = check_json_block(cfg[name], keys, f"config.{name}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -327,8 +292,7 @@ def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
         if not line.strip():
             continue
         try:
-            record = _check_block(json.loads(line), _SAMPLE_KEYS, "sample")
-            sample = positive_sample_from_json(record)
+            sample = positive_sample_from_json(json.loads(line))
             breakdowns.append(harmonic_det_loss(sample, replace(hp, num_classes=sample.num_classes)))
         except (ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc

@@ -264,28 +264,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=inter, where=union > 0.0)
 
 
-def iou_and_grad_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`iou` and :func:`iou_grad` w.r.t. ``a`` of (N, 4) boxes,
-    sharing the overlap terms; every union must be positive."""
-    span = np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])
-    overlap = np.maximum(0.0, span)
-    inter = overlap[:, 0] * overlap[:, 1]
-    size_a = a[:, 2:] - a[:, :2]
-    size_b = b[:, 2:] - b[:, :2]
-    union = size_a[:, 0] * size_a[:, 1] + size_b[:, 0] * size_b[:, 1] - inter
-    # same subgradient conventions as the scalar form: (x, y) columns hold
-    # d(inter)/d(width) and d(inter)/d(height) where the clamp is active
-    side = np.where(span >= 0.0, overlap[:, ::-1], 0.0)
-    d_inter = np.concatenate(
-        [np.where(a[:, :2] > b[:, :2], -side, 0.0), np.where(a[:, 2:] < b[:, 2:], side, 0.0)],
-        axis=1,
-    )
-    height_width = size_a[:, ::-1]
-    d_union = np.concatenate([-height_width, height_width], axis=1) - d_inter
-    grad = (d_inter * union[:, None] - inter[:, None] * d_union) / (union * union)[:, None]
-    return inter / union, grad
-
-
 def encode_arrays(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Row-wise :func:`encode` of (N, 4) ground truths against (N, 4) anchors."""
     size_a = anchors[:, 2:] - anchors[:, :2]
@@ -295,43 +273,76 @@ def encode_arrays(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.concatenate([shift / size_a, log_ratio], axis=1)
 
 
-def exp_sizes(d: np.ndarray) -> np.ndarray:
-    """(e^tw, e^th) of (N, 4) offsets, row-wise: the exp that a decode and
-    its VJP at the same offsets can share."""
-    return elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
-
-
-def decode_arrays(
-    d: np.ndarray, anchors: np.ndarray, scale: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-wise :func:`decode` of (N, 4) offsets against (N, 4) anchors;
-    ``scale`` is ``exp_sizes(d)``, computed here when not given."""
-    if scale is None:
-        scale = exp_sizes(d)
+def decode_arrays(d: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`decode` of (N, 4) offsets against (N, 4) anchors."""
+    scale = elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
     size = anchors[:, 2:] - anchors[:, :2]
     center = d[:, :2] * size + 0.5 * (anchors[:, :2] + anchors[:, 2:])
     half = 0.5 * (size * scale)
     return np.concatenate([center - half, center + half], axis=1)
 
 
-# row-major positions of wa, ha, wa, ha, -hw, -hh, hw, hh in the 4x4 decode
-# Jacobian
-_JACOBIAN_SLOTS = [0, 5, 8, 13, 2, 7, 10, 15]
+# row-major positions of wa, ha, wa, ha and of -hw, -hh, hw, hh in the 4x4
+# decode Jacobian
+_SIZE_SLOTS = np.array([0, 5, 8, 13])
+_HALF_SLOTS = np.array([2, 7, 10, 15])
 
 
-def decode_vjp_arrays(
-    d: np.ndarray, anchors: np.ndarray, g: np.ndarray, scale: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-wise ``decode_jacobian(d, anchor).T @ g``: pulls a gradient w.r.t.
-    the decoded corners back to the offsets; ``scale`` as in
-    :func:`decode_arrays`.
+class AnchorTargets:
+    """(N, 4) anchors paired row-wise with (N, 4) target boxes, and the terms
+    of :func:`offset_iou_and_grad` that no offset changes, computed once for
+    a descent of many steps. The arrays are read-only; ``jacobian`` holds
+    each row's row-major 4x4 decode Jacobian with only its anchor-size
+    entries filled."""
 
-    Runs the same matrix-vector product per row as the scalar expression.
+    def __init__(self, anchors: np.ndarray, gt: np.ndarray) -> None:
+        self.size = anchors[:, 2:] - anchors[:, :2]
+        self.half_size = 0.5 * self.size
+        self.center = 0.5 * (anchors[:, :2] + anchors[:, 2:])
+        self.gt_lo, self.gt_hi = gt[:, :2].copy(), gt[:, 2:].copy()
+        gt_size = gt[:, 2:] - gt[:, :2]
+        self.gt_area = gt_size[:, 0] * gt_size[:, 1]
+        self.jacobian = np.zeros((len(anchors), 16))
+        self.jacobian[:, _SIZE_SLOTS] = np.concatenate([self.size, self.size], axis=1)
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def offset_iou_and_grad(
+    d: np.ndarray, targets: AnchorTargets, scale: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``iou(decode(d, anchor), gt)`` of (N, 4) offsets and its
+    gradient w.r.t. them, ``decode_jacobian(d, anchor).T @ iou_grad(decode(d,
+    anchor), gt)``; every union must be positive. ``scale`` is each row's
+    (e^tw, e^th), computed here when not given.
+
+    Runs the scalar forms' operations in their order, and the product as a
+    stacked (N, 4, 4) ``matmul``, the same matrix-vector product per row, so
+    that it agrees with them bit for bit.
     """
     if scale is None:
-        scale = exp_sizes(d)
-    size = anchors[:, 2:] - anchors[:, :2]
-    half = 0.5 * size * scale
-    jac = np.zeros((d.shape[0], 16))
-    jac[:, _JACOBIAN_SLOTS] = np.concatenate([size, size, -half, half], axis=1)
-    return np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), g[:, :, None])[:, :, 0]
+        scale = elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
+    t = targets
+    center = d[:, :2] * t.size + t.center
+    half = 0.5 * (t.size * scale)
+    lo = center - half
+    hi = center + half
+    span = np.minimum(hi, t.gt_hi) - np.maximum(lo, t.gt_lo)
+    overlap = np.maximum(0.0, span)
+    inter = overlap[:, 0] * overlap[:, 1]
+    size = hi - lo
+    union = size[:, 0] * size[:, 1] + t.gt_area - inter
+    # the subgradient conventions of iou_grad: (x, y) columns hold
+    # d(inter)/d(width) and d(inter)/d(height) where the clamp is active
+    side = np.where(span >= 0.0, overlap[:, ::-1], 0.0)
+    d_inter = np.concatenate(
+        [np.where(lo > t.gt_lo, -side, 0.0), np.where(hi < t.gt_hi, side, 0.0)], axis=1
+    )
+    height_width = size[:, ::-1]
+    d_union = np.concatenate([-height_width, height_width], axis=1) - d_inter
+    du_dcorners = (d_inter * union[:, None] - inter[:, None] * d_union) / (union * union)[:, None]
+    half_jac = t.half_size * scale
+    jac = t.jacobian.copy()
+    jac[:, _HALF_SLOTS] = np.concatenate([-half_jac, half_jac], axis=1)
+    du_dd = np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
+    return inter / union, du_dd[:, :, 0]

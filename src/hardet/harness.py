@@ -18,21 +18,20 @@ import numpy as np
 
 from .geom import (
     DECODE_LOG_CAP,
+    AnchorTargets,
     Box,
     Offsets,
     corners,
     decode,
     decode_arrays,
     decode_jacobian,
-    decode_vjp_arrays,
     encode,
     encode_arrays,
-    exp_sizes,
     iou,
-    iou_and_grad_arrays,
     iou_arrays,
     iou_grad,
     iou_matrix,
+    offset_iou_and_grad,
 )
 from .losses import (
     BatchArrays,
@@ -86,7 +85,7 @@ def _check_decode_cap(
     ``runs[k // len(rows)]`` names in the check text."""
     # written so that NaN offsets fail it too
     ok = np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP
-    if not np.all(ok):
+    if not ok.all():
         run, k = divmod(int(np.argmin(ok.all(axis=1))), len(rows))
         check = f"size offsets{runs[run]} past the decode log cap {DECODE_LOG_CAP:g}"
         raise DivergenceError(step, check, int(rows[k]))
@@ -428,6 +427,7 @@ class Matching:
     to box ``gt[k]`` of class ``gt_class[k]``, with regression target
     ``d_hat[k] = encode(gt[k], anchors[k])``. Negatives are rows ``neg_flat``.
     Positives run scene by scene in anchor order. The arrays are read-only.
+    ``targets`` pairs the anchors with their boxes for the training kernel.
     """
 
     pos_flat: np.ndarray
@@ -440,6 +440,10 @@ class Matching:
     def __post_init__(self) -> None:
         for name in ("pos_flat", "neg_flat", "anchors", "gt", "gt_class", "d_hat"):
             getattr(self, name).flags.writeable = False
+
+    @cached_property
+    def targets(self) -> AnchorTargets:
+        return AnchorTargets(self.anchors, self.gt)
 
 
 def _match_scene_set(scene_set: SceneSet) -> Matching:
@@ -523,24 +527,28 @@ def train_toy(
         )
         return pairs
 
-    def objective(step: int) -> tuple[np.ndarray, BatchArrays]:
+    def objective(step: int, logged: bool) -> tuple[np.ndarray, BatchArrays]:
         probs = model.probs()
         finite = np.isfinite(probs)
-        if not np.all(finite):
+        if not finite.all():
             row = int(np.argmin(finite.all(axis=1)))
             raise DivergenceError(step, "non-finite probabilities", row)
         _check_decode_cap(step, model.offsets[m.pos_flat], m.pos_flat)
         batch = batch_objective_arrays(
-            probs, model.offsets, m.anchors, m.gt, m.gt_class, m.d_hat, m.pos_flat, m.neg_flat,
-            hp_eff,
+            probs, model.offsets, m.targets, m.gt_class, m.d_hat, m.pos_flat, m.neg_flat, hp_eff
         )
-        if not math.isfinite(batch.value):
-            raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
+        # every negative's loss is finite and at most -log(prob_floor), so
+        # the objective is finite exactly when the positives' in-order sum is;
+        # it is read only when logged or to word the failure
+        if logged or not math.isfinite(batch.pos_loss.cumsum()[-1]):
+            if not math.isfinite(batch.value):
+                raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
         return probs, batch
 
     for step in range(opt.steps):
-        probs, batch = objective(step)
-        if step % opt.log_every == 0:
+        logged = step % opt.log_every == 0
+        probs, batch = objective(step, logged)
+        if logged:
             log_state(step, batch)
         # softmax chain back to the logits; the row-wise dot runs as a stacked
         # matmul, the same dot product per row as the per-sample reference
@@ -551,7 +559,7 @@ def train_toy(
         model.logits -= scale * grad_logits
         model.offsets -= scale * batch.grad_d
 
-    _, batch = objective(opt.steps)
+    _, batch = objective(opt.steps, True)
     final_pairs = log_state(opt.steps, batch)
     return model, TrainLog(tuple(records), final_pairs)
 
@@ -744,8 +752,7 @@ def _gate_errors(
     anchors = corners([s.anchor for s in positives])
     gt_class = np.array([s.gt_class for s in positives])
     fixed = (
-        anchors,
-        corners([s.gt_box for s in positives]),
+        AnchorTargets(anchors, corners([s.gt_box for s in positives])),
         gt_class,
         np.array([s.d_hat.as_array() for s in positives]),
         np.arange(n_pos),
@@ -1002,17 +1009,13 @@ def _train_offsets_only(
     run leaves the decode cap, naming the run and the model row.
     """
     n_runs = len(runs)
-    anchors = np.tile(m.anchors, (n_runs, 1))
-    gt = np.tile(m.gt, (n_runs, 1))
+    targets = AnchorTargets(np.tile(m.anchors, (n_runs, 1)), np.tile(m.gt, (n_runs, 1)))
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
-    d = np.zeros_like(anchors)
+    d = np.zeros((n_runs * m.pos_flat.size, 4))
     for step in range(opt.steps):
         _check_decode_cap(step, d, m.pos_flat, names)
-        # one exp per step, shared by the decode and its VJP
-        scale = exp_sizes(d)
-        u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
-        du_dd = decode_vjp_arrays(d, anchors, du_dcorners, scale)
+        u, du_dd = offset_iou_and_grad(d, targets)
         d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)

@@ -15,24 +15,23 @@ floored at ``HyperParams.prob_floor``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence, get_args, get_origin
 
 import numpy as np
 
 from .geom import (
+    AnchorTargets,
     Box,
     Offsets,
     decode,
-    decode_arrays,
     decode_jacobian,
-    decode_vjp_arrays,
     elementwise,
     encode,
-    exp_sizes,
     iou,
-    iou_and_grad_arrays,
     iou_grad,
+    offset_iou_and_grad,
 )
 
 PROB_SUM_TOL = 1e-6
@@ -192,26 +191,66 @@ class LossBreakdown:
         }
 
 
+def _check_json_value(value: Any, expected: Any, path: str) -> None:
+    if get_origin(expected) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected list, got {type(value).__name__}")
+        for k, item in enumerate(value):
+            _check_json_value(item, get_args(expected)[0], f"{path}[{k}]")
+    elif expected is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: expected an integer, got {value!r}")
+    elif expected is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: expected a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{path}: integer out of the float range")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    elif not isinstance(value, expected):
+        raise ValueError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
+
+
+def check_json_block(block: Any, allowed: dict[str, Any], path: str) -> dict:
+    """A copy of JSON object ``block`` whose keys are all in ``allowed`` and
+    whose values have the JSON types it maps them to: ``int`` (not a bool),
+    ``float`` (a finite number, not a bool), ``list[...]`` of one of these,
+    or a Python type. Raises ``ValueError`` naming the first bad entry as
+    ``<path>.<key>``, in the block's order."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{path}: expected an object, got {type(block).__name__}")
+    for key, value in block.items():
+        if key not in allowed:
+            raise ValueError(f"{path}.{key}: unknown key")
+        _check_json_value(value, allowed[key], f"{path}.{key}")
+    return dict(block)
+
+
+# the JSONL record of one positive sample
+_SAMPLE_KEYS = {
+    "probs": list[float],
+    "gt_class": int,
+    "anchor": list[float],
+    "gt_box": list[float],
+    "d": list[float],
+}
+
+
 def positive_sample_from_json(obj: object) -> PositiveSample:
-    """Build a sample from the JSONL record format of this package."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"sample record must be an object, got {type(obj).__name__}")
-    missing = {"probs", "gt_class", "anchor", "gt_box", "d"} - obj.keys()
+    """Build a sample from the JSONL record format of this package. A record
+    that is not one raises ``ValueError``; a mistyped or unknown field is
+    named as ``sample.<key>`` (see :func:`check_json_block`)."""
+    record = check_json_block(obj, _SAMPLE_KEYS, "sample")
+    missing = _SAMPLE_KEYS.keys() - record.keys()
     if missing:
         raise ValueError(f"sample record missing fields: {sorted(missing)}")
-    unknown = obj.keys() - {"probs", "gt_class", "anchor", "gt_box", "d"}
-    if unknown:
-        raise ValueError(f"sample record has unknown fields: {sorted(unknown)}")
-    try:
-        return PositiveSample(
-            probs=np.asarray(obj["probs"], dtype=float),
-            gt_class=int(obj["gt_class"]),
-            d=Offsets.from_array(obj["d"]),
-            anchor=Box.from_array(obj["anchor"]),
-            gt_box=Box.from_array(obj["gt_box"]),
-        )
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"sample record field of the wrong type or range: {exc}") from exc
+    return PositiveSample(
+        probs=np.asarray(record["probs"], dtype=float),
+        gt_class=record["gt_class"],
+        d=Offsets.from_array(record["d"]),
+        anchor=Box.from_array(record["anchor"]),
+        gt_box=Box.from_array(record["gt_box"]),
+    )
 
 
 def cross_entropy(probs: np.ndarray, gt_class: int, prob_floor: float = 1e-12) -> float:
@@ -260,15 +299,9 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
-def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """Element-wise :func:`hiou_loss` of 1-D ``u``; ``gamma`` is one value or
-    one per element. ``u`` is not range-checked."""
-    return elementwise(pow, 1.0 + u, gamma) * (1.0 - u)
-
-
 def hiou_slope_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """Element-wise :func:`hiou_slope`, ``u`` and ``gamma`` as in
-    :func:`hiou_loss_arrays`."""
+    """Element-wise :func:`hiou_slope` of 1-D ``u``; ``gamma`` is one value or
+    one per element. ``u`` is not range-checked."""
     return elementwise(pow, 1.0 + u, gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
@@ -499,6 +532,27 @@ def batch_objective(
     return BatchResult(total / len(positives), breakdowns, neg_grads)
 
 
+class _OnFirstRead:
+    """A dataclass field that, left None by the constructor, is computed on
+    its first read as ``compute(instance)`` and kept."""
+
+    def __init__(self, compute: Callable[[Any], object]) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type | None = None) -> object:
+        if obj is None:
+            return None  # the field's default
+        if obj.__dict__[self.name] is None:
+            obj.__dict__[self.name] = self.compute(obj)
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj: object, value: object) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class BatchArrays:
     """:func:`batch_objective_arrays` output.
@@ -513,14 +567,14 @@ class BatchArrays:
     in-order sum over the positive count is ``value``. ``ce``, ``sl1``,
     ``loc`` and ``tc`` are the per-positive values of :func:`cross_entropy`,
     :func:`smooth_l1`, :func:`full_loc_loss` and the task-contrastive term
-    (0 under ``freeze_factors``), row-wise like the losses.
+    (0 under ``freeze_factors``), row-wise like the losses. ``neg_loss`` and
+    ``value`` are computed on first read, from ``neg_p``, the negatives'
+    floored background probabilities: a training step needs neither.
     """
 
-    value: float
     grad_probs: np.ndarray
     grad_d: np.ndarray
     pos_loss: np.ndarray
-    neg_loss: np.ndarray
     beta_r: np.ndarray
     beta_c: np.ndarray
     p_gt: np.ndarray
@@ -529,6 +583,12 @@ class BatchArrays:
     sl1: np.ndarray
     loc: np.ndarray
     tc: np.ndarray
+    neg_p: np.ndarray
+    neg_loss: np.ndarray | None = _OnFirstRead(lambda b: -elementwise(math.log, b.neg_p))
+    # sequential sums in sample order, as the scalar batch objective adds
+    value: float | None = _OnFirstRead(
+        lambda b: float(np.concatenate([b.pos_loss, b.neg_loss]).cumsum()[-1]) / b.num_positives
+    )
 
     @property
     def num_positives(self) -> int:
@@ -538,8 +598,7 @@ class BatchArrays:
 def batch_objective_arrays(
     probs: np.ndarray,
     offsets: np.ndarray,
-    anchors: np.ndarray,
-    gt: np.ndarray,
+    targets: AnchorTargets,
     gt_class: np.ndarray,
     d_hat: np.ndarray,
     pos_idx: np.ndarray,
@@ -549,38 +608,56 @@ def batch_objective_arrays(
     """:func:`batch_objective` over arrays, for the training loop.
 
     ``probs`` (N, C) and ``offsets`` (N, 4) are per-row predictions; the
-    positives are rows ``pos_idx``, matched to ``anchors``, ``gt``,
-    ``gt_class`` and ``d_hat = encode(gt, anchors)``, all in ``pos_idx``
-    order. Negatives are rows ``neg_idx`` with the background class 0. The
-    arithmetic mirrors :func:`harmonic_det_loss` branch for branch and sums
-    in sample-index order; inputs are not validated (see the scalar form).
+    positives are rows ``pos_idx``, matched to the anchors and boxes of
+    ``targets``, to ``gt_class`` and to ``d_hat = encode(gt, anchors)``, all
+    in ``pos_idx`` order. Negatives are rows ``neg_idx`` with the background
+    class 0. The arithmetic mirrors :func:`harmonic_det_loss` branch for
+    branch and sums in sample-index order; inputs are not validated (see the
+    scalar form).
     """
-    if pos_idx.size == 0:
+    n = pos_idx.size
+    if n == 0:
         raise ValueError("batch objective needs at least one positive sample")
-    pp = probs[pos_idx]
+    # the positives' (row, class) entries of the row-major (N, C) arrays
+    gt_entry = pos_idx * probs.shape[1] + gt_class
     d = offsets[pos_idx]
-    p_raw = probs[pos_idx, gt_class]
+    p_raw = probs.ravel()[gt_entry]
     p = np.maximum(p_raw, hp.prob_floor)
     ce = -elementwise(math.log, p)
     grad_probs = np.zeros(probs.shape)
     grad_offsets = np.zeros(offsets.shape)
+    if hp.freeze_factors:
+        scale = elementwise(math.exp, d[:, 2:].ravel())
+    else:
+        pp = probs[pos_idx]
+        logs = np.log(np.maximum(pp, hp.prob_floor))
+        # one libm pass: the decode's (e^tw, e^th), beta_c = e^-CE and the
+        # entropy weight beta_e
+        entropy = -(pp * logs).sum(axis=1)
+        exps = elementwise(math.exp, np.concatenate([d[:, 2:].ravel(), -ce, entropy]))
+        scale, beta_c, beta_e = exps[: 2 * n], exps[2 * n : 3 * n], exps[3 * n :]
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
-    scale = exp_sizes(d)
-    u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
-    du_dd = decode_vjp_arrays(d, anchors, du_dcorners, scale)
+    u, du_dd = offset_iou_and_grad(d, targets, scale.reshape(-1, 2))
     x = d - d_hat
     ax = np.abs(x)
     quadratic = ax < 1.0
     q = np.minimum(ax, 1.0)
     sl1 = np.where(quadratic, 0.5 * q * q, ax - 0.5).sum(axis=1)
     sl1_grad = np.where(quadratic, x, np.sign(x))
-    loc = sl1 + hp.alpha * hiou_loss_arrays(u, hp.gamma)
-    loc_grad = sl1_grad + (hp.alpha * hiou_slope_arrays(u, hp.gamma))[:, None] * du_dd
+    # both HIoU powers in one libm pass: (1 + IoU)^gamma and ^(gamma - 1)
+    one_plus, one_minus = 1.0 + u, 1.0 - u
+    powers = elementwise(
+        pow, np.concatenate([one_plus, one_plus]), np.repeat([hp.gamma, hp.gamma - 1.0], n)
+    )
+    loc = sl1 + hp.alpha * (powers[:n] * one_minus)
+    slope = powers[n:] * (hp.gamma * one_minus - one_plus)
+    loc_grad = sl1_grad + (hp.alpha * slope)[:, None] * du_dd
 
+    flat_grad_probs = grad_probs.ravel()
     if hp.freeze_factors:
         totals = ce + loc
-        grad_probs[pos_idx, gt_class] = -1.0 / p
+        flat_grad_probs[gt_entry] = -1.0 / p
         grad_offsets[pos_idx] = loc_grad
         beta_r = beta_c = tc = np.zeros_like(p)
     else:
@@ -588,45 +665,38 @@ def batch_objective_arrays(
             (sl1, sl1_grad) if hp.harmonic_mode == "smooth_l1" else (loc, loc_grad)
         )
         beta_r = elementwise(math.exp, -loc_beta)
-        beta_c = elementwise(math.exp, -ce)
 
         # task-contrastive hinge on |p - IoU|, entropy-weighted
-        logs = np.log(np.maximum(pp, hp.prob_floor))
-        beta_e = elementwise(math.exp, -(pp * logs).sum(axis=1))
         weight = 1.0 / (1.0 + beta_e)
         diff = p - u
         raw = np.abs(diff) - hp.margin
         active = raw > 0.0
         signed = np.where(active, weight * np.copysign(1.0, diff), 0.0)
         tc = np.where(active, weight * raw, 0.0)
-        grad_probs[pos_idx, gt_class] = signed
+        flat_grad_probs[gt_entry] = signed
         if not hp.beta_e_stop_grad:
             squared = elementwise(lambda v: v**2, 1.0 + beta_e)
             coef = np.where(active, raw * (-beta_e / squared), 0.0)
             grad_probs[pos_idx] += coef[:, None] * -(1.0 + logs)
         tc_grad_d = (-signed)[:, None] * du_dd if hp.tc_through_iou else 0.0
 
-        totals = (1.0 + beta_r) * ce + (1.0 + beta_c) * loc + tc
+        factor_r, factor_c = 1.0 + beta_r, 1.0 + beta_c
+        totals = factor_r * ce + factor_c * loc + tc
         # the CE clamp kills both probability terms below the floor
-        dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - (1.0 + beta_r) / p, 0.0)
-        grad_probs[pos_idx, gt_class] += dp
+        dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - factor_r / p, 0.0)
+        flat_grad_probs[gt_entry] += dp
         grad_offsets[pos_idx] = (
-            (1.0 + beta_c)[:, None] * loc_grad
+            factor_c[:, None] * loc_grad
             - (ce * beta_r)[:, None] * loc_beta_grad
             + tc_grad_d
         )
 
     neg_p = np.maximum(probs[neg_idx, 0], hp.prob_floor)
     grad_probs[neg_idx, 0] = -1.0 / neg_p
-    neg_loss = -elementwise(math.log, neg_p)
-    # sequential sums in sample order, as the scalar batch objective adds
-    total = float(np.concatenate([totals, neg_loss]).cumsum()[-1])
     return BatchArrays(
-        value=total / pos_idx.size,
         grad_probs=grad_probs,
         grad_d=grad_offsets,
         pos_loss=totals,
-        neg_loss=neg_loss,
         beta_r=beta_r,
         beta_c=beta_c,
         p_gt=p_raw,
@@ -635,6 +705,7 @@ def batch_objective_arrays(
         sl1=sl1,
         loc=loc,
         tc=tc,
+        neg_p=neg_p,
     )
 
 

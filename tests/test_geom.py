@@ -7,22 +7,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import geom_reference
 from hardet.geom import (
+    AnchorTargets,
     Box,
     Offsets,
     corners,
     decode,
     decode_arrays,
     decode_jacobian,
-    decode_vjp_arrays,
     encode,
     iou,
-    iou_and_grad_arrays,
     iou_arrays,
     iou_grad,
     iou_matrix,
+    offset_iou_and_grad,
 )
-from hardet.harness import _random_box_pair, finite_diff_grad
+from hardet.harness import SceneConfig, _random_box_pair, finite_diff_grad, generate_scenes
 
 
 def unit_square(x=0.0, y=0.0):
@@ -216,6 +217,31 @@ def stacked(boxes):
     return np.array([b.as_array() for b in boxes])
 
 
+def scalar_offset_iou_and_grad(d, anchors, gts):
+    """Per row, ``iou(decode(d, a), g)`` and ``decode_jacobian(d, a).T @
+    iou_grad(decode(d, a), g)``."""
+    us, grads = [], []
+    for row, a, g in zip(d, anchors, gts):
+        offsets = Offsets.from_array(row)
+        box = decode(offsets, a)
+        us.append(iou(box, g))
+        grads.append(decode_jacobian(offsets, a).T @ iou_grad(box, g))
+    return np.array(us), np.array(grads)
+
+
+def assert_fused_equals_scalar(d, anchors, gts):
+    """The fused call equals the scalar forms and the four-call reference,
+    bit for bit."""
+    a, g = stacked(anchors), stacked(gts)
+    u, grad = offset_iou_and_grad(d, AnchorTargets(a, g))
+    want_u, want_grad = scalar_offset_iou_and_grad(d, anchors, gts)
+    assert u.tobytes() == want_u.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    ref_u, ref_grad = geom_reference.offset_iou_and_grad(d, a, g)
+    assert u.tobytes() == ref_u.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 TOUCHING = [
     (Box(0, 0, 1, 1), Box(1, 0, 2, 1)),  # shared edge
     (Box(0, 0, 1, 1), Box(1, 1, 2, 2)),  # shared corner
@@ -260,28 +286,44 @@ class TestArrayForms:
     def test_iou_and_grad_equal_scalar(self):
         rng = np.random.default_rng(13)
         pairs = TOUCHING + [_random_box_pair(rng) for _ in range(200)] + random_pairs(rng, 200)
-        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
-        u, grad = iou_and_grad_arrays(a, b)
-        assert np.array_equal(u, [iou(x, y) for x, y in pairs])
-        assert np.array_equal(grad, [iou_grad(x, y) for x, y in pairs])
+        # zero offsets decode each anchor onto itself, so the touching rows
+        # stay touching; the rest move
+        d = rng.uniform(-0.5, 0.5, size=(len(pairs), 4))
+        d[: len(TOUCHING) + 100] = 0.0
+        assert_fused_equals_scalar(d, [p[0] for p in pairs], [p[1] for p in pairs])
+        touching = AnchorTargets(stacked(a for a, _ in TOUCHING), stacked(b for _, b in TOUCHING))
+        u, _ = offset_iou_and_grad(np.zeros((len(TOUCHING), 4)), touching)
+        assert np.array_equal(u, [iou(a, b) for a, b in TOUCHING])
 
     def test_decode_and_jacobian_product_equal_scalar(self):
         rng = np.random.default_rng(14)
-        anchors = [_random_box_pair(rng)[0] for _ in range(200)]
+        pairs = [_random_box_pair(rng) for _ in range(200)]
+        anchors = [a for a, _ in pairs]
         d = rng.uniform(-2.0, 2.0, size=(200, 4))
-        g = rng.normal(size=(200, 4))
-        a = stacked(anchors)
         want_boxes = np.array(
             [decode(Offsets.from_array(row), anc).as_array() for row, anc in zip(d, anchors)]
         )
-        want_vjp = np.array(
-            [
-                decode_jacobian(Offsets.from_array(row), anc).T @ gi
-                for row, anc, gi in zip(d, anchors, g)
-            ]
-        )
-        assert np.array_equal(decode_arrays(d, a), want_boxes)
-        assert np.array_equal(decode_vjp_arrays(d, a, g), want_vjp)
+        assert np.array_equal(decode_arrays(d, stacked(anchors)), want_boxes)
+        assert_fused_equals_scalar(d, anchors, [g for _, g in pairs])
+
+    def test_stacked_runs_equal_scalar(self):
+        # refine's layout: one block of a scene set's positives per run, each
+        # run at its own offsets
+        m = generate_scenes(SceneConfig(num_scenes=3, seed=4)).matching
+        anchors = [Box.from_array(row) for row in np.tile(m.anchors, (2, 1))]
+        gts = [Box.from_array(row) for row in np.tile(m.gt, (2, 1))]
+        d = np.random.default_rng(15).uniform(-0.3, 0.3, size=(len(anchors), 4))
+        d[: m.pos_flat.size // 2] = 0.0
+        assert_fused_equals_scalar(d, anchors, gts)
+
+    def test_targets_are_read_only(self):
+        targets = AnchorTargets(stacked([unit_square()]), stacked([unit_square(0.5)]))
+        assert not targets.jacobian.flags.writeable
+        with pytest.raises(ValueError):
+            targets.gt_area[0] = 2.0
+        offset_iou_and_grad(np.ones((1, 4)), targets)
+        # the call fills a copy of the Jacobian's offset entries
+        assert np.count_nonzero(targets.jacobian) == 4
 
 
 # --- properties ---------------------------------------------------------------
@@ -295,6 +337,7 @@ def boxes(coord=_GRID | st.floats(-20.0, 20.0), size=_GRID.map(abs) | st.floats(
 
 
 _SOLID = boxes(size=st.integers(1, 8).map(lambda k: k * 0.5) | st.floats(0.01, 20.0))
+_OFFSET = _GRID.map(lambda v: v / 4.0) | st.floats(-2.0, 2.0)
 
 
 @st.composite
@@ -362,9 +405,13 @@ class TestGeomProperties:
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(pairs=st.lists(st.tuples(_SOLID, _SOLID), min_size=1, max_size=8))
-    def test_iou_and_grad_arrays_equal_scalar_bit_for_bit(self, pairs):
-        a, b = stacked(p[0] for p in pairs), stacked(p[1] for p in pairs)
-        u, grad = iou_and_grad_arrays(a, b)
-        assert u.tobytes() == np.array([iou(x, y) for x, y in pairs]).tobytes()
-        assert grad.tobytes() == np.array([iou_grad(x, y) for x, y in pairs]).tobytes()
+    @given(
+        rows=st.lists(
+            st.tuples(_SOLID, _SOLID, st.just((0.0,) * 4) | st.tuples(*[_OFFSET] * 4)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_offset_iou_and_grad_equals_scalar_bit_for_bit(self, rows):
+        d = np.array([row[2] for row in rows])
+        assert_fused_equals_scalar(d, [row[0] for row in rows], [row[1] for row in rows])

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hardet.harness as harness
+from hardet import cli
 from hardet.cli import main
 from hardet.geom import (
+    AnchorTargets,
     Box,
     Offsets,
     decode,
@@ -47,6 +49,7 @@ from hardet.metrics import aic, iou_histogram
 
 import gate_reference
 import match_reference
+import train_reference
 
 
 class TestSceneConfig:
@@ -522,6 +525,137 @@ class TestTrainToy:
         assert l1 == l2
 
 
+# the benchmark's train workloads: CLI defaults, and 4096 anchors
+TRAIN_CONFIGS = {
+    "train_default": {},
+    "train_dense": {
+        "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+        "optimizer": {"steps": 20, "log_every": 5},
+    },
+}
+
+
+def cli_setup(command, cfg, seed=0):
+    """The scene set, hyperparameters and optimizer settings that ``hardet
+    <command>`` builds from config ``cfg``."""
+    scene_defaults, opt_defaults = {
+        "train": (cli._TRAIN_SCENE_DEFAULTS, None),
+        "refine": (cli._REFINE_SCENE_DEFAULTS, cli._REFINE_OPT_DEFAULTS),
+    }[command]
+    eff = cli.effective_config(
+        cfg, seed_override=seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
+    )
+    scene = cli._build(SceneConfig, eff, "scene", seed=eff["seed"])
+    hp = cli._build(HyperParams, eff, "hyperparams", num_classes=scene.num_classes)
+    return generate_scenes(scene), hp, cli._build(OptimizerConfig, eff, "optimizer")
+
+
+def divergence(run):
+    """What ``run()`` raised, its overflow warnings silenced."""
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+        run()
+    return exc.value
+
+
+class TestTrainReference:
+    """``train_toy``, the training kernel and refine's descent against
+    ``train_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("loss_mode", ["harmonic_det", "standard"])
+    @pytest.mark.parametrize("config", sorted(TRAIN_CONFIGS))
+    def test_trained_model_and_records_equal_the_reference(self, config, loss_mode):
+        cfg = TRAIN_CONFIGS[config]
+        cfg = {**cfg, "optimizer": {**cfg.get("optimizer", {}), "loss_mode": loss_mode}}
+        ss, hp, opt = cli_setup("train", cfg)
+        model = ToyModel.zeros(ss.total_anchors, hp.num_classes)
+        got, log = train_toy(ss, model, opt, hp)
+        want, want_log = train_reference.train_toy(ss, model, opt, hp)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+        # repr tells every float bit, -0.0 from 0.0 included
+        assert len(log.records) > 2
+        assert repr(log) == repr(want_log)
+
+    @pytest.mark.parametrize("steps", [20, 100])
+    def test_refine_descent_equals_the_reference(self, steps):
+        ss, hp, opt = cli_setup("refine", {"optimizer": {"steps": steps}})
+        runs = {"plain": 0.0, "weighted": hp.gamma}
+        got = harness._train_offsets_only(ss.matching, runs, opt)
+        want = train_reference.train_offsets_only(ss.matching, runs, opt)
+        assert got.tobytes() == want.tobytes()
+        runaway = replace(opt, learning_rate=1e9)
+        got = divergence(lambda: harness._train_offsets_only(ss.matching, runs, runaway))
+        want = divergence(lambda: train_reference.train_offsets_only(ss.matching, runs, runaway))
+        assert (got.step, got.row, str(got)) == (want.step, want.row, str(want))
+
+    @pytest.mark.parametrize(
+        "check, learning_rate, alpha",
+        [
+            ("non-finite probabilities", math.inf, 1.5),
+            ("size offsets past the decode log cap 16", 1e3, 1.5),
+            # no IoU term and size offsets on target: only the centre offsets
+            # run away, and the positives' summed loss overflows at an
+            # unlogged step
+            ("non-finite objective (inf)", 1e308, 0.0),
+        ],
+    )
+    def test_divergence_fires_at_the_reference_step(self, check, learning_rate, alpha):
+        ss, _, _ = cli_setup("train", {})
+        hp = HyperParams(num_classes=5, alpha=alpha, tc_through_iou=False)
+        m = ss.matching
+        model = ToyModel.zeros(ss.total_anchors, hp.num_classes)
+        model.offsets[m.pos_flat, 2:] = m.d_hat[:, 2:]
+        opt = OptimizerConfig(
+            learning_rate=learning_rate, steps=50, log_every=100, gradcheck_samples=0
+        )
+        got = divergence(lambda: train_toy(ss, model, opt, hp))
+        want = divergence(lambda: train_reference.train_toy(ss, model, opt, hp))
+        assert (got.step, got.row, str(got)) == (want.step, want.row, str(want))
+        assert got.check == check
+        if check.startswith("non-finite objective"):
+            assert got.step % opt.log_every != 0
+
+    @pytest.mark.parametrize("loss_mode", ["harmonic_det", "standard"])
+    def test_kernel_on_the_gate_row_stacks_equals_the_reference(self, monkeypatch, loss_mode):
+        hp = HyperParams(num_classes=5)
+        if loss_mode == "standard":
+            hp = hp.compat_standard()
+        real = harness.batch_objective_arrays
+        calls = []
+
+        def kept(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", kept)
+        samples, batch_draws = 3, 2
+        harness.run_gradcheck(hp, samples, seed=0, batch_draws=batch_draws)
+        # the gate's draws, in its order, give the stack's anchors and boxes
+        rng = np.random.default_rng(0)
+        floor = harness._draw_floor(hp)
+        draws = [
+            (random_positive_sample(rng, hp, min_prob=floor), harness._random_box_pair(rng))
+            for _ in range(samples)
+        ]
+        batches = [harness._random_batch(rng, hp) for _ in range(batch_draws)]
+        positives = [s for s, _ in draws] + [s for pos, _ in batches for s in pos]
+        anchors = np.array([s.anchor.as_array() for s in positives])
+        gt = np.array([s.gt_box.as_array() for s in positives])
+        assert len(calls) > 1
+        for probs, offsets, _, *rest in calls:
+            got = real(probs, offsets, AnchorTargets(anchors, gt), *rest)
+            # the objective and the negatives' losses wait for their first read
+            assert vars(got)["value"] is None and vars(got)["neg_loss"] is None
+            want = train_reference.batch_objective_arrays(probs, offsets, anchors, gt, *rest)
+            for field in fields(want):
+                got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(want_value, float):
+                    assert got_value.hex() == want_value.hex()
+                else:
+                    assert got_value.tobytes() == want_value.tobytes(), field.name
+            assert vars(got)["value"] == want.value
+
+
 def fresh_consistency_pairs(scene_set, model):
     """(p_gt, IoU of the decoded box) per positive, in matching order, decoded
     anew from a trained model: the formula aic_summary.json used before the
@@ -787,7 +921,7 @@ class TestGradCheck:
                 assert report.passed
                 assert len(calls) == want
                 assert {len(args[0]) for args in calls} == {rows}
-                assert {len(args[7]) for args in calls} == {4 * harness.BATCH_NEGATIVES}
+                assert {len(args[6]) for args in calls} == {4 * harness.BATCH_NEGATIVES}
 
     @pytest.mark.parametrize(
         "mutant",

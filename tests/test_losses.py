@@ -1,13 +1,14 @@
 """Loss terms, harmonic factors, and analytic gradients."""
 
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from hardet.geom import Box, Offsets, encode
+from hardet.geom import AnchorTargets, Box, Offsets, encode
 from hardet.losses import (
     HyperParams,
     NegativeSample,
@@ -22,7 +23,6 @@ from hardet.losses import (
     harmonic_loss,
     harmonic_reg_grad,
     hiou_loss,
-    hiou_loss_arrays,
     hiou_slope,
     hiou_slope_arrays,
     iou_loss,
@@ -34,6 +34,8 @@ from hardet.losses import (
 from hardet.harness import random_positive_sample
 
 from gate_reference import _fd_offsets, _fd_probs
+import train_reference
+from train_reference import hiou_loss_arrays
 
 HP5 = HyperParams(num_classes=5)
 
@@ -107,6 +109,33 @@ class TestSampleValidation:
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             positive_sample_from_json({"probs": [1.0, 0.0], "gt_class": 0, "anchor": [0, 0, 1, 1], "gt_box": [0, 0, 1, 1], "d": [0, 0, 0, 0], "extra": 1})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gt_class", 1.7, "sample.gt_class: expected an integer, got 1.7"),
+            ("gt_class", True, "sample.gt_class: expected an integer, got True"),
+            ("gt_class", "1", "sample.gt_class: expected an integer, got '1'"),
+            ("probs", ["0.2", "0.8"], "sample.probs[0]: expected a number, got '0.2'"),
+            ("probs", 0.5, "sample.probs: expected list, got float"),
+            ("d", [False, 0, 0, 0], "sample.d[0]: expected a number, got False"),
+            ("anchor", [0, 0, math.inf, 1], "sample.anchor[2]: expected a finite number, got inf"),
+            ("gt_box", [0, 0, 10**400, 1], "sample.gt_box[2]: integer out of the float range"),
+            ("extra", 1, "sample.extra: unknown key"),
+        ],
+    )
+    def test_from_json_rejects_a_mistyped_field_naming_it(self, field, value, message):
+        record = {
+            "probs": [0.2, 0.8], "gt_class": 1, "anchor": [0, 0, 1, 1], "gt_box": [0, 0, 1, 1],
+            "d": [0, 0, 0, 0],
+        }
+        positive_sample_from_json(record)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            positive_sample_from_json({**record, field: value})
+
+    def test_from_json_rejects_a_record_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match=r"^sample: expected an object, got list$"):
+            positive_sample_from_json([0.2, 0.8])
 
 
 class TestHyperParams:
@@ -566,8 +595,10 @@ def batch_arrays(positives, negatives, rng):
     return (
         probs,
         offsets,
-        np.array([s.anchor.as_array() for s in positives]),
-        np.array([s.gt_box.as_array() for s in positives]),
+        AnchorTargets(
+            np.array([s.anchor.as_array() for s in positives]),
+            np.array([s.gt_box.as_array() for s in positives]),
+        ),
         np.array([s.gt_class for s in positives]),
         np.array([s.d_hat.as_array() for s in positives]),
         pos_idx,
@@ -708,11 +739,49 @@ class TestBatchObjectiveArrays:
             harmonic = (1.0 + got.beta_r) * got.ce + (1.0 + got.beta_c) * loc
             assert harmonic.tolist() == [harmonic_loss(s, hp)[0] for s in positives]
 
+    @pytest.mark.parametrize("case", sorted(KINK_CASES))
+    def test_equals_the_reference_kernel_bit_for_bit(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(120 + sorted(KINK_CASES).index(case))
+        for _ in range(5):
+            positives, negatives = random_batch(rng, hp)
+            probs, offsets, targets, *rest = batch_arrays(positives, negatives, rng)
+            got = batch_objective_arrays(probs, offsets, targets, *rest, hp)
+            want = train_reference.batch_objective_arrays(
+                probs,
+                offsets,
+                np.array([s.anchor.as_array() for s in positives]),
+                np.array([s.gt_box.as_array() for s in positives]),
+                *rest,
+                hp,
+            )
+            for field in fields(want):
+                got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "value":
+                    assert got_value.hex() == want_value.hex()
+                else:
+                    assert got_value.tobytes() == want_value.tobytes(), field.name
+
+    def test_objective_and_negative_losses_are_computed_on_first_read(self):
+        rng = np.random.default_rng(94)
+        positives, negatives = random_batch(rng, HP5)
+        negatives.append(random_negative(rng, 5))
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP5)
+        assert vars(got)["value"] is None and vars(got)["neg_loss"] is None
+        value = got.value
+        assert vars(got)["value"] is value and vars(got)["neg_loss"] is got.neg_loss
+        assert value == batch_objective(positives, negatives, HP5).value
+        # given to the constructor, neither is recomputed
+        assert replace(got, value=math.inf).value == math.inf
+        with pytest.raises(AttributeError):
+            got.value = 0.0
+
     def test_no_positives_rejected(self):
         empty = np.array([], dtype=int)
         with pytest.raises(ValueError):
             batch_objective_arrays(
-                np.full((2, 5), 0.2), np.zeros((2, 4)), np.zeros((0, 4)), np.zeros((0, 4)),
+                np.full((2, 5), 0.2), np.zeros((2, 4)),
+                AnchorTargets(np.zeros((0, 4)), np.zeros((0, 4))),
                 empty, np.zeros((0, 4)), empty, np.arange(2), HP5,
             )
 
