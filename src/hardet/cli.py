@@ -343,8 +343,9 @@ def cmd_train(
     model, log = train_toy(scene_set, model, opt, hp)
 
     rows = [_csv_header(cfg), "step,objective,mean_factor_r,mean_factor_c,aic\n"]
-    for step, objective, fr, fc, a in log.csv_rows():
-        rows.append(f"{step},{_fmt(objective)},{_fmt(fr)},{_fmt(fc)},{_fmt(a)}\n")
+    for r in log.records:
+        factors = f"{_fmt(r.mean_factor_r)},{_fmt(r.mean_factor_c)}"
+        rows.append(f"{r.step},{_fmt(r.objective)},{factors},{_fmt(r.aic)}\n")
     (out / "trainlog.csv").write_text("".join(rows))
 
     ap_payload, kept, best_iou = _evaluate_trained(scene_set, model, **cfg["train"])
@@ -371,9 +372,9 @@ def cmd_train(
         "seed": cfg["seed"],
         "loss_mode": opt.loss_mode,
         "final_objective": log.records[-1].objective,
-        "num_positives": len(log.final_pairs),
-        "aic_mean": aic(log.final_pairs, mode="mean"),
-        "aic_sum": aic(log.final_pairs, mode="sum"),
+        "num_positives": log.final_p_gt.size,
+        "aic_mean": aic(log.final_p_gt, log.final_iou, mode="mean"),
+        "aic_sum": aic(log.final_p_gt, log.final_iou, mode="sum"),
         "ap": ap_payload,
     }
     (out / "aic_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -389,8 +390,8 @@ def cmd_refine(
     cfg: dict, out: Path, scene_set: SceneSet, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
     result = refinement_experiment(scene_set, opt, hp)
-    plain = refinement_gain(result.pairs_plain)
-    weighted = refinement_gain(result.pairs_weighted)
+    plain = refinement_gain(result.iou_before, result.iou_plain)
+    weighted = refinement_gain(result.iou_before, result.iou_weighted)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count,mean_gain_iou,mean_gain_hiou\n"]
     for k in range(plain.counts.size):
         mp = "" if plain.means[k] is None else _fmt(plain.means[k])
@@ -400,18 +401,14 @@ def cmd_refine(
         )
     (out / "refine_gains.csv").write_text("".join(rows))
 
-    before = [b for b, _ in result.pairs_plain]
-    counts = iou_histogram(before, DEFAULT_IOU_BIN_EDGES)
+    counts = iou_histogram(result.iou_before, DEFAULT_IOU_BIN_EDGES)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count\n"]
     for k, c in enumerate(counts):
         rows.append(
             f"{_fmt(DEFAULT_IOU_BIN_EDGES[k])},{_fmt(DEFAULT_IOU_BIN_EDGES[k + 1])},{int(c)}\n"
         )
     (out / "iou_histogram.csv").write_text("".join(rows))
-    print(
-        f"refine: {len(result.pairs_plain)} positives, gamma {result.gamma_plain:g} vs "
-        f"{result.gamma_weighted:g}"
-    )
+    print(f"refine: {result.iou_before.size} positives, gamma 0 vs {result.gamma_weighted:g}")
     return EXIT_OK
 
 

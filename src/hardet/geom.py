@@ -53,9 +53,6 @@ class Box:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
-    def translate(self, dx: float, dy: float) -> "Box":
-        return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=float)
 
@@ -158,14 +155,16 @@ def encode(gt: Box, anchor: Box) -> Offsets:
     )
 
 
-def decode(d: Offsets, anchor: Box, log_cap: float = DECODE_LOG_CAP) -> Box:
-    """Inverse of :func:`encode`; raises if |tw| or |th| exceeds ``log_cap``."""
+def _check_decode(d: Offsets, anchor: Box) -> None:
     if anchor.width <= 0.0 or anchor.height <= 0.0:
         raise ValueError("cannot decode against a degenerate anchor")
-    if abs(d.tw) > log_cap or abs(d.th) > log_cap:
-        raise ValueError(
-            f"size offsets ({d.tw}, {d.th}) exceed the exp cap {log_cap}"
-        )
+    if abs(d.tw) > DECODE_LOG_CAP or abs(d.th) > DECODE_LOG_CAP:
+        raise ValueError(f"size offsets ({d.tw}, {d.th}) exceed the exp cap {DECODE_LOG_CAP}")
+
+
+def decode(d: Offsets, anchor: Box) -> Box:
+    """Inverse of :func:`encode`; raises if |tw| or |th| exceeds ``DECODE_LOG_CAP``."""
+    _check_decode(d, anchor)
     acx, acy = anchor.center
     cx = d.tx * anchor.width + acx
     cy = d.ty * anchor.height + acy
@@ -174,17 +173,13 @@ def decode(d: Offsets, anchor: Box, log_cap: float = DECODE_LOG_CAP) -> Box:
     return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
 
 
-def decode_jacobian(d: Offsets, anchor: Box, log_cap: float = DECODE_LOG_CAP) -> np.ndarray:
-    """4x4 Jacobian of the decoded corners w.r.t. (tx, ty, tw, th).
+def decode_jacobian(d: Offsets, anchor: Box) -> np.ndarray:
+    """4x4 Jacobian of the decoded corners w.r.t. (tx, ty, tw, th), checked
+    as :func:`decode`.
 
     Row order is (x1, y1, x2, y2); column order is (tx, ty, tw, th).
     """
-    if anchor.width <= 0.0 or anchor.height <= 0.0:
-        raise ValueError("cannot decode against a degenerate anchor")
-    if abs(d.tw) > log_cap or abs(d.th) > log_cap:
-        raise ValueError(
-            f"size offsets ({d.tw}, {d.th}) exceed the exp cap {log_cap}"
-        )
+    _check_decode(d, anchor)
     wa = anchor.width
     ha = anchor.height
     half_w = 0.5 * wa * math.exp(d.tw)

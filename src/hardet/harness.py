@@ -351,10 +351,6 @@ class ToyModel:
             offsets=np.zeros((num_anchors, 4)),
         )
 
-    @property
-    def param_count(self) -> int:
-        return self.logits.size + self.offsets.size
-
     def probs(self) -> np.ndarray:
         z = self.logits - self.logits.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -380,7 +376,7 @@ class OptimizerConfig:
     gradcheck_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:  # written so that NaN fails it too
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
@@ -391,7 +387,7 @@ class OptimizerConfig:
         if self.gradcheck_samples < 0:
             raise ValueError("gradcheck_samples must be >= 0")
         # every error exceeds a negative tolerance: that is a bad config, not a failed check
-        if self.gradcheck_tolerance < 0.0:
+        if not self.gradcheck_tolerance >= 0.0:  # NaN fails it too
             raise ValueError(f"gradcheck_tolerance must be >= 0, got {self.gradcheck_tolerance}")
 
 
@@ -404,19 +400,19 @@ class TrainRecord:
     aic: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainLog:
-    """Logged records, and the trained model's (p_gt, IoU of the decoded box)
-    per positive, in matching order: the pairs the last record's AIC averages."""
+    """Logged records, and the trained model's p_gt and IoU of the decoded
+    box per positive, in matching order: the rows the last record's AIC
+    averages. The arrays are read-only."""
 
     records: tuple[TrainRecord, ...]
-    final_pairs: tuple[tuple[float, float], ...]
+    final_p_gt: np.ndarray
+    final_iou: np.ndarray
 
-    def csv_rows(self) -> list[tuple]:
-        return [
-            (r.step, r.objective, r.mean_factor_r, r.mean_factor_c, r.aic)
-            for r in self.records
-        ]
+    def __post_init__(self) -> None:
+        self.final_p_gt.flags.writeable = False
+        self.final_iou.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +479,7 @@ def train_toy(
     hp: HyperParams,
 ) -> tuple[ToyModel, TrainLog]:
     """Gradient descent on the batch objective; logs factors and AIC, and
-    keeps the trained model's (p_gt, IoU) pairs as ``TrainLog.final_pairs``.
+    keeps the trained model's p_gt and IoU arrays in the :class:`TrainLog`.
 
     Standard mode optimizes the compatibility reduction (frozen factors,
     alpha = 0), which equals the classic CE + smooth L1 objective. Each step
@@ -514,18 +510,16 @@ def train_toy(
 
     records: list[TrainRecord] = []
 
-    def log_state(step: int, batch: BatchArrays) -> tuple[tuple[float, float], ...]:
-        pairs = tuple(zip(batch.p_gt.tolist(), batch.iou.tolist()))
+    def log_state(step: int, batch: BatchArrays) -> None:
         records.append(
             TrainRecord(
                 step=step,
                 objective=batch.value,
                 mean_factor_r=float(np.mean(1.0 + batch.beta_r)),
                 mean_factor_c=float(np.mean(1.0 + batch.beta_c)),
-                aic=aic(pairs),
+                aic=aic(batch.p_gt, batch.iou),
             )
         )
-        return pairs
 
     def objective(step: int, logged: bool) -> tuple[np.ndarray, BatchArrays]:
         probs = model.probs()
@@ -560,8 +554,8 @@ def train_toy(
         model.offsets -= scale * batch.grad_d
 
     _, batch = objective(opt.steps, True)
-    final_pairs = log_state(opt.steps, batch)
-    return model, TrainLog(tuple(records), final_pairs)
+    log_state(opt.steps, batch)
+    return model, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
 
 def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:
@@ -987,14 +981,20 @@ def run_gradcheck(
 # --- refinement experiment ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementResult:
-    """Paired (iou_before, iou_after) streams for two localization losses."""
+    """Per positive, in matching order, the IoU before refinement and after
+    it under plain IoU loss (gamma 0) and under the weighted variant
+    (``gamma_weighted``). The arrays are read-only."""
 
-    gamma_plain: float
     gamma_weighted: float
-    pairs_plain: tuple[tuple[float, float], ...]
-    pairs_weighted: tuple[tuple[float, float], ...]
+    iou_before: np.ndarray
+    iou_plain: np.ndarray
+    iou_weighted: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("iou_before", "iou_plain", "iou_weighted"):
+            getattr(self, name).flags.writeable = False
 
 
 def _train_offsets_only(
@@ -1031,16 +1031,10 @@ def refinement_experiment(
     decoded-vs-GT.
     """
     m = scene_set.matching
-    before = iou_arrays(m.anchors, m.gt).tolist()
-
-    def pairs_for(d: np.ndarray) -> tuple[tuple[float, float], ...]:
-        after = iou_arrays(decode_arrays(d, m.anchors), m.gt).tolist()
-        return tuple(zip(before, after))
-
     plain, weighted = _train_offsets_only(m, {"plain": 0.0, "weighted": hp.gamma}, opt)
     return RefinementResult(
-        gamma_plain=0.0,
         gamma_weighted=hp.gamma,
-        pairs_plain=pairs_for(plain),
-        pairs_weighted=pairs_for(weighted),
+        iou_before=iou_arrays(m.anchors, m.gt),
+        iou_plain=iou_arrays(decode_arrays(plain, m.anchors), m.gt),
+        iou_weighted=iou_arrays(decode_arrays(weighted, m.anchors), m.gt),
     )

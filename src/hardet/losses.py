@@ -63,7 +63,7 @@ class HyperParams:
     allow_gamma_above_one: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:  # written so that NaN fails it too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.gamma > 1.0 and not self.allow_gamma_above_one:
             raise ValueError(
@@ -79,8 +79,8 @@ class HyperParams:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.prob_floor <= 0.0:
-            raise ValueError(f"prob_floor must be positive, got {self.prob_floor}")
+        if not 0.0 < self.prob_floor < math.inf:
+            raise ValueError(f"prob_floor must be positive and finite, got {self.prob_floor}")
         if self.harmonic_mode not in ("full_loc", "smooth_l1"):
             raise ValueError(f"unknown harmonic_mode: {self.harmonic_mode!r}")
 

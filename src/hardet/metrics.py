@@ -11,7 +11,7 @@ are pure and deterministic; ties break by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,17 +45,29 @@ def _own_arrays(item: object, **dtypes: type) -> None:
     """Set the ``boxes`` field and the named fields of a frozen dataclass to
     read-only copies of the given dtypes, and check them: (N, 4) corners
     that pass :class:`Box`'s checks row by row, and one entry per box in
-    every other field."""
+    every other field, integral in an integer field."""
+    given = {}
     for name, dtype in {"boxes": float, **dtypes}.items():
-        values = np.array(getattr(item, name), dtype=dtype)
+        given[name] = np.asarray(getattr(item, name))
+        # a float that is no integer fails the check below
+        with np.errstate(invalid="ignore"):
+            values = given[name].astype(dtype)
         values.flags.writeable = False
         object.__setattr__(item, name, values)
     boxes = item.boxes
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be shaped (N, 4), got {boxes.shape}")
-    for name in dtypes:
-        if getattr(item, name).shape != boxes.shape[:1]:
-            raise ValueError(f"{name} must hold one entry per box, got {getattr(item, name).shape}")
+    for name, dtype in dtypes.items():
+        values = getattr(item, name)
+        if values.shape != boxes.shape[:1]:
+            raise ValueError(f"{name} must hold one entry per box, got {values.shape}")
+        if dtype is int and given[name].dtype.kind == "f":
+            # written so that NaN fails it too
+            exact = values == given[name]
+            if not exact.all():
+                k = int(np.argmin(exact))
+                got = given[name][k].item()
+                raise ValueError(f"row {k}: {name} must be an integer, got {got}")
     finite = np.isfinite(boxes)
     if not finite.all():
         k, c = np.argwhere(~finite)[0].tolist()
@@ -253,55 +265,59 @@ def average_precision(
     return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class)
 
 
-def aic(pairs: Sequence[tuple[float, float]], mode: str = "mean") -> float:
-    """Aggregate |score - IoU| over positives; ``mode`` is "mean" or "sum"."""
-    if not pairs:
-        raise ValueError("aic needs at least one (score, iou) pair")
+def _unit_arrays(caller: str, **values: object) -> list[np.ndarray]:
+    """The named ``values`` as 1-D float arrays of one length, every entry in [0, 1]."""
+    arrays = [np.asarray(v, dtype=float) for v in values.values()]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        shapes = [a.shape for a in arrays]
+        raise ValueError(f"{caller} needs 1-D arrays of one length, got shapes {shapes}")
+    for name, a in zip(values, arrays):
+        valid = (a >= 0.0) & (a <= 1.0)  # written so that NaN fails it too
+        if not valid.all():
+            k = int(np.argmin(valid))
+            raise ValueError(f"{caller}: row {k}: {name} must lie in [0, 1], got {a[k].item()}")
+    return arrays
+
+
+def aic(scores: np.ndarray, ious: np.ndarray, mode: str = "mean") -> float:
+    """Aggregate |score - IoU| over positives, row ``k`` pairing ``scores[k]``
+    with ``ious[k]``; ``mode`` is "mean" or "sum". The sum runs in row order."""
     if mode not in ("mean", "sum"):
         raise ValueError(f"unknown aic mode: {mode!r}")
-    total = 0.0
-    for score, iou_value in pairs:
-        if not 0.0 <= score <= 1.0 or not 0.0 <= iou_value <= 1.0:
-            raise ValueError(f"aic entries must lie in [0, 1], got ({score}, {iou_value})")
-        total += abs(score - iou_value)
-    return total / len(pairs) if mode == "mean" else total
-
-
-def _bin_index(value: float, edges: np.ndarray) -> int:
-    """Bin index under [e_k, e_k+1) binning with a closed last bin; -1 below."""
-    if value < edges[0]:
-        return -1
-    if value >= edges[-1]:
-        return len(edges) - 2
-    return int(np.searchsorted(edges, value, side="right")) - 1
+    scores, ious = _unit_arrays("aic", scores=scores, ious=ious)
+    if not scores.size:
+        raise ValueError("aic needs at least one (score, iou) row")
+    total = float(np.abs(scores - ious).cumsum()[-1])
+    return total / scores.size if mode == "mean" else total
 
 
 def _check_edges(bin_edges: Sequence[float]) -> np.ndarray:
     edges = np.asarray(bin_edges, dtype=float)
-    if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+    # written so that NaN edges fail these checks too
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("bin edges must be strictly increasing with >= 2 entries")
-    if edges[0] < 0.0 or edges[-1] > 1.0:
+    if not (edges[0] >= 0.0 and edges[-1] <= 1.0):
         raise ValueError("bin edges must lie within [0, 1]")
     return edges
 
 
+def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each value's bin under [e_k, e_k+1) binning with a closed last bin;
+    -1 below the first edge."""
+    return np.minimum(np.searchsorted(edges, values, side="right") - 1, edges.size - 2)
+
+
 def iou_histogram(
-    ious: Iterable[float], bin_edges: Sequence[float] = DEFAULT_IOU_BIN_EDGES
+    ious: np.ndarray, bin_edges: Sequence[float] = DEFAULT_IOU_BIN_EDGES
 ) -> np.ndarray:
     """Counts per bin; values below the first edge are dropped.
 
     Bins are half-open [e_k, e_k+1) with the last bin closed at the top.
     """
     edges = _check_edges(bin_edges)
-    counts = np.zeros(edges.size - 1, dtype=int)
-    for v in ious:
-        v = float(v)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"IoU value outside [0, 1]: {v}")
-        k = _bin_index(v, edges)
-        if k >= 0:
-            counts[k] += 1
-    return counts
+    (ious,) = _unit_arrays("iou_histogram", ious=ious)
+    bins = _bin_indices(ious, edges)
+    return np.bincount(bins[bins >= 0], minlength=edges.size - 1)
 
 
 @dataclass(frozen=True)
@@ -314,24 +330,19 @@ class BinnedGain:
 
 
 def refinement_gain(
-    pairs: Sequence[tuple[float, float]],
+    before: np.ndarray,
+    after: np.ndarray,
     bin_edges: Sequence[float] = DEFAULT_GAIN_BIN_EDGES,
 ) -> BinnedGain:
-    """Bin (iou_before, iou_after) pairs by iou_before; mean delta per bin."""
-    if not pairs:
-        raise ValueError("refinement_gain needs at least one pair")
+    """Bin rows by ``before``; mean ``after - before`` per bin, summed in row order."""
     edges = _check_edges(bin_edges)
-    counts = np.zeros(edges.size - 1, dtype=int)
-    sums = np.zeros(edges.size - 1, dtype=float)
-    for before, after in pairs:
-        before = float(before)
-        after = float(after)
-        if not 0.0 <= before <= 1.0 or not 0.0 <= after <= 1.0:
-            raise ValueError(f"IoU values outside [0, 1]: ({before}, {after})")
-        k = _bin_index(before, edges)
-        if k >= 0:
-            counts[k] += 1
-            sums[k] += after - before
+    before, after = _unit_arrays("refinement_gain", before=before, after=after)
+    if not before.size:
+        raise ValueError("refinement_gain needs at least one row")
+    bins = _bin_indices(before, edges)
+    binned = bins >= 0
+    counts = np.bincount(bins[binned], minlength=edges.size - 1)
+    sums = np.bincount(bins[binned], weights=(after - before)[binned], minlength=edges.size - 1)
     means: list[float | None] = [
         (sums[k] / counts[k]) if counts[k] > 0 else None for k in range(counts.size)
     ]

@@ -169,8 +169,8 @@ def test_criterion_07_refinement_gain_direction():
         hp = HyperParams(num_classes=scene_cfg.num_classes)
         opt = OptimizerConfig(learning_rate=0.002, steps=20, gradcheck_samples=0)
         result = refinement_experiment(scene_set, opt, hp)
-        plain = refinement_gain(result.pairs_plain)
-        weighted = refinement_gain(result.pairs_weighted)
+        plain = refinement_gain(result.iou_before, result.iou_plain)
+        weighted = refinement_gain(result.iou_before, result.iou_weighted)
         assert plain.counts[bin_low] > 0, f"seed {seed}: empty [0.8, 0.9) bin"
         assert weighted.means[bin_low] >= plain.means[bin_low], (
             f"seed {seed}: weighted {weighted.means[bin_low]:.4f} "

@@ -90,5 +90,11 @@ def test_child_runs_a_traced_command_with_its_facts(tmp_path, monkeypatch, trace
         # the evaluation runs under the names the benchmark traces
         for name in ("nms", "average_precision", "consistency_scatter"):
             assert metrics[f"metrics.{name}.calls"] == 1, name
+        # one AIC per logged record, then aic_summary.json's mean and sum
+        records = (out / "trainlog.csv").read_text().splitlines()[2:]
+        assert metrics["metrics.aic.calls"] == len(records) + 2
+    else:
+        assert metrics["metrics.refinement_gain.calls"] == 2
+        assert metrics["metrics.iou_histogram.calls"] == 1
     assert sum(v for k, v in metrics.items() if k.endswith(".errors")) == 0
     assert tracer.installed_wrappers() == []

@@ -330,6 +330,17 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(steps=0)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("learning_rate", "learning_rate must be >= 0, got nan"),
+            ("gradcheck_tolerance", "gradcheck_tolerance must be >= 0, got nan"),
+        ],
+    )
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(**{field: math.nan})
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(loss_mode="sgd")
@@ -473,11 +484,11 @@ class TestTrainToy:
         ss, hp, model = small_setup(seed=3)
         opt = OptimizerConfig(steps=30, log_every=10, loss_mode=loss_mode, gradcheck_samples=0)
         trained, log = train_toy(ss, model, opt, hp)
-        want = fresh_consistency_pairs(ss, trained)
-        assert [(p.hex(), u.hex()) for p, u in log.final_pairs] == [
-            (p.hex(), u.hex()) for p, u in want
-        ]
-        assert aic(log.final_pairs) == log.records[-1].aic
+        p_gt, iou_gt = fresh_consistency_arrays(ss, trained)
+        assert log.final_p_gt.tobytes() == p_gt.tobytes()
+        assert log.final_iou.tobytes() == iou_gt.tobytes()
+        assert aic(log.final_p_gt, log.final_iou) == log.records[-1].aic
+        assert not log.final_p_gt.flags.writeable and not log.final_iou.flags.writeable
 
     def test_gradient_gate_blocks_on_impossible_tolerance(self):
         ss, hp, model = small_setup()
@@ -522,7 +533,9 @@ class TestTrainToy:
         m2, l2 = train_toy(ss, model, opt, hp)
         np.testing.assert_array_equal(m1.logits, m2.logits)
         np.testing.assert_array_equal(m1.offsets, m2.offsets)
-        assert l1 == l2
+        assert l1.records == l2.records
+        assert l1.final_p_gt.tobytes() == l2.final_p_gt.tobytes()
+        assert l1.final_iou.tobytes() == l2.final_iou.tobytes()
 
 
 # the benchmark's train workloads: CLI defaults, and 4096 anchors
@@ -572,9 +585,12 @@ class TestTrainReference:
         want, want_log = train_reference.train_toy(ss, model, opt, hp)
         assert got.logits.tobytes() == want.logits.tobytes()
         assert got.offsets.tobytes() == want.offsets.tobytes()
-        # repr tells every float bit, -0.0 from 0.0 included
+        # repr tells every float bit, -0.0 from 0.0 included; numpy's repr
+        # rounds, so the arrays compare by their bytes
         assert len(log.records) > 2
-        assert repr(log) == repr(want_log)
+        assert repr(log.records) == repr(want_log.records)
+        assert log.final_p_gt.tobytes() == want_log.final_p_gt.tobytes()
+        assert log.final_iou.tobytes() == want_log.final_iou.tobytes()
 
     @pytest.mark.parametrize("steps", [20, 100])
     def test_refine_descent_equals_the_reference(self, steps):
@@ -656,14 +672,13 @@ class TestTrainReference:
             assert vars(got)["value"] == want.value
 
 
-def fresh_consistency_pairs(scene_set, model):
-    """(p_gt, IoU of the decoded box) per positive, in matching order, decoded
-    anew from a trained model: the formula aic_summary.json used before the
-    training step's own pairs replaced it."""
+def fresh_consistency_arrays(scene_set, model):
+    """p_gt and IoU of the decoded box per positive, in matching order,
+    decoded anew from a trained model: the formula aic_summary.json used
+    before the training step's own arrays replaced it."""
     m = scene_set.matching
     p = model.probs()[m.pos_flat, m.gt_class]
-    u = iou_arrays(decode_arrays(model.offsets[m.pos_flat], m.anchors), m.gt)
-    return list(zip(p.tolist(), u.tolist()))
+    return p, iou_arrays(decode_arrays(model.offsets[m.pos_flat], m.anchors), m.gt)
 
 
 def close(got, want):
@@ -706,10 +721,6 @@ def scalar_step(ss, model, opt, hp):
 
 
 class TestToyModel:
-    def test_param_count(self):
-        m = ToyModel.zeros(7, 5)
-        assert m.param_count == 7 * (5 + 4)
-
     def test_probs_rows_sum_to_one(self):
         m = ToyModel(logits=np.random.default_rng(1).normal(size=(6, 4)), offsets=np.zeros((6, 4)))
         np.testing.assert_allclose(m.probs().sum(axis=1), np.ones(6), atol=1e-12)
@@ -1042,8 +1053,8 @@ class TestRefinementExperiment:
         hp = HyperParams(num_classes=5)
         opt = OptimizerConfig(learning_rate=0.0, steps=3, gradcheck_samples=0)
         res = refinement_experiment(ss, opt, hp)
-        for before, after in res.pairs_plain + res.pairs_weighted:
-            assert after == pytest.approx(before, abs=1e-12)
+        for after in (res.iou_plain, res.iou_weighted):
+            assert np.all(np.abs(after - res.iou_before) <= 1e-12)
 
     def test_stream_length_equals_positive_count(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=3))
@@ -1054,16 +1065,20 @@ class TestRefinementExperiment:
         for scene in ss.scenes:
             m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
             total_pos += len(m.pos_anchor)
-        assert len(res.pairs_plain) == total_pos
-        assert len(res.pairs_weighted) == total_pos
+        for values in (res.iou_before, res.iou_plain, res.iou_weighted):
+            assert values.shape == (total_pos,)
+            assert not values.flags.writeable
 
     def test_pairs_equal_scalar_reference(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=3))
         hp = HyperParams(num_classes=5)
         opt = OptimizerConfig(learning_rate=0.05, steps=6, gradcheck_samples=0)
         res = refinement_experiment(ss, opt, hp)
-        assert res.pairs_plain == scalar_refine_pairs(ss, 0.0, opt)
-        assert res.pairs_weighted == scalar_refine_pairs(ss, hp.gamma, opt)
+        before, plain = scalar_refine_ious(ss, 0.0, opt)
+        _, weighted = scalar_refine_ious(ss, hp.gamma, opt)
+        assert res.iou_before.tobytes() == before.tobytes()
+        assert res.iou_plain.tobytes() == plain.tobytes()
+        assert res.iou_weighted.tobytes() == weighted.tobytes()
 
     def test_runaway_offsets_diverge(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=2))
@@ -1090,12 +1105,12 @@ class TestRefinementExperiment:
         hp = HyperParams(num_classes=5, gamma=0.8)
         opt = OptimizerConfig(learning_rate=0.001, steps=2, gradcheck_samples=0)
         res = refinement_experiment(ss, opt, hp)
-        assert res.gamma_plain == 0.0
         assert res.gamma_weighted == 0.8
 
 
-def scalar_refine_pairs(ss, gamma, opt):
-    """Per-positive scalar descent on the focused IoU loss."""
+def scalar_refine_ious(ss, gamma, opt):
+    """Per-positive scalar descent on the focused IoU loss: the IoUs before
+    and after it, as arrays."""
     pairs = []
     for scene in ss.scenes:
         m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
@@ -1108,4 +1123,4 @@ def scalar_refine_pairs(ss, gamma, opt):
                 step = opt.learning_rate * hiou_slope(iou(decoded, gt), gamma) * du_dd
                 d = Offsets.from_array(d.as_array() - step)
             pairs.append((iou(anchor, gt), iou(decode(d, anchor), gt)))
-    return tuple(pairs)
+    return np.array(pairs).T

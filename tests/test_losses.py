@@ -164,6 +164,18 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(margin=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", math.nan, "alpha must be >= 0"),
+            ("prob_floor", math.nan, "prob_floor must be positive and finite"),
+            ("prob_floor", math.inf, "prob_floor must be positive and finite"),
+        ],
+    )
+    def test_nan_and_inf_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            HyperParams(**{field: value})
+
 
 class TestCrossEntropy:
     def test_certain_prediction(self):

@@ -209,6 +209,25 @@ class TestDetectionArrays:
         with pytest.raises(ValueError, match="row 1: box corners out of order"):
             GroundTruthArrays([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]], [1, 1], [0, 0])
 
+    @pytest.mark.parametrize(
+        "class_id, scene, message",
+        [
+            ([1, 2.5], [0, 0], "row 1: class_id must be an integer, got 2.5"),
+            ([1, 2], [0, -0.5], "row 1: scene must be an integer, got -0.5"),
+            ([np.nan, 2], [0, 0], "row 0: class_id must be an integer, got nan"),
+            ([1, 2], [np.inf, 0], "row 0: scene must be an integer, got inf"),
+        ],
+    )
+    def test_integer_fields_are_not_truncated(self, class_id, scene, message):
+        boxes = [[0.0, 0.0, 1.0, 1.0]] * 2
+        with pytest.raises(ValueError, match=message):
+            GroundTruthArrays(boxes, class_id, scene)
+        with pytest.raises(ValueError, match=message):
+            DetectionArrays(boxes, class_id, [0.5, 0.5], scene)
+        # integral floats are the integers they hold
+        gts = GroundTruthArrays(boxes, [1.0, 2.0], [0.0, 3.0])
+        assert (gts.class_id.tolist(), gts.scene.tolist()) == ([1, 2], [0, 3])
+
     def test_arrays_are_read_only_copies(self):
         boxes = np.array([[0.0, 0.0, 1.0, 1.0]])
         dets = DetectionArrays(boxes, [1], [0.5], [0])
@@ -220,41 +239,50 @@ class TestDetectionArrays:
 
 class TestAic:
     def test_perfect_consistency(self):
-        assert aic([(0.5, 0.5), (0.9, 0.9)]) == 0.0
+        assert aic(np.array([0.5, 0.9]), np.array([0.5, 0.9])) == 0.0
 
     def test_hand_values(self):
-        pairs = [(0.9, 0.5), (0.3, 0.6)]
-        assert aic(pairs) == pytest.approx(0.35, abs=1e-12)
-        assert aic(pairs, mode="sum") == pytest.approx(0.7, abs=1e-12)
+        scores, ious = np.array([0.9, 0.3]), np.array([0.5, 0.6])
+        assert aic(scores, ious) == pytest.approx(0.35, abs=1e-12)
+        assert aic(scores, ious, mode="sum") == pytest.approx(0.7, abs=1e-12)
 
     def test_reorder_invariance(self):
-        pairs = [(0.9, 0.5), (0.3, 0.6), (0.2, 0.8)]
-        assert aic(pairs) == pytest.approx(aic(list(reversed(pairs))), abs=1e-15)
+        scores, ious = np.array([0.9, 0.3, 0.2]), np.array([0.5, 0.6, 0.8])
+        assert aic(scores, ious) == pytest.approx(aic(scores[::-1], ious[::-1]), abs=1e-15)
 
     def test_mean_in_unit_interval(self):
         rng = np.random.default_rng(5)
-        pairs = [(float(a), float(b)) for a, b in rng.uniform(0, 1, size=(100, 2))]
-        assert 0.0 <= aic(pairs) <= 1.0
+        scores, ious = rng.uniform(0, 1, size=(2, 100))
+        assert 0.0 <= aic(scores, ious) <= 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aic([])
+            aic(np.zeros(0), np.zeros(0))
 
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            aic([(1.2, 0.5)])
+    @pytest.mark.parametrize(
+        "scores, ious, message",
+        [
+            ([1.2], [0.5], "row 0: scores must lie in"),
+            ([0.5, 0.5], [0.5, np.nan], "row 1: ious must lie in"),
+            ([0.5], [0.5, 0.5], "1-D arrays of one length"),
+            ([[0.5]], [[0.5]], "1-D arrays of one length"),
+        ],
+    )
+    def test_rows_checked(self, scores, ious, message):
+        with pytest.raises(ValueError, match=message):
+            aic(scores, ious)
 
 
 class TestIouHistogram:
     def test_all_ones_land_in_last_bin(self):
-        counts = iou_histogram([1.0, 1.0, 1.0])
+        counts = iou_histogram(np.ones(3))
         np.testing.assert_array_equal(counts, [0, 0, 0, 0, 3])
 
     def test_hand_binning_with_prefilter(self):
-        values = [0.05 + 0.1 * k for k in range(10)]  # 0.05 .. 0.95
+        values = 0.05 + 0.1 * np.arange(10)  # 0.05 .. 0.95
         counts = iou_histogram(values)
         np.testing.assert_array_equal(counts, [1, 1, 1, 1, 1])
-        assert counts.sum() == sum(1 for v in values if v >= 0.5)
+        assert counts.sum() == np.count_nonzero(values >= 0.5)
 
     def test_full_cover_edges_partition_input(self):
         rng = np.random.default_rng(37)
@@ -262,38 +290,58 @@ class TestIouHistogram:
         counts = iou_histogram(values, np.linspace(0, 1, 11))
         assert counts.sum() == 500
 
-    def test_out_of_range_value_rejected(self):
-        with pytest.raises(ValueError):
-            iou_histogram([1.2])
+    @pytest.mark.parametrize("value", [1.2, -0.1, np.nan])
+    def test_out_of_range_value_rejected(self, value):
+        with pytest.raises(ValueError, match="row 1: ious must lie in"):
+            iou_histogram(np.array([0.5, value]))
 
-    def test_bad_edges_rejected(self):
-        with pytest.raises(ValueError):
-            iou_histogram([0.5], [0.5, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "edges", [[0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.nan], [0.5]]
+    )
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="bin edges"):
+            iou_histogram(np.array([0.5]), edges)
 
 
 class TestRefinementGain:
     def test_identity_refinement(self):
-        pairs = [(0.55, 0.55), (0.72, 0.72)]
-        result = refinement_gain(pairs)
+        before = np.array([0.55, 0.72])
+        result = refinement_gain(before, before)
         for m, c in zip(result.means, result.counts):
             if c > 0:
                 assert m == 0.0
 
     def test_constant_shift(self):
-        pairs = [(0.55, 0.65), (0.72, 0.82), (0.31, 0.41)]
-        result = refinement_gain(pairs)
+        result = refinement_gain(np.array([0.55, 0.72, 0.31]), np.array([0.65, 0.82, 0.41]))
         for m, c in zip(result.means, result.counts):
             if c > 0:
                 assert m == pytest.approx(0.1, abs=1e-12)
 
     def test_empty_bins_absent(self):
-        result = refinement_gain([(0.55, 0.6)])
+        result = refinement_gain(np.array([0.55]), np.array([0.6]))
         assert result.means[5] is not None
         assert result.means[0] is None
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            refinement_gain([])
+            refinement_gain(np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize(
+        "before, after, message",
+        [
+            ([0.5, 1.5], [0.5, 0.5], "row 1: before must lie in"),
+            ([0.5], [np.nan], "row 0: after must lie in"),
+            ([0.5, 0.5], [0.5], "1-D arrays of one length"),
+        ],
+    )
+    def test_rows_checked(self, before, after, message):
+        with pytest.raises(ValueError, match=message):
+            refinement_gain(before, after)
+
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [-0.1, 1.0]])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="bin edges"):
+            refinement_gain(np.array([0.5]), np.array([0.6]), edges)
 
 
 class TestConsistencyScatter:
@@ -406,6 +454,46 @@ def oracle_consistency_scatter(
     return rows
 
 
+def oracle_aic(pairs: Sequence[tuple[float, float]], mode: str = "mean") -> float:
+    """|score - IoU| summed one (score, IoU) pair at a time."""
+    total = 0.0
+    for score, iou_value in pairs:
+        total += abs(score - iou_value)
+    return total / len(pairs) if mode == "mean" else total
+
+
+def oracle_bin(value: float, edges: Sequence[float]) -> int:
+    """[e_k, e_k+1) bin of one value, the last bin closed; -1 below."""
+    if value < edges[0]:
+        return -1
+    if value >= edges[-1]:
+        return len(edges) - 2
+    return int(np.searchsorted(edges, value, side="right")) - 1
+
+
+def oracle_iou_histogram(values: Sequence[float], edges: Sequence[float]) -> list[int]:
+    counts = [0] * (len(edges) - 1)
+    for v in values:
+        k = oracle_bin(v, edges)
+        if k >= 0:
+            counts[k] += 1
+    return counts
+
+
+def oracle_refinement_gain(
+    pairs: Sequence[tuple[float, float]], edges: Sequence[float]
+) -> tuple[list[int], list[float | None]]:
+    """Counts and mean ``after - before`` per ``before`` bin, summed pair by pair."""
+    counts = [0] * (len(edges) - 1)
+    sums = [0.0] * (len(edges) - 1)
+    for before, after in pairs:
+        k = oracle_bin(before, edges)
+        if k >= 0:
+            counts[k] += 1
+            sums[k] += after - before
+    return counts, [s / c if c else None for s, c in zip(sums, counts)]
+
+
 def remapped(items):
     """Scene folded into the class id, scene 0 everywhere."""
     return [type(x)(**{**vars(x), "class_id": x.scene * 10_000 + x.class_id, "scene": 0}) for x in items]
@@ -486,6 +574,42 @@ class TestMatchesScalarOracle:
         dets, gts = sets
         new = list(zip([d.score for d in dets], best_ious(dets, gts)))
         assert repr(new) == repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
+
+
+# few distinct values, the bin edges among them: ties and edge hits are common
+_UNIT = st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.8999999999999999, 1.0]) | st.floats(0.0, 1.0)
+_EDGES = st.sampled_from([
+    metrics.DEFAULT_IOU_BIN_EDGES, metrics.DEFAULT_GAIN_BIN_EDGES, (0.0, 1.0), (0.1, 0.7),
+])
+
+
+class TestSummariesMatchPairLoops:
+    """AIC, the histogram and the gains against their one-pair-at-a-time
+    loops, floats equal bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
+    def test_aic(self, pairs):
+        scores, ious = np.array(pairs).T
+        for mode in ("mean", "sum"):
+            assert aic(scores, ious, mode).hex() == oracle_aic(pairs, mode).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_UNIT, max_size=40), edges=_EDGES)
+    def test_iou_histogram(self, values, edges):
+        counts = iou_histogram(np.array(values, dtype=float), edges)
+        assert counts.tolist() == oracle_iou_histogram(values, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40), edges=_EDGES)
+    def test_refinement_gain(self, pairs, edges):
+        before, after = np.array(pairs).T
+        result = refinement_gain(before, after, edges)
+        counts, means = oracle_refinement_gain(pairs, edges)
+        assert result.counts.tolist() == counts
+        assert [m if m is None else m.hex() for m in result.means] == [
+            m if m is None else m.hex() for m in means
+        ]
 
 
 def _dense_group(rng):

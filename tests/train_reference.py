@@ -4,7 +4,8 @@ libm passes and the lazily read objective.
 
 ``batch_objective_arrays`` computes every field eagerly and chains the four
 geometry calls of ``geom_reference``; ``train_toy`` checks the objective's
-value at every step; ``train_offsets_only`` is refine's descent over the
+value at every step and sums each record's AIC one (p_gt, IoU) pair at a
+time; ``train_offsets_only`` is refine's descent over the
 same four calls. The tests hold ``losses.batch_objective_arrays``,
 ``harness.train_toy`` and ``harness._train_offsets_only`` to them bit for bit.
 """
@@ -27,7 +28,6 @@ from hardet.harness import (
     _check_decode_cap,
 )
 from hardet.losses import HyperParams, hiou_slope_arrays
-from hardet.metrics import aic
 
 
 def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -159,18 +159,20 @@ def train_toy(
     m = scene_set.matching
     records: list[TrainRecord] = []
 
-    def log_state(step: int, batch: BatchArrays) -> tuple[tuple[float, float], ...]:
-        pairs = tuple(zip(batch.p_gt.tolist(), batch.iou.tolist()))
+    def log_state(step: int, batch: BatchArrays) -> None:
+        # AIC summed one (p_gt, IoU) pair at a time
+        total = 0.0
+        for p, u in zip(batch.p_gt.tolist(), batch.iou.tolist()):
+            total += abs(p - u)
         records.append(
             TrainRecord(
                 step=step,
                 objective=batch.value,
                 mean_factor_r=float(np.mean(1.0 + batch.beta_r)),
                 mean_factor_c=float(np.mean(1.0 + batch.beta_c)),
-                aic=aic(pairs),
+                aic=total / batch.p_gt.size,
             )
         )
-        return pairs
 
     def objective(step: int) -> tuple[np.ndarray, BatchArrays]:
         probs = model.probs()
@@ -199,8 +201,8 @@ def train_toy(
         model.offsets -= scale * batch.grad_d
 
     _, batch = objective(opt.steps)
-    final_pairs = log_state(opt.steps, batch)
-    return model, TrainLog(tuple(records), final_pairs)
+    log_state(opt.steps, batch)
+    return model, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
 
 def train_offsets_only(m: Matching, runs: dict[str, float], opt: OptimizerConfig) -> np.ndarray:
