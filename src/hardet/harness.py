@@ -171,7 +171,7 @@ class SceneConfig:
             raise ValueError(
                 f"{n} scenes of {per_scene:g} anchors exceed the limit {MAX_SCENE_ANCHORS}"
             )
-        # every object claims an anchor of its own in match_anchors' forced pass
+        # every object claims an anchor of its own in matching's forced pass
         if hi > per_scene:
             raise ValueError(
                 f"objects_per_scene upper bound {hi} exceeds the {per_scene:g} anchors per scene"
@@ -183,19 +183,25 @@ class SceneConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    gt_boxes: tuple[Box, ...]
-    gt_classes: tuple[int, ...]
+    """One scene's ground truths: (G, 4) corners and (G,) classes."""
+
+    gt_boxes: np.ndarray
+    gt_classes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSet:
-    """Generated scenes plus the anchor grid they share."""
+    """Generated scenes plus the anchor grid they share: (A, 4) read-only
+    anchor corners, and every scene's ground truths, scene by scene."""
 
     config: SceneConfig
-    anchors: tuple[Box, ...]
-    scenes: tuple[Scene, ...]
+    anchors: np.ndarray
+    ground_truth: GroundTruthArrays
+
+    def __post_init__(self) -> None:
+        self.anchors.flags.writeable = False
 
     @property
     def anchors_per_scene(self) -> int:
@@ -203,37 +209,26 @@ class SceneSet:
 
     @property
     def total_anchors(self) -> int:
-        return len(self.anchors) * len(self.scenes)
+        return len(self.anchors) * self.config.num_scenes
+
+    @cached_property
+    def scenes(self) -> tuple[Scene, ...]:
+        """Per-scene views of ``ground_truth``, built once per scene set."""
+        gt = self.ground_truth
+        bounds = np.searchsorted(gt.scene, np.arange(1, self.config.num_scenes))
+        return tuple(map(Scene, np.split(gt.boxes, bounds), np.split(gt.class_id, bounds)))
 
     @cached_property
     def matching(self) -> "Matching":
         """Every scene's anchor matching, computed once per scene set."""
         return _match_scene_set(self)
 
-    @cached_property
-    def ground_truth(self) -> GroundTruthArrays:
-        """Every scene's ground truths as arrays, scene by scene, built once
-        per scene set."""
-        scenes = self.scenes
-        return GroundTruthArrays(
-            boxes=corners([box for s in scenes for box in s.gt_boxes]),
-            class_id=[c for s in scenes for c in s.gt_classes],
-            scene=np.repeat(np.arange(len(scenes)), [len(s.gt_boxes) for s in scenes]),
-        )
 
-
-def _anchor_grid(cfg: SceneConfig) -> tuple[Box, ...]:
-    w, h = cfg.canvas
-    nx = int(w / cfg.anchor_spacing)
-    ny = int(h / cfg.anchor_spacing)
-    anchors = []
-    for iy in range(ny):
-        cy = (iy + 0.5) * cfg.anchor_spacing
-        for ix in range(nx):
-            cx = (ix + 0.5) * cfg.anchor_spacing
-            for s in cfg.anchor_scales:
-                anchors.append(Box(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
-    return tuple(anchors)
+def _anchor_grid(cfg: SceneConfig) -> np.ndarray:
+    """(A, 4) anchor corners, one row per (iy, ix, scale) in that order."""
+    x, y = ((np.arange(int(e / cfg.anchor_spacing)) + 0.5) * cfg.anchor_spacing for e in cfg.canvas)
+    cy, cx, half = np.meshgrid(y, x, np.array(cfg.anchor_scales) / 2, indexing="ij")
+    return np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1).reshape(-1, 4)
 
 
 def generate_scenes(cfg: SceneConfig) -> SceneSet:
@@ -241,27 +236,25 @@ def generate_scenes(cfg: SceneConfig) -> SceneSet:
     rng = np.random.default_rng(cfg.seed)
     anchors = _anchor_grid(cfg)
     w, h = cfg.canvas
-    scenes = []
-    for _ in range(cfg.num_scenes):
+    boxes, classes, scene = [], [], []
+    for s in range(cfg.num_scenes):
         count = int(rng.integers(cfg.objects_per_scene[0], cfg.objects_per_scene[1] + 1))
-        boxes = []
-        classes = []
-        for _ in range(count):
-            base = anchors[int(rng.integers(len(anchors)))]
-            cx, cy = base.center
-            cx += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.width
-            cy += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.height
-            bw = base.width * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            bh = base.height * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            x1, y1 = max(0.0, cx - bw / 2), max(0.0, cy - bh / 2)
-            x2, y2 = min(w, cx + bw / 2), min(h, cy + bh / 2)
-            # a clipped extent of 0 or less: Box would reject its corner order
-            if not (x2 > x1 and y2 > y1):
-                raise ValueError("generated object fell outside the canvas")
-            boxes.append(Box(x1, y1, x2, y2))
+        for k in range(count):
+            ax1, ay1, ax2, ay2 = anchors[int(rng.integers(len(anchors)))].tolist()
+            aw, ah = ax2 - ax1, ay2 - ay1
+            cx = 0.5 * (ax1 + ax2) + float(rng.uniform(-cfg.jitter, cfg.jitter)) * aw
+            cy = 0.5 * (ay1 + ay2) + float(rng.uniform(-cfg.jitter, cfg.jitter)) * ah
+            bw = aw * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
+            bh = ah * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
+            box = (max(0.0, cx - bw / 2), max(0.0, cy - bh / 2),
+                   min(w, cx + bw / 2), min(h, cy + bh / 2))
+            # clipped off the canvas, or collapsed by rounding
+            if not (box[2] > box[0] and box[3] > box[1]):
+                raise ValueError(f"object {k} of scene {s} has no area on the canvas: {box}")
+            boxes.append(box)
             classes.append(int(rng.integers(1, cfg.num_classes)))
-        scenes.append(Scene(tuple(boxes), tuple(classes)))
-    return SceneSet(config=cfg, anchors=anchors, scenes=tuple(scenes))
+            scene.append(s)
+    return SceneSet(cfg, anchors, GroundTruthArrays(boxes, classes, scene))
 
 
 @dataclass(frozen=True)
@@ -278,9 +271,12 @@ class MatchResult:
     neg_anchor: tuple[int, ...]
 
 
-def _assign(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float) -> np.ndarray:
+def _assign(
+    anchors: np.ndarray, gt: np.ndarray, counts: np.ndarray, threshold: float
+) -> np.ndarray:
     """Max-IoU assignment of every scene to (N, 4) anchor corners, as an
-    (S, N) array of matched ground-truth indices, -1 for a negative.
+    (S, N) array of matched ground-truth indices, -1 for a negative; ``gt``
+    holds the scenes' ground-truth corners in turn, ``counts[s]`` for scene s.
 
     An anchor takes its best ground truth (the lowest index among ties) when
     their IoU reaches ``threshold``. Then, in a forced pass, ground truth j of
@@ -289,28 +285,27 @@ def _assign(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float) -> n
     the GT count. Scenes run in blocks whose padded IoU matrices hold at most
     ``MAX_MATCH_PAIRS`` anchor x GT pairs (at least one scene per block).
     """
-    widest = max((len(scene.gt_boxes) for scene in scenes), default=0)
-    per_block = max(1, MAX_MATCH_PAIRS // (len(anchors) * max(1, widest)))
+    per_block = max(1, MAX_MATCH_PAIRS // (len(anchors) * max(1, int(counts.max(initial=0)))))
+    cuts = np.arange(per_block, len(counts), per_block)
     return np.concatenate([
-        _assign_block(anchors, scenes[lo : lo + per_block], threshold)
-        for lo in range(0, len(scenes), per_block)
+        _assign_block(anchors, rows, block, threshold)
+        for rows, block in zip(np.split(gt, np.cumsum(counts)[cuts - 1]), np.split(counts, cuts))
     ])
 
 
-def _assign_block(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float) -> np.ndarray:
+def _assign_block(
+    anchors: np.ndarray, gt: np.ndarray, counts: np.ndarray, threshold: float
+) -> np.ndarray:
     """:func:`_assign` of one block of scenes, through one IoU matrix of the
     anchors against every scene's ground truths, padded to the widest."""
     n = len(anchors)
-    counts = np.array([len(scene.gt_boxes) for scene in scenes])
     width = int(counts.max())
     if width == 0:
-        return np.full((len(scenes), n), -1)
-    gt = np.zeros((len(scenes) * width, 4))
-    gt[(np.arange(width) < counts[:, None]).ravel()] = corners(
-        [box for scene in scenes for box in scene.gt_boxes]
-    )
+        return np.full((len(counts), n), -1)
+    padded = np.zeros((len(counts) * width, 4))
+    padded[(np.arange(width) < counts[:, None]).ravel()] = gt
     # (anchors, scenes, GT slots); a padding slot can never win
-    mat = iou_matrix(anchors, gt).reshape(n, len(scenes), width)
+    mat = iou_matrix(anchors, padded).reshape(n, len(counts), width)
     mat[:, np.arange(width) >= counts[:, None]] = -np.inf
     best_gt = np.argmax(mat, axis=2)
     best_iou = np.take_along_axis(mat, best_gt[:, :, None], axis=2)[:, :, 0]
@@ -324,11 +319,12 @@ def _assign_block(anchors: np.ndarray, scenes: Sequence[Scene], threshold: float
     return match.T
 
 
-def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
-    """Max-IoU assignment with a forced best anchor per ground truth."""
-    if not anchors:
+def match_anchors(scene: Scene, anchors: np.ndarray, threshold: float) -> MatchResult:
+    """Max-IoU assignment of one scene to (N, 4) anchor corners, with a
+    forced best anchor per ground truth."""
+    if not len(anchors):
         raise ValueError("match_anchors needs a non-empty anchor set")
-    assigned = _assign(corners(anchors), (scene,), threshold)[0]
+    assigned = _assign(anchors, scene.gt_boxes, np.array([len(scene.gt_boxes)]), threshold)[0]
     pos = np.flatnonzero(assigned >= 0)
     return MatchResult(
         pos_anchor=tuple(pos.tolist()),
@@ -443,17 +439,16 @@ class Matching:
 
 
 def _match_scene_set(scene_set: SceneSet) -> Matching:
-    """Every scene's :func:`match_anchors` result at once, as a :class:`Matching`."""
-    scenes = scene_set.scenes
-    anchors = corners(scene_set.anchors)
-    assigned = _assign(anchors, scenes, scene_set.config.positive_iou_threshold).ravel()
+    """Every scene's :func:`_assign` result at once, as a :class:`Matching`."""
+    anchors, truth, cfg = scene_set.anchors, scene_set.ground_truth, scene_set.config
+    counts = np.bincount(truth.scene, minlength=cfg.num_scenes)
+    assigned = _assign(anchors, truth.boxes, counts, cfg.positive_iou_threshold).ravel()
     pos_flat = np.flatnonzero(assigned >= 0)
     scene, anchor = np.divmod(pos_flat, len(anchors))
-    # row of each scene's first ground truth in the scene set's GT list
-    first = np.cumsum([0] + [len(s.gt_boxes) for s in scenes[:-1]])
-    gt_row = first[scene] + assigned[pos_flat]
+    # row of each scene's first ground truth in the scene set's GT rows
+    gt_row = (np.cumsum(counts) - counts)[scene] + assigned[pos_flat]
     pos_anchors = anchors[anchor]
-    gt = scene_set.ground_truth.boxes[gt_row]
+    gt = truth.boxes[gt_row]
     # encode's checks, once, for every loop that uses the positives
     if not np.all(pos_anchors[:, 2:] - pos_anchors[:, :2] > 0.0):
         raise ValueError("cannot encode against a degenerate anchor")
@@ -467,9 +462,17 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
         neg_flat=np.flatnonzero(assigned < 0),
         anchors=pos_anchors,
         gt=gt,
-        gt_class=scene_set.ground_truth.class_id[gt_row],
+        gt_class=truth.class_id[gt_row],
         d_hat=d_hat,
     )
+
+
+def _check_model(scene_set: SceneSet, model: ToyModel) -> None:
+    """Raise ``ValueError`` unless the model has a row per anchor and a logit per class."""
+    n, c = scene_set.total_anchors, scene_set.config.num_classes
+    if model.logits.shape != (n, c) or model.offsets.shape != (n, 4):
+        shapes = f"{model.logits.shape}/{model.offsets.shape}"
+        raise ValueError(f"model shaped {shapes} does not fit {n} anchors and {c} classes")
 
 
 def train_toy(
@@ -489,6 +492,7 @@ def train_toy(
     """
     if hp.num_classes != scene_set.config.num_classes:
         raise ValueError("hyperparams and scene config disagree on num_classes")
+    _check_model(scene_set, model)
     hp_eff = hp.compat_standard() if opt.loss_mode == "standard" else hp
     if opt.gradcheck_samples > 0:
         report = run_gradcheck(
@@ -501,12 +505,6 @@ def train_toy(
             raise GradientCheckError([e for e in report.entries if not e.passed])
     model = model.copy()
     m = scene_set.matching
-    n_total = scene_set.total_anchors
-    if model.logits.shape != (n_total, hp.num_classes) or model.offsets.shape != (n_total, 4):
-        raise ValueError(
-            f"model shaped {model.logits.shape}/{model.offsets.shape} does not fit "
-            f"{n_total} anchors and {hp.num_classes} classes"
-        )
 
     records: list[TrainRecord] = []
 
@@ -561,15 +559,17 @@ def train_toy(
 def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:
     """One detection per model row, scene by scene and tagged with its
     scene: argmax foreground class and its probability, decoded box. Raises
-    ``ValueError`` if a size offset exceeds the decode log cap."""
+    ``ValueError`` if the model does not fit the scene set or a size offset
+    exceeds the decode log cap."""
+    _check_model(scene_set, model)
     over = np.flatnonzero(~np.all(np.abs(model.offsets[:, 2:]) <= DECODE_LOG_CAP, axis=1))
     if over.size:
         raise ValueError(f"size offsets of model row {over[0]} exceed the exp cap {DECODE_LOG_CAP}")
     probs = model.probs()
     cls = np.argmax(probs[:, 1:], axis=1) + 1
-    num_scenes = len(scene_set.scenes)
+    num_scenes = scene_set.config.num_scenes
     return DetectionArrays(
-        boxes=decode_arrays(model.offsets, np.tile(corners(scene_set.anchors), (num_scenes, 1))),
+        boxes=decode_arrays(model.offsets, np.tile(scene_set.anchors, (num_scenes, 1))),
         class_id=cls,
         score=probs[np.arange(cls.size), cls],
         scene=np.repeat(np.arange(num_scenes), scene_set.anchors_per_scene),

@@ -77,7 +77,7 @@ def model_detections(scene_set: SceneSet, model: ToyModel) -> list[list[Detectio
     probs = model.probs()
     cls = np.argmax(probs[:, 1:], axis=1) + 1
     scores = probs[np.arange(cls.size), cls]
-    anchors = np.tile(corners(scene_set.anchors), (len(scene_set.scenes), 1))
+    anchors = np.tile(scene_set.anchors, (len(scene_set.scenes), 1))
     boxes = decode_arrays(model.offsets, anchors).tolist()
     a = scene_set.anchors_per_scene
     rows = enumerate(zip(boxes, cls.tolist(), scores.tolist()))
@@ -183,9 +183,9 @@ def evaluate(
     """AP payload, kept detections and scatter rows of a model on its scenes."""
     kept = [d for dets in model_detections(scene_set, model) for d in nms(dets, nms_threshold)]
     gts = [
-        GroundTruth(box=box, class_id=c, scene=s)
+        GroundTruth(box=Box.from_array(box), class_id=c, scene=s)
         for s, scene in enumerate(scene_set.scenes)
-        for box, c in zip(scene.gt_boxes, scene.gt_classes)
+        for box, c in zip(scene.gt_boxes, scene.gt_classes.tolist())
     ]
     ap = average_precision(kept, gts, ap_thresholds)
     ap_payload = {

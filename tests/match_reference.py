@@ -6,22 +6,21 @@ tests hold its arrays to ``match_scene_set``'s bit for bit, and its memory
 peak at the ``MAX_MATCH_PAIRS`` limit to this one's.
 """
 
-from typing import Sequence
-
 import numpy as np
 
 from hardet.geom import Box, corners, encode, iou_matrix
 from hardet.harness import Matching, MatchResult, Scene, SceneSet
 
 
-def match_anchors(scene: Scene, anchors: Sequence[Box], threshold: float) -> MatchResult:
-    """Max-IoU assignment with a forced best anchor per ground truth."""
-    if not anchors:
+def match_anchors(scene: Scene, anchors: np.ndarray, threshold: float) -> MatchResult:
+    """Max-IoU assignment of one scene to (N, 4) anchor corners, with a
+    forced best anchor per ground truth."""
+    if not len(anchors):
         raise ValueError("match_anchors needs a non-empty anchor set")
     n, g = len(anchors), len(scene.gt_boxes)
     assigned: dict[int, int] = {}
     if g > 0:
-        mat = iou_matrix(corners(anchors), corners(scene.gt_boxes))
+        mat = iou_matrix(anchors, scene.gt_boxes)
         best_gt = np.argmax(mat, axis=1)
         best_iou = mat[np.arange(n), best_gt]
         for i in np.flatnonzero(best_iou >= threshold):
@@ -52,7 +51,11 @@ def match_scene_set(scene_set: SceneSet) -> Matching:
         pos_flat.extend(s_idx * a + i for i in m.pos_anchor)
         neg_flat.extend(s_idx * a + i for i in m.neg_anchor)
         pairs.extend(
-            (scene_set.anchors[i], scene.gt_boxes[g], scene.gt_classes[g])
+            (
+                Box.from_array(scene_set.anchors[i]),
+                Box.from_array(scene.gt_boxes[g]),
+                int(scene.gt_classes[g]),
+            )
             for i, g in zip(m.pos_anchor, m.pos_gt)
         )
     return Matching(

@@ -465,12 +465,18 @@ def test_scene_draw_off_the_canvas_exits_1_before_writing(tmp_path):
     """The draw is judged by the two commands that draw scenes, before their
     output directory is written; gradcheck draws none."""
     cfg = write_config(tmp_path, {"scene": {"jitter": 0.9}, "gradcheck": {"samples": 3}})
-    for command in ("train", "refine"):
+    objects = {
+        "train": "object 2 of scene 0 has no area on the canvas: "
+        "(0.0, 13.16210436977832, -0.5373522292928783, 16.0)",
+        "refine": "object 3 of scene 8 has no area on the canvas: "
+        "(16.161388696254587, 7.597392151550394, 16.0, 11.671792643928367)",
+    }
+    for command, message in objects.items():
         out = tmp_path / command
         out.mkdir()
         assert _run_quietly([command, "--config", cfg, "--out", str(out)]) == (
             EXIT_VALIDATION,
-            "error: config.scene: generated object fell outside the canvas\n",
+            f"error: config.scene: {message}\n",
         )
         assert list(out.iterdir()) == []
     assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "gradcheck")]) == EXIT_OK

@@ -1,12 +1,13 @@
 """Scene generation, anchor matching, toy training, and the FD oracle."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hardet.harness as harness
@@ -16,6 +17,7 @@ from hardet.geom import (
     AnchorTargets,
     Box,
     Offsets,
+    corners,
     decode,
     decode_arrays,
     decode_jacobian,
@@ -49,6 +51,7 @@ from hardet.metrics import aic, iou_histogram
 
 import gate_reference
 import match_reference
+import scene_reference
 import train_reference
 
 
@@ -92,30 +95,103 @@ class TestSceneConfig:
             SceneConfig(**{key: float("nan")})
 
 
+def scene_bytes(ss):
+    """The bytes of a scene set's arrays, anchors first."""
+    gt = ss.ground_truth
+    return [a.tobytes() for a in (ss.anchors, gt.boxes, gt.class_id, gt.scene)]
+
+
 class TestGenerateScenes:
     def test_same_seed_is_identical(self):
         a = generate_scenes(SceneConfig(seed=5))
         b = generate_scenes(SceneConfig(seed=5))
-        assert a == b
+        assert scene_bytes(a) == scene_bytes(b)
 
     def test_different_seeds_differ(self):
         a = generate_scenes(SceneConfig(seed=5))
         b = generate_scenes(SceneConfig(seed=6))
-        assert a != b
+        assert scene_bytes(a) != scene_bytes(b)
 
     def test_boxes_inside_canvas(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=10))
         w, h = ss.config.canvas
         for scene in ss.scenes:
-            for b in scene.gt_boxes:
+            for b in map(Box.from_array, scene.gt_boxes):
                 assert 0.0 <= b.x1 <= b.x2 <= w
                 assert 0.0 <= b.y1 <= b.y2 <= h
 
     def test_object_clipped_off_the_canvas_is_named(self):
         # at seed 0 an object's center lands left of the canvas: clipped, its
         # right edge falls left of its left edge
-        with pytest.raises(ValueError, match="^generated object fell outside the canvas$"):
+        message = (
+            "object 2 of scene 0 has no area on the canvas: "
+            "(0.0, 13.16210436977832, -0.5373522292928783, 16.0)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_scenes(SceneConfig(seed=0, anchor_spacing=3.0, jitter=0.9))
+
+    def test_object_collapsed_by_rounding_is_named(self):
+        # a 1e-200 anchor adds nothing to its center: every object has zero width
+        with pytest.raises(
+            ValueError,
+            match=r"^object 0 of scene 0 has no area on the canvas: \(1\.0, 11\.0, 1\.0, 11\.0\)$",
+        ):
+            generate_scenes(SceneConfig(seed=0, anchor_scales=(1e-200,)))
+
+    def test_arrays_are_read_only_views(self):
+        ss = generate_scenes(SceneConfig(seed=1))
+        assert ss.anchors.shape == (ss.anchors_per_scene, 4)
+        assert ss.scenes is ss.scenes
+        for a in (ss.anchors, ss.scenes[0].gt_boxes, ss.scenes[0].gt_classes):
+            assert not a.flags.writeable
+        assert [len(scene.gt_boxes) for scene in ss.scenes] == np.bincount(
+            ss.ground_truth.scene
+        ).tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_scenes=st.integers(1, 8),
+        objects=st.tuples(st.integers(1, 4), st.integers(0, 3)),
+        canvas=st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
+        spacing=st.floats(0.5, 4.0),
+        scales=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+        # a wide jitter clips some objects off the canvas
+        jitter=st.one_of(st.floats(0.0, 0.6), st.floats(0.8, 1.5)),
+    )
+    # objects clipped off the canvas, and collapsed by rounding: in x and y,
+    # then in y alone
+    @example(0, 4, (2, 2), (16.0, 16.0), 3.0, [3.0], 0.9)
+    @example(126, 4, (2, 2), (16.0, 16.0), 3.0, [3.0], 0.9)
+    @example(0, 4, (2, 2), (16.0, 16.0), 2.0, [1e-200], 0.35)
+    @example(0, 4, (2, 2), (16.0, 16.0), 2.0, [1e-15], 0.35)
+    def test_equals_the_box_reference(
+        self, seed, num_scenes, objects, canvas, spacing, scales, jitter
+    ):
+        """The anchor grid and every scene's boxes and classes equal the
+        per-``Box`` loops' bit for bit; a clipped object fails both alike."""
+        try:
+            cfg = SceneConfig(
+                seed=seed, num_scenes=num_scenes, objects_per_scene=(objects[0], sum(objects)),
+                canvas=canvas, anchor_spacing=spacing, anchor_scales=tuple(scales), jitter=jitter,
+            )
+        except ValueError:
+            assume(False)
+        grid = corners(scene_reference.anchor_grid(cfg))
+        assert harness._anchor_grid(cfg).tobytes() == grid.tobytes()
+        try:
+            anchors, scenes = scene_reference.generate_scenes(cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                generate_scenes(cfg)
+            assert str(got.value) == str(exc)
+            return
+        ss = generate_scenes(cfg)
+        assert ss.anchors.tobytes() == corners(anchors).tobytes()
+        assert len(ss.scenes) == len(scenes)
+        for scene, (boxes, classes) in zip(ss.scenes, scenes):
+            assert scene.gt_boxes.tobytes() == corners(boxes).tobytes()
+            assert scene.gt_classes.tolist() == list(classes)
 
     def test_classes_are_foreground(self):
         ss = generate_scenes(SceneConfig(seed=3, num_scenes=10))
@@ -129,7 +205,8 @@ class TestGenerateScenes:
         for scene in ss.scenes:
             m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
             values.extend(
-                iou(ss.anchors[a], scene.gt_boxes[g]) for a, g in zip(m.pos_anchor, m.pos_gt)
+                iou(Box.from_array(ss.anchors[a]), Box.from_array(scene.gt_boxes[g]))
+                for a, g in zip(m.pos_anchor, m.pos_gt)
             )
         counts = iou_histogram(values)
         assert counts[0] > 0
@@ -139,22 +216,22 @@ class TestGenerateScenes:
 class TestMatchAnchors:
     def test_anchor_equal_to_gt_is_positive_with_zero_target(self):
         ss = generate_scenes(SceneConfig(seed=1))
-        scene = Scene(gt_boxes=(ss.anchors[10],), gt_classes=(2,))
+        scene = Scene(gt_boxes=ss.anchors[10:11], gt_classes=np.array([2]))
         m = match_anchors(scene, ss.anchors, 0.5)
         assert 10 in m.pos_anchor
         g = m.pos_gt[m.pos_anchor.index(10)]
         matched = PositiveSample(
             probs=np.full(5, 0.2),
-            gt_class=scene.gt_classes[g],
+            gt_class=int(scene.gt_classes[g]),
             d=Offsets(0.0, 0.0, 0.0, 0.0),
-            anchor=ss.anchors[10],
-            gt_box=scene.gt_boxes[g],
+            anchor=Box.from_array(ss.anchors[10]),
+            gt_box=Box.from_array(scene.gt_boxes[g]),
         )
         np.testing.assert_allclose(matched.d_hat.as_array(), np.zeros(4), atol=1e-12)
 
     def test_every_gt_claims_an_anchor(self):
-        anchors = (Box(0, 0, 1, 1), Box(4, 4, 5, 5))
-        far = Scene(gt_boxes=(Box(8, 8, 9, 9), Box(10, 10, 11, 11)), gt_classes=(1, 1))
+        anchors = corners([Box(0, 0, 1, 1), Box(4, 4, 5, 5)])
+        far = Scene(corners([Box(8, 8, 9, 9), Box(10, 10, 11, 11)]), np.array([1, 1]))
         m = match_anchors(far, anchors, 0.5)
         assert len(m.pos_anchor) == len(far.gt_boxes)
 
@@ -167,12 +244,12 @@ class TestMatchAnchors:
 
     def test_empty_anchor_set_rejected(self):
         with pytest.raises(ValueError):
-            match_anchors(Scene((), ()), (), 0.5)
+            match_anchors(Scene(np.zeros((0, 4)), np.zeros(0, dtype=int)), np.zeros((0, 4)), 0.5)
 
     def test_equals_scalar_reference(self):
-        anchors = (Box(0, 0, 1, 1), Box(4, 4, 5, 5))
-        far = Scene(gt_boxes=(Box(8, 8, 9, 9), Box(10, 10, 11, 11), Box(12, 12, 13, 13)),
-                    gt_classes=(1, 1, 2))
+        anchors = corners([Box(0, 0, 1, 1), Box(4, 4, 5, 5)])
+        far = Scene(corners([Box(8, 8, 9, 9), Box(10, 10, 11, 11), Box(12, 12, 13, 13)]),
+                    np.array([1, 1, 2]))
         scenes = [(far, anchors)]  # all-zero IoU ties, more GT than anchors
         for seed in range(3):
             ss = generate_scenes(SceneConfig(seed=seed, num_scenes=5, objects_per_scene=(1, 6)))
@@ -185,7 +262,8 @@ class TestMatchAnchors:
 def scalar_match(scene, anchors, threshold):
     """Max-IoU assignment written with per-pair scalar IoU calls."""
     n, g = len(anchors), len(scene.gt_boxes)
-    mat = [[iou(a, b) for b in scene.gt_boxes] for a in anchors]
+    gt_boxes = [Box.from_array(b) for b in scene.gt_boxes]
+    mat = [[iou(Box.from_array(a), b) for b in gt_boxes] for a in anchors]
     assigned = {}
     for i in range(n):
         if g and max(mat[i]) >= threshold:
@@ -308,8 +386,8 @@ class TestMatching:
             match = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
             for a, g in zip(match.pos_anchor, match.pos_gt):
                 assert m.pos_flat[k] == s_idx * ss.anchors_per_scene + a
-                assert np.array_equal(m.anchors[k], ss.anchors[a].as_array())
-                assert np.array_equal(m.gt[k], scene.gt_boxes[g].as_array())
+                assert np.array_equal(m.anchors[k], Box.from_array(ss.anchors[a]).as_array())
+                assert np.array_equal(m.gt[k], Box.from_array(scene.gt_boxes[g]).as_array())
                 assert m.gt_class[k] == scene.gt_classes[g]
                 k += 1
         assert k == m.pos_flat.size
@@ -355,6 +433,20 @@ def small_setup(seed=0, **scene_kw):
 
 
 class TestTrainToy:
+    def test_model_shape_is_checked_before_the_gate(self, monkeypatch):
+        # the CLI's train scene set: 4 scenes of 25 anchors; a failing gate
+        # must not hide the shape error, nor a passing one delay it
+        ss = generate_scenes(SceneConfig(anchor_spacing=3.0))
+
+        def gate(*args, **kwargs):
+            raise AssertionError("the gradient gate ran before the model shape check")
+
+        monkeypatch.setattr(harness, "run_gradcheck", gate)
+        opt = OptimizerConfig(gradcheck_tolerance=0.0)
+        message = r"^model shaped \(3, 5\)/\(3, 4\) does not fit 100 anchors and 5 classes$"
+        with pytest.raises(ValueError, match=message):
+            train_toy(ss, ToyModel.zeros(3, 5), opt, HyperParams(num_classes=5))
+
     def test_zero_learning_rate_changes_nothing(self):
         ss, hp, model = small_setup()
         opt = OptimizerConfig(learning_rate=0.0, steps=5, log_every=1, gradcheck_samples=0)
@@ -698,10 +790,10 @@ def scalar_step(ss, model, opt, hp):
             positives.append(
                 PositiveSample(
                     probs=probs[base + i],
-                    gt_class=scene.gt_classes[g],
+                    gt_class=int(scene.gt_classes[g]),
                     d=Offsets.from_array(model.offsets[base + i]),
-                    anchor=ss.anchors[i],
-                    gt_box=scene.gt_boxes[g],
+                    anchor=Box.from_array(ss.anchors[i]),
+                    gt_box=Box.from_array(scene.gt_boxes[g]),
                 )
             )
             pos_rows.append(base + i)
@@ -741,9 +833,22 @@ class TestToyModel:
         rows = zip(dets.boxes.tolist(), dets.class_id.tolist(), dets.score.tolist())
         for row, (box, cls, score) in enumerate(rows):
             i = row % ss.anchors_per_scene
-            assert Box(*box) == decode(Offsets.from_array(model.offsets[row]), ss.anchors[i])
+            anchor = Box.from_array(ss.anchors[i])
+            assert Box(*box) == decode(Offsets.from_array(model.offsets[row]), anchor)
             assert cls == int(np.argmax(probs[row, 1:])) + 1
             assert score == probs[row, cls]
+
+    @pytest.mark.parametrize(
+        "logits, offsets",
+        [((3, 5), (3, 4)), ((99, 5), (99, 4)), ((1, 5), (1, 4)), ((100, 3), (100, 4)),
+         ((100, 5), (100, 2))],
+    )
+    def test_detections_check_the_model_against_the_scene_set(self, logits, offsets):
+        ss = generate_scenes(SceneConfig(anchor_spacing=3.0))
+        model = ToyModel(np.zeros(logits), np.zeros(offsets))
+        message = f"model shaped {logits}/{offsets} does not fit 100 anchors and 5 classes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_detections(ss, model)
 
     def test_detections_check_the_decode_cap(self):
         ss, hp, model = small_setup()
@@ -1115,7 +1220,7 @@ def scalar_refine_ious(ss, gamma, opt):
     for scene in ss.scenes:
         m = match_anchors(scene, ss.anchors, ss.config.positive_iou_threshold)
         for a, g in zip(m.pos_anchor, m.pos_gt):
-            anchor, gt = ss.anchors[a], scene.gt_boxes[g]
+            anchor, gt = Box.from_array(ss.anchors[a]), Box.from_array(scene.gt_boxes[g])
             d = Offsets(0.0, 0.0, 0.0, 0.0)
             for _ in range(opt.steps):
                 decoded = decode(d, anchor)
