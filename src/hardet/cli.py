@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
@@ -263,11 +263,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams) -> int:
+def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams, num_classes: int) -> int:
     gc = cfg["gradcheck"]
     # the schema checked the integer keys; an integer tolerance is reported as a float
     report = run_gradcheck(
-        hp, gc["samples"], float(gc["tolerance"]), cfg["seed"], batch_draws=gc["batch_draws"]
+        hp, num_classes, gc["samples"], float(gc["tolerance"]), cfg["seed"], gc["batch_draws"]
     )
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
@@ -293,7 +293,7 @@ def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
             continue
         try:
             sample = positive_sample_from_json(json.loads(line))
-            breakdowns.append(harmonic_det_loss(sample, replace(hp, num_classes=sample.num_classes)))
+            breakdowns.append(harmonic_det_loss(sample, hp))
         except (ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc
     return breakdowns
@@ -339,7 +339,7 @@ def _evaluate_trained(
 def cmd_train(
     cfg: dict, out: Path, scene_set: SceneSet, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
-    model = ToyModel.zeros(scene_set.total_anchors, hp.num_classes)
+    model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
     model, log = train_toy(scene_set, model, opt, hp)
 
     rows = [_csv_header(cfg), "step,objective,mean_factor_r,mean_factor_c,aic\n"]
@@ -449,11 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # every command builds and checks every block before writing anything,
         # so a config file gets one verdict; building the scene draws no grid
         scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
-        hp = _build(HyperParams, eff, "hyperparams", num_classes=scene.num_classes)
-        if args.command == "train" and hp.num_classes != scene.num_classes:
-            raise ConfigError("config: hyperparams.num_classes and scene.num_classes must agree")
+        hp = _build(HyperParams, eff, "hyperparams")
         try:
-            check_draw_floor(hp)
+            check_draw_floor(hp, scene.num_classes)
         except ValueError as exc:
             raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
@@ -464,7 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
         if args.command == "gradcheck":
-            return cmd_gradcheck(eff, out, hp)
+            return cmd_gradcheck(eff, out, hp, scene.num_classes)
         if args.command == "loss-eval":
             return cmd_loss_eval(out, breakdowns)
         if args.command == "surface":

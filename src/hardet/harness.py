@@ -162,6 +162,15 @@ class SceneConfig:
             )
         if min(self.canvas) < self.anchor_spacing:
             raise ValueError("canvas too small for even one anchor cell")
+        # IoU divides by a union of two areas; objects span up to jitter in
+        # log-size around their anchor's scale
+        smallest = min(self.anchor_scales) * math.exp(-self.jitter)
+        least, most = smallest * smallest, max_size * max_size
+        if not (least > 0.0 and 2.0 * most < math.inf):
+            raise ValueError(
+                f"box areas from {least:g} to {most:g} leave the float range: every "
+                "anchor's and object's area, and the sum of two, must be positive and finite"
+            )
         # counted in floats before any grid exists: a tiny spacing gives inf
         # cells, not an int overflow or a grid that never ends
         with np.errstate(over="ignore"):
@@ -490,13 +499,12 @@ def train_toy(
     when the probabilities stop being finite, a positive's size offset leaves
     the decode log cap, or the objective stops being finite.
     """
-    if hp.num_classes != scene_set.config.num_classes:
-        raise ValueError("hyperparams and scene config disagree on num_classes")
     _check_model(scene_set, model)
     hp_eff = hp.compat_standard() if opt.loss_mode == "standard" else hp
     if opt.gradcheck_samples > 0:
         report = run_gradcheck(
             hp_eff,
+            scene_set.config.num_classes,
             num_samples=opt.gradcheck_samples,
             tolerance=opt.gradcheck_tolerance,
             seed=scene_set.config.seed,
@@ -537,21 +545,22 @@ def train_toy(
                 raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
         return probs, batch
 
-    for step in range(opt.steps):
-        logged = step % opt.log_every == 0
-        probs, batch = objective(step, logged)
-        if logged:
-            log_state(step, batch)
-        # softmax chain back to the logits; the row-wise dot runs as a stacked
-        # matmul, the same dot product per row as the per-sample reference
-        g = batch.grad_probs
-        dots = np.matmul(g[:, None, :], probs[:, :, None])[:, :, 0]
-        grad_logits = probs * (g - dots)
-        scale = opt.learning_rate / batch.num_positives
-        model.logits -= scale * grad_logits
-        model.offsets -= scale * batch.grad_d
-
-    _, batch = objective(opt.steps, True)
+    # an overflow shows as a failed per-step check, not as a warning
+    with np.errstate(all="ignore"):
+        for step in range(opt.steps):
+            logged = step % opt.log_every == 0
+            probs, batch = objective(step, logged)
+            if logged:
+                log_state(step, batch)
+            # softmax chain back to the logits; the row-wise dot runs as a stacked
+            # matmul, the same dot product per row as the per-sample reference
+            g = batch.grad_probs
+            dots = np.matmul(g[:, None, :], probs[:, :, None])[:, :, 0]
+            grad_logits = probs * (g - dots)
+            scale = opt.learning_rate / batch.num_positives
+            model.logits -= scale * grad_logits
+            model.offsets -= scale * batch.grad_d
+        _, batch = objective(opt.steps, True)
     log_state(opt.steps, batch)
     return model, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
@@ -615,19 +624,18 @@ def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def random_positive_sample(
-    rng: np.random.Generator,
-    hp: HyperParams,
-    kink_margin: float = KINK_MARGIN,
-    min_prob: float = PROB_DRAW_FLOOR,
+    rng: np.random.Generator, hp: HyperParams, num_classes: int
 ) -> PositiveSample:
-    """Rejection-sample a valid sample away from every loss breakpoint.
+    """Rejection-sample a valid sample of ``num_classes`` classes away from
+    every loss breakpoint.
 
     Avoided kinks: decoded-vs-gt corner ties and touching edges, smooth-L1
     curvature breaks at |x| = 1, the TC hinge boundary and the |p - IoU|
-    crease, and class probabilities below ``min_prob``. Raises
-    :class:`NumericalError` when no draw qualifies, as with so many classes
-    that ``min_prob`` is out of reach.
+    crease, each by ``KINK_MARGIN``, and class probabilities below the draw
+    floor (:func:`check_draw_floor`). Raises :class:`NumericalError` when no
+    draw qualifies, as with so many classes that the floor is out of reach.
     """
+    floor = _draw_floor(hp)
     for _ in range(10_000):
         cx, cy = rng.uniform(5.0, 11.0, size=2)
         w, h = rng.uniform(2.0, 4.0, size=2)
@@ -640,28 +648,28 @@ def random_positive_sample(
         d_hat = encode(gt, anchor)
         d = Offsets.from_array(d_hat.as_array() + rng.uniform(-0.5, 0.5, size=4))
         diffs = np.abs(d.as_array() - d_hat.as_array())
-        if np.any(np.abs(diffs - 1.0) < kink_margin):
+        if np.any(np.abs(diffs - 1.0) < KINK_MARGIN):
             continue
         decoded = decode(d, anchor)
         da, ga = decoded.as_array(), gt.as_array()
-        if np.any(np.abs(da - ga) < kink_margin):
+        if np.any(np.abs(da - ga) < KINK_MARGIN):
             continue
         iw = min(decoded.x2, gt.x2) - max(decoded.x1, gt.x1)
         ih = min(decoded.y2, gt.y2) - max(decoded.y1, gt.y1)
-        if iw < kink_margin or ih < kink_margin:
+        if iw < KINK_MARGIN or ih < KINK_MARGIN:
             continue
         u = iou(decoded, gt)
-        probs = rng.dirichlet(np.ones(hp.num_classes))
-        gt_class = int(rng.integers(1, hp.num_classes))
+        probs = rng.dirichlet(np.ones(num_classes))
+        gt_class = int(rng.integers(1, num_classes))
         p = float(probs[gt_class])
-        if p < 0.02 or p > 0.98 or np.any(probs < min_prob):
+        if p < 0.02 or p > 0.98 or np.any(probs < floor):
             continue
-        if abs(p - u) < kink_margin or abs(abs(p - u) - hp.margin) < kink_margin:
+        if abs(p - u) < KINK_MARGIN or abs(abs(p - u) - hp.margin) < KINK_MARGIN:
             continue
         return PositiveSample(probs=probs, gt_class=gt_class, d=d, anchor=anchor, gt_box=gt)
     raise NumericalError(
         "gradcheck could not draw a kink-free sample in 10000 tries with every one of "
-        f"num_classes {hp.num_classes} probabilities at or above the draw floor {min_prob:g}"
+        f"num_classes {num_classes} probabilities at or above the draw floor {floor:g}"
     )
 
 
@@ -741,6 +749,7 @@ def _gate_errors(
     negatives = [p for _, neg in batches for p in neg]
     n_pos, n_rows = len(positives), len(positives) + len(negatives)
     probs = np.array([s.probs for s in positives] + negatives)
+    num_classes = probs.shape[1]
     offsets = np.zeros((n_rows, 4))
     offsets[:n_pos] = [s.d.as_array() for s in positives]
     anchors = corners([s.anchor for s in positives])
@@ -763,9 +772,7 @@ def _gate_errors(
         """The kernel over the stack at (p, d), evaluated once per distinct input."""
         key = (kernel_hp, p.tobytes(), d.tobytes())
         if key not in evaluated:
-            # a non-finite value is reported by finite_diff_grad's check, not as a warning
-            with np.errstate(all="ignore"):
-                evaluated[key] = batch_objective_arrays(p, d, *fixed, kernel_hp)
+            evaluated[key] = batch_objective_arrays(p, d, *fixed, kernel_hp)
         return evaluated[key]
 
     def fd(
@@ -776,7 +783,7 @@ def _gate_errors(
         if wrt == "probs":
             return finite_diff_grad(
                 lambda v: values(kernel(kernel_hp, probs + v, offsets)),
-                np.zeros(hp.num_classes),
+                np.zeros(num_classes),
                 PROB_FD_STEP,
             )
         return finite_diff_grad(
@@ -891,28 +898,28 @@ def _draw_floor(hp: HyperParams) -> float:
     return max(PROB_DRAW_FLOOR, 2.0 * hp.prob_floor)
 
 
-def check_draw_floor(hp: HyperParams) -> None:
+def check_draw_floor(hp: HyperParams, num_classes: int) -> None:
     """Raise ``ValueError`` when the gate's draw floor leaves it nothing to
     draw: ``num_classes`` probabilities that sum to 1 cannot all reach it."""
     floor = _draw_floor(hp)
-    if hp.num_classes * floor >= 1.0:
+    if num_classes * floor >= 1.0:
         raise ValueError(
             f"{hp.prob_floor:g} puts the gradient gate's draw floor at {floor:g}, which "
-            f"{hp.num_classes} class probabilities summing to 1 cannot all reach"
+            f"{num_classes} class probabilities summing to 1 cannot all reach"
         )
 
 
 def _random_batch(
-    rng: np.random.Generator, hp: HyperParams
+    rng: np.random.Generator, hp: HyperParams, num_classes: int
 ) -> tuple[list[PositiveSample], list[np.ndarray]]:
     """One batch draw: kink-free positives and background probability rows."""
     floor = _draw_floor(hp)
-    positives = [random_positive_sample(rng, hp, min_prob=floor) for _ in range(BATCH_POSITIVES)]
+    positives = [random_positive_sample(rng, hp, num_classes) for _ in range(BATCH_POSITIVES)]
     negatives = []
     for _ in range(BATCH_NEGATIVES):
-        probs = rng.dirichlet(np.ones(hp.num_classes))
+        probs = rng.dirichlet(np.ones(num_classes))
         if np.any(probs < floor):
-            probs = (probs + floor) / (1.0 + hp.num_classes * floor)
+            probs = (probs + floor) / (1.0 + num_classes * floor)
         negatives.append(probs)
     return positives, negatives
 
@@ -931,12 +938,14 @@ GRADCHECK_OPS = (
 
 def run_gradcheck(
     hp: HyperParams,
+    num_classes: int,
     num_samples: int = 500,
     tolerance: float = 1e-5,
     seed: int = 0,
     batch_draws: int = 4,
 ) -> GradCheckReport:
-    """Analytic-vs-FD sweep over every differentiated operation.
+    """Analytic-vs-FD sweep over every differentiated operation, on draws of
+    ``num_classes`` class probabilities.
 
     ``num_samples`` draws check the per-sample operations, and
     ``batch_draws`` batch draws, drawn after them, check
@@ -952,21 +961,23 @@ def run_gradcheck(
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
     if batch_draws < 0:
         raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
-    check_draw_floor(hp)
+    check_draw_floor(hp, num_classes)
 
     def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
         try:
-            return err()
+            # an overflow shows as a non-finite loss or error, which the
+            # checks report, not as a warning
+            with np.errstate(all="ignore"):
+                return err()
         except ValueError as exc:
             raise NumericalError(f"gradcheck {op}: {exc}") from exc
 
     rng = np.random.default_rng(seed)
-    floor = _draw_floor(hp)
     draws = [
-        (random_positive_sample(rng, hp, min_prob=floor), _random_box_pair(rng))
+        (random_positive_sample(rng, hp, num_classes), _random_box_pair(rng))
         for _ in range(num_samples)
     ]
-    batches = [_random_batch(rng, hp) for _ in range(batch_draws)]
+    batches = [_random_batch(rng, hp, num_classes) for _ in range(batch_draws)]
     errors = {op: computed(op, err) for op, err in _gate_errors(draws, batches, hp).items()}
 
     def entry(op: str) -> GradCheckEntry:
@@ -1013,10 +1024,12 @@ def _train_offsets_only(
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
     d = np.zeros((n_runs * m.pos_flat.size, 4))
-    for step in range(opt.steps):
-        _check_decode_cap(step, d, m.pos_flat, names)
-        u, du_dd = offset_iou_and_grad(d, targets)
-        d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
+    # an overflow shows as an offset past the decode cap, not as a warning
+    with np.errstate(all="ignore"):
+        for step in range(opt.steps):
+            _check_decode_cap(step, d, m.pos_flat, names)
+            u, du_dd = offset_iou_and_grad(d, targets)
+            d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence, get_args, get_origin
+from functools import cached_property
+from typing import Any, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .geom import (
 )
 
 PROB_SUM_TOL = 1e-6
-DHAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class HyperParams:
     alpha: float = 1.5
     gamma: float = 0.8
     margin: float = 0.2
-    num_classes: int = 2
     prob_floor: float = 1e-12
     beta_e_stop_grad: bool = True
     harmonic_mode: str = "full_loc"
@@ -77,8 +76,6 @@ class HyperParams:
             )
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if not 0.0 < self.prob_floor < math.inf:
             raise ValueError(f"prob_floor must be positive and finite, got {self.prob_floor}")
         if self.harmonic_mode not in ("full_loc", "smooth_l1"):
@@ -104,33 +101,22 @@ def _validate_probs(probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PositiveSample:
-    """One matched anchor/ground-truth pair with the model's predictions.
-
-    ``d_hat`` is derived from (gt_box, anchor) when omitted; when given it is
-    checked against the encoding to 1e-9.
-    """
+    """One matched anchor/ground-truth pair with the model's predictions;
+    the regression target ``d_hat`` is ``encode(gt_box, anchor)``."""
 
     probs: np.ndarray
     gt_class: int
     d: Offsets
     anchor: Box
     gt_box: Box
-    d_hat: Offsets | None = None
+    d_hat: Offsets = field(init=False)
 
     def __post_init__(self) -> None:
         probs = _validate_probs(self.probs)
         object.__setattr__(self, "probs", probs)
         if not 0 <= self.gt_class < probs.size:
             raise ValueError(f"gt_class {self.gt_class} out of range for {probs.size} classes")
-        expected = encode(self.gt_box, self.anchor)
-        if self.d_hat is None:
-            object.__setattr__(self, "d_hat", expected)
-        else:
-            err = float(np.max(np.abs(self.d_hat.as_array() - expected.as_array())))
-            if err > DHAT_TOL:
-                raise ValueError(
-                    f"d_hat disagrees with encode(gt_box, anchor) by {err:.3e} (> {DHAT_TOL})"
-                )
+        object.__setattr__(self, "d_hat", encode(self.gt_box, self.anchor))
 
     @property
     def num_classes(self) -> int:
@@ -175,20 +161,8 @@ class LossBreakdown:
     grad_d: np.ndarray
 
     def to_json(self) -> dict:
-        return {
-            "ce": self.ce,
-            "smooth_l1": self.smooth_l1,
-            "iou_value": self.iou_value,
-            "hiou": self.hiou,
-            "loc_full": self.loc_full,
-            "tc": self.tc,
-            "beta_r": self.beta_r,
-            "beta_c": self.beta_c,
-            "beta_e": self.beta_e,
-            "total": self.total,
-            "grad_probs": [float(g) for g in self.grad_probs],
-            "grad_d": [float(g) for g in self.grad_d],
-        }
+        arrays = {"grad_probs": self.grad_probs.tolist(), "grad_d": self.grad_d.tolist()}
+        return {**vars(self), **arrays}
 
 
 def _check_json_value(value: Any, expected: Any, path: str) -> None:
@@ -418,10 +392,6 @@ def tc_loss(
 
 def harmonic_det_loss(sample: PositiveSample, hp: HyperParams) -> LossBreakdown:
     """Full per-positive objective with factors and assembled gradients."""
-    if sample.num_classes != hp.num_classes:
-        raise ValueError(
-            f"sample has {sample.num_classes} classes but hyperparams expect {hp.num_classes}"
-        )
     parts = _loc_parts(sample, hp)
     ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
     p = max(float(sample.probs[sample.gt_class]), hp.prob_floor)
@@ -532,27 +502,6 @@ def batch_objective(
     return BatchResult(total / len(positives), breakdowns, neg_grads)
 
 
-class _OnFirstRead:
-    """A dataclass field that, left None by the constructor, is computed on
-    its first read as ``compute(instance)`` and kept."""
-
-    def __init__(self, compute: Callable[[Any], object]) -> None:
-        self.compute = compute
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: object, owner: type | None = None) -> object:
-        if obj is None:
-            return None  # the field's default
-        if obj.__dict__[self.name] is None:
-            obj.__dict__[self.name] = self.compute(obj)
-        return obj.__dict__[self.name]
-
-    def __set__(self, obj: object, value: object) -> None:
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class BatchArrays:
     """:func:`batch_objective_arrays` output.
@@ -568,8 +517,9 @@ class BatchArrays:
     ``loc`` and ``tc`` are the per-positive values of :func:`cross_entropy`,
     :func:`smooth_l1`, :func:`full_loc_loss` and the task-contrastive term
     (0 under ``freeze_factors``), row-wise like the losses. ``neg_loss`` and
-    ``value`` are computed on first read, from ``neg_p``, the negatives'
-    floored background probabilities: a training step needs neither.
+    ``value`` are cached properties, computed on first read from ``neg_p``,
+    the negatives' floored background probabilities: a training step needs
+    neither.
     """
 
     grad_probs: np.ndarray
@@ -584,11 +534,16 @@ class BatchArrays:
     loc: np.ndarray
     tc: np.ndarray
     neg_p: np.ndarray
-    neg_loss: np.ndarray | None = _OnFirstRead(lambda b: -elementwise(math.log, b.neg_p))
-    # sequential sums in sample order, as the scalar batch objective adds
-    value: float | None = _OnFirstRead(
-        lambda b: float(np.concatenate([b.pos_loss, b.neg_loss]).cumsum()[-1]) / b.num_positives
-    )
+
+    @cached_property
+    def neg_loss(self) -> np.ndarray:
+        return -elementwise(math.log, self.neg_p)
+
+    @cached_property
+    def value(self) -> float:
+        # sequential sums in sample order, as the scalar batch objective adds
+        total = np.concatenate([self.pos_loss, self.neg_loss]).cumsum()[-1]
+        return float(total) / self.num_positives
 
     @property
     def num_positives(self) -> int:

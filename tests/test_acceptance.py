@@ -60,9 +60,9 @@ def report(number: int, name: str) -> None:
 
 
 def test_criterion_01_gradient_oracle():
-    hp = HyperParams(num_classes=5)
+    hp = HyperParams()
     start = time.perf_counter()
-    result = run_gradcheck(hp, num_samples=500, tolerance=1e-5, seed=0)
+    result = run_gradcheck(hp, 5, num_samples=500, tolerance=1e-5, seed=0)
     elapsed = time.perf_counter() - start
     for entry in result.entries:
         assert entry.max_err <= 1e-5, f"{entry.op}: {entry.max_err:.3e}"
@@ -73,7 +73,7 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_beta_c_identity():
-    hp = HyperParams(num_classes=5)
+    hp = HyperParams()
     rng = np.random.default_rng(123)
     anchor = Box(0, 0, 2, 2)
     gt_box = Box(0.4, 0.3, 2.3, 2.4)
@@ -107,12 +107,12 @@ def test_criterion_04_hiou_monotonicity():
 
 
 def test_criterion_05_compatibility_reduction():
-    hp = HyperParams(num_classes=5)
+    hp = HyperParams()
     compat = hp.compat_standard()
     rng = np.random.default_rng(71)
     worst = 0.0
     for _ in range(25):
-        positives = [random_positive_sample(rng, hp) for _ in range(int(rng.integers(1, 6)))]
+        positives = [random_positive_sample(rng, hp, 5) for _ in range(int(rng.integers(1, 6)))]
         negatives = [
             NegativeSample(probs=rng.dirichlet(np.ones(5)), gt_class=0)
             for _ in range(int(rng.integers(0, 5)))
@@ -127,7 +127,7 @@ def test_criterion_05_compatibility_reduction():
 def _paired_run(seed: int) -> tuple[bool, bool, float]:
     scene_cfg = SceneConfig(seed=seed, anchor_spacing=3.0, jitter=0.12)
     scene_set = generate_scenes(scene_cfg)
-    hp = HyperParams(num_classes=scene_cfg.num_classes)
+    hp = HyperParams()
     logs = {}
     slowest = 0.0
     for mode in ("harmonic_det", "standard"):
@@ -166,7 +166,7 @@ def test_criterion_07_refinement_gain_direction():
             seed=seed, num_scenes=60, objects_per_scene=(3, 5), jitter=0.18
         )
         scene_set = generate_scenes(scene_cfg)
-        hp = HyperParams(num_classes=scene_cfg.num_classes)
+        hp = HyperParams()
         opt = OptimizerConfig(learning_rate=0.002, steps=20, gradcheck_samples=0)
         result = refinement_experiment(scene_set, opt, hp)
         plain = refinement_gain(result.iou_before, result.iou_plain)

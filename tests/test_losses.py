@@ -37,7 +37,7 @@ from gate_reference import _fd_offsets, _fd_probs
 import train_reference
 from train_reference import hiou_loss_arrays
 
-HP5 = HyperParams(num_classes=5)
+HP = HyperParams()
 
 # -ln 0.7, frozen from math.log
 CE_07 = 0.35667494393873245
@@ -80,19 +80,6 @@ class TestSampleValidation:
         np.testing.assert_allclose(
             s.d_hat.as_array(), encode(s.gt_box, s.anchor).as_array()
         )
-
-    def test_inconsistent_d_hat_rejected(self):
-        anchor = Box(0, 0, 2, 2)
-        gt = Box(0.5, 0.5, 2.5, 2.5)
-        with pytest.raises(ValueError):
-            PositiveSample(
-                probs=np.full(5, 0.2),
-                gt_class=1,
-                d=Offsets(0, 0, 0, 0),
-                anchor=anchor,
-                gt_box=gt,
-                d_hat=Offsets(0, 0, 0, 0),
-            )
 
     def test_from_json_round_trip(self):
         record = {
@@ -210,7 +197,7 @@ class TestSmoothL1:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = smooth_l1(s.d, s.d_hat)
-            got = batch_objective_arrays(*batch_arrays([s], [], np.random.default_rng(0)), HP5)
+            got = batch_objective_arrays(*batch_arrays([s], [], np.random.default_rng(0)), HP)
         assert value == 1e200
         assert got.sl1.tolist() == [value]
 
@@ -281,37 +268,37 @@ class TestIouLosses:
 class TestFullLocLoss:
     def test_perfect_prediction_is_zero(self):
         s = make_sample([0.2] * 5)  # d == d_hat, decoded box == gt
-        value, grad = full_loc_loss(s, HP5)
+        value, grad = full_loc_loss(s, HP)
         assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_alpha_zero_reduces_to_smooth_l1(self):
         rng = np.random.default_rng(2)
-        hp = replace(HP5, alpha=0.0)
+        hp = replace(HP, alpha=0.0)
         for _ in range(50):
-            s = random_positive_sample(rng, HP5)
+            s = random_positive_sample(rng, HP, 5)
             value, grad = full_loc_loss(s, hp)
             assert value == pytest.approx(smooth_l1(s.d, s.d_hat), abs=1e-12)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            s = random_positive_sample(rng, HP5)
-            _, grad = full_loc_loss(s, HP5)
-            fd = _fd_offsets(s, lambda x: full_loc_loss(x, HP5)[0])
+            s = random_positive_sample(rng, HP, 5)
+            _, grad = full_loc_loss(s, HP)
+            fd = _fd_offsets(s, lambda x: full_loc_loss(x, HP)[0])
             np.testing.assert_allclose(grad, fd, atol=1e-6, rtol=1e-5)
 
 
 class TestHarmonicLoss:
     def test_zero_losses(self):
         s = make_sample([0.0, 1.0, 0.0, 0.0, 0.0])
-        value, beta_r, beta_c = harmonic_loss(s, HP5, loc=0.0)
+        value, beta_r, beta_c = harmonic_loss(s, HP, loc=0.0)
         assert value == 0.0
         assert beta_r == 1.0
         assert beta_c == 1.0
 
     def test_hand_value(self):
         s = make_sample([0.1, 0.7, 0.1, 0.05, 0.05])
-        value, beta_r, beta_c = harmonic_loss(s, HP5, loc=0.5)
+        value, beta_r, beta_c = harmonic_loss(s, HP, loc=0.5)
         # (1 + e^-0.5) * (-ln 0.7) + 1.7 * 0.5, frozen from direct evaluation
         assert value == pytest.approx(1.4230092329888584, abs=1e-12)
         assert beta_r == pytest.approx(math.exp(-0.5))
@@ -320,15 +307,15 @@ class TestHarmonicLoss:
     def test_beta_c_equals_gt_probability(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
-            s = random_positive_sample(rng, HP5)
-            _, _, beta_c = harmonic_loss(s, HP5, loc=float(rng.uniform(0, 2)))
+            s = random_positive_sample(rng, HP, 5)
+            _, _, beta_c = harmonic_loss(s, HP, loc=float(rng.uniform(0, 2)))
             assert beta_c == pytest.approx(float(s.probs[s.gt_class]), abs=1e-9)
 
     def test_factor_ranges(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            s = random_positive_sample(rng, HP5)
-            _, beta_r, beta_c = harmonic_loss(s, HP5)
+            s = random_positive_sample(rng, HP, 5)
+            _, beta_r, beta_c = harmonic_loss(s, HP)
             assert 0.0 < beta_r <= 1.0
             assert 0.0 < beta_c <= 1.0
 
@@ -337,12 +324,12 @@ class TestHarmonicLoss:
         betas = []
         for p in np.linspace(0.05, 0.95, 10):
             s = make_sample([1.0 - p - 0.03, p, 0.01, 0.01, 0.01])
-            _, _, beta_c = harmonic_loss(s, HP5, loc=0.5)
+            _, _, beta_c = harmonic_loss(s, HP, loc=0.5)
             betas.append(1.0 + beta_c)
         assert np.all(np.diff(betas) > 0)
         # classification weight shrinks as localization worsens
         s = make_sample([0.2] * 5)
-        weights = [1.0 + harmonic_loss(s, HP5, loc=loc)[1] for loc in np.linspace(0, 4, 10)]
+        weights = [1.0 + harmonic_loss(s, HP, loc=loc)[1] for loc in np.linspace(0, 4, 10)]
         assert np.all(np.diff(weights) < 0)
 
 
@@ -360,7 +347,7 @@ class TestHarmonicClsGrad:
             p = float(rng.uniform(0.01, 0.99))
             s = make_sample([1.0 - p, p], gt_class=1)
             loc = float(rng.uniform(0.0, 2.0))
-            fd = _fd_probs(s, lambda x: harmonic_loss(x, HP5, loc)[0])
+            fd = _fd_probs(s, lambda x: harmonic_loss(x, HP, loc)[0])
             analytic = harmonic_cls_grad(s, loc)
             denom = max(1.0, abs(analytic))
             assert abs(analytic - fd[s.gt_class]) / denom < 1e-5
@@ -382,12 +369,12 @@ class TestHarmonicClsGrad:
 
 class TestHarmonicRegGrad:
     def test_zero_at_target_in_smooth_l1_mode(self):
-        hp = replace(HP5, harmonic_mode="smooth_l1")
+        hp = replace(HP, harmonic_mode="smooth_l1")
         s = make_sample([0.2] * 5)  # d == d_hat
         np.testing.assert_allclose(harmonic_reg_grad(s, hp), np.zeros(4), atol=1e-15)
 
     def test_prefactor_hand_value(self):
-        hp = replace(HP5, harmonic_mode="smooth_l1")
+        hp = replace(HP, harmonic_mode="smooth_l1")
         anchor = Box(0, 0, 2, 2)
         gt = Box(0.5, 0.5, 2.5, 2.5)
         d_hat = encode(gt, anchor)
@@ -404,9 +391,9 @@ class TestHarmonicRegGrad:
     def test_matches_fd_in_both_modes(self):
         rng = np.random.default_rng(21)
         for mode in ("full_loc", "smooth_l1"):
-            hp = replace(HP5, harmonic_mode=mode)
+            hp = replace(HP, harmonic_mode=mode)
             for _ in range(100):
-                s = random_positive_sample(rng, hp)
+                s = random_positive_sample(rng, hp, 5)
                 fd = _fd_offsets(s, lambda x: harmonic_loss(x, hp)[0])
                 np.testing.assert_allclose(harmonic_reg_grad(s, hp), fd, atol=1e-5, rtol=1e-5)
 
@@ -415,37 +402,37 @@ class TestTcLoss:
     def test_inactive_hinge(self):
         # p = 0.85, IoU ~= 0.9: within the 0.2 margin
         s = shifted_iou_sample([0.05, 0.85, 0.05, 0.03, 0.02], 1, 0.9)
-        value, beta_e, grad_probs, grad_d = tc_loss(s, HP5)
+        value, beta_e, grad_probs, grad_d = tc_loss(s, HP)
         assert value == 0.0
         np.testing.assert_array_equal(grad_probs, np.zeros(5))
         np.testing.assert_array_equal(grad_d, np.zeros(4))
 
     def test_one_hot_weight_is_half(self):
         s = shifted_iou_sample([0.0, 1.0, 0.0, 0.0, 0.0], 1, 0.5)
-        value, beta_e, _, _ = tc_loss(s, HP5)
+        value, beta_e, _, _ = tc_loss(s, HP)
         assert beta_e == pytest.approx(1.0, abs=1e-12)
         # weight 1/2, hinge |1 - 0.5| - 0.2
         assert value == pytest.approx(0.5 * 0.3, abs=1e-9)
 
     def test_uniform_probs_hand_value(self):
         s = shifted_iou_sample([0.2] * 5, 1, 0.9)
-        value, beta_e, _, _ = tc_loss(s, HP5)
+        value, beta_e, _, _ = tc_loss(s, HP)
         assert beta_e == pytest.approx(5.0, rel=1e-12)
         assert value == pytest.approx(0.5 / 6.0, rel=1e-9)
 
     def test_beta_e_at_least_one(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            s = random_positive_sample(rng, HP5)
-            _, beta_e, _, _ = tc_loss(s, HP5)
+            s = random_positive_sample(rng, HP, 5)
+            _, beta_e, _, _ = tc_loss(s, HP)
             assert beta_e >= 1.0
 
     def test_gradients_match_fd_without_stop_grad(self):
-        hp = replace(HP5, beta_e_stop_grad=False)
+        hp = replace(HP, beta_e_stop_grad=False)
         rng = np.random.default_rng(41)
         checked = 0
         while checked < 60:
-            s = random_positive_sample(rng, hp)
+            s = random_positive_sample(rng, hp, 5)
             value, _, grad_probs, grad_d = tc_loss(s, hp)
             if value == 0.0:
                 continue
@@ -454,11 +441,11 @@ class TestTcLoss:
             checked += 1
 
     def test_stop_grad_drops_only_entropy_path(self):
-        hp_stop = HP5
-        hp_diff = replace(HP5, beta_e_stop_grad=False)
+        hp_stop = HP
+        hp_diff = replace(HP, beta_e_stop_grad=False)
         rng = np.random.default_rng(43)
         for _ in range(50):
-            s = random_positive_sample(rng, HP5)
+            s = random_positive_sample(rng, HP, 5)
             v_stop, be_stop, gp_stop, gd_stop = tc_loss(s, hp_stop)
             v_diff, be_diff, gp_diff, gd_diff = tc_loss(s, hp_diff)
             assert v_stop == v_diff
@@ -470,7 +457,7 @@ class TestTcLoss:
             np.testing.assert_array_equal(gp_stop[mask], np.zeros(4))
 
     def test_tc_through_iou_flag(self):
-        hp_no = replace(HP5, tc_through_iou=False)
+        hp_no = replace(HP, tc_through_iou=False)
         s = shifted_iou_sample([0.0, 1.0, 0.0, 0.0, 0.0], 1, 0.5)
         _, _, _, grad_d = tc_loss(s, hp_no)
         np.testing.assert_array_equal(grad_d, np.zeros(4))
@@ -479,7 +466,7 @@ class TestTcLoss:
 class TestHarmonicDetLoss:
     def test_perfect_sample_total_zero(self):
         s = make_sample([0.0, 1.0, 0.0, 0.0, 0.0])
-        b = harmonic_det_loss(s, HP5)
+        b = harmonic_det_loss(s, HP)
         assert b.total == pytest.approx(0.0, abs=1e-8)
         assert b.beta_r == pytest.approx(1.0, abs=1e-8)
         assert b.beta_c == 1.0
@@ -488,8 +475,8 @@ class TestHarmonicDetLoss:
     def test_breakdown_identity(self):
         rng = np.random.default_rng(51)
         for _ in range(300):
-            s = random_positive_sample(rng, HP5)
-            b = harmonic_det_loss(s, HP5)
+            s = random_positive_sample(rng, HP, 5)
+            b = harmonic_det_loss(s, HP)
             recon = (1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * b.loc_full + b.tc
             assert b.total == pytest.approx(recon, abs=1e-9)
             assert b.beta_c == pytest.approx(float(s.probs[s.gt_class]), abs=1e-9)
@@ -497,30 +484,25 @@ class TestHarmonicDetLoss:
     def test_terms_non_negative(self):
         rng = np.random.default_rng(52)
         for _ in range(200):
-            s = random_positive_sample(rng, HP5)
-            b = harmonic_det_loss(s, HP5)
+            s = random_positive_sample(rng, HP, 5)
+            b = harmonic_det_loss(s, HP)
             for term in (b.ce, b.smooth_l1, b.hiou, b.loc_full, b.tc, b.total):
                 assert term >= 0.0
 
     def test_joint_gradient_matches_fd(self):
-        hp = replace(HP5, beta_e_stop_grad=False)
+        hp = replace(HP, beta_e_stop_grad=False)
         rng = np.random.default_rng(53)
         for _ in range(100):
-            s = random_positive_sample(rng, hp)
+            s = random_positive_sample(rng, hp, 5)
             b = harmonic_det_loss(s, hp)
             fd_p = _fd_probs(s, lambda x: harmonic_det_loss(x, hp).total)
             fd_d = _fd_offsets(s, lambda x: harmonic_det_loss(x, hp).total)
             np.testing.assert_allclose(b.grad_probs, fd_p, atol=1e-5, rtol=1e-5)
             np.testing.assert_allclose(b.grad_d, fd_d, atol=1e-5, rtol=1e-5)
 
-    def test_num_classes_mismatch_rejected(self):
-        s = make_sample([0.5, 0.5], gt_class=1)
-        with pytest.raises(ValueError):
-            harmonic_det_loss(s, HP5)
-
     def test_json_field_names(self):
         s = make_sample([0.2] * 5)
-        payload = harmonic_det_loss(s, HP5).to_json()
+        payload = harmonic_det_loss(s, HP).to_json()
         assert set(payload) == {
             "ce", "smooth_l1", "iou_value", "hiou", "loc_full", "tc",
             "beta_r", "beta_c", "beta_e", "total", "grad_probs", "grad_d",
@@ -549,7 +531,7 @@ class TestStandardDetLoss:
 
     def test_duplicate_invariance(self):
         rng = np.random.default_rng(61)
-        s = random_positive_sample(rng, HP5)
+        s = random_positive_sample(rng, HP, 5)
         assert standard_det_loss([s, s], []) == pytest.approx(standard_det_loss([s], []))
 
     def test_empty_positives_rejected(self):
@@ -560,37 +542,37 @@ class TestStandardDetLoss:
 class TestBatchObjective:
     def test_single_positive_equals_per_sample_loss(self):
         rng = np.random.default_rng(71)
-        s = random_positive_sample(rng, HP5)
-        batch = batch_objective([s], [], HP5)
-        assert batch.value == pytest.approx(harmonic_det_loss(s, HP5).total, abs=1e-12)
+        s = random_positive_sample(rng, HP, 5)
+        batch = batch_objective([s], [], HP)
+        assert batch.value == pytest.approx(harmonic_det_loss(s, HP).total, abs=1e-12)
 
     def test_all_perfect_is_zero(self):
         pos = make_sample([0.0, 1.0, 0.0, 0.0, 0.0])
         neg = NegativeSample(probs=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), gt_class=0)
-        assert batch_objective([pos], [neg], HP5).value == pytest.approx(0.0, abs=1e-8)
+        assert batch_objective([pos], [neg], HP).value == pytest.approx(0.0, abs=1e-8)
 
     def test_negatives_normalized_by_positive_count(self):
         rng = np.random.default_rng(72)
-        pos = [random_positive_sample(rng, HP5) for _ in range(2)]
+        pos = [random_positive_sample(rng, HP, 5) for _ in range(2)]
         neg = [random_negative(rng, 5) for _ in range(4)]
-        v = batch_objective(pos, neg, HP5).value
-        per_pos = sum(harmonic_det_loss(s, HP5).total for s in pos)
+        v = batch_objective(pos, neg, HP).value
+        per_pos = sum(harmonic_det_loss(s, HP).total for s in pos)
         per_neg = sum(cross_entropy(n.probs, 0) for n in neg)
         assert v == pytest.approx((per_pos + per_neg) / 2.0, abs=1e-12)
 
     def test_compat_mode_reproduces_standard_loss(self):
         rng = np.random.default_rng(73)
-        hp = HP5.compat_standard()
+        hp = HP.compat_standard()
         for _ in range(20):
-            pos = [random_positive_sample(rng, HP5) for _ in range(rng.integers(1, 6))]
+            pos = [random_positive_sample(rng, HP, 5) for _ in range(rng.integers(1, 6))]
             neg = [random_negative(rng, 5) for _ in range(rng.integers(0, 5))]
             assert abs(batch_objective(pos, neg, hp).value - standard_det_loss(pos, neg)) <= 1e-12
 
     def test_deterministic_repetition(self):
         rng = np.random.default_rng(74)
-        pos = [random_positive_sample(rng, HP5) for _ in range(4)]
+        pos = [random_positive_sample(rng, HP, 5) for _ in range(4)]
         neg = [random_negative(rng, 5) for _ in range(3)]
-        assert batch_objective(pos, neg, HP5).value == batch_objective(pos, neg, HP5).value
+        assert batch_objective(pos, neg, HP).value == batch_objective(pos, neg, HP).value
 
 
 def batch_arrays(positives, negatives, rng):
@@ -645,25 +627,28 @@ def check_against_reference(positives, negatives, hp, rng):
 
 
 def random_batch(rng, hp, max_pos=8, max_neg=8):
-    positives = [random_positive_sample(rng, hp) for _ in range(int(rng.integers(1, max_pos)))]
+    # drawn clear of hp's TC margin, but at the default draw floor, so that a
+    # raised prob_floor still meets probabilities below it
+    draw_hp = replace(hp, prob_floor=HP.prob_floor)
+    positives = [random_positive_sample(rng, draw_hp, 5) for _ in range(int(rng.integers(1, max_pos)))]
     # plus samples on the smooth-L1 and TC kinks the oracle's sampler avoids
     for _ in range(3):
-        s = random_positive_sample(rng, hp)
+        s = random_positive_sample(rng, draw_hp, 5)
         positives.append(s.with_d(Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
-    negatives = [random_negative(rng, hp.num_classes) for _ in range(int(rng.integers(0, max_neg)))]
+    negatives = [random_negative(rng, 5) for _ in range(int(rng.integers(0, max_neg)))]
     return positives, negatives
 
 
 KINK_CASES = {
-    "default": HP5,
-    "compat_standard": HP5.compat_standard(),
-    "freeze_factors_with_alpha": replace(HP5, freeze_factors=True),
-    "harmonic_mode_smooth_l1": replace(HP5, harmonic_mode="smooth_l1"),
-    "entropy_weight_differentiated": replace(HP5, beta_e_stop_grad=False),
-    "tc_not_through_iou": replace(HP5, tc_through_iou=False),
-    "tc_hinge_always_on": replace(HP5, margin=0.0, beta_e_stop_grad=False),
-    "tc_hinge_always_off": replace(HP5, margin=0.99),
-    "high_prob_floor": replace(HP5, prob_floor=0.3, beta_e_stop_grad=False),
+    "default": HP,
+    "compat_standard": HP.compat_standard(),
+    "freeze_factors_with_alpha": replace(HP, freeze_factors=True),
+    "harmonic_mode_smooth_l1": replace(HP, harmonic_mode="smooth_l1"),
+    "entropy_weight_differentiated": replace(HP, beta_e_stop_grad=False),
+    "tc_not_through_iou": replace(HP, tc_through_iou=False),
+    "tc_hinge_always_on": replace(HP, margin=0.0, beta_e_stop_grad=False),
+    "tc_hinge_always_off": replace(HP, margin=0.99),
+    "high_prob_floor": replace(HP, prob_floor=0.3, beta_e_stop_grad=False),
 }
 
 
@@ -688,7 +673,7 @@ class TestBatchObjectiveArrays:
 
     def test_hinge_cases_are_exercised(self):
         rng = np.random.default_rng(91)
-        positives, negatives = random_batch(rng, HP5, max_pos=20)
+        positives, negatives = random_batch(rng, HP, max_pos=20)
         on, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_on"], rng)
         off, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_off"], rng)
         assert on.value != off.value
@@ -696,10 +681,10 @@ class TestBatchObjectiveArrays:
     def test_bit_equal_to_reference(self):
         # training amplifies last-bit differences into a different trajectory
         rng = np.random.default_rng(92)
-        positives, negatives = random_batch(rng, HP5)
+        positives, negatives = random_batch(rng, HP)
         args = batch_arrays(positives, negatives, rng)
-        got = batch_objective_arrays(*args, HP5)
-        want = batch_objective(positives, negatives, HP5)
+        got = batch_objective_arrays(*args, HP)
+        want = batch_objective(positives, negatives, HP)
         assert got.value == want.value
         pos_idx, neg_idx = args[-2], args[-1]
         assert np.array_equal(got.grad_probs[pos_idx], [b.grad_probs for b in want.breakdowns])
@@ -726,10 +711,10 @@ class TestBatchObjectiveArrays:
 
     def test_row_losses_bit_equal_to_reference(self):
         rng = np.random.default_rng(93)
-        positives, negatives = random_batch(rng, HP5)
+        positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP5)
-        assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP5).total for s in positives]
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP)
+        assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP).total for s in positives]
         assert got.neg_loss.tolist() == [cross_entropy(n.probs, 0) for n in negatives]
 
     @pytest.mark.parametrize("case", sorted(KINK_CASES))
@@ -776,15 +761,16 @@ class TestBatchObjectiveArrays:
 
     def test_objective_and_negative_losses_are_computed_on_first_read(self):
         rng = np.random.default_rng(94)
-        positives, negatives = random_batch(rng, HP5)
+        positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP5)
-        assert vars(got)["value"] is None and vars(got)["neg_loss"] is None
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP)
+        assert "value" not in vars(got) and "neg_loss" not in vars(got)
         value = got.value
         assert vars(got)["value"] is value and vars(got)["neg_loss"] is got.neg_loss
-        assert value == batch_objective(positives, negatives, HP5).value
-        # given to the constructor, neither is recomputed
-        assert replace(got, value=math.inf).value == math.inf
+        assert value == batch_objective(positives, negatives, HP).value
+        # derived from the fields, neither is set by the constructor
+        with pytest.raises(TypeError):
+            replace(got, value=math.inf)
         with pytest.raises(AttributeError):
             got.value = 0.0
 
@@ -794,7 +780,7 @@ class TestBatchObjectiveArrays:
             batch_objective_arrays(
                 np.full((2, 5), 0.2), np.zeros((2, 4)),
                 AnchorTargets(np.zeros((0, 4)), np.zeros((0, 4))),
-                empty, np.zeros((0, 4)), empty, np.arange(2), HP5,
+                empty, np.zeros((0, 4)), empty, np.arange(2), HP,
             )
 
 
