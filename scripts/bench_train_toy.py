@@ -1,0 +1,196 @@
+"""Before/after timings of ``train_toy`` and of the perfbench workloads.
+
+    python scripts/bench_train_toy.py layer SRC OUT.json
+    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json [--pairs N] [--seconds S]
+
+``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
+call at 100, 4 096 and 16 384 model rows in both loss modes. Each call runs
+between two runs of perfbench's calibration loop; a case's value is the
+median over batches of the call's time over the mean of the two calibration
+times, so it reads in perfbench's ``calib`` units.
+
+``compare`` takes two checkouts (each a plain copy with ``src/`` and
+``perfbench/``) and writes one JSON file: the layer timings of both, from
+three rounds that alternate which side runs first; ``--pairs`` alternating
+perfbench runs per workload (``train_dense`` gets twice as many), with the
+medians, quartiles and wins of every end-to-end metric; and one traced run
+per side and workload, for the per-layer call counts and self times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+HERE = Path(__file__).resolve()
+
+# name -> (scene config, optimizer config); steps as the workloads run them
+LAYER_CASES = {
+    "100_rows": ({"anchor_spacing": 3.0, "jitter": 0.12}, {"steps": 500, "log_every": 25}),
+    "4096_rows": (
+        {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+        {"steps": 20, "log_every": 5},
+    ),
+    "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
+}
+MODES = ("harmonic_det", "standard")
+BATCHES = 7
+END_TO_END = ("wall_rel", "cpu_rel", "peak_rss_mb", "setup_s")
+WORKLOADS = {"train_dense": 1801, "train_default": 1821, "refine_long": 1841}
+TRACE_SEED = 1861
+
+
+def layer(src: str, out: str) -> None:
+    sys.path.insert(0, src)
+    sys.path.insert(0, str(Path(src).parent / "perfbench"))
+    from child import calibrate
+
+    from hardet import HyperParams, OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
+
+    results = {}
+    for name, (scene, optimizer) in LAYER_CASES.items():
+        ss = generate_scenes(SceneConfig(**scene))
+        model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
+        for mode in MODES:
+            opt = OptimizerConfig(**optimizer, loss_mode=mode, gradcheck_samples=0)
+            train_toy(ss, model, opt, HyperParams())  # untimed: warms caches and matching
+            values = []
+            for _ in range(BATCHES):
+                before = calibrate()[0]
+                t0 = perf_counter()
+                train_toy(ss, model, opt, HyperParams())
+                elapsed = perf_counter() - t0
+                values.append(elapsed / (0.5 * (before + calibrate()[0])))
+            results[f"train_toy_{name}_{mode}"] = {
+                "rows": ss.total_anchors,
+                "positives": int(ss.matching.pos_flat.size),
+                "steps": opt.steps,
+                "calibrated_median": statistics.median(values),
+            }
+    Path(out).write_text(json.dumps(results, indent=1) + "\n")
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(int(trace))]
+    subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    run_dir = checkout / "perfbench" / "out" / workload / f"seed{seed}{'-trace' if trace else ''}"
+    record = json.loads((run_dir / "result.json").read_text())
+    return {"metrics": record["metrics"], "per_layer": record["per_layer"],
+            "attempted": record["attempted"], "failed": record["failed"]}
+
+
+def src_digest(checkout: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src" / "hardet").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def compare(parent: Path, change: Path, out: str, pairs: int, seconds: float) -> None:
+    sides = {"parent": parent, "change": change}
+    rounds = {side: [] for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        for r in range(3):
+            for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
+                path = Path(tmp) / f"{side}{r}.json"
+                subprocess.run(
+                    [sys.executable, str(HERE), "layer", str(sides[side] / "src"), str(path)],
+                    check=True,
+                )
+                rounds[side].append(json.loads(path.read_text()))
+    layers = {
+        side: {
+            case: {**runs[0][case],
+                   "calibrated_median": statistics.median(run[case]["calibrated_median"] for run in runs)}
+            for case in runs[0]
+        }
+        for side, runs in rounds.items()
+    }
+
+    end_to_end = {}
+    for workload, first_seed in WORKLOADS.items():
+        n = 2 * pairs if workload == "train_dense" else pairs
+        runs = {side: [] for side in sides}
+        for k in range(n):
+            for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+                runs[side].append(perfbench(sides[side], workload, first_seed + k, seconds, False))
+        summary = {"seeds": [first_seed, first_seed + n - 1], "pairs": n,
+                   "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+        for metric in END_TO_END:
+            values = {side: [r["metrics"][metric] for r in rs] for side, rs in runs.items()}
+            summary[metric] = {
+                **{side: {**quartiles(v), "runs": v} for side, v in values.items()},
+                "change_lower": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            }
+        end_to_end[workload] = summary
+
+    trace = {
+        workload: {side: perfbench(path, workload, TRACE_SEED, seconds, True)["per_layer"]
+                   for side, path in sides.items()}
+        for workload in WORKLOADS
+    }
+    for workload, by_side in trace.items():
+        calls = [{m: v for m, v in t.items() if m.endswith(".calls")} for t in by_side.values()]
+        by_side["calls_equal"] = calls[0] == calls[1]
+
+    import numpy
+
+    report = {
+        "what": "train_toy steps on the positives plus one row per distinct negative",
+        "environment": {
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "src_sha256": {side: src_digest(path) for side, path in sides.items()},
+        "commands": {
+            "layer": f"{BATCHES} batches of one call per side per round, 3 rounds, median over rounds",
+            "end_to_end": f"perfbench/run.py --seconds {seconds} --trace 0, pair k runs the parent "
+            "first when k is even",
+            "trace": f"perfbench/run.py --seed {TRACE_SEED} --seconds {seconds} --trace 1, one per side",
+        },
+        "layer": layers,
+        "end_to_end": end_to_end,
+        "trace": trace,
+    }
+    Path(out).write_text(json.dumps(report, indent=1) + "\n")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("layer")
+    p.add_argument("src")
+    p.add_argument("out")
+    p = sub.add_parser("compare")
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("out")
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=8.0)
+    args = parser.parse_args()
+    if args.cmd == "layer":
+        layer(args.src, args.out)
+    else:
+        compare(args.parent.resolve(), args.change.resolve(), args.out, args.pairs, args.seconds)
+
+
+if __name__ == "__main__":
+    main()

@@ -166,10 +166,19 @@ class SceneConfig:
         # log-size around their anchor's scale
         smallest = min(self.anchor_scales) * math.exp(-self.jitter)
         least, most = smallest * smallest, max_size * max_size
-        if not (least > 0.0 and 2.0 * most < math.inf):
+        widest = 2.0 * most
+        if not (least > 0.0 and widest < math.inf):
             raise ValueError(
                 f"box areas from {least:g} to {most:g} leave the float range: every "
                 "anchor's and object's area, and the sum of two, must be positive and finite"
+            )
+        # IoU's gradient divides by the union squared, and a union is never
+        # smaller than its target's area
+        if not (least * least >= np.finfo(float).tiny and widest * widest < math.inf):
+            raise ValueError(
+                f"box areas from {least:g} to {most:g} leave the float range once squared: "
+                "the smallest area squared must be a normal float, and twice the largest, "
+                "squared, finite"
             )
         # counted in floats before any grid exists: a tiny spacing gives inf
         # cells, not an int overflow or a grid that never ends
@@ -477,11 +486,14 @@ def _match_scene_set(scene_set: SceneSet) -> Matching:
 
 
 def _check_model(scene_set: SceneSet, model: ToyModel) -> None:
-    """Raise ``ValueError`` unless the model has a row per anchor and a logit per class."""
+    """Raise ``ValueError`` unless the model has a float64 row per anchor and logit per class."""
     n, c = scene_set.total_anchors, scene_set.config.num_classes
     if model.logits.shape != (n, c) or model.offsets.shape != (n, 4):
         shapes = f"{model.logits.shape}/{model.offsets.shape}"
         raise ValueError(f"model shaped {shapes} does not fit {n} anchors and {c} classes")
+    for name, values in (("logits", model.logits), ("offsets", model.offsets)):
+        if values.dtype != np.float64:
+            raise ValueError(f"model {name} are {values.dtype}, not float64")
 
 
 def train_toy(
@@ -511,8 +523,19 @@ def train_toy(
         )
         if not report.passed:
             raise GradientCheckError([e for e in report.entries if not e.passed])
-    model = model.copy()
     m = scene_set.matching
+    # a row's step reads that row only, so byte-identical rows stay identical:
+    # the loop runs on the positives plus the first row of each group of
+    # identical negatives, and every model row takes its group's result
+    rows = np.hstack([model.logits, model.offsets])[m.neg_flat].view(np.uint64)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # the model row of each compact row: a positive's own, a group's first
+    source = np.concatenate([m.pos_flat, m.neg_flat[first]])
+    pos_idx, neg_idx = np.arange(m.pos_flat.size), np.arange(m.pos_flat.size, source.size)
+    member = np.empty(scene_set.total_anchors, dtype=np.intp)
+    member[m.pos_flat] = pos_idx
+    member[m.neg_flat] = neg_idx[inverse]
+    model = ToyModel(model.logits[source], model.offsets[source])
 
     records: list[TrainRecord] = []
 
@@ -531,16 +554,18 @@ def train_toy(
         probs = model.probs()
         finite = np.isfinite(probs)
         if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
+            row = int(source[~finite.all(axis=1)].min())
             raise DivergenceError(step, "non-finite probabilities", row)
-        _check_decode_cap(step, model.offsets[m.pos_flat], m.pos_flat)
+        _check_decode_cap(step, model.offsets[pos_idx], m.pos_flat)
         batch = batch_objective_arrays(
-            probs, model.offsets, m.targets, m.gt_class, m.d_hat, m.pos_flat, m.neg_flat, hp_eff
+            probs, model.offsets, m.targets, m.gt_class, m.d_hat, pos_idx, neg_idx, hp_eff
         )
         # every negative's loss is finite and at most -log(prob_floor), so
         # the objective is finite exactly when the positives' in-order sum is;
-        # it is read only when logged or to word the failure
+        # it is read, over every negative in model order, only when logged or
+        # to word the failure
         if logged or not math.isfinite(batch.pos_loss.cumsum()[-1]):
+            batch = replace(batch, neg_p=batch.neg_p[inverse])
             if not math.isfinite(batch.value):
                 raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
         return probs, batch
@@ -562,7 +587,8 @@ def train_toy(
             model.offsets -= scale * batch.grad_d
         _, batch = objective(opt.steps, True)
     log_state(opt.steps, batch)
-    return model, TrainLog(tuple(records), batch.p_gt, batch.iou)
+    trained = ToyModel(model.logits[member], model.offsets[member])
+    return trained, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
 
 def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:

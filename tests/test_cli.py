@@ -388,6 +388,16 @@ def _merged(base: dict, drawn: dict) -> dict:
 _SHARED_BASE = {**_BASE["gradcheck"], **_BASE["surface"], **FAST_TRAIN}
 
 
+def scaled_train_scene(scale: float) -> dict:
+    """The ``train`` command's default scene block with every length times ``scale``."""
+    return {
+        "canvas": [16.0 * scale, 16.0 * scale],
+        "anchor_spacing": 3.0 * scale,
+        "anchor_scales": [3.0 * scale],
+        "jitter": 0.12,
+    }
+
+
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
     """main's exit code and stderr; stdout is dropped."""
     err = io.StringIO()
@@ -472,6 +482,20 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
             "config.scene: box areas from 1.44e+308 to 1.44e+308 leave the float range: every "
             "anchor's and object's area, and the sum of two, must be positive and finite",
         ),
+        # train's default scene scaled down and up: the areas are finite, but
+        # the squared union IoU's gradient divides by is not
+        (
+            {"scene": scaled_train_scene(1e-100)},
+            "config.scene: box areas from 7.07965e-200 to 1.14412e-199 leave the float range "
+            "once squared: the smallest area squared must be a normal float, and twice the "
+            "largest, squared, finite",
+        ),
+        (
+            {"scene": scaled_train_scene(1e120)},
+            "config.scene: box areas from 7.07965e+240 to 1.14412e+241 leave the float range "
+            "once squared: the smallest area squared must be a normal float, and twice the "
+            "largest, squared, finite",
+        ),
     ],
 )
 def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
@@ -491,6 +515,12 @@ def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
         )
         # rejected before the output directory or run_meta.json is written
         assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-50, 1e60])
+def test_scaled_scenes_inside_the_squared_bound_train(tmp_path, scale):
+    cfg = write_config(tmp_path, {"scene": scaled_train_scene(scale), "optimizer": {"steps": 50}})
+    assert _run_quietly(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == (EXIT_OK, "")
 
 
 def test_scene_draw_off_the_canvas_exits_1_before_writing(tmp_path):

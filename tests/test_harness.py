@@ -447,6 +447,41 @@ class TestTrainToy:
         with pytest.raises(ValueError, match=message):
             train_toy(ss, ToyModel.zeros(3, 5), opt, HyperParams())
 
+    @pytest.mark.parametrize("field, dtype", [("logits", np.int64), ("offsets", np.float32)])
+    def test_model_dtype_is_checked_before_the_gate(self, monkeypatch, field, dtype):
+        # int logits once failed mid-descent, and float32 offsets descended
+        # in float32 without an error
+        ss = generate_scenes(SceneConfig(anchor_spacing=3.0))
+
+        def gate(*args, **kwargs):
+            raise AssertionError("the gradient gate ran before the model dtype check")
+
+        monkeypatch.setattr(harness, "run_gradcheck", gate)
+        model = ToyModel.zeros(ss.total_anchors, 5)
+        setattr(model, field, getattr(model, field).astype(dtype))
+        message = rf"^model {field} are {np.dtype(dtype)}, not float64$"
+        with pytest.raises(ValueError, match=message):
+            train_toy(ss, model, OptimizerConfig(gradcheck_tolerance=0.0), HyperParams())
+        with pytest.raises(ValueError, match=message):
+            model_detections(ss, model)
+
+    def test_kernel_runs_on_the_positives_and_one_row_per_distinct_negative(self, monkeypatch):
+        # the dense workload's zero model: every negative row is the same
+        ss, hp, opt = cli_setup("train", TRAIN_CONFIGS["train_dense"])
+        real = harness.batch_objective_arrays
+        rows = []
+
+        def counted(*args):
+            rows.append((len(args[0]), args[5].tolist(), args[6].tolist()))
+            return real(*args)
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", counted)
+        model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
+        train_toy(ss, model, replace(opt, gradcheck_samples=0), hp)
+        p = ss.matching.pos_flat.size
+        assert ss.total_anchors == 4096
+        assert rows == [(p + 1, list(range(p)), [p])] * (opt.steps + 1)
+
     def test_zero_learning_rate_changes_nothing(self):
         ss, hp, model = small_setup()
         opt = OptimizerConfig(learning_rate=0.0, steps=5, log_every=1, gradcheck_samples=0)
@@ -658,6 +693,39 @@ def cli_setup(command, cfg, seed=0):
     return generate_scenes(scene), hp, cli._build(OptimizerConfig, eff, "optimizer")
 
 
+def repeated_negatives_model(ss):
+    """Distinct random positives; negatives drawn from three logit rows and,
+    independently, two offset rows, with one ``-0.0`` logit beside the
+    ``0.0`` of an earlier row that is otherwise its byte twin."""
+    rng = np.random.default_rng(0)
+    m = ss.matching
+    model = ToyModel(
+        rng.normal(size=(ss.total_anchors, ss.config.num_classes)),
+        rng.uniform(-0.3, 0.3, size=(ss.total_anchors, 4)),
+    )
+    logits = rng.normal(size=(3, ss.config.num_classes))
+    logits[0] = 0.0
+    pick = rng.integers(3, size=m.neg_flat.size)
+    model.logits[m.neg_flat] = logits[pick]
+    model.offsets[m.neg_flat] = rng.uniform(-0.3, 0.3, size=(2, 4))[rng.integers(2, size=pick.size)]
+    zero_rows = m.neg_flat[pick == 0]
+    model.logits[zero_rows[-1], 1] = -0.0
+    assert zero_rows.size > 2
+    return model
+
+
+def assert_trained_alike(got, log, want, want_log):
+    """Both models and logs are equal bit for bit."""
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    # repr tells every float bit, -0.0 from 0.0 included; numpy's repr
+    # rounds, so the arrays compare by their bytes
+    assert len(log.records) > 2
+    assert repr(log.records) == repr(want_log.records)
+    assert log.final_p_gt.tobytes() == want_log.final_p_gt.tobytes()
+    assert log.final_iou.tobytes() == want_log.final_iou.tobytes()
+
+
 def divergence(run):
     """What ``run()`` raised, its overflow warnings silenced."""
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
@@ -678,14 +746,38 @@ class TestTrainReference:
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         got, log = train_toy(ss, model, opt, hp)
         want, want_log = train_reference.train_toy(ss, model, opt, hp)
-        assert got.logits.tobytes() == want.logits.tobytes()
-        assert got.offsets.tobytes() == want.offsets.tobytes()
-        # repr tells every float bit, -0.0 from 0.0 included; numpy's repr
-        # rounds, so the arrays compare by their bytes
-        assert len(log.records) > 2
-        assert repr(log.records) == repr(want_log.records)
-        assert log.final_p_gt.tobytes() == want_log.final_p_gt.tobytes()
-        assert log.final_iou.tobytes() == want_log.final_iou.tobytes()
+        assert_trained_alike(got, log, want, want_log)
+
+    @pytest.mark.parametrize("loss_mode", ["harmonic_det", "standard"])
+    @pytest.mark.parametrize("learning_rate", [0.0, 0.2])
+    def test_repeated_negative_rows_train_as_the_reference(self, learning_rate, loss_mode):
+        # at learning rate 0 the -0.0 logit stays -0.0, so merging it with
+        # its 0.0 twin would show
+        ss, hp, _ = cli_setup("train", {})
+        model = repeated_negatives_model(ss)
+        opt = OptimizerConfig(
+            learning_rate=learning_rate, steps=30, log_every=10, loss_mode=loss_mode,
+            gradcheck_samples=0,
+        )
+        got, log = train_toy(ss, model, opt, hp)
+        want, want_log = train_reference.train_toy(ss, model, opt, hp)
+        assert_trained_alike(got, log, want, want_log)
+
+    def test_nan_in_repeated_negative_rows_names_the_lowest(self):
+        ss, hp, _ = cli_setup("train", {})
+        neg, pos = ss.matching.neg_flat, ss.matching.pos_flat
+        model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
+        # three byte twins, a NaN row of another kind above their first, and
+        # a NaN positive above both
+        model.logits[neg[[9, 3, 6]], 2] = math.nan
+        model.logits[neg[5], 0] = math.nan
+        model.logits[pos[-1], 1] = math.nan
+        assert neg[3] < neg[5] < pos[-1]
+        opt = OptimizerConfig(steps=3, gradcheck_samples=0)
+        got = divergence(lambda: train_toy(ss, model, opt, hp))
+        want = divergence(lambda: train_reference.train_toy(ss, model, opt, hp))
+        assert (got.step, got.row, str(got)) == (want.step, want.row, str(want))
+        assert (got.check, got.row) == ("non-finite probabilities", neg[3])
 
     @pytest.mark.parametrize("steps", [20, 100])
     def test_refine_descent_equals_the_reference(self, steps):
