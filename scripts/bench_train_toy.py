@@ -1,20 +1,24 @@
-"""Before/after timings of ``train_toy`` and of the perfbench workloads.
+"""Before/after timings of ``train_toy``, the gradient gate and the perfbench
+workloads.
 
     python scripts/bench_train_toy.py layer SRC OUT.json
-    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json [--pairs N] [--seconds S]
+    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S]
 
 ``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
-call at 100, 4 096 and 16 384 model rows in both loss modes. Each call runs
-between two runs of perfbench's calibration loop; a case's value is the
-median over batches of the call's time over the mean of the two calibration
-times, so it reads in perfbench's ``calib`` units.
+call at 100, 4 096 and 16 384 model rows in both loss modes, and the gate
+that precedes ``train``, ``run_gradcheck`` on 20 samples of 5 classes, under
+both modes' hyperparameters. Each call runs between two runs of perfbench's
+calibration loop; a case's value is the median over batches of the call's
+time over the mean of the two calibration times, so it reads in perfbench's
+``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
-``perfbench/``) and writes one JSON file: the layer timings of both, from
-three rounds that alternate which side runs first; ``--pairs`` alternating
-perfbench runs per workload (``train_dense`` gets twice as many), with the
-medians, quartiles and wins of every end-to-end metric; and one traced run
-per side and workload, for the per-layer call counts and self times.
+``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
+one sentence; the layer timings of both, from three rounds that alternate
+which side runs first; ``--pairs`` alternating perfbench runs per workload
+(``train_dense`` gets twice as many), with the medians, quartiles and wins of
+every end-to-end metric; and one traced run per side and workload, for the
+per-layer call counts and self times.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ LAYER_CASES = {
     "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
 }
 MODES = ("harmonic_det", "standard")
+# the gate's draws before train, the OptimizerConfig default
+GATE_SAMPLES = 20
 BATCHES = 7
 END_TO_END = ("wall_rel", "cpu_rel", "peak_rss_mb", "setup_s")
 WORKLOADS = {"train_dense": 1801, "train_default": 1821, "refine_long": 1841}
@@ -54,7 +60,26 @@ def layer(src: str, out: str) -> None:
     sys.path.insert(0, str(Path(src).parent / "perfbench"))
     from child import calibrate
 
-    from hardet import HyperParams, OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
+    from hardet import (
+        HyperParams,
+        OptimizerConfig,
+        SceneConfig,
+        ToyModel,
+        generate_scenes,
+        run_gradcheck,
+        train_toy,
+    )
+
+    def calibrated_median(call) -> float:
+        call()  # untimed: warms caches and matching
+        values = []
+        for _ in range(BATCHES):
+            before = calibrate()[0]
+            t0 = perf_counter()
+            call()
+            elapsed = perf_counter() - t0
+            values.append(elapsed / (0.5 * (before + calibrate()[0])))
+        return statistics.median(values)
 
     results = {}
     for name, (scene, optimizer) in LAYER_CASES.items():
@@ -62,20 +87,22 @@ def layer(src: str, out: str) -> None:
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         for mode in MODES:
             opt = OptimizerConfig(**optimizer, loss_mode=mode, gradcheck_samples=0)
-            train_toy(ss, model, opt, HyperParams())  # untimed: warms caches and matching
-            values = []
-            for _ in range(BATCHES):
-                before = calibrate()[0]
-                t0 = perf_counter()
-                train_toy(ss, model, opt, HyperParams())
-                elapsed = perf_counter() - t0
-                values.append(elapsed / (0.5 * (before + calibrate()[0])))
             results[f"train_toy_{name}_{mode}"] = {
                 "rows": ss.total_anchors,
                 "positives": int(ss.matching.pos_flat.size),
                 "steps": opt.steps,
-                "calibrated_median": statistics.median(values),
+                "calibrated_median": calibrated_median(
+                    lambda: train_toy(ss, model, opt, HyperParams())
+                ),
             }
+    for mode in MODES:
+        # the hyperparameters train_toy gates in this loss mode
+        hp = HyperParams().compat_standard() if mode == "standard" else HyperParams()
+        results[f"run_gradcheck_{GATE_SAMPLES}_samples_{mode}"] = {
+            "samples": GATE_SAMPLES,
+            "num_classes": 5,
+            "calibrated_median": calibrated_median(lambda: run_gradcheck(hp, 5, GATE_SAMPLES)),
+        }
     Path(out).write_text(json.dumps(results, indent=1) + "\n")
 
 
@@ -101,7 +128,7 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def compare(parent: Path, change: Path, out: str, pairs: int, seconds: float) -> None:
+def compare(parent: Path, change: Path, out: str, what: str, pairs: int, seconds: float) -> None:
     sides = {"parent": parent, "change": change}
     rounds = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,7 +178,7 @@ def compare(parent: Path, change: Path, out: str, pairs: int, seconds: float) ->
     import numpy
 
     report = {
-        "what": "train_toy steps on the positives plus one row per distinct negative",
+        "what": what,
         "environment": {
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
@@ -183,13 +210,16 @@ def main() -> None:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("out")
+    p.add_argument("--what", required=True, help="the change measured, in one sentence")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args()
     if args.cmd == "layer":
         layer(args.src, args.out)
     else:
-        compare(args.parent.resolve(), args.change.resolve(), args.out, args.pairs, args.seconds)
+        compare(
+            args.parent.resolve(), args.change.resolve(), args.out, args.what, args.pairs, args.seconds
+        )
 
 
 if __name__ == "__main__":

@@ -211,11 +211,11 @@ def _check_command_blocks(cfg: dict) -> Surface:
     the surface block's p grid, loc grid and gradient table, which checking
     it computes."""
     gc, s, t = cfg["gradcheck"], cfg["surface"], cfg["train"]
-    # a sweep over no samples would report PASS without checking anything
-    if gc["samples"] < 1:
-        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
-    if gc["batch_draws"] < 0:
-        raise ConfigError(f"config.gradcheck.batch_draws: must be >= 0, got {gc['batch_draws']}")
+    # a sweep over no samples, or no draw of the training kernel, would
+    # report PASS without checking anything
+    for key in ("samples", "batch_draws"):
+        if gc[key] < 1:
+            raise ConfigError(f"config.gradcheck.{key}: must be >= 1, got {gc[key]}")
     if gc["tolerance"] < 0:
         raise ConfigError(f"config.gradcheck.tolerance: must be >= 0, got {gc['tolerance']}")
     if s["mode"] not in ("standard", "harmonic"):

@@ -22,12 +22,9 @@ from .geom import (
     Box,
     Offsets,
     corners,
-    decode,
     decode_arrays,
     decode_jacobian,
-    encode,
     encode_arrays,
-    iou,
     iou_arrays,
     iou_grad,
     iou_matrix,
@@ -612,23 +609,27 @@ def model_detections(scene_set: SceneSet, model: ToyModel) -> DetectionArrays:
 
 
 def finite_diff_grad(
-    loss_fn: Callable[[np.ndarray], float | np.ndarray], params: np.ndarray, h: float = 1e-6
+    loss_fn: Callable[[np.ndarray], np.ndarray],
+    params: np.ndarray,
+    h: float | np.ndarray = 1e-6,
 ) -> np.ndarray:
-    """Central-difference gradient of a function of a vector, one step per
-    axis. A vector-valued ``loss_fn`` gives its Jacobian, one row per output."""
-    if h <= 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
+    """Central-difference gradient of a function of a K-vector, all 2 K steps
+    in one call: ``loss_fn`` maps the (2 K, K) stack of ``params`` stepped up
+    along each axis, then down along each, to the stack of their values. ``h``
+    is the step, one for every axis or one per axis. A vector-valued function
+    gives its Jacobian, one row per output."""
     params = np.asarray(params, dtype=float)
-    columns = []
-    for k in range(params.size):
-        step = np.zeros_like(params)
-        step[k] = h
-        hi = np.asarray(loss_fn(params + step), dtype=float)
-        lo = np.asarray(loss_fn(params - step), dtype=float)
-        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-            raise ValueError(f"loss not finite near params[{k}]")
-        columns.append((hi - lo) / (2.0 * h))
-    return np.array(columns).T
+    steps = np.broadcast_to(np.asarray(h, dtype=float), params.shape)
+    if not np.all(steps > 0.0):
+        raise ValueError(f"finite-difference step must be positive, got {h}")
+    k = params.size
+    stack = np.concatenate([params + np.diag(steps), params - np.diag(steps)])
+    values = np.asarray(loss_fn(stack), dtype=float)
+    hi, lo = values[:k], values[k:]
+    finite = np.isfinite(hi).reshape(k, -1).all(axis=1) & np.isfinite(lo).reshape(k, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"loss not finite near params[{np.argmin(finite)}]")
+    return ((hi - lo) / (2.0 * steps).reshape(-1, *[1] * (hi.ndim - 1))).T
 
 
 # --- finite-difference gate -------------------------------------------------
@@ -662,37 +663,49 @@ def random_positive_sample(
     draw qualifies, as with so many classes that the floor is out of reach.
     """
     floor = _draw_floor(hp)
+    concentration = np.ones(num_classes)
     for _ in range(10_000):
-        cx, cy = rng.uniform(5.0, 11.0, size=2)
-        w, h = rng.uniform(2.0, 4.0, size=2)
-        anchor = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        # Box, encode, decode and iou, operation for operation on plain
+        # floats: only an accepted try builds its boxes
+        cx, cy = rng.uniform(5.0, 11.0, size=2).tolist()
+        w, h = rng.uniform(2.0, 4.0, size=2).tolist()
+        anchor = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         gx = cx + rng.uniform(-0.3, 0.3) * w
         gy = cy + rng.uniform(-0.3, 0.3) * h
         gw = w * math.exp(rng.uniform(-0.3, 0.3))
         gh = h * math.exp(rng.uniform(-0.3, 0.3))
-        gt = Box(gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
-        d_hat = encode(gt, anchor)
-        d = Offsets.from_array(d_hat.as_array() + rng.uniform(-0.5, 0.5, size=4))
-        diffs = np.abs(d.as_array() - d_hat.as_array())
-        if np.any(np.abs(diffs - 1.0) < KINK_MARGIN):
+        gt = (gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
+        aw, ah = anchor[2] - anchor[0], anchor[3] - anchor[1]
+        acx, acy = 0.5 * (anchor[0] + anchor[2]), 0.5 * (anchor[1] + anchor[3])
+        d_hat = (
+            (0.5 * (gt[0] + gt[2]) - acx) / aw,
+            (0.5 * (gt[1] + gt[3]) - acy) / ah,
+            math.log((gt[2] - gt[0]) / aw),
+            math.log((gt[3] - gt[1]) / ah),
+        )
+        d = [t + e for t, e in zip(d_hat, rng.uniform(-0.5, 0.5, size=4).tolist())]
+        if any(abs(abs(t - t_hat) - 1.0) < KINK_MARGIN for t, t_hat in zip(d, d_hat)):
             continue
-        decoded = decode(d, anchor)
-        da, ga = decoded.as_array(), gt.as_array()
-        if np.any(np.abs(da - ga) < KINK_MARGIN):
+        dcx, dcy = d[0] * aw + acx, d[1] * ah + acy
+        dw, dh = aw * math.exp(d[2]), ah * math.exp(d[3])
+        decoded = (dcx - 0.5 * dw, dcy - 0.5 * dh, dcx + 0.5 * dw, dcy + 0.5 * dh)
+        if any(abs(a - g) < KINK_MARGIN for a, g in zip(decoded, gt)):
             continue
-        iw = min(decoded.x2, gt.x2) - max(decoded.x1, gt.x1)
-        ih = min(decoded.y2, gt.y2) - max(decoded.y1, gt.y1)
+        iw = min(decoded[2], gt[2]) - max(decoded[0], gt[0])
+        ih = min(decoded[3], gt[3]) - max(decoded[1], gt[1])
         if iw < KINK_MARGIN or ih < KINK_MARGIN:
             continue
-        u = iou(decoded, gt)
-        probs = rng.dirichlet(np.ones(num_classes))
+        inter = iw * ih
+        area = (decoded[2] - decoded[0]) * (decoded[3] - decoded[1])
+        u = inter / (area + (gt[2] - gt[0]) * (gt[3] - gt[1]) - inter)
+        probs = rng.dirichlet(concentration)
         gt_class = int(rng.integers(1, num_classes))
         p = float(probs[gt_class])
-        if p < 0.02 or p > 0.98 or np.any(probs < floor):
+        if p < 0.02 or p > 0.98 or probs.min() < floor:
             continue
         if abs(p - u) < KINK_MARGIN or abs(abs(p - u) - hp.margin) < KINK_MARGIN:
             continue
-        return PositiveSample(probs=probs, gt_class=gt_class, d=d, anchor=anchor, gt_box=gt)
+        return PositiveSample(probs, gt_class, Offsets(*d), Box(*anchor), Box(*gt))
     raise NumericalError(
         "gradcheck could not draw a kink-free sample in 10000 tries with every one of "
         f"num_classes {num_classes} probabilities at or above the draw floor {floor:g}"
@@ -702,27 +715,29 @@ def random_positive_sample(
 def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
     """Overlapping box pair with no coincident or touching edges."""
     while True:
-        cx, cy = rng.uniform(4.0, 12.0, size=2)
-        w, h = rng.uniform(2.0, 5.0, size=2)
-        a = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        # built as Boxes once accepted, as random_positive_sample does
+        cx, cy = rng.uniform(4.0, 12.0, size=2).tolist()
+        w, h = rng.uniform(2.0, 5.0, size=2).tolist()
+        a = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         bx = cx + rng.uniform(-0.6, 0.6) * w
         by = cy + rng.uniform(-0.6, 0.6) * h
         bw = w * math.exp(rng.uniform(-0.4, 0.4))
         bh = h * math.exp(rng.uniform(-0.4, 0.4))
-        b = Box(bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
-        if np.any(np.abs(a.as_array() - b.as_array()) < KINK_MARGIN):
+        b = (bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
+        if any(abs(p - q) < KINK_MARGIN for p, q in zip(a, b)):
             continue
-        iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-        ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+        iw = min(a[2], b[2]) - max(a[0], b[0])
+        ih = min(a[3], b[3]) - max(a[1], b[1])
         if iw < KINK_MARGIN or ih < KINK_MARGIN:
             continue
-        return a, b
+        return Box(*a), Box(*b)
 
 
 @dataclass(frozen=True)
 class GradCheckEntry:
-    """One operation's largest error, and the index of the draw it came from
-    (None when the operation had no draws); with the seed, the draw replays."""
+    """One operation's largest error over its ``samples`` draws, and the index
+    of the draw it came from (None when the operation had no draws); with the
+    seed, the draw replays."""
 
     op: str
     samples: int
@@ -743,10 +758,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    @property
-    def max_err(self) -> float:
-        return max(e.max_err for e in self.entries)
-
 
 def _gate_errors(
     draws: Sequence[tuple[PositiveSample, tuple[Box, Box]]],
@@ -758,16 +769,23 @@ def _gate_errors(
     charged to its operation.
 
     The gradients under test come from the per-sample functions, one call
-    per sample draw, and from one :func:`batch_objective_arrays` call for
-    all batch draws. The central differences run on the array value forms
-    over one row stack: the sample draws, then every batch draw's positives,
-    then its negatives. A row's value depends on its own row's inputs only,
-    so stepping one input column in every row at once differences every
-    draw. The kernel is evaluated once per stepped column and read by every
-    entry that differences it: 1 + 2 (C + 4) kernel calls when the entries
-    share their hyperparameters, as in harmonic mode, 1 + 4 (C + 4) under
-    frozen factors. A batch draw's errors are normalized as for its
-    objective, whose gradient is the per-row gradient over its positive count.
+    per function and sample draw (they share one localization pass per
+    draw), and from one :func:`batch_objective_arrays` call for all batch
+    draws. The central differences run on the array value forms over one
+    row stack: the sample draws, then every batch draw's positives, then its
+    negatives. A row's value depends on its own row's inputs only, so
+    stepping one input column in every row at once differences every draw.
+    The 2 (C + 4) stepped copies of the stack, each of the C probability
+    columns and then each of the 4 offset columns stepped up, then each
+    stepped down, go through the kernel as one stack of rows, once per set
+    of hyperparameters and read by every entry that differences it: with
+    the analytic call, 2 kernel calls when the entries share their
+    hyperparameters, as in harmonic mode, 3 under frozen factors. (A stack
+    of copies past :data:`MAX_GATE_ROWS` rows takes a call per block of
+    whole copies instead.) ``iou_arrays`` and ``decode_arrays`` each run
+    once on their own stepped stack. A batch draw's errors are normalized
+    as for its objective, whose gradient is the per-row gradient over its
+    positive count.
     """
     samples = [s for s, _ in draws]
     n = len(samples)
@@ -778,43 +796,56 @@ def _gate_errors(
     num_classes = probs.shape[1]
     offsets = np.zeros((n_rows, 4))
     offsets[:n_pos] = [s.d.as_array() for s in positives]
+    inputs = np.concatenate([probs, offsets], axis=1)
     anchors = corners([s.anchor for s in positives])
+    gt_boxes = corners([s.gt_box for s in positives])
     gt_class = np.array([s.gt_class for s in positives])
-    fixed = (
-        AnchorTargets(anchors, corners([s.gt_box for s in positives])),
-        gt_class,
-        np.array([s.d_hat.as_array() for s in positives]),
-        np.arange(n_pos),
-        np.arange(n_pos, n_rows),
-    )
+    d_hat = np.array([s.d_hat.as_array() for s in positives])
+    # the step of each input column; the offsets take finite_diff_grad's default
+    steps = np.repeat([PROB_FD_STEP, 1e-6], [num_classes, 4])
     # probability directions need the differentiable entropy weight; the
     # scalar harmonic_loss and tc_loss ignore freeze_factors (no value
     # depends on beta_e_stop_grad)
     hp_diff = replace(hp, beta_e_stop_grad=False)
     hp_free = replace(hp_diff, freeze_factors=False)
-    evaluated: dict[tuple, BatchArrays] = {}
+    evaluated: dict[tuple, list[BatchArrays]] = {}
+    # stepped copies per kernel call: at least one, and no more than
+    # MAX_GATE_ROWS rows unless one copy holds more
+    per_call = max(1, MAX_GATE_ROWS // n_rows)
 
-    def kernel(kernel_hp: HyperParams, p: np.ndarray, d: np.ndarray) -> BatchArrays:
-        """The kernel over the stack at (p, d), evaluated once per distinct input."""
-        key = (kernel_hp, p.tobytes(), d.tobytes())
-        if key not in evaluated:
-            evaluated[key] = batch_objective_arrays(p, d, *fixed, kernel_hp)
-        return evaluated[key]
-
-    def fd(
-        kernel_hp: HyperParams, values: Callable[[BatchArrays], np.ndarray], wrt: str
-    ) -> np.ndarray:
-        """(value rows, columns) central differences of ``values`` of the
-        kernel, stepping each column of ``wrt``, "probs" or "offsets"."""
-        if wrt == "probs":
-            return finite_diff_grad(
-                lambda v: values(kernel(kernel_hp, probs + v, offsets)),
-                np.zeros(num_classes),
-                PROB_FD_STEP,
-            )
-        return finite_diff_grad(
-            lambda v: values(kernel(kernel_hp, probs, offsets + v)), np.zeros(4)
+    def kernel(kernel_hp: HyperParams, stack: np.ndarray) -> BatchArrays:
+        """The kernel over a (copies, rows, C + 4) stack of inputs, copy
+        after copy: its per-positive and per-negative arrays run copy-major."""
+        copies = len(stack)
+        first = n_rows * np.arange(copies)[:, None]
+        return batch_objective_arrays(
+            stack[..., :num_classes].reshape(-1, num_classes),
+            stack[..., num_classes:].reshape(-1, 4),
+            AnchorTargets(np.tile(anchors, (copies, 1)), np.tile(gt_boxes, (copies, 1))),
+            np.tile(gt_class, copies),
+            np.tile(d_hat, (copies, 1)),
+            (first + np.arange(n_pos)).ravel(),
+            (first + np.arange(n_pos, n_rows)).ravel(),
+            kernel_hp,
         )
+
+    def fd(kernel_hp: HyperParams, values: Callable[[BatchArrays], np.ndarray]) -> np.ndarray:
+        """(value rows, C + 4) central differences of ``values`` of the
+        kernel, one column per input column, the probabilities' then the
+        offsets'; ``values`` maps an evaluation of some copies to one row of
+        values per copy. The stepped stack is evaluated once per distinct
+        input."""
+
+        def stepped(vs: np.ndarray) -> np.ndarray:
+            key = (kernel_hp, vs.tobytes())
+            if key not in evaluated:
+                evaluated[key] = [
+                    kernel(kernel_hp, inputs + vs[k : k + per_call, None])
+                    for k in range(0, len(vs), per_call)
+                ]
+            return np.concatenate([values(b) for b in evaluated[key]])
+
+        return finite_diff_grad(stepped, np.zeros(num_classes + 4), steps)
 
     def fd_err(
         kernel_hp: HyperParams,
@@ -825,16 +856,20 @@ def _gate_errors(
     ) -> np.ndarray:
         """Per gradient row, the error of both gradients against the
         differences of as many leading rows of ``values``, all over ``per``."""
-        m = len(grad_probs)
+        numeric = fd(kernel_hp, values)[: len(grad_probs)] / per
         return np.maximum(
-            _grad_err(grad_probs / per, fd(kernel_hp, values, "probs")[:m] / per),
-            _grad_err(grad_d / per, fd(kernel_hp, values, "offsets")[:m] / per),
+            _grad_err(grad_probs / per, numeric[:, :num_classes]),
+            _grad_err(grad_d / per, numeric[:, num_classes:]),
         )
+
+    def positive(values: np.ndarray) -> np.ndarray:
+        """Per-positive values of a kernel evaluation, one row per copy."""
+        return values.reshape(-1, n_pos)
 
     def harmonic(b: BatchArrays) -> np.ndarray:
         """Per sample draw, :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
         loc = b.sl1 if hp.harmonic_mode == "smooth_l1" else b.loc
-        return ((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc)[:n]
+        return positive((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc)[:, :n]
 
     def stacked(row_of: Callable[[PositiveSample], np.ndarray]) -> np.ndarray:
         return np.array([row_of(s) for s in samples])
@@ -842,14 +877,16 @@ def _gate_errors(
     def iou_grad_err() -> np.ndarray:
         a = corners([a for _, (a, _) in draws])
         b = corners([b for _, (_, b) in draws])
-        numeric = finite_diff_grad(lambda v: iou_arrays(a + v, b), np.zeros(4))
+        numeric = finite_diff_grad(lambda vs: iou_arrays(a + vs[:, None], b), np.zeros(4))
         return _grad_err(np.array([iou_grad(*pair) for _, pair in draws]), numeric)
 
     def decode_jacobian_err() -> np.ndarray:
         # the corner-valued decode gives one (corner, offset) Jacobian per draw
-        numeric = finite_diff_grad(
-            lambda v: decode_arrays(offsets[:n] + v, anchors[:n]).ravel(), np.zeros(4)
-        )
+        def decoded(vs: np.ndarray) -> np.ndarray:
+            stack = (offsets[:n] + vs[:, None]).reshape(-1, 4)
+            return decode_arrays(stack, np.tile(anchors[:n], (len(vs), 1))).reshape(len(vs), -1)
+
+        numeric = finite_diff_grad(decoded, np.zeros(4))
         analytic = stacked(lambda s: decode_jacobian(s.d, s.anchor))
         return _grad_err(analytic, numeric.reshape(-1, 4, 4))
 
@@ -862,18 +899,18 @@ def _gate_errors(
         analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s), hp.prob_floor))
         # the loc does not depend on the probabilities: the probability
         # difference of harmonic_loss is its fixed-loc difference
-        return _grad_err(analytic, fd(hp_free, harmonic, "probs")[np.arange(n), gt_class[:n]])
+        return _grad_err(analytic, fd(hp_free, harmonic)[np.arange(n), gt_class[:n]])
 
     def tc_loss_err() -> np.ndarray:
         grads = [tc_loss(s, hp_diff)[2:] for s in samples]
         grad_probs, grad_d = (np.array(g) for g in zip(*grads))
-        return fd_err(hp_free, lambda b: b.tc[:n], grad_probs, grad_d)
+        return fd_err(hp_free, lambda b: positive(b.tc)[:, :n], grad_probs, grad_d)
 
     def harmonic_det_loss_err() -> np.ndarray:
         breakdowns = [harmonic_det_loss(s, hp_diff) for s in samples]
         grad_probs = np.array([bd.grad_probs for bd in breakdowns])
         grad_d = np.array([bd.grad_d for bd in breakdowns])
-        return fd_err(hp_diff, lambda b: b.pos_loss[:n], grad_probs, grad_d)
+        return fd_err(hp_diff, lambda b: positive(b.pos_loss)[:, :n], grad_probs, grad_d)
 
     # each batch draw's rows, positives first; the first BATCH_POSITIVES
     # positives belong to draw 0, and so on
@@ -885,13 +922,17 @@ def _gate_errors(
     def batch_values(b: BatchArrays) -> np.ndarray:
         # each batch row's loss, then each batch draw's summed loss, so that
         # the finite check also fails a draw whose objective overflows
-        rows = np.concatenate([b.pos_loss[n:], b.neg_loss])
-        return np.concatenate([rows, np.bincount(draw, weights=rows)])
+        pos = positive(b.pos_loss)
+        rows = np.concatenate([pos[:, n:], b.neg_loss.reshape(len(pos), -1)], axis=1)
+        # one bin per draw and copy, each summed in row order
+        bins = draw + len(batches) * np.arange(len(rows))[:, None]
+        sums = np.bincount(bins.ravel(), weights=rows.ravel()).reshape(len(rows), -1)
+        return np.concatenate([rows, sums], axis=1)
 
     def batch_objective_err() -> np.ndarray:
         if not batches:
             return np.zeros(0)
-        b = kernel(hp_diff, probs, offsets)
+        b = kernel(hp_diff, inputs[None])
         err = fd_err(hp_diff, batch_values, b.grad_probs[n:], b.grad_d[n:], BATCH_POSITIVES)
         return np.maximum(
             err[:n_batch].reshape(-1, BATCH_POSITIVES).max(axis=1),
@@ -903,10 +944,11 @@ def _gate_errors(
         "decode_jacobian": decode_jacobian_err,
         "harmonic_cls_grad": harmonic_cls_grad_err,
         "harmonic_reg_grad": lambda: _grad_err(
-            stacked(lambda s: harmonic_reg_grad(s, hp)), fd(hp_free, harmonic, "offsets")
+            stacked(lambda s: harmonic_reg_grad(s, hp)), fd(hp_free, harmonic)[:, num_classes:]
         ),
         "full_loc_loss": lambda: _grad_err(
-            stacked(lambda s: full_loc_loss(s, hp)[1]), fd(hp_free, lambda b: b.loc[:n], "offsets")
+            stacked(lambda s: full_loc_loss(s, hp)[1]),
+            fd(hp_free, lambda b: positive(b.loc)[:, :n])[:, num_classes:],
         ),
         "tc_loss": tc_loss_err,
         "harmonic_det_loss": harmonic_det_loss_err,
@@ -916,6 +958,10 @@ def _gate_errors(
 
 BATCH_POSITIVES = 4
 BATCH_NEGATIVES = 3
+# largest row stack the gate's kernel call evaluates at once: the train gate's
+# 20 draws take one call, and a 500-draw sweep stays within 2 MB of
+# temporaries per call (tracemalloc)
+MAX_GATE_ROWS = 2048
 
 
 def _draw_floor(hp: HyperParams) -> float:
@@ -976,7 +1022,8 @@ def run_gradcheck(
     ``num_samples`` draws check the per-sample operations, and
     ``batch_draws`` batch draws, drawn after them, check
     :func:`batch_objective_arrays`, the kernel that trains; every draw is
-    checked at once, in one gate pass (:func:`_gate_errors`). Errors are
+    checked at once, in one gate pass (:func:`_gate_errors`), and each entry
+    counts the draws of its kind as its ``samples``. Errors are
     normalized by max(1, |gradient|) and reduced by max over the draws. At
     least one sample is required, so that a report never passes without
     checking anything, and :func:`check_draw_floor` must pass. Raises
@@ -1010,7 +1057,8 @@ def run_gradcheck(
         # argmax picks a NaN error first, so a NaN fails the entry
         worst = int(np.argmax(errors[op])) if errors[op].size else None
         max_err = 0.0 if worst is None else float(errors[op][worst])
-        return GradCheckEntry(op, num_samples, max_err, tolerance, worst)
+        samples = batch_draws if op == "batch_objective" else num_samples
+        return GradCheckEntry(op, samples, max_err, tolerance, worst)
 
     return GradCheckReport(tuple(entry(op) for op in GRADCHECK_OPS))
 

@@ -117,6 +117,9 @@ class PositiveSample:
         if not 0 <= self.gt_class < probs.size:
             raise ValueError(f"gt_class {self.gt_class} out of range for {probs.size} classes")
         object.__setattr__(self, "d_hat", encode(self.gt_box, self.anchor))
+        # _loc_parts by (alpha, gamma), the only hyperparameters it reads: the
+        # geometry it reads never changes
+        object.__setattr__(self, "_loc_memo", {})
 
     @property
     def num_classes(self) -> int:
@@ -304,12 +307,26 @@ def _loc_parts(sample: PositiveSample, hp: HyperParams) -> _LocParts:
     h = hiou_loss(u, hp.gamma)
     value = sl1 + hp.alpha * h
     grad = sl1_g + hp.alpha * hiou_slope(u, hp.gamma) * du_dd
+    for array in (sl1_g, du_dd, grad):
+        array.flags.writeable = False
     return _LocParts(sl1, sl1_g, u, du_dd, h, value, grad)
 
 
+def _shared_loc_parts(sample: PositiveSample, hp: HyperParams) -> _LocParts:
+    """:func:`_loc_parts`, computed once per sample and (alpha, gamma) and
+    shared by every loss of that sample; its arrays are read-only."""
+    # keyed by bits, so that alpha -0.0 does not share 0.0's entry
+    key = (float(hp.alpha).hex(), float(hp.gamma).hex())
+    memo = sample._loc_memo
+    if key not in memo:
+        memo[key] = _loc_parts(sample, hp)
+    return memo[key]
+
+
 def full_loc_loss(sample: PositiveSample, hp: HyperParams) -> tuple[float, np.ndarray]:
-    """Smooth L1 plus alpha-weighted HIoU of the decoded box, with gradient."""
-    parts = _loc_parts(sample, hp)
+    """Smooth L1 plus alpha-weighted HIoU of the decoded box, with gradient.
+    The gradient is read-only: the sample's other losses share it."""
+    parts = _shared_loc_parts(sample, hp)
     return parts.value, parts.grad
 
 
@@ -328,7 +345,7 @@ def harmonic_loss(
     ``hp.harmonic_mode``. Returns (value, beta_r, beta_c).
     """
     if loc is None:
-        loc, _ = _loc_for_beta(_loc_parts(sample, hp), hp)
+        loc, _ = _loc_for_beta(_shared_loc_parts(sample, hp), hp)
     ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
     beta_r = math.exp(-loc)
     beta_c = math.exp(-ce)
@@ -343,7 +360,7 @@ def harmonic_cls_grad(sample: PositiveSample, loc: float, prob_floor: float = 1e
 
 def harmonic_reg_grad(sample: PositiveSample, hp: HyperParams) -> np.ndarray:
     """d(harmonic_loss)/d offsets: [(1+beta_c) - CE*e^-loc] * dloc/dd."""
-    parts = _loc_parts(sample, hp)
+    parts = _shared_loc_parts(sample, hp)
     loc, loc_grad = _loc_for_beta(parts, hp)
     ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
     beta_c = math.exp(-ce)
@@ -387,12 +404,12 @@ def tc_loss(
     constant under the default ``beta_e_stop_grad``; gradients reach the
     offsets through the decoded box unless ``tc_through_iou`` is off.
     """
-    return _tc_parts(sample, hp, _loc_parts(sample, hp))
+    return _tc_parts(sample, hp, _shared_loc_parts(sample, hp))
 
 
 def harmonic_det_loss(sample: PositiveSample, hp: HyperParams) -> LossBreakdown:
     """Full per-positive objective with factors and assembled gradients."""
-    parts = _loc_parts(sample, hp)
+    parts = _shared_loc_parts(sample, hp)
     ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
     p = max(float(sample.probs[sample.gt_class]), hp.prob_floor)
 

@@ -212,7 +212,7 @@ class TestNoTracebacks:
     def test_unreachable_probability_floor_exits_2(self, tmp_path, capsys, command):
         # 200 classes almost never all draw the oracle's 1e-3 probability floor;
         # both the sweep and the gate before training draw the scene's classes
-        payload = {**FAST_TRAIN, "scene": {"num_classes": 200}, "gradcheck": {"samples": 1, "batch_draws": 0}}
+        payload = {**FAST_TRAIN, "scene": {"num_classes": 200}, "gradcheck": {"samples": 1, "batch_draws": 1}}
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical failure: gradcheck could not draw" in capsys.readouterr().err
@@ -582,13 +582,18 @@ class TestGradcheckCommand:
         report = json.loads((out / "gradcheck_report.json").read_text())
         assert report["passed"] is False
 
-    def test_every_operation_listed_once(self, tmp_path):
-        cfg = write_config(tmp_path, {"gradcheck": {"samples": 5, "batch_draws": 1}})
+    def test_every_operation_listed_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"gradcheck": {"samples": 5, "batch_draws": 2}})
         out = tmp_path / "out"
         main(["gradcheck", "--config", cfg, "--out", str(out)])
         report = json.loads((out / "gradcheck_report.json").read_text())
         ops = [e["op"] for e in report["entries"]]
         assert len(ops) == len(set(ops)) == 8
+        # the batch entry counts its batch draws, in the report and on stdout
+        assert [e["samples"] for e in report["entries"]] == [5] * 7 + [2]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:8]] == ["samples="] * 8
+        assert [line.split()[2] for line in lines[:8]] == ["5"] * 7 + ["2"]
 
     def test_scene_class_count_sets_the_draws(self, tmp_path):
         # the entries a 3-class hyperparams block gave before the class
@@ -618,14 +623,19 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize(
         "block, key",
-        [({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"batch_draws": -1}, "batch_draws")],
+        [
+            ({"samples": 0}, "samples"),
+            ({"samples": -3}, "samples"),
+            ({"batch_draws": 0}, "batch_draws"),
+            ({"batch_draws": -1}, "batch_draws"),
+        ],
     )
     def test_empty_sweep_is_a_config_error(self, tmp_path, capsys, block, key):
         cfg = write_config(tmp_path, {"gradcheck": block})
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert f"config.gradcheck.{key}" in captured.err
+        assert f"config.gradcheck.{key}: must be >= 1, got {block[key]}" in captured.err
         assert "PASS" not in captured.out
         assert not (out / "gradcheck_report.json").exists()
 

@@ -102,7 +102,7 @@ class TestIouGrad:
         a = Box(0, 0, 1, 1)
         b = Box(0.5, 0, 1.5, 1)
         g = iou_grad(a, b)
-        fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
+        fd = finite_diff_grad(lambda vs: [iou(Box.from_array(v), b) for v in vs], a.as_array())
         np.testing.assert_allclose(g[[0, 2]], fd[[0, 2]], atol=1e-6)
         # coincident y edges take the documented one-sided values
         assert g[1] == pytest.approx(2.0 / 9.0, abs=1e-12)
@@ -120,7 +120,7 @@ class TestIouGrad:
         for _ in range(1000):
             a, b = _random_box_pair(rng)
             g = iou_grad(a, b)
-            fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
+            fd = finite_diff_grad(lambda vs: [iou(Box.from_array(v), b) for v in vs], a.as_array())
             worst = max(worst, float(np.max(np.abs(g - fd))))
         assert worst < 1e-5
 
@@ -376,7 +376,7 @@ class TestGeomProperties:
         ih = min(a.y2, b.y2) - max(a.y1, b.y1)
         assume(abs(iw) >= 1e-3 and abs(ih) >= 1e-3)
         g = iou_grad(a, b)
-        fd = finite_diff_grad(lambda v: iou(Box.from_array(v), b), a.as_array())
+        fd = finite_diff_grad(lambda vs: [iou(Box.from_array(v), b) for v in vs], a.as_array())
         np.testing.assert_allclose(g, fd, rtol=0.0, atol=1e-6)
 
     @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import hardet.losses as losses
 from hardet.geom import AnchorTargets, Box, Offsets, encode
 from hardet.losses import (
     HyperParams,
@@ -286,6 +287,44 @@ class TestFullLocLoss:
             _, grad = full_loc_loss(s, HP)
             fd = _fd_offsets(s, lambda x: full_loc_loss(x, HP)[0])
             np.testing.assert_allclose(grad, fd, atol=1e-6, rtol=1e-5)
+
+
+class TestSharedLocParts:
+    def test_cached_arrays_cannot_be_written(self):
+        s = make_sample([0.2] * 5, d=[0.1, -0.2, 0.05, 0.1])
+        parts = losses._shared_loc_parts(s, HP)
+        arrays = [parts.sl1_grad, parts.iou_grad_d, parts.grad, full_loc_loss(s, HP)[1]]
+        assert arrays[-1] is parts.grad
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # the losses that build on the parts return arrays of their own
+        harmonic_det_loss(s, replace(HP, freeze_factors=True)).grad_d[0] = 1.0
+        harmonic_reg_grad(s, HP)[0] = 1.0
+        assert losses._shared_loc_parts(s, HP).grad.tobytes() == losses._loc_parts(s, HP).grad.tobytes()
+
+    def test_one_pass_per_sample_and_alpha_gamma(self, monkeypatch):
+        real = losses._loc_parts
+        calls = []
+        monkeypatch.setattr(losses, "_loc_parts", lambda *a: calls.append(a[1]) or real(*a))
+        s = make_sample([0.2] * 5, d=[0.1, -0.2, 0.05, 0.1])
+        # the hyperparameters _loc_parts does not read share its pass
+        for hp in (HP, replace(HP, harmonic_mode="smooth_l1", tc_through_iou=False), replace(HP, margin=0.5)):
+            full_loc_loss(s, hp)
+            tc_loss(s, hp)
+            harmonic_det_loss(s, hp)
+            harmonic_reg_grad(s, hp)
+            harmonic_loss(s, hp)
+        assert calls == [HP]
+        # alpha -0.0 keeps its own pass: its zero products keep their sign
+        for alpha in (0.0, -0.0, 0.5):
+            full_loc_loss(s, replace(HP, alpha=alpha))
+        full_loc_loss(s, replace(HP, gamma=0.5))
+        assert [(hp.alpha, hp.gamma) for hp in calls[1:]] == [(0.0, 0.8), (-0.0, 0.8), (0.5, 0.8), (1.5, 0.5)]
+        assert math.copysign(1.0, calls[2].alpha) == -1.0
+        # a new sample, as with_d gives, takes a pass of its own
+        full_loc_loss(s.with_d(s.d), HP)
+        assert len(calls) == 6
 
 
 class TestHarmonicLoss:
