@@ -5,12 +5,13 @@ workloads.
     python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S]
 
 ``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
-call at 100, 4 096 and 16 384 model rows in both loss modes, and the gate
-that precedes ``train``, ``run_gradcheck`` on 20 samples of 5 classes, under
-both modes' hyperparameters. Each call runs between two runs of perfbench's
-calibration loop; a case's value is the median over batches of the call's
-time over the mean of the two calibration times, so it reads in perfbench's
-``calib`` units.
+call at 100, 4 096 and 16 384 model rows in both loss modes; the gate that
+precedes ``train``, ``run_gradcheck`` on 20 samples of 5 classes, under both
+modes' hyperparameters; and ``refinement_experiment`` at the ``refine_long``
+workload's config, the other caller of ``offset_iou_and_grad``. Each call
+runs between two runs of perfbench's calibration loop; a case's value is the
+median over batches of the call's time over the mean of the two calibration
+times, so it reads in perfbench's ``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
 ``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
@@ -47,6 +48,11 @@ LAYER_CASES = {
     "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
 }
 MODES = ("harmonic_det", "standard")
+# refine_long: refine's scene and optimizer defaults, at 100 steps
+REFINE_CASE = (
+    {"num_scenes": 60, "objects_per_scene": (3, 5), "jitter": 0.18},
+    {"learning_rate": 0.002, "steps": 100},
+)
 # the gate's draws before train, the OptimizerConfig default
 GATE_SAMPLES = 20
 BATCHES = 7
@@ -66,6 +72,7 @@ def layer(src: str, out: str) -> None:
         SceneConfig,
         ToyModel,
         generate_scenes,
+        refinement_experiment,
         run_gradcheck,
         train_toy,
     )
@@ -103,6 +110,16 @@ def layer(src: str, out: str) -> None:
             "num_classes": 5,
             "calibrated_median": calibrated_median(lambda: run_gradcheck(hp, 5, GATE_SAMPLES)),
         }
+    scene, optimizer = REFINE_CASE
+    ss = generate_scenes(SceneConfig(**scene))
+    opt = OptimizerConfig(**optimizer)
+    results["refinement_experiment_refine_long"] = {
+        "positives": int(ss.matching.pos_flat.size),
+        "steps": opt.steps,
+        "calibrated_median": calibrated_median(
+            lambda: refinement_experiment(ss, opt, HyperParams())
+        ),
+    }
     Path(out).write_text(json.dumps(results, indent=1) + "\n")
 
 

@@ -204,21 +204,25 @@ def decode_jacobian(d: Offsets, anchor: Box) -> np.ndarray:
 # size, and the decode log cap once at their own boundary.
 
 
-def elementwise(fn: Callable[..., float], x: np.ndarray, *more: np.ndarray | float) -> np.ndarray:
-    """``fn`` applied to each entry of a 1-D array as a Python float; with
-    ``more`` arguments, to the entries at each position, where an argument
-    that is not an array is the same value at every position.
+def elementwise(
+    fn: Callable[..., float], x: np.ndarray | list, *more: np.ndarray | list | float
+) -> np.ndarray:
+    """``fn`` applied to each entry of a 1-D array or a list as a Python
+    float; with ``more`` arguments, to the entries at each position, where an
+    argument that is a number is the same value at every position.
 
     The array forms take exp, log and pow through here, from the C library
     like the scalar forms: numpy's vectorized versions can differ in the last
     bit.
     """
+    x = x.tolist() if isinstance(x, np.ndarray) else x
     if more:
-        args = [y.tolist() if isinstance(y, np.ndarray) else repeat(y) for y in more]
-        return np.fromiter(map(fn, x.tolist(), *args), dtype=float, count=x.size)
+        lists = [y.tolist() if isinstance(y, np.ndarray) else y for y in more]
+        args = [y if isinstance(y, list) else repeat(y) for y in lists]
+        return np.fromiter(map(fn, x, *args), dtype=float, count=len(x))
     # the one-argument form, called several times per training step, skips
     # the per-argument dispatch
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return np.fromiter(map(fn, x), dtype=float, count=len(x))
 
 
 def corners(boxes: Sequence[Box]) -> np.ndarray:
@@ -277,10 +281,8 @@ def decode_arrays(d: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=1)
 
 
-# row-major positions of wa, ha, wa, ha and of -hw, -hh, hw, hh in the 4x4
-# decode Jacobian
+# row-major positions of wa, ha, wa, ha in the 4x4 decode Jacobian
 _SIZE_SLOTS = np.array([0, 5, 8, 13])
-_HALF_SLOTS = np.array([2, 7, 10, 15])
 
 
 class AnchorTargets:
@@ -313,13 +315,14 @@ def offset_iou_and_grad(
 
     Runs the scalar forms' operations in their order, and the product as a
     stacked (N, 4, 4) ``matmul``, the same matrix-vector product per row, so
-    that it agrees with them bit for bit.
+    that it agrees with them bit for bit; the decode's half size is the
+    Jacobian's, equal while ``size * scale`` is a normal float.
     """
     if scale is None:
         scale = elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
     t = targets
+    half = t.half_size * scale
     center = d[:, :2] * t.size + t.center
-    half = 0.5 * (t.size * scale)
     lo = center - half
     hi = center + half
     span = np.minimum(hi, t.gt_hi) - np.maximum(lo, t.gt_lo)
@@ -336,8 +339,9 @@ def offset_iou_and_grad(
     height_width = size[:, ::-1]
     d_union = np.concatenate([-height_width, height_width], axis=1) - d_inter
     du_dcorners = (d_inter * union[:, None] - inter[:, None] * d_union) / (union * union)[:, None]
-    half_jac = t.half_size * scale
+    # the half size at its row-major slots 10 and 15, negated at 2 and 7
     jac = t.jacobian.copy()
-    jac[:, _HALF_SLOTS] = np.concatenate([-half_jac, half_jac], axis=1)
+    jac[:, 10:16:5] = half
+    np.negative(half, out=jac[:, 2:8:5])
     du_dd = np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
     return inter / union, du_dd[:, :, 0]

@@ -521,59 +521,59 @@ def train_toy(
         if not report.passed:
             raise GradientCheckError([e for e in report.entries if not e.passed])
     m = scene_set.matching
+    n = m.pos_flat.size
     # a row's step reads that row only, so byte-identical rows stay identical:
-    # the loop runs on the positives plus the first row of each group of
-    # identical negatives, and every model row takes its group's result
+    # the loop runs on the positives, the kernel's leading rows, plus the first
+    # row of each group of identical negatives, and every model row takes its
+    # group's result
     rows = np.hstack([model.logits, model.offsets])[m.neg_flat].view(np.uint64)
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     # the model row of each compact row: a positive's own, a group's first
     source = np.concatenate([m.pos_flat, m.neg_flat[first]])
-    pos_idx, neg_idx = np.arange(m.pos_flat.size), np.arange(m.pos_flat.size, source.size)
     member = np.empty(scene_set.total_anchors, dtype=np.intp)
-    member[m.pos_flat] = pos_idx
-    member[m.neg_flat] = neg_idx[inverse]
+    member[m.pos_flat] = np.arange(n)
+    member[m.neg_flat] = n + inverse
     model = ToyModel(model.logits[source], model.offsets[source])
 
     records: list[TrainRecord] = []
 
-    def log_state(step: int, batch: BatchArrays) -> None:
+    def log_state(step: int, batch: BatchArrays, value: float) -> None:
         records.append(
             TrainRecord(
                 step=step,
-                objective=batch.value,
+                objective=value,
                 mean_factor_r=float(np.mean(1.0 + batch.beta_r)),
                 mean_factor_c=float(np.mean(1.0 + batch.beta_c)),
                 aic=aic(batch.p_gt, batch.iou),
             )
         )
 
-    def objective(step: int, logged: bool) -> tuple[np.ndarray, BatchArrays]:
+    def objective(step: int, logged: bool) -> tuple[np.ndarray, BatchArrays, float | None]:
         probs = model.probs()
         finite = np.isfinite(probs)
         if not finite.all():
             row = int(source[~finite.all(axis=1)].min())
             raise DivergenceError(step, "non-finite probabilities", row)
-        _check_decode_cap(step, model.offsets[pos_idx], m.pos_flat)
-        batch = batch_objective_arrays(
-            probs, model.offsets, m.targets, m.gt_class, m.d_hat, pos_idx, neg_idx, hp_eff
-        )
+        _check_decode_cap(step, model.offsets[:n], m.pos_flat)
+        batch = batch_objective_arrays(probs, model.offsets, m.targets, m.gt_class, m.d_hat, hp_eff)
         # every negative's loss is finite and at most -log(prob_floor), so
         # the objective is finite exactly when the positives' in-order sum is;
-        # it is read, over every negative in model order, only when logged or
-        # to word the failure
+        # it is read, over every negative in model order but with each
+        # distinct one's log taken once, only when logged or to word the failure
+        value = None
         if logged or not math.isfinite(batch.pos_loss.cumsum()[-1]):
-            batch = replace(batch, neg_p=batch.neg_p[inverse])
-            if not math.isfinite(batch.value):
-                raise DivergenceError(step, f"non-finite objective ({batch.value!r})")
-        return probs, batch
+            value = batch.objective(batch.neg_loss[inverse])
+            if not math.isfinite(value):
+                raise DivergenceError(step, f"non-finite objective ({value!r})")
+        return probs, batch, value
 
     # an overflow shows as a failed per-step check, not as a warning
     with np.errstate(all="ignore"):
         for step in range(opt.steps):
             logged = step % opt.log_every == 0
-            probs, batch = objective(step, logged)
+            probs, batch, value = objective(step, logged)
             if logged:
-                log_state(step, batch)
+                log_state(step, batch, value)
             # softmax chain back to the logits; the row-wise dot runs as a stacked
             # matmul, the same dot product per row as the per-sample reference
             g = batch.grad_probs
@@ -582,8 +582,8 @@ def train_toy(
             scale = opt.learning_rate / batch.num_positives
             model.logits -= scale * grad_logits
             model.offsets -= scale * batch.grad_d
-        _, batch = objective(opt.steps, True)
-    log_state(opt.steps, batch)
+        _, batch, value = objective(opt.steps, True)
+    log_state(opt.steps, batch, value)
     trained = ToyModel(model.logits[member], model.offsets[member])
     return trained, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
@@ -656,11 +656,12 @@ def random_positive_sample(
     """Rejection-sample a valid sample of ``num_classes`` classes away from
     every loss breakpoint.
 
-    Avoided kinks: decoded-vs-gt corner ties and touching edges, smooth-L1
-    curvature breaks at |x| = 1, the TC hinge boundary and the |p - IoU|
-    crease, each by ``KINK_MARGIN``, and class probabilities below the draw
-    floor (:func:`check_draw_floor`). Raises :class:`NumericalError` when no
-    draw qualifies, as with so many classes that the floor is out of reach.
+    Avoided kinks: decoded-vs-gt corner ties and touching edges, the TC
+    hinge boundary and the |p - IoU| crease, each by ``KINK_MARGIN``, and
+    class probabilities below the draw floor (:func:`check_draw_floor`). The
+    smooth-L1 curvature breaks at |d - d_hat| = 1 are out of reach: the
+    offset noise is at most 0.5. Raises :class:`NumericalError` when no draw
+    qualifies, as with so many classes that the floor is out of reach.
     """
     floor = _draw_floor(hp)
     concentration = np.ones(num_classes)
@@ -684,8 +685,6 @@ def random_positive_sample(
             math.log((gt[3] - gt[1]) / ah),
         )
         d = [t + e for t, e in zip(d_hat, rng.uniform(-0.5, 0.5, size=4).tolist())]
-        if any(abs(abs(t - t_hat) - 1.0) < KINK_MARGIN for t, t_hat in zip(d, d_hat)):
-            continue
         dcx, dcy = d[0] * aw + acx, d[1] * ah + acy
         dw, dh = aw * math.exp(d[2]), ah * math.exp(d[3])
         decoded = (dcx - 0.5 * dw, dcy - 0.5 * dh, dcx + 0.5 * dw, dcy + 0.5 * dh)
@@ -736,14 +735,13 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
 @dataclass(frozen=True)
 class GradCheckEntry:
     """One operation's largest error over its ``samples`` draws, and the index
-    of the draw it came from (None when the operation had no draws); with the
-    seed, the draw replays."""
+    of the draw it came from; with the seed, the draw replays."""
 
     op: str
     samples: int
     max_err: float
     tolerance: float
-    worst_draw: int | None
+    worst_draw: int
 
     @property
     def passed(self) -> bool:
@@ -777,15 +775,15 @@ def _gate_errors(
     stepping one input column in every row at once differences every draw.
     The 2 (C + 4) stepped copies of the stack, each of the C probability
     columns and then each of the 4 offset columns stepped up, then each
-    stepped down, go through the kernel as one stack of rows, once per set
-    of hyperparameters and read by every entry that differences it: with
-    the analytic call, 2 kernel calls when the entries share their
-    hyperparameters, as in harmonic mode, 3 under frozen factors. (A stack
-    of copies past :data:`MAX_GATE_ROWS` rows takes a call per block of
-    whole copies instead.) ``iou_arrays`` and ``decode_arrays`` each run
-    once on their own stepped stack. A batch draw's errors are normalized
-    as for its objective, whose gradient is the per-row gradient over its
-    positive count.
+    stepped down, go through the kernel as one call, every copy's positives
+    leading every copy's negatives, once per set of hyperparameters and read
+    by every entry that differences it: with the analytic call, 2 kernel
+    calls when the entries share their hyperparameters, as in harmonic
+    mode, 3 under frozen factors (and a call per block of whole copies past
+    :data:`MAX_GATE_ROWS` rows). ``iou_arrays`` and ``decode_arrays`` each
+    run once on their own stepped stack. A batch draw's errors are
+    normalized as for its objective, whose gradient is the per-row gradient
+    over its positive count.
     """
     samples = [s for s, _ in draws]
     n = len(samples)
@@ -814,18 +812,16 @@ def _gate_errors(
     per_call = max(1, MAX_GATE_ROWS // n_rows)
 
     def kernel(kernel_hp: HyperParams, stack: np.ndarray) -> BatchArrays:
-        """The kernel over a (copies, rows, C + 4) stack of inputs, copy
-        after copy: its per-positive and per-negative arrays run copy-major."""
-        copies = len(stack)
-        first = n_rows * np.arange(copies)[:, None]
+        """The kernel over a (copies, rows, C + 4) stack of inputs: every copy's
+        positives, then every copy's negatives, each block copy-major."""
+        copies, width = len(stack), num_classes + 4
+        rows = np.concatenate([stack[:, :n_pos], stack[:, n_pos:]], axis=None).reshape(-1, width)
         return batch_objective_arrays(
-            stack[..., :num_classes].reshape(-1, num_classes),
-            stack[..., num_classes:].reshape(-1, 4),
+            rows[:, :num_classes],
+            rows[:, num_classes:],
             AnchorTargets(np.tile(anchors, (copies, 1)), np.tile(gt_boxes, (copies, 1))),
             np.tile(gt_class, copies),
             np.tile(d_hat, (copies, 1)),
-            (first + np.arange(n_pos)).ravel(),
-            (first + np.arange(n_pos, n_rows)).ravel(),
             kernel_hp,
         )
 
@@ -930,8 +926,6 @@ def _gate_errors(
         return np.concatenate([rows, sums], axis=1)
 
     def batch_objective_err() -> np.ndarray:
-        if not batches:
-            return np.zeros(0)
         b = kernel(hp_diff, inputs[None])
         err = fd_err(hp_diff, batch_values, b.grad_probs[n:], b.grad_d[n:], BATCH_POSITIVES)
         return np.maximum(
@@ -1025,15 +1019,15 @@ def run_gradcheck(
     checked at once, in one gate pass (:func:`_gate_errors`), and each entry
     counts the draws of its kind as its ``samples``. Errors are
     normalized by max(1, |gradient|) and reduced by max over the draws. At
-    least one sample is required, so that a report never passes without
-    checking anything, and :func:`check_draw_floor` must pass. Raises
-    :class:`NumericalError`, naming the operation, when a check fails to
-    compute, as when a loss is not finite near a draw.
+    least one sample and one batch draw are required, so that no entry
+    passes without checking anything, and :func:`check_draw_floor` must
+    pass. Raises :class:`NumericalError`, naming the operation, when a check
+    fails to compute, as when a loss is not finite near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
-    if batch_draws < 0:
-        raise ValueError(f"batch_draws must be >= 0, got {batch_draws}")
+    if batch_draws < 1:
+        raise ValueError(f"gradcheck needs at least one batch draw, got {batch_draws}")
     check_draw_floor(hp, num_classes)
 
     def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
@@ -1055,10 +1049,9 @@ def run_gradcheck(
 
     def entry(op: str) -> GradCheckEntry:
         # argmax picks a NaN error first, so a NaN fails the entry
-        worst = int(np.argmax(errors[op])) if errors[op].size else None
-        max_err = 0.0 if worst is None else float(errors[op][worst])
+        worst = int(np.argmax(errors[op]))
         samples = batch_draws if op == "batch_objective" else num_samples
-        return GradCheckEntry(op, samples, max_err, tolerance, worst)
+        return GradCheckEntry(op, samples, float(errors[op][worst]), tolerance, worst)
 
     return GradCheckReport(tuple(entry(op) for op in GRADCHECK_OPS))
 

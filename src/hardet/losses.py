@@ -525,18 +525,16 @@ class BatchArrays:
 
     ``grad_probs`` (N, C) and ``grad_d`` (N, 4) hold per-row gradients in the
     convention of :class:`BatchResult`: divide by ``num_positives`` for the
-    objective's gradient. Rows that are neither positive nor negative stay 0.
-    The per-positive vectors follow ``pos_idx`` order; ``p_gt`` is the
-    unfloored ground-truth probability and ``iou`` the decoded-box IoU.
-    ``pos_loss`` and ``neg_loss`` (``neg_idx`` order) are the per-row losses:
-    each depends on its own row's probabilities and offsets only, and their
+    objective's gradient. The per-positive vectors follow the leading rows;
+    ``p_gt`` is the unfloored ground-truth probability and ``iou`` the
+    decoded-box IoU. ``pos_loss`` and ``neg_loss`` (the remaining rows) are
+    the per-row losses: each depends on its own row's inputs only, and their
     in-order sum over the positive count is ``value``. ``ce``, ``sl1``,
     ``loc`` and ``tc`` are the per-positive values of :func:`cross_entropy`,
     :func:`smooth_l1`, :func:`full_loc_loss` and the task-contrastive term
-    (0 under ``freeze_factors``), row-wise like the losses. ``neg_loss`` and
-    ``value`` are cached properties, computed on first read from ``neg_p``,
-    the negatives' floored background probabilities: a training step needs
-    neither.
+    (0 under ``freeze_factors``). ``neg_loss`` and ``value`` are cached
+    properties, computed on first read from ``neg_p``, the negatives'
+    floored background probabilities: a training step needs neither.
     """
 
     grad_probs: np.ndarray
@@ -558,8 +556,12 @@ class BatchArrays:
 
     @cached_property
     def value(self) -> float:
+        return self.objective(self.neg_loss)
+
+    def objective(self, neg_loss: np.ndarray) -> float:
+        """The objective with negatives of losses ``neg_loss``; ``value`` takes its own."""
         # sequential sums in sample order, as the scalar batch objective adds
-        total = np.concatenate([self.pos_loss, self.neg_loss]).cumsum()[-1]
+        total = np.concatenate([self.pos_loss, neg_loss]).cumsum()[-1]
         return float(total) / self.num_positives
 
     @property
@@ -573,64 +575,63 @@ def batch_objective_arrays(
     targets: AnchorTargets,
     gt_class: np.ndarray,
     d_hat: np.ndarray,
-    pos_idx: np.ndarray,
-    neg_idx: np.ndarray,
     hp: HyperParams,
 ) -> BatchArrays:
     """:func:`batch_objective` over arrays, for the training loop.
 
-    ``probs`` (N, C) and ``offsets`` (N, 4) are per-row predictions; the
-    positives are rows ``pos_idx``, matched to the anchors and boxes of
-    ``targets``, to ``gt_class`` and to ``d_hat = encode(gt, anchors)``, all
-    in ``pos_idx`` order. Negatives are rows ``neg_idx`` with the background
-    class 0. The arithmetic mirrors :func:`harmonic_det_loss` branch for
-    branch and sums in sample-index order; inputs are not validated (see the
-    scalar form).
+    ``probs`` (N, C) and ``offsets`` (N, 4) are per-row predictions. Rows
+    ``[0, n)``, with ``n = len(gt_class)``, are the positives, matched to the
+    anchors and boxes of ``targets``, to ``gt_class`` and to ``d_hat =
+    encode(gt, anchors)``, all in row order; the remaining rows are the
+    negatives, with the background class 0. The arithmetic mirrors
+    :func:`harmonic_det_loss` branch for branch and sums in sample-index
+    order; inputs are not validated (see the scalar form).
     """
-    n = pos_idx.size
+    n = gt_class.size
     if n == 0:
         raise ValueError("batch objective needs at least one positive sample")
+    pp, d = probs[:n], offsets[:n]
     # the positives' (row, class) entries of the row-major (N, C) arrays
-    gt_entry = pos_idx * probs.shape[1] + gt_class
-    d = offsets[pos_idx]
-    p_raw = probs.ravel()[gt_entry]
+    gt_entry = np.arange(0, n * probs.shape[1], probs.shape[1]) + gt_class
+    p_raw = probs.take(gt_entry)
     p = np.maximum(p_raw, hp.prob_floor)
-    ce = -elementwise(math.log, p)
+    log_p = elementwise(math.log, p)
+    ce = -log_p
     grad_probs = np.zeros(probs.shape)
     grad_offsets = np.zeros(offsets.shape)
+    size_offsets = d[:, 2:].ravel().tolist()
     if hp.freeze_factors:
-        scale = elementwise(math.exp, d[:, 2:].ravel())
+        scale = elementwise(math.exp, size_offsets)
     else:
-        pp = probs[pos_idx]
         logs = np.log(np.maximum(pp, hp.prob_floor))
+        entropy = -(pp * logs).sum(axis=1)
         # one libm pass: the decode's (e^tw, e^th), beta_c = e^-CE and the
         # entropy weight beta_e
-        entropy = -(pp * logs).sum(axis=1)
-        exps = elementwise(math.exp, np.concatenate([d[:, 2:].ravel(), -ce, entropy]))
+        exps = elementwise(math.exp, size_offsets + log_p.tolist() + entropy.tolist())
         scale, beta_c, beta_e = exps[: 2 * n], exps[2 * n : 3 * n], exps[3 * n :]
+        one_plus = 1.0 + exps[2 * n :]  # 1 + beta_c, then 1 + beta_e
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
     u, du_dd = offset_iou_and_grad(d, targets, scale.reshape(-1, 2))
     x = d - d_hat
     ax = np.abs(x)
-    quadratic = ax < 1.0
     q = np.minimum(ax, 1.0)
-    sl1 = np.where(quadratic, 0.5 * q * q, ax - 0.5).sum(axis=1)
-    sl1_grad = np.where(quadratic, x, np.sign(x))
+    # 0.5 q^2 below 1 (where ax - 0.5 ax is exact) and ax - 0.5 above; the
+    # gradient is x below 1 and its sign above
+    sl1 = (q * (ax - 0.5 * q)).sum(axis=1)
+    sl1_grad = np.copysign(q, x)
     # both HIoU powers in one libm pass: (1 + IoU)^gamma and ^(gamma - 1)
-    one_plus, one_minus = 1.0 + u, 1.0 - u
-    powers = elementwise(
-        pow, np.concatenate([one_plus, one_plus]), np.repeat([hp.gamma, hp.gamma - 1.0], n)
-    )
-    loc = sl1 + hp.alpha * (powers[:n] * one_minus)
-    slope = powers[n:] * (hp.gamma * one_minus - one_plus)
-    loc_grad = sl1_grad + (hp.alpha * slope)[:, None] * du_dd
+    one_plus_u, one_minus_u = 1.0 + u, 1.0 - u
+    bases = one_plus_u.tolist()
+    powers = elementwise(pow, bases + bases, [hp.gamma] * n + [hp.gamma - 1.0] * n)
+    loc = sl1 + hp.alpha * (powers[:n] * one_minus_u)
+    slope = powers[n:] * (hp.gamma * one_minus_u - one_plus_u)
+    # held in the positives' rows of grad_offsets, which the harmonic branch overwrites
+    loc_grad = np.add(sl1_grad, (hp.alpha * slope)[:, None] * du_dd, out=grad_offsets[:n])
 
-    flat_grad_probs = grad_probs.ravel()
     if hp.freeze_factors:
         totals = ce + loc
-        flat_grad_probs[gt_entry] = -1.0 / p
-        grad_offsets[pos_idx] = loc_grad
+        grad_probs.put(gt_entry, -1.0 / p)
         beta_r = beta_c = tc = np.zeros_like(p)
     else:
         loc_beta, loc_beta_grad = (
@@ -639,32 +640,34 @@ def batch_objective_arrays(
         beta_r = elementwise(math.exp, -loc_beta)
 
         # task-contrastive hinge on |p - IoU|, entropy-weighted
-        weight = 1.0 / (1.0 + beta_e)
+        weight = 1.0 / one_plus[n:]
         diff = p - u
         raw = np.abs(diff) - hp.margin
         active = raw > 0.0
-        signed = np.where(active, weight * np.copysign(1.0, diff), 0.0)
+        # weight > 0, so this is weight times the sign of diff
+        signed = np.where(active, np.copysign(weight, diff), 0.0)
         tc = np.where(active, weight * raw, 0.0)
-        flat_grad_probs[gt_entry] = signed
-        if not hp.beta_e_stop_grad:
-            squared = elementwise(lambda v: v**2, 1.0 + beta_e)
-            coef = np.where(active, raw * (-beta_e / squared), 0.0)
-            grad_probs[pos_idx] += coef[:, None] * -(1.0 + logs)
-        tc_grad_d = (-signed)[:, None] * du_dd if hp.tc_through_iou else 0.0
 
-        factor_r, factor_c = 1.0 + beta_r, 1.0 + beta_c
+        factor_r, factor_c = 1.0 + beta_r, one_plus[:n]
         totals = factor_r * ce + factor_c * loc + tc
         # the CE clamp kills both probability terms below the floor
         dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - factor_r / p, 0.0)
-        flat_grad_probs[gt_entry] += dp
-        grad_offsets[pos_idx] = (
-            factor_c[:, None] * loc_grad
-            - (ce * beta_r)[:, None] * loc_beta_grad
-            + tc_grad_d
-        )
+        if hp.beta_e_stop_grad:
+            grad_probs.put(gt_entry, signed + dp)
+        else:
+            grad_probs.put(gt_entry, signed)
+            squared = elementwise(lambda v: v**2, one_plus[n:])
+            coef = np.where(active, raw * (-beta_e / squared), 0.0)
+            grad_probs[:n] += coef[:, None] * -(1.0 + logs)
+            grad_probs.put(gt_entry, grad_probs.take(gt_entry) + dp)
+        # subtracting s g is adding (-s) g, bit for bit; without the TC path,
+        # subtracting -0.0 adds 0.0, as the scalar form adds its zero term
+        tc_grad_d = signed[:, None] * du_dd if hp.tc_through_iou else -0.0
+        grad_d = factor_c[:, None] * loc_grad - (ce * beta_r)[:, None] * loc_beta_grad
+        np.subtract(grad_d, tc_grad_d, out=grad_offsets[:n])
 
-    neg_p = np.maximum(probs[neg_idx, 0], hp.prob_floor)
-    grad_probs[neg_idx, 0] = -1.0 / neg_p
+    neg_p = np.maximum(probs[n:, 0], hp.prob_floor)
+    np.divide(-1.0, neg_p, out=grad_probs[n:, 0])
     return BatchArrays(
         grad_probs=grad_probs,
         grad_d=grad_offsets,

@@ -264,8 +264,6 @@ def _gate_errors(
         AnchorTargets(anchors, corners([s.gt_box for s in positives])),
         gt_class,
         np.array([s.d_hat.as_array() for s in positives]),
-        np.arange(n_pos),
-        np.arange(n_pos, n_rows),
     )
     # probability directions need the differentiable entropy weight; the
     # scalar harmonic_loss and tc_loss ignore freeze_factors (no value

@@ -473,7 +473,7 @@ class TestTrainToy:
         rows = []
 
         def counted(*args):
-            rows.append((len(args[0]), args[5].tolist(), args[6].tolist()))
+            rows.append((len(args[0]), len(args[3])))
             return real(*args)
 
         monkeypatch.setattr(harness, "batch_objective_arrays", counted)
@@ -481,7 +481,32 @@ class TestTrainToy:
         train_toy(ss, model, replace(opt, gradcheck_samples=0), hp)
         p = ss.matching.pos_flat.size
         assert ss.total_anchors == 4096
-        assert rows == [(p + 1, list(range(p)), [p])] * (opt.steps + 1)
+        assert rows == [(p + 1, p)] * (opt.steps + 1)
+
+    def test_kernel_takes_the_positives_as_leading_rows_without_index_arrays(self, monkeypatch):
+        ss, hp, model = small_setup()
+        model.logits[:] = np.random.default_rng(0).normal(size=model.logits.shape)
+        real = harness.batch_objective_arrays
+        calls = []
+
+        def kept(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", kept)
+        train_toy(ss, model, OptimizerConfig(steps=2, gradcheck_samples=0), hp)
+        m = ss.matching
+        assert len(calls) == 3
+        for args, kwargs in calls:
+            probs, offsets, targets, gt_class, d_hat, kernel_hp = args
+            assert not kwargs and kernel_hp is hp
+            assert (targets, gt_class, d_hat) == (m.targets, m.gt_class, m.d_hat)
+            # the positives' classes are the only integer array
+            integers = [a for a in args if isinstance(a, np.ndarray) and a.dtype.kind in "iub"]
+            assert len(integers) == 1 and integers[0] is gt_class
+        # the first step's leading rows are the positives' own, in matching order
+        probs = calls[0][0][0]
+        assert probs[: m.pos_flat.size].tobytes() == model.probs()[m.pos_flat].tobytes()
 
     def test_zero_learning_rate_changes_nothing(self):
         ss, hp, model = small_setup()
@@ -846,14 +871,19 @@ class TestTrainReference:
         gt = np.array([s.gt_box.as_array() for s in positives])
         rows = len(positives) + batch_draws * harness.BATCH_NEGATIVES
         assert len(calls) > 1
-        for probs, offsets, _, *rest in calls:
-            # a call stacks copies of the rows, each with the draws' boxes
+        for probs, offsets, _, gt_class, d_hat, kernel_hp in calls:
+            # a call stacks copies of the rows, each with the draws' boxes:
+            # every copy's positives, then every copy's negatives
             copies = len(probs) // rows
             tiled = np.tile(anchors, (copies, 1)), np.tile(gt, (copies, 1))
-            got = real(probs, offsets, AnchorTargets(*tiled), *rest)
+            got = real(probs, offsets, AnchorTargets(*tiled), gt_class, d_hat, kernel_hp)
             # the objective and the negatives' losses wait for their first read
             assert "value" not in vars(got) and "neg_loss" not in vars(got)
-            want = train_reference.batch_objective_arrays(probs, offsets, *tiled, *rest)
+            n = len(gt_class)
+            want = train_reference.batch_objective_arrays(
+                probs, offsets, *tiled, gt_class, d_hat, np.arange(n), np.arange(n, len(probs)),
+                kernel_hp,
+            )
             for field in fields(want):
                 got_value, want_value = getattr(got, field.name), getattr(want, field.name)
                 if isinstance(want_value, float):
@@ -1044,7 +1074,7 @@ class TestGradCheck:
     def test_non_finite_loss_names_the_operation(self):
         hp = HyperParams(alpha=float("inf"))
         with pytest.raises(NumericalError, match="gradcheck harmonic_cls_grad: loss not finite"):
-            run_gradcheck(hp, 5, num_samples=2, batch_draws=0)
+            run_gradcheck(hp, 5, num_samples=2, batch_draws=1)
 
     @pytest.mark.parametrize("field", ["pos_loss", "neg_p"])
     def test_non_finite_batch_row_fails_the_batch_entry_only(self, monkeypatch, field):
@@ -1052,25 +1082,27 @@ class TestGradCheck:
         # batch draw's row; the sample entries read the same evaluations but
         # not those rows
         real = harness.batch_objective_arrays
+        rows = 2 + 4 * (harness.BATCH_POSITIVES + harness.BATCH_NEGATIVES)
 
-        def poisoned(*args):
-            batch = real(*args)
-            rows = args[5] if field == "pos_loss" else args[6]
-            # a copy's last row is where the row index jumps over the next
-            # copy's rows of the other kind, and the stack's last row
-            last = np.append(np.flatnonzero(np.diff(rows) != 1), len(rows) - 1)
-            values = getattr(batch, field).copy()
-            values[last] = math.inf
-            return replace(batch, **{field: values})
+        def poisoned(row):
+            def kernel(*args):
+                batch = real(*args)
+                # every copy's positives, then every copy's negatives
+                values = getattr(batch, field).copy()
+                values.reshape(len(args[0]) // rows, -1)[:, row] = math.inf
+                return replace(batch, **{field: values})
 
-        monkeypatch.setattr(harness, "batch_objective_arrays", poisoned)
+            return kernel
+
+        monkeypatch.setattr(harness, "batch_objective_arrays", poisoned(-1))
         hp = HyperParams()
         with pytest.raises(NumericalError, match=r"^gradcheck batch_objective: loss not finite near params\[0\]$"):
             run_gradcheck(hp, 5, num_samples=2, seed=0)
-        # without batch draws the last positive is a sample draw's
+        # a copy's second positive is the last sample draw's
         if field == "pos_loss":
+            monkeypatch.setattr(harness, "batch_objective_arrays", poisoned(1))
             with pytest.raises(NumericalError, match="^gradcheck harmonic_det_loss: loss not finite"):
-                run_gradcheck(hp, 5, num_samples=2, seed=0, batch_draws=0)
+                run_gradcheck(hp, 5, num_samples=2, seed=0)
 
     def test_report_covers_every_operation_once(self):
         hp = HyperParams()
@@ -1110,6 +1142,17 @@ class TestGradCheck:
         for _ in range(300):
             assert random_positive_sample(rng, hp, 5).probs.min() >= PROB_DRAW_FLOOR
 
+    def test_offset_noise_stays_clear_of_the_smooth_l1_kinks(self):
+        # |d - d_hat| never comes near the curvature breaks at 1, which the
+        # sampler therefore does not test for
+        rng = np.random.default_rng(0)
+        hp = HyperParams()
+        noise = [
+            np.abs(s.d.as_array() - s.d_hat.as_array()).max()
+            for s in (random_positive_sample(rng, hp, 5) for _ in range(500))
+        ]
+        assert max(noise) <= 0.5
+
     def test_draws_stay_above_a_raised_minimum(self):
         rng = np.random.default_rng(0)
         # twice the loss's floor
@@ -1131,7 +1174,7 @@ class TestGradCheck:
         # them do not all come within the rejection sampler's tries
         hp = HyperParams(prob_floor=0.09)
         with pytest.raises(NumericalError, match="gradcheck could not draw"):
-            run_gradcheck(hp, 5, num_samples=200, batch_draws=0)
+            run_gradcheck(hp, 5, num_samples=200, batch_draws=1)
 
     @pytest.mark.parametrize("prob_floor", [0.1, 0.3])
     def test_draw_floor_out_of_reach_is_rejected_before_drawing(self, prob_floor):
@@ -1187,7 +1230,7 @@ class TestGradCheck:
                 report = run_gradcheck(gate_hp, num_classes, num_samples=2, seed=0, batch_draws=4)
                 assert report.passed
                 assert [len(args[0]) for args in calls] == [copies * rows] * sets + [rows]
-                assert [len(args[6]) for args in calls] == [copies * negatives] * sets + [negatives]
+                assert [len(args[0]) - len(args[3]) for args in calls] == [copies * negatives] * sets + [negatives]
 
     @pytest.mark.parametrize("num_samples", [20, 500])
     def test_stacked_calls_stay_within_the_row_cap(self, monkeypatch, num_samples):
@@ -1365,10 +1408,10 @@ class TestGradCheck:
         report = run_gradcheck(HyperParams(), 5, num_samples=20, seed=0)
         assert [e.op for e in report.entries if not e.passed] == [op]
 
-    def test_worst_draw_is_none_without_draws(self):
-        report = run_gradcheck(HyperParams(), 5, num_samples=1, seed=0, batch_draws=0)
-        batch = report.entries[-1]
-        assert (batch.op, batch.max_err, batch.worst_draw) == ("batch_objective", 0.0, None)
+    def test_gate_without_batch_draws_is_rejected(self):
+        # the batch entry would pass having checked nothing
+        with pytest.raises(ValueError, match="^gradcheck needs at least one batch draw, got 0$"):
+            run_gradcheck(HyperParams(), 5, num_samples=1, seed=0, batch_draws=0)
 
     def test_nan_error_fails_the_entry(self, monkeypatch):
         real = harness.batch_objective_arrays

@@ -32,7 +32,7 @@ from hardet.losses import (
     standard_det_loss,
     tc_loss,
 )
-from hardet.harness import random_positive_sample
+from hardet.harness import SceneConfig, generate_scenes, random_positive_sample
 
 from gate_reference import _fd_offsets, _fd_probs
 import train_reference
@@ -198,7 +198,7 @@ class TestSmoothL1:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = smooth_l1(s.d, s.d_hat)
-            got = batch_objective_arrays(*batch_arrays([s], [], np.random.default_rng(0)), HP)
+            got = batch_objective_arrays(*batch_arrays([s], []), HP)
         assert value == 1e200
         assert got.sl1.tolist() == [value]
 
@@ -614,17 +614,11 @@ class TestBatchObjective:
         assert batch_objective(pos, neg, HP).value == batch_objective(pos, neg, HP).value
 
 
-def batch_arrays(positives, negatives, rng):
-    """The samples as kernel inputs, rows shuffled so that the scatter shows."""
-    n = len(positives) + len(negatives)
-    rows = rng.permutation(n)
-    pos_idx, neg_idx = rows[: len(positives)], rows[len(positives) :]
-    probs = np.zeros((n, positives[0].num_classes))
-    offsets = np.zeros((n, 4))
-    probs[pos_idx] = [s.probs for s in positives]
-    offsets[pos_idx] = [s.d.as_array() for s in positives]
-    if negatives:
-        probs[neg_idx] = [s.probs for s in negatives]
+def batch_arrays(positives, negatives):
+    """The samples as kernel inputs: the positives' rows, then the negatives'."""
+    probs = np.array([s.probs for s in [*positives, *negatives]])
+    offsets = np.zeros((len(probs), 4))
+    offsets[: len(positives)] = [s.d.as_array() for s in positives]
     return (
         probs,
         offsets,
@@ -634,8 +628,6 @@ def batch_arrays(positives, negatives, rng):
         ),
         np.array([s.gt_class for s in positives]),
         np.array([s.d_hat.as_array() for s in positives]),
-        pos_idx,
-        neg_idx,
     )
 
 
@@ -645,23 +637,22 @@ def assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (got, want)
 
 
-def check_against_reference(positives, negatives, hp, rng):
-    args = batch_arrays(positives, negatives, rng)
-    pos_idx, neg_idx = args[-2], args[-1]
-    got = batch_objective_arrays(*args, hp)
+def check_against_reference(positives, negatives, hp):
+    n = len(positives)
+    got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
     want = batch_objective(positives, negatives, hp)
     assert_close(got.value, want.value)
     assert got.num_positives == want.num_positives
     for k, b in enumerate(want.breakdowns):
-        assert_close(got.grad_probs[pos_idx[k]], b.grad_probs)
-        assert_close(got.grad_d[pos_idx[k]], b.grad_d)
+        assert_close(got.grad_probs[k], b.grad_probs)
+        assert_close(got.grad_d[k], b.grad_d)
         assert_close(got.beta_r[k], b.beta_r)
         assert_close(got.beta_c[k], b.beta_c)
         assert_close(got.iou[k], b.iou_value)
         assert got.p_gt[k] == positives[k].probs[positives[k].gt_class]
     for j, g in enumerate(want.negative_grad_probs):
-        assert_close(got.grad_probs[neg_idx[j]], g)
-        assert np.all(got.grad_d[neg_idx[j]] == 0.0)
+        assert_close(got.grad_probs[n + j], g)
+        assert np.all(got.grad_d[n + j] == 0.0)
     return got, want
 
 
@@ -676,6 +667,38 @@ def random_batch(rng, hp, max_pos=8, max_neg=8):
         positives.append(s.with_d(Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
     negatives = [random_negative(rng, 5) for _ in range(int(rng.integers(0, max_neg)))]
     return positives, negatives
+
+
+def assert_equals_the_reference_kernel(positives, negatives, hp):
+    """The kernel's every field, bit for bit, against the reference kernel
+    fed the rows of the positives and of the negatives as index arrays."""
+    probs, offsets, targets, gt_class, d_hat = batch_arrays(positives, negatives)
+    got = batch_objective_arrays(probs, offsets, targets, gt_class, d_hat, hp)
+    n = len(positives)
+    want = train_reference.batch_objective_arrays(
+        probs,
+        offsets,
+        np.array([s.anchor.as_array() for s in positives]),
+        np.array([s.gt_box.as_array() for s in positives]),
+        gt_class,
+        d_hat,
+        np.arange(n),
+        np.arange(n, len(probs)),
+        hp,
+    )
+    for field in fields(want):
+        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "value":
+            assert got_value.hex() == want_value.hex()
+        else:
+            assert got_value.tobytes() == want_value.tobytes(), field.name
+
+
+# the scenes of the train workloads at the CLI's defaults and the dense config
+TRAIN_SCENES = {
+    "train_default": SceneConfig(anchor_spacing=3.0, jitter=0.12),
+    "train_dense": SceneConfig(num_scenes=16, anchor_spacing=1.0, jitter=0.12),
+}
 
 
 KINK_CASES = {
@@ -699,7 +722,7 @@ class TestBatchObjectiveArrays:
         hp = KINK_CASES[case]
         rng = np.random.default_rng(sorted(KINK_CASES).index(case))
         for _ in range(15):
-            check_against_reference(*random_batch(rng, hp), hp, rng)
+            check_against_reference(*random_batch(rng, hp), hp)
 
     @pytest.mark.parametrize("case", sorted(KINK_CASES))
     def test_probability_floor_clamp(self, case):
@@ -708,28 +731,27 @@ class TestBatchObjectiveArrays:
         zero_gt = make_sample([0.5, 0.0, 0.5, 0.0, 0.0], gt_class=1, d=[0.1, -0.2, 0.05, 0.1])
         certain = make_sample([0.0, 1.0, 0.0, 0.0, 0.0], gt_class=1)
         zero_bg = NegativeSample(probs=np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
-        check_against_reference([zero_gt, certain], [zero_bg, random_negative(rng, 5)], hp, rng)
+        check_against_reference([zero_gt, certain], [zero_bg, random_negative(rng, 5)], hp)
 
     def test_hinge_cases_are_exercised(self):
         rng = np.random.default_rng(91)
         positives, negatives = random_batch(rng, HP, max_pos=20)
-        on, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_on"], rng)
-        off, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_off"], rng)
+        on, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_on"])
+        off, _ = check_against_reference(positives, negatives, KINK_CASES["tc_hinge_always_off"])
         assert on.value != off.value
 
     def test_bit_equal_to_reference(self):
         # training amplifies last-bit differences into a different trajectory
         rng = np.random.default_rng(92)
         positives, negatives = random_batch(rng, HP)
-        args = batch_arrays(positives, negatives, rng)
-        got = batch_objective_arrays(*args, HP)
+        n = len(positives)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
         want = batch_objective(positives, negatives, HP)
         assert got.value == want.value
-        pos_idx, neg_idx = args[-2], args[-1]
-        assert np.array_equal(got.grad_probs[pos_idx], [b.grad_probs for b in want.breakdowns])
-        assert np.array_equal(got.grad_d[pos_idx], [b.grad_d for b in want.breakdowns])
+        assert np.array_equal(got.grad_probs[:n], [b.grad_probs for b in want.breakdowns])
+        assert np.array_equal(got.grad_d[:n], [b.grad_d for b in want.breakdowns])
         if negatives:
-            assert np.array_equal(got.grad_probs[neg_idx], want.negative_grad_probs)
+            assert np.array_equal(got.grad_probs[n:], want.negative_grad_probs)
 
     @pytest.mark.parametrize("case", sorted(KINK_CASES))
     def test_row_losses_match_reference(self, case):
@@ -737,7 +759,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(100 + sorted(KINK_CASES).index(case))
         for _ in range(15):
             positives, negatives = random_batch(rng, hp)
-            got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), hp)
+            got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
             assert_close(got.pos_loss, [harmonic_det_loss(s, hp).total for s in positives])
             assert_close(
                 got.neg_loss, [cross_entropy(n.probs, 0, hp.prob_floor) for n in negatives]
@@ -752,7 +774,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(93)
         positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
         assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP).total for s in positives]
         assert got.neg_loss.tolist() == [cross_entropy(n.probs, 0) for n in negatives]
 
@@ -761,7 +783,7 @@ class TestBatchObjectiveArrays:
         hp = KINK_CASES[case]
         rng = np.random.default_rng(110 + sorted(KINK_CASES).index(case))
         positives, negatives = random_batch(rng, hp)
-        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), hp)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
         ce = [cross_entropy(s.probs, s.gt_class, hp.prob_floor) for s in positives]
         assert got.ce.tolist() == ce
         assert got.sl1.tolist() == [smooth_l1(s.d, s.d_hat) for s in positives]
@@ -780,29 +802,23 @@ class TestBatchObjectiveArrays:
         hp = KINK_CASES[case]
         rng = np.random.default_rng(120 + sorted(KINK_CASES).index(case))
         for _ in range(5):
-            positives, negatives = random_batch(rng, hp)
-            probs, offsets, targets, *rest = batch_arrays(positives, negatives, rng)
-            got = batch_objective_arrays(probs, offsets, targets, *rest, hp)
-            want = train_reference.batch_objective_arrays(
-                probs,
-                offsets,
-                np.array([s.anchor.as_array() for s in positives]),
-                np.array([s.gt_box.as_array() for s in positives]),
-                *rest,
-                hp,
-            )
-            for field in fields(want):
-                got_value, want_value = getattr(got, field.name), getattr(want, field.name)
-                if field.name == "value":
-                    assert got_value.hex() == want_value.hex()
-                else:
-                    assert got_value.tobytes() == want_value.tobytes(), field.name
+            assert_equals_the_reference_kernel(*random_batch(rng, hp), hp)
+
+    # the compact rows train_toy steps from a zero model: the positives and
+    # one row for all the identical negatives
+    @pytest.mark.parametrize("workload, scene", sorted(TRAIN_SCENES.items()))
+    @pytest.mark.parametrize("hp", [HP, HP.compat_standard()], ids=["harmonic", "standard"])
+    def test_equals_the_reference_kernel_at_the_training_sizes(self, workload, scene, hp):
+        n = generate_scenes(scene).matching.pos_flat.size
+        rng = np.random.default_rng(130)
+        positives = [random_positive_sample(rng, HP, 5) for _ in range(n)]
+        assert_equals_the_reference_kernel(positives, [random_negative(rng, 5)], hp)
 
     def test_objective_and_negative_losses_are_computed_on_first_read(self):
         rng = np.random.default_rng(94)
         positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives, rng), HP)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
         assert "value" not in vars(got) and "neg_loss" not in vars(got)
         value = got.value
         assert vars(got)["value"] is value and vars(got)["neg_loss"] is got.neg_loss
@@ -814,12 +830,11 @@ class TestBatchObjectiveArrays:
             got.value = 0.0
 
     def test_no_positives_rejected(self):
-        empty = np.array([], dtype=int)
         with pytest.raises(ValueError):
             batch_objective_arrays(
                 np.full((2, 5), 0.2), np.zeros((2, 4)),
                 AnchorTargets(np.zeros((0, 4)), np.zeros((0, 4))),
-                empty, np.zeros((0, 4)), empty, np.arange(2), HP,
+                np.array([], dtype=int), np.zeros((0, 4)), HP,
             )
 
 
