@@ -451,9 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
         hp = _build(HyperParams, eff, "hyperparams")
         try:
-            check_draw_floor(hp, scene.num_classes)
+            check_draw_floor(scene.num_classes)
         except ValueError as exc:
-            raise ConfigError(f"config.hyperparams.prob_floor: {exc}") from exc
+            raise ConfigError(f"config.scene.num_classes: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
         surface = _check_command_blocks(eff)
         # the commands that draw scenes or read samples judge them before writing too

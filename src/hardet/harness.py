@@ -40,7 +40,6 @@ from .losses import (
     harmonic_det_loss,
     harmonic_reg_grad,
     hiou_slope_arrays,
-    smooth_l1,
     tc_loss,
 )
 from .metrics import DetectionArrays, GroundTruthArrays, aic
@@ -556,7 +555,7 @@ def train_toy(
             raise DivergenceError(step, "non-finite probabilities", row)
         _check_decode_cap(step, model.offsets[:n], m.pos_flat)
         batch = batch_objective_arrays(probs, model.offsets, m.targets, m.gt_class, m.d_hat, hp_eff)
-        # every negative's loss is finite and at most -log(prob_floor), so
+        # every negative's loss is finite and at most -log(PROB_FLOOR), so
         # the objective is finite exactly when the positives' in-order sum is;
         # it is read, over every negative in model order but with each
         # distinct one's log taken once, only when logged or to word the failure
@@ -650,6 +649,19 @@ def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.max(np.abs(analytic - numeric) / denom, axis=1)
 
 
+def _kink_free_overlap(a: Sequence[float], b: Sequence[float]) -> float | None:
+    """The overlap area of boxes ``a`` and ``b``, given as plain-float corner
+    tuples, or None when a corner of one lies within ``KINK_MARGIN`` of the
+    other's or their overlap is narrower or lower than ``KINK_MARGIN``."""
+    if any(abs(p - q) < KINK_MARGIN for p, q in zip(a, b)):
+        return None
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw < KINK_MARGIN or ih < KINK_MARGIN:
+        return None
+    return iw * ih
+
+
 def random_positive_sample(
     rng: np.random.Generator, hp: HyperParams, num_classes: int
 ) -> PositiveSample:
@@ -663,7 +675,6 @@ def random_positive_sample(
     offset noise is at most 0.5. Raises :class:`NumericalError` when no draw
     qualifies, as with so many classes that the floor is out of reach.
     """
-    floor = _draw_floor(hp)
     concentration = np.ones(num_classes)
     for _ in range(10_000):
         # Box, encode, decode and iou, operation for operation on plain
@@ -688,26 +699,22 @@ def random_positive_sample(
         dcx, dcy = d[0] * aw + acx, d[1] * ah + acy
         dw, dh = aw * math.exp(d[2]), ah * math.exp(d[3])
         decoded = (dcx - 0.5 * dw, dcy - 0.5 * dh, dcx + 0.5 * dw, dcy + 0.5 * dh)
-        if any(abs(a - g) < KINK_MARGIN for a, g in zip(decoded, gt)):
+        inter = _kink_free_overlap(decoded, gt)
+        if inter is None:
             continue
-        iw = min(decoded[2], gt[2]) - max(decoded[0], gt[0])
-        ih = min(decoded[3], gt[3]) - max(decoded[1], gt[1])
-        if iw < KINK_MARGIN or ih < KINK_MARGIN:
-            continue
-        inter = iw * ih
         area = (decoded[2] - decoded[0]) * (decoded[3] - decoded[1])
         u = inter / (area + (gt[2] - gt[0]) * (gt[3] - gt[1]) - inter)
         probs = rng.dirichlet(concentration)
         gt_class = int(rng.integers(1, num_classes))
         p = float(probs[gt_class])
-        if p < 0.02 or p > 0.98 or probs.min() < floor:
+        if p < 0.02 or p > 0.98 or probs.min() < PROB_DRAW_FLOOR:
             continue
         if abs(p - u) < KINK_MARGIN or abs(abs(p - u) - hp.margin) < KINK_MARGIN:
             continue
         return PositiveSample(probs, gt_class, Offsets(*d), Box(*anchor), Box(*gt))
     raise NumericalError(
         "gradcheck could not draw a kink-free sample in 10000 tries with every one of "
-        f"num_classes {num_classes} probabilities at or above the draw floor {floor:g}"
+        f"num_classes {num_classes} probabilities at or above the draw floor {PROB_DRAW_FLOOR:g}"
     )
 
 
@@ -723,13 +730,8 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
         bw = w * math.exp(rng.uniform(-0.4, 0.4))
         bh = h * math.exp(rng.uniform(-0.4, 0.4))
         b = (bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
-        if any(abs(p - q) < KINK_MARGIN for p, q in zip(a, b)):
-            continue
-        iw = min(a[2], b[2]) - max(a[0], b[0])
-        ih = min(a[3], b[3]) - max(a[1], b[1])
-        if iw < KINK_MARGIN or ih < KINK_MARGIN:
-            continue
-        return Box(*a), Box(*b)
+        if _kink_free_overlap(a, b) is not None:
+            return Box(*a), Box(*b)
 
 
 @dataclass(frozen=True)
@@ -863,9 +865,8 @@ def _gate_errors(
         return values.reshape(-1, n_pos)
 
     def harmonic(b: BatchArrays) -> np.ndarray:
-        """Per sample draw, :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
-        loc = b.sl1 if hp.harmonic_mode == "smooth_l1" else b.loc
-        return positive((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc)[:, :n]
+        """Per sample draw, :func:`harmonic_loss`."""
+        return positive((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * b.loc)[:, :n]
 
     def stacked(row_of: Callable[[PositiveSample], np.ndarray]) -> np.ndarray:
         return np.array([row_of(s) for s in samples])
@@ -887,12 +888,7 @@ def _gate_errors(
         return _grad_err(analytic, numeric.reshape(-1, 4, 4))
 
     def harmonic_cls_grad_err() -> np.ndarray:
-        def loc_mode(s: PositiveSample) -> float:
-            if hp.harmonic_mode == "smooth_l1":
-                return smooth_l1(s.d, s.d_hat)
-            return full_loc_loss(s, hp)[0]
-
-        analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s), hp.prob_floor))
+        analytic = stacked(lambda s: harmonic_cls_grad(s, full_loc_loss(s, hp)[0]))
         # the loc does not depend on the probabilities: the probability
         # difference of harmonic_loss is its fixed-loc difference
         return _grad_err(analytic, fd(hp_free, harmonic)[np.arange(n), gt_class[:n]])
@@ -958,20 +954,13 @@ BATCH_NEGATIVES = 3
 MAX_GATE_ROWS = 2048
 
 
-def _draw_floor(hp: HyperParams) -> float:
-    """Smallest class probability a gate draw may hold: clear of the loss's
-    own ``prob_floor`` clamp, where the loss is flat but its gradient is not."""
-    return max(PROB_DRAW_FLOOR, 2.0 * hp.prob_floor)
-
-
-def check_draw_floor(hp: HyperParams, num_classes: int) -> None:
+def check_draw_floor(num_classes: int) -> None:
     """Raise ``ValueError`` when the gate's draw floor leaves it nothing to
     draw: ``num_classes`` probabilities that sum to 1 cannot all reach it."""
-    floor = _draw_floor(hp)
-    if num_classes * floor >= 1.0:
+    if num_classes * PROB_DRAW_FLOOR >= 1.0:
         raise ValueError(
-            f"{hp.prob_floor:g} puts the gradient gate's draw floor at {floor:g}, which "
-            f"{num_classes} class probabilities summing to 1 cannot all reach"
+            f"{num_classes} class probabilities summing to 1 cannot all reach the "
+            f"gradient gate's draw floor {PROB_DRAW_FLOOR:g}"
         )
 
 
@@ -979,13 +968,12 @@ def _random_batch(
     rng: np.random.Generator, hp: HyperParams, num_classes: int
 ) -> tuple[list[PositiveSample], list[np.ndarray]]:
     """One batch draw: kink-free positives and background probability rows."""
-    floor = _draw_floor(hp)
     positives = [random_positive_sample(rng, hp, num_classes) for _ in range(BATCH_POSITIVES)]
     negatives = []
     for _ in range(BATCH_NEGATIVES):
         probs = rng.dirichlet(np.ones(num_classes))
-        if np.any(probs < floor):
-            probs = (probs + floor) / (1.0 + num_classes * floor)
+        if np.any(probs < PROB_DRAW_FLOOR):
+            probs = (probs + PROB_DRAW_FLOOR) / (1.0 + num_classes * PROB_DRAW_FLOOR)
         negatives.append(probs)
     return positives, negatives
 
@@ -1028,7 +1016,7 @@ def run_gradcheck(
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
     if batch_draws < 1:
         raise ValueError(f"gradcheck needs at least one batch draw, got {batch_draws}")
-    check_draw_floor(hp, num_classes)
+    check_draw_floor(num_classes)
 
     def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
         try:

@@ -9,7 +9,7 @@ Batch reductions sum in sample index order for bit-reproducible objectives.
 
 Probability vectors are softmax outputs over ``num_classes`` entries
 (background included). Entries may be exactly 0 or 1; logs and divisions are
-floored at ``HyperParams.prob_floor``.
+floored at :data:`PROB_FLOOR`.
 """
 
 from __future__ import annotations
@@ -36,50 +36,34 @@ from .geom import (
 )
 
 PROB_SUM_TOL = 1e-6
+PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class HyperParams:
     """Tunables of the loss family.
 
-    ``gamma`` must stay <= 1 (HIoU monotonicity) unless
-    ``allow_gamma_above_one`` is set. ``freeze_factors`` pins the harmonic
-    factors to 0 and disables the task-contrastive term, which together with
-    ``alpha=0`` reproduces the standard detection loss exactly.
-    ``harmonic_mode`` selects what feeds the regression-side harmonic factor:
-    the full localization loss ("full_loc", default) or plain smooth L1
-    ("smooth_l1").
+    ``gamma`` must stay <= 1 (HIoU monotonicity). ``freeze_factors`` pins
+    the harmonic factors to 0 and disables the task-contrastive term, which
+    together with ``alpha=0`` reproduces the standard detection loss exactly.
     """
 
     alpha: float = 1.5
     gamma: float = 0.8
     margin: float = 0.2
-    prob_floor: float = 1e-12
     beta_e_stop_grad: bool = True
-    harmonic_mode: str = "full_loc"
-    tc_through_iou: bool = True
     freeze_factors: bool = False
-    allow_gamma_above_one: bool = False
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0.0:  # written so that NaN fails it too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.gamma > 1.0 and not self.allow_gamma_above_one:
-            raise ValueError(
-                f"gamma={self.gamma} breaks HIoU monotonicity; values above 1 "
-                "need allow_gamma_above_one=True"
-            )
-        # (1 + IoU)^gamma is 2^gamma at IoU 1; written so that NaN fails too
-        if not self.gamma < 1024.0:
-            raise ValueError(
-                f"gamma must be < 1024, where (1 + IoU)^gamma overflows, got {self.gamma}"
-            )
+        if self.gamma > 1.0:
+            raise ValueError(f"gamma={self.gamma} breaks HIoU monotonicity; it must be <= 1")
+        for name in ("alpha", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
-        if not 0.0 < self.prob_floor < math.inf:
-            raise ValueError(f"prob_floor must be positive and finite, got {self.prob_floor}")
-        if self.harmonic_mode not in ("full_loc", "smooth_l1"):
-            raise ValueError(f"unknown harmonic_mode: {self.harmonic_mode!r}")
 
     def compat_standard(self) -> "HyperParams":
         """Variant that makes the batch objective equal the standard loss."""
@@ -230,12 +214,12 @@ def positive_sample_from_json(obj: object) -> PositiveSample:
     )
 
 
-def cross_entropy(probs: np.ndarray, gt_class: int, prob_floor: float = 1e-12) -> float:
-    """-log of the ground-truth class probability, floored at ``prob_floor``."""
+def cross_entropy(probs: np.ndarray, gt_class: int) -> float:
+    """-log of the ground-truth class probability, floored at :data:`PROB_FLOOR`."""
     probs = np.asarray(probs, dtype=float)
     if not 0 <= gt_class < probs.size:
         raise IndexError(f"gt_class {gt_class} out of range for {probs.size} classes")
-    return -math.log(max(float(probs[gt_class]), prob_floor))
+    return -math.log(max(float(probs[gt_class]), PROB_FLOOR))
 
 
 def smooth_l1(d: Offsets, d_hat: Offsets) -> float:
@@ -287,7 +271,6 @@ class _LocParts:
     """Localization terms shared by the harmonic and TC losses."""
 
     sl1: float
-    sl1_grad: np.ndarray
     iou_value: float
     iou_grad_d: np.ndarray
     hiou: float
@@ -303,13 +286,12 @@ def _loc_parts(sample: PositiveSample, hp: HyperParams) -> _LocParts:
     jac = decode_jacobian(sample.d, sample.anchor)
     du_dd = jac.T @ du_dcorners
     sl1 = smooth_l1(sample.d, sample.d_hat)
-    sl1_g = smooth_l1_grad(sample.d, sample.d_hat)
     h = hiou_loss(u, hp.gamma)
     value = sl1 + hp.alpha * h
-    grad = sl1_g + hp.alpha * hiou_slope(u, hp.gamma) * du_dd
-    for array in (sl1_g, du_dd, grad):
+    grad = smooth_l1_grad(sample.d, sample.d_hat) + hp.alpha * hiou_slope(u, hp.gamma) * du_dd
+    for array in (du_dd, grad):
         array.flags.writeable = False
-    return _LocParts(sl1, sl1_g, u, du_dd, h, value, grad)
+    return _LocParts(sl1, u, du_dd, h, value, grad)
 
 
 def _shared_loc_parts(sample: PositiveSample, hp: HyperParams) -> _LocParts:
@@ -330,69 +312,58 @@ def full_loc_loss(sample: PositiveSample, hp: HyperParams) -> tuple[float, np.nd
     return parts.value, parts.grad
 
 
-def _loc_for_beta(parts: _LocParts, hp: HyperParams) -> tuple[float, np.ndarray]:
-    if hp.harmonic_mode == "smooth_l1":
-        return parts.sl1, parts.sl1_grad
-    return parts.value, parts.grad
-
-
 def harmonic_loss(
     sample: PositiveSample, hp: HyperParams, loc: float | None = None
 ) -> tuple[float, float, float]:
     """Cross-branch weighted sum (1+beta_r)*CE + (1+beta_c)*loc.
 
-    ``loc`` defaults to the localization value selected by
-    ``hp.harmonic_mode``. Returns (value, beta_r, beta_c).
+    ``loc`` defaults to :func:`full_loc_loss`. Returns (value, beta_r, beta_c).
     """
     if loc is None:
-        loc, _ = _loc_for_beta(_shared_loc_parts(sample, hp), hp)
-    ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
+        loc = _shared_loc_parts(sample, hp).value
+    ce = cross_entropy(sample.probs, sample.gt_class)
     beta_r = math.exp(-loc)
     beta_c = math.exp(-ce)
     return (1.0 + beta_r) * ce + (1.0 + beta_c) * loc, beta_r, beta_c
 
 
-def harmonic_cls_grad(sample: PositiveSample, loc: float, prob_floor: float = 1e-12) -> float:
+def harmonic_cls_grad(sample: PositiveSample, loc: float) -> float:
     """d(harmonic_loss)/d p_gt at fixed localization loss: loc - (1+e^-loc)/p."""
-    p = max(float(sample.probs[sample.gt_class]), prob_floor)
+    p = max(float(sample.probs[sample.gt_class]), PROB_FLOOR)
     return loc - (1.0 + math.exp(-loc)) / p
 
 
 def harmonic_reg_grad(sample: PositiveSample, hp: HyperParams) -> np.ndarray:
     """d(harmonic_loss)/d offsets: [(1+beta_c) - CE*e^-loc] * dloc/dd."""
     parts = _shared_loc_parts(sample, hp)
-    loc, loc_grad = _loc_for_beta(parts, hp)
-    ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
+    ce = cross_entropy(sample.probs, sample.gt_class)
     beta_c = math.exp(-ce)
-    return ((1.0 + beta_c) - ce * math.exp(-loc)) * loc_grad
+    return ((1.0 + beta_c) - ce * math.exp(-parts.value)) * parts.grad
 
 
-def _entropy(probs: np.ndarray, prob_floor: float) -> float:
-    logs = np.log(np.maximum(probs, prob_floor))
+def _entropy(probs: np.ndarray) -> float:
+    logs = np.log(np.maximum(probs, PROB_FLOOR))
     return float(-np.sum(probs * logs))
 
 
 def _tc_parts(
     sample: PositiveSample, hp: HyperParams, parts: _LocParts
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    p = max(float(sample.probs[sample.gt_class]), hp.prob_floor)
+    p = max(float(sample.probs[sample.gt_class]), PROB_FLOOR)
     u = parts.iou_value
-    beta_e = math.exp(_entropy(sample.probs, hp.prob_floor))
+    beta_e = math.exp(_entropy(sample.probs))
     weight = 1.0 / (1.0 + beta_e)
     diff = p - u
     raw = abs(diff) - hp.margin
     grad_probs = np.zeros_like(sample.probs)
-    grad_d = np.zeros(4)
     if raw <= 0.0:
-        return 0.0, beta_e, grad_probs, grad_d
+        return 0.0, beta_e, grad_probs, np.zeros(4)
     s = math.copysign(1.0, diff)
     grad_probs[sample.gt_class] = weight * s
     if not hp.beta_e_stop_grad:
-        dh_dp = -(1.0 + np.log(np.maximum(sample.probs, hp.prob_floor)))
+        dh_dp = -(1.0 + np.log(np.maximum(sample.probs, PROB_FLOOR)))
         grad_probs += raw * (-beta_e / (1.0 + beta_e) ** 2) * dh_dp
-    if hp.tc_through_iou:
-        grad_d = -weight * s * parts.iou_grad_d
-    return weight * raw, beta_e, grad_probs, grad_d
+    return weight * raw, beta_e, grad_probs, -weight * s * parts.iou_grad_d
 
 
 def tc_loss(
@@ -402,7 +373,7 @@ def tc_loss(
 
     Returns (value, beta_e, grad_probs, grad_d). The entropy weight is held
     constant under the default ``beta_e_stop_grad``; gradients reach the
-    offsets through the decoded box unless ``tc_through_iou`` is off.
+    offsets through the decoded box's IoU.
     """
     return _tc_parts(sample, hp, _shared_loc_parts(sample, hp))
 
@@ -410,44 +381,26 @@ def tc_loss(
 def harmonic_det_loss(sample: PositiveSample, hp: HyperParams) -> LossBreakdown:
     """Full per-positive objective with factors and assembled gradients."""
     parts = _shared_loc_parts(sample, hp)
-    ce = cross_entropy(sample.probs, sample.gt_class, hp.prob_floor)
-    p = max(float(sample.probs[sample.gt_class]), hp.prob_floor)
+    ce = cross_entropy(sample.probs, sample.gt_class)
+    p = max(float(sample.probs[sample.gt_class]), PROB_FLOOR)
 
     if hp.freeze_factors:
+        tc_value = beta_r = beta_c = 0.0
+        beta_e = math.exp(_entropy(sample.probs))
         total = ce + parts.value
         grad_probs = np.zeros_like(sample.probs)
         grad_probs[sample.gt_class] = -1.0 / p
-        return LossBreakdown(
-            ce=ce,
-            smooth_l1=parts.sl1,
-            iou_value=parts.iou_value,
-            hiou=parts.hiou,
-            loc_full=parts.value,
-            tc=0.0,
-            beta_r=0.0,
-            beta_c=0.0,
-            beta_e=math.exp(_entropy(sample.probs, hp.prob_floor)),
-            total=total,
-            grad_probs=grad_probs,
-            grad_d=parts.grad.copy(),
-        )
-
-    loc_beta, loc_beta_grad = _loc_for_beta(parts, hp)
-    beta_r = math.exp(-loc_beta)
-    beta_c = math.exp(-ce)
-    tc_value, beta_e, tc_grad_probs, tc_grad_d = _tc_parts(sample, hp, parts)
-    total = (1.0 + beta_r) * ce + (1.0 + beta_c) * parts.value + tc_value
-
-    grad_probs = tc_grad_probs.copy()
-    # d/dp of (1+beta_r)*CE + (1+beta_c)*loc; beta_c = e^-CE so its chain is
-    # beta_c/p, and the CE clamp kills both terms below the floor.
-    if float(sample.probs[sample.gt_class]) > hp.prob_floor:
-        grad_probs[sample.gt_class] += parts.value * (beta_c / p) - (1.0 + beta_r) / p
-    grad_d = (
-        (1.0 + beta_c) * parts.grad
-        - ce * beta_r * loc_beta_grad
-        + tc_grad_d
-    )
+        grad_d = parts.grad.copy()
+    else:
+        beta_r = math.exp(-parts.value)
+        beta_c = math.exp(-ce)
+        tc_value, beta_e, grad_probs, tc_grad_d = _tc_parts(sample, hp, parts)
+        total = (1.0 + beta_r) * ce + (1.0 + beta_c) * parts.value + tc_value
+        # d/dp of (1+beta_r)*CE + (1+beta_c)*loc; beta_c = e^-CE so its chain is
+        # beta_c/p, and the CE clamp kills both terms below the floor.
+        if float(sample.probs[sample.gt_class]) > PROB_FLOOR:
+            grad_probs[sample.gt_class] += parts.value * (beta_c / p) - (1.0 + beta_r) / p
+        grad_d = (1.0 + beta_c) * parts.grad - ce * beta_r * parts.grad + tc_grad_d
     return LossBreakdown(
         ce=ce,
         smooth_l1=parts.sl1,
@@ -467,16 +420,15 @@ def harmonic_det_loss(sample: PositiveSample, hp: HyperParams) -> LossBreakdown:
 def standard_det_loss(
     positives: Sequence[PositiveSample],
     negatives: Sequence[NegativeSample],
-    prob_floor: float = 1e-12,
 ) -> float:
     """Mean over positives of CE + smooth L1, plus negatives' CE over N."""
     if not positives:
         raise ValueError("standard detection loss needs at least one positive sample")
     total = 0.0
     for s in positives:
-        total += cross_entropy(s.probs, s.gt_class, prob_floor) + smooth_l1(s.d, s.d_hat)
+        total += cross_entropy(s.probs, s.gt_class) + smooth_l1(s.d, s.d_hat)
     for n in negatives:
-        total += cross_entropy(n.probs, n.gt_class, prob_floor)
+        total += cross_entropy(n.probs, n.gt_class)
     return total / len(positives)
 
 
@@ -512,9 +464,9 @@ def batch_objective(
         total += b.total
     neg_grads: list[np.ndarray] = []
     for n in negatives:
-        total += cross_entropy(n.probs, n.gt_class, hp.prob_floor)
+        total += cross_entropy(n.probs, n.gt_class)
         g = np.zeros_like(n.probs)
-        g[n.gt_class] = -1.0 / max(float(n.probs[n.gt_class]), hp.prob_floor)
+        g[n.gt_class] = -1.0 / max(float(n.probs[n.gt_class]), PROB_FLOOR)
         neg_grads.append(g)
     return BatchResult(total / len(positives), breakdowns, neg_grads)
 
@@ -594,7 +546,7 @@ def batch_objective_arrays(
     # the positives' (row, class) entries of the row-major (N, C) arrays
     gt_entry = np.arange(0, n * probs.shape[1], probs.shape[1]) + gt_class
     p_raw = probs.take(gt_entry)
-    p = np.maximum(p_raw, hp.prob_floor)
+    p = np.maximum(p_raw, PROB_FLOOR)
     log_p = elementwise(math.log, p)
     ce = -log_p
     grad_probs = np.zeros(probs.shape)
@@ -603,7 +555,7 @@ def batch_objective_arrays(
     if hp.freeze_factors:
         scale = elementwise(math.exp, size_offsets)
     else:
-        logs = np.log(np.maximum(pp, hp.prob_floor))
+        logs = np.log(np.maximum(pp, PROB_FLOOR))
         entropy = -(pp * logs).sum(axis=1)
         # one libm pass: the decode's (e^tw, e^th), beta_c = e^-CE and the
         # entropy weight beta_e
@@ -634,10 +586,7 @@ def batch_objective_arrays(
         grad_probs.put(gt_entry, -1.0 / p)
         beta_r = beta_c = tc = np.zeros_like(p)
     else:
-        loc_beta, loc_beta_grad = (
-            (sl1, sl1_grad) if hp.harmonic_mode == "smooth_l1" else (loc, loc_grad)
-        )
-        beta_r = elementwise(math.exp, -loc_beta)
+        beta_r = elementwise(math.exp, -loc)
 
         # task-contrastive hinge on |p - IoU|, entropy-weighted
         weight = 1.0 / one_plus[n:]
@@ -651,7 +600,7 @@ def batch_objective_arrays(
         factor_r, factor_c = 1.0 + beta_r, one_plus[:n]
         totals = factor_r * ce + factor_c * loc + tc
         # the CE clamp kills both probability terms below the floor
-        dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - factor_r / p, 0.0)
+        dp = np.where(p_raw > PROB_FLOOR, loc * (beta_c / p) - factor_r / p, 0.0)
         if hp.beta_e_stop_grad:
             grad_probs.put(gt_entry, signed + dp)
         else:
@@ -660,13 +609,11 @@ def batch_objective_arrays(
             coef = np.where(active, raw * (-beta_e / squared), 0.0)
             grad_probs[:n] += coef[:, None] * -(1.0 + logs)
             grad_probs.put(gt_entry, grad_probs.take(gt_entry) + dp)
-        # subtracting s g is adding (-s) g, bit for bit; without the TC path,
-        # subtracting -0.0 adds 0.0, as the scalar form adds its zero term
-        tc_grad_d = signed[:, None] * du_dd if hp.tc_through_iou else -0.0
-        grad_d = factor_c[:, None] * loc_grad - (ce * beta_r)[:, None] * loc_beta_grad
-        np.subtract(grad_d, tc_grad_d, out=grad_offsets[:n])
+        # subtracting s g is adding (-s) g, bit for bit
+        grad_d = factor_c[:, None] * loc_grad - (ce * beta_r)[:, None] * loc_grad
+        np.subtract(grad_d, signed[:, None] * du_dd, out=grad_offsets[:n])
 
-    neg_p = np.maximum(probs[n:, 0], hp.prob_floor)
+    neg_p = np.maximum(probs[n:, 0], PROB_FLOOR)
     np.divide(-1.0, neg_p, out=grad_probs[n:, 0])
     return BatchArrays(
         grad_probs=grad_probs,

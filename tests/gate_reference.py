@@ -36,9 +36,9 @@ from hardet.harness import (
     BATCH_NEGATIVES,
     BATCH_POSITIVES,
     KINK_MARGIN,
+    PROB_DRAW_FLOOR,
     PROB_FD_STEP,
     NumericalError,
-    _draw_floor,
     _grad_err,
 )
 from hardet.losses import (
@@ -51,7 +51,6 @@ from hardet.losses import (
     harmonic_det_loss,
     harmonic_loss,
     harmonic_reg_grad,
-    smooth_l1,
     tc_loss,
 )
 
@@ -99,9 +98,8 @@ def _check_one(
 
     def harmonic_cls_grad_err() -> float:
         loc, _ = full_loc_loss(sample, hp)
-        loc_mode = smooth_l1(sample.d, sample.d_hat) if hp.harmonic_mode == "smooth_l1" else loc
-        fd = _fd_probs(sample, lambda s: harmonic_loss(s, hp, loc_mode)[0])
-        return _draw_err(harmonic_cls_grad(sample, loc_mode), fd[sample.gt_class])
+        fd = _fd_probs(sample, lambda s: harmonic_loss(s, hp, loc)[0])
+        return _draw_err(harmonic_cls_grad(sample, loc), fd[sample.gt_class])
 
     def probs_and_offsets_err(
         value_fn: Callable[[PositiveSample], float], grad_probs: np.ndarray, grad_d: np.ndarray
@@ -170,7 +168,7 @@ def random_positive_sample(
     floor (:func:`check_draw_floor`). Raises :class:`NumericalError` when no
     draw qualifies, as with so many classes that the floor is out of reach.
     """
-    floor = _draw_floor(hp)
+    floor = PROB_DRAW_FLOOR
     for _ in range(10_000):
         cx, cy = rng.uniform(5.0, 11.0, size=2)
         w, h = rng.uniform(2.0, 4.0, size=2)
@@ -310,9 +308,8 @@ def _gate_errors(
         )
 
     def harmonic(b: BatchArrays) -> np.ndarray:
-        """Per sample draw, :func:`harmonic_loss` at the ``hp.harmonic_mode`` loc."""
-        loc = b.sl1 if hp.harmonic_mode == "smooth_l1" else b.loc
-        return ((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * loc)[:n]
+        """Per sample draw, :func:`harmonic_loss`."""
+        return ((1.0 + b.beta_r) * b.ce + (1.0 + b.beta_c) * b.loc)[:n]
 
     def stacked(row_of: Callable[[PositiveSample], np.ndarray]) -> np.ndarray:
         return np.array([row_of(s) for s in samples])
@@ -332,12 +329,7 @@ def _gate_errors(
         return _grad_err(analytic, numeric.reshape(-1, 4, 4))
 
     def harmonic_cls_grad_err() -> np.ndarray:
-        def loc_mode(s: PositiveSample) -> float:
-            if hp.harmonic_mode == "smooth_l1":
-                return smooth_l1(s.d, s.d_hat)
-            return full_loc_loss(s, hp)[0]
-
-        analytic = stacked(lambda s: harmonic_cls_grad(s, loc_mode(s), hp.prob_floor))
+        analytic = stacked(lambda s: harmonic_cls_grad(s, full_loc_loss(s, hp)[0]))
         # the loc does not depend on the probabilities: the probability
         # difference of harmonic_loss is its fixed-loc difference
         return _grad_err(analytic, fd(hp_free, harmonic, "probs")[np.arange(n), gt_class[:n]])

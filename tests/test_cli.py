@@ -57,6 +57,10 @@ class TestConfigHandling:
         assert code == EXIT_VALIDATION
         assert "momentum" in capsys.readouterr().err
 
+    def test_hyperparams_block_keys(self):
+        # freeze_factors is reached through optimizer.loss_mode only
+        assert set(cli._BLOCK_KEYS["hyperparams"]) == {"alpha", "gamma", "margin", "beta_e_stop_grad"}
+
     def test_missing_file(self, tmp_path):
         code = main(["surface", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
@@ -309,7 +313,7 @@ def _typed(expected) -> st.SearchStrategy:
         return st.floats() | st.integers(-3, 3) | _EXTREME
     if expected is bool:
         return st.booleans()
-    return st.sampled_from(["standard", "harmonic", "harmonic_det", "full_loc", "smooth_l1", "x"])
+    return st.sampled_from(["standard", "harmonic", "harmonic_det", "x"])
 
 
 def _entries(junk: bool) -> st.SearchStrategy:
@@ -439,16 +443,11 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
         ({"gradcheck": {"samples": 0}}, "config.gradcheck.samples: must be >= 1, got 0"),
         ({"optimizer": {"steps": 0}}, "config.optimizer: steps must be >= 1, got 0"),
         ({"hyperparams": {"alpha": -1}}, "config.hyperparams: alpha must be >= 0, got -1"),
+        # the gradient gate's draw floor is judged against the scene's class count
         (
-            {"hyperparams": {"prob_floor": 0.3}},
-            "config.hyperparams.prob_floor: 0.3 puts the gradient gate's draw floor at 0.6, "
-            "which 5 class probabilities summing to 1 cannot all reach",
-        ),
-        # the draw floor is judged against the scene's class count
-        (
-            {"scene": {"num_classes": 10}, "hyperparams": {"prob_floor": 0.06}},
-            "config.hyperparams.prob_floor: 0.06 puts the gradient gate's draw floor at 0.12, "
-            "which 10 class probabilities summing to 1 cannot all reach",
+            {"scene": {"num_classes": 1000}},
+            "config.scene.num_classes: 1000 class probabilities summing to 1 cannot all reach "
+            "the gradient gate's draw floor 0.001",
         ),
         # gradients past the float range, not a p bound: 1e-308 overflows in
         # harmonic mode only
@@ -460,10 +459,15 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
             {"surface": {"p_min": 1e-308}},
             "config.surface: the harmonic gradient at p=1e-308 overflows the float range",
         ),
+        # loss settings that are constants of the loss family
+        ({"hyperparams": {"prob_floor": 0.05}}, "config.hyperparams.prob_floor: unknown key"),
+        ({"hyperparams": {"harmonic_mode": "smooth_l1"}}, "config.hyperparams.harmonic_mode: unknown key"),
+        ({"hyperparams": {"tc_through_iou": False}}, "config.hyperparams.tc_through_iou: unknown key"),
         (
             {"hyperparams": {"gamma": 2600, "allow_gamma_above_one": True}},
-            "config.hyperparams: gamma must be < 1024, where (1 + IoU)^gamma overflows, got 2600",
+            "config.hyperparams.allow_gamma_above_one: unknown key",
         ),
+        ({"hyperparams": {"gamma": 1.5}}, "config.hyperparams: gamma=1.5 breaks HIoU monotonicity; it must be <= 1"),
         # the class count is the scene's
         ({"hyperparams": {"num_classes": 3}}, "config.hyperparams.num_classes: unknown key"),
         # box areas, and the unions IoU divides by, that overflow or underflow
@@ -612,13 +616,6 @@ class TestGradcheckCommand:
             ("harmonic_det_loss", "0x1.6f1b280000000p-31", 15),
             ("batch_objective", "0x1.73f17c428fe67p-33", 0),
         ]
-
-    def test_raised_probability_floor_passes_the_gate(self, tmp_path):
-        hp = {"hyperparams": {"prob_floor": 0.05}}
-        cfg = write_config(tmp_path, {**hp, "gradcheck": {"samples": 200}})
-        assert main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "gc")]) == EXIT_OK
-        cfg = write_config(tmp_path, {**FAST_TRAIN, **hp}, name="train.json")
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == EXIT_OK
 
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -818,19 +819,19 @@ class TestTrainReference:
         assert (got.step, got.row, str(got)) == (want.step, want.row, str(want))
 
     @pytest.mark.parametrize(
-        "check, learning_rate, alpha",
+        "check, learning_rate, alpha, margin",
         [
-            ("non-finite probabilities", math.inf, 1.5),
-            ("size offsets past the decode log cap 16", 1e3, 1.5),
-            # no IoU term and size offsets on target: only the centre offsets
-            # run away, and the positives' summed loss overflows at an
-            # unlogged step
-            ("non-finite objective (inf)", 1e308, 0.0),
+            ("non-finite probabilities", math.inf, 1.5, 0.2),
+            ("size offsets past the decode log cap 16", 1e3, 1.5, 0.2),
+            # no IoU term, a TC hinge that stays off, and size offsets on
+            # target: only the centre offsets run away, and the positives'
+            # summed loss overflows at an unlogged step
+            ("non-finite objective (inf)", 1e308, 0.0, 0.9),
         ],
     )
-    def test_divergence_fires_at_the_reference_step(self, check, learning_rate, alpha):
+    def test_divergence_fires_at_the_reference_step(self, check, learning_rate, alpha, margin):
         ss, _, _ = cli_setup("train", {})
-        hp = HyperParams(alpha=alpha, tc_through_iou=False)
+        hp = HyperParams(alpha=alpha, margin=margin)
         m = ss.matching
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         model.offsets[m.pos_flat, 2:] = m.d_hat[:, 2:]
@@ -1057,22 +1058,19 @@ class TestFiniteDiff:
 
 
 # the gate's hyperparameter variants: both loss modes (standard trains on
-# compat_standard), both harmonic modes, TC off the IoU, the differentiable
-# entropy weight, a raised loss floor, and three classes
+# compat_standard), the differentiable entropy weight, and three classes
 GATE_CASES = {
     "default": (HyperParams(), 5),
     "compat_standard": (HyperParams().compat_standard(), 5),
-    "harmonic_mode_smooth_l1": (HyperParams(harmonic_mode="smooth_l1"), 5),
-    "tc_not_through_iou": (HyperParams(tc_through_iou=False), 5),
     "beta_e_not_stopped": (HyperParams(beta_e_stop_grad=False), 5),
-    "prob_floor_0.05": (HyperParams(prob_floor=0.05), 5),
     "three_classes": (HyperParams(), 3),
 }
 
 
 class TestGradCheck:
     def test_non_finite_loss_names_the_operation(self):
-        hp = HyperParams(alpha=float("inf"))
+        # the largest finite alpha
+        hp = HyperParams(alpha=sys.float_info.max)
         with pytest.raises(NumericalError, match="gradcheck harmonic_cls_grad: loss not finite"):
             run_gradcheck(hp, 5, num_samples=2, batch_draws=1)
 
@@ -1153,44 +1151,27 @@ class TestGradCheck:
         ]
         assert max(noise) <= 0.5
 
-    def test_draws_stay_above_a_raised_minimum(self):
-        rng = np.random.default_rng(0)
-        # twice the loss's floor
-        hp = HyperParams(prob_floor=0.05)
-        for _ in range(100):
-            assert random_positive_sample(rng, hp, 5).probs.min() >= 0.1
-
-    # below the loss's own prob_floor the loss is flat in p but its gradient
-    # is not, so the gate draws at or above twice that floor
-    @pytest.mark.parametrize("prob_floor", [0.01, 0.05])
-    def test_sweep_passes_at_a_raised_loss_floor(self, prob_floor):
-        hp = HyperParams(prob_floor=prob_floor)
-        for gate_hp in (hp, hp.compat_standard()):
-            report = run_gradcheck(gate_hp, 5, num_samples=200, seed=0)
-            assert report.passed, report.entries
-
-    def test_unreachable_loss_floor_cannot_draw(self):
-        # five probabilities of at least 0.18 each: a rare draw, and 200 of
-        # them do not all come within the rejection sampler's tries
-        hp = HyperParams(prob_floor=0.09)
+    def test_unreachable_draw_floor_cannot_draw(self):
+        # 200 probabilities of at least 1e-3 each: a rare draw, and one does
+        # not come within the rejection sampler's tries
         with pytest.raises(NumericalError, match="gradcheck could not draw"):
-            run_gradcheck(hp, 5, num_samples=200, batch_draws=1)
+            run_gradcheck(HyperParams(), 200, num_samples=1, batch_draws=1)
 
-    @pytest.mark.parametrize("prob_floor", [0.1, 0.3])
-    def test_draw_floor_out_of_reach_is_rejected_before_drawing(self, prob_floor):
-        # five probabilities of at least 2 x prob_floor cannot sum to 1
-        hp = HyperParams(prob_floor=prob_floor)
-        with pytest.raises(ValueError, match=rf"{prob_floor:g} puts the gradient gate's draw floor at"):
-            harness.check_draw_floor(hp, 5)
-        with pytest.raises(ValueError, match="5 class probabilities summing to 1 cannot all reach"):
-            run_gradcheck(hp, 5, num_samples=1)
+    @pytest.mark.parametrize("num_classes", [1000, 5000])
+    def test_draw_floor_out_of_reach_is_rejected_before_drawing(self, num_classes):
+        # num_classes probabilities of at least 1e-3 cannot sum to 1
+        message = f"^{num_classes} class probabilities summing to 1 cannot all reach the gradient gate's draw floor 0.001$"
+        with pytest.raises(ValueError, match=message):
+            harness.check_draw_floor(num_classes)
+        with pytest.raises(ValueError, match=message):
+            run_gradcheck(HyperParams(), num_classes, num_samples=1)
         # a floor within reach, however rarely drawn, is left to the sampler
-        harness.check_draw_floor(replace(hp, prob_floor=0.09), 5)
+        harness.check_draw_floor(999)
 
     def test_exhausted_draws_name_the_draw_floor_and_class_count(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(NumericalError, match=r"num_classes 5 probabilities at or above the draw floor 0\.25$"):
-            random_positive_sample(rng, HyperParams(prob_floor=0.125), 5)
+        with pytest.raises(NumericalError, match=r"num_classes 200 probabilities at or above the draw floor 0\.001$"):
+            random_positive_sample(rng, HyperParams(), 200)
 
     # seeds where draws with class probabilities near 1e-5 made the 5e-7
     # probability FD step too coarse for the 1e-5 tolerance
@@ -1247,7 +1228,7 @@ class TestGradCheck:
         assert len(calls) == (2 if num_samples == 20 else 7)
 
     @pytest.mark.parametrize(
-        "hp", [HyperParams(), HyperParams().compat_standard(), HyperParams(harmonic_mode="smooth_l1")]
+        "hp", [HyperParams(), HyperParams().compat_standard(), HyperParams(beta_e_stop_grad=False)]
     )
     def test_one_localization_pass_per_draw(self, monkeypatch, hp):
         real = losses._loc_parts
@@ -1386,12 +1367,12 @@ class TestGradCheck:
         assert draws[harness] == draws[gate_reference]
 
     def test_exhausted_draws_match_the_reference(self):
-        hp = HyperParams(prob_floor=0.125)
+        hp = HyperParams()
         raised = []
         for sampler in (random_positive_sample, gate_reference.random_positive_sample):
             rng = np.random.default_rng(0)
             with pytest.raises(NumericalError) as exc:
-                sampler(rng, hp, 5)
+                sampler(rng, hp, 200)
             raised.append((str(exc.value), rng.bit_generator.state))
         assert raised[0] == raised[1]
 
@@ -1497,13 +1478,14 @@ class TestRefinementExperiment:
     def test_divergence_names_the_run_and_the_model_row(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=2))
         m = ss.matching
-        opt = OptimizerConfig(learning_rate=0.05, steps=20, gradcheck_samples=0)
-        hp = HyperParams(gamma=20.0, allow_gamma_above_one=True)
+        opt = OptimizerConfig(learning_rate=44.0, steps=20, gradcheck_samples=0)
+        # a negative focusing exponent takes its largest steps at low IoU
+        hp = HyperParams(gamma=-20.0)
         # only the weighted run leaves the cap; the plain run alone completes
         harness._train_offsets_only(m, {"plain": 0.0}, opt)
         with pytest.raises(DivergenceError) as alone:
             harness._train_offsets_only(m, {"weighted": hp.gamma}, opt)
-        with pytest.raises(DivergenceError, match=r"size offsets of the weighted run \(gamma 20\) past the decode log cap 16 \(model row \d+\)$") as exc:
+        with pytest.raises(DivergenceError, match=r"size offsets of the weighted run \(gamma -20\) past the decode log cap 16 \(model row \d+\)$") as exc:
             refinement_experiment(ss, opt, hp)
         assert (exc.value.step, exc.value.row) == (alone.value.step, alone.value.row)
         assert exc.value.row in m.pos_flat

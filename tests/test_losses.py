@@ -132,21 +132,9 @@ class TestHyperParams:
         assert (hp.alpha, hp.gamma, hp.margin) == (1.5, 0.8, 0.2)
 
     def test_gamma_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            HyperParams(gamma=1.5)
-
-    def test_gamma_override_flag(self):
-        hp = HyperParams(gamma=1.5, allow_gamma_above_one=True)
-        assert hp.gamma == 1.5
-
-    def test_gamma_past_the_float_range_rejected(self):
-        # the largest gamma whose HIoU weight stays finite at IoU 1
-        gamma = math.nextafter(1024.0, 0.0)
-        HyperParams(gamma=gamma, allow_gamma_above_one=True)
-        assert math.isfinite(hiou_loss(0.999, gamma))
-        for bad in (1024.0, 2600.0, math.nan):
-            with pytest.raises(ValueError, match="gamma must be < 1024"):
-                HyperParams(gamma=bad, allow_gamma_above_one=True)
+        with pytest.raises(ValueError, match="breaks HIoU monotonicity"):
+            HyperParams(gamma=math.nextafter(1.0, 2.0))
+        assert HyperParams(gamma=1.0).gamma == 1.0
 
     def test_margin_range(self):
         with pytest.raises(ValueError):
@@ -156,8 +144,10 @@ class TestHyperParams:
         "field, value, message",
         [
             ("alpha", math.nan, "alpha must be >= 0"),
-            ("prob_floor", math.nan, "prob_floor must be positive and finite"),
-            ("prob_floor", math.inf, "prob_floor must be positive and finite"),
+            ("alpha", math.inf, "alpha must be finite, got inf"),
+            ("gamma", math.nan, "gamma must be finite, got nan"),
+            ("gamma", -math.inf, "gamma must be finite, got -inf"),
+            ("gamma", math.inf, "gamma=inf breaks HIoU monotonicity"),
         ],
     )
     def test_nan_and_inf_rejected(self, field, value, message):
@@ -293,7 +283,7 @@ class TestSharedLocParts:
     def test_cached_arrays_cannot_be_written(self):
         s = make_sample([0.2] * 5, d=[0.1, -0.2, 0.05, 0.1])
         parts = losses._shared_loc_parts(s, HP)
-        arrays = [parts.sl1_grad, parts.iou_grad_d, parts.grad, full_loc_loss(s, HP)[1]]
+        arrays = [parts.iou_grad_d, parts.grad, full_loc_loss(s, HP)[1]]
         assert arrays[-1] is parts.grad
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -309,7 +299,7 @@ class TestSharedLocParts:
         monkeypatch.setattr(losses, "_loc_parts", lambda *a: calls.append(a[1]) or real(*a))
         s = make_sample([0.2] * 5, d=[0.1, -0.2, 0.05, 0.1])
         # the hyperparameters _loc_parts does not read share its pass
-        for hp in (HP, replace(HP, harmonic_mode="smooth_l1", tc_through_iou=False), replace(HP, margin=0.5)):
+        for hp in (HP, replace(HP, beta_e_stop_grad=False), replace(HP, margin=0.5)):
             full_loc_loss(s, hp)
             tc_loss(s, hp)
             harmonic_det_loss(s, hp)
@@ -407,13 +397,14 @@ class TestHarmonicClsGrad:
 
 
 class TestHarmonicRegGrad:
-    def test_zero_at_target_in_smooth_l1_mode(self):
-        hp = replace(HP, harmonic_mode="smooth_l1")
+    def test_zero_at_target_without_hiou(self):
+        # at alpha 0 the localization loss is smooth L1 alone
+        hp = replace(HP, alpha=0.0)
         s = make_sample([0.2] * 5)  # d == d_hat
         np.testing.assert_allclose(harmonic_reg_grad(s, hp), np.zeros(4), atol=1e-15)
 
     def test_prefactor_hand_value(self):
-        hp = replace(HP, harmonic_mode="smooth_l1")
+        hp = replace(HP, alpha=0.0)
         anchor = Box(0, 0, 2, 2)
         gt = Box(0.5, 0.5, 2.5, 2.5)
         d_hat = encode(gt, anchor)
@@ -427,14 +418,12 @@ class TestHarmonicRegGrad:
         prefactor = 1.483665710949874
         np.testing.assert_allclose(grad, prefactor * np.array([1.0, 0, 0, 0]), atol=1e-9)
 
-    def test_matches_fd_in_both_modes(self):
+    def test_matches_fd(self):
         rng = np.random.default_rng(21)
-        for mode in ("full_loc", "smooth_l1"):
-            hp = replace(HP, harmonic_mode=mode)
-            for _ in range(100):
-                s = random_positive_sample(rng, hp, 5)
-                fd = _fd_offsets(s, lambda x: harmonic_loss(x, hp)[0])
-                np.testing.assert_allclose(harmonic_reg_grad(s, hp), fd, atol=1e-5, rtol=1e-5)
+        for _ in range(100):
+            s = random_positive_sample(rng, HP, 5)
+            fd = _fd_offsets(s, lambda x: harmonic_loss(x, HP)[0])
+            np.testing.assert_allclose(harmonic_reg_grad(s, HP), fd, atol=1e-5, rtol=1e-5)
 
 
 class TestTcLoss:
@@ -494,12 +483,6 @@ class TestTcLoss:
             mask = np.ones(5, dtype=bool)
             mask[s.gt_class] = False
             np.testing.assert_array_equal(gp_stop[mask], np.zeros(4))
-
-    def test_tc_through_iou_flag(self):
-        hp_no = replace(HP, tc_through_iou=False)
-        s = shifted_iou_sample([0.0, 1.0, 0.0, 0.0, 0.0], 1, 0.5)
-        _, _, _, grad_d = tc_loss(s, hp_no)
-        np.testing.assert_array_equal(grad_d, np.zeros(4))
 
 
 class TestHarmonicDetLoss:
@@ -657,13 +640,11 @@ def check_against_reference(positives, negatives, hp):
 
 
 def random_batch(rng, hp, max_pos=8, max_neg=8):
-    # drawn clear of hp's TC margin, but at the default draw floor, so that a
-    # raised prob_floor still meets probabilities below it
-    draw_hp = replace(hp, prob_floor=HP.prob_floor)
-    positives = [random_positive_sample(rng, draw_hp, 5) for _ in range(int(rng.integers(1, max_pos)))]
+    # drawn clear of hp's TC margin
+    positives = [random_positive_sample(rng, hp, 5) for _ in range(int(rng.integers(1, max_pos)))]
     # plus samples on the smooth-L1 and TC kinks the oracle's sampler avoids
     for _ in range(3):
-        s = random_positive_sample(rng, draw_hp, 5)
+        s = random_positive_sample(rng, hp, 5)
         positives.append(s.with_d(Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
     negatives = [random_negative(rng, 5) for _ in range(int(rng.integers(0, max_neg)))]
     return positives, negatives
@@ -705,12 +686,9 @@ KINK_CASES = {
     "default": HP,
     "compat_standard": HP.compat_standard(),
     "freeze_factors_with_alpha": replace(HP, freeze_factors=True),
-    "harmonic_mode_smooth_l1": replace(HP, harmonic_mode="smooth_l1"),
     "entropy_weight_differentiated": replace(HP, beta_e_stop_grad=False),
-    "tc_not_through_iou": replace(HP, tc_through_iou=False),
     "tc_hinge_always_on": replace(HP, margin=0.0, beta_e_stop_grad=False),
     "tc_hinge_always_off": replace(HP, margin=0.99),
-    "high_prob_floor": replace(HP, prob_floor=0.3, beta_e_stop_grad=False),
 }
 
 
@@ -728,10 +706,23 @@ class TestBatchObjectiveArrays:
     def test_probability_floor_clamp(self, case):
         hp = KINK_CASES[case]
         rng = np.random.default_rng(90)
-        zero_gt = make_sample([0.5, 0.0, 0.5, 0.0, 0.0], gt_class=1, d=[0.1, -0.2, 0.05, 0.1])
-        certain = make_sample([0.0, 1.0, 0.0, 0.0, 0.0], gt_class=1)
-        zero_bg = NegativeSample(probs=np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
-        check_against_reference([zero_gt, certain], [zero_bg, random_negative(rng, 5)], hp)
+        # p_gt, the other entries and the background at 0.0 and at 1e-300,
+        # both below PROB_FLOOR: the CE and entropy logs, the dp mask and the
+        # negatives' floor all clamp
+        d = [0.1, -0.2, 0.05, 0.1]
+        positives = [
+            make_sample([0.5, 0.0, 0.5, 0.0, 0.0], gt_class=1, d=d),
+            make_sample([0.0, 1.0, 0.0, 0.0, 0.0], gt_class=1),
+            make_sample([0.5, 1e-300, 0.5, 1e-300, 0.0], gt_class=1, d=d),
+            make_sample([1e-300, 1.0, 1e-300, 0.0, 0.0], gt_class=1),
+        ]
+        negatives = [
+            NegativeSample(probs=np.array([0.0, 0.25, 0.25, 0.25, 0.25])),
+            NegativeSample(probs=np.array([1e-300, 0.25, 0.25, 0.25, 0.25])),
+            random_negative(rng, 5),
+        ]
+        check_against_reference(positives, negatives, hp)
+        assert_equals_the_reference_kernel(positives, negatives, hp)
 
     def test_hinge_cases_are_exercised(self):
         rng = np.random.default_rng(91)
@@ -762,7 +753,7 @@ class TestBatchObjectiveArrays:
             got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
             assert_close(got.pos_loss, [harmonic_det_loss(s, hp).total for s in positives])
             assert_close(
-                got.neg_loss, [cross_entropy(n.probs, 0, hp.prob_floor) for n in negatives]
+                got.neg_loss, [cross_entropy(n.probs, 0) for n in negatives]
             )
             # the in-order sum over the positive count is the objective, bit for bit
             total = 0.0
@@ -784,8 +775,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(110 + sorted(KINK_CASES).index(case))
         positives, negatives = random_batch(rng, hp)
         got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
-        ce = [cross_entropy(s.probs, s.gt_class, hp.prob_floor) for s in positives]
-        assert got.ce.tolist() == ce
+        assert got.ce.tolist() == [cross_entropy(s.probs, s.gt_class) for s in positives]
         assert got.sl1.tolist() == [smooth_l1(s.d, s.d_hat) for s in positives]
         assert got.loc.tolist() == [full_loc_loss(s, hp)[0] for s in positives]
         if hp.freeze_factors:
@@ -793,8 +783,7 @@ class TestBatchObjectiveArrays:
         else:
             assert got.tc.tolist() == [tc_loss(s, hp)[0] for s in positives]
             # harmonic_loss's value from the columns, as the gradient gate forms it
-            loc = got.sl1 if hp.harmonic_mode == "smooth_l1" else got.loc
-            harmonic = (1.0 + got.beta_r) * got.ce + (1.0 + got.beta_c) * loc
+            harmonic = (1.0 + got.beta_r) * got.ce + (1.0 + got.beta_c) * got.loc
             assert harmonic.tolist() == [harmonic_loss(s, hp)[0] for s in positives]
 
     @pytest.mark.parametrize("case", sorted(KINK_CASES))

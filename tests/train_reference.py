@@ -27,7 +27,7 @@ from hardet.harness import (
     TrainRecord,
     _check_decode_cap,
 )
-from hardet.losses import HyperParams, hiou_slope_arrays
+from hardet.losses import PROB_FLOOR, HyperParams, hiou_slope_arrays
 
 
 def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def batch_objective_arrays(
     pp = probs[pos_idx]
     d = offsets[pos_idx]
     p_raw = probs[pos_idx, gt_class]
-    p = np.maximum(p_raw, hp.prob_floor)
+    p = np.maximum(p_raw, PROB_FLOOR)
     ce = -elementwise(math.log, p)
     grad_probs = np.zeros(probs.shape)
     grad_offsets = np.zeros(offsets.shape)
@@ -98,13 +98,10 @@ def batch_objective_arrays(
         grad_offsets[pos_idx] = loc_grad
         beta_r = beta_c = tc = np.zeros_like(p)
     else:
-        loc_beta, loc_beta_grad = (
-            (sl1, sl1_grad) if hp.harmonic_mode == "smooth_l1" else (loc, loc_grad)
-        )
-        beta_r = elementwise(math.exp, -loc_beta)
+        beta_r = elementwise(math.exp, -loc)
         beta_c = elementwise(math.exp, -ce)
 
-        logs = np.log(np.maximum(pp, hp.prob_floor))
+        logs = np.log(np.maximum(pp, PROB_FLOOR))
         beta_e = elementwise(math.exp, -(pp * logs).sum(axis=1))
         weight = 1.0 / (1.0 + beta_e)
         diff = p - u
@@ -117,18 +114,18 @@ def batch_objective_arrays(
             squared = elementwise(lambda v: v**2, 1.0 + beta_e)
             coef = np.where(active, raw * (-beta_e / squared), 0.0)
             grad_probs[pos_idx] += coef[:, None] * -(1.0 + logs)
-        tc_grad_d = (-signed)[:, None] * du_dd if hp.tc_through_iou else 0.0
+        tc_grad_d = (-signed)[:, None] * du_dd
 
         totals = (1.0 + beta_r) * ce + (1.0 + beta_c) * loc + tc
-        dp = np.where(p_raw > hp.prob_floor, loc * (beta_c / p) - (1.0 + beta_r) / p, 0.0)
+        dp = np.where(p_raw > PROB_FLOOR, loc * (beta_c / p) - (1.0 + beta_r) / p, 0.0)
         grad_probs[pos_idx, gt_class] += dp
         grad_offsets[pos_idx] = (
             (1.0 + beta_c)[:, None] * loc_grad
-            - (ce * beta_r)[:, None] * loc_beta_grad
+            - (ce * beta_r)[:, None] * loc_grad
             + tc_grad_d
         )
 
-    neg_p = np.maximum(probs[neg_idx, 0], hp.prob_floor)
+    neg_p = np.maximum(probs[neg_idx, 0], PROB_FLOOR)
     grad_probs[neg_idx, 0] = -1.0 / neg_p
     neg_loss = -elementwise(math.log, neg_p)
     total = float(np.concatenate([totals, neg_loss]).cumsum()[-1])
