@@ -1058,11 +1058,15 @@ class TestFiniteDiff:
 
 
 # the gate's hyperparameter variants: both loss modes (standard trains on
-# compat_standard), the differentiable entropy weight, and three classes
+# compat_standard), the differentiable entropy weight, harmonic factors from
+# smooth L1 alone, the HIoU exponent at its bound and at 0, and three classes
 GATE_CASES = {
     "default": (HyperParams(), 5),
     "compat_standard": (HyperParams().compat_standard(), 5),
     "beta_e_not_stopped": (HyperParams(beta_e_stop_grad=False), 5),
+    "hiou_off": (HyperParams(alpha=0.0), 5),
+    "gamma_at_one": (HyperParams(gamma=1.0), 5),
+    "gamma_zero": (HyperParams(gamma=0.0), 5),
     "three_classes": (HyperParams(), 3),
 }
 

@@ -148,6 +148,8 @@ class TestHyperParams:
             ("gamma", math.nan, "gamma must be finite, got nan"),
             ("gamma", -math.inf, "gamma must be finite, got -inf"),
             ("gamma", math.inf, "gamma=inf breaks HIoU monotonicity"),
+            ("margin", math.nan, r"margin must lie in \[0, 1\), got nan"),
+            ("margin", math.inf, r"margin must lie in \[0, 1\), got inf"),
         ],
     )
     def test_nan_and_inf_rejected(self, field, value, message):
@@ -689,6 +691,12 @@ KINK_CASES = {
     "entropy_weight_differentiated": replace(HP, beta_e_stop_grad=False),
     "tc_hinge_always_on": replace(HP, margin=0.0, beta_e_stop_grad=False),
     "tc_hinge_always_off": replace(HP, margin=0.99),
+    # no HIoU term: the harmonic factors come from smooth L1 alone
+    "hiou_off": replace(HP, alpha=0.0),
+    # the HIoU focusing exponent at its monotonicity bound, and at 0, where
+    # the HIoU weight is 1 at every IoU
+    "gamma_at_one": replace(HP, gamma=1.0),
+    "gamma_zero": replace(HP, gamma=0.0),
 }
 
 
