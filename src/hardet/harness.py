@@ -22,9 +22,12 @@ from .geom import (
     Box,
     Offsets,
     corners,
+    decode,
     decode_arrays,
     decode_jacobian,
+    encode,
     encode_arrays,
+    iou,
     iou_arrays,
     iou_grad,
     iou_matrix,
@@ -44,7 +47,6 @@ from .losses import (
 )
 from .metrics import DetectionArrays, GroundTruthArrays, aic
 
-BACKGROUND_CLASS = 0
 # largest scene set generate_scenes builds, 100x the desk-scale 10^4-anchor target
 MAX_SCENE_ANCHORS = 1_000_000
 # largest anchors x objects IoU matrix matching builds at once, over one block
@@ -649,17 +651,14 @@ def _grad_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.max(np.abs(analytic - numeric) / denom, axis=1)
 
 
-def _kink_free_overlap(a: Sequence[float], b: Sequence[float]) -> float | None:
-    """The overlap area of boxes ``a`` and ``b``, given as plain-float corner
-    tuples, or None when a corner of one lies within ``KINK_MARGIN`` of the
-    other's or their overlap is narrower or lower than ``KINK_MARGIN``."""
-    if any(abs(p - q) < KINK_MARGIN for p, q in zip(a, b)):
-        return None
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw < KINK_MARGIN or ih < KINK_MARGIN:
-        return None
-    return iw * ih
+def _kink_free_overlap(a: Box, b: Box) -> bool:
+    """Whether boxes ``a`` and ``b`` overlap at least ``KINK_MARGIN`` wide and
+    high, with no corner of one within ``KINK_MARGIN`` of the other's."""
+    if min(abs(a.x1 - b.x1), abs(a.y1 - b.y1), abs(a.x2 - b.x2), abs(a.y2 - b.y2)) < KINK_MARGIN:
+        return False
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    return iw >= KINK_MARGIN and ih >= KINK_MARGIN
 
 
 def random_positive_sample(
@@ -677,33 +676,20 @@ def random_positive_sample(
     """
     concentration = np.ones(num_classes)
     for _ in range(10_000):
-        # Box, encode, decode and iou, operation for operation on plain
-        # floats: only an accepted try builds its boxes
         cx, cy = rng.uniform(5.0, 11.0, size=2).tolist()
         w, h = rng.uniform(2.0, 4.0, size=2).tolist()
-        anchor = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        anchor = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         gx = cx + rng.uniform(-0.3, 0.3) * w
         gy = cy + rng.uniform(-0.3, 0.3) * h
         gw = w * math.exp(rng.uniform(-0.3, 0.3))
         gh = h * math.exp(rng.uniform(-0.3, 0.3))
-        gt = (gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
-        aw, ah = anchor[2] - anchor[0], anchor[3] - anchor[1]
-        acx, acy = 0.5 * (anchor[0] + anchor[2]), 0.5 * (anchor[1] + anchor[3])
-        d_hat = (
-            (0.5 * (gt[0] + gt[2]) - acx) / aw,
-            (0.5 * (gt[1] + gt[3]) - acy) / ah,
-            math.log((gt[2] - gt[0]) / aw),
-            math.log((gt[3] - gt[1]) / ah),
-        )
-        d = [t + e for t, e in zip(d_hat, rng.uniform(-0.5, 0.5, size=4).tolist())]
-        dcx, dcy = d[0] * aw + acx, d[1] * ah + acy
-        dw, dh = aw * math.exp(d[2]), ah * math.exp(d[3])
-        decoded = (dcx - 0.5 * dw, dcy - 0.5 * dh, dcx + 0.5 * dw, dcy + 0.5 * dh)
-        inter = _kink_free_overlap(decoded, gt)
-        if inter is None:
+        gt = Box(gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
+        d_hat = encode(gt, anchor)
+        d = Offsets.from_array(d_hat.as_array() + rng.uniform(-0.5, 0.5, size=4))
+        decoded = decode(d, anchor)
+        if not _kink_free_overlap(decoded, gt):
             continue
-        area = (decoded[2] - decoded[0]) * (decoded[3] - decoded[1])
-        u = inter / (area + (gt[2] - gt[0]) * (gt[3] - gt[1]) - inter)
+        u = iou(decoded, gt)
         probs = rng.dirichlet(concentration)
         gt_class = int(rng.integers(1, num_classes))
         p = float(probs[gt_class])
@@ -711,7 +697,7 @@ def random_positive_sample(
             continue
         if abs(p - u) < KINK_MARGIN or abs(abs(p - u) - hp.margin) < KINK_MARGIN:
             continue
-        return PositiveSample(probs, gt_class, Offsets(*d), Box(*anchor), Box(*gt))
+        return PositiveSample(probs, gt_class, d, anchor, gt)
     raise NumericalError(
         "gradcheck could not draw a kink-free sample in 10000 tries with every one of "
         f"num_classes {num_classes} probabilities at or above the draw floor {PROB_DRAW_FLOOR:g}"
@@ -721,17 +707,16 @@ def random_positive_sample(
 def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
     """Overlapping box pair with no coincident or touching edges."""
     while True:
-        # built as Boxes once accepted, as random_positive_sample does
         cx, cy = rng.uniform(4.0, 12.0, size=2).tolist()
         w, h = rng.uniform(2.0, 5.0, size=2).tolist()
-        a = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        a = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         bx = cx + rng.uniform(-0.6, 0.6) * w
         by = cy + rng.uniform(-0.6, 0.6) * h
         bw = w * math.exp(rng.uniform(-0.4, 0.4))
         bh = h * math.exp(rng.uniform(-0.4, 0.4))
-        b = (bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
-        if _kink_free_overlap(a, b) is not None:
-            return Box(*a), Box(*b)
+        b = Box(bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
+        if _kink_free_overlap(a, b):
+            return a, b
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Detection loss family: standard, harmonic, task-contrastive, IoU and HIoU.
 
-Every operation works on one sample at a time and returns plain floats and
+Every operation works on one sample at a time and returns Python floats and
 small numpy vectors, so each analytic gradient can be checked against finite
 differences without an autodiff framework. These per-sample functions are the
 reference; :func:`batch_objective_arrays` is the same batch objective over

@@ -29,7 +29,6 @@ from hardet.geom import (
 )
 from hardet.losses import HyperParams, NegativeSample, PositiveSample, batch_objective, hiou_slope
 from hardet.harness import (
-    BACKGROUND_CLASS,
     MAX_MATCH_PAIRS,
     MAX_SCENE_ANCHORS,
     PROB_DRAW_FLOOR,
@@ -928,7 +927,7 @@ def scalar_step(ss, model, opt, hp):
             )
             pos_rows.append(base + i)
         for i in m.neg_anchor:
-            negatives.append(NegativeSample(probs=probs[base + i], gt_class=BACKGROUND_CLASS))
+            negatives.append(NegativeSample(probs=probs[base + i]))
             neg_rows.append(base + i)
     batch = batch_objective(positives, negatives, hp_eff)
     grad_logits = np.zeros_like(model.logits)
@@ -1298,8 +1297,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("seed", [0, 7, 14, 32])
     @pytest.mark.parametrize("case", sorted(GATE_CASES))
     def test_gate_equals_the_per_copy_reference_bit_for_bit(self, case, seed):
-        # the gate before its stepped copies shared one kernel call, and its
-        # samplers before they stopped building a Box per try
+        # the gate before its stepped copies shared one kernel call
         hp, num_classes = GATE_CASES[case]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws, ref_draws = [], []
@@ -1369,6 +1367,31 @@ class TestGradCheck:
             ]
             draws[module] = as_bytes, rng.bit_generator.state
         assert draws[harness] == draws[gate_reference]
+
+    @pytest.mark.parametrize(
+        "b, accepted",
+        [
+            (Box(1.0, 1.0, 5.0, 5.0), True),
+            # a corner coordinate within KINK_MARGIN of a's
+            (Box(0.0005, 1.0, 5.0, 5.0), False),
+            (Box(1.0, -0.0005, 5.0, 5.0), False),
+            (Box(1.0, 1.0, 3.9995, 5.0), False),
+            (Box(1.0, 1.0, 5.0, 4.0005), False),
+            # touching edges, and no overlap at all
+            (Box(4.0, 1.0, 6.0, 5.0), False),
+            (Box(1.0, 4.0, 5.0, 6.0), False),
+            (Box(5.0, 1.0, 7.0, 5.0), False),
+            # an overlap narrower, or lower, than KINK_MARGIN
+            (Box(3.9995, 1.0, 6.0, 5.0), False),
+            (Box(1.0, 3.9995, 5.0, 6.0), False),
+        ],
+    )
+    def test_kink_predicate_hand_cases(self, b, accepted):
+        # no drawn seed fires the touching-edge branch, so only these cases
+        # hold each branch of the samplers' shared kink test
+        a = Box(0.0, 0.0, 4.0, 4.0)
+        assert harness._kink_free_overlap(a, b) is accepted
+        assert harness._kink_free_overlap(b, a) is accepted
 
     def test_exhausted_draws_match_the_reference(self):
         hp = HyperParams()
