@@ -99,14 +99,13 @@ class GradientCheckError(NumericalError):
         super().__init__(
             "gradcheck failed for "
             + "; ".join(
-                f"{e.op}: max error {e.max_err:.3e} > tolerance {e.tolerance:.3e} "
+                f"{e.op}: max error {e.max_err:.3e} > tolerance {GRADCHECK_TOLERANCE:.3e} "
                 f"at draw {e.worst_draw}"
                 for e in failed
             )
         )
         self.op = worst.op
         self.max_err = worst.max_err
-        self.tolerance = worst.tolerance
 
 
 @dataclass(frozen=True)
@@ -385,7 +384,6 @@ class OptimizerConfig:
     log_every: int = 25
     loss_mode: str = "harmonic_det"
     gradcheck_samples: int = 20
-    gradcheck_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
         if not self.learning_rate >= 0.0:  # written so that NaN fails it too
@@ -398,9 +396,6 @@ class OptimizerConfig:
             raise ValueError(f"unknown loss_mode: {self.loss_mode!r}")
         if self.gradcheck_samples < 0:
             raise ValueError("gradcheck_samples must be >= 0")
-        # every error exceeds a negative tolerance: that is a bad config, not a failed check
-        if not self.gradcheck_tolerance >= 0.0:  # NaN fails it too
-            raise ValueError(f"gradcheck_tolerance must be >= 0, got {self.gradcheck_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -513,11 +508,7 @@ def train_toy(
     hp_eff = hp.compat_standard() if opt.loss_mode == "standard" else hp
     if opt.gradcheck_samples > 0:
         report = run_gradcheck(
-            hp_eff,
-            scene_set.config.num_classes,
-            num_samples=opt.gradcheck_samples,
-            tolerance=opt.gradcheck_tolerance,
-            seed=scene_set.config.seed,
+            hp_eff, scene_set.config.num_classes, opt.gradcheck_samples, scene_set.config.seed
         )
         if not report.passed:
             raise GradientCheckError([e for e in report.entries if not e.passed])
@@ -635,9 +626,11 @@ def finite_diff_grad(
 
 # --- finite-difference gate -------------------------------------------------
 
+# largest normalized analytic-vs-FD error an operation may show and pass
+GRADCHECK_TOLERANCE = 1e-5
 PROB_FD_STEP = 5e-7  # keeps perturbed vectors inside the sum-to-one tolerance
 # smallest class probability an oracle draw may hold: near 1e-5 the truncation
-# error of the PROB_FD_STEP central difference alone exceeds the 1e-5 tolerance
+# error of the PROB_FD_STEP central difference alone exceeds GRADCHECK_TOLERANCE
 PROB_DRAW_FLOOR = 1e-3
 KINK_MARGIN = 1e-3
 
@@ -727,12 +720,11 @@ class GradCheckEntry:
     op: str
     samples: int
     max_err: float
-    tolerance: float
     worst_draw: int
 
     @property
     def passed(self) -> bool:
-        return self.max_err <= self.tolerance
+        return self.max_err <= GRADCHECK_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -931,6 +923,8 @@ def _gate_errors(
     }
 
 
+# the batch draws that check the training kernel, and the rows of each
+BATCH_DRAWS = 4
 BATCH_POSITIVES = 4
 BATCH_NEGATIVES = 3
 # largest row stack the gate's kernel call evaluates at once: the train gate's
@@ -976,31 +970,25 @@ GRADCHECK_OPS = (
 
 
 def run_gradcheck(
-    hp: HyperParams,
-    num_classes: int,
-    num_samples: int = 500,
-    tolerance: float = 1e-5,
-    seed: int = 0,
-    batch_draws: int = 4,
+    hp: HyperParams, num_classes: int, num_samples: int, seed: int = 0
 ) -> GradCheckReport:
     """Analytic-vs-FD sweep over every differentiated operation, on draws of
     ``num_classes`` class probabilities.
 
     ``num_samples`` draws check the per-sample operations, and
-    ``batch_draws`` batch draws, drawn after them, check
+    :data:`BATCH_DRAWS` batch draws, drawn after them, check
     :func:`batch_objective_arrays`, the kernel that trains; every draw is
     checked at once, in one gate pass (:func:`_gate_errors`), and each entry
     counts the draws of its kind as its ``samples``. Errors are
-    normalized by max(1, |gradient|) and reduced by max over the draws. At
-    least one sample and one batch draw are required, so that no entry
-    passes without checking anything, and :func:`check_draw_floor` must
-    pass. Raises :class:`NumericalError`, naming the operation, when a check
-    fails to compute, as when a loss is not finite near a draw.
+    normalized by max(1, |gradient|) and reduced by max over the draws; an
+    entry passes within :data:`GRADCHECK_TOLERANCE`. At least one sample is
+    required, so that no entry passes without checking anything, and
+    :func:`check_draw_floor` must pass. Raises :class:`NumericalError`,
+    naming the operation, when a check fails to compute, as when a loss is
+    not finite near a draw.
     """
     if num_samples < 1:
         raise ValueError(f"gradcheck needs at least one sample, got {num_samples}")
-    if batch_draws < 1:
-        raise ValueError(f"gradcheck needs at least one batch draw, got {batch_draws}")
     check_draw_floor(num_classes)
 
     def computed(op: str, err: Callable[[], np.ndarray]) -> np.ndarray:
@@ -1017,14 +1005,14 @@ def run_gradcheck(
         (random_positive_sample(rng, hp, num_classes), _random_box_pair(rng))
         for _ in range(num_samples)
     ]
-    batches = [_random_batch(rng, hp, num_classes) for _ in range(batch_draws)]
+    batches = [_random_batch(rng, hp, num_classes) for _ in range(BATCH_DRAWS)]
     errors = {op: computed(op, err) for op, err in _gate_errors(draws, batches, hp).items()}
 
     def entry(op: str) -> GradCheckEntry:
         # argmax picks a NaN error first, so a NaN fails the entry
         worst = int(np.argmax(errors[op]))
-        samples = batch_draws if op == "batch_objective" else num_samples
-        return GradCheckEntry(op, samples, float(errors[op][worst]), tolerance, worst)
+        samples = BATCH_DRAWS if op == "batch_objective" else num_samples
+        return GradCheckEntry(op, samples, float(errors[op][worst]), worst)
 
     return GradCheckReport(tuple(entry(op) for op in GRADCHECK_OPS))
 

@@ -109,12 +109,6 @@ class PositiveSample:
     def num_classes(self) -> int:
         return int(self.probs.size)
 
-    def with_probs(self, probs: np.ndarray) -> "PositiveSample":
-        return PositiveSample(probs, self.gt_class, self.d, self.anchor, self.gt_box)
-
-    def with_d(self, d: Offsets) -> "PositiveSample":
-        return PositiveSample(self.probs, self.gt_class, d, self.anchor, self.gt_box)
-
 
 @dataclass(frozen=True)
 class NegativeSample:

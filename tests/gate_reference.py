@@ -63,12 +63,14 @@ def _draw_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def _fd_probs(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
-    return finite_diff_grad(lambda v: value_fn(sample.with_probs(v)), sample.probs, PROB_FD_STEP)
+    return finite_diff_grad(
+        lambda v: value_fn(replace(sample, probs=v)), sample.probs, PROB_FD_STEP
+    )
 
 
 def _fd_offsets(sample: PositiveSample, value_fn: Callable[[PositiveSample], float]) -> np.ndarray:
     def fn(vec: np.ndarray) -> float:
-        return value_fn(sample.with_d(Offsets.from_array(vec)))
+        return value_fn(replace(sample, d=Offsets.from_array(vec)))
 
     return finite_diff_grad(fn, sample.d.as_array())
 

@@ -23,6 +23,8 @@ from hardet.losses import (
     standard_det_loss,
 )
 from hardet.harness import (
+    BATCH_DRAWS,
+    GRADCHECK_TOLERANCE,
     OptimizerConfig,
     SceneConfig,
     ToyModel,
@@ -60,9 +62,12 @@ def report(number: int, name: str) -> None:
 
 
 def test_criterion_01_gradient_oracle():
+    # the gate's contract: every entry within 1e-5, the training kernel over 4 batch draws
+    assert GRADCHECK_TOLERANCE == 1e-5
+    assert BATCH_DRAWS == 4
     hp = HyperParams()
     start = time.perf_counter()
-    result = run_gradcheck(hp, 5, num_samples=500, tolerance=1e-5, seed=0)
+    result = run_gradcheck(hp, 5, num_samples=500, seed=0)
     elapsed = time.perf_counter() - start
     for entry in result.entries:
         assert entry.max_err <= 1e-5, f"{entry.op}: {entry.max_err:.3e}"

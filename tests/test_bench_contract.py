@@ -115,3 +115,20 @@ def test_every_module_binds_the_iou_alias_the_tracer_rebinds(monkeypatch, tracer
     monkeypatch.setitem(sys.modules, "tracer", tracer)
     monkeypatch.setitem(sys.modules, "run", _load("run"))
     _load("test_perfbench").test_install_rebinds_every_alias_and_restore_puts_them_back()
+
+
+def test_every_workload_config_runs_through_the_cli(tmp_path, monkeypatch, tracer):
+    """Each benchmark workload's config passes ``load_config`` and runs its
+    command through ``cli.main`` to exit 0: a config key the CLI stops
+    accepting would otherwise fail every benchmark run of that workload."""
+    # run.py puts perfbench first on sys.path and imports the tracer by name
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    run = _load("run")
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(workload.config, sort_keys=True, indent=2) + "\n")
+        assert cli.load_config(str(config)) == workload.config, name
+        argv = [workload.command, "--config", str(config), "--out", str(tmp_path / name)]
+        assert cli.main(argv) == cli.EXIT_OK, name

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardet import cli
+from hardet import cli, harness
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hardet.harness import OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
 from hardet.losses import HyperParams
@@ -57,9 +57,53 @@ class TestConfigHandling:
         assert code == EXIT_VALIDATION
         assert "momentum" in capsys.readouterr().err
 
-    def test_hyperparams_block_keys(self):
-        # freeze_factors is reached through optimizer.loss_mode only
-        assert set(cli._BLOCK_KEYS["hyperparams"]) == {"alpha", "gamma", "margin", "beta_e_stop_grad"}
+    def test_config_schema_keys(self):
+        # every settable key: adding or removing a knob is an edit here.
+        # freeze_factors is reached through optimizer.loss_mode only, and the
+        # gradient gate's tolerance and batch draws are constants
+        assert {name: set(keys) for name, keys in cli._BLOCK_KEYS.items()} == {
+            "hyperparams": {"alpha", "gamma", "margin", "beta_e_stop_grad"},
+            "scene": {
+                "canvas",
+                "anchor_spacing",
+                "anchor_scales",
+                "num_scenes",
+                "objects_per_scene",
+                "num_classes",
+                "jitter",
+                "positive_iou_threshold",
+            },
+            "optimizer": {"learning_rate", "steps", "log_every", "loss_mode", "gradcheck_samples"},
+            "gradcheck": {"samples"},
+            "surface": {"p_min", "p_max", "p_steps", "loc_min", "loc_max", "loc_steps", "mode"},
+            "train": {"nms_threshold", "ap_thresholds"},
+        }
+        assert set(cli._TOP_KEYS) == {"seed", *cli._BLOCK_KEYS}
+        # the settable keys, counting seed
+        assert 1 + sum(map(len, cli._BLOCK_KEYS.values())) == 28
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("gradcheck", "tolerance"), ("gradcheck", "batch_draws"), ("optimizer", "gradcheck_tolerance")],
+    )
+    def test_removed_gate_key_is_unknown_to_every_command(self, tmp_path, block, key):
+        # the gate's tolerance and batch draws are constants; 1e-5 and 4 are
+        # their own values, so a config that restates them is rejected too
+        for value in (0.0, 1e-5, 4):
+            cfg = write_config(tmp_path, {block: {key: value}})
+            for command, flags in [
+                ("gradcheck", []),
+                ("loss-eval", ["--samples", "never-read.jsonl"]),
+                ("surface", []),
+                ("train", []),
+                ("refine", []),
+            ]:
+                out = tmp_path / command
+                assert _run_quietly([command, "--config", cfg, *flags, "--out", str(out)]) == (
+                    EXIT_VALIDATION,
+                    f"error: config.{block}.{key}: unknown key\n",
+                )
+                assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         code = main(["surface", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -124,7 +168,6 @@ class TestNoTracebacks:
             ("surface", {"surface": {"p_min": float("nan")}}, [], "config.surface.p_min: expected a finite number"),
             ("train", {"optimizer": {"learning_rate": float("nan")}}, [], "config.optimizer.learning_rate: expected a finite"),
             ("train", {"hyperparams": {"gamma": float("nan")}}, [], "config.hyperparams.gamma: expected a finite number"),
-            ("gradcheck", {"gradcheck": {"tolerance": float("nan")}}, [], "config.gradcheck.tolerance: expected a finite"),
             ("train", {"train": {"ap_thresholds": [float("inf")]}}, [], "config.train.ap_thresholds[0]: expected a finite"),
             # every command judges the scene block of its own effective config
             ("surface", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
@@ -134,14 +177,6 @@ class TestNoTracebacks:
                 {"scene": {"objects_per_scene": [200000, 200000]}},
                 ["--samples", "never-read.jsonl"],
                 "config.scene: objects_per_scene",
-            ),
-            # a negative tolerance fails every check: a config error, not a numerical one
-            ("gradcheck", {"gradcheck": {"tolerance": -1}}, [], "config.gradcheck.tolerance: must be >= 0"),
-            (
-                "train",
-                {"optimizer": {"gradcheck_tolerance": -1}},
-                [],
-                "config.optimizer: gradcheck_tolerance must be >= 0",
             ),
             # the surface grid is bounded before any of it is allocated
             (
@@ -179,7 +214,7 @@ class TestNoTracebacks:
         "command, payload",
         [
             ("train", {**FAST_TRAIN, "hyperparams": {"alpha": 1e308}}),
-            ("gradcheck", {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2, "batch_draws": 1}}),
+            ("gradcheck", {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2}}),
         ],
     )
     def test_overflow_in_the_gradient_gate_exits_2(self, tmp_path, capsys, command, payload):
@@ -190,7 +225,7 @@ class TestNoTracebacks:
         assert "Traceback" not in err
 
     def test_overflow_in_the_gradient_gate_warns_nothing(self, tmp_path, capsys):
-        payload = {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2, "batch_draws": 1}}
+        payload = {"hyperparams": {"alpha": 1e308}, "gradcheck": {"samples": 2}}
         cfg = write_config(tmp_path, payload)
         # a numpy RuntimeWarning would escape main as an exception here
         with warnings.catch_warnings():
@@ -200,9 +235,9 @@ class TestNoTracebacks:
         assert err.startswith("numerical failure: gradcheck batch_objective: loss not finite")
         assert "Warning" not in err
 
-    def test_failed_gradient_gate_names_the_operation(self, tmp_path, capsys):
-        payload = {**FAST_TRAIN, "optimizer": {**FAST_TRAIN["optimizer"], "gradcheck_tolerance": 0.0}}
-        cfg = write_config(tmp_path, payload)
+    def test_failed_gradient_gate_names_the_operation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
+        cfg = write_config(tmp_path, FAST_TRAIN)
         out = tmp_path / "o"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -216,7 +251,7 @@ class TestNoTracebacks:
     def test_unreachable_probability_floor_exits_2(self, tmp_path, capsys, command):
         # 200 classes almost never all draw the oracle's 1e-3 probability floor;
         # both the sweep and the gate before training draw the scene's classes
-        payload = {**FAST_TRAIN, "scene": {"num_classes": 200}, "gradcheck": {"samples": 1, "batch_draws": 1}}
+        payload = {**FAST_TRAIN, "scene": {"num_classes": 200}, "gradcheck": {"samples": 1}}
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical failure: gradcheck could not draw" in capsys.readouterr().err
@@ -249,9 +284,10 @@ _NUMBERS = st.lists(st.floats() | st.integers(-3, 10), max_size=6)
 _RECORDS = st.fixed_dictionaries(
     {key: _NUMBERS | _JSON for key in ("probs", "gt_class", "anchor", "gt_box", "d")}
 )
-_BOXES = st.tuples(*[st.floats(-10, 10)] * 2, *[st.floats(1e-3, 10)] * 2).map(
-    lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]]
-)
+# corners and sizes up to the float range's ends, where areas and unions overflow
+_ORIGIN = st.floats(-10, 10) | st.sampled_from([0.0, 1e300, -1e300])
+_SIZE = st.floats(1e-3, 10) | st.sampled_from([1e-300, 1e154, 1e300, 1e308])
+_BOXES = st.tuples(*[_ORIGIN] * 2, *[_SIZE] * 2).map(lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]])
 # well-formed records with extreme offsets reach the loss itself
 _SAMPLES = st.fixed_dictionaries(
     {
@@ -264,16 +300,28 @@ _SAMPLES = st.fixed_dictionaries(
 )
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+_EXTREME_SAMPLE = {"probs": [0.5, 0.5], "gt_class": 1, "anchor": [0, 0, 2, 2], "d": [0, 0, 0, 0]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(value=_JSON | _RECORDS | _SAMPLES)
-def test_any_json_sample_line_exits_0_or_1(tmp_path_factory, value):
+# the union squared overflows in the IoU gradient; once, NaN was written
+@example(value={**_EXTREME_SAMPLE, "gt_box": [0, 0, 1e308, 1e308]})
+@example(value={**_EXTREME_SAMPLE, "anchor": [1e300, 0, 3e300, 1], "gt_box": [1.5e300, 0.5, 3.5e300, 1.5]})
+def test_any_json_sample_line_exits_0_1_or_2(tmp_path_factory, value):
     tmp = tmp_path_factory.mktemp("loss_eval")
     samples = tmp / "samples.jsonl"
     samples.write_text(json.dumps(value) + "\n")
-    assert main(["loss-eval", "--samples", str(samples), "--out", str(tmp / "out")]) in (
-        EXIT_OK,
-        EXIT_VALIDATION,
-    )
+    code = main(["loss-eval", "--samples", str(samples), "--out", str(tmp / "out")])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+    if code == EXIT_OK:
+        # every breakdown written is valid JSON: no NaN or Infinity
+        for line in (tmp / "out" / "breakdowns.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=_no_constant)
 
 
 # --- config-file fuzzer --------------------------------------------------------
@@ -290,7 +338,6 @@ _COSTLY = {
     ("optimizer", "steps"): _SMALL_INT,
     ("optimizer", "gradcheck_samples"): _SMALL_INT,
     ("gradcheck", "samples"): _SMALL_INT,
-    ("gradcheck", "batch_draws"): _SMALL_INT,
     ("scene", "num_scenes"): _SMALL_INT,
     ("scene", "num_classes"): st.integers(-1, 6),
     ("scene", "objects_per_scene"): st.lists(st.integers(-1, 4), max_size=3),
@@ -349,7 +396,7 @@ def _config(entries: list) -> dict:
 _CONFIG = _entries(junk=False).map(_config) | _entries(junk=True).map(_config)
 # fast settings a draw overrides key by key
 _BASE = {
-    "gradcheck": {"gradcheck": {"samples": 2, "batch_draws": 1}},
+    "gradcheck": {"gradcheck": {"samples": 2}},
     "surface": {"surface": {"p_steps": 3, "loc_steps": 3}},
     "train": FAST_TRAIN,
     "refine": FAST_REFINE,
@@ -569,40 +616,45 @@ def test_benchmark_entry_points_keep_their_names():
 
 
 class TestGradcheckCommand:
-    def test_default_passes(self, tmp_path):
-        cfg = write_config(tmp_path, {"gradcheck": {"samples": 20, "batch_draws": 1}})
+    def test_default_passes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"gradcheck": {"samples": 20}})
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "gradcheck_report.json").read_text())
         assert report["passed"] is True
         assert all(e["max_err"] < 1e-5 for e in report["entries"])
+        # the fixed tolerance, in the report's tolerance keys and on stdout
+        assert report["tolerance"] == 1e-5
+        assert [e["tolerance"] for e in report["entries"]] == [1e-5] * 8
+        assert capsys.readouterr().out.endswith("gradcheck: PASS (tolerance 1e-05)\n")
 
-    def test_zero_tolerance_fails_numerically(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"gradcheck": {"samples": 5, "tolerance": 0.0, "batch_draws": 1}}
-        )
+    def test_zero_tolerance_fails_numerically(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
+        cfg = write_config(tmp_path, {"gradcheck": {"samples": 5}})
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         report = json.loads((out / "gradcheck_report.json").read_text())
         assert report["passed"] is False
+        assert report["tolerance"] == 0.0
 
     def test_every_operation_listed_once(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"gradcheck": {"samples": 5, "batch_draws": 2}})
+        cfg = write_config(tmp_path, {"gradcheck": {"samples": 5}})
         out = tmp_path / "out"
         main(["gradcheck", "--config", cfg, "--out", str(out)])
         report = json.loads((out / "gradcheck_report.json").read_text())
         ops = [e["op"] for e in report["entries"]]
         assert len(ops) == len(set(ops)) == 8
         # the batch entry counts its batch draws, in the report and on stdout
-        assert [e["samples"] for e in report["entries"]] == [5] * 7 + [2]
+        assert [e["samples"] for e in report["entries"]] == [5] * 7 + [4]
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in lines[:8]] == ["samples="] * 8
-        assert [line.split()[2] for line in lines[:8]] == ["5"] * 7 + ["2"]
+        assert [line.split()[2] for line in lines[:8]] == ["5"] * 7 + ["4"]
 
     def test_scene_class_count_sets_the_draws(self, tmp_path):
         # the entries a 3-class hyperparams block gave before the class
-        # count moved to the scene block, bit for bit
-        payload = {"scene": {"num_classes": 3}, "gradcheck": {"samples": 20, "batch_draws": 2}}
+        # count moved to the scene block, bit for bit, over the gate's 4
+        # batch draws
+        payload = {"scene": {"num_classes": 3}, "gradcheck": {"samples": 20}}
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_OK
         entries = json.loads((out / "gradcheck_report.json").read_text())["entries"]
@@ -614,7 +666,7 @@ class TestGradcheckCommand:
             ("full_loc_loss", "0x1.6af484b01f69cp-32", 0),
             ("tc_loss", "0x1.e877000000000p-35", 11),
             ("harmonic_det_loss", "0x1.6f1b280000000p-31", 15),
-            ("batch_objective", "0x1.73f17c428fe67p-33", 0),
+            ("batch_objective", "0x1.aa8ab80000000p-33", 2),
         ]
 
 
@@ -623,8 +675,6 @@ class TestGradcheckCommand:
         [
             ({"samples": 0}, "samples"),
             ({"samples": -3}, "samples"),
-            ({"batch_draws": 0}, "batch_draws"),
-            ({"batch_draws": -1}, "batch_draws"),
         ],
     )
     def test_empty_sweep_is_a_config_error(self, tmp_path, capsys, block, key):
@@ -701,6 +751,27 @@ class TestLossEvalCommand:
         code, err = _run_quietly(["loss-eval", "--samples", str(samples), "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert err.startswith("error: " + message.format(path=samples))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "anchor, gt_box",
+        [
+            # the union squared overflows in the IoU gradient
+            ([0, 0, 2, 2], [0, 0, 1e308, 1e308]),
+            ([1e300, 0, 3e300, 1], [1.5e300, 0.5, 3.5e300, 1.5]),
+        ],
+        ids=["gt-box-1e308", "boxes-near-1e300"],
+    )
+    def test_non_finite_breakdown_exits_2_before_writing(self, tmp_path, anchor, gt_box):
+        samples = tmp_path / "samples.jsonl"
+        record = {**self.sample_line(), "anchor": anchor, "gt_box": gt_box}
+        samples.write_text(json.dumps(self.sample_line()) + "\n" + json.dumps(record) + "\n")
+        out = tmp_path / "out"
+        # a numpy RuntimeWarning would escape main as an exception here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _run_quietly(["loss-eval", "--samples", str(samples), "--out", str(out)])
+        assert (code, err) == (EXIT_NUMERICAL, "numerical failure: samples line 2: grad_d is not finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -409,16 +409,9 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(steps=0)
 
-    @pytest.mark.parametrize(
-        "field, message",
-        [
-            ("learning_rate", "learning_rate must be >= 0, got nan"),
-            ("gradcheck_tolerance", "gradcheck_tolerance must be >= 0, got nan"),
-        ],
-    )
-    def test_nan_rejected(self, field, message):
-        with pytest.raises(ValueError, match=message):
-            OptimizerConfig(**{field: math.nan})
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
+            OptimizerConfig(learning_rate=math.nan)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -443,7 +436,7 @@ class TestTrainToy:
             raise AssertionError("the gradient gate ran before the model shape check")
 
         monkeypatch.setattr(harness, "run_gradcheck", gate)
-        opt = OptimizerConfig(gradcheck_tolerance=0.0)
+        opt = OptimizerConfig()
         message = r"^model shaped \(3, 5\)/\(3, 4\) does not fit 100 anchors and 5 classes$"
         with pytest.raises(ValueError, match=message):
             train_toy(ss, ToyModel.zeros(3, 5), opt, HyperParams())
@@ -462,7 +455,7 @@ class TestTrainToy:
         setattr(model, field, getattr(model, field).astype(dtype))
         message = rf"^model {field} are {np.dtype(dtype)}, not float64$"
         with pytest.raises(ValueError, match=message):
-            train_toy(ss, model, OptimizerConfig(gradcheck_tolerance=0.0), HyperParams())
+            train_toy(ss, model, OptimizerConfig(), HyperParams())
         with pytest.raises(ValueError, match=message):
             model_detections(ss, model)
 
@@ -646,22 +639,24 @@ class TestTrainToy:
         assert aic(log.final_p_gt, log.final_iou) == log.records[-1].aic
         assert not log.final_p_gt.flags.writeable and not log.final_iou.flags.writeable
 
-    def test_gradient_gate_blocks_on_impossible_tolerance(self):
+    def test_gradient_gate_blocks_on_impossible_tolerance(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
         ss, hp, model = small_setup()
-        opt = OptimizerConfig(steps=5, gradcheck_samples=5, gradcheck_tolerance=0.0)
+        opt = OptimizerConfig(steps=5, gradcheck_samples=5)
         with pytest.raises(GradientCheckError):
             train_toy(ss, model, opt, hp)
 
-    def test_gradient_gate_error_names_the_failing_operations(self):
+    def test_gradient_gate_error_names_the_failing_operations(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
         ss, hp, model = small_setup()
-        opt = OptimizerConfig(steps=5, gradcheck_samples=5, gradcheck_tolerance=0.0)
-        report = run_gradcheck(hp, 5, num_samples=5, tolerance=0.0, seed=ss.config.seed)
+        opt = OptimizerConfig(steps=5, gradcheck_samples=5)
+        report = run_gradcheck(hp, 5, num_samples=5, seed=ss.config.seed)
         failed = [e for e in report.entries if not e.passed]
         worst = max(failed, key=lambda e: e.max_err)
         with pytest.raises(GradientCheckError) as exc:
             train_toy(ss, model, opt, hp)
         err = exc.value
-        assert (err.op, err.max_err, err.tolerance) == (worst.op, worst.max_err, 0.0)
+        assert (err.op, err.max_err) == (worst.op, worst.max_err)
         assert str(err).startswith("gradcheck failed for ")
         for e in failed:
             assert (
@@ -857,19 +852,19 @@ class TestTrainReference:
             return real(*args)
 
         monkeypatch.setattr(harness, "batch_objective_arrays", kept)
-        samples, batch_draws = 3, 2
-        harness.run_gradcheck(hp, 5, samples, seed=0, batch_draws=batch_draws)
+        samples = 3
+        harness.run_gradcheck(hp, 5, samples, seed=0)
         # the gate's draws, in its order, give the stack's anchors and boxes
         rng = np.random.default_rng(0)
         draws = [
             (random_positive_sample(rng, hp, 5), harness._random_box_pair(rng))
             for _ in range(samples)
         ]
-        batches = [harness._random_batch(rng, hp, 5) for _ in range(batch_draws)]
+        batches = [harness._random_batch(rng, hp, 5) for _ in range(harness.BATCH_DRAWS)]
         positives = [s for s, _ in draws] + [s for pos, _ in batches for s in pos]
         anchors = np.array([s.anchor.as_array() for s in positives])
         gt = np.array([s.gt_box.as_array() for s in positives])
-        rows = len(positives) + batch_draws * harness.BATCH_NEGATIVES
+        rows = len(positives) + harness.BATCH_DRAWS * harness.BATCH_NEGATIVES
         assert len(calls) > 1
         for probs, offsets, _, gt_class, d_hat, kernel_hp in calls:
             # a call stacks copies of the rows, each with the draws' boxes:
@@ -1075,7 +1070,7 @@ class TestGradCheck:
         # the largest finite alpha
         hp = HyperParams(alpha=sys.float_info.max)
         with pytest.raises(NumericalError, match="gradcheck harmonic_cls_grad: loss not finite"):
-            run_gradcheck(hp, 5, num_samples=2, batch_draws=1)
+            run_gradcheck(hp, 5, num_samples=2)
 
     @pytest.mark.parametrize("field", ["pos_loss", "neg_p"])
     def test_non_finite_batch_row_fails_the_batch_entry_only(self, monkeypatch, field):
@@ -1125,17 +1120,17 @@ class TestGradCheck:
         assert [e.samples for e in report.entries] == [10] * 7 + [4]
         assert report.passed
 
-    def test_zero_tolerance_fails(self):
+    def test_zero_tolerance_fails(self, monkeypatch):
         hp = HyperParams()
-        report = run_gradcheck(hp, 5, num_samples=5, tolerance=0.0, seed=0)
+        report = run_gradcheck(hp, 5, num_samples=5, seed=0)
+        assert report.passed
+        # the tolerance is read when an entry is judged
+        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
         assert not report.passed
 
     def test_empty_sweep_rejected(self):
-        hp = HyperParams()
-        with pytest.raises(ValueError):
-            run_gradcheck(hp, 5, num_samples=0)
-        with pytest.raises(ValueError):
-            run_gradcheck(hp, 5, num_samples=3, batch_draws=-1)
+        with pytest.raises(ValueError, match="^gradcheck needs at least one sample, got 0$"):
+            run_gradcheck(HyperParams(), 5, num_samples=0)
 
     def test_draws_stay_above_probability_floor(self):
         rng = np.random.default_rng(0)
@@ -1158,7 +1153,7 @@ class TestGradCheck:
         # 200 probabilities of at least 1e-3 each: a rare draw, and one does
         # not come within the rejection sampler's tries
         with pytest.raises(NumericalError, match="gradcheck could not draw"):
-            run_gradcheck(HyperParams(), 200, num_samples=1, batch_draws=1)
+            run_gradcheck(HyperParams(), 200, num_samples=1)
 
     @pytest.mark.parametrize("num_classes", [1000, 5000])
     def test_draw_floor_out_of_reach_is_rejected_before_drawing(self, num_classes):
@@ -1211,7 +1206,7 @@ class TestGradCheck:
             # the factors for some entries only
             for gate_hp, sets in ((hp, 1), (hp.compat_standard(), 2)):
                 calls.clear()
-                report = run_gradcheck(gate_hp, num_classes, num_samples=2, seed=0, batch_draws=4)
+                report = run_gradcheck(gate_hp, num_classes, num_samples=2, seed=0)
                 assert report.passed
                 assert [len(args[0]) for args in calls] == [copies * rows] * sets + [rows]
                 assert [len(args[0]) - len(args[3]) for args in calls] == [copies * negatives] * sets + [negatives]
@@ -1259,20 +1254,20 @@ class TestGradCheck:
     @pytest.mark.parametrize("seed", [0, 14])
     def test_worst_draw_replays_from_seed_and_index(self, seed):
         hp = HyperParams()
-        samples, batch_draws = 6, 3
-        report = run_gradcheck(hp, 5, samples, tolerance=0.0, seed=seed, batch_draws=batch_draws)
+        samples = 6
+        report = run_gradcheck(hp, 5, samples, seed=seed)
         for e in report.entries:
             rng = np.random.default_rng(seed)
             draws = [
                 (random_positive_sample(rng, hp, 5), harness._random_box_pair(rng))
                 for _ in range(samples)
             ]
-            batches = [harness._random_batch(rng, hp, 5) for _ in range(batch_draws)]
+            batches = [harness._random_batch(rng, hp, 5) for _ in range(harness.BATCH_DRAWS)]
             if e.op == "batch_objective":
                 replayed = harness._gate_errors([], [batches[e.worst_draw]], hp)[e.op]()[0]
             else:
                 replayed = harness._gate_errors([draws[e.worst_draw]], [], hp)[e.op]()[0]
-            assert 0 <= e.worst_draw < (batch_draws if e.op == "batch_objective" else samples)
+            assert 0 <= e.worst_draw < (harness.BATCH_DRAWS if e.op == "batch_objective" else samples)
             assert replayed == e.max_err > 0.0, e.op
 
     @pytest.mark.parametrize("seed", [0, 7, 14])
@@ -1415,11 +1410,6 @@ class TestGradCheck:
         monkeypatch.setattr(harness, op, scaled.get(op, lambda *a: real(*a) * 1.001))
         report = run_gradcheck(HyperParams(), 5, num_samples=20, seed=0)
         assert [e.op for e in report.entries if not e.passed] == [op]
-
-    def test_gate_without_batch_draws_is_rejected(self):
-        # the batch entry would pass having checked nothing
-        with pytest.raises(ValueError, match="^gradcheck needs at least one batch draw, got 0$"):
-            run_gradcheck(HyperParams(), 5, num_samples=1, seed=0, batch_draws=0)
 
     def test_nan_error_fails_the_entry(self, monkeypatch):
         real = harness.batch_objective_arrays

@@ -314,8 +314,8 @@ class TestSharedLocParts:
         full_loc_loss(s, replace(HP, gamma=0.5))
         assert [(hp.alpha, hp.gamma) for hp in calls[1:]] == [(0.0, 0.8), (-0.0, 0.8), (0.5, 0.8), (1.5, 0.5)]
         assert math.copysign(1.0, calls[2].alpha) == -1.0
-        # a new sample, as with_d gives, takes a pass of its own
-        full_loc_loss(s.with_d(s.d), HP)
+        # a new sample, as replace gives, takes a pass of its own
+        full_loc_loss(replace(s, d=s.d), HP)
         assert len(calls) == 6
 
 
@@ -647,7 +647,7 @@ def random_batch(rng, hp, max_pos=8, max_neg=8):
     # plus samples on the smooth-L1 and TC kinks the oracle's sampler avoids
     for _ in range(3):
         s = random_positive_sample(rng, hp, 5)
-        positives.append(s.with_d(Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
+        positives.append(replace(s, d=Offsets.from_array(s.d_hat.as_array() + [1.0, -1.0, 0.0, 2.0])))
     negatives = [random_negative(rng, 5) for _ in range(int(rng.integers(0, max_neg)))]
     return positives, negatives
 
