@@ -409,9 +409,20 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(steps=0)
 
-    def test_nan_learning_rate_rejected(self):
-        with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
-            OptimizerConfig(learning_rate=math.nan)
+    def test_zero_log_every_rejected(self):
+        with pytest.raises(ValueError, match="log_every must be >= 1, got 0"):
+            OptimizerConfig(log_every=0)
+
+    def test_negative_gradcheck_samples_rejected(self):
+        with pytest.raises(ValueError, match="gradcheck_samples must be >= 0"):
+            OptimizerConfig(gradcheck_samples=-1)
+
+    @pytest.mark.parametrize(
+        "field, message", [("learning_rate", "learning_rate must be >= 0, got nan")]
+    )
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(**{field: math.nan})
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
