@@ -23,6 +23,7 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import harness
+from .geom import check_decode
 from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
 from .losses import (
     HyperParams,
@@ -281,20 +282,25 @@ def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams, num_classes: int) -> in
 
 
 def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
-    """The loss breakdown of every non-blank line of a samples file; a line
-    that is not a valid sample is a ``ConfigError`` naming it, and one whose
-    breakdown is not finite a ``NumericalError`` naming it and the field."""
+    """The loss breakdown of every non-blank line of a samples file. A line
+    that is not a valid sample, or whose offsets do not decode, is a
+    ``ConfigError`` naming it; one whose breakdown cannot be computed, or is
+    not finite, a ``NumericalError`` naming it."""
     breakdowns = []
     for lineno, line in enumerate(_read_text(samples_path, "samples file").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             sample = positive_sample_from_json(json.loads(line))
+            check_decode(sample.d, sample.anchor)
+        except ValueError as exc:
+            raise ConfigError(f"samples line {lineno}: {exc}") from exc
+        try:
             # an overflow shows as a non-finite field, reported below, not as a warning
             with np.errstate(all="ignore"):
                 breakdown = harmonic_det_loss(sample, hp)
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ConfigError(f"samples line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise NumericalError(f"samples line {lineno}: {exc}") from exc
         for name, value in vars(breakdown).items():
             if not np.isfinite(value).all():
                 raise NumericalError(f"samples line {lineno}: {name} is not finite")

@@ -155,7 +155,9 @@ def encode(gt: Box, anchor: Box) -> Offsets:
     )
 
 
-def _check_decode(d: Offsets, anchor: Box) -> None:
+def check_decode(d: Offsets, anchor: Box) -> None:
+    """Raise ``ValueError`` unless :func:`decode` accepts ``d`` on ``anchor``:
+    a degenerate anchor, or a size offset past ``DECODE_LOG_CAP``."""
     if anchor.width <= 0.0 or anchor.height <= 0.0:
         raise ValueError("cannot decode against a degenerate anchor")
     if abs(d.tw) > DECODE_LOG_CAP or abs(d.th) > DECODE_LOG_CAP:
@@ -164,7 +166,7 @@ def _check_decode(d: Offsets, anchor: Box) -> None:
 
 def decode(d: Offsets, anchor: Box) -> Box:
     """Inverse of :func:`encode`; raises if |tw| or |th| exceeds ``DECODE_LOG_CAP``."""
-    _check_decode(d, anchor)
+    check_decode(d, anchor)
     acx, acy = anchor.center
     cx = d.tx * anchor.width + acx
     cy = d.ty * anchor.height + acy
@@ -179,7 +181,7 @@ def decode_jacobian(d: Offsets, anchor: Box) -> np.ndarray:
 
     Row order is (x1, y1, x2, y2); column order is (tx, ty, tw, th).
     """
-    _check_decode(d, anchor)
+    check_decode(d, anchor)
     wa = anchor.width
     ha = anchor.height
     half_w = 0.5 * wa * math.exp(d.tw)

@@ -53,6 +53,9 @@ MAX_SCENE_ANCHORS = 1_000_000
 # of scenes; a 10^4-anchor scene may hold 100 objects, and matching it peaks
 # at 24 MB of traced allocations (tracemalloc), the 8 MB matrix included
 MAX_MATCH_PAIRS = 1_000_000
+# the scene geometry: the side of the square canvas, and of every square anchor
+CANVAS = 16.0
+ANCHOR_SCALE = 3.0
 
 
 class NumericalError(RuntimeError):
@@ -110,20 +113,19 @@ class GradientCheckError(NumericalError):
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Synthetic scene and anchor-grid settings.
+    """Synthetic scene and anchor-grid settings. Scenes are ``CANVAS``-sided
+    squares under a grid of ``ANCHOR_SCALE``-sided anchors.
 
     Ground-truth boxes are jittered copies of randomly chosen anchors:
     centers shift by up to ``jitter`` times the anchor size and log-sizes by
-    up to ``jitter``, which controls how the matched-IoU distribution decays.
-    Class 0 is background; objects draw classes from 1..num_classes-1.
+    up to ``jitter`` (at most ln(CANVAS / ANCHOR_SCALE), so that objects fit),
+    which controls how the matched-IoU distribution decays. Class 0 is background.
     """
 
     seed: int = 0
     num_scenes: int = 4
     objects_per_scene: tuple[int, int] = (2, 4)
-    canvas: tuple[float, float] = (16.0, 16.0)
     anchor_spacing: float = 2.0
-    anchor_scales: tuple[float, ...] = (3.0,)
     jitter: float = 0.35
     num_classes: int = 5
     positive_iou_threshold: float = 0.5
@@ -131,19 +133,14 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.num_scenes < 1:
             raise ValueError(f"num_scenes must be >= 1, got {self.num_scenes}")
-        for name in ("objects_per_scene", "canvas"):
-            if len(getattr(self, name)) != 2:
-                raise ValueError(f"{name} must have 2 entries, got {getattr(self, name)}")
+        if len(self.objects_per_scene) != 2:
+            raise ValueError(f"objects_per_scene must have 2 entries, got {self.objects_per_scene}")
         lo, hi = self.objects_per_scene
         if lo < 1 or hi < lo:
             raise ValueError(f"objects_per_scene range invalid: ({lo}, {hi})")
         # written so that NaN fails these checks too
-        if not (self.canvas[0] > 0.0 and self.canvas[1] > 0.0):
-            raise ValueError(f"canvas extents must be positive, got {self.canvas}")
         if not self.anchor_spacing > 0.0:
             raise ValueError(f"anchor_spacing must be positive, got {self.anchor_spacing}")
-        if not self.anchor_scales or not all(s > 0.0 for s in self.anchor_scales):
-            raise ValueError(f"anchor_scales must be positive, got {self.anchor_scales}")
         if not self.jitter >= 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.num_classes < 2:
@@ -152,36 +149,18 @@ class SceneConfig:
             raise ValueError(
                 f"positive_iou_threshold must lie in (0, 1), got {self.positive_iou_threshold}"
             )
-        max_size = max(self.anchor_scales) * math.exp(self.jitter)
-        if max_size > min(self.canvas):
+        max_size = ANCHOR_SCALE * math.exp(self.jitter)
+        if max_size > CANVAS:
             raise ValueError(
-                f"objects up to {max_size:.2f} cannot fit the canvas {self.canvas}"
+                f"objects up to {max_size:.2f} cannot fit the {CANVAS:g} x {CANVAS:g} canvas"
             )
-        if min(self.canvas) < self.anchor_spacing:
+        if CANVAS < self.anchor_spacing:
             raise ValueError("canvas too small for even one anchor cell")
-        # IoU divides by a union of two areas; objects span up to jitter in
-        # log-size around their anchor's scale
-        smallest = min(self.anchor_scales) * math.exp(-self.jitter)
-        least, most = smallest * smallest, max_size * max_size
-        widest = 2.0 * most
-        if not (least > 0.0 and widest < math.inf):
-            raise ValueError(
-                f"box areas from {least:g} to {most:g} leave the float range: every "
-                "anchor's and object's area, and the sum of two, must be positive and finite"
-            )
-        # IoU's gradient divides by the union squared, and a union is never
-        # smaller than its target's area
-        if not (least * least >= np.finfo(float).tiny and widest * widest < math.inf):
-            raise ValueError(
-                f"box areas from {least:g} to {most:g} leave the float range once squared: "
-                "the smallest area squared must be a normal float, and twice the largest, "
-                "squared, finite"
-            )
         # counted in floats before any grid exists: a tiny spacing gives inf
         # cells, not an int overflow or a grid that never ends
         with np.errstate(over="ignore"):
-            cells = np.prod(np.floor(np.divide(self.canvas, self.anchor_spacing)))
-        n, per_scene = self.num_scenes, float(cells) * len(self.anchor_scales)
+            per_scene = float(np.floor(np.divide(CANVAS, self.anchor_spacing)) ** 2)
+        n = self.num_scenes
         if n > MAX_SCENE_ANCHORS or not n * per_scene <= MAX_SCENE_ANCHORS:
             raise ValueError(
                 f"{n} scenes of {per_scene:g} anchors exceed the limit {MAX_SCENE_ANCHORS}"
@@ -240,9 +219,10 @@ class SceneSet:
 
 
 def _anchor_grid(cfg: SceneConfig) -> np.ndarray:
-    """(A, 4) anchor corners, one row per (iy, ix, scale) in that order."""
-    x, y = ((np.arange(int(e / cfg.anchor_spacing)) + 0.5) * cfg.anchor_spacing for e in cfg.canvas)
-    cy, cx, half = np.meshgrid(y, x, np.array(cfg.anchor_scales) / 2, indexing="ij")
+    """(A, 4) anchor corners, one row per (iy, ix) in that order."""
+    centers = (np.arange(int(CANVAS / cfg.anchor_spacing)) + 0.5) * cfg.anchor_spacing
+    cy, cx = np.meshgrid(centers, centers, indexing="ij")
+    half = ANCHOR_SCALE / 2
     return np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1).reshape(-1, 4)
 
 
@@ -250,7 +230,6 @@ def generate_scenes(cfg: SceneConfig) -> SceneSet:
     """Deterministic scenes: per object, a random anchor jittered in place."""
     rng = np.random.default_rng(cfg.seed)
     anchors = _anchor_grid(cfg)
-    w, h = cfg.canvas
     boxes, classes, scene = [], [], []
     for s in range(cfg.num_scenes):
         count = int(rng.integers(cfg.objects_per_scene[0], cfg.objects_per_scene[1] + 1))
@@ -262,8 +241,8 @@ def generate_scenes(cfg: SceneConfig) -> SceneSet:
             bw = aw * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
             bh = ah * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
             box = (max(0.0, cx - bw / 2), max(0.0, cy - bh / 2),
-                   min(w, cx + bw / 2), min(h, cy + bh / 2))
-            # clipped off the canvas, or collapsed by rounding
+                   min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2))
+            # clipped off the canvas
             if not (box[2] > box[0] and box[3] > box[1]):
                 raise ValueError(f"object {k} of scene {s} has no area on the canvas: {box}")
             boxes.append(box)
@@ -317,10 +296,12 @@ def _assign_block(
     width = int(counts.max())
     if width == 0:
         return np.full((len(counts), n), -1)
-    padded = np.zeros((len(counts) * width, 4))
-    padded[(np.arange(width) < counts[:, None]).ravel()] = gt
+    if counts.min() < width:  # else every slot holds a ground truth already
+        padded = np.zeros((len(counts) * width, 4))
+        padded[(np.arange(width) < counts[:, None]).ravel()] = gt
+        gt = padded
     # (anchors, scenes, GT slots); a padding slot can never win
-    mat = iou_matrix(anchors, padded).reshape(n, len(counts), width)
+    mat = iou_matrix(anchors, gt).reshape(n, len(counts), width)
     mat[:, np.arange(width) >= counts[:, None]] = -np.inf
     best_gt = np.argmax(mat, axis=2)
     best_iou = np.take_along_axis(mat, best_gt[:, :, None], axis=2)[:, :, 0]

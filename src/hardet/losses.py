@@ -105,10 +105,6 @@ class PositiveSample:
         # geometry it reads never changes
         object.__setattr__(self, "_loc_memo", {})
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.probs.size)
-
 
 @dataclass(frozen=True)
 class NegativeSample:

@@ -1,5 +1,5 @@
 """Scene generation's object reference: a validated ``Box`` per anchor, built
-by a loop over (iy, ix, scale), and a ``Box`` per generated object.
+by a loop over (iy, ix), and a ``Box`` per generated object.
 
 ``harness.generate_scenes`` builds the anchor grid as one corner array and
 the ground truths as one ``GroundTruthArrays``; the tests hold its arrays to
@@ -11,22 +11,20 @@ import math
 import numpy as np
 
 from hardet.geom import Box
-from hardet.harness import SceneConfig
+from hardet.harness import ANCHOR_SCALE, CANVAS, SceneConfig
 
 Scenes = list[tuple[tuple[Box, ...], tuple[int, ...]]]
 
 
 def anchor_grid(cfg: SceneConfig) -> tuple[Box, ...]:
-    w, h = cfg.canvas
-    nx = int(w / cfg.anchor_spacing)
-    ny = int(h / cfg.anchor_spacing)
+    n = int(CANVAS / cfg.anchor_spacing)
+    s = ANCHOR_SCALE
     anchors = []
-    for iy in range(ny):
+    for iy in range(n):
         cy = (iy + 0.5) * cfg.anchor_spacing
-        for ix in range(nx):
+        for ix in range(n):
             cx = (ix + 0.5) * cfg.anchor_spacing
-            for s in cfg.anchor_scales:
-                anchors.append(Box(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
+            anchors.append(Box(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
     return tuple(anchors)
 
 
@@ -35,7 +33,6 @@ def generate_scenes(cfg: SceneConfig) -> tuple[tuple[Box, ...], Scenes]:
     per object, a random anchor jittered in place."""
     rng = np.random.default_rng(cfg.seed)
     anchors = anchor_grid(cfg)
-    w, h = cfg.canvas
     scenes = []
     for s in range(cfg.num_scenes):
         count = int(rng.integers(cfg.objects_per_scene[0], cfg.objects_per_scene[1] + 1))
@@ -49,7 +46,7 @@ def generate_scenes(cfg: SceneConfig) -> tuple[tuple[Box, ...], Scenes]:
             bw = base.width * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
             bh = base.height * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
             x1, y1 = max(0.0, cx - bw / 2), max(0.0, cy - bh / 2)
-            x2, y2 = min(w, cx + bw / 2), min(h, cy + bh / 2)
+            x2, y2 = min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2)
             # a clipped extent of 0 or less: Box would reject its corner order,
             # or accept a box of no area
             if not (x2 > x1 and y2 > y1):

@@ -1,11 +1,11 @@
 """The benchmark's reach into hardet.
 
 ``perfbench/tracer.py`` resolves every traced name by ``getattr``, and
-``perfbench/child.py`` calls ``hardet.cli`` and ``hardet.harness`` names
-directly. A renamed or deleted name breaks only traced benchmark runs, and
-perfbench's own tests sit outside the default test paths and time things.
-These tests run the benchmark's own modules, loaded by path, on a small
-config, and assert no timing.
+``perfbench/child.py`` and ``scripts/bench_train_toy.py`` call ``hardet.cli``
+and ``hardet.harness`` names directly. A renamed or deleted name breaks only
+benchmark runs, and perfbench's own tests sit outside the default test paths
+and time things. These tests run the benchmark's own modules, loaded by
+path, on a small config, and assert no timing.
 """
 
 import importlib.util
@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from hardet import cli
+from hardet import OptimizerConfig, SceneConfig, cli, generate_scenes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPTS = PERFBENCH.parent / "scripts"
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(name: str, where: Path = PERFBENCH):
+    spec = importlib.util.spec_from_file_location(f"{where.name}_{name}", where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # a dataclass looks its module up in sys.modules while the module runs
     sys.modules[spec.name] = module
@@ -132,3 +133,17 @@ def test_every_workload_config_runs_through_the_cli(tmp_path, monkeypatch, trace
         assert cli.load_config(str(config)) == workload.config, name
         argv = [workload.command, "--config", str(config), "--out", str(tmp_path / name)]
         assert cli.main(argv) == cli.EXIT_OK, name
+
+
+def test_every_bench_script_case_builds_its_configs_and_scenes():
+    """``bench_train_toy.py layer`` builds ``SceneConfig`` and
+    ``OptimizerConfig`` from its cases' keys directly, so a field hardet
+    drops would crash it; build each case as it does, without timing it."""
+    bench = _load("bench_train_toy", SCRIPTS)
+    for scene, optimizer in bench.LAYER_CASES.values():
+        assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
+        for mode in bench.MODES:
+            OptimizerConfig(**optimizer, loss_mode=mode, gradcheck_samples=0)
+    scene, optimizer = bench.REFINE_CASE
+    assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
+    OptimizerConfig(**optimizer)

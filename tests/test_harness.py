@@ -62,8 +62,10 @@ class TestSceneConfig:
             SceneConfig(num_scenes=0)
 
     def test_oversized_objects_rejected(self):
-        with pytest.raises(ValueError):
-            SceneConfig(canvas=(4.0, 4.0), anchor_scales=(5.0,))
+        # objects span 3 * e^jitter: 1.67 fits the 16-unit canvas, 1.68 does not
+        SceneConfig(jitter=1.67)
+        with pytest.raises(ValueError, match=r"^objects up to 16\.10 cannot fit the 16 x 16 canvas$"):
+            SceneConfig(jitter=1.68)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -80,12 +82,12 @@ class TestSceneConfig:
 
     def test_objects_bounded_before_generation(self):
         # 4 anchors per scene: every object must be able to claim one
-        small = {"canvas": (16.0, 16.0), "anchor_spacing": 8.0}
+        small = {"anchor_spacing": 8.0}
         SceneConfig(objects_per_scene=(4, 4), **small)
         with pytest.raises(ValueError, match="upper bound 5 exceeds the 4 anchors per scene"):
             SceneConfig(objects_per_scene=(5, 5), **small)
         # 250 x 250 anchors: the IoU matrix of one scene is bounded
-        big = {"num_scenes": 1, "canvas": (250.0, 250.0), "anchor_spacing": 1.0}
+        big = {"num_scenes": 1, "anchor_spacing": 0.064}
         SceneConfig(objects_per_scene=(1, MAX_MATCH_PAIRS // 62500), **big)
         with pytest.raises(ValueError, match="exceed the matching limit"):
             SceneConfig(objects_per_scene=(1, MAX_MATCH_PAIRS // 62500 + 1), **big)
@@ -115,11 +117,10 @@ class TestGenerateScenes:
 
     def test_boxes_inside_canvas(self):
         ss = generate_scenes(SceneConfig(seed=2, num_scenes=10))
-        w, h = ss.config.canvas
         for scene in ss.scenes:
             for b in map(Box.from_array, scene.gt_boxes):
-                assert 0.0 <= b.x1 <= b.x2 <= w
-                assert 0.0 <= b.y1 <= b.y2 <= h
+                assert 0.0 <= b.x1 <= b.x2 <= harness.CANVAS
+                assert 0.0 <= b.y1 <= b.y2 <= harness.CANVAS
 
     def test_object_clipped_off_the_canvas_is_named(self):
         # at seed 0 an object's center lands left of the canvas: clipped, its
@@ -130,14 +131,6 @@ class TestGenerateScenes:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_scenes(SceneConfig(seed=0, anchor_spacing=3.0, jitter=0.9))
-
-    def test_object_collapsed_by_rounding_is_named(self):
-        # a 1e-17 anchor adds nothing to its center: every object has zero width
-        with pytest.raises(
-            ValueError,
-            match=r"^object 0 of scene 0 has no area on the canvas: \(1\.0, 11\.0, 1\.0, 11\.0\)$",
-        ):
-            generate_scenes(SceneConfig(seed=0, anchor_scales=(1e-17,)))
 
     def test_arrays_are_read_only_views(self):
         ss = generate_scenes(SceneConfig(seed=1))
@@ -154,27 +147,20 @@ class TestGenerateScenes:
         seed=st.integers(0, 2**16),
         num_scenes=st.integers(1, 8),
         objects=st.tuples(st.integers(1, 4), st.integers(0, 3)),
-        canvas=st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
         spacing=st.floats(0.5, 4.0),
-        scales=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
         # a wide jitter clips some objects off the canvas
-        jitter=st.one_of(st.floats(0.0, 0.6), st.floats(0.8, 1.5)),
+        jitter=st.one_of(st.floats(0.0, 0.6), st.floats(0.8, 1.67)),
     )
-    # objects clipped off the canvas, and collapsed by rounding: in x and y,
-    # then in y alone
-    @example(0, 4, (2, 2), (16.0, 16.0), 3.0, [3.0], 0.9)
-    @example(126, 4, (2, 2), (16.0, 16.0), 3.0, [3.0], 0.9)
-    @example(0, 4, (2, 2), (16.0, 16.0), 2.0, [1e-17], 0.35)
-    @example(0, 4, (2, 2), (16.0, 16.0), 2.0, [1e-15], 0.35)
-    def test_equals_the_box_reference(
-        self, seed, num_scenes, objects, canvas, spacing, scales, jitter
-    ):
+    # objects clipped off the canvas
+    @example(0, 4, (2, 2), 3.0, 0.9)
+    @example(126, 4, (2, 2), 3.0, 0.9)
+    def test_equals_the_box_reference(self, seed, num_scenes, objects, spacing, jitter):
         """The anchor grid and every scene's boxes and classes equal the
         per-``Box`` loops' bit for bit; a clipped object fails both alike."""
         try:
             cfg = SceneConfig(
                 seed=seed, num_scenes=num_scenes, objects_per_scene=(objects[0], sum(objects)),
-                canvas=canvas, anchor_spacing=spacing, anchor_scales=tuple(scales), jitter=jitter,
+                anchor_spacing=spacing, jitter=jitter,
             )
         except ValueError:
             assume(False)
@@ -307,21 +293,18 @@ class TestMatching:
         seed=st.integers(0, 2**16),
         num_scenes=st.integers(1, 9),
         objects=st.tuples(st.integers(1, 5), st.integers(0, 4)),
-        canvas=st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
         spacing=st.floats(0.5, 4.0),
-        scales=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
         jitter=st.floats(0.0, 0.6),
         threshold=st.floats(0.05, 0.95),
         max_pairs=st.one_of(st.integers(1, 600), st.just(MAX_MATCH_PAIRS)),
     )
     def test_scene_set_equals_per_scene_reference(
-        self, seed, num_scenes, objects, canvas, spacing, scales, jitter, threshold, max_pairs
+        self, seed, num_scenes, objects, spacing, jitter, threshold, max_pairs
     ):
         try:
             ss = generate_scenes(SceneConfig(
                 seed=seed, num_scenes=num_scenes, objects_per_scene=(objects[0], sum(objects)),
-                canvas=canvas, anchor_spacing=spacing, anchor_scales=tuple(scales),
-                jitter=jitter, positive_iou_threshold=threshold,
+                anchor_spacing=spacing, jitter=jitter, positive_iou_threshold=threshold,
             ))
         except ValueError:
             assume(False)
@@ -356,9 +339,7 @@ class TestMatching:
 
     def test_peak_at_the_pair_limit_is_no_higher_than_per_scene_matching(self):
         # one 10^4-anchor scene of 100 objects: anchors x objects = MAX_MATCH_PAIRS
-        cfg = SceneConfig(
-            num_scenes=1, canvas=(100.0, 100.0), anchor_spacing=1.0, objects_per_scene=(100, 100)
-        )
+        cfg = SceneConfig(num_scenes=1, anchor_spacing=0.16, objects_per_scene=(100, 100))
         ss = generate_scenes(cfg)
         assert ss.anchors_per_scene * len(ss.scenes[0].gt_boxes) == MAX_MATCH_PAIRS
 
