@@ -489,6 +489,11 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
             "config.scene.num_classes: 1000 class probabilities summing to 1 cannot all reach "
             "the gradient gate's draw floor 0.001",
         ),
+        # the fit check bounds jitter at ln(16 / 3), and with it every box area
+        (
+            {"scene": {"jitter": 1.68}},
+            "config.scene: objects up to 16.10 cannot fit the 16 x 16 canvas",
+        ),
         # gradients past the float range, not a p bound: 1e-308 overflows in
         # harmonic mode only
         (
