@@ -8,7 +8,10 @@ workloads.
 call at 100, 4 096 and 16 384 model rows in both loss modes; the gate that
 precedes ``train``, ``run_gradcheck`` on 20 samples of 5 classes, under both
 modes' hyperparameters; and ``refinement_experiment`` at the ``refine_long``
-workload's config, the other caller of ``offset_iou_and_grad``. Each call
+workload's config, the other caller of ``offset_iou_and_grad``; the
+evaluation that follows ``train`` (``cli._evaluate_trained``: NMS, AP and
+the scatter) on the models trained at 4 096 and 16 384 rows; and
+``generate_scenes`` at refine's 60 scenes. Each call
 runs between two runs of perfbench's calibration loop; a case's value is the
 median over batches of the call's time over the mean of the two calibration
 times, so it reads in perfbench's ``calib`` units.
@@ -48,6 +51,9 @@ LAYER_CASES = {
     "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
 }
 MODES = ("harmonic_det", "standard")
+# the trained models the evaluation runs on, in train_dense's loss mode
+EVAL_CASES = ("4096_rows", "16384_rows")
+EVAL_MODE = "standard"
 # refine_long: refine's scene and optimizer defaults, at 100 steps
 REFINE_CASE = (
     {"num_scenes": 60, "objects_per_scene": (3, 5), "jitter": 0.18},
@@ -76,6 +82,7 @@ def layer(src: str, out: str) -> None:
         run_gradcheck,
         train_toy,
     )
+    from hardet import cli
 
     def calibrated_median(call) -> float:
         call()  # untimed: warms caches and matching
@@ -110,8 +117,27 @@ def layer(src: str, out: str) -> None:
             "num_classes": 5,
             "calibrated_median": calibrated_median(lambda: run_gradcheck(hp, 5, GATE_SAMPLES)),
         }
+    thresholds = cli._DEFAULTS["train"]
+    for name in EVAL_CASES:
+        scene, optimizer = LAYER_CASES[name]
+        ss = generate_scenes(SceneConfig(**scene))
+        opt = OptimizerConfig(**optimizer, loss_mode=EVAL_MODE, gradcheck_samples=0)
+        model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
+        trained, _ = train_toy(ss, model, opt, HyperParams())
+        results[f"evaluate_trained_{name}_{EVAL_MODE}"] = {
+            "rows": ss.total_anchors,
+            "kept": len(cli._evaluate_trained(ss, trained, **thresholds)[1]),
+            "calibrated_median": calibrated_median(
+                lambda: cli._evaluate_trained(ss, trained, **thresholds)
+            ),
+        }
     scene, optimizer = REFINE_CASE
-    ss = generate_scenes(SceneConfig(**scene))
+    scene_config = SceneConfig(**scene)
+    results["generate_scenes_refine_long"] = {
+        "scenes": scene_config.num_scenes,
+        "calibrated_median": calibrated_median(lambda: generate_scenes(scene_config)),
+    }
+    ss = generate_scenes(scene_config)
     opt = OptimizerConfig(**optimizer)
     results["refinement_experiment_refine_long"] = {
         "positives": int(ss.matching.pos_flat.size),

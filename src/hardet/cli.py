@@ -40,7 +40,6 @@ from .metrics import (
     aic,
     average_precision,
     check_iou_thresholds,
-    consistency_scatter,
     iou_histogram,
     nms,
     refinement_gain,
@@ -284,8 +283,9 @@ def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams, num_classes: int) -> in
 def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
     """The loss breakdown of every non-blank line of a samples file. A line
     that is not a valid sample, or whose offsets do not decode, is a
-    ``ConfigError`` naming it; one whose breakdown cannot be computed, or is
-    not finite, a ``NumericalError`` naming it."""
+    ``ConfigError`` naming it; one whose regression target leaves the float
+    range, or whose breakdown cannot be computed or is not finite, a
+    ``NumericalError`` naming it."""
     breakdowns = []
     for lineno, line in enumerate(_read_text(samples_path, "samples file").splitlines(), start=1):
         if not line.strip():
@@ -295,6 +295,9 @@ def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
             check_decode(sample.d, sample.anchor)
         except ValueError as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc
+        except FloatingPointError as exc:
+            # raised by encode, which computes the sample's d_hat
+            raise NumericalError(f"samples line {lineno}: regression target d_hat: {exc}") from exc
         try:
             # an overflow shows as a non-finite field, reported below, not as a warning
             with np.errstate(all="ignore"):
@@ -332,7 +335,8 @@ def _evaluate_trained(
 ) -> tuple[dict, DetectionArrays, np.ndarray]:
     """AP payload, kept detections (scene by scene, each in score order) and
     their best IoUs with a ground truth of a trained model on its scenes; AP
-    and the IoUs match within (scene, class) groups."""
+    and the IoUs match within (scene, class) groups, and the IoUs are the
+    row maxima of AP's own IoU matrices."""
     dets = model_detections(scene_set, model)
     rows = nms(dets, nms_threshold)
     kept = dets.take(rows[np.argsort(dets.scene[rows], kind="stable")])
@@ -342,7 +346,7 @@ def _evaluate_trained(
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
     }
-    return ap_payload, kept, consistency_scatter(kept, gts)
+    return ap_payload, kept, ap.best_iou
 
 
 def cmd_train(
@@ -362,18 +366,19 @@ def cmd_train(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
     # json.dumps(..., sort_keys=True) of each record, formatted directly: it
-    # renders ints and the finite floats of validated detections by repr
-    scores = kept.score.tolist()
+    # renders ints and the finite floats of validated detections by repr;
+    # each score's repr is taken once, for these lines and scatter.csv's
+    scores = list(map(repr, kept.score.tolist()))
     records = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.scene.tolist(), scores)
     det_lines = [meta_line] + [
         f'{{"box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "class_id": {c}, '
-        f'"scene": {s}, "score": {p!r}}}'
+        f'"scene": {s}, "score": {p}}}'
         for (x1, y1, x2, y2), c, s, p in records
     ]
     (out / "detections.jsonl").write_text("".join(line + "\n" for line in det_lines))
 
     rows = [_csv_header(cfg), "score,iou\n"]
-    rows.extend(f"{s!r},{u!r}\n" for s, u in zip(scores, best_iou.tolist()))
+    rows.extend(f"{s},{u!r}\n" for s, u in zip(scores, best_iou.tolist()))
     (out / "scatter.csv").write_text("".join(rows))
 
     summary = {

@@ -139,20 +139,38 @@ def iou_grad(a: Box, b: Box) -> np.ndarray:
     return (d_inter * union - inter * d_union) / (union * union)
 
 
+# what each offset computes from the boxes, as encode's range failure names it
+_OFFSET_RATIOS = (
+    "tx = (gt center x - anchor center x) / anchor width",
+    "ty = (gt center y - anchor center y) / anchor height",
+    "tw = log(gt width / anchor width)",
+    "th = log(gt height / anchor height)",
+)
+
+
 def encode(gt: Box, anchor: Box) -> Offsets:
-    """Offsets that map ``anchor`` onto ``gt``; both boxes must have positive size."""
-    if anchor.width <= 0.0 or anchor.height <= 0.0:
+    """Offsets that map ``anchor`` onto ``gt``; both boxes must have positive
+    size. Raises ``FloatingPointError``, naming the offset and its ratio,
+    when a ratio leaves the float range: a shift or size ratio that
+    overflows, or a size ratio that underflows to 0."""
+    aw, ah, gw, gh = anchor.width, anchor.height, gt.width, gt.height
+    if aw <= 0.0 or ah <= 0.0:
         raise ValueError("cannot encode against a degenerate anchor")
-    if gt.width <= 0.0 or gt.height <= 0.0:
+    if gw <= 0.0 or gh <= 0.0:
         raise ValueError("cannot encode a degenerate ground-truth box")
     acx, acy = anchor.center
     gcx, gcy = gt.center
-    return Offsets(
-        (gcx - acx) / anchor.width,
-        (gcy - acy) / anchor.height,
-        math.log(gt.width / anchor.width),
-        math.log(gt.height / anchor.height),
-    )
+    parts = ((gcx - acx, aw), (gcy - acy, ah), (gw, aw), (gh, ah))
+    ratios = tx, ty, sw, sh = [num / den for num, den in parts]
+    # written so that NaN fails these checks too
+    valid = (abs(tx) < math.inf, abs(ty) < math.inf, 0.0 < sw < math.inf, 0.0 < sh < math.inf)
+    if not all(valid):
+        k = valid.index(False)
+        (num, den), r = parts[k], ratios[k]
+        raise FloatingPointError(
+            f"{_OFFSET_RATIOS[k]} leaves the float range: {num!r} / {den!r} = {r!r}"
+        )
+    return Offsets(tx, ty, math.log(sw), math.log(sh))
 
 
 def check_decode(d: Offsets, anchor: Box) -> None:

@@ -236,10 +236,13 @@ def generate_scenes(cfg: SceneConfig) -> SceneSet:
         for k in range(count):
             ax1, ay1, ax2, ay2 = anchors[int(rng.integers(len(anchors)))].tolist()
             aw, ah = ax2 - ax1, ay2 - ay1
-            cx = 0.5 * (ax1 + ax2) + float(rng.uniform(-cfg.jitter, cfg.jitter)) * aw
-            cy = 0.5 * (ay1 + ay2) + float(rng.uniform(-cfg.jitter, cfg.jitter)) * ah
-            bw = aw * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            bh = ah * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
+            # center shifts, then log-size changes: one draw, the same values
+            # and stream state as four scalar draws
+            sx, sy, lw, lh = rng.uniform(-cfg.jitter, cfg.jitter, size=4).tolist()
+            cx = 0.5 * (ax1 + ax2) + sx * aw
+            cy = 0.5 * (ay1 + ay2) + sy * ah
+            bw = aw * math.exp(lw)
+            bh = ah * math.exp(lh)
             box = (max(0.0, cx - bw / 2), max(0.0, cy - bh / 2),
                    min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2))
             # clipped off the canvas
@@ -470,6 +473,21 @@ def _check_model(scene_set: SceneSet, model: ToyModel) -> None:
             raise ValueError(f"model {name} are {values.dtype}, not float64")
 
 
+def _identical_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of a 2-D array, by one stable sort on its
+    columns: the index of each group's first row, the groups in ascending
+    order of their rows (first column first), and each row's group. The
+    partition, first rows and group order of ``np.unique(rows, axis=0,
+    return_index=True, return_inverse=True)``."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def train_toy(
     scene_set: SceneSet,
     model: ToyModel,
@@ -500,7 +518,7 @@ def train_toy(
     # row of each group of identical negatives, and every model row takes its
     # group's result
     rows = np.hstack([model.logits, model.offsets])[m.neg_flat].view(np.uint64)
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    first, inverse = _identical_rows(rows)
     # the model row of each compact row: a positive's own, a group's first
     source = np.concatenate([m.pos_flat, m.neg_flat[first]])
     member = np.empty(scene_set.total_anchors, dtype=np.intp)
@@ -653,10 +671,11 @@ def random_positive_sample(
         cx, cy = rng.uniform(5.0, 11.0, size=2).tolist()
         w, h = rng.uniform(2.0, 4.0, size=2).tolist()
         anchor = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        gx = cx + rng.uniform(-0.3, 0.3) * w
-        gy = cy + rng.uniform(-0.3, 0.3) * h
-        gw = w * math.exp(rng.uniform(-0.3, 0.3))
-        gh = h * math.exp(rng.uniform(-0.3, 0.3))
+        sx, sy, lw, lh = rng.uniform(-0.3, 0.3, size=4).tolist()
+        gx = cx + sx * w
+        gy = cy + sy * h
+        gw = w * math.exp(lw)
+        gh = h * math.exp(lh)
         gt = Box(gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
         d_hat = encode(gt, anchor)
         d = Offsets.from_array(d_hat.as_array() + rng.uniform(-0.5, 0.5, size=4))
@@ -684,10 +703,12 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
         cx, cy = rng.uniform(4.0, 12.0, size=2).tolist()
         w, h = rng.uniform(2.0, 5.0, size=2).tolist()
         a = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        bx = cx + rng.uniform(-0.6, 0.6) * w
-        by = cy + rng.uniform(-0.6, 0.6) * h
-        bw = w * math.exp(rng.uniform(-0.4, 0.4))
-        bh = h * math.exp(rng.uniform(-0.4, 0.4))
+        sx, sy = rng.uniform(-0.6, 0.6, size=2).tolist()
+        lw, lh = rng.uniform(-0.4, 0.4, size=2).tolist()
+        bx = cx + sx * w
+        by = cy + sy * h
+        bw = w * math.exp(lw)
+        bh = h * math.exp(lh)
         b = Box(bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
         if _kink_free_overlap(a, b):
             return a, b

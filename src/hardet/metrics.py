@@ -207,16 +207,17 @@ def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
     return ap
 
 
-def _true_positives(ious: np.ndarray, threshold: float) -> np.ndarray:
+def _true_positives(ious: np.ndarray, best: np.ndarray, threshold: float) -> np.ndarray:
     """Ranks of the true positives at one IoU threshold; ``ious`` rows are
-    a group's detections in score order, columns its ground truths. Each
-    detection takes the free ground truth of highest IoU (ties to the lowest
-    index) and is a TP if that IoU reaches the threshold.
+    a group's detections in score order, columns its ground truths, and
+    ``best`` holds its row maxima. Each detection takes the free ground
+    truth of highest IoU (ties to the lowest index) and is a TP if that IoU
+    reaches the threshold.
 
     A detection whose best IoU over every ground truth misses the threshold
     is a FP that takes nothing, so only the others are walked.
     """
-    walked = np.flatnonzero(ious.max(axis=1) >= threshold)
+    walked = np.flatnonzero(best >= threshold)
     taken: set[int] = set()
     tps = []
     for r, row in zip(walked.tolist(), ious[walked].tolist()):
@@ -230,11 +231,36 @@ def _true_positives(ious: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True)
 class APResult:
     """Per-threshold AP averaged over (scene, class) groups with ground
-    truth, plus the per-group detail."""
+    truth, plus the per-group detail, and the read-only IoU column of the
+    score-vs-IoU scatter (:func:`consistency_scatter`), one entry per
+    detection in row order. Equality compares the AP figures only."""
 
     per_threshold: dict[float, float]
     mean: float
     per_class: dict[Key, dict[float, float]] = field(default_factory=dict)
+    best_iou: np.ndarray = field(default_factory=lambda: np.zeros(0), compare=False)
+
+
+def _ground_truth_groups(
+    dets: DetectionArrays, gts: GroundTruthArrays
+) -> tuple[dict[Key, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The IoU pass that AP and the scatter share. Per (scene, class) group
+    with ground truth, in ascending key order, the IoU matrix of its
+    detections in score order (ties by row) against its ground truths, and
+    the matrix's row maxima; and each detection's best IoU with a ground
+    truth of its group, 0 when the group has none, read-only."""
+    det_groups = _group_rows(dets, _by_score(dets))
+    none = np.zeros(0, dtype=int)
+    groups = {}
+    best = np.zeros(len(dets))
+    for key, cols in _group_rows(gts, np.arange(len(gts))).items():
+        rows = det_groups.get(key, none)
+        ious = iou_matrix(dets.boxes[rows], gts.boxes[cols])
+        row_best = ious.max(axis=1)
+        best[rows] = row_best
+        groups[key] = ious, row_best
+    best.flags.writeable = False
+    return groups, best
 
 
 def average_precision(
@@ -247,22 +273,22 @@ def average_precision(
 
     Matching and averaging run per (scene, class) group. Groups without
     ground truth are absent from the report; their detections do not enter
-    any other group's precision.
+    any other group's precision. The result carries the scatter's IoU
+    column, read from the same IoU matrices.
     """
     thresholds = check_iou_thresholds(iou_thresholds)
-    det_groups = _group_rows(dets, _by_score(dets))
-    none = np.zeros(0, dtype=int)
-    per_class: dict[Key, dict[float, float]] = {}
-    for key, cols in _group_rows(gts, np.arange(len(gts))).items():
-        # one IoU matrix per group, shared by every threshold
-        ious = iou_matrix(dets.boxes[det_groups.get(key, none)], gts.boxes[cols])
-        per_class[key] = {t: _ap_at(_true_positives(ious, t), cols.size) for t in thresholds}
+    groups, best = _ground_truth_groups(dets, gts)
+    # one IoU matrix and its row maxima per group, shared by every threshold
+    per_class = {
+        key: {t: _ap_at(_true_positives(ious, row_best, t), ious.shape[1]) for t in thresholds}
+        for key, (ious, row_best) in groups.items()
+    }
     keys = list(per_class)
     per_threshold = {
         t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0 for t in thresholds
     }
     mean = sum(per_threshold.values()) / len(thresholds)
-    return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class)
+    return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class, best_iou=best)
 
 
 def _unit_arrays(caller: str, **values: object) -> list[np.ndarray]:
@@ -351,10 +377,6 @@ def refinement_gain(
 
 def consistency_scatter(dets: DetectionArrays, gts: GroundTruthArrays) -> np.ndarray:
     """Each detection's best IoU with a ground truth of its scene and class,
-    0 when there is none: the IoU column of the score-vs-IoU scatter."""
-    best = np.zeros(len(dets))
-    gt_groups = _group_rows(gts, np.arange(len(gts)))
-    for key, rows in _group_rows(dets, np.arange(len(dets))).items():
-        if key in gt_groups:
-            best[rows] = iou_matrix(dets.boxes[rows], gts.boxes[gt_groups[key]]).max(axis=1)
-    return best
+    0 when there is none: the IoU column of the score-vs-IoU scatter, read
+    only. :func:`average_precision` returns it too, as ``best_iou``."""
+    return _ground_truth_groups(dets, gts)[1]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hardet import OptimizerConfig, SceneConfig, cli, generate_scenes
+from hardet import OptimizerConfig, SceneConfig, ToyModel, cli, generate_scenes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCRIPTS = PERFBENCH.parent / "scripts"
@@ -93,9 +93,10 @@ def test_child_runs_a_traced_command_with_its_facts(tmp_path, monkeypatch, trace
     assert metrics[f"cli.cmd_{command}.calls"] == 1
     assert metrics["harness.generate_scenes.calls"] == 1
     if command == "train":
-        # the evaluation runs under the names the benchmark traces
-        for name in ("nms", "average_precision", "consistency_scatter"):
-            assert metrics[f"metrics.{name}.calls"] == 1, name
+        # the evaluation runs under the names the benchmark traces; the
+        # scatter comes from average_precision's own IoU matrices
+        for name, calls in (("nms", 1), ("average_precision", 1), ("consistency_scatter", 0)):
+            assert metrics[f"metrics.{name}.calls"] == calls, name
         # one AIC per logged record, then aic_summary.json's mean and sum
         records = (out / "trainlog.csv").read_text().splitlines()[2:]
         assert metrics["metrics.aic.calls"] == len(records) + 2
@@ -137,13 +138,21 @@ def test_every_workload_config_runs_through_the_cli(tmp_path, monkeypatch, trace
 
 def test_every_bench_script_case_builds_its_configs_and_scenes():
     """``bench_train_toy.py layer`` builds ``SceneConfig`` and
-    ``OptimizerConfig`` from its cases' keys directly, so a field hardet
-    drops would crash it; build each case as it does, without timing it."""
+    ``OptimizerConfig`` from its cases' keys directly, and evaluates through
+    ``cli._evaluate_trained`` at ``cli._DEFAULTS``' thresholds, so a field or
+    name hardet drops would crash it; build each case as it does, and
+    evaluate an untrained model on each evaluation case, without timing."""
     bench = _load("bench_train_toy", SCRIPTS)
     for scene, optimizer in bench.LAYER_CASES.values():
         assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
         for mode in bench.MODES:
             OptimizerConfig(**optimizer, loss_mode=mode, gradcheck_samples=0)
+    for name in bench.EVAL_CASES:
+        scene, optimizer = bench.LAYER_CASES[name]
+        OptimizerConfig(**optimizer, loss_mode=bench.EVAL_MODE, gradcheck_samples=0)
+        ss = generate_scenes(SceneConfig(**scene))
+        model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
+        assert len(cli._evaluate_trained(ss, model, **cli._DEFAULTS["train"])[1]) > 0
     scene, optimizer = bench.REFINE_CASE
     assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
     OptimizerConfig(**optimizer)

@@ -764,13 +764,35 @@ class TestLossEvalCommand:
                     "numerical failure: samples line 1: iou gradient undefined for a degenerate union\n",
                 ),
             ),
+            # a size ratio of the regression target that underflows to 0
+            (
+                {"anchor": [0, 0, 1e300, 1e300], "gt_box": [0, 0, 1e-300, 1e-300], "d": [0, 0, 0, 0]},
+                (
+                    EXIT_NUMERICAL,
+                    "numerical failure: samples line 1: regression target d_hat: "
+                    "tw = log(gt width / anchor width) leaves the float range: 1e-300 / 1e+300 = 0.0\n",
+                ),
+            ),
+            # a shift ratio of the regression target that overflows
+            (
+                {"anchor": [0, 0, 1e-300, 1e-300], "gt_box": [0, 0, 1e300, 1e300], "d": [0, 0, 0, 0]},
+                (
+                    EXIT_NUMERICAL,
+                    "numerical failure: samples line 1: regression target d_hat: "
+                    "tx = (gt center x - anchor center x) / anchor width leaves the float range: "
+                    "5e+299 / 1e-300 = inf\n",
+                ),
+            ),
             # a size offset that does not decode is the record's own fault
             (
                 {"d": [0.1, 0.2, 20.0, -0.1]},
                 (EXIT_VALIDATION, "error: samples line 1: size offsets (20.0, -0.1) exceed the exp cap 16.0\n"),
             ),
         ],
-        ids=["areas-overflow", "areas-underflow", "past-the-decode-cap"],
+        ids=[
+            "areas-overflow", "areas-underflow", "target-size-underflow", "target-shift-overflow",
+            "past-the-decode-cap",
+        ],
     )
     def test_failed_breakdown_is_numerical_and_bad_offsets_a_validation_error(
         self, tmp_path, change, expected
@@ -865,7 +887,13 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, FAST_TRAIN)
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        rows = [json.loads(line) for line in (out / "detections.jsonl").read_text().splitlines()[1:]]
+        lines = (out / "detections.jsonl").read_text().splitlines()[1:]
+        rows = [json.loads(line) for line in lines]
+        # each line is json.dumps of its record, and scatter.csv repeats the
+        # score text of each detection, row for row
+        assert lines == [json.dumps(r, sort_keys=True) for r in rows]
+        _, scatter = read_csv_rows(out / "scatter.csv")
+        assert [r["score"] for r in scatter] == [repr(r["score"]) for r in rows]
         # building the arrays checks every row's box and score
         dets = DetectionArrays(*([r[k] for r in rows] for k in ("box", "class_id", "score", "scene")))
         assert dets.scene.tolist() == [r["scene"] for r in rows]

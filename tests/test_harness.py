@@ -410,6 +410,16 @@ class TestOptimizerConfig:
             OptimizerConfig(loss_mode="sgd")
 
 
+# negative rows as train_toy groups them, before the uint64 view
+IDENTICAL_ROW_CASES = {
+    "all-identical": np.zeros((40, 9)),
+    "all-distinct": np.random.default_rng(0).normal(size=(40, 9)),
+    "tied": np.random.default_rng(1).integers(0, 2, size=(40, 3)).astype(float),
+    "signed-zeros": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]),
+    "no-rows": np.zeros((0, 9)),
+}
+
+
 def small_setup(seed=0, **scene_kw):
     cfg = SceneConfig(seed=seed, num_scenes=2, anchor_spacing=4.0, **scene_kw)
     ss = generate_scenes(cfg)
@@ -451,9 +461,16 @@ class TestTrainToy:
         with pytest.raises(ValueError, match=message):
             model_detections(ss, model)
 
-    def test_kernel_runs_on_the_positives_and_one_row_per_distinct_negative(self, monkeypatch):
-        # the dense workload's zero model: every negative row is the same
-        ss, hp, opt = cli_setup("train", TRAIN_CONFIGS["train_dense"])
+    @pytest.mark.parametrize(
+        "config, anchors, distinct",
+        # the dense workload's zero model: every negative row is the same;
+        # one anchor per scene leaves no negative at all
+        [("train_dense", 4096, 1), ("one_anchor_per_scene", 4, 0)],
+    )
+    def test_kernel_runs_on_the_positives_and_one_row_per_distinct_negative(
+        self, monkeypatch, config, anchors, distinct
+    ):
+        ss, hp, opt = cli_setup("train", TRAIN_CONFIGS[config])
         real = harness.batch_objective_arrays
         rows = []
 
@@ -465,8 +482,20 @@ class TestTrainToy:
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         train_toy(ss, model, replace(opt, gradcheck_samples=0), hp)
         p = ss.matching.pos_flat.size
-        assert ss.total_anchors == 4096
-        assert rows == [(p + 1, p)] * (opt.steps + 1)
+        assert ss.total_anchors == anchors
+        assert rows == [(p + distinct, p)] * (opt.steps + 1)
+
+    @pytest.mark.parametrize("case", sorted(IDENTICAL_ROW_CASES))
+    def test_identical_row_groups_equal_numpy_unique(self, case):
+        rows = IDENTICAL_ROW_CASES[case].view(np.uint64)
+        first, inverse = harness._identical_rows(rows)
+        _, want_first, want_inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        assert first.tolist() == want_first.tolist()
+        assert inverse.tolist() == want_inverse.ravel().tolist()
+        # one group per distinct byte pattern: -0.0 and 0.0 stay apart
+        assert first.size == len({row.tobytes() for row in rows})
 
     def test_kernel_takes_the_positives_as_leading_rows_without_index_arrays(self, monkeypatch):
         ss, hp, model = small_setup()
@@ -688,6 +717,8 @@ TRAIN_CONFIGS = {
         "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
         "optimizer": {"steps": 20, "log_every": 5},
     },
+    # one anchor per scene, which its one object claims: no negatives
+    "one_anchor_per_scene": {"scene": {"anchor_spacing": 16.0, "objects_per_scene": [1, 1]}},
 }
 
 

@@ -572,8 +572,12 @@ class TestMatchesScalarOracle:
     @given(sets=_dets_and_gts())
     def test_consistency_scatter(self, sets):
         dets, gts = sets
+        want = repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
         new = list(zip([d.score for d in dets], best_ious(dets, gts)))
-        assert repr(new) == repr(oracle_consistency_scatter(remapped(dets), remapped(gts)))
+        assert repr(new) == want
+        # the scatter average_precision reads from its own IoU matrices
+        from_ap = list(zip([d.score for d in dets], ap(dets, gts).best_iou.tolist()))
+        assert repr(from_ap) == want
 
 
 # few distinct values, the bin edges among them: ties and edge hits are common
