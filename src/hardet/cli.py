@@ -185,13 +185,6 @@ def _build(cls: type, cfg: dict, name: str, **extra: Any) -> Any:
         raise ConfigError(f"config.{name}: {exc}") from exc
 
 
-def _build_scene_set(scene: SceneConfig) -> SceneSet:
-    try:
-        return generate_scenes(scene)
-    except ValueError as exc:
-        raise ConfigError(f"config.scene: {exc}") from exc
-
-
 MAX_SURFACE_POINTS = 10**6
 
 
@@ -470,8 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"config.scene.num_classes: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
         surface = _check_command_blocks(eff)
-        # the commands that draw scenes or read samples judge them before writing too
-        scene_set = _build_scene_set(scene) if args.command in ("train", "refine") else None
+        # loss-eval judges its samples before writing too; a scene draw cannot fail
         breakdowns = _loss_breakdowns(args.samples, hp) if args.command == "loss-eval" else None
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
@@ -482,8 +474,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "surface":
             return cmd_surface(eff, out, surface)
         if args.command == "train":
-            return cmd_train(eff, out, scene_set, hp, opt)
-        return cmd_refine(eff, out, scene_set, hp, opt)
+            return cmd_train(eff, out, generate_scenes(scene), hp, opt)
+        return cmd_refine(eff, out, generate_scenes(scene), hp, opt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -226,28 +226,40 @@ def _anchor_grid(cfg: SceneConfig) -> np.ndarray:
     return np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1).reshape(-1, 4)
 
 
+def _jittered_box(
+    cx: float, cy: float, w: float, h: float, jitters: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Corners of the w x h box centered at (cx, cy) once its center shifts by
+    (sx w, sy h) and its log-sizes by (lw, lh), for ``jitters`` (sx, sy, lw, lh)."""
+    sx, sy, lw, lh = jitters
+    gx = cx + sx * w
+    gy = cy + sy * h
+    gw = w * math.exp(lw)
+    gh = h * math.exp(lh)
+    return gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2
+
+
 def generate_scenes(cfg: SceneConfig) -> SceneSet:
-    """Deterministic scenes: per object, a random anchor jittered in place."""
+    """Deterministic scenes: per object, a random anchor jittered in place.
+    An object that the canvas clips to nothing draws its anchor and jitters
+    again, before its class; every anchor's center lies on the canvas."""
     rng = np.random.default_rng(cfg.seed)
     anchors = _anchor_grid(cfg)
     boxes, classes, scene = [], [], []
     for s in range(cfg.num_scenes):
         count = int(rng.integers(cfg.objects_per_scene[0], cfg.objects_per_scene[1] + 1))
-        for k in range(count):
-            ax1, ay1, ax2, ay2 = anchors[int(rng.integers(len(anchors)))].tolist()
-            aw, ah = ax2 - ax1, ay2 - ay1
-            # center shifts, then log-size changes: one draw, the same values
-            # and stream state as four scalar draws
-            sx, sy, lw, lh = rng.uniform(-cfg.jitter, cfg.jitter, size=4).tolist()
-            cx = 0.5 * (ax1 + ax2) + sx * aw
-            cy = 0.5 * (ay1 + ay2) + sy * ah
-            bw = aw * math.exp(lw)
-            bh = ah * math.exp(lh)
-            box = (max(0.0, cx - bw / 2), max(0.0, cy - bh / 2),
-                   min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2))
-            # clipped off the canvas
-            if not (box[2] > box[0] and box[3] > box[1]):
-                raise ValueError(f"object {k} of scene {s} has no area on the canvas: {box}")
+        for _ in range(count):
+            while True:
+                ax1, ay1, ax2, ay2 = anchors[int(rng.integers(len(anchors)))].tolist()
+                # center shifts, then log-size changes: one draw, the same
+                # values and stream state as four scalar draws
+                jitters = rng.uniform(-cfg.jitter, cfg.jitter, size=4).tolist()
+                x1, y1, x2, y2 = _jittered_box(
+                    0.5 * (ax1 + ax2), 0.5 * (ay1 + ay2), ax2 - ax1, ay2 - ay1, jitters
+                )
+                box = (max(0.0, x1), max(0.0, y1), min(CANVAS, x2), min(CANVAS, y2))
+                if box[2] > box[0] and box[3] > box[1]:
+                    break
             boxes.append(box)
             classes.append(int(rng.integers(1, cfg.num_classes)))
             scene.append(s)
@@ -671,12 +683,7 @@ def random_positive_sample(
         cx, cy = rng.uniform(5.0, 11.0, size=2).tolist()
         w, h = rng.uniform(2.0, 4.0, size=2).tolist()
         anchor = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        sx, sy, lw, lh = rng.uniform(-0.3, 0.3, size=4).tolist()
-        gx = cx + sx * w
-        gy = cy + sy * h
-        gw = w * math.exp(lw)
-        gh = h * math.exp(lh)
-        gt = Box(gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2)
+        gt = Box(*_jittered_box(cx, cy, w, h, rng.uniform(-0.3, 0.3, size=4).tolist()))
         d_hat = encode(gt, anchor)
         d = Offsets.from_array(d_hat.as_array() + rng.uniform(-0.5, 0.5, size=4))
         decoded = decode(d, anchor)
@@ -703,13 +710,8 @@ def _random_box_pair(rng: np.random.Generator) -> tuple[Box, Box]:
         cx, cy = rng.uniform(4.0, 12.0, size=2).tolist()
         w, h = rng.uniform(2.0, 5.0, size=2).tolist()
         a = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        sx, sy = rng.uniform(-0.6, 0.6, size=2).tolist()
-        lw, lh = rng.uniform(-0.4, 0.4, size=2).tolist()
-        bx = cx + sx * w
-        by = cy + sy * h
-        bw = w * math.exp(lw)
-        bh = h * math.exp(lh)
-        b = Box(bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2)
+        shifts = rng.uniform(-0.6, 0.6, size=2).tolist()
+        b = Box(*_jittered_box(cx, cy, w, h, shifts + rng.uniform(-0.4, 0.4, size=2).tolist()))
         if _kink_free_overlap(a, b):
             return a, b
 

@@ -3,7 +3,7 @@ by a loop over (iy, ix), and a ``Box`` per generated object.
 
 ``harness.generate_scenes`` builds the anchor grid as one corner array and
 the ground truths as one ``GroundTruthArrays``; the tests hold its arrays to
-``generate_scenes``' boxes bit for bit, and its errors to this one's.
+``generate_scenes``' boxes bit for bit, redrawn objects included.
 """
 
 import math
@@ -30,29 +30,28 @@ def anchor_grid(cfg: SceneConfig) -> tuple[Box, ...]:
 
 def generate_scenes(cfg: SceneConfig) -> tuple[tuple[Box, ...], Scenes]:
     """The anchors, and per scene its ground-truth boxes and classes:
-    per object, a random anchor jittered in place."""
+    per object, a random anchor jittered in place, drawn again while the
+    canvas clips it to nothing."""
     rng = np.random.default_rng(cfg.seed)
     anchors = anchor_grid(cfg)
     scenes = []
-    for s in range(cfg.num_scenes):
+    for _ in range(cfg.num_scenes):
         count = int(rng.integers(cfg.objects_per_scene[0], cfg.objects_per_scene[1] + 1))
         boxes = []
         classes = []
-        for k in range(count):
-            base = anchors[int(rng.integers(len(anchors)))]
-            cx, cy = base.center
-            cx += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.width
-            cy += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.height
-            bw = base.width * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            bh = base.height * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
-            x1, y1 = max(0.0, cx - bw / 2), max(0.0, cy - bh / 2)
-            x2, y2 = min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2)
-            # a clipped extent of 0 or less: Box would reject its corner order,
-            # or accept a box of no area
-            if not (x2 > x1 and y2 > y1):
-                raise ValueError(
-                    f"object {k} of scene {s} has no area on the canvas: {(x1, y1, x2, y2)}"
-                )
+        for _ in range(count):
+            # a clipped extent of 0 or less, which Box would reject or accept
+            # with no area, draws the anchor and jitters again
+            x1 = y1 = x2 = y2 = 0.0
+            while not (x2 > x1 and y2 > y1):
+                base = anchors[int(rng.integers(len(anchors)))]
+                cx, cy = base.center
+                cx += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.width
+                cy += float(rng.uniform(-cfg.jitter, cfg.jitter)) * base.height
+                bw = base.width * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
+                bh = base.height * math.exp(float(rng.uniform(-cfg.jitter, cfg.jitter)))
+                x1, y1 = max(0.0, cx - bw / 2), max(0.0, cy - bh / 2)
+                x2, y2 = min(CANVAS, cx + bw / 2), min(CANVAS, cy + bh / 2)
             boxes.append(Box(x1, y1, x2, y2))
             classes.append(int(rng.integers(1, cfg.num_classes)))
         scenes.append((tuple(boxes), tuple(classes)))
