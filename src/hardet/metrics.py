@@ -195,8 +195,6 @@ def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
     """
     if num_gt == 0:
         raise ValueError("AP undefined without ground truths")
-    if not tp_rank.size:
-        return 0.0
     tp = np.arange(1.0, tp_rank.size + 1.0)
     recall = tp / num_gt
     # the rank's TP + FP count
@@ -220,8 +218,6 @@ def _true_positives(ious: np.ndarray, best: np.ndarray, threshold: float) -> np.
     is a FP that takes nothing, so only the others are walked.
     """
     walked = np.flatnonzero(best >= threshold)
-    if not walked.size:
-        return walked
     taken: set[int] = set()
     tps = []
     for r, row in zip(walked.tolist(), ious[walked].tolist()):

@@ -539,8 +539,9 @@ def test_every_command_rejects_a_bad_block_alike(tmp_path, payload, message):
 @pytest.mark.parametrize("command", ["train", "refine"])
 def test_widest_jitter_the_canvas_fits_runs(tmp_path, command):
     """At the largest jitter the fit check accepts, just under ln(16 / 3),
-    objects span 0.56 to 15.9 units: every area and union stays far inside
-    the float range, so both commands run without a warning."""
+    unclipped objects span 0.56 to 15.9 units and canvas-clipped ones can be
+    far thinner, yet every area and union stays finite and positive, so both
+    commands run without a warning."""
     scene = {"num_scenes": 4, "objects_per_scene": [2, 4], "anchor_spacing": 0.5, "jitter": 1.67}
     cfg = write_config(tmp_path, {"scene": scene, "optimizer": {"steps": 50}})
     assert _run_quietly([command, "--config", cfg, "--out", str(tmp_path / "out")]) == (EXIT_OK, "")
