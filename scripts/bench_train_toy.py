@@ -7,8 +7,11 @@ workloads.
 ``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
 call at 100, 4 096 and 16 384 model rows in both loss modes; the gate that
 precedes ``train``, ``run_gradcheck`` on 20 samples of 5 classes, under both
-modes' hyperparameters; and ``refinement_experiment`` at the ``refine_long``
-workload's config, the other caller of ``offset_iou_and_grad``; the
+modes' hyperparameters; ``refinement_experiment`` at the ``refine_long``
+workload's config, the other caller of ``offset_iou_and_grad``;
+``offset_iou_and_grad`` itself, 100 calls at 12 (``train_default``'s
+positives), 478 (refine's two stacked runs), 4 096 and 16 384 rows, cycling
+refine's matched pairs under fixed random offsets; the
 evaluation that follows ``train`` (``cli._evaluate_trained``: NMS, AP and
 the scatter) on the models trained at 4 096 and 16 384 rows; and
 ``generate_scenes`` at refine's 60 scenes. Each call
@@ -59,6 +62,9 @@ REFINE_CASE = (
     {"num_scenes": 60, "objects_per_scene": (3, 5), "jitter": 0.18},
     {"learning_rate": 0.002, "steps": 100},
 )
+# rows of the geometry kernel's cases, and its calls per timed batch
+KERNEL_ROWS = (12, 478, 4096, 16384)
+KERNEL_CALLS = 100
 # the gate's draws before train, the OptimizerConfig default
 GATE_SAMPLES = 20
 BATCHES = 7
@@ -72,12 +78,16 @@ def layer(src: str, out: str) -> None:
     sys.path.insert(0, str(Path(src).parent / "perfbench"))
     from child import calibrate
 
+    import numpy as np
+
     from hardet import (
+        AnchorTargets,
         HyperParams,
         OptimizerConfig,
         SceneConfig,
         ToyModel,
         generate_scenes,
+        offset_iou_and_grad,
         refinement_experiment,
         run_gradcheck,
         train_toy,
@@ -138,6 +148,21 @@ def layer(src: str, out: str) -> None:
         "calibrated_median": calibrated_median(lambda: generate_scenes(scene_config)),
     }
     ss = generate_scenes(scene_config)
+    for rows in KERNEL_ROWS:
+        targets = AnchorTargets(
+            np.resize(ss.matching.anchors, (rows, 4)), np.resize(ss.matching.gt, (rows, 4))
+        )
+        d = np.random.default_rng(rows).uniform(-0.3, 0.3, size=(rows, 4))
+
+        def kernel_calls() -> None:
+            for _ in range(KERNEL_CALLS):
+                offset_iou_and_grad(d, targets)
+
+        results[f"offset_iou_and_grad_{rows}_rows"] = {
+            "rows": rows,
+            "calls": KERNEL_CALLS,
+            "calibrated_median": calibrated_median(kernel_calls),
+        }
     opt = OptimizerConfig(**optimizer)
     results["refinement_experiment_refine_long"] = {
         "positives": int(ss.matching.pos_flat.size),

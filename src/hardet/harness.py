@@ -1054,6 +1054,7 @@ def _train_offsets_only(
     n_runs = len(runs)
     targets = AnchorTargets(np.tile(m.anchors, (n_runs, 1)), np.tile(m.gt, (n_runs, 1)))
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
+    exponent = (gamma - 1.0).tolist()
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
     d = np.zeros((n_runs * m.pos_flat.size, 4))
     # an overflow shows as an offset past the decode cap, not as a warning
@@ -1061,7 +1062,7 @@ def _train_offsets_only(
         for step in range(opt.steps):
             _check_decode_cap(step, d, m.pos_flat, names)
             u, du_dd = offset_iou_and_grad(d, targets)
-            d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
+            d -= (opt.learning_rate * hiou_slope_arrays(u, gamma, exponent))[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)
 

@@ -250,10 +250,15 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
-def hiou_slope_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+def hiou_slope_arrays(
+    u: np.ndarray, gamma: float | np.ndarray, exponent: float | list[float] | None = None
+) -> np.ndarray:
     """Element-wise :func:`hiou_slope` of 1-D ``u``; ``gamma`` is one value or
-    one per element. ``u`` is not range-checked."""
-    return elementwise(pow, 1.0 + u, gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
+    one per element, and ``exponent`` its ``gamma - 1``, computed here when
+    not given. ``u`` is not range-checked."""
+    if exponent is None:
+        exponent = gamma - 1.0
+    return elementwise(math.pow, 1.0 + u, exponent) * (gamma * (1.0 - u) - (1.0 + u))
 
 
 @dataclass(frozen=True)
@@ -541,7 +546,8 @@ def batch_objective_arrays(
     ce = -log_p
     grad_probs = np.zeros(probs.shape)
     grad_offsets = np.zeros(offsets.shape)
-    size_offsets = d[:, 2:].ravel().tolist()
+    # every tw, then every th: the geometry's axis-major rows
+    size_offsets = d.T[2:].ravel().tolist()
     if hp.freeze_factors:
         scale = elementwise(math.exp, size_offsets)
     else:
@@ -554,7 +560,7 @@ def batch_objective_arrays(
         one_plus = 1.0 + exps[2 * n :]  # 1 + beta_c, then 1 + beta_e
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
-    u, du_dd = offset_iou_and_grad(d, targets, scale.reshape(-1, 2))
+    u, du_dd = offset_iou_and_grad(d, targets, scale.reshape(2, -1))
     x = d - d_hat
     ax = np.abs(x)
     q = np.minimum(ax, 1.0)
@@ -565,7 +571,7 @@ def batch_objective_arrays(
     # both HIoU powers in one libm pass: (1 + IoU)^gamma and ^(gamma - 1)
     one_plus_u, one_minus_u = 1.0 + u, 1.0 - u
     bases = one_plus_u.tolist()
-    powers = elementwise(pow, bases + bases, [hp.gamma] * n + [hp.gamma - 1.0] * n)
+    powers = elementwise(math.pow, bases + bases, [hp.gamma] * n + [hp.gamma - 1.0] * n)
     loc = sl1 + hp.alpha * (powers[:n] * one_minus_u)
     slope = powers[n:] * (hp.gamma * one_minus_u - one_plus_u)
     # held in the positives' rows of grad_offsets, which the harmonic branch overwrites

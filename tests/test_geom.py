@@ -231,8 +231,9 @@ def scalar_offset_iou_and_grad(d, anchors, gts):
 def assert_fused_equals_scalar(d, anchors, gts):
     """The fused call equals the scalar forms and the four-call reference,
     bit for bit."""
-    a, g = stacked(anchors), stacked(gts)
+    a, g = corners(anchors), corners(gts)
     u, grad = offset_iou_and_grad(d, AnchorTargets(a, g))
+    assert u.shape == (len(d),) and grad.shape == (len(d), 4)
     want_u, want_grad = scalar_offset_iou_and_grad(d, anchors, gts)
     assert u.tobytes() == want_u.tobytes()
     assert grad.tobytes() == want_grad.tobytes()
@@ -315,14 +316,32 @@ class TestArrayForms:
         d[: m.pos_flat.size // 2] = 0.0
         assert_fused_equals_scalar(d, anchors, gts)
 
+    @pytest.mark.parametrize("rows", [0, 1200])
+    def test_fused_equals_scalar_at_no_rows_and_many(self, rows):
+        # the axis-major layout shows only at many rows: the property test
+        # below draws at most 8
+        rng = np.random.default_rng(16)
+        pairs = [_random_box_pair(rng) for _ in range(rows // 2)] + random_pairs(rng, rows // 2)
+        d = rng.uniform(-0.5, 0.5, size=(rows, 4))
+        d[: rows // 4] = 0.0
+        assert_fused_equals_scalar(d, [a for a, _ in pairs], [g for _, g in pairs])
+
     def test_targets_are_read_only(self):
-        targets = AnchorTargets(stacked([unit_square()]), stacked([unit_square(0.5)]))
+        anchors = [Box(0, 1, 2, 4), Box(1, 1, 4, 2), unit_square()]
+        targets = AnchorTargets(stacked(anchors), stacked([unit_square(0.5, 0.25)] * 3))
+        # the per-axis terms are axis-major rows, the x row first
+        assert np.array_equal(targets.size, [[2, 3, 1], [3, 1, 1]])
+        assert np.array_equal(targets.gt_lo, [[0.5] * 3, [0.25] * 3])
+        for name in ("size", "half_size", "center", "gt_lo", "gt_hi"):
+            array = getattr(targets, name)
+            assert array.shape == (2, 3), name
+            assert array.flags.c_contiguous and not array.flags.writeable, name
         assert not targets.jacobian.flags.writeable
         with pytest.raises(ValueError):
             targets.gt_area[0] = 2.0
-        offset_iou_and_grad(np.ones((1, 4)), targets)
+        offset_iou_and_grad(np.ones((3, 4)), targets)
         # the call fills a copy of the Jacobian's offset entries
-        assert np.count_nonzero(targets.jacobian) == 4
+        assert np.count_nonzero(targets.jacobian) == 4 * 3
 
 
 # --- properties ---------------------------------------------------------------
