@@ -31,7 +31,9 @@ per-layer call counts and self times.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -86,13 +88,29 @@ def layer(src: str, out: str) -> None:
         OptimizerConfig,
         SceneConfig,
         ToyModel,
+        average_precision,
         generate_scenes,
+        model_detections,
+        nms,
         offset_iou_and_grad,
         refinement_experiment,
         run_gradcheck,
         train_toy,
     )
     from hardet import cli
+
+    def train_writers(ss, trained, log, evaluation, opt) -> None:
+        """``cli.cmd_train`` with the training and the evaluation replaced by
+        their results: the formatting and writing of its four files."""
+        cfg = cli.effective_config({}, scene_defaults=cli._TRAIN_SCENE_DEFAULTS)
+        saved = cli.train_toy, cli._evaluate_trained
+        cli.train_toy = lambda *args: (trained, log)
+        cli._evaluate_trained = lambda *args, **kwargs: evaluation
+        try:
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                cli.cmd_train(cfg, Path(tmp), ss, HyperParams(), opt)
+        finally:
+            cli.train_toy, cli._evaluate_trained = saved
 
     def calibrated_median(call) -> float:
         call()  # untimed: warms caches and matching
@@ -133,12 +151,35 @@ def layer(src: str, out: str) -> None:
         ss = generate_scenes(SceneConfig(**scene))
         opt = OptimizerConfig(**optimizer, loss_mode=EVAL_MODE, gradcheck_samples=0)
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
-        trained, _ = train_toy(ss, model, opt, HyperParams())
+        trained, log = train_toy(ss, model, opt, HyperParams())
+        evaluation = cli._evaluate_trained(ss, trained, **thresholds)
+        kept = evaluation[1]
         results[f"evaluate_trained_{name}_{EVAL_MODE}"] = {
             "rows": ss.total_anchors,
-            "kept": len(cli._evaluate_trained(ss, trained, **thresholds)[1]),
+            "kept": len(kept),
             "calibrated_median": calibrated_median(
                 lambda: cli._evaluate_trained(ss, trained, **thresholds)
+            ),
+        }
+        dets = model_detections(ss, trained)
+        results[f"nms_{name}"] = {
+            "rows": ss.total_anchors,
+            "calibrated_median": calibrated_median(
+                lambda: nms(dets, thresholds["nms_threshold"])
+            ),
+        }
+        if name != "4096_rows":
+            continue
+        results[f"average_precision_{name}"] = {
+            "rows": len(kept),
+            "calibrated_median": calibrated_median(
+                lambda: average_precision(kept, ss.ground_truth, thresholds["ap_thresholds"])
+            ),
+        }
+        results[f"train_writers_{name}"] = {
+            "rows": len(kept),
+            "calibrated_median": calibrated_median(
+                lambda: train_writers(ss, trained, log, evaluation, opt)
             ),
         }
     scene, optimizer = REFINE_CASE

@@ -342,6 +342,35 @@ def _evaluate_trained(
     return ap_payload, kept, ap.best_iou
 
 
+def _evaluation_lines(
+    kept: DetectionArrays, best_iou: np.ndarray
+) -> tuple[list[str], list[str]]:
+    """The ``detections.jsonl`` record lines and ``scatter.csv`` rows of the
+    kept detections and their best IoUs, newline-terminated.
+
+    Each record line is ``json.dumps(record, sort_keys=True)``, formatted
+    directly: it renders ints and the finite floats of validated detections
+    by repr. The kept boxes, scores and IoUs repeat few distinct values
+    (the negatives' rows repeat across scenes), so their floats are grouped
+    by bit pattern, which keeps -0.0 apart from 0.0, and each distinct
+    value's repr is taken once for both files.
+    """
+    n = len(kept)
+    values = np.concatenate([kept.boxes.ravel(), kept.score, best_iou])
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    strs = text[inverse].tolist()
+    coords = iter(strs[: 4 * n])
+    scores = strs[4 * n : 5 * n]
+    ids = zip(kept.class_id.tolist(), kept.scene.tolist())
+    records = zip(coords, coords, coords, coords, ids, scores)
+    det_lines = [
+        f'{{"box": [{x1}, {y1}, {x2}, {y2}], "class_id": {c}, "scene": {s}, "score": {p}}}\n'
+        for x1, y1, x2, y2, (c, s), p in records
+    ]
+    return det_lines, [f"{p},{u}\n" for p, u in zip(scores, strs[5 * n :])]
+
+
 def cmd_train(
     cfg: dict, out: Path, scene_set: SceneSet, hp: HyperParams, opt: OptimizerConfig
 ) -> int:
@@ -358,21 +387,9 @@ def cmd_train(
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
-    # json.dumps(..., sort_keys=True) of each record, formatted directly: it
-    # renders ints and the finite floats of validated detections by repr;
-    # each score's repr is taken once, for these lines and scatter.csv's
-    scores = list(map(repr, kept.score.tolist()))
-    records = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.scene.tolist(), scores)
-    det_lines = [meta_line] + [
-        f'{{"box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "class_id": {c}, '
-        f'"scene": {s}, "score": {p}}}'
-        for (x1, y1, x2, y2), c, s, p in records
-    ]
-    (out / "detections.jsonl").write_text("".join(line + "\n" for line in det_lines))
-
-    rows = [_csv_header(cfg), "score,iou\n"]
-    rows.extend(f"{s},{u!r}\n" for s, u in zip(scores, best_iou.tolist()))
-    (out / "scatter.csv").write_text("".join(rows))
+    det_lines, scatter_rows = _evaluation_lines(kept, best_iou)
+    (out / "detections.jsonl").write_text("".join([meta_line + "\n", *det_lines]))
+    (out / "scatter.csv").write_text("".join([_csv_header(cfg), "score,iou\n", *scatter_rows]))
 
     summary = {
         "config_hash": config_hash(cfg),

@@ -21,9 +21,10 @@ from .geom import iou  # noqa: F401 - unused; perfbench's tracer test patches ha
 DEFAULT_AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_IOU_BIN_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-# box pairs one block of an NMS suppression matrix holds: bounds its float
-# temporaries to 32 KB each, so a dense group costs no more memory than a small one
-NMS_BLOCK_PAIRS = 4096
+# rows of one NMS block, which is decided among itself; every iou_matrix call
+# of the walk holds at most NMS_BLOCK_ROWS**2 pairs, so its float temporaries
+# stay at 128 KB each and a dense group costs no more memory than a small one
+NMS_BLOCK_ROWS = 128
 
 
 def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
@@ -163,30 +164,38 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Kept flags of one group's boxes in score order: a box is kept unless
     a kept box before it overlaps it at the threshold.
 
-    Works through the undecided boxes a block of rows at a time, each block
-    an ``iou_matrix`` of at most NMS_BLOCK_PAIRS pairs (at least one row)
-    against every undecided box; a box leaves as soon as it is kept or
-    suppressed, so later blocks are narrower.
+    Works through the live (undecided) boxes a block of NMS_BLOCK_ROWS at a
+    time: the block is decided greedily on its own ``iou_matrix``, then every
+    later live box that one of the block's kept boxes overlaps is dropped,
+    the kept x rest matrix taken in column chunks of at most
+    NMS_BLOCK_ROWS**2 pairs. This keeps what the one-box-at-a-time walk
+    keeps, since a suppressed box suppresses nothing.
     """
     keep = np.zeros(len(boxes), dtype=bool)
     live = np.arange(len(boxes))
     while live.size:
-        block = live[: max(1, NMS_BLOCK_PAIRS // live.size)]
-        hits = iou_matrix(boxes[block], boxes[live]) >= iou_threshold
-        decided = np.zeros(live.size, dtype=bool)
+        block, live = live[:NMS_BLOCK_ROWS], live[NMS_BLOCK_ROWS:]
+        hits = iou_matrix(boxes[block], boxes[block]) >= iou_threshold
+        decided = np.zeros(block.size, dtype=bool)
+        kept = []
         for r, i in enumerate(block.tolist()):
             if not decided[r]:
-                keep[i] = True
+                kept.append(i)
                 decided |= hits[r]
-        # walked rows are decided, zero-area boxes too (their self-IoU is 0)
-        decided[: block.size] = True
-        live = live[~decided]
+        keep[kept] = True
+        kept_boxes = boxes[kept]
+        chunk = NMS_BLOCK_ROWS**2 // len(kept)
+        suppressed = np.zeros(live.size, dtype=bool)
+        for k in range(0, live.size, chunk):
+            hits = iou_matrix(kept_boxes, boxes[live[k : k + chunk]]) >= iou_threshold
+            suppressed[k : k + chunk] = hits.any(axis=0)
+        live = live[~suppressed]
     return keep
 
 
-def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
+def _ap_at(tp_rank: Sequence[int], num_gt: int) -> float:
     """All-point AP of a ranked list whose true positives sit at the
-    ascending ranks ``tp_rank``.
+    ascending ranks ``tp_rank``, on Python floats.
 
     Recall rises only at a true positive, so the sum runs over those alone.
     There, the envelope (the best precision at this rank or later) is the
@@ -195,37 +204,50 @@ def _ap_at(tp_rank: np.ndarray, num_gt: int) -> float:
     """
     if num_gt == 0:
         raise ValueError("AP undefined without ground truths")
-    tp = np.arange(1.0, tp_rank.size + 1.0)
-    recall = tp / num_gt
-    # the rank's TP + FP count
-    precision = tp / (tp_rank + 1.0)
-    env = np.maximum.accumulate(precision[::-1])[::-1]
+    # the rank's TP + FP count; int() keeps numpy integers out of the floats
+    env = [tp / (int(rank) + 1.0) for tp, rank in enumerate(tp_rank, start=1)]
+    for k in range(len(env) - 2, -1, -1):
+        env[k] = max(env[k], env[k + 1])
     ap = prev = 0.0
-    for r, p in zip(recall.tolist(), env.tolist()):
+    for tp, p in enumerate(env, start=1):
+        r = tp / num_gt
         ap += (r - prev) * p
         prev = r
     return ap
 
 
-def _true_positives(ious: np.ndarray, best: np.ndarray, threshold: float) -> np.ndarray:
-    """Ranks of the true positives at one IoU threshold; ``ious`` rows are
-    a group's detections in score order, columns its ground truths, and
-    ``best`` holds its row maxima. Each detection takes the free ground
-    truth of highest IoU (ties to the lowest index) and is a TP if that IoU
+def _true_positives(walked: list[tuple[int, float, list[float]]], threshold: float) -> list[int]:
+    """Ranks of the true positives at one IoU threshold; ``walked`` holds a
+    group's detections in score order as (rank, best IoU, IoU row against
+    the group's ground truths). Each detection takes the free ground truth
+    of highest IoU (ties to the lowest index) and is a TP if that IoU
     reaches the threshold.
 
     A detection whose best IoU over every ground truth misses the threshold
-    is a FP that takes nothing, so only the others are walked.
+    is a FP that takes nothing, so it is skipped.
     """
-    walked = np.flatnonzero(best >= threshold)
     taken: set[int] = set()
     tps = []
-    for r, row in zip(walked.tolist(), ious[walked].tolist()):
+    for r, row_best, row in walked:
+        if row_best < threshold:
+            continue
         best, neg_j = max(((v, -j) for j, v in enumerate(row) if j not in taken), default=(0.0, 0))
         if best >= threshold:
             tps.append(r)
             taken.add(-neg_j)
-    return np.array(tps, dtype=int)
+    return tps
+
+
+def _group_ap(
+    ious: np.ndarray, row_best: np.ndarray, thresholds: list[float]
+) -> dict[float, float]:
+    """AP of one group at each threshold, from its IoU matrix (detections in
+    score order x ground truths) and the matrix's row maxima. The rows that
+    reach the lowest threshold become Python lists once, for every
+    threshold's walk."""
+    walked = np.flatnonzero(row_best >= min(thresholds))
+    rows = list(zip(walked.tolist(), row_best[walked].tolist(), ious[walked].tolist()))
+    return {t: _ap_at(_true_positives(rows, t), ious.shape[1]) for t in thresholds}
 
 
 @dataclass(frozen=True)
@@ -280,8 +302,7 @@ def average_precision(
     groups, best = _ground_truth_groups(dets, gts)
     # one IoU matrix and its row maxima per group, shared by every threshold
     per_class = {
-        key: {t: _ap_at(_true_positives(ious, row_best, t), ious.shape[1]) for t in thresholds}
-        for key, (ious, row_best) in groups.items()
+        key: _group_ap(ious, row_best, thresholds) for key, (ious, row_best) in groups.items()
     }
     keys = list(per_class)
     per_threshold = {

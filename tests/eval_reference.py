@@ -1,8 +1,8 @@
 """The evaluation's object reference: a validated ``Box`` and ``Detection``
-per model row, then NMS scene by scene, AP and the scatter over
-``Detection``/``GroundTruth`` lists, each call rebuilding the corner arrays
-of its groups, and AP walking every detection of a group at every
-threshold.
+per model row, then NMS scene by scene as a scalar greedy loop, AP and the
+scatter over ``Detection``/``GroundTruth`` lists, each call rebuilding the
+corner arrays of its groups, and AP walking every detection of a group at
+every threshold.
 
 ``cli._evaluate_trained`` evaluates on ``DetectionArrays`` from the decode to
 the scatter; the tests hold its kept rows, AP payload and scatter rows to
@@ -16,16 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from hardet.geom import DECODE_LOG_CAP, Box, corners, decode_arrays, iou_matrix
+from hardet.geom import DECODE_LOG_CAP, Box, corners, decode_arrays, iou, iou_matrix
 from hardet.harness import SceneSet, ToyModel
-from hardet.metrics import (
-    APResult,
-    DetectionArrays,
-    GroundTruthArrays,
-    Key,
-    _greedy_keep,
-    check_iou_thresholds,
-)
+from hardet.metrics import APResult, DetectionArrays, GroundTruthArrays, Key, check_iou_thresholds
 
 
 @dataclass(frozen=True)
@@ -94,16 +87,19 @@ def _groups(items: Sequence[Detection | GroundTruth]) -> dict[Key, list[int]]:
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy suppression within each (scene, class) group; keeps score
-    order, ties by input index."""
+    """Greedy suppression within each (scene, class) group, one scalar
+    ``iou`` per pair: a detection is kept unless a kept detection of its
+    group overlaps it at the threshold. Keeps score order, ties by input
+    index."""
     check_iou_thresholds([iou_threshold])
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    ranked = [dets[i] for i in order]
-    boxes = corners([d.box for d in ranked])
-    keep = np.zeros(len(ranked), dtype=bool)
-    for rows in _groups(ranked).values():
-        keep[rows] = _greedy_keep(boxes[rows], iou_threshold)
-    return [ranked[k] for k in np.flatnonzero(keep)]
+    kept_boxes: dict[Key, list[Box]] = {}
+    kept = []
+    for d in sorted(dets, key=lambda d: -d.score):
+        group = kept_boxes.setdefault((d.scene, d.class_id), [])
+        if not any(iou(d.box, k) >= iou_threshold for k in group):
+            group.append(d.box)
+            kept.append(d)
+    return kept
 
 
 def ap_from_matches(tp_flags: Sequence[bool], num_gt: int) -> float:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -9,6 +10,7 @@ import warnings
 from pathlib import Path
 from typing import get_args, get_origin
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -947,6 +949,81 @@ def test_evaluation_equals_the_object_reference(setup, trained):
     assert repr(list(zip(kept.score.tolist(), best_iou.tolist()))) == repr(ref_rows)
     if not trained:
         assert len(set(kept.score.tolist())) == 1
+
+
+# float pools the writer tests draw from: repeats, -0.0 beside 0.0,
+# subnormals, values near 1e300 and their neighbours
+_EXTREMES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.0000000000000002e300]
+_COORD = st.sampled_from(_EXTREMES + [0.5, 3.0]) | st.floats(-1e300, 1e300)
+_UNIT = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _kept_rows(draw):
+    """Kept detections and best IoUs whose values come from small pools,
+    so that one float repeats across rows and columns."""
+    coords = draw(st.lists(_COORD, min_size=1, max_size=6))
+    units = draw(st.lists(_UNIT, min_size=1, max_size=4))
+    n = draw(st.integers(0, 12))
+    boxes = []
+    for _ in range(n):
+        x1, x2 = sorted(draw(st.sampled_from(coords)) for _ in range(2))
+        y1, y2 = sorted(draw(st.sampled_from(coords)) for _ in range(2))
+        boxes.append([x1, y1, x2, y2])
+    ints = st.integers(0, 10**6)
+    kept = DetectionArrays(
+        np.array(boxes, dtype=float).reshape(n, 4),
+        draw(st.lists(ints, min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)),
+        draw(st.lists(ints, min_size=n, max_size=n)),
+    )
+    return kept, np.array(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_kept_rows())
+def test_evaluation_lines_render_each_row_as_json_dumps_and_repr(rows):
+    """The lines of detections.jsonl and scatter.csv, row by row, whatever
+    floats repeat between rows and columns."""
+    kept, best_iou = rows
+    det_lines, scatter_rows = cli._evaluation_lines(kept, best_iou)
+    scores = kept.score.tolist()
+    records = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.scene.tolist(), scores)
+    assert det_lines == [
+        json.dumps({"box": b, "class_id": c, "scene": s, "score": p}, sort_keys=True) + "\n"
+        for b, c, s, p in records
+    ]
+    assert scatter_rows == [f"{p!r},{u!r}\n" for p, u in zip(scores, best_iou.tolist())]
+
+
+# sha256 of train's detections.jsonl and scatter.csv at seed 0: at the CLI
+# defaults, and at the train_dense benchmark workload's config
+_TRAIN_DIGESTS = {
+    "defaults": (
+        {},
+        "95087c612192136735f80e41660d04f45184cbcc3db53e043c818fcb2dc4d518",
+        "d399c81f3a1783b1ecf7840ceba09271d8bd5d50dc9b0c50a5dd3f258a76369e",
+    ),
+    "train_dense": (
+        {
+            "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+            "optimizer": {"steps": 20, "log_every": 5, "loss_mode": "standard"},
+        },
+        "031bbc011e7620ac4a6368e504b3773601880b9c331aa87b0d7b002bc314fd26",
+        "7327f084e93bda520df5b9353d1f2d2e6d881587d4a33a07c16a11c734490f82",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(_TRAIN_DIGESTS))
+def test_train_evaluation_files_keep_their_bytes(tmp_path, setup):
+    payload, detections, scatter = _TRAIN_DIGESTS[setup]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, payload)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    files = ("detections.jsonl", "scatter.csv")
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files]
+    assert digests == [detections, scatter]
 
 
 class TestRefineCommand:

@@ -569,6 +569,43 @@ class TestMatchesScalarOracle:
         assert repr({s * 10_000 + c: v for (s, c), v in new.per_class.items()}) == repr(old.per_class)
 
     @settings(max_examples=300, deadline=None)
+    @given(
+        sets=_dets_and_gts(),
+        thresholds=st.lists(_THRESHOLD, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    # no detection reaches 0.9 or 1.0 (IoU 0.75), and the second group's
+    # detection reaches no threshold at all: empty walks in both groups
+    @example(
+        sets=(
+            [det(0, 0, 2, 1.5, score=0.9), Detection(Box(5, 5, 6, 6), 1, 0.8, scene=1)],
+            [gt(0, 0, 2, 2), GroundTruth(Box(0, 0, 1, 1), 1, scene=1)],
+        ),
+        thresholds=[0.9, 0.5, 1.0, 0.5],
+        data=None,
+    )
+    def test_average_precision_at_a_threshold_ignores_the_others(self, sets, thresholds, data):
+        """Each threshold's AP, per group and averaged, is the AP of that
+        threshold alone, whatever thresholds come with it, in any order or
+        repeated; the mean runs over the distinct thresholds in first-seen
+        order."""
+        dets, gts = sets
+        alone = {float(t): ap(dets, gts, [t]) for t in thresholds}
+        orders = [thresholds, thresholds[::-1] + thresholds[:2]]
+        if data is not None:
+            orders.append(data.draw(st.permutations(thresholds + thresholds[:1])))
+        for order in orders:
+            result = ap(dets, gts, order)
+            for t, single in alone.items():
+                assert repr(result.per_threshold[t]) == repr(single.per_threshold[t])
+                assert repr({k: v[t] for k, v in result.per_class.items()}) == repr(
+                    {k: v[t] for k, v in single.per_class.items()}
+                )
+            distinct = list(dict.fromkeys(float(t) for t in order))
+            mean = sum(alone[t].per_threshold[t] for t in distinct) / len(distinct)
+            assert repr(result.mean) == repr(mean)
+
+    @settings(max_examples=300, deadline=None)
     @given(sets=_dets_and_gts())
     def test_consistency_scatter(self, sets):
         dets, gts = sets
@@ -635,15 +672,56 @@ def _dense_group(rng):
     return dense + others[:6] + copies + others[6:]
 
 
-@pytest.mark.parametrize("block_pairs", [metrics.NMS_BLOCK_PAIRS, 1, 7])
+@pytest.mark.parametrize("block_rows", [metrics.NMS_BLOCK_ROWS, 1, 7])
 @pytest.mark.parametrize("threshold", [0.3, 0.5, 1.0])
-def test_nms_across_block_seams_matches_the_oracle(monkeypatch, block_pairs, threshold):
-    """A group far larger than one block of the suppression matrix keeps
-    exactly what the scalar loop keeps, at any block size."""
-    monkeypatch.setattr(metrics, "NMS_BLOCK_PAIRS", block_pairs)
+def test_nms_across_block_seams_matches_the_oracle(monkeypatch, block_rows, threshold):
+    """A group far larger than one NMS block keeps exactly what the scalar
+    loop keeps, at any block size."""
+    monkeypatch.setattr(metrics, "NMS_BLOCK_ROWS", block_rows)
     dets = _dense_group(np.random.default_rng(5))
     flat = remapped(dets)
     flat_index = {id(d): i for i, d in enumerate(flat)}
     kept = kept_rows(dets, threshold)
     assert kept == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
     assert 1 < sum(k < 320 for k in kept) < 320
+
+
+# one group in score order: row 0's box suppresses rows 1 and 9, the latter
+# blocks later at 1-3 rows per block; row 6 overlaps only row 1, so it is
+# kept because a suppressed row suppresses nothing, even one suppressed
+# inside row 0's block; rows 2, 3 and 8 have no area (IoU 0 with every box,
+# themselves too) and sit on block seams
+_SEAM_BOXES = [
+    (0, 0, 2, 2),
+    (0, 0.6, 2, 2.6),
+    (1, 1, 1, 1.5),
+    (1, 1, 1, 1.5),
+    (10, 0, 11, 1),
+    (20, 0, 21, 1),
+    (0, 1.2, 2, 3.2),
+    (30, 0, 31, 1),
+    (0.5, 0.5, 1.5, 0.5),
+    (0, 0, 2, 2),
+]
+
+
+@pytest.mark.parametrize("block_rows", [metrics.NMS_BLOCK_ROWS, 1, 2, 3])
+def test_nms_kept_rows_suppress_rows_blocks_later(monkeypatch, block_rows):
+    monkeypatch.setattr(metrics, "NMS_BLOCK_ROWS", block_rows)
+    dets = [det(*box, score=1.0 - k / 16) for k, box in enumerate(_SEAM_BOXES)]
+    assert kept_rows(dets, 0.5) == [0, 2, 3, 4, 5, 6, 7, 8]
+    assert [dets.index(d) for d in oracle_nms(dets, 0.5)] == [0, 2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.5])
+def test_nms_on_a_thousand_row_group_matches_the_oracle(threshold):
+    """One (scene, class) group of 1 200 boxes, about ten blocks, the
+    boxes' corners continuous so that overlaps take every value."""
+    rng = np.random.default_rng(11)
+    xy = rng.uniform(0, 12, size=(1200, 2))
+    wh = rng.uniform(0.5, 3, size=(1200, 2))
+    dets = [det(*xy[k], *(xy[k] + wh[k]), score=float(rng.uniform())) for k in range(1200)]
+    kept = kept_rows(dets, threshold)
+    index = {id(d): i for i, d in enumerate(dets)}
+    assert kept == [index[id(d)] for d in oracle_nms(dets, threshold)]
+    assert 2 * metrics.NMS_BLOCK_ROWS < len(kept) < 1000
