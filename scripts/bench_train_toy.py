@@ -46,24 +46,10 @@ from time import perf_counter
 
 HERE = Path(__file__).resolve()
 
-# name -> (scene config, optimizer config); steps as the workloads run them
-LAYER_CASES = {
-    "100_rows": ({"anchor_spacing": 3.0, "jitter": 0.12}, {"steps": 500, "log_every": 25}),
-    "4096_rows": (
-        {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
-        {"steps": 20, "log_every": 5},
-    ),
-    "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
-}
 MODES = ("harmonic_det", "standard")
 # the trained models the evaluation runs on, in train_dense's loss mode
 EVAL_CASES = ("4096_rows", "16384_rows")
 EVAL_MODE = "standard"
-# refine_long: refine's scene and optimizer defaults, at 100 steps
-REFINE_CASE = (
-    {"num_scenes": 60, "objects_per_scene": (3, 5), "jitter": 0.18},
-    {"learning_rate": 0.002, "steps": 100},
-)
 # rows of the geometry kernel's cases, and its calls per timed batch
 KERNEL_ROWS = (12, 478, 4096, 16384)
 KERNEL_CALLS = 100
@@ -73,6 +59,24 @@ BATCHES = 7
 END_TO_END = ("wall_rel", "cpu_rel", "peak_rss_mb", "setup_s")
 WORKLOADS = {"train_dense": 1801, "train_default": 1821, "refine_long": 1841}
 TRACE_SEED = 1861
+
+
+def layer_cases(cli) -> dict:
+    """name -> (scene config, optimizer config) of ``hardet.cli`` module
+    ``cli``; steps as the workloads run them. 100_rows is train's defaults."""
+    return {
+        "100_rows": (cli._TRAIN_SCENE_DEFAULTS, {}),
+        "4096_rows": (
+            {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+            {"steps": 20, "log_every": 5},
+        ),
+        "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
+    }
+
+
+def refine_case(cli) -> tuple[dict, dict]:
+    """refine_long: refine's scene and optimizer defaults, at 100 steps."""
+    return cli._REFINE_SCENE_DEFAULTS, {**cli._REFINE_OPT_DEFAULTS, "steps": 100}
 
 
 def layer(src: str, out: str) -> None:
@@ -105,7 +109,7 @@ def layer(src: str, out: str) -> None:
         cfg = cli.effective_config({}, scene_defaults=cli._TRAIN_SCENE_DEFAULTS)
         saved = cli.train_toy, cli._evaluate_trained
         cli.train_toy = lambda *args: (trained, log)
-        cli._evaluate_trained = lambda *args, **kwargs: evaluation
+        cli._evaluate_trained = lambda *args: evaluation
         try:
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 cli.cmd_train(cfg, Path(tmp), ss, HyperParams(), opt)
@@ -123,8 +127,9 @@ def layer(src: str, out: str) -> None:
             values.append(elapsed / (0.5 * (before + calibrate()[0])))
         return statistics.median(values)
 
+    cases = layer_cases(cli)
     results = {}
-    for name, (scene, optimizer) in LAYER_CASES.items():
+    for name, (scene, optimizer) in cases.items():
         ss = generate_scenes(SceneConfig(**scene))
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         for mode in MODES:
@@ -145,35 +150,32 @@ def layer(src: str, out: str) -> None:
             "num_classes": 5,
             "calibrated_median": calibrated_median(lambda: run_gradcheck(hp, 5, GATE_SAMPLES)),
         }
-    thresholds = cli._DEFAULTS["train"]
     for name in EVAL_CASES:
-        scene, optimizer = LAYER_CASES[name]
+        scene, optimizer = cases[name]
         ss = generate_scenes(SceneConfig(**scene))
         opt = OptimizerConfig(**optimizer, loss_mode=EVAL_MODE, gradcheck_samples=0)
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
         trained, log = train_toy(ss, model, opt, HyperParams())
-        evaluation = cli._evaluate_trained(ss, trained, **thresholds)
+        evaluation = cli._evaluate_trained(ss, trained)
         kept = evaluation[1]
         results[f"evaluate_trained_{name}_{EVAL_MODE}"] = {
             "rows": ss.total_anchors,
             "kept": len(kept),
             "calibrated_median": calibrated_median(
-                lambda: cli._evaluate_trained(ss, trained, **thresholds)
+                lambda: cli._evaluate_trained(ss, trained)
             ),
         }
         dets = model_detections(ss, trained)
         results[f"nms_{name}"] = {
             "rows": ss.total_anchors,
-            "calibrated_median": calibrated_median(
-                lambda: nms(dets, thresholds["nms_threshold"])
-            ),
+            "calibrated_median": calibrated_median(lambda: nms(dets, cli.NMS_THRESHOLD)),
         }
         if name != "4096_rows":
             continue
         results[f"average_precision_{name}"] = {
             "rows": len(kept),
             "calibrated_median": calibrated_median(
-                lambda: average_precision(kept, ss.ground_truth, thresholds["ap_thresholds"])
+                lambda: average_precision(kept, ss.ground_truth)
             ),
         }
         results[f"train_writers_{name}"] = {
@@ -182,7 +184,7 @@ def layer(src: str, out: str) -> None:
                 lambda: train_writers(ss, trained, log, evaluation, opt)
             ),
         }
-    scene, optimizer = REFINE_CASE
+    scene, optimizer = refine_case(cli)
     scene_config = SceneConfig(**scene)
     results["generate_scenes_refine_long"] = {
         "scenes": scene_config.num_scenes,

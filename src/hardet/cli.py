@@ -34,12 +34,10 @@ from .losses import (
     positive_sample_from_json,
 )
 from .metrics import (
-    DEFAULT_AP_THRESHOLDS,
     DEFAULT_IOU_BIN_EDGES,
     DetectionArrays,
     aic,
     average_precision,
-    check_iou_thresholds,
     iou_histogram,
     nms,
     refinement_gain,
@@ -82,36 +80,30 @@ _TRAIN_SCENE_DEFAULTS = {"anchor_spacing": 3.0, "jitter": 0.12}
 _REFINE_SCENE_DEFAULTS = {"num_scenes": 60, "objects_per_scene": [3, 5], "jitter": 0.18}
 _REFINE_OPT_DEFAULTS = {"learning_rate": 0.002, "steps": 20}
 
+# the grid surface tabulates, and the NMS threshold of train's evaluation,
+# whose AP runs at metrics.DEFAULT_AP_THRESHOLDS
+SURFACE_P_GRID = np.linspace(0.05, 1.0, 20)
+SURFACE_LOC_GRID = np.linspace(0.0, 1.2, 13)
+NMS_THRESHOLD = 0.5
+
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "hyperparams": {},
     "scene": {},
     "optimizer": {},
     "gradcheck": {"samples": 500},
-    "surface": {
-        "p_min": 0.05,
-        "p_max": 1.0,
-        "p_steps": 20,
-        "loc_min": 0.0,
-        "loc_max": 1.2,
-        "loc_steps": 13,
-        "mode": "harmonic",
-    },
-    "train": {"nms_threshold": 0.5, "ap_thresholds": list(DEFAULT_AP_THRESHOLDS)},
+    "surface": {"mode": "harmonic"},
 }
 
 
-# freeze_factors is reached only through loss_mode "standard"; the scene seed
-# is the top-level seed. The other blocks are declared by their defaults.
+# beta_e_stop_grad and freeze_factors are library fields (the gradient gate
+# and loss_mode "standard" set them); the scene seed is the top-level seed.
+# The other blocks are declared by their defaults.
 _BLOCK_KEYS = {
-    "hyperparams": _schema(HyperParams, exclude=("freeze_factors",)),
+    "hyperparams": _schema(HyperParams, exclude=("beta_e_stop_grad", "freeze_factors")),
     "scene": _schema(SceneConfig, exclude=("seed",)),
     "optimizer": _schema(OptimizerConfig),
-    **{
-        name: {k: list[type(v[0])] if isinstance(v, list) else type(v) for k, v in block.items()}
-        for name, block in _DEFAULTS.items()
-        if name in ("gradcheck", "surface", "train")
-    },
+    **{name: {k: type(v) for k, v in _DEFAULTS[name].items()} for name in ("gradcheck", "surface")},
 }
 _TOP_KEYS = {"seed": int, **{name: dict for name in _BLOCK_KEYS}}
 
@@ -136,6 +128,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(
             f"config {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     try:
         cfg = check_json_block(raw, _TOP_KEYS, "config")
         for name, keys in _BLOCK_KEYS.items():
@@ -185,50 +179,15 @@ def _build(cls: type, cfg: dict, name: str, **extra: Any) -> Any:
         raise ConfigError(f"config.{name}: {exc}") from exc
 
 
-MAX_SURFACE_POINTS = 10**6
-
-
-def _surface_grids(s: dict) -> tuple[np.ndarray, np.ndarray]:
-    # a span past the float range gives non-finite points, which
-    # gradient_surface rejects; the overflow itself is not worth a warning
-    with np.errstate(all="ignore"):
-        p_grid = np.linspace(s["p_min"], s["p_max"], s["p_steps"])
-        return p_grid, np.linspace(s["loc_min"], s["loc_max"], s["loc_steps"])
-
-
-Surface = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _check_command_blocks(cfg: dict) -> Surface:
-    """Check the gradcheck, surface and train blocks as the commands that
-    read them use them, so that every command judges them alike. Returns
-    the surface block's p grid, loc grid and gradient table, which checking
-    it computes."""
-    gc, s, t = cfg["gradcheck"], cfg["surface"], cfg["train"]
+def _check_command_blocks(cfg: dict) -> None:
+    """Check the gradcheck and surface blocks as the commands that read them
+    use them, so that every command judges them alike."""
+    gc, s = cfg["gradcheck"], cfg["surface"]
     # a sweep over no samples would report PASS without checking anything
     if gc["samples"] < 1:
         raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
     if s["mode"] not in ("standard", "harmonic"):
         raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
-    if s["p_steps"] < 1 or s["loc_steps"] < 1:
-        raise ConfigError("config.surface: p_steps and loc_steps must be >= 1")
-    # the whole grid is allocated and written one CSV row per point
-    if s["p_steps"] * s["loc_steps"] > MAX_SURFACE_POINTS:
-        points = f"{s['p_steps']} x {s['loc_steps']} grid points"
-        raise ConfigError(f"config.surface: {points} exceed the limit of {MAX_SURFACE_POINTS}")
-    p_grid, loc_grid = _surface_grids(s)
-    try:
-        surface = p_grid, loc_grid, gradient_surface(p_grid, loc_grid, s["mode"])
-    except ValueError as exc:
-        raise ConfigError(f"config.surface: {exc}") from exc
-    # as nms and average_precision check them
-    thresholds = {"nms_threshold": [t["nms_threshold"]], "ap_thresholds": t["ap_thresholds"]}
-    for key, values in thresholds.items():
-        try:
-            check_iou_thresholds(values)
-        except ValueError as exc:
-            raise ConfigError(f"config.train.{key}: {exc}") from exc
-    return surface
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -240,9 +199,18 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file; one that cannot be written is a ``ConfigError``
+    naming it."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_meta(out: Path, cfg: dict, command: str) -> None:
     meta = {"command": command, "config_hash": config_hash(cfg), "seed": cfg["seed"], "config": cfg}
-    (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write(out / "run_meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def _csv_header(cfg: dict) -> str:
@@ -269,7 +237,7 @@ def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams, num_classes: int) -> in
             {**vars(e), "tolerance": tolerance, "passed": e.passed} for e in report.entries
         ],
     }
-    (out / "gradcheck_report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(out / "gradcheck_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
@@ -286,7 +254,7 @@ def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
         try:
             sample = positive_sample_from_json(json.loads(line))
             check_decode(sample.d, sample.anchor)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"samples line {lineno}: {exc}") from exc
         except FloatingPointError as exc:
             # raised by encode, which computes the sample's d_hat
@@ -306,35 +274,35 @@ def _loss_breakdowns(samples_path: str, hp: HyperParams) -> list[LossBreakdown]:
 
 def cmd_loss_eval(out: Path, breakdowns: list[LossBreakdown]) -> int:
     target = out / "breakdowns.jsonl"
-    target.write_text("".join(json.dumps(b.to_json(), sort_keys=True) + "\n" for b in breakdowns))
+    _write(target, "".join(json.dumps(b.to_json(), sort_keys=True) + "\n" for b in breakdowns))
     print(f"loss-eval: wrote {len(breakdowns)} breakdowns to {target}")
     return EXIT_OK
 
 
-def cmd_surface(cfg: dict, out: Path, surface: Surface) -> int:
-    s = cfg["surface"]
-    p_grid, loc_grid, grid = surface
+def cmd_surface(cfg: dict, out: Path) -> int:
+    mode = cfg["surface"]["mode"]
+    grid = gradient_surface(SURFACE_P_GRID, SURFACE_LOC_GRID, mode)
     rows = [_csv_header(cfg), "p,loc,grad\n"]
-    for i, loc in enumerate(loc_grid):
-        for j, p in enumerate(p_grid):
+    for i, loc in enumerate(SURFACE_LOC_GRID):
+        for j, p in enumerate(SURFACE_P_GRID):
             rows.append(f"{_fmt(p)},{_fmt(loc)},{_fmt(grid[i, j])}\n")
-    (out / "surface.csv").write_text("".join(rows))
-    print(f"surface: wrote {len(p_grid) * len(loc_grid)} grid points ({s['mode']} mode)")
+    _write(out / "surface.csv", "".join(rows))
+    print(f"surface: wrote {grid.size} grid points ({mode} mode)")
     return EXIT_OK
 
 
 def _evaluate_trained(
-    scene_set: SceneSet, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
+    scene_set: SceneSet, model: ToyModel
 ) -> tuple[dict, DetectionArrays, np.ndarray]:
     """AP payload, kept detections (scene by scene, each in score order) and
-    their best IoUs with a ground truth of a trained model on its scenes; AP
-    and the IoUs match within (scene, class) groups, and the IoUs are the
-    row maxima of AP's own IoU matrices."""
+    their best IoUs with a ground truth of a trained model on its scenes.
+    NMS runs at ``NMS_THRESHOLD`` and AP at its default thresholds; AP and
+    the IoUs match within (scene, class) groups, and the IoUs are the row
+    maxima of AP's own IoU matrices."""
     dets = model_detections(scene_set, model)
-    rows = nms(dets, nms_threshold)
+    rows = nms(dets, NMS_THRESHOLD)
     kept = dets.take(rows[np.argsort(dets.scene[rows], kind="stable")])
-    gts = scene_set.ground_truth
-    ap = average_precision(kept, gts, ap_thresholds)
+    ap = average_precision(kept, scene_set.ground_truth)
     ap_payload = {
         "per_threshold": {str(k): v for k, v in ap.per_threshold.items()},
         "mean": ap.mean,
@@ -381,15 +349,15 @@ def cmd_train(
     for r in log.records:
         factors = f"{_fmt(r.mean_factor_r)},{_fmt(r.mean_factor_c)}"
         rows.append(f"{r.step},{_fmt(r.objective)},{factors},{_fmt(r.aic)}\n")
-    (out / "trainlog.csv").write_text("".join(rows))
+    _write(out / "trainlog.csv", "".join(rows))
 
-    ap_payload, kept, best_iou = _evaluate_trained(scene_set, model, **cfg["train"])
+    ap_payload, kept, best_iou = _evaluate_trained(scene_set, model)
     meta_line = json.dumps(
         {"meta": {"config_hash": config_hash(cfg), "seed": cfg["seed"]}}, sort_keys=True
     )
     det_lines, scatter_rows = _evaluation_lines(kept, best_iou)
-    (out / "detections.jsonl").write_text("".join([meta_line + "\n", *det_lines]))
-    (out / "scatter.csv").write_text("".join([_csv_header(cfg), "score,iou\n", *scatter_rows]))
+    _write(out / "detections.jsonl", "".join([meta_line + "\n", *det_lines]))
+    _write(out / "scatter.csv", "".join([_csv_header(cfg), "score,iou\n", *scatter_rows]))
 
     summary = {
         "config_hash": config_hash(cfg),
@@ -401,7 +369,7 @@ def cmd_train(
         "aic_sum": aic(log.final_p_gt, log.final_iou, mode="sum"),
         "ap": ap_payload,
     }
-    (out / "aic_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(out / "aic_summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(
         f"train [{opt.loss_mode}]: objective {log.records[0].objective:.4f} -> "
         f"{log.records[-1].objective:.4f}, AIC {summary['aic_mean']:.4f}, "
@@ -423,7 +391,7 @@ def cmd_refine(
         rows.append(
             f"{_fmt(plain.edges[k])},{_fmt(plain.edges[k + 1])},{int(plain.counts[k])},{mp},{mw}\n"
         )
-    (out / "refine_gains.csv").write_text("".join(rows))
+    _write(out / "refine_gains.csv", "".join(rows))
 
     counts = iou_histogram(result.iou_before, DEFAULT_IOU_BIN_EDGES)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count\n"]
@@ -431,7 +399,7 @@ def cmd_refine(
         rows.append(
             f"{_fmt(DEFAULT_IOU_BIN_EDGES[k])},{_fmt(DEFAULT_IOU_BIN_EDGES[k + 1])},{int(c)}\n"
         )
-    (out / "iou_histogram.csv").write_text("".join(rows))
+    _write(out / "iou_histogram.csv", "".join(rows))
     print(f"refine: {result.iou_before.size} positives, gamma 0 vs {result.gamma_weighted:g}")
     return EXIT_OK
 
@@ -479,7 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(f"config.scene.num_classes: {exc}") from exc
         opt = _build(OptimizerConfig, eff, "optimizer")
-        surface = _check_command_blocks(eff)
+        _check_command_blocks(eff)
         # loss-eval judges its samples before writing too; a scene draw cannot fail
         breakdowns = _loss_breakdowns(args.samples, hp) if args.command == "loss-eval" else None
         out = _out_dir(args)
@@ -489,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "loss-eval":
             return cmd_loss_eval(out, breakdowns)
         if args.command == "surface":
-            return cmd_surface(eff, out, surface)
+            return cmd_surface(eff, out)
         if args.command == "train":
             return cmd_train(eff, out, generate_scenes(scene), hp, opt)
         return cmd_refine(eff, out, generate_scenes(scene), hp, opt)

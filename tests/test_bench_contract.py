@@ -138,21 +138,22 @@ def test_every_workload_config_runs_through_the_cli(tmp_path, monkeypatch, trace
 
 def test_every_bench_script_case_builds_its_configs_and_scenes():
     """``bench_train_toy.py layer`` builds ``SceneConfig`` and
-    ``OptimizerConfig`` from its cases' keys directly, and evaluates through
-    ``cli._evaluate_trained`` at ``cli._DEFAULTS``' thresholds, so a field or
-    name hardet drops would crash it; build each case as it does, and
-    evaluate an untrained model on each evaluation case, without timing."""
+    ``OptimizerConfig`` from its cases' keys directly, some of them cli's
+    per-command defaults, and evaluates through ``cli._evaluate_trained``, so
+    a field or name hardet drops would crash it; build each case as it does,
+    and evaluate an untrained model on each evaluation case, without timing."""
     bench = _load("bench_train_toy", SCRIPTS)
-    for scene, optimizer in bench.LAYER_CASES.values():
+    cases = bench.layer_cases(cli)
+    for scene, optimizer in cases.values():
         assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
         for mode in bench.MODES:
             OptimizerConfig(**optimizer, loss_mode=mode, gradcheck_samples=0)
     for name in bench.EVAL_CASES:
-        scene, optimizer = bench.LAYER_CASES[name]
+        scene, optimizer = cases[name]
         OptimizerConfig(**optimizer, loss_mode=bench.EVAL_MODE, gradcheck_samples=0)
         ss = generate_scenes(SceneConfig(**scene))
         model = ToyModel.zeros(ss.total_anchors, ss.config.num_classes)
-        assert len(cli._evaluate_trained(ss, model, **cli._DEFAULTS["train"])[1]) > 0
-    scene, optimizer = bench.REFINE_CASE
+        assert len(cli._evaluate_trained(ss, model)[1]) > 0
+    scene, optimizer = bench.refine_case(cli)
     assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
     OptimizerConfig(**optimizer)

@@ -61,11 +61,11 @@ class TestConfigHandling:
 
     def test_config_schema_keys(self):
         # every settable key: adding or removing a knob is an edit here.
-        # freeze_factors is reached through optimizer.loss_mode only, and the
-        # gradient gate's tolerance and batch draws, the canvas and the anchor
-        # side are constants
+        # beta_e_stop_grad and freeze_factors are library fields, and the
+        # gradient gate's tolerance and batch draws, the canvas, the anchor
+        # side, the surface grid and train's NMS and AP thresholds are constants
         assert {name: set(keys) for name, keys in cli._BLOCK_KEYS.items()} == {
-            "hyperparams": {"alpha", "gamma", "margin", "beta_e_stop_grad"},
+            "hyperparams": {"alpha", "gamma", "margin"},
             "scene": {
                 "anchor_spacing",
                 "num_scenes",
@@ -76,12 +76,11 @@ class TestConfigHandling:
             },
             "optimizer": {"learning_rate", "steps", "log_every", "loss_mode", "gradcheck_samples"},
             "gradcheck": {"samples"},
-            "surface": {"p_min", "p_max", "p_steps", "loc_min", "loc_max", "loc_steps", "mode"},
-            "train": {"nms_threshold", "ap_thresholds"},
+            "surface": {"mode"},
         }
         assert set(cli._TOP_KEYS) == {"seed", *cli._BLOCK_KEYS}
         # the settable keys, counting seed
-        assert 1 + sum(map(len, cli._BLOCK_KEYS.values())) == 26
+        assert 1 + sum(map(len, cli._BLOCK_KEYS.values())) == 17
 
     @pytest.mark.parametrize(
         "block, key",
@@ -91,14 +90,30 @@ class TestConfigHandling:
             ("optimizer", "gradcheck_tolerance"),
             ("scene", "canvas"),
             ("scene", "anchor_scales"),
+            ("surface", "p_min"),
+            ("surface", "p_max"),
+            ("surface", "p_steps"),
+            ("surface", "loc_min"),
+            ("surface", "loc_max"),
+            ("surface", "loc_steps"),
+            ("train", "nms_threshold"),
+            ("train", "ap_thresholds"),
+            ("hyperparams", "beta_e_stop_grad"),
+            # the whole block: key None
+            ("train", None),
         ],
     )
     def test_removed_gate_key_is_unknown_to_every_command(self, tmp_path, block, key):
-        # the gate's tolerance and batch draws, the canvas and the anchor side
-        # are constants; 1e-5, 4, [16, 16] and [3] are their own values, so a
-        # config that restates them is rejected too
-        for value in (0.0, 1e-5, 4, [16.0, 16.0], [3.0]):
-            cfg = write_config(tmp_path, {block: {key: value}})
+        # the gate's tolerance and batch draws, the canvas, the anchor side,
+        # the surface grid and train's thresholds are constants, and
+        # beta_e_stop_grad is a library field; 1e-5, 4, [16, 16], [3], 0.5,
+        # 20, True and the AP thresholds are their own values, so a config
+        # that restates them is rejected too
+        values = (0.0, 1e-5, 4, 0.5, 20, True, [16.0, 16.0], [3.0], list(DEFAULT_AP_THRESHOLDS), {})
+        # the train block is gone whole, so it is the unknown key
+        path = block if block == "train" else f"{block}.{key}"
+        for value in values:
+            cfg = write_config(tmp_path, {block: value} if key is None else {block: {key: value}})
             for command, flags in [
                 ("gradcheck", []),
                 ("loss-eval", ["--samples", "never-read.jsonl"]),
@@ -109,7 +124,7 @@ class TestConfigHandling:
                 out = tmp_path / command
                 assert _run_quietly([command, "--config", cfg, *flags, "--out", str(out)]) == (
                     EXIT_VALIDATION,
-                    f"error: config.{block}.{key}: unknown key\n",
+                    f"error: config.{path}: unknown key\n",
                 )
                 assert not out.exists()
 
@@ -126,6 +141,16 @@ class TestConfigHandling:
         assert err.startswith(f"error: cannot read config file {bad}: 'utf-8' codec can't decode")
         assert not out.exists()
 
+    def test_deeply_nested_config_exits_1_naming_it(self, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, past its depth
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        code, err = _run_quietly(["surface", "--config", str(deep), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: config {deep}: maximum recursion depth exceeded")
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, **FAST_TRAIN})
         out = tmp_path / "out"
@@ -138,9 +163,6 @@ class TestNoTracebacks:
     @pytest.mark.parametrize(
         "command, payload, flags, path",
         [
-            ("train", {"train": {"nms_threshold": 0}}, [], "config.train.nms_threshold"),
-            ("train", {"train": {"ap_thresholds": []}}, [], "config.train.ap_thresholds"),
-            ("train", {"train": {"ap_thresholds": [None]}}, [], "config.train.ap_thresholds"),
             ("train", {"scene": {"objects_per_scene": [1, 2, 3]}}, [], "config.scene: objects_per_scene"),
             ("train", {"seed": -1}, [], "config.seed"),
             ("train", {}, ["--seed", "-1"], "config.seed"),
@@ -148,10 +170,8 @@ class TestNoTracebacks:
             ("train", {"scene": {"num_scenes": True}}, [], "config.scene.num_scenes"),
             ("gradcheck", {"gradcheck": {"samples": 2.5}}, [], "config.gradcheck.samples"),
             ("gradcheck", {"gradcheck": {"samples": 2.0}}, [], "config.gradcheck.samples: expected an integer"),
-            ("surface", {"surface": {"p_steps": 2.5}}, [], "config.surface.p_steps"),
             ("train", {"scene": {"objects_per_scene": [2.5, 4]}}, [], "config.scene.objects_per_scene[0]"),
             ("train", {"scene": {"objects_per_scene": [True, 2]}}, [], "config.scene.objects_per_scene[0]"),
-            ("train", {"train": {"ap_thresholds": [True]}}, [], "config.train.ap_thresholds[0]"),
             # the scene set is bounded before any grid is built
             ("train", {"scene": {"anchor_spacing": 5e-324}}, [], "config.scene: 4 scenes of inf anchors"),
             ("train", {"scene": {"anchor_spacing": 1e-300}}, [], "config.scene: 4 scenes of inf anchors"),
@@ -172,10 +192,8 @@ class TestNoTracebacks:
                 "config.scene: 160000 anchors x 7 objects per scene exceed the matching limit",
             ),
             # non-finite floats are rejected when the config is read
-            ("surface", {"surface": {"p_min": float("nan")}}, [], "config.surface.p_min: expected a finite number"),
             ("train", {"optimizer": {"learning_rate": float("nan")}}, [], "config.optimizer.learning_rate: expected a finite"),
             ("train", {"hyperparams": {"gamma": float("nan")}}, [], "config.hyperparams.gamma: expected a finite number"),
-            ("train", {"train": {"ap_thresholds": [float("inf")]}}, [], "config.train.ap_thresholds[0]: expected a finite"),
             # every command judges the scene block of its own effective config
             ("surface", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
             ("gradcheck", {"scene": {"objects_per_scene": [200000, 200000]}}, [], "config.scene: objects_per_scene"),
@@ -184,13 +202,6 @@ class TestNoTracebacks:
                 {"scene": {"objects_per_scene": [200000, 200000]}},
                 ["--samples", "never-read.jsonl"],
                 "config.scene: objects_per_scene",
-            ),
-            # the surface grid is bounded before any of it is allocated
-            (
-                "surface",
-                {"surface": {"p_steps": 100000, "loc_steps": 100000}},
-                [],
-                "config.surface: 100000 x 100000 grid points exceed the limit of 1000000",
             ),
         ],
     )
@@ -202,7 +213,7 @@ class TestNoTracebacks:
         err = capsys.readouterr().err
         assert path in err
         assert "Traceback" not in err
-        # the train block is checked before training starts, not after it
+        # every block is checked before training starts, not after it
         assert not (out / "trainlog.csv").exists()
 
     def test_output_path_that_is_a_file_exits_1(self, tmp_path, capsys):
@@ -214,8 +225,24 @@ class TestNoTracebacks:
         assert "Traceback" not in err
 
     def test_float_keys_still_take_integers(self, tmp_path):
-        cfg = write_config(tmp_path, {"surface": {"p_max": 1, "loc_max": 2, "p_steps": 3}})
+        cfg = write_config(tmp_path, {"hyperparams": {"alpha": 1}, "scene": {"anchor_spacing": 3}})
         assert main(["surface", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, payload, name",
+        [
+            # written before the work, and after training
+            ("surface", {}, "run_meta.json"),
+            ("train", FAST_TRAIN, "trainlog.csv"),
+        ],
+    )
+    def test_output_file_that_cannot_be_written_exits_1(self, tmp_path, command, payload, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, payload)
+        code, err = _run_quietly([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: cannot write {out / name}: [Errno 21] Is a directory")
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -349,8 +376,6 @@ _COSTLY = {
     ("scene", "num_classes"): st.integers(-1, 6),
     ("scene", "objects_per_scene"): st.lists(st.integers(-1, 4), max_size=3),
     ("scene", "anchor_spacing"): _SCENE_FLOAT,
-    ("surface", "p_steps"): _SMALL_INT,
-    ("surface", "loc_steps"): _SMALL_INT,
 }
 _BLOCKS = cli._BLOCK_KEYS
 
@@ -402,7 +427,7 @@ _CONFIG = _entries(junk=False).map(_config) | _entries(junk=True).map(_config)
 # fast settings a draw overrides key by key
 _BASE = {
     "gradcheck": {"gradcheck": {"samples": 2}},
-    "surface": {"surface": {"p_steps": 3, "loc_steps": 3}},
+    "surface": {},
     "train": FAST_TRAIN,
     "refine": FAST_REFINE,
 }
@@ -480,7 +505,6 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"train": {"nms_threshold": 0}}, "config.train.nms_threshold: IoU threshold must lie in (0, 1], got 0.0"),
         ({"surface": {"mode": "x"}}, "config.surface.mode: expected standard|harmonic, got 'x'"),
         ({"gradcheck": {"samples": 0}}, "config.gradcheck.samples: must be >= 1, got 0"),
         ({"optimizer": {"steps": 0}}, "config.optimizer: steps must be >= 1, got 0"),
@@ -495,16 +519,6 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
         (
             {"scene": {"jitter": 1.68}},
             "config.scene: objects up to 16.10 cannot fit the 16 x 16 canvas",
-        ),
-        # gradients past the float range, not a p bound: 1e-308 overflows in
-        # harmonic mode only
-        (
-            {"surface": {"p_min": 5e-324, "mode": "standard"}},
-            "config.surface: the standard gradient at p=5e-324 overflows the float range",
-        ),
-        (
-            {"surface": {"p_min": 1e-308}},
-            "config.surface: the harmonic gradient at p=1e-308 overflows the float range",
         ),
         # loss settings that are constants of the loss family
         ({"hyperparams": {"prob_floor": 0.05}}, "config.hyperparams.prob_floor: unknown key"),
@@ -703,8 +717,10 @@ class TestLossEvalCommand:
             (None, "cannot read samples file {path}: [Errno 2]"),
             (b"\xff\xfe{}\n", "cannot read samples file {path}: 'utf-8' codec can't decode"),
             (b'{"probs": [1.0]}\n', "samples line 1: sample record missing fields"),
+            # json.loads raises RecursionError, not JSONDecodeError, past its depth
+            (b"[" * 100_000 + b"\n", "samples line 1: maximum recursion depth exceeded"),
         ],
-        ids=["missing", "non-utf8", "short-record"],
+        ids=["missing", "non-utf8", "short-record", "deeply-nested"],
     )
     def test_bad_samples_file_exits_1_before_writing(self, tmp_path, content, message):
         samples = tmp_path / "samples.jsonl"
@@ -838,21 +854,19 @@ class TestSurfaceCommand:
         assert float(hits[0]["grad"]) == pytest.approx(-4.0, abs=1e-6)
 
     def test_grid_size(self, tmp_path):
-        cfg = write_config(tmp_path, {"surface": {"p_steps": 7, "loc_steps": 5}})
         out = tmp_path / "out"
-        assert main(["surface", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["surface", "--out", str(out)]) == EXIT_OK
         _, rows = read_csv_rows(out / "surface.csv")
-        assert len(rows) == 35
+        # the fixed grid, loc-major: 13 loc values of 20 p values each
+        assert [(float(r["p"]), float(r["loc"])) for r in rows] == [
+            (p, loc) for loc in np.linspace(0.0, 1.2, 13) for p in np.linspace(0.05, 1.0, 20)
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["surface", "--out", str(out1)]) == EXIT_OK
         assert main(["surface", "--out", str(out2)]) == EXIT_OK
         assert (out1 / "surface.csv").read_bytes() == (out2 / "surface.csv").read_bytes()
-
-    def test_bad_grid_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"surface": {"p_min": -0.5}})
-        assert main(["surface", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
 class TestTrainCommand:
@@ -938,9 +952,10 @@ def test_evaluation_equals_the_object_reference(setup, trained):
     model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
     if trained:
         model, _ = train_toy(scene_set, model, OptimizerConfig(**opt_kw), HyperParams())
-    thresholds = (0.5, list(DEFAULT_AP_THRESHOLDS))
-    ap, kept, best_iou = cli._evaluate_trained(scene_set, model, *thresholds)
-    ref_ap, ref_kept, ref_rows = eval_reference.evaluate(scene_set, model, *thresholds)
+    ap, kept, best_iou = cli._evaluate_trained(scene_set, model)
+    ref_ap, ref_kept, ref_rows = eval_reference.evaluate(
+        scene_set, model, cli.NMS_THRESHOLD, list(DEFAULT_AP_THRESHOLDS)
+    )
     rows = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.score.tolist(), kept.scene.tolist())
     assert repr(list(rows)) == repr(
         [([d.box.x1, d.box.y1, d.box.x2, d.box.y2], d.class_id, d.score, d.scene) for d in ref_kept]
@@ -1001,16 +1016,16 @@ def test_evaluation_lines_render_each_row_as_json_dumps_and_repr(rows):
 _TRAIN_DIGESTS = {
     "defaults": (
         {},
-        "95087c612192136735f80e41660d04f45184cbcc3db53e043c818fcb2dc4d518",
-        "d399c81f3a1783b1ecf7840ceba09271d8bd5d50dc9b0c50a5dd3f258a76369e",
+        "16c4b2bf630b9c055c7a0b23af5d549a2fde471632a185b7b0d8764c4af13422",
+        "44db0cd251723ae0e513ad5900839ef0c616ac028edae3b17300d29295ce2dcf",
     ),
     "train_dense": (
         {
             "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
             "optimizer": {"steps": 20, "log_every": 5, "loss_mode": "standard"},
         },
-        "031bbc011e7620ac4a6368e504b3773601880b9c331aa87b0d7b002bc314fd26",
-        "7327f084e93bda520df5b9353d1f2d2e6d881587d4a33a07c16a11c734490f82",
+        "b630b2d7cfe02e10ab1f4793f5e538b46d9633b9bd4c6702860799d82baae194",
+        "5e8a58ac41ee37b2f2c1c8c8b3f25204cc5e1349bbf808e79ccbe2e766641fdc",
     ),
 }
 
