@@ -11,7 +11,8 @@ modes' hyperparameters; ``refinement_experiment`` at the ``refine_long``
 workload's config, the other caller of ``offset_iou_and_grad``;
 ``offset_iou_and_grad`` itself, 100 calls at 12 (``train_default``'s
 positives), 478 (refine's two stacked runs), 4 096 and 16 384 rows, cycling
-refine's matched pairs under fixed random offsets; the
+refine's matched pairs under fixed random offsets, each call with e^tw and
+e^th from a libm pass as train's kernel computes them; the
 evaluation that follows ``train`` (``cli._evaluate_trained``: NMS, AP and
 the scatter) on the models trained at 4 096 and 16 384 rows; and
 ``generate_scenes`` at refine's 60 scenes. Each call
@@ -35,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -102,6 +104,7 @@ def layer(src: str, out: str) -> None:
         train_toy,
     )
     from hardet import cli
+    from hardet.geom import elementwise
 
     def train_writers(ss, trained, log, evaluation, opt) -> None:
         """``cli.cmd_train`` with the training and the evaluation replaced by
@@ -199,7 +202,8 @@ def layer(src: str, out: str) -> None:
 
         def kernel_calls() -> None:
             for _ in range(KERNEL_CALLS):
-                offset_iou_and_grad(d, targets)
+                scale = elementwise(math.exp, d.T[2:].ravel()).reshape(2, -1)
+                offset_iou_and_grad(d, targets, scale)
 
         results[f"offset_iou_and_grad_{rows}_rows"] = {
             "rows": rows,

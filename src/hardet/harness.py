@@ -42,7 +42,6 @@ from .losses import (
     harmonic_cls_grad,
     harmonic_det_loss,
     harmonic_reg_grad,
-    hiou_slope_arrays,
     tc_loss,
 )
 from .metrics import DetectionArrays, GroundTruthArrays, aic
@@ -1050,19 +1049,29 @@ def _train_offsets_only(
     of them at once, the runs stacked as blocks of rows. Raises
     :class:`DivergenceError` at the earliest step at which an offset of any
     run leaves the decode cap, naming the run and the model row.
+
+    Each step takes the decode's (e^tw, e^th) and the HIoU slope's (1 +
+    IoU)^(gamma - 1) from numpy's vectorized ``exp`` and ``power``, not from
+    libm like the scalar forms and the training kernel. numpy's results can
+    differ from libm's in the last bit. numpy gives an entry the same value
+    wherever it sits in the array, so a row does not depend on the rows
+    beside it.
     """
     n_runs = len(runs)
     targets = AnchorTargets(np.tile(m.anchors, (n_runs, 1)), np.tile(m.gt, (n_runs, 1)))
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
-    exponent = (gamma - 1.0).tolist()
+    exponent = gamma - 1.0
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
     d = np.zeros((n_runs * m.pos_flat.size, 4))
     # an overflow shows as an offset past the decode cap, not as a warning
     with np.errstate(all="ignore"):
         for step in range(opt.steps):
             _check_decode_cap(step, d, m.pos_flat, names)
-            u, du_dd = offset_iou_and_grad(d, targets)
-            d -= (opt.learning_rate * hiou_slope_arrays(u, gamma, exponent))[:, None] * du_dd
+            u, du_dd = offset_iou_and_grad(d, targets, np.exp(d.T[2:]))
+            # hiou_slope: (1 + u)^(gamma - 1) * (gamma * (1 - u) - (1 + u))
+            one_plus_u = 1.0 + u
+            slope = np.power(one_plus_u, exponent) * (gamma * (1.0 - u) - one_plus_u)
+            d -= (opt.learning_rate * slope)[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)
 

@@ -250,17 +250,6 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
-def hiou_slope_arrays(
-    u: np.ndarray, gamma: float | np.ndarray, exponent: float | list[float] | None = None
-) -> np.ndarray:
-    """Element-wise :func:`hiou_slope` of 1-D ``u``; ``gamma`` is one value or
-    one per element, and ``exponent`` its ``gamma - 1``, computed here when
-    not given. ``u`` is not range-checked."""
-    if exponent is None:
-        exponent = gamma - 1.0
-    return elementwise(math.pow, 1.0 + u, exponent) * (gamma * (1.0 - u) - (1.0 + u))
-
-
 @dataclass(frozen=True)
 class _LocParts:
     """Localization terms shared by the harmonic and TC losses."""

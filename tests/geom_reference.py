@@ -13,14 +13,16 @@ import numpy as np
 from hardet.geom import elementwise
 
 
-def exp_sizes(d: np.ndarray) -> np.ndarray:
-    """(e^tw, e^th) of (N, 4) offsets, row-wise."""
-    return elementwise(math.exp, d[:, 2:].ravel()).reshape(-1, 2)
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry of ``x``, one float at a time, shaped as
+    ``x``: the C library's exp, which the scalar forms and train's kernel
+    take."""
+    return elementwise(math.exp, x.ravel()).reshape(x.shape)
 
 
 def decode_arrays(d: np.ndarray, anchors: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Row-wise ``decode`` of (N, 4) offsets against (N, 4) anchors, with
-    ``scale = exp_sizes(d)``."""
+    ``scale`` the (N, 2) e^tw and e^th."""
     size = anchors[:, 2:] - anchors[:, :2]
     center = d[:, :2] * size + 0.5 * (anchors[:, :2] + anchors[:, 2:])
     half = 0.5 * (size * scale)
@@ -65,10 +67,12 @@ def decode_vjp_arrays(
 
 
 def offset_iou_and_grad(
-    d: np.ndarray, anchors: np.ndarray, gt: np.ndarray
+    d: np.ndarray, anchors: np.ndarray, gt: np.ndarray, exp=libm_exp
 ) -> tuple[np.ndarray, np.ndarray]:
     """The four calls chained: IoU of the decoded boxes with ``gt`` and its
-    gradient w.r.t. the offsets, one exp shared by the decode and its VJP."""
-    scale = exp_sizes(d)
+    gradient w.r.t. the offsets, one ``exp`` of the size offsets shared by
+    the decode and its VJP: libm for train's kernel, ``np.exp`` for refine's
+    descent."""
+    scale = exp(d[:, 2:])
     u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
     return u, decode_vjp_arrays(d, anchors, du_dcorners, scale)

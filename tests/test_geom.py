@@ -232,7 +232,8 @@ def assert_fused_equals_scalar(d, anchors, gts):
     """The fused call equals the scalar forms and the four-call reference,
     bit for bit."""
     a, g = corners(anchors), corners(gts)
-    u, grad = offset_iou_and_grad(d, AnchorTargets(a, g))
+    # the libm exp, as train's kernel passes it
+    u, grad = offset_iou_and_grad(d, AnchorTargets(a, g), geom_reference.libm_exp(d.T[2:]))
     assert u.shape == (len(d),) and grad.shape == (len(d), 4)
     want_u, want_grad = scalar_offset_iou_and_grad(d, anchors, gts)
     assert u.tobytes() == want_u.tobytes()
@@ -292,7 +293,8 @@ class TestArrayForms:
         d[: len(TOUCHING) + 100] = 0.0
         assert_fused_equals_scalar(d, [p[0] for p in pairs], [p[1] for p in pairs])
         touching = AnchorTargets(stacked(a for a, _ in TOUCHING), stacked(b for _, b in TOUCHING))
-        u, _ = offset_iou_and_grad(np.zeros((len(TOUCHING), 4)), touching)
+        # e^0 is 1
+        u, _ = offset_iou_and_grad(np.zeros((len(TOUCHING), 4)), touching, np.ones((2, 5)))
         assert np.array_equal(u, [iou(a, b) for a, b in TOUCHING])
 
     def test_decode_and_jacobian_product_equal_scalar(self):
@@ -339,7 +341,7 @@ class TestArrayForms:
         assert not targets.jacobian.flags.writeable
         with pytest.raises(ValueError):
             targets.gt_area[0] = 2.0
-        offset_iou_and_grad(np.ones((3, 4)), targets)
+        offset_iou_and_grad(np.ones((3, 4)), targets, np.full((2, 3), math.e))
         # the call fills a copy of the Jacobian's offset entries
         assert np.count_nonzero(targets.jacobian) == 4 * 3
 

@@ -25,7 +25,6 @@ from hardet.losses import (
     harmonic_reg_grad,
     hiou_loss,
     hiou_slope,
-    hiou_slope_arrays,
     iou_loss,
     positive_sample_from_json,
     smooth_l1,
@@ -36,7 +35,7 @@ from hardet.harness import SceneConfig, generate_scenes, random_positive_sample
 
 from gate_reference import _fd_offsets, _fd_probs
 import train_reference
-from train_reference import hiou_loss_arrays
+from train_reference import hiou_loss_arrays, hiou_slope_arrays
 
 HP = HyperParams()
 

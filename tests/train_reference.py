@@ -5,9 +5,10 @@ libm passes and the lazily read objective.
 ``batch_objective_arrays`` computes every field eagerly and chains the four
 geometry calls of ``geom_reference``; ``train_toy`` checks the objective's
 value at every step and sums each record's AIC one (p_gt, IoU) pair at a
-time; ``train_offsets_only`` is refine's descent over the
-same four calls. The tests hold ``losses.batch_objective_arrays``,
-``harness.train_toy`` and ``harness._train_offsets_only`` to them bit for bit.
+time; ``train_offsets_only`` is refine's descent over the same four calls,
+on numpy's exp and power where the rest take libm's. The tests hold
+``losses.batch_objective_arrays``, ``harness.train_toy`` and
+``harness._train_offsets_only`` to them bit for bit.
 """
 
 import math
@@ -27,13 +28,27 @@ from hardet.harness import (
     TrainRecord,
     _check_decode_cap,
 )
-from hardet.losses import PROB_FLOOR, HyperParams, hiou_slope_arrays
+from hardet.losses import PROB_FLOOR, HyperParams
+
+
+def libm_power(base: np.ndarray, exponent: float | np.ndarray) -> np.ndarray:
+    """``math.pow`` of each entry of 1-D ``base``, one float at a time, to
+    ``exponent``, one value or one per entry: the C library's pow."""
+    return elementwise(math.pow, base, exponent)
 
 
 def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     """Element-wise ``hiou_loss`` of 1-D ``u``; ``gamma`` is one value or one
     per element. ``u`` is not range-checked."""
     return elementwise(pow, 1.0 + u, gamma) * (1.0 - u)
+
+
+def hiou_slope_arrays(
+    u: np.ndarray, gamma: float | np.ndarray, power=libm_power
+) -> np.ndarray:
+    """Element-wise ``hiou_slope`` of 1-D ``u``, with ``gamma`` as in
+    :func:`hiou_loss_arrays` and (1 + u)^(gamma - 1) from ``power``."""
+    return power(1.0 + u, gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
 @dataclass(frozen=True)
@@ -202,9 +217,14 @@ def train_toy(
     return model, TrainLog(tuple(records), batch.p_gt, batch.iou)
 
 
-def train_offsets_only(m: Matching, runs: dict[str, float], opt: OptimizerConfig) -> np.ndarray:
+def train_offsets_only(
+    m: Matching, runs: dict[str, float], opt: OptimizerConfig, exp=np.exp, power=np.power
+) -> np.ndarray:
     """Refine's stacked descent of the IoU-based loss, shaped (runs,
-    positives, 4), over the four geometry calls."""
+    positives, 4), over the four geometry calls. Its exp and power are
+    numpy's, as refine takes them; with ``geom_reference.libm_exp`` and
+    ``libm_power`` it is the same descent on libm, which the tests bound
+    refine's drift from."""
     n_runs = len(runs)
     anchors = np.tile(m.anchors, (n_runs, 1))
     gt = np.tile(m.gt, (n_runs, 1))
@@ -213,7 +233,7 @@ def train_offsets_only(m: Matching, runs: dict[str, float], opt: OptimizerConfig
     d = np.zeros_like(anchors)
     for step in range(opt.steps):
         _check_decode_cap(step, d, m.pos_flat, names)
-        u, du_dd = offset_iou_and_grad(d, anchors, gt)
-        d -= (opt.learning_rate * hiou_slope_arrays(u, gamma))[:, None] * du_dd
+        u, du_dd = offset_iou_and_grad(d, anchors, gt, exp)
+        d -= (opt.learning_rate * hiou_slope_arrays(u, gamma, power))[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)
