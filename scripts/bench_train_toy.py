@@ -2,7 +2,7 @@
 workloads.
 
     python scripts/bench_train_toy.py layer SRC OUT.json
-    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S]
+    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S] [--rounds R]
 
 ``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
 call at 100, 4 096 and 16 384 model rows in both loss modes; the gate that
@@ -14,16 +14,20 @@ positives), 478 (refine's two stacked runs), 4 096 and 16 384 rows, cycling
 refine's matched pairs under fixed random offsets, each call with e^tw and
 e^th from a libm pass as train's kernel computes them; the
 evaluation that follows ``train`` (``cli._evaluate_trained``: NMS, AP and
-the scatter) on the models trained at 4 096 and 16 384 rows; and
-``generate_scenes`` at refine's 60 scenes. Each call
+the scatter) on the models trained at 4 096 and 16 384 rows;
+``generate_scenes`` at refine's 60 scenes; and ``batch_objective_arrays``,
+100 calls on the compact rows ``train_toy`` steps on at the 100-row
+(``train_default``) and 4 096-row (``train_dense``) configs, in each
+workload's loss mode (:func:`batch_kernel_cases`). Each call
 runs between two runs of perfbench's calibration loop; a case's value is the
 median over batches of the call's time over the mean of the two calibration
 times, so it reads in perfbench's ``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
 ``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
-one sentence; the layer timings of both, from three rounds that alternate
-which side runs first; ``--pairs`` alternating perfbench runs per workload
+one sentence; the layer timings of both, from ``--rounds`` rounds that
+alternate which side runs first, each case's median over rounds with every
+round's value; ``--pairs`` alternating perfbench runs per workload
 (``train_dense`` gets twice as many), with the medians, quartiles and wins of
 every end-to-end metric; and one traced run per side and workload, for the
 per-layer call counts and self times.
@@ -57,6 +61,9 @@ KERNEL_ROWS = (12, 478, 4096, 16384)
 KERNEL_CALLS = 100
 # the gate's draws before train, the OptimizerConfig default
 GATE_SAMPLES = 20
+# the batch kernel's cases: the layer case whose compact rows it runs on,
+# in that workload's loss mode
+BATCH_CASES = {"100_rows": "harmonic_det", "4096_rows": "standard"}
 BATCHES = 7
 END_TO_END = ("wall_rel", "cpu_rel", "peak_rss_mb", "setup_s")
 WORKLOADS = {"train_dense": 1801, "train_default": 1821, "refine_long": 1841}
@@ -74,6 +81,37 @@ def layer_cases(cli) -> dict:
         ),
         "16384_rows": ({"num_scenes": 16, "anchor_spacing": 0.5}, {"steps": 100, "log_every": 25}),
     }
+
+
+def batch_kernel_cases() -> dict:
+    """name -> (rows, positives, a call of ``batch_objective_arrays``) for
+    each of :data:`BATCH_CASES`: the compact rows ``train_toy`` steps on, the
+    positives and one row for the zero model's identical negatives, at fixed
+    random predictions. The kernel takes the per-run plan where the package
+    has one, else the plan's four inputs, so that a parent checkout without
+    the plan times the same work."""
+    import numpy as np
+
+    import hardet
+    from hardet import cli, losses
+
+    cases = {}
+    for name, mode in BATCH_CASES.items():
+        ss = hardet.generate_scenes(hardet.SceneConfig(**layer_cases(cli)[name][0]))
+        m, c = ss.matching, ss.config.num_classes
+        rows = m.pos_flat.size + (m.neg_flat.size > 0)
+        rng = np.random.default_rng(rows)
+        probs, offsets = rng.dirichlet(np.ones(c), size=rows), rng.uniform(-0.3, 0.3, (rows, 4))
+        hp = hardet.HyperParams()
+        inputs = (m.targets, m.gt_class, m.d_hat, hp.compat_standard() if mode == "standard" else hp)
+        if hasattr(losses, "KernelPlan"):
+            inputs = (losses.KernelPlan(*inputs, c),)
+        cases[f"batch_objective_arrays_{name}_{mode}"] = (
+            rows,
+            int(m.pos_flat.size),
+            lambda p=probs, d=offsets, i=inputs: losses.batch_objective_arrays(p, d, *i),
+        )
+    return cases
 
 
 def refine_case(cli) -> tuple[dict, dict]:
@@ -210,6 +248,18 @@ def layer(src: str, out: str) -> None:
             "calls": KERNEL_CALLS,
             "calibrated_median": calibrated_median(kernel_calls),
         }
+    for name, (rows, positives, kernel) in batch_kernel_cases().items():
+
+        def batch_kernel_calls() -> None:
+            for _ in range(KERNEL_CALLS):
+                kernel()
+
+        results[name] = {
+            "rows": rows,
+            "positives": positives,
+            "calls": KERNEL_CALLS,
+            "calibrated_median": calibrated_median(batch_kernel_calls),
+        }
     opt = OptimizerConfig(**optimizer)
     results["refinement_experiment_refine_long"] = {
         "positives": int(ss.matching.pos_flat.size),
@@ -243,11 +293,13 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def compare(parent: Path, change: Path, out: str, what: str, pairs: int, seconds: float) -> None:
+def compare(
+    parent: Path, change: Path, out: str, what: str, pairs: int, seconds: float, n_rounds: int
+) -> None:
     sides = {"parent": parent, "change": change}
     rounds = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for r in range(3):
+        for r in range(n_rounds):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 path = Path(tmp) / f"{side}{r}.json"
                 subprocess.run(
@@ -258,7 +310,8 @@ def compare(parent: Path, change: Path, out: str, what: str, pairs: int, seconds
     layers = {
         side: {
             case: {**runs[0][case],
-                   "calibrated_median": statistics.median(run[case]["calibrated_median"] for run in runs)}
+                   "calibrated_median": statistics.median(run[case]["calibrated_median"] for run in runs),
+                   "rounds": [run[case]["calibrated_median"] for run in runs]}
             for case in runs[0]
         }
         for side, runs in rounds.items()
@@ -303,7 +356,8 @@ def compare(parent: Path, change: Path, out: str, what: str, pairs: int, seconds
         },
         "src_sha256": {side: src_digest(path) for side, path in sides.items()},
         "commands": {
-            "layer": f"{BATCHES} batches of one call per side per round, 3 rounds, median over rounds",
+            "layer": f"{BATCHES} batches of one call per side per round, {n_rounds} rounds, "
+            "median over rounds",
             "end_to_end": f"perfbench/run.py --seconds {seconds} --trace 0, pair k runs the parent "
             "first when k is even",
             "trace": f"perfbench/run.py --seed {TRACE_SEED} --seconds {seconds} --trace 1, one per side",
@@ -328,12 +382,14 @@ def main() -> None:
     p.add_argument("--what", required=True, help="the change measured, in one sentence")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--rounds", type=int, default=5, help="layer rounds per side")
     args = parser.parse_args()
     if args.cmd == "layer":
         layer(args.src, args.out)
     else:
         compare(
-            args.parent.resolve(), args.change.resolve(), args.out, args.what, args.pairs, args.seconds
+            args.parent.resolve(), args.change.resolve(), args.out, args.what, args.pairs,
+            args.seconds, args.rounds,
         )
 
 

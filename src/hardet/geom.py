@@ -3,7 +3,8 @@
 Boxes use the (x1, y1, x2, y2) corner convention and serialize as plain
 4-element arrays everywhere in this package. Offsets follow the usual
 (dx, dy, log dw, log dh) parameterization relative to an anchor box.
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently, but for
+:func:`offset_iou_and_grad`, which writes the workspace of its targets.
 """
 
 from __future__ import annotations
@@ -318,16 +319,19 @@ _SIZE_SLOTS = np.array([0, 5, 8, 13])
 
 
 class AnchorTargets:
-    """(N, 4) anchors paired row-wise with (N, 4) target boxes, and the terms
-    of :func:`offset_iou_and_grad` that no offset changes, computed once for
-    a descent of many steps.
+    """(N, 4) anchors paired row-wise with (N, 4) target boxes: the terms of
+    :func:`offset_iou_and_grad` that no offset changes, computed once for a
+    descent of many steps, and the workspace its every call rewrites.
 
     The per-axis terms are axis-major: ``size``, ``half_size`` and ``center``
     of the anchors and the targets' ``gt_lo`` (x1, y1) and ``gt_hi`` (x2, y2)
     are C-contiguous (2, N) arrays, the x row first, so the kernel's per-axis
-    steps run on contiguous rows. ``gt_area`` is (N,), and ``jacobian`` (N,
-    16) holds each row's row-major 4x4 decode Jacobian with only its
-    anchor-size entries filled. The arrays are read-only."""
+    steps run on contiguous rows. ``gt_area`` is (N,). These are read-only.
+    The workspace is ``jacobian`` (N, 16), each row's row-major 4x4 decode
+    Jacobian with its anchor-size entries filled here and its half-size
+    entries by each call, and the buffers ``d_inter``, ``d_union`` (4, N) and
+    ``du_dcorners`` (N, 4). No call returns a view of them, so one instance
+    serves a whole descent, one call at a time."""
 
     def __init__(self, anchors: np.ndarray, gt: np.ndarray) -> None:
         a, g = np.ascontiguousarray(anchors.T), np.ascontiguousarray(gt.T)
@@ -337,10 +341,12 @@ class AnchorTargets:
         self.gt_lo, self.gt_hi = g[:2], g[2:]
         gt_size = g[2:] - g[:2]
         self.gt_area = gt_size[0] * gt_size[1]
-        self.jacobian = np.zeros((len(anchors), 16))
-        self.jacobian[:, _SIZE_SLOTS] = np.concatenate([self.size, self.size]).T
         for array in vars(self).values():
             array.flags.writeable = False
+        self.jacobian = np.zeros((len(anchors), 16))
+        self.jacobian[:, _SIZE_SLOTS] = np.concatenate([self.size, self.size]).T
+        self.d_inter, self.d_union = np.empty((2, 4, len(anchors)))
+        self.du_dcorners = np.empty((len(anchors), 4))
 
 
 def offset_iou_and_grad(
@@ -350,7 +356,9 @@ def offset_iou_and_grad(
     gradient w.r.t. them, ``decode_jacobian(d, anchor).T @ iou_grad(decode(d,
     anchor), gt)``, as (N,) and (N, 4); every union must be positive.
     ``scale`` holds the (2, N) rows e^tw and e^th, which the caller computes
-    with the exp of its choice.
+    with the exp of its choice. The caller lends ``targets``' workspace:
+    the call fills the Jacobian's half-size entries in place and overwrites
+    the buffers, and returns fresh arrays.
 
     Works on the rows of ``d.T``, axis-major like ``targets``. Runs the
     scalar forms' operations in their order, and the product as a stacked
@@ -358,9 +366,14 @@ def offset_iou_and_grad(
     agrees with them bit for bit; the decode's half size is the Jacobian's,
     equal while ``size * scale`` is a normal float.
     """
-    rows = d.T
+    rows = np.ascontiguousarray(d.T)
     t = targets
     half = t.half_size * scale
+    # the Jacobian's only entries that change: the half size at its
+    # row-major slots 10 and 15, negated at 2 and 7
+    jac = t.jacobian.T
+    jac[10:16:5] = half
+    jac[2:8:5] = -half
     center = rows[:2] * t.size + t.center
     lo = center - half
     hi = center + half
@@ -372,25 +385,25 @@ def offset_iou_and_grad(
     # the subgradient conventions of iou_grad: the (x, y) rows hold
     # d(inter)/d(width) and d(inter)/d(height) where the clamp is active,
     # written only at the corners that bind
-    side = np.where(span >= 0.0, overlap[::-1], 0.0)
-    d_inter = np.zeros((4, inter.size))
-    np.negative(side, out=d_inter[:2], where=lo > t.gt_lo)
-    np.copyto(d_inter[2:], side, where=hi < t.gt_hi)
-    height_width = size[::-1]
-    d_union = np.concatenate([-height_width, height_width]) - d_inter
+    active = span >= 0.0
+    d_inter = t.d_inter
+    d_inter.fill(0.0)
+    np.negative(overlap[::-1], out=d_inter[:2], where=(lo > t.gt_lo) & active)
+    np.copyto(d_inter[2:], overlap[::-1], where=(hi < t.gt_hi) & active)
+    # (-height, -width, height, width) less d_inter
+    d_union = t.d_union
+    np.negative(size[::-1], out=d_union[:2])
+    d_union[2:] = size[::-1]
+    d_union -= d_inter
     # written through the transpose, so that the matmul reads contiguous
     # (N, 4) rows, each laid out as the scalar form's vector
-    du_dcorners = np.empty((inter.size, 4))
+    du_dcorners = t.du_dcorners
     np.divide(d_inter * union - inter * d_union, union * union, out=du_dcorners.T)
-    # the half size at its row-major slots 10 and 15, negated at 2 and 7
-    jac = t.jacobian.copy()
-    jac[:, 10], jac[:, 15] = half
-    jac[:, 2], jac[:, 7] = -half
     # The matmul stays, though only 8 of the 16 entries are non-zero: under
     # OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) it computes entry k
     # as the fused chain fma(J3k, g3, fma(J2k, g2, fma(J1k, g1, J0k * g0))),
     # as exact rational arithmetic reproduced on all 1 200 entries of 300
     # random rows. numpy has no fused multiply-add: a product-and-sum of the
     # non-zero entries differed from it in 391 of them.
-    du_dd = np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
+    du_dd = np.matmul(t.jacobian.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
     return inter / union, du_dd[:, :, 0]

@@ -36,6 +36,7 @@ from .geom import (
 from .losses import (
     BatchArrays,
     HyperParams,
+    KernelPlan,
     PositiveSample,
     batch_objective_arrays,
     full_loc_loss,
@@ -85,7 +86,7 @@ def _check_decode_cap(
     ``runs[k // len(rows)]`` names in the check text."""
     # written so that NaN offsets fail it too
     ok = np.abs(offsets[:, 2:]) <= DECODE_LOG_CAP
-    if not ok.all():
+    if not np.logical_and.reduce(ok, axis=None):
         run, k = divmod(int(np.argmin(ok.all(axis=1))), len(rows))
         check = f"size offsets{runs[run]} past the decode log cap {DECODE_LOG_CAP:g}"
         raise DivergenceError(step, check, int(rows[k]))
@@ -358,9 +359,10 @@ class ToyModel:
         )
 
     def probs(self) -> np.ndarray:
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
+        # the ufuncs' reductions, which the ndarray methods call through Python
+        z = self.logits - np.maximum.reduce(self.logits, axis=1, keepdims=True)
         e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return e / np.add.reduce(e, axis=1, keepdims=True)
 
     def copy(self) -> "ToyModel":
         return ToyModel(self.logits.copy(), self.offsets.copy())
@@ -425,7 +427,8 @@ class Matching:
     to box ``gt[k]`` of class ``gt_class[k]``, with regression target
     ``d_hat[k] = encode(gt[k], anchors[k])``. Negatives are rows ``neg_flat``.
     Positives run scene by scene in anchor order. The arrays are read-only.
-    ``targets`` pairs the anchors with their boxes for the training kernel.
+    ``targets`` pairs the anchors with their boxes for the training kernel,
+    whose every call rewrites its workspace.
     """
 
     pos_flat: np.ndarray
@@ -509,8 +512,9 @@ def train_toy(
     keeps the trained model's p_gt and IoU arrays in the :class:`TrainLog`.
 
     Standard mode optimizes the compatibility reduction (frozen factors,
-    alpha = 0), which equals the classic CE + smooth L1 objective. Each step
-    runs :func:`batch_objective_arrays` and raises :class:`DivergenceError`
+    alpha = 0), which equals the classic CE + smooth L1 objective. The run
+    builds one :class:`KernelPlan` from the matching, and each step runs
+    :func:`batch_objective_arrays` on it and raises :class:`DivergenceError`
     when the probabilities stop being finite, a positive's size offset leaves
     the decode log cap, or the objective stops being finite.
     """
@@ -536,8 +540,10 @@ def train_toy(
     member[m.pos_flat] = np.arange(n)
     member[m.neg_flat] = n + inverse
     model = ToyModel(model.logits[source], model.offsets[source])
+    plan = KernelPlan(m.targets, m.gt_class, m.d_hat, hp_eff, scene_set.config.num_classes)
 
     records: list[TrainRecord] = []
+    scale = opt.learning_rate / n
 
     def log_state(step: int, batch: BatchArrays, value: float) -> None:
         records.append(
@@ -553,11 +559,11 @@ def train_toy(
     def objective(step: int, logged: bool) -> tuple[np.ndarray, BatchArrays, float | None]:
         probs = model.probs()
         finite = np.isfinite(probs)
-        if not finite.all():
+        if not np.logical_and.reduce(finite, axis=None):
             row = int(source[~finite.all(axis=1)].min())
             raise DivergenceError(step, "non-finite probabilities", row)
         _check_decode_cap(step, model.offsets[:n], m.pos_flat)
-        batch = batch_objective_arrays(probs, model.offsets, m.targets, m.gt_class, m.d_hat, hp_eff)
+        batch = batch_objective_arrays(probs, model.offsets, plan)
         # every negative's loss is finite and at most -log(PROB_FLOOR), so
         # the objective is finite exactly when the positives' in-order sum is;
         # it is read, over every negative in model order but with each
@@ -581,7 +587,6 @@ def train_toy(
             g = batch.grad_probs
             dots = np.matmul(g[:, None, :], probs[:, :, None])[:, :, 0]
             grad_logits = probs * (g - dots)
-            scale = opt.learning_rate / batch.num_positives
             model.logits -= scale * grad_logits
             model.offsets -= scale * batch.grad_d
         _, batch, value = objective(opt.steps, True)
@@ -795,17 +800,18 @@ def _gate_errors(
 
     def kernel(kernel_hp: HyperParams, stack: np.ndarray) -> BatchArrays:
         """The kernel over a (copies, rows, C + 4) stack of inputs: every copy's
-        positives, then every copy's negatives, each block copy-major."""
+        positives, then every copy's negatives, each block copy-major; on a
+        plan of its own, as every call's rows differ."""
         copies, width = len(stack), num_classes + 4
         rows = np.concatenate([stack[:, :n_pos], stack[:, n_pos:]], axis=None).reshape(-1, width)
-        return batch_objective_arrays(
-            rows[:, :num_classes],
-            rows[:, num_classes:],
+        plan = KernelPlan(
             AnchorTargets(np.tile(anchors, (copies, 1)), np.tile(gt_boxes, (copies, 1))),
             np.tile(gt_class, copies),
             np.tile(d_hat, (copies, 1)),
             kernel_hp,
+            num_classes,
         )
+        return batch_objective_arrays(rows[:, :num_classes], rows[:, num_classes:], plan)
 
     def fd(kernel_hp: HyperParams, values: Callable[[BatchArrays], np.ndarray]) -> np.ndarray:
         """(value rows, C + 4) central differences of ``values`` of the

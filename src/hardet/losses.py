@@ -505,30 +505,44 @@ class BatchArrays:
         return int(self.p_gt.size)
 
 
-def batch_objective_arrays(
-    probs: np.ndarray,
-    offsets: np.ndarray,
-    targets: AnchorTargets,
-    gt_class: np.ndarray,
-    d_hat: np.ndarray,
-    hp: HyperParams,
-) -> BatchArrays:
+class KernelPlan:
+    """What :func:`batch_objective_arrays` reads and no step changes:
+    ``train_toy`` builds one per run from its matching, the gradient gate one
+    per kernel call. It holds the positives' ``targets``, ``gt_class`` and
+    ``d_hat = encode(gt, anchors)`` in row order, the hyperparameters ``hp``,
+    the positives' flat (row, class) entries ``gt_entry`` of the row-major (N,
+    ``num_classes``) arrays, HIoU's ``exponents`` (gamma per positive, then
+    gamma - 1), and, in ``targets``, the workspace whose decode Jacobian
+    every call fills in place (see :class:`AnchorTargets`)."""
+
+    def __init__(
+        self, targets: AnchorTargets, gt_class: np.ndarray, d_hat: np.ndarray,
+        hp: HyperParams, num_classes: int,
+    ) -> None:
+        n = gt_class.size
+        if n == 0:
+            raise ValueError("batch objective needs at least one positive sample")
+        self.targets, self.gt_class, self.d_hat, self.hp = targets, gt_class, d_hat, hp
+        self.gt_entry = np.arange(0, n * num_classes, num_classes) + gt_class
+        self.exponents = [hp.gamma] * n + [hp.gamma - 1.0] * n
+
+
+def batch_objective_arrays(probs: np.ndarray, offsets: np.ndarray, plan: KernelPlan) -> BatchArrays:
     """:func:`batch_objective` over arrays, for the training loop.
 
     ``probs`` (N, C) and ``offsets`` (N, 4) are per-row predictions. Rows
-    ``[0, n)``, with ``n = len(gt_class)``, are the positives, matched to the
-    anchors and boxes of ``targets``, to ``gt_class`` and to ``d_hat =
-    encode(gt, anchors)``, all in row order; the remaining rows are the
-    negatives, with the background class 0. The arithmetic mirrors
-    :func:`harmonic_det_loss` branch for branch and sums in sample-index
-    order; inputs are not validated (see the scalar form).
+    ``[0, n)``, with ``n = len(plan.gt_class)``, are the positives, matched
+    row for row to the plan; the remaining rows are the negatives, with the
+    background class 0. The arithmetic mirrors :func:`harmonic_det_loss`
+    branch for branch and sums in sample-index order; inputs are not
+    validated (see the scalar form). Every call rewrites the plan's
+    workspace and nothing else of it. No field of the result is a view of
+    the workspace, so a result outlives the plan's next call; a plan serves
+    one call at a time.
     """
-    n = gt_class.size
-    if n == 0:
-        raise ValueError("batch objective needs at least one positive sample")
+    hp, gt_entry = plan.hp, plan.gt_entry
+    n = gt_entry.size
     pp, d = probs[:n], offsets[:n]
-    # the positives' (row, class) entries of the row-major (N, C) arrays
-    gt_entry = np.arange(0, n * probs.shape[1], probs.shape[1]) + gt_class
     p_raw = probs.take(gt_entry)
     p = np.maximum(p_raw, PROB_FLOOR)
     log_p = elementwise(math.log, p)
@@ -536,31 +550,31 @@ def batch_objective_arrays(
     grad_probs = np.zeros(probs.shape)
     grad_offsets = np.zeros(offsets.shape)
     # every tw, then every th: the geometry's axis-major rows
-    size_offsets = d.T[2:].ravel().tolist()
+    tw, th = d.T[2:].tolist()
     if hp.freeze_factors:
-        scale = elementwise(math.exp, size_offsets)
+        scale = elementwise(math.exp, tw + th)
     else:
         logs = np.log(np.maximum(pp, PROB_FLOOR))
-        entropy = -(pp * logs).sum(axis=1)
+        entropy = -np.add.reduce(pp * logs, axis=1)
         # one libm pass: the decode's (e^tw, e^th), beta_c = e^-CE and the
         # entropy weight beta_e
-        exps = elementwise(math.exp, size_offsets + log_p.tolist() + entropy.tolist())
+        exps = elementwise(math.exp, tw + th + log_p.tolist() + entropy.tolist())
         scale, beta_c, beta_e = exps[: 2 * n], exps[2 * n : 3 * n], exps[3 * n :]
         one_plus = 1.0 + exps[2 * n :]  # 1 + beta_c, then 1 + beta_e
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
-    u, du_dd = offset_iou_and_grad(d, targets, scale.reshape(2, -1))
-    x = d - d_hat
+    u, du_dd = offset_iou_and_grad(d, plan.targets, scale.reshape(2, -1))
+    x = d - plan.d_hat
     ax = np.abs(x)
     q = np.minimum(ax, 1.0)
     # 0.5 q^2 below 1 (where ax - 0.5 ax is exact) and ax - 0.5 above; the
     # gradient is x below 1 and its sign above
-    sl1 = (q * (ax - 0.5 * q)).sum(axis=1)
+    sl1 = np.add.reduce(q * (ax - 0.5 * q), axis=1)
     sl1_grad = np.copysign(q, x)
     # both HIoU powers in one libm pass: (1 + IoU)^gamma and ^(gamma - 1)
     one_plus_u, one_minus_u = 1.0 + u, 1.0 - u
     bases = one_plus_u.tolist()
-    powers = elementwise(math.pow, bases + bases, [hp.gamma] * n + [hp.gamma - 1.0] * n)
+    powers = elementwise(math.pow, bases + bases, plan.exponents)
     loc = sl1 + hp.alpha * (powers[:n] * one_minus_u)
     slope = powers[n:] * (hp.gamma * one_minus_u - one_plus_u)
     # held in the positives' rows of grad_offsets, which the harmonic branch overwrites
@@ -579,13 +593,14 @@ def batch_objective_arrays(
         raw = np.abs(diff) - hp.margin
         active = raw > 0.0
         # weight > 0, so this is weight times the sign of diff
-        signed = np.where(active, np.copysign(weight, diff), 0.0)
-        tc = np.where(active, weight * raw, 0.0)
+        signed = np.copysign(weight, diff, out=np.zeros(n), where=active)
+        tc = np.multiply(weight, raw, out=np.zeros(n), where=active)
 
         factor_r, factor_c = 1.0 + beta_r, one_plus[:n]
         totals = factor_r * ce + factor_c * loc + tc
         # the CE clamp kills both probability terms below the floor
-        dp = np.where(p_raw > PROB_FLOOR, loc * (beta_c / p) - factor_r / p, 0.0)
+        above = p_raw > PROB_FLOOR
+        dp = np.subtract(loc * (beta_c / p), factor_r / p, out=np.zeros(n), where=above)
         if hp.beta_e_stop_grad:
             grad_probs.put(gt_entry, signed + dp)
         else:

@@ -5,8 +5,9 @@ difference through the per-sample scalar functions. ``harness._gate_errors``
 checks all draws at once on the array value forms; the tests hold its errors
 to ``_check_one``'s bit for bit.
 
-Below it, verbatim, are the gate's functions from before each stepped copy of
-the row stack stopped taking a kernel call of its own: the per-vector
+Below it, verbatim but for the plan the kernel now takes, are the gate's
+functions from before each stepped copy of the row stack stopped taking a
+kernel call of its own: the per-vector
 ``finite_diff_grad``, one ``loss_fn`` call per step, and the ``_gate_errors``,
 ``random_positive_sample`` and ``_random_box_pair`` built on it and on
 validated ``Box`` objects. The tests hold the gate's errors and draws to them
@@ -44,6 +45,7 @@ from hardet.harness import (
 from hardet.losses import (
     BatchArrays,
     HyperParams,
+    KernelPlan,
     PositiveSample,
     batch_objective_arrays,
     full_loc_loss,
@@ -276,7 +278,7 @@ def _gate_errors(
         """The kernel over the stack at (p, d), evaluated once per distinct input."""
         key = (kernel_hp, p.tobytes(), d.tobytes())
         if key not in evaluated:
-            evaluated[key] = batch_objective_arrays(p, d, *fixed, kernel_hp)
+            evaluated[key] = batch_objective_arrays(p, d, KernelPlan(*fixed, kernel_hp, num_classes))
         return evaluated[key]
 
     def fd(

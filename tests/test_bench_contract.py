@@ -157,3 +157,9 @@ def test_every_bench_script_case_builds_its_configs_and_scenes():
     scene, optimizer = bench.refine_case(cli)
     assert generate_scenes(SceneConfig(**scene)).total_anchors > 0
     OptimizerConfig(**optimizer)
+    # the batch kernel's cases call it as this checkout declares it
+    kernel_cases = bench.batch_kernel_cases()
+    assert len(kernel_cases) == len(bench.BATCH_CASES)
+    for rows, positives, kernel in kernel_cases.values():
+        batch = kernel()
+        assert batch.grad_probs.shape[0] == rows and batch.num_positives == positives

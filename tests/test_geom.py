@@ -338,12 +338,36 @@ class TestArrayForms:
             array = getattr(targets, name)
             assert array.shape == (2, 3), name
             assert array.flags.c_contiguous and not array.flags.writeable, name
-        assert not targets.jacobian.flags.writeable
         with pytest.raises(ValueError):
             targets.gt_area[0] = 2.0
-        offset_iou_and_grad(np.ones((3, 4)), targets, np.full((2, 3), math.e))
-        # the call fills a copy of the Jacobian's offset entries
+        # the workspace's Jacobian holds the anchor sizes before any call ...
         assert np.count_nonzero(targets.jacobian) == 4 * 3
+        assert math.exp(1.0) == math.e
+        offset_iou_and_grad(np.ones((3, 4)), targets, np.full((2, 3), math.e))
+        # ... and after one, every row's decode Jacobian at the call's offsets
+        want = np.array([decode_jacobian(Offsets(1.0, 1.0, 1.0, 1.0), a) for a in anchors])
+        assert targets.jacobian.reshape(-1, 4, 4).tobytes() == want.tobytes()
+
+    def test_a_reused_workspace_equals_a_fresh_one_bit_for_bit(self):
+        # refine's layout and exp: two runs of a scene set's positives, the
+        # scale from numpy's exp
+        m = generate_scenes(SceneConfig(num_scenes=3, seed=4)).matching
+        anchors, gt = np.tile(m.anchors, (2, 1)), np.tile(m.gt, (2, 1))
+        targets = AnchorTargets(anchors, gt)
+        rng = np.random.default_rng(17)
+        kept, bound = None, []
+        for _ in range(3):
+            d = rng.uniform(-0.5, 0.5, size=(len(anchors), 4))
+            got = offset_iou_and_grad(d, targets, np.exp(d.T[2:]))
+            bound.append((targets.d_inter != 0.0).tobytes())
+            want = offset_iou_and_grad(d, AnchorTargets(anchors, gt), np.exp(d.T[2:]))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            # no result is a view of the workspace: the next call leaves it be
+            if kept is not None:
+                assert [a.tobytes() for a in kept[0]] == kept[1]
+            kept = got, [a.tobytes() for a in got]
+        # the calls bind different corners, so a stale entry would show
+        assert len(set(bound)) == 3
 
 
 # --- properties ---------------------------------------------------------------

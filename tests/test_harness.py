@@ -27,7 +27,7 @@ from hardet.geom import (
     iou_arrays,
     iou_grad,
 )
-from hardet.losses import HyperParams, NegativeSample, PositiveSample, batch_objective
+from hardet.losses import HyperParams, KernelPlan, NegativeSample, PositiveSample, batch_objective
 from hardet.harness import (
     MAX_MATCH_PAIRS,
     MAX_SCENE_ANCHORS,
@@ -509,7 +509,7 @@ class TestTrainToy:
         rows = []
 
         def counted(*args):
-            rows.append((len(args[0]), len(args[3])))
+            rows.append((len(args[0]), len(args[2].gt_class)))
             return real(*args)
 
         monkeypatch.setattr(harness, "batch_objective_arrays", counted)
@@ -545,13 +545,18 @@ class TestTrainToy:
         train_toy(ss, model, OptimizerConfig(steps=2, gradcheck_samples=0), hp)
         m = ss.matching
         assert len(calls) == 3
+        # one plan for the run, built from its matching
+        plan = calls[0][0][2]
+        assert (plan.targets, plan.gt_class, plan.d_hat) == (m.targets, m.gt_class, m.d_hat)
+        assert plan.hp is hp
         for args, kwargs in calls:
-            probs, offsets, targets, gt_class, d_hat, kernel_hp = args
-            assert not kwargs and kernel_hp is hp
-            assert (targets, gt_class, d_hat) == (m.targets, m.gt_class, m.d_hat)
-            # the positives' classes are the only integer array
-            integers = [a for a in args if isinstance(a, np.ndarray) and a.dtype.kind in "iub"]
-            assert len(integers) == 1 and integers[0] is gt_class
+            assert not kwargs and len(args) == 3 and args[2] is plan
+        # the plan's only integer arrays are the positives' classes and their
+        # entries in the leading rows: no row index array
+        integers = [a for a in vars(plan).values() if isinstance(a, np.ndarray) and a.dtype.kind in "iub"]
+        assert len(integers) == 2 and integers[0] is m.gt_class
+        c = ss.config.num_classes
+        assert plan.gt_entry.tolist() == (np.arange(m.pos_flat.size) * c + m.gt_class).tolist()
         # the first step's leading rows are the positives' own, in matching order
         probs = calls[0][0][0]
         assert probs[: m.pos_flat.size].tobytes() == model.probs()[m.pos_flat].tobytes()
@@ -923,12 +928,16 @@ class TestTrainReference:
         gt = np.array([s.gt_box.as_array() for s in positives])
         rows = len(positives) + harness.BATCH_DRAWS * harness.BATCH_NEGATIVES
         assert len(calls) > 1
-        for probs, offsets, _, gt_class, d_hat, kernel_hp in calls:
+        # one plan per call
+        assert len({id(plan) for _, _, plan in calls}) == len(calls)
+        for probs, offsets, plan in calls:
+            gt_class, d_hat, kernel_hp = plan.gt_class, plan.d_hat, plan.hp
             # a call stacks copies of the rows, each with the draws' boxes:
             # every copy's positives, then every copy's negatives
             copies = len(probs) // rows
             tiled = np.tile(anchors, (copies, 1)), np.tile(gt, (copies, 1))
-            got = real(probs, offsets, AnchorTargets(*tiled), gt_class, d_hat, kernel_hp)
+            fresh = KernelPlan(AnchorTargets(*tiled), gt_class, d_hat, kernel_hp, probs.shape[1])
+            got = real(probs, offsets, fresh)
             # the objective and the negatives' losses wait for their first read
             assert "value" not in vars(got) and "neg_loss" not in vars(got)
             n = len(gt_class)
@@ -1266,7 +1275,7 @@ class TestGradCheck:
                 report = run_gradcheck(gate_hp, num_classes, num_samples=2, seed=0)
                 assert report.passed
                 assert [len(args[0]) for args in calls] == [copies * rows] * sets + [rows]
-                assert [len(args[0]) - len(args[3]) for args in calls] == [copies * negatives] * sets + [negatives]
+                assert [len(args[0]) - len(args[2].gt_class) for args in calls] == [copies * negatives] * sets + [negatives]
 
     @pytest.mark.parametrize("num_samples", [20, 500])
     def test_stacked_calls_stay_within_the_row_cap(self, monkeypatch, num_samples):
@@ -1298,7 +1307,10 @@ class TestGradCheck:
             # a gradient off by 0.1%
             lambda real, *a: replace(real(*a), grad_d=real(*a).grad_d * 1.001),
             # the TC term's gradient through the entropy weight dropped
-            lambda real, *a: real(*a[:-1], replace(a[-1], beta_e_stop_grad=True)),
+            lambda real, probs, offsets, plan: real(probs, offsets, KernelPlan(
+                plan.targets, plan.gt_class, plan.d_hat,
+                replace(plan.hp, beta_e_stop_grad=True), probs.shape[1],
+            )),
         ],
         ids=["grad_d_scaled", "tc_entropy_term_dropped"],
     )

@@ -12,6 +12,7 @@ import hardet.losses as losses
 from hardet.geom import AnchorTargets, Box, Offsets, encode
 from hardet.losses import (
     HyperParams,
+    KernelPlan,
     NegativeSample,
     PositiveSample,
     batch_objective,
@@ -189,7 +190,7 @@ class TestSmoothL1:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = smooth_l1(s.d, s.d_hat)
-            got = batch_objective_arrays(*batch_arrays([s], []), HP)
+            got = batch_objective_arrays(*batch_arrays([s], [], HP))
         assert value == 1e200
         assert got.sl1.tolist() == [value]
 
@@ -598,21 +599,23 @@ class TestBatchObjective:
         assert batch_objective(pos, neg, HP).value == batch_objective(pos, neg, HP).value
 
 
-def batch_arrays(positives, negatives):
-    """The samples as kernel inputs: the positives' rows, then the negatives'."""
+def batch_arrays(positives, negatives, hp):
+    """The samples as kernel inputs: the positives' rows, then the
+    negatives', and the plan of the positives under ``hp``."""
     probs = np.array([s.probs for s in [*positives, *negatives]])
     offsets = np.zeros((len(probs), 4))
     offsets[: len(positives)] = [s.d.as_array() for s in positives]
-    return (
-        probs,
-        offsets,
+    plan = KernelPlan(
         AnchorTargets(
             np.array([s.anchor.as_array() for s in positives]),
             np.array([s.gt_box.as_array() for s in positives]),
         ),
         np.array([s.gt_class for s in positives]),
         np.array([s.d_hat.as_array() for s in positives]),
+        hp,
+        probs.shape[1],
     )
+    return probs, offsets, plan
 
 
 def assert_close(got, want):
@@ -623,7 +626,7 @@ def assert_close(got, want):
 
 def check_against_reference(positives, negatives, hp):
     n = len(positives)
-    got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
+    got = batch_objective_arrays(*batch_arrays(positives, negatives, hp))
     want = batch_objective(positives, negatives, hp)
     assert_close(got.value, want.value)
     assert got.num_positives == want.num_positives
@@ -654,16 +657,16 @@ def random_batch(rng, hp, max_pos=8, max_neg=8):
 def assert_equals_the_reference_kernel(positives, negatives, hp):
     """The kernel's every field, bit for bit, against the reference kernel
     fed the rows of the positives and of the negatives as index arrays."""
-    probs, offsets, targets, gt_class, d_hat = batch_arrays(positives, negatives)
-    got = batch_objective_arrays(probs, offsets, targets, gt_class, d_hat, hp)
+    probs, offsets, plan = batch_arrays(positives, negatives, hp)
+    got = batch_objective_arrays(probs, offsets, plan)
     n = len(positives)
     want = train_reference.batch_objective_arrays(
         probs,
         offsets,
         np.array([s.anchor.as_array() for s in positives]),
         np.array([s.gt_box.as_array() for s in positives]),
-        gt_class,
-        d_hat,
+        plan.gt_class,
+        plan.d_hat,
         np.arange(n),
         np.arange(n, len(probs)),
         hp,
@@ -743,7 +746,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(92)
         positives, negatives = random_batch(rng, HP)
         n = len(positives)
-        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, HP))
         want = batch_objective(positives, negatives, HP)
         assert got.value == want.value
         assert np.array_equal(got.grad_probs[:n], [b.grad_probs for b in want.breakdowns])
@@ -757,7 +760,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(100 + sorted(KINK_CASES).index(case))
         for _ in range(15):
             positives, negatives = random_batch(rng, hp)
-            got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
+            got = batch_objective_arrays(*batch_arrays(positives, negatives, hp))
             assert_close(got.pos_loss, [harmonic_det_loss(s, hp).total for s in positives])
             assert_close(
                 got.neg_loss, [cross_entropy(n.probs, 0) for n in negatives]
@@ -772,7 +775,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(93)
         positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, HP))
         assert got.pos_loss.tolist() == [harmonic_det_loss(s, HP).total for s in positives]
         assert got.neg_loss.tolist() == [cross_entropy(n.probs, 0) for n in negatives]
 
@@ -781,7 +784,7 @@ class TestBatchObjectiveArrays:
         hp = KINK_CASES[case]
         rng = np.random.default_rng(110 + sorted(KINK_CASES).index(case))
         positives, negatives = random_batch(rng, hp)
-        got = batch_objective_arrays(*batch_arrays(positives, negatives), hp)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, hp))
         assert got.ce.tolist() == [cross_entropy(s.probs, s.gt_class) for s in positives]
         assert got.sl1.tolist() == [smooth_l1(s.d, s.d_hat) for s in positives]
         assert got.loc.tolist() == [full_loc_loss(s, hp)[0] for s in positives]
@@ -814,7 +817,7 @@ class TestBatchObjectiveArrays:
         rng = np.random.default_rng(94)
         positives, negatives = random_batch(rng, HP)
         negatives.append(random_negative(rng, 5))
-        got = batch_objective_arrays(*batch_arrays(positives, negatives), HP)
+        got = batch_objective_arrays(*batch_arrays(positives, negatives, HP))
         assert "value" not in vars(got) and "neg_loss" not in vars(got)
         value = got.value
         assert vars(got)["value"] is value and vars(got)["neg_loss"] is got.neg_loss
@@ -825,12 +828,40 @@ class TestBatchObjectiveArrays:
         with pytest.raises(AttributeError):
             got.value = 0.0
 
+    # the kernel's three branches: the entropy weight held, the entropy
+    # weight differentiated (which adds into whole positive rows), and the
+    # factors frozen
+    @pytest.mark.parametrize(
+        "case", ["default", "entropy_weight_differentiated", "freeze_factors_with_alpha"]
+    )
+    def test_a_reused_plan_equals_a_fresh_one_bit_for_bit(self, case):
+        hp = KINK_CASES[case]
+        rng = np.random.default_rng(140 + sorted(KINK_CASES).index(case))
+        positives, negatives = random_batch(rng, hp)
+        negatives.append(random_negative(rng, 5))
+        probs, offsets, plan = batch_arrays(positives, negatives, hp)
+        kept, bound = None, []
+        for _ in range(3):
+            got = batch_objective_arrays(probs, offsets, plan)
+            bound.append((plan.targets.d_inter != 0.0).tobytes())
+            want = batch_objective_arrays(probs, offsets, batch_arrays(positives, negatives, hp)[2])
+            as_bytes = [getattr(got, f.name).tobytes() for f in fields(got)]
+            assert as_bytes == [getattr(want, f.name).tobytes() for f in fields(want)]
+            # no field is a view of the plan: the next call leaves it be
+            if kept is not None:
+                assert [getattr(kept[0], f.name).tobytes() for f in fields(got)] == kept[1]
+            kept = got, as_bytes
+            # other predictions for the same positives and negatives
+            probs = rng.dirichlet(np.ones(5), size=len(probs))
+            offsets = offsets + rng.uniform(-0.3, 0.3, size=offsets.shape)
+        # the calls bind different corners, so a stale workspace entry would show
+        assert len(set(bound)) == 3
+
     def test_no_positives_rejected(self):
-        with pytest.raises(ValueError):
-            batch_objective_arrays(
-                np.full((2, 5), 0.2), np.zeros((2, 4)),
+        with pytest.raises(ValueError, match="^batch objective needs at least one positive sample$"):
+            KernelPlan(
                 AnchorTargets(np.zeros((0, 4)), np.zeros((0, 4))),
-                np.array([], dtype=int), np.zeros((0, 4)), HP,
+                np.array([], dtype=int), np.zeros((0, 4)), HP, 5,
             )
 
 
