@@ -2,7 +2,7 @@
 workloads.
 
     python scripts/bench_train_toy.py layer SRC OUT.json
-    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S] [--rounds R]
+    python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--pairs N] [--seconds S]
 
 ``layer`` imports ``hardet`` from SRC and times one gate-off ``train_toy``
 call at 100, 4 096 and 16 384 model rows in both loss modes; the gate that
@@ -25,7 +25,7 @@ times, so it reads in perfbench's ``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
 ``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
-one sentence; the layer timings of both, from ``--rounds`` rounds that
+one sentence; the layer timings of both, from :data:`ROUNDS` rounds that
 alternate which side runs first, each case's median over rounds with every
 round's value; ``--pairs`` alternating perfbench runs per workload
 (``train_dense`` gets twice as many), with the medians, quartiles and wins of
@@ -65,6 +65,9 @@ GATE_SAMPLES = 20
 # in that workload's loss mode
 BATCH_CASES = {"100_rows": "harmonic_det", "4096_rows": "standard"}
 BATCHES = 7
+# layer rounds per side in ``compare``: three rounds' medians could not
+# resolve a 20% change
+ROUNDS = 5
 END_TO_END = ("wall_rel", "cpu_rel", "peak_rss_mb", "setup_s")
 WORKLOADS = {"train_dense": 1801, "train_default": 1821, "refine_long": 1841}
 TRACE_SEED = 1861
@@ -87,9 +90,7 @@ def batch_kernel_cases() -> dict:
     """name -> (rows, positives, a call of ``batch_objective_arrays``) for
     each of :data:`BATCH_CASES`: the compact rows ``train_toy`` steps on, the
     positives and one row for the zero model's identical negatives, at fixed
-    random predictions. The kernel takes the per-run plan where the package
-    has one, else the plan's four inputs, so that a parent checkout without
-    the plan times the same work."""
+    random predictions, on the per-run plan."""
     import numpy as np
 
     import hardet
@@ -103,13 +104,13 @@ def batch_kernel_cases() -> dict:
         rng = np.random.default_rng(rows)
         probs, offsets = rng.dirichlet(np.ones(c), size=rows), rng.uniform(-0.3, 0.3, (rows, 4))
         hp = hardet.HyperParams()
-        inputs = (m.targets, m.gt_class, m.d_hat, hp.compat_standard() if mode == "standard" else hp)
-        if hasattr(losses, "KernelPlan"):
-            inputs = (losses.KernelPlan(*inputs, c),)
+        plan = losses.KernelPlan(
+            m.targets, m.gt_class, m.d_hat, hp.compat_standard() if mode == "standard" else hp, c
+        )
         cases[f"batch_objective_arrays_{name}_{mode}"] = (
             rows,
             int(m.pos_flat.size),
-            lambda p=probs, d=offsets, i=inputs: losses.batch_objective_arrays(p, d, *i),
+            lambda p=probs, d=offsets, plan=plan: losses.batch_objective_arrays(p, d, plan),
         )
     return cases
 
@@ -237,11 +238,12 @@ def layer(src: str, out: str) -> None:
             np.resize(ss.matching.anchors, (rows, 4)), np.resize(ss.matching.gt, (rows, 4))
         )
         d = np.random.default_rng(rows).uniform(-0.3, 0.3, size=(rows, 4))
+        jacobian = targets.jacobian.copy()
 
         def kernel_calls() -> None:
             for _ in range(KERNEL_CALLS):
                 scale = elementwise(math.exp, d.T[2:].ravel()).reshape(2, -1)
-                offset_iou_and_grad(d, targets, scale)
+                offset_iou_and_grad(d, targets, scale, jacobian)
 
         results[f"offset_iou_and_grad_{rows}_rows"] = {
             "rows": rows,
@@ -293,13 +295,11 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def compare(
-    parent: Path, change: Path, out: str, what: str, pairs: int, seconds: float, n_rounds: int
-) -> None:
+def compare(parent: Path, change: Path, out: str, what: str, pairs: int, seconds: float) -> None:
     sides = {"parent": parent, "change": change}
     rounds = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for r in range(n_rounds):
+        for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 path = Path(tmp) / f"{side}{r}.json"
                 subprocess.run(
@@ -356,7 +356,7 @@ def compare(
         },
         "src_sha256": {side: src_digest(path) for side, path in sides.items()},
         "commands": {
-            "layer": f"{BATCHES} batches of one call per side per round, {n_rounds} rounds, "
+            "layer": f"{BATCHES} batches of one call per side per round, {ROUNDS} rounds, "
             "median over rounds",
             "end_to_end": f"perfbench/run.py --seconds {seconds} --trace 0, pair k runs the parent "
             "first when k is even",
@@ -382,14 +382,12 @@ def main() -> None:
     p.add_argument("--what", required=True, help="the change measured, in one sentence")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=8.0)
-    p.add_argument("--rounds", type=int, default=5, help="layer rounds per side")
     args = parser.parse_args()
     if args.cmd == "layer":
         layer(args.src, args.out)
     else:
         compare(
-            args.parent.resolve(), args.change.resolve(), args.out, args.what, args.pairs,
-            args.seconds, args.rounds,
+            args.parent.resolve(), args.change.resolve(), args.out, args.what, args.pairs, args.seconds
         )
 
 

@@ -3,8 +3,8 @@
 Boxes use the (x1, y1, x2, y2) corner convention and serialize as plain
 4-element arrays everywhere in this package. Offsets follow the usual
 (dx, dy, log dw, log dh) parameterization relative to an anchor box.
-All functions are pure and safe to call concurrently, but for
-:func:`offset_iou_and_grad`, which writes the workspace of its targets.
+All functions are safe to call concurrently; none writes its arguments, but
+for the workspace its caller lends :func:`offset_iou_and_grad`.
 """
 
 from __future__ import annotations
@@ -319,19 +319,17 @@ _SIZE_SLOTS = np.array([0, 5, 8, 13])
 
 
 class AnchorTargets:
-    """(N, 4) anchors paired row-wise with (N, 4) target boxes: the terms of
-    :func:`offset_iou_and_grad` that no offset changes, computed once for a
-    descent of many steps, and the workspace its every call rewrites.
+    """(N, 4) anchors paired row-wise with (N, 4) target boxes, and the terms
+    of :func:`offset_iou_and_grad` that no offset changes, computed once for
+    a descent of many steps.
 
     The per-axis terms are axis-major: ``size``, ``half_size`` and ``center``
     of the anchors and the targets' ``gt_lo`` (x1, y1) and ``gt_hi`` (x2, y2)
     are C-contiguous (2, N) arrays, the x row first, so the kernel's per-axis
-    steps run on contiguous rows. ``gt_area`` is (N,). These are read-only.
-    The workspace is ``jacobian`` (N, 16), each row's row-major 4x4 decode
-    Jacobian with its anchor-size entries filled here and its half-size
-    entries by each call, and the buffers ``d_inter``, ``d_union`` (4, N) and
-    ``du_dcorners`` (N, 4). No call returns a view of them, so one instance
-    serves a whole descent, one call at a time."""
+    steps run on contiguous rows. ``gt_area`` is (N,), and ``jacobian`` (N,
+    16) holds each row's row-major 4x4 decode Jacobian with only its
+    anchor-size entries filled: a copy of it is the kernel's workspace. The
+    arrays are read-only, so one instance may be shared."""
 
     def __init__(self, anchors: np.ndarray, gt: np.ndarray) -> None:
         a, g = np.ascontiguousarray(anchors.T), np.ascontiguousarray(gt.T)
@@ -341,24 +339,23 @@ class AnchorTargets:
         self.gt_lo, self.gt_hi = g[:2], g[2:]
         gt_size = g[2:] - g[:2]
         self.gt_area = gt_size[0] * gt_size[1]
-        for array in vars(self).values():
-            array.flags.writeable = False
         self.jacobian = np.zeros((len(anchors), 16))
         self.jacobian[:, _SIZE_SLOTS] = np.concatenate([self.size, self.size]).T
-        self.d_inter, self.d_union = np.empty((2, 4, len(anchors)))
-        self.du_dcorners = np.empty((len(anchors), 4))
+        for array in vars(self).values():
+            array.flags.writeable = False
 
 
 def offset_iou_and_grad(
-    d: np.ndarray, targets: AnchorTargets, scale: np.ndarray
+    d: np.ndarray, targets: AnchorTargets, scale: np.ndarray, jacobian: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``iou(decode(d, anchor), gt)`` of (N, 4) offsets and its
     gradient w.r.t. them, ``decode_jacobian(d, anchor).T @ iou_grad(decode(d,
     anchor), gt)``, as (N,) and (N, 4); every union must be positive.
     ``scale`` holds the (2, N) rows e^tw and e^th, which the caller computes
-    with the exp of its choice. The caller lends ``targets``' workspace:
-    the call fills the Jacobian's half-size entries in place and overwrites
-    the buffers, and returns fresh arrays.
+    with the exp of its choice. ``jacobian`` is the caller's workspace, a
+    writable copy of ``targets.jacobian``: the call fills its half-size
+    entries in place and returns no view of it, so one copy serves a whole
+    descent, one call at a time.
 
     Works on the rows of ``d.T``, axis-major like ``targets``. Runs the
     scalar forms' operations in their order, and the product as a stacked
@@ -371,7 +368,7 @@ def offset_iou_and_grad(
     half = t.half_size * scale
     # the Jacobian's only entries that change: the half size at its
     # row-major slots 10 and 15, negated at 2 and 7
-    jac = t.jacobian.T
+    jac = jacobian.T
     jac[10:16:5] = half
     jac[2:8:5] = -half
     center = rows[:2] * t.size + t.center
@@ -386,18 +383,14 @@ def offset_iou_and_grad(
     # d(inter)/d(width) and d(inter)/d(height) where the clamp is active,
     # written only at the corners that bind
     active = span >= 0.0
-    d_inter = t.d_inter
-    d_inter.fill(0.0)
+    d_inter = np.zeros((4, inter.size))
     np.negative(overlap[::-1], out=d_inter[:2], where=(lo > t.gt_lo) & active)
     np.copyto(d_inter[2:], overlap[::-1], where=(hi < t.gt_hi) & active)
-    # (-height, -width, height, width) less d_inter
-    d_union = t.d_union
-    np.negative(size[::-1], out=d_union[:2])
-    d_union[2:] = size[::-1]
-    d_union -= d_inter
+    height_width = size[::-1]
+    d_union = np.concatenate([-height_width, height_width]) - d_inter
     # written through the transpose, so that the matmul reads contiguous
     # (N, 4) rows, each laid out as the scalar form's vector
-    du_dcorners = t.du_dcorners
+    du_dcorners = np.empty((inter.size, 4))
     np.divide(d_inter * union - inter * d_union, union * union, out=du_dcorners.T)
     # The matmul stays, though only 8 of the 16 entries are non-zero: under
     # OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) it computes entry k
@@ -405,5 +398,5 @@ def offset_iou_and_grad(
     # as exact rational arithmetic reproduced on all 1 200 entries of 300
     # random rows. numpy has no fused multiply-add: a product-and-sum of the
     # non-zero entries differed from it in 391 of them.
-    du_dd = np.matmul(t.jacobian.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
+    du_dd = np.matmul(jacobian.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
     return inter / union, du_dd[:, :, 0]

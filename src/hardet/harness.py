@@ -427,8 +427,7 @@ class Matching:
     to box ``gt[k]`` of class ``gt_class[k]``, with regression target
     ``d_hat[k] = encode(gt[k], anchors[k])``. Negatives are rows ``neg_flat``.
     Positives run scene by scene in anchor order. The arrays are read-only.
-    ``targets`` pairs the anchors with their boxes for the training kernel,
-    whose every call rewrites its workspace.
+    ``targets`` pairs the anchors with their boxes for the training kernel.
     """
 
     pos_flat: np.ndarray
@@ -513,10 +512,12 @@ def train_toy(
 
     Standard mode optimizes the compatibility reduction (frozen factors,
     alpha = 0), which equals the classic CE + smooth L1 objective. The run
-    builds one :class:`KernelPlan` from the matching, and each step runs
-    :func:`batch_objective_arrays` on it and raises :class:`DivergenceError`
-    when the probabilities stop being finite, a positive's size offset leaves
-    the decode log cap, or the objective stops being finite.
+    builds one :class:`KernelPlan` from the matching, with the kernel's
+    constants and the decode Jacobian that each step fills in place, and
+    each step runs :func:`batch_objective_arrays` on it and raises
+    :class:`DivergenceError` when the probabilities stop being finite, a
+    positive's size offset leaves the decode log cap, or the objective stops
+    being finite.
     """
     _check_model(scene_set, model)
     hp_eff = hp.compat_standard() if opt.loss_mode == "standard" else hp
@@ -1065,6 +1066,7 @@ def _train_offsets_only(
     """
     n_runs = len(runs)
     targets = AnchorTargets(np.tile(m.anchors, (n_runs, 1)), np.tile(m.gt, (n_runs, 1)))
+    jacobian = targets.jacobian.copy()
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
     exponent = gamma - 1.0
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
@@ -1073,7 +1075,7 @@ def _train_offsets_only(
     with np.errstate(all="ignore"):
         for step in range(opt.steps):
             _check_decode_cap(step, d, m.pos_flat, names)
-            u, du_dd = offset_iou_and_grad(d, targets, np.exp(d.T[2:]))
+            u, du_dd = offset_iou_and_grad(d, targets, np.exp(d.T[2:]), jacobian)
             # hiou_slope: (1 + u)^(gamma - 1) * (gamma * (1 - u) - (1 + u))
             one_plus_u = 1.0 + u
             slope = np.power(one_plus_u, exponent) * (gamma * (1.0 - u) - one_plus_u)

@@ -512,8 +512,10 @@ class KernelPlan:
     ``d_hat = encode(gt, anchors)`` in row order, the hyperparameters ``hp``,
     the positives' flat (row, class) entries ``gt_entry`` of the row-major (N,
     ``num_classes``) arrays, HIoU's ``exponents`` (gamma per positive, then
-    gamma - 1), and, in ``targets``, the workspace whose decode Jacobian
-    every call fills in place (see :class:`AnchorTargets`)."""
+    gamma - 1), and ``jacobian``, the workspace of
+    :func:`offset_iou_and_grad`: a copy of ``targets.jacobian`` whose
+    half-size entries every call fills in place. ``targets`` stays read-only,
+    so it may be shared; the plan serves one call at a time."""
 
     def __init__(
         self, targets: AnchorTargets, gt_class: np.ndarray, d_hat: np.ndarray,
@@ -525,6 +527,7 @@ class KernelPlan:
         self.targets, self.gt_class, self.d_hat, self.hp = targets, gt_class, d_hat, hp
         self.gt_entry = np.arange(0, n * num_classes, num_classes) + gt_class
         self.exponents = [hp.gamma] * n + [hp.gamma - 1.0] * n
+        self.jacobian = targets.jacobian.copy()
 
 
 def batch_objective_arrays(probs: np.ndarray, offsets: np.ndarray, plan: KernelPlan) -> BatchArrays:
@@ -535,10 +538,10 @@ def batch_objective_arrays(probs: np.ndarray, offsets: np.ndarray, plan: KernelP
     row for row to the plan; the remaining rows are the negatives, with the
     background class 0. The arithmetic mirrors :func:`harmonic_det_loss`
     branch for branch and sums in sample-index order; inputs are not
-    validated (see the scalar form). Every call rewrites the plan's
-    workspace and nothing else of it. No field of the result is a view of
-    the workspace, so a result outlives the plan's next call; a plan serves
-    one call at a time.
+    validated (see the scalar form). ``train_toy`` builds the plan once per
+    run, the gradient gate once per call. Every call fills the plan's decode
+    Jacobian in place and writes nothing else of it. No field of the result
+    is a view of it, so a result outlives the plan's next call.
     """
     hp, gt_entry = plan.hp, plan.gt_entry
     n = gt_entry.size
@@ -563,7 +566,7 @@ def batch_objective_arrays(probs: np.ndarray, offsets: np.ndarray, plan: KernelP
         one_plus = 1.0 + exps[2 * n :]  # 1 + beta_c, then 1 + beta_e
 
     # localization: smooth L1 plus alpha-weighted HIoU of the decoded box
-    u, du_dd = offset_iou_and_grad(d, plan.targets, scale.reshape(2, -1))
+    u, du_dd = offset_iou_and_grad(d, plan.targets, scale.reshape(2, -1), plan.jacobian)
     x = d - plan.d_hat
     ax = np.abs(x)
     q = np.minimum(ax, 1.0)

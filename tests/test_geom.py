@@ -233,7 +233,8 @@ def assert_fused_equals_scalar(d, anchors, gts):
     bit for bit."""
     a, g = corners(anchors), corners(gts)
     # the libm exp, as train's kernel passes it
-    u, grad = offset_iou_and_grad(d, AnchorTargets(a, g), geom_reference.libm_exp(d.T[2:]))
+    targets = AnchorTargets(a, g)
+    u, grad = offset_iou_and_grad(d, targets, geom_reference.libm_exp(d.T[2:]), targets.jacobian.copy())
     assert u.shape == (len(d),) and grad.shape == (len(d), 4)
     want_u, want_grad = scalar_offset_iou_and_grad(d, anchors, gts)
     assert u.tobytes() == want_u.tobytes()
@@ -294,7 +295,9 @@ class TestArrayForms:
         assert_fused_equals_scalar(d, [p[0] for p in pairs], [p[1] for p in pairs])
         touching = AnchorTargets(stacked(a for a, _ in TOUCHING), stacked(b for _, b in TOUCHING))
         # e^0 is 1
-        u, _ = offset_iou_and_grad(np.zeros((len(TOUCHING), 4)), touching, np.ones((2, 5)))
+        u, _ = offset_iou_and_grad(
+            np.zeros((len(TOUCHING), 4)), touching, np.ones((2, 5)), touching.jacobian.copy()
+        )
         assert np.array_equal(u, [iou(a, b) for a, b in TOUCHING])
 
     def test_decode_and_jacobian_product_equal_scalar(self):
@@ -338,15 +341,17 @@ class TestArrayForms:
             array = getattr(targets, name)
             assert array.shape == (2, 3), name
             assert array.flags.c_contiguous and not array.flags.writeable, name
+        assert not targets.jacobian.flags.writeable
         with pytest.raises(ValueError):
             targets.gt_area[0] = 2.0
-        # the workspace's Jacobian holds the anchor sizes before any call ...
-        assert np.count_nonzero(targets.jacobian) == 4 * 3
+        workspace = targets.jacobian.copy()
         assert math.exp(1.0) == math.e
-        offset_iou_and_grad(np.ones((3, 4)), targets, np.full((2, 3), math.e))
-        # ... and after one, every row's decode Jacobian at the call's offsets
+        offset_iou_and_grad(np.ones((3, 4)), targets, np.full((2, 3), math.e), workspace)
+        # the call fills the workspace with every row's decode Jacobian at its
+        # offsets, and the targets keep only the anchor sizes
         want = np.array([decode_jacobian(Offsets(1.0, 1.0, 1.0, 1.0), a) for a in anchors])
-        assert targets.jacobian.reshape(-1, 4, 4).tobytes() == want.tobytes()
+        assert workspace.reshape(-1, 4, 4).tobytes() == want.tobytes()
+        assert np.count_nonzero(targets.jacobian) == 4 * 3
 
     def test_a_reused_workspace_equals_a_fresh_one_bit_for_bit(self):
         # refine's layout and exp: two runs of a scene set's positives, the
@@ -354,20 +359,18 @@ class TestArrayForms:
         m = generate_scenes(SceneConfig(num_scenes=3, seed=4)).matching
         anchors, gt = np.tile(m.anchors, (2, 1)), np.tile(m.gt, (2, 1))
         targets = AnchorTargets(anchors, gt)
+        workspace = targets.jacobian.copy()
         rng = np.random.default_rng(17)
-        kept, bound = None, []
+        kept = None
         for _ in range(3):
             d = rng.uniform(-0.5, 0.5, size=(len(anchors), 4))
-            got = offset_iou_and_grad(d, targets, np.exp(d.T[2:]))
-            bound.append((targets.d_inter != 0.0).tobytes())
-            want = offset_iou_and_grad(d, AnchorTargets(anchors, gt), np.exp(d.T[2:]))
+            got = offset_iou_and_grad(d, targets, np.exp(d.T[2:]), workspace)
+            want = offset_iou_and_grad(d, targets, np.exp(d.T[2:]), targets.jacobian.copy())
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             # no result is a view of the workspace: the next call leaves it be
             if kept is not None:
                 assert [a.tobytes() for a in kept[0]] == kept[1]
             kept = got, [a.tobytes() for a in got]
-        # the calls bind different corners, so a stale entry would show
-        assert len(set(bound)) == 3
 
 
 # --- properties ---------------------------------------------------------------

@@ -549,6 +549,10 @@ class TestTrainToy:
         plan = calls[0][0][2]
         assert (plan.targets, plan.gt_class, plan.d_hat) == (m.targets, m.gt_class, m.d_hat)
         assert plan.hp is hp
+        # the matching's targets, which every user of the scene set shares,
+        # stay read-only: the run's workspace is the plan's own copy
+        assert not m.targets.jacobian.flags.writeable
+        assert plan.jacobian.flags.writeable and not np.shares_memory(plan.jacobian, m.targets.jacobian)
         for args, kwargs in calls:
             assert not kwargs and len(args) == 3 and args[2] is plan
         # the plan's only integer arrays are the positives' classes and their
