@@ -794,7 +794,7 @@ def _gate_errors(
     # depends on beta_e_stop_grad)
     hp_diff = replace(hp, beta_e_stop_grad=False)
     hp_free = replace(hp_diff, freeze_factors=False)
-    evaluated: dict[tuple, list[BatchArrays]] = {}
+    evaluated: dict[HyperParams, list[BatchArrays]] = {}
     # stepped copies per kernel call: at least one, and no more than
     # MAX_GATE_ROWS rows unless one copy holds more
     per_call = max(1, MAX_GATE_ROWS // n_rows)
@@ -818,17 +818,16 @@ def _gate_errors(
         """(value rows, C + 4) central differences of ``values`` of the
         kernel, one column per input column, the probabilities' then the
         offsets'; ``values`` maps an evaluation of some copies to one row of
-        values per copy. The stepped stack is evaluated once per distinct
-        input."""
+        values per copy. finite_diff_grad hands every call the same stepped
+        stack, so it is evaluated once per set of hyperparameters."""
 
         def stepped(vs: np.ndarray) -> np.ndarray:
-            key = (kernel_hp, vs.tobytes())
-            if key not in evaluated:
-                evaluated[key] = [
+            if kernel_hp not in evaluated:
+                evaluated[kernel_hp] = [
                     kernel(kernel_hp, inputs + vs[k : k + per_call, None])
                     for k in range(0, len(vs), per_call)
                 ]
-            return np.concatenate([values(b) for b in evaluated[key]])
+            return np.concatenate([values(b) for b in evaluated[kernel_hp]])
 
         return finite_diff_grad(stepped, np.zeros(num_classes + 4), steps)
 
