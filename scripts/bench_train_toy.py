@@ -1,16 +1,16 @@
 """Before/after timings of hardet's layers and of the perfbench workloads.
 
-    python scripts/bench_train_toy.py layer CHECKOUT OUT.json
+    python scripts/bench_train_toy.py layer SRC OUT.json
     python scripts/bench_train_toy.py compare PARENT CHANGE OUT.json --what TEXT [--seconds S]
 
-``layer`` imports ``hardet`` from CHECKOUT's ``src/`` and times every case
-of :func:`cases` on it. The train_default, train_dense and refine_long
-cases take their scene and optimizer settings from CHECKOUT's
-``perfbench/run.py`` workloads, over ``hardet.cli``'s defaults for the
-workload's command. Each call runs between two runs of perfbench's
-calibration loop; a case's value is the median over :data:`BATCHES` of the
-call's time over the mean of the two calibration times, so it reads in
-perfbench's ``calib`` units.
+``layer`` imports ``hardet`` from SRC and times every case of :func:`cases`
+on it. The train_default, train_dense and refine_long cases take their
+scene and optimizer settings from the workloads of the ``perfbench/run.py``
+beside this script, over ``hardet.cli``'s defaults for the workload's
+command, so both sides of ``compare`` time the same inputs. Each call runs
+between two runs of that perfbench's calibration loop; a case's value is
+the median over :data:`BATCHES` of the call's time over the mean of the two
+calibration times, so it reads in perfbench's ``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
 ``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
@@ -38,6 +38,7 @@ from pathlib import Path
 from time import perf_counter
 
 HERE = Path(__file__).resolve()
+PERFBENCH = HERE.parents[1] / "perfbench"
 
 MODES = ("harmonic_det", "standard")
 # the cases no workload has: 16 scenes at half train_dense's anchor spacing,
@@ -63,7 +64,7 @@ def cases(workloads: dict):
     """Every layer case as (name, metadata, call), on the ``hardet`` that
     ``sys.path`` finds, with settings from ``workloads``, perfbench's
     ``WORKLOADS``. A case's set-up runs when it is yielded; its call is what
-    is timed.
+    is timed, and returns the result of the last hardet call it makes.
 
     ``train_toy`` runs gate-off in both loss modes at train_default's
     (100 rows), train_dense's (4 096 rows) and :data:`WIDE_SCENE`'s
@@ -122,13 +123,14 @@ def cases(workloads: dict):
         return HyperParams().compat_standard() if mode == "standard" else HyperParams()
 
     def repeated(call):
-        def calls() -> None:
-            for _ in range(KERNEL_CALLS):
+        def calls():
+            for _ in range(KERNEL_CALLS - 1):
                 call()
+            return call()
 
         return calls
 
-    def train_writers(ss, trained, log, evaluation, opt) -> None:
+    def train_writers(ss, trained, log, evaluation, opt) -> int:
         """``cli.cmd_train`` with the training and the evaluation replaced by
         their results: the formatting and writing of its four files."""
         cfg = cli.effective_config({}, scene_defaults=cli._TRAIN_SCENE_DEFAULTS)
@@ -137,7 +139,7 @@ def cases(workloads: dict):
         cli._evaluate_trained = lambda *args: evaluation
         try:
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-                cli.cmd_train(cfg, Path(tmp), ss, HyperParams(), opt)
+                return cli.cmd_train(cfg, Path(tmp), ss, HyperParams(), opt)
         finally:
             cli.train_toy, cli._evaluate_trained = saved
 
@@ -214,9 +216,9 @@ def cases(workloads: dict):
         )
         d = np.random.default_rng(rows).uniform(-0.3, 0.3, size=(rows, 4))
 
-        def kernel_call(d=d, targets=targets, jacobian=targets.jacobian.copy()) -> None:
+        def kernel_call(d=d, targets=targets, jacobian=targets.jacobian.copy()):
             scale = elementwise(math.exp, d.T[2:].ravel()).reshape(2, -1)
-            offset_iou_and_grad(d, targets, scale, jacobian)
+            return offset_iou_and_grad(d, targets, scale, jacobian)
 
         yield (
             f"offset_iou_and_grad_{rows}_rows",
@@ -231,10 +233,10 @@ def cases(workloads: dict):
     )
 
 
-def layer(checkout: Path, out: str) -> None:
-    sys.path.insert(0, str(checkout / "src"))
+def layer(src: Path, out: str) -> None:
+    sys.path.insert(0, str(src))
     # perfbench's modules, imported as perfbench/sweep.py imports them
-    sys.path.insert(0, str(checkout / "perfbench"))
+    sys.path.insert(0, str(PERFBENCH))
     import run
     from child import calibrate
 
@@ -292,7 +294,8 @@ def compare(parent: Path, change: Path, out: str, what: str, seconds: float) -> 
 
         def layer_round(side: str, r: int) -> dict:
             path = Path(tmp) / f"{side}{r}.json"
-            subprocess.run([sys.executable, str(HERE), "layer", str(sides[side]), str(path)], check=True)
+            cmd = [sys.executable, str(HERE), "layer", str(sides[side] / "src"), str(path)]
+            subprocess.run(cmd, check=True)
             return json.loads(path.read_text())
 
         rounds = alternate(ROUNDS, layer_round)
@@ -349,7 +352,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("layer")
-    p.add_argument("checkout", type=Path)
+    p.add_argument("src", type=Path)
     p.add_argument("out")
     p = sub.add_parser("compare")
     p.add_argument("parent", type=Path)
@@ -359,7 +362,7 @@ def main() -> None:
     p.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args()
     if args.cmd == "layer":
-        layer(args.checkout.resolve(), args.out)
+        layer(args.src.resolve(), args.out)
     else:
         compare(args.parent.resolve(), args.change.resolve(), args.out, args.what, args.seconds)
 

@@ -136,13 +136,35 @@ def test_every_workload_config_runs_through_the_cli(tmp_path, monkeypatch, trace
         assert cli.main(argv) == cli.EXIT_OK, name
 
 
-def test_every_bench_script_case_builds_its_configs_and_scenes(monkeypatch, tracer):
+@pytest.fixture(scope="module")
+def bench_cases():
+    """Every case of ``bench_train_toy.py layer``, built as it builds them
+    from perfbench's workloads, untimed."""
+    with pytest.MonkeyPatch.context() as mp:
+        # run.py puts perfbench first on sys.path and imports the tracer by name
+        mp.setattr(sys, "path", list(sys.path))
+        mp.setitem(sys.modules, "tracer", _load("tracer"))
+        bench = _load("bench_train_toy", SCRIPTS)
+        return list(bench.cases(_load("run").WORKLOADS))
+
+
+def test_every_bench_script_case_builds_its_configs_and_scenes(bench_cases):
     """``bench_train_toy.py layer`` builds its cases from perfbench's
     workloads merged with cli's per-command defaults, and calls ``hardet``
     and ``hardet.cli`` names directly, so a field or name hardet drops would
-    crash it; build every case as it does, without timing or calling any."""
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setitem(sys.modules, "tracer", tracer)
-    bench = _load("bench_train_toy", SCRIPTS)
-    names = [name for name, _, _ in bench.cases(_load("run").WORKLOADS)]
+    crash it; call every case once, as ``layer`` does before timing it."""
+    names = [name for name, _, _ in bench_cases]
     assert len(names) == len(set(names)) > 0
+    for name, _, call in bench_cases:
+        call()
+
+
+def test_bench_script_batch_kernel_cases_record_what_they_run(bench_cases):
+    """The batch kernel's cases call it as this checkout declares it, on the
+    rows and positives their metadata records."""
+    kernel_cases = [c for c in bench_cases if c[0].startswith("batch_objective_arrays_")]
+    assert len(kernel_cases) == 2
+    for name, meta, call in kernel_cases:
+        batch = call()
+        assert batch.grad_probs.shape[0] == meta["rows"], name
+        assert batch.num_positives == meta["positives"], name

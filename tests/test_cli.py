@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import hashlib
-import inspect
 import io
 import json
 import warnings
@@ -570,26 +569,6 @@ def test_scene_draw_off_the_canvas_runs_every_command(tmp_path):
     for command in ("train", "refine", "gradcheck", "surface"):
         argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
         assert _run_quietly(argv) == (EXIT_OK, ""), command
-
-
-def test_benchmark_entry_points_keep_their_names():
-    """perfbench's child and tracer reach these hardet.cli names, and its tests
-    run outside the default test paths."""
-    for name in ("main", "load_config", "effective_config", "cmd_train", "cmd_gradcheck", "cmd_refine"):
-        assert callable(getattr(cli, name)), name
-    params = inspect.signature(cli.effective_config).parameters
-    assert list(params) == ["cfg", "seed_override", "scene_defaults", "opt_defaults"]
-    # the call perfbench's child makes for each command
-    for scene_defaults, opt_defaults in [
-        (None, None),
-        (cli._TRAIN_SCENE_DEFAULTS, None),
-        (cli._REFINE_SCENE_DEFAULTS, cli._REFINE_OPT_DEFAULTS),
-    ]:
-        eff = cli.effective_config(
-            cli.load_config(None), seed_override=3, scene_defaults=scene_defaults, opt_defaults=opt_defaults
-        )
-        assert eff["seed"] == 3
-        assert set(cli._BLOCK_KEYS) <= set(eff)
 
 
 class TestGradcheckCommand:
