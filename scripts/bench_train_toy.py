@@ -6,7 +6,7 @@
 ``layer`` imports ``hardet`` from SRC and times every case of :func:`cases`
 on it. The train_default, train_dense and refine_long cases take their
 scene and optimizer settings from the workloads of the ``perfbench/run.py``
-beside this script, over ``hardet.cli``'s defaults for the workload's
+beside this script, built by ``hardet.cli.command_setup`` for the workload's
 command, so both sides of ``compare`` time the same inputs. Each call runs
 between two runs of that perfbench's calibration loop; a case's value is
 the median over :data:`BATCHES` of the call's time over the mean of the two
@@ -83,6 +83,8 @@ def cases(workloads: dict):
     matched pairs under fixed random offsets, each call with e^tw and e^th
     from a libm pass as train's kernel computes them.
     """
+    from dataclasses import replace
+
     import numpy as np
 
     from hardet import (
@@ -104,20 +106,12 @@ def cases(workloads: dict):
     )
     from hardet.geom import elementwise
 
-    command_defaults = {
-        "train": (cli._TRAIN_SCENE_DEFAULTS, None),
-        "refine": (cli._REFINE_SCENE_DEFAULTS, cli._REFINE_OPT_DEFAULTS),
-    }
-
-    def settings(workload: str) -> tuple[dict, dict]:
-        """A workload's scene and optimizer blocks, merged as its command
-        merges them."""
+    def settings(workload: str) -> tuple[SceneConfig, OptimizerConfig]:
+        """A workload's scene and optimizer settings, as its command builds
+        them."""
         w = workloads[workload]
-        scene_defaults, opt_defaults = command_defaults[w.command]
-        cfg = cli.effective_config(
-            w.config, scene_defaults=scene_defaults, opt_defaults=opt_defaults
-        )
-        return cfg["scene"], cfg["optimizer"]
+        _, scene, _, opt = cli.command_setup(w.command, w.config)
+        return scene, opt
 
     def hyperparams(mode: str) -> HyperParams:
         return HyperParams().compat_standard() if mode == "standard" else HyperParams()
@@ -133,7 +127,7 @@ def cases(workloads: dict):
     def train_writers(ss, trained, log, evaluation, opt) -> int:
         """``cli.cmd_train`` with the training and the evaluation replaced by
         their results: the formatting and writing of its four files."""
-        cfg = cli.effective_config({}, scene_defaults=cli._TRAIN_SCENE_DEFAULTS)
+        cfg = cli.command_setup("train", {})[0]
         saved = cli.train_toy, cli._evaluate_trained
         cli.train_toy = lambda *args: (trained, log)
         cli._evaluate_trained = lambda *args: evaluation
@@ -143,22 +137,24 @@ def cases(workloads: dict):
         finally:
             cli.train_toy, cli._evaluate_trained = saved
 
-    def train_cases(name: str, scene: dict, optimizer: dict, kernel: bool, evaluate: bool):
+    def train_cases(
+        name: str, scene: SceneConfig, optimizer: OptimizerConfig, kernel: bool, evaluate: bool
+    ):
         """The cases of one scene: ``train_toy`` in both modes, then the
         batch kernel when ``kernel`` and the evaluation when ``evaluate``,
         in the optimizer's own loss mode."""
-        ss = generate_scenes(SceneConfig(**scene))
+        ss = generate_scenes(scene)
         m, c = ss.matching, ss.config.num_classes
         model = ToyModel.zeros(ss.total_anchors, c)
         meta = {"rows": ss.total_anchors, "positives": int(m.pos_flat.size)}
         for mode in MODES:
-            opt = OptimizerConfig(**{**optimizer, "loss_mode": mode, "gradcheck_samples": 0})
+            opt = replace(optimizer, loss_mode=mode, gradcheck_samples=0)
             yield (
                 f"train_toy_{name}_{mode}",
                 {**meta, "steps": opt.steps},
                 lambda opt=opt: train_toy(ss, model, opt, HyperParams()),
             )
-        own = OptimizerConfig(**{**optimizer, "gradcheck_samples": 0})
+        own = replace(optimizer, gradcheck_samples=0)
         if kernel:
             rows = m.pos_flat.size + (m.neg_flat.size > 0)
             rng = np.random.default_rng(rows)
@@ -195,21 +191,21 @@ def cases(workloads: dict):
 
     yield from train_cases("100_rows", *settings("train_default"), kernel=True, evaluate=False)
     yield from train_cases("4096_rows", *settings("train_dense"), kernel=True, evaluate=True)
-    yield from train_cases("16384_rows", WIDE_SCENE, WIDE_OPTIMIZER, kernel=False, evaluate=True)
+    wide = SceneConfig(**WIDE_SCENE), OptimizerConfig(**WIDE_OPTIMIZER)
+    yield from train_cases("16384_rows", *wide, kernel=False, evaluate=True)
     for mode in MODES:
         yield (
             f"run_gradcheck_{GATE_SAMPLES}_samples_{mode}",
             {"samples": GATE_SAMPLES, "num_classes": 5},
             lambda hp=hyperparams(mode): run_gradcheck(hp, 5, GATE_SAMPLES),
         )
-    scene, optimizer = settings("refine_long")
-    scene_config = SceneConfig(**scene)
+    scene, opt = settings("refine_long")
     yield (
         "generate_scenes_refine_long",
-        {"scenes": scene_config.num_scenes},
-        lambda: generate_scenes(scene_config),
+        {"scenes": scene.num_scenes},
+        lambda: generate_scenes(scene),
     )
-    ss = generate_scenes(scene_config)
+    ss = generate_scenes(scene)
     for rows in KERNEL_ROWS:
         targets = AnchorTargets(
             np.resize(ss.matching.anchors, (rows, 4)), np.resize(ss.matching.gt, (rows, 4))
@@ -225,7 +221,6 @@ def cases(workloads: dict):
             {"rows": rows, "calls": KERNEL_CALLS},
             repeated(kernel_call),
         )
-    opt = OptimizerConfig(**optimizer)
     yield (
         "refinement_experiment_refine_long",
         {"positives": int(ss.matching.pos_flat.size), "steps": opt.steps},

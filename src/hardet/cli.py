@@ -7,7 +7,8 @@ run_meta.json, and every CSV starts with a comment line carrying the
 effective-config hash and seed, so identical config+seed reruns are
 byte-identical.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation failure (a bad config, input file or
+command line), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ from .harness import (
 
 class ConfigError(ValueError):
     """Configuration problem, reported with the offending path."""
+
+
+class _UsageError(Exception):
+    """A command line the parser rejects, carrying argparse's usage and
+    message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and the class of its subparsers, whose usage
+    errors raise ``_UsageError``; argparse would exit 2, the numerical-failure
+    code here."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 EXIT_OK = 0
@@ -188,6 +203,32 @@ def _check_command_blocks(cfg: dict) -> None:
         raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
     if s["mode"] not in ("standard", "harmonic"):
         raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
+
+
+def command_setup(
+    command: str, cfg: dict, seed: int | None = None
+) -> tuple[dict, SceneConfig, HyperParams, OptimizerConfig]:
+    """The effective config of ``hardet <command>`` (config file contents
+    ``cfg`` over the command's defaults, which only ``train`` and ``refine``
+    have, and ``seed`` over both) and its scene, hyperparameter and optimizer
+    blocks. Every block is built and checked in one order, so a config file
+    gets one verdict from every command; building the scene draws no grid."""
+    scene_defaults, opt_defaults = {
+        "train": (_TRAIN_SCENE_DEFAULTS, None),
+        "refine": (_REFINE_SCENE_DEFAULTS, _REFINE_OPT_DEFAULTS),
+    }.get(command, (None, None))
+    eff = effective_config(
+        cfg, seed_override=seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
+    )
+    scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
+    hp = _build(HyperParams, eff, "hyperparams")
+    try:
+        check_draw_floor(scene.num_classes)
+    except ValueError as exc:
+        raise ConfigError(f"config.scene.num_classes: {exc}") from exc
+    opt = _build(OptimizerConfig, eff, "optimizer")
+    _check_command_blocks(eff)
+    return eff, scene, hp, opt
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -405,9 +446,7 @@ def cmd_refine(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardet", description="Harmonic detection loss experiments"
-    )
+    parser = _Parser(prog="hardet", description="Harmonic detection loss experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("gradcheck", "verify analytic gradients against finite differences"),
@@ -426,29 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        scene_defaults = opt_defaults = None
-        if args.command == "train":
-            scene_defaults = _TRAIN_SCENE_DEFAULTS
-        elif args.command == "refine":
-            scene_defaults = _REFINE_SCENE_DEFAULTS
-            opt_defaults = _REFINE_OPT_DEFAULTS
-        eff = effective_config(
-            cfg, seed_override=args.seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
-        )
-        # every command builds and checks every block before writing anything,
-        # so a config file gets one verdict; building the scene draws no grid
-        scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
-        hp = _build(HyperParams, eff, "hyperparams")
-        try:
-            check_draw_floor(scene.num_classes)
-        except ValueError as exc:
-            raise ConfigError(f"config.scene.num_classes: {exc}") from exc
-        opt = _build(OptimizerConfig, eff, "optimizer")
-        _check_command_blocks(eff)
-        # loss-eval judges its samples before writing too; a scene draw cannot fail
+        args = build_parser().parse_args(argv)
+        eff, scene, hp, opt = command_setup(args.command, load_config(args.config), args.seed)
+        # loss-eval judges its samples, as command_setup judges every block,
+        # before anything is written; a scene draw cannot fail
         breakdowns = _loss_breakdowns(args.samples, hp) if args.command == "loss-eval" else None
         out = _out_dir(args)
         _write_meta(out, eff, args.command)
@@ -461,6 +482,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(eff, out, generate_scenes(scene), hp, opt)
         return cmd_refine(eff, out, generate_scenes(scene), hp, opt)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

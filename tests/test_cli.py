@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from hardet import cli, harness
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from hardet.harness import OptimizerConfig, SceneConfig, ToyModel, generate_scenes, train_toy
-from hardet.losses import HyperParams
+from hardet.harness import ToyModel, generate_scenes, train_toy
 from hardet.metrics import DEFAULT_AP_THRESHOLDS, DetectionArrays
 
 import eval_reference
@@ -150,12 +149,35 @@ class TestConfigHandling:
         assert err.startswith(f"error: config {deep}: maximum recursion depth exceeded")
         assert not out.exists()
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path, {"seed": 1, **FAST_TRAIN})
-        out = tmp_path / "out"
-        assert main(["train", "--config", cfg, "--seed", "9", "--out", str(out)]) == EXIT_OK
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["seed"] == 9
+    @pytest.mark.parametrize("command", ["gradcheck", "loss-eval", "surface", "train", "refine"])
+    def test_seed_flag_overrides_config(self, tmp_path, command):
+        # main builds every command's config with cli.command_setup: with no
+        # config file, with one, and with --seed over the file's seed
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("")
+        flags = ["--samples", str(samples)] if command == "loss-eval" else []
+        payload = {"seed": 1, **FAST_TRAIN}
+        cfg = write_config(tmp_path, payload)
+        configs = {}
+        for k, (extra, file_cfg, seed) in enumerate(
+            [([], {}, None), (["--config", cfg], payload, None), (["--config", cfg, "--seed", "9"], payload, 9)]
+        ):
+            out = tmp_path / f"out{k}"
+            assert main([command, *extra, *flags, "--out", str(out)]) == EXIT_OK
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["config"] == cli.command_setup(command, file_cfg, seed)[0]
+            configs[k] = meta["config"]
+        assert [c["seed"] for c in configs.values()] == [0, 1, 9]
+        # train and refine merge their own defaults under the file; the
+        # other commands take none
+        defaults = configs[0]["scene"], configs[0]["optimizer"]
+        assert defaults == {
+            "train": ({"anchor_spacing": 3.0, "jitter": 0.12}, {}),
+            "refine": (
+                {"num_scenes": 60, "objects_per_scene": [3, 5], "jitter": 0.18},
+                {"learning_rate": 0.002, "steps": 20},
+            ),
+        }.get(command, ({}, {}))
 
 
 class TestNoTracebacks:
@@ -202,6 +224,12 @@ class TestNoTracebacks:
                 ["--samples", "never-read.jsonl"],
                 "config.scene: objects_per_scene",
             ),
+            # a command line argparse rejects: its usage and message, and
+            # the validation code, not argparse's 2, the numerical one here
+            ("bogus", {}, [], "hardet: error: argument command: invalid choice: 'bogus'"),
+            ("train", {}, ["--bogus"], "hardet: error: unrecognized arguments: --bogus"),
+            ("train", {}, ["--seed", "abc"], "hardet train: error: argument --seed: invalid int value: 'abc'"),
+            ("loss-eval", {}, [], "hardet loss-eval: error: the following arguments are required: --samples"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, command, payload, flags, path):
@@ -214,6 +242,12 @@ class TestNoTracebacks:
         assert "Traceback" not in err
         # every block is checked before training starts, not after it
         assert not (out / "trainlog.csv").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hardet train")
 
     def test_output_path_that_is_a_file_exits_1(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -909,14 +943,14 @@ class TestTrainCommand:
         assert "step 1: size offsets past the decode log cap" in capsys.readouterr().err
 
 
-# the scene and optimizer settings of the train_default and train_dense
-# benchmark workloads, the gate off
+# the train configs of the train_default and train_dense benchmark
+# workloads, the gate off
 _EVAL_SETUPS = {
-    "train_default": (cli._TRAIN_SCENE_DEFAULTS, {"gradcheck_samples": 0}),
-    "train_dense": (
-        {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
-        {"steps": 20, "log_every": 5, "loss_mode": "standard", "gradcheck_samples": 0},
-    ),
+    "train_default": {"optimizer": {"gradcheck_samples": 0}},
+    "train_dense": {
+        "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
+        "optimizer": {"steps": 20, "log_every": 5, "loss_mode": "standard", "gradcheck_samples": 0},
+    },
 }
 
 
@@ -926,11 +960,11 @@ def test_evaluation_equals_the_object_reference(setup, trained):
     """The array evaluation keeps the rows the object pipeline keeps, in its
     order, and gives its AP payload and scatter rows, floats equal bit for
     bit. Untrained, every score ties, so the order rests on tie-breaking."""
-    scene_kw, opt_kw = _EVAL_SETUPS[setup]
-    scene_set = generate_scenes(SceneConfig(seed=3, **scene_kw))
+    _, scene, hp, opt = cli.command_setup("train", _EVAL_SETUPS[setup], seed=3)
+    scene_set = generate_scenes(scene)
     model = ToyModel.zeros(scene_set.total_anchors, scene_set.config.num_classes)
     if trained:
-        model, _ = train_toy(scene_set, model, OptimizerConfig(**opt_kw), HyperParams())
+        model, _ = train_toy(scene_set, model, opt, hp)
     ap, kept, best_iou = cli._evaluate_trained(scene_set, model)
     ref_ap, ref_kept, ref_rows = eval_reference.evaluate(
         scene_set, model, cli.NMS_THRESHOLD, list(DEFAULT_AP_THRESHOLDS)

@@ -768,16 +768,8 @@ TRAIN_CONFIGS = {
 def cli_setup(command, cfg, seed=0):
     """The scene set, hyperparameters and optimizer settings that ``hardet
     <command>`` builds from config ``cfg``."""
-    scene_defaults, opt_defaults = {
-        "train": (cli._TRAIN_SCENE_DEFAULTS, None),
-        "refine": (cli._REFINE_SCENE_DEFAULTS, cli._REFINE_OPT_DEFAULTS),
-    }[command]
-    eff = cli.effective_config(
-        cfg, seed_override=seed, scene_defaults=scene_defaults, opt_defaults=opt_defaults
-    )
-    scene = cli._build(SceneConfig, eff, "scene", seed=eff["seed"])
-    hp = cli._build(HyperParams, eff, "hyperparams")
-    return generate_scenes(scene), hp, cli._build(OptimizerConfig, eff, "optimizer")
+    _, scene, hp, opt = cli.command_setup(command, cfg, seed)
+    return generate_scenes(scene), hp, opt
 
 
 def repeated_negatives_model(ss):
