@@ -13,11 +13,16 @@ the median over :data:`BATCHES` of the call's time over the mean of the two
 calibration times, so it reads in perfbench's ``calib`` units.
 
 ``compare`` takes two checkouts (each a plain copy with ``src/`` and
-``perfbench/``) and writes one JSON file: ``--what``, the change measured, in
-one sentence; both sides' layer values from :data:`ROUNDS` rounds, each
-case's median over rounds with every round's value; and :data:`PAIRS`
-perfbench runs per side and workload, with the medians, quartiles and wins
-of every end-to-end metric. Rounds and pairs alternate which side runs first.
+``perfbench/``) and runs this script's ``layer`` on both sides' ``src``, so
+the parent's ``hardet`` must define every name :func:`cases` calls; ``layer``
+exits 1 with one line naming the first name a ``src`` lacks. The cases reach
+the gradient gate only through ``hardet.run_gradcheck``, which ``hardet``
+exports wherever the gate is defined. ``compare`` writes one JSON file:
+``--what``, the change measured, in one sentence; both sides' layer values
+from :data:`ROUNDS` rounds, each case's median over rounds with every
+round's value; and :data:`PAIRS` perfbench runs per side and workload, with
+the medians, quartiles and wins of every end-to-end metric. Rounds and
+pairs alternate which side runs first.
 """
 
 from __future__ import annotations
@@ -246,10 +251,16 @@ def layer(src: Path, out: str) -> None:
             values.append(elapsed / (0.5 * (before + calibrate()[0])))
         return statistics.median(values)
 
-    results = {
-        name: {**meta, "calibrated_median": calibrated_median(call)}
-        for name, meta, call in cases(run.WORKLOADS)
-    }
+    try:
+        results = {
+            name: {**meta, "calibrated_median": calibrated_median(call)}
+            for name, meta, call in cases(run.WORKLOADS)
+        }
+    except (AttributeError, ImportError) as exc:
+        owner = exc.name if isinstance(exc, ImportError) else getattr(exc.obj, "__name__", None)
+        if not (owner or "").startswith("hardet"):
+            raise
+        sys.exit(f"layer: {src} lacks a hardet name the cases call: {exc}")
     Path(out).write_text(json.dumps(results, indent=1) + "\n")
 
 

@@ -23,7 +23,8 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import harness
+from . import gate
+from .gate import MAX_GATE_SAMPLES, NumericalError, check_draw_floor, run_gradcheck
 from .geom import check_decode
 from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
 from .losses import (
@@ -44,16 +45,13 @@ from .metrics import (
     refinement_gain,
 )
 from .harness import (
-    NumericalError,
     OptimizerConfig,
     SceneConfig,
     SceneSet,
     ToyModel,
-    check_draw_floor,
     generate_scenes,
     model_detections,
     refinement_experiment,
-    run_gradcheck,
     train_toy,
 )
 
@@ -201,6 +199,10 @@ def _check_command_blocks(cfg: dict) -> None:
     # a sweep over no samples would report PASS without checking anything
     if gc["samples"] < 1:
         raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
+    if gc["samples"] > MAX_GATE_SAMPLES:
+        raise ConfigError(
+            f"config.gradcheck.samples: must be <= {MAX_GATE_SAMPLES}, got {gc['samples']}"
+        )
     if s["mode"] not in ("standard", "harmonic"):
         raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
 
@@ -264,7 +266,7 @@ def _fmt(x: float) -> str:
 
 def cmd_gradcheck(cfg: dict, out: Path, hp: HyperParams, num_classes: int) -> int:
     report = run_gradcheck(hp, num_classes, cfg["gradcheck"]["samples"], cfg["seed"])
-    tolerance = harness.GRADCHECK_TOLERANCE
+    tolerance = gate.GRADCHECK_TOLERANCE
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
         print(f"{e.op:20s} samples={e.samples:5d} max_err={e.max_err:.3e} {status}")

@@ -215,6 +215,19 @@ def decode_jacobian(d: Offsets, anchor: Box) -> np.ndarray:
     )
 
 
+def _jittered_box(
+    cx: float, cy: float, w: float, h: float, jitters: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Corners of the w x h box centered at (cx, cy) once its center shifts by
+    (sx w, sy h) and its log-sizes by (lw, lh), for ``jitters`` (sx, sy, lw, lh)."""
+    sx, sy, lw, lh = jitters
+    gx = cx + sx * w
+    gy = cy + sy * h
+    gw = w * math.exp(lw)
+    gh = h * math.exp(lh)
+    return gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2
+
+
 # --- array forms ---------------------------------------------------------------
 #
 # Row-wise versions of the functions above over (..., 4) corner or offset

@@ -1,7 +1,7 @@
 """The gradient gate's references.
 
 ``_check_one`` is the per-draw reference: one draw at a time, every central
-difference through the per-sample scalar functions. ``harness._gate_errors``
+difference through the per-sample scalar functions. ``gate._gate_errors``
 checks all draws at once on the array value forms; the tests hold its errors
 to ``_check_one``'s bit for bit.
 
@@ -33,7 +33,7 @@ from hardet.geom import (
     iou_arrays,
     iou_grad,
 )
-from hardet.harness import (
+from hardet.gate import (
     BATCH_NEGATIVES,
     BATCH_POSITIVES,
     KINK_MARGIN,

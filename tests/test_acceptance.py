@@ -22,16 +22,13 @@ from hardet.losses import (
     harmonic_loss,
     standard_det_loss,
 )
+from hardet.gate import BATCH_DRAWS, GRADCHECK_TOLERANCE, random_positive_sample, run_gradcheck
 from hardet.harness import (
-    BATCH_DRAWS,
-    GRADCHECK_TOLERANCE,
     OptimizerConfig,
     SceneConfig,
     ToyModel,
     generate_scenes,
-    random_positive_sample,
     refinement_experiment,
-    run_gradcheck,
     train_toy,
 )
 from hardet.geom import encode

@@ -10,6 +10,7 @@ path, on a small config, and assert no timing.
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,6 +101,12 @@ def test_child_runs_a_traced_command_with_its_facts(tmp_path, monkeypatch, trace
         # one AIC per logged record, then aic_summary.json's mean and sum
         records = (out / "trainlog.csv").read_text().splitlines()[2:]
         assert metrics["metrics.aic.calls"] == len(records) + 2
+        # the gate, which lives in hardet.gate, traced under its harness
+        # names: 3 draws and 4 batch draws of 4 positives, one difference
+        # per entry
+        assert metrics["harness.run_gradcheck.calls"] == 1
+        assert metrics["harness.random_positive_sample.calls"] == 3 + 4 * 4
+        assert metrics["harness.finite_diff_grad.calls"] == 8
     else:
         assert metrics["metrics.refinement_gain.calls"] == 2
         assert metrics["metrics.iou_histogram.calls"] == 1
@@ -168,3 +175,43 @@ def test_bench_script_batch_kernel_cases_record_what_they_run(bench_cases):
         batch = call()
         assert batch.grad_probs.shape[0] == meta["rows"], name
         assert batch.num_positives == meta["positives"], name
+
+
+# a hardet without its names, and one whose cli lacks command_setup, the
+# first name the cases call after their imports
+NAMELESS_HARDET = {
+    "no_names": ({"__init__.py": ""}, "cannot import name 'AnchorTargets' from 'hardet'"),
+    "no_command_setup": (
+        {
+            "__init__.py": (
+                "from . import cli, losses\n"
+                "AnchorTargets = HyperParams = OptimizerConfig = SceneConfig = ToyModel = None\n"
+                "average_precision = generate_scenes = model_detections = nms = None\n"
+                "offset_iou_and_grad = refinement_experiment = run_gradcheck = train_toy = None\n"
+            ),
+            "cli.py": "",
+            "losses.py": "",
+            "geom.py": "elementwise = None\n",
+        },
+        "module 'hardet.cli' has no attribute 'command_setup'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMELESS_HARDET))
+def test_bench_script_layer_names_a_missing_hardet_name(tmp_path, case):
+    """``bench_train_toy.py layer`` on a ``src`` whose ``hardet`` lacks a
+    name its cases call, as a parent older than that name is, exits 1 with
+    one line naming it, and writes nothing."""
+    files, missing = NAMELESS_HARDET[case]
+    package = tmp_path / "src" / "hardet"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    out = tmp_path / "layer.json"
+    cmd = [sys.executable, str(SCRIPTS / "bench_train_toy.py"), "layer", str(package.parent), str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1 and missing in done.stderr, done.stderr
+    assert done.stderr.startswith(f"layer: {package.parent} lacks a hardet name the cases call: ")
+    assert not out.exists()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardet import cli, harness
+from hardet import cli, gate
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hardet.harness import ToyModel, generate_scenes, train_toy
 from hardet.metrics import DEFAULT_AP_THRESHOLDS, DetectionArrays
@@ -303,7 +303,7 @@ class TestNoTracebacks:
         assert "Warning" not in err
 
     def test_failed_gradient_gate_names_the_operation(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
+        monkeypatch.setattr(gate, "GRADCHECK_TOLERANCE", 0.0)
         cfg = write_config(tmp_path, FAST_TRAIN)
         out = tmp_path / "o"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
@@ -619,7 +619,7 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out.endswith("gradcheck: PASS (tolerance 1e-05)\n")
 
     def test_zero_tolerance_fails_numerically(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "GRADCHECK_TOLERANCE", 0.0)
+        monkeypatch.setattr(gate, "GRADCHECK_TOLERANCE", 0.0)
         cfg = write_config(tmp_path, {"gradcheck": {"samples": 5}})
         out = tmp_path / "out"
         assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
@@ -675,6 +675,35 @@ class TestGradcheckCommand:
         assert f"config.gradcheck.{key}: must be >= 1, got {block[key]}" in captured.err
         assert "PASS" not in captured.out
         assert not (out / "gradcheck_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"gradcheck": {"samples": gate.MAX_GATE_SAMPLES + 1}},
+                f"config.gradcheck.samples: must be <= {gate.MAX_GATE_SAMPLES}, "
+                f"got {gate.MAX_GATE_SAMPLES + 1}",
+            ),
+            (
+                {"optimizer": {"gradcheck_samples": gate.MAX_GATE_SAMPLES + 1}},
+                f"config.optimizer: gradcheck_samples must be <= {gate.MAX_GATE_SAMPLES}, "
+                f"got {gate.MAX_GATE_SAMPLES + 1}",
+            ),
+        ],
+    )
+    def test_oversized_sweep_is_a_config_error_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, payload, message
+    ):
+        def sampler(*args):
+            raise AssertionError("the gate drew before its sample count was checked")
+
+        monkeypatch.setattr(gate, "random_positive_sample", sampler)
+        cfg = write_config(tmp_path, payload)
+        for command in ("gradcheck", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
 
 class TestLossEvalCommand:

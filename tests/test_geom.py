@@ -23,7 +23,8 @@ from hardet.geom import (
     iou_matrix,
     offset_iou_and_grad,
 )
-from hardet.harness import SceneConfig, _random_box_pair, finite_diff_grad, generate_scenes
+from hardet.gate import _random_box_pair, finite_diff_grad
+from hardet.harness import SceneConfig, generate_scenes
 
 
 def unit_square(x=0.0, y=0.0):

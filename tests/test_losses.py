@@ -32,7 +32,8 @@ from hardet.losses import (
     standard_det_loss,
     tc_loss,
 )
-from hardet.harness import SceneConfig, generate_scenes, random_positive_sample
+from hardet.gate import random_positive_sample
+from hardet.harness import SceneConfig, generate_scenes
 
 from gate_reference import _fd_offsets, _fd_probs
 import train_reference
