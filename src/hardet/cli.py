@@ -28,6 +28,8 @@ from .gate import MAX_GATE_SAMPLES, NumericalError, check_draw_floor, run_gradch
 from .geom import check_decode
 from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
 from .losses import (
+    SURFACE_LOC_GRID,
+    SURFACE_P_GRID,
     HyperParams,
     LossBreakdown,
     check_json_block,
@@ -36,7 +38,7 @@ from .losses import (
     positive_sample_from_json,
 )
 from .metrics import (
-    DEFAULT_IOU_BIN_EDGES,
+    IOU_BIN_EDGES,
     DetectionArrays,
     aic,
     average_precision,
@@ -93,10 +95,8 @@ _TRAIN_SCENE_DEFAULTS = {"anchor_spacing": 3.0, "jitter": 0.12}
 _REFINE_SCENE_DEFAULTS = {"num_scenes": 60, "objects_per_scene": [3, 5], "jitter": 0.18}
 _REFINE_OPT_DEFAULTS = {"learning_rate": 0.002, "steps": 20}
 
-# the grid surface tabulates, and the NMS threshold of train's evaluation,
-# whose AP runs at metrics.DEFAULT_AP_THRESHOLDS
-SURFACE_P_GRID = np.linspace(0.05, 1.0, 20)
-SURFACE_LOC_GRID = np.linspace(0.0, 1.2, 13)
+# the NMS threshold of train's evaluation, whose AP runs at
+# metrics.AP_THRESHOLDS
 NMS_THRESHOLD = 0.5
 
 _DEFAULTS: dict[str, Any] = {
@@ -324,7 +324,7 @@ def cmd_loss_eval(out: Path, breakdowns: list[LossBreakdown]) -> int:
 
 def cmd_surface(cfg: dict, out: Path) -> int:
     mode = cfg["surface"]["mode"]
-    grid = gradient_surface(SURFACE_P_GRID, SURFACE_LOC_GRID, mode)
+    grid = gradient_surface(mode)
     rows = [_csv_header(cfg), "p,loc,grad\n"]
     for i, loc in enumerate(SURFACE_LOC_GRID):
         for j, p in enumerate(SURFACE_P_GRID):
@@ -339,7 +339,7 @@ def _evaluate_trained(
 ) -> tuple[dict, DetectionArrays, np.ndarray]:
     """AP payload, kept detections (scene by scene, each in score order) and
     their best IoUs with a ground truth of a trained model on its scenes.
-    NMS runs at ``NMS_THRESHOLD`` and AP at its default thresholds; AP and
+    NMS runs at ``NMS_THRESHOLD`` and AP at ``AP_THRESHOLDS``; AP and
     the IoUs match within (scene, class) groups, and the IoUs are the row
     maxima of AP's own IoU matrices."""
     dets = model_detections(scene_set, model)
@@ -436,12 +436,10 @@ def cmd_refine(
         )
     _write(out / "refine_gains.csv", "".join(rows))
 
-    counts = iou_histogram(result.iou_before, DEFAULT_IOU_BIN_EDGES)
+    counts = iou_histogram(result.iou_before)
     rows = [_csv_header(cfg), "bin_lo,bin_hi,count\n"]
     for k, c in enumerate(counts):
-        rows.append(
-            f"{_fmt(DEFAULT_IOU_BIN_EDGES[k])},{_fmt(DEFAULT_IOU_BIN_EDGES[k + 1])},{int(c)}\n"
-        )
+        rows.append(f"{_fmt(IOU_BIN_EDGES[k])},{_fmt(IOU_BIN_EDGES[k + 1])},{int(c)}\n")
     _write(out / "iou_histogram.csv", "".join(rows))
     print(f"refine: {result.iou_before.size} positives, gamma 0 vs {result.gamma_weighted:g}")
     return EXIT_OK

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,11 +250,11 @@ def _jittered_box(
 
 
 def elementwise(
-    fn: Callable[..., float], x: np.ndarray | list, *more: np.ndarray | list | float
+    fn: Callable[..., float], x: np.ndarray | list, *more: np.ndarray | list
 ) -> np.ndarray:
     """``fn`` applied to each entry of a 1-D array or a list as a Python
-    float; with ``more`` arguments, to the entries at each position, where an
-    argument that is a number is the same value at every position.
+    float; with ``more`` arguments of the same length, to the entries at
+    each position.
 
     The array forms take exp, log and pow through here, from the C library
     like the scalar forms: numpy's vectorized versions can differ in the last
@@ -263,8 +262,7 @@ def elementwise(
     """
     x = x.tolist() if isinstance(x, np.ndarray) else x
     if more:
-        lists = [y.tolist() if isinstance(y, np.ndarray) else y for y in more]
-        args = [y if isinstance(y, list) else repeat(y) for y in lists]
+        args = [y.tolist() if isinstance(y, np.ndarray) else y for y in more]
         return np.fromiter(map(fn, x, *args), dtype=float, count=len(x))
     # the one-argument form, called several times per training step, skips
     # the per-argument dispatch

@@ -38,6 +38,11 @@ from .geom import (
 PROB_SUM_TOL = 1e-6
 PROB_FLOOR = 1e-12
 
+# the (p, loc) grid gradient_surface tabulates; p >= 0.05 bounds every
+# gradient on it by 40 in magnitude
+SURFACE_P_GRID = np.linspace(0.05, 1.0, 20)
+SURFACE_LOC_GRID = np.linspace(0.0, 1.2, 13)
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -108,16 +113,12 @@ class PositiveSample:
 
 @dataclass(frozen=True)
 class NegativeSample:
-    """An anchor assigned to background."""
+    """An anchor assigned to background, class 0."""
 
     probs: np.ndarray
-    gt_class: int = 0
 
     def __post_init__(self) -> None:
-        probs = _validate_probs(self.probs)
-        object.__setattr__(self, "probs", probs)
-        if not 0 <= self.gt_class < probs.size:
-            raise ValueError(f"gt_class {self.gt_class} out of range for {probs.size} classes")
+        object.__setattr__(self, "probs", _validate_probs(self.probs))
 
 
 @dataclass(frozen=True)
@@ -412,7 +413,7 @@ def standard_det_loss(
     for s in positives:
         total += cross_entropy(s.probs, s.gt_class) + smooth_l1(s.d, s.d_hat)
     for n in negatives:
-        total += cross_entropy(n.probs, n.gt_class)
+        total += cross_entropy(n.probs, 0)
     return total / len(positives)
 
 
@@ -448,9 +449,9 @@ def batch_objective(
         total += b.total
     neg_grads: list[np.ndarray] = []
     for n in negatives:
-        total += cross_entropy(n.probs, n.gt_class)
+        total += cross_entropy(n.probs, 0)
         g = np.zeros_like(n.probs)
-        g[n.gt_class] = -1.0 / max(float(n.probs[n.gt_class]), PROB_FLOOR)
+        g[0] = -1.0 / max(float(n.probs[0]), PROB_FLOOR)
         neg_grads.append(g)
     return BatchResult(total / len(positives), breakdowns, neg_grads)
 
@@ -634,34 +635,16 @@ def batch_objective_arrays(probs: np.ndarray, offsets: np.ndarray, plan: KernelP
     )
 
 
-def gradient_surface(
-    p_grid: Sequence[float], loc_grid: Sequence[float], mode: str
-) -> np.ndarray:
-    """Classification gradient tabulated over (loc, p); rows index loc.
+def gradient_surface(mode: str) -> np.ndarray:
+    """Classification gradient tabulated over SURFACE_LOC_GRID x
+    SURFACE_P_GRID; rows index loc.
 
     Standard mode returns -1/p in every row; harmonic mode applies the
-    regression-supervised closed form loc - (1+e^-loc)/p. Raises
-    ``ValueError`` when a tabulated gradient overflows the float range, as
-    it does at a p small enough.
+    regression-supervised closed form loc - (1+e^-loc)/p.
     """
-    p = np.asarray(p_grid, dtype=float)
-    loc = np.asarray(loc_grid, dtype=float)
-    if p.size == 0 or loc.size == 0:
-        raise ValueError("p_grid and loc_grid must be non-empty")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise ValueError("p_grid values must lie in (0, 1]")
-    if np.any(loc < 0.0) or not np.all(np.isfinite(loc)):
-        raise ValueError("loc_grid values must be finite and >= 0")
-    if mode not in ("standard", "harmonic"):
-        raise ValueError(f"unknown surface mode: {mode!r}")
-    # an overflow is reported below, naming its p, not as a warning
-    with np.errstate(all="ignore"):
-        if mode == "standard":
-            grid = np.tile(-1.0 / p, (loc.size, 1))
-        else:
-            grid = loc[:, None] - (1.0 + np.exp(-loc))[:, None] / p[None, :]
-    finite = np.isfinite(grid).all(axis=0)
-    if not finite.all():
-        at = float(p[np.argmin(finite)])
-        raise ValueError(f"the {mode} gradient at p={at!r} overflows the float range")
-    return grid
+    p, loc = SURFACE_P_GRID, SURFACE_LOC_GRID
+    if mode == "standard":
+        return np.tile(-1.0 / p, (loc.size, 1))
+    if mode == "harmonic":
+        return loc[:, None] - (1.0 + np.exp(-loc))[:, None] / p[None, :]
+    raise ValueError(f"unknown surface mode: {mode!r}")

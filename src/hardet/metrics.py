@@ -18,25 +18,15 @@ import numpy as np
 from .geom import iou_matrix
 from .geom import iou  # noqa: F401 - unused; perfbench's tracer test patches hardet.metrics.iou
 
-DEFAULT_AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
-DEFAULT_IOU_BIN_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-DEFAULT_GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+# the IoU thresholds AP averages over, the bins of the IoU histogram and
+# the iou_before bins of the refinement gains
+AP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
+IOU_BIN_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+GAIN_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 # rows of one NMS block, which is decided among itself; every iou_matrix call
 # of the walk holds at most NMS_BLOCK_ROWS**2 pairs, so its float temporaries
 # stay at 128 KB each and a dense group costs no more memory than a small one
 NMS_BLOCK_ROWS = 128
-
-
-def check_iou_thresholds(thresholds: Sequence[float]) -> list[float]:
-    """The NMS/AP thresholds as floats, duplicates dropped in order; at least
-    one, each in (0, 1]."""
-    out = list(dict.fromkeys(float(t) for t in thresholds))
-    if not out:
-        raise ValueError("need at least one IoU threshold")
-    for t in out:
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"IoU threshold must lie in (0, 1], got {t}")
-    return out
 
 
 Key = tuple[int, int]
@@ -152,7 +142,8 @@ def _group_rows(
 def nms(dets: DetectionArrays, iou_threshold: float) -> np.ndarray:
     """Greedy suppression within each (scene, class) group: the rows kept,
     in score order, ties by row."""
-    check_iou_thresholds([iou_threshold])
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must lie in (0, 1], got {float(iou_threshold)}")
     order = _by_score(dets)
     keep = np.zeros(len(dets), dtype=bool)
     for rows in _group_rows(dets, order).values():
@@ -238,16 +229,14 @@ def _true_positives(walked: list[tuple[int, float, list[float]]], threshold: flo
     return tps
 
 
-def _group_ap(
-    ious: np.ndarray, row_best: np.ndarray, thresholds: list[float]
-) -> dict[float, float]:
-    """AP of one group at each threshold, from its IoU matrix (detections in
-    score order x ground truths) and the matrix's row maxima. The rows that
-    reach the lowest threshold become Python lists once, for every
-    threshold's walk."""
-    walked = np.flatnonzero(row_best >= min(thresholds))
+def _group_ap(ious: np.ndarray, row_best: np.ndarray) -> dict[float, float]:
+    """AP of one group at each of AP_THRESHOLDS, from its IoU matrix
+    (detections in score order x ground truths) and the matrix's row maxima.
+    The rows that reach the lowest threshold become Python lists once, for
+    every threshold's walk."""
+    walked = np.flatnonzero(row_best >= min(AP_THRESHOLDS))
     rows = list(zip(walked.tolist(), row_best[walked].tolist(), ious[walked].tolist()))
-    return {t: _ap_at(_true_positives(rows, t), ious.shape[1]) for t in thresholds}
+    return {t: _ap_at(_true_positives(rows, t), ious.shape[1]) for t in AP_THRESHOLDS}
 
 
 @dataclass(frozen=True)
@@ -285,30 +274,24 @@ def _ground_truth_groups(
     return groups, best
 
 
-def average_precision(
-    dets: DetectionArrays,
-    gts: GroundTruthArrays,
-    iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
-) -> APResult:
-    """COCO-style AP: greedy score-ordered matching, all-point envelope;
-    ties in score rank by row.
+def average_precision(dets: DetectionArrays, gts: GroundTruthArrays) -> APResult:
+    """COCO-style AP at each of AP_THRESHOLDS: greedy score-ordered matching,
+    all-point envelope; ties in score rank by row.
 
     Matching and averaging run per (scene, class) group. Groups without
     ground truth are absent from the report; their detections do not enter
     any other group's precision. The result carries the scatter's IoU
     column, read from the same IoU matrices.
     """
-    thresholds = check_iou_thresholds(iou_thresholds)
     groups, best = _ground_truth_groups(dets, gts)
     # one IoU matrix and its row maxima per group, shared by every threshold
-    per_class = {
-        key: _group_ap(ious, row_best, thresholds) for key, (ious, row_best) in groups.items()
-    }
+    per_class = {key: _group_ap(ious, row_best) for key, (ious, row_best) in groups.items()}
     keys = list(per_class)
     per_threshold = {
-        t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0 for t in thresholds
+        t: (sum(per_class[k][t] for k in keys) / len(keys)) if keys else 0.0
+        for t in AP_THRESHOLDS
     }
-    mean = sum(per_threshold.values()) / len(thresholds)
+    mean = sum(per_threshold.values()) / len(AP_THRESHOLDS)
     return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class, best_iou=best)
 
 
@@ -338,30 +321,19 @@ def aic(scores: np.ndarray, ious: np.ndarray, mode: str = "mean") -> float:
     return total / scores.size if mode == "mean" else total
 
 
-def _check_edges(bin_edges: Sequence[float]) -> np.ndarray:
-    edges = np.asarray(bin_edges, dtype=float)
-    # written so that NaN edges fail these checks too
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
-        raise ValueError("bin edges must be strictly increasing with >= 2 entries")
-    if not (edges[0] >= 0.0 and edges[-1] <= 1.0):
-        raise ValueError("bin edges must lie within [0, 1]")
-    return edges
-
-
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Each value's bin under [e_k, e_k+1) binning with a closed last bin;
     -1 below the first edge."""
     return np.minimum(np.searchsorted(edges, values, side="right") - 1, edges.size - 2)
 
 
-def iou_histogram(
-    ious: np.ndarray, bin_edges: Sequence[float] = DEFAULT_IOU_BIN_EDGES
-) -> np.ndarray:
-    """Counts per bin; values below the first edge are dropped.
+def iou_histogram(ious: np.ndarray) -> np.ndarray:
+    """Counts per bin of IOU_BIN_EDGES; values below the first edge are
+    dropped.
 
     Bins are half-open [e_k, e_k+1) with the last bin closed at the top.
     """
-    edges = _check_edges(bin_edges)
+    edges = np.array(IOU_BIN_EDGES)
     (ious,) = _unit_arrays("iou_histogram", ious=ious)
     bins = _bin_indices(ious, edges)
     return np.bincount(bins[bins >= 0], minlength=edges.size - 1)
@@ -376,13 +348,10 @@ class BinnedGain:
     means: list[float | None]
 
 
-def refinement_gain(
-    before: np.ndarray,
-    after: np.ndarray,
-    bin_edges: Sequence[float] = DEFAULT_GAIN_BIN_EDGES,
-) -> BinnedGain:
-    """Bin rows by ``before``; mean ``after - before`` per bin, summed in row order."""
-    edges = _check_edges(bin_edges)
+def refinement_gain(before: np.ndarray, after: np.ndarray) -> BinnedGain:
+    """Bin rows by ``before`` at GAIN_BIN_EDGES; mean ``after - before`` per
+    bin, summed in row order."""
+    edges = np.array(GAIN_BIN_EDGES)
     before, after = _unit_arrays("refinement_gain", before=before, after=after)
     if not before.size:
         raise ValueError("refinement_gain needs at least one row")

@@ -18,7 +18,7 @@ import numpy as np
 
 from hardet.geom import DECODE_LOG_CAP, Box, corners, decode_arrays, iou, iou_matrix
 from hardet.harness import SceneSet, ToyModel
-from hardet.metrics import APResult, DetectionArrays, GroundTruthArrays, Key, check_iou_thresholds
+from hardet.metrics import APResult, DetectionArrays, GroundTruthArrays, Key
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     ``iou`` per pair: a detection is kept unless a kept detection of its
     group overlaps it at the threshold. Keeps score order, ties by input
     index."""
-    check_iou_thresholds([iou_threshold])
     kept_boxes: dict[Key, list[Box]] = {}
     kept = []
     for d in sorted(dets, key=lambda d: -d.score):
@@ -138,11 +137,10 @@ def _match_group(ious: list[list[float]], threshold: float) -> list[bool]:
 
 
 def average_precision(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_thresholds: Sequence[float]
+    dets: Sequence[Detection], gts: Sequence[GroundTruth], thresholds: Sequence[float]
 ) -> APResult:
     """COCO-style AP per (scene, class) group, averaged over the groups with
     ground truth."""
-    thresholds = check_iou_thresholds(iou_thresholds)
     det_groups, gt_groups = _groups(dets), _groups(gts)
     det_boxes, gt_boxes = corners([d.box for d in dets]), corners([g.box for g in gts])
     keys = sorted(gt_groups)
@@ -174,7 +172,7 @@ def consistency_scatter(
 
 
 def evaluate(
-    scene_set: SceneSet, model: ToyModel, nms_threshold: float, ap_thresholds: list[float]
+    scene_set: SceneSet, model: ToyModel, nms_threshold: float, ap_thresholds: Sequence[float]
 ) -> tuple[dict, list[Detection], list[tuple[float, float]]]:
     """AP payload, kept detections and scatter rows of a model on its scenes."""
     kept = [d for dets in model_detections(scene_set, model) for d in nms(dets, nms_threshold)]

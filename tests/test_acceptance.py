@@ -14,6 +14,8 @@ import pytest
 from hardet.cli import main
 from hardet.geom import Box, iou
 from hardet.losses import (
+    SURFACE_LOC_GRID,
+    SURFACE_P_GRID,
     HyperParams,
     NegativeSample,
     batch_objective,
@@ -116,7 +118,7 @@ def test_criterion_05_compatibility_reduction():
     for _ in range(25):
         positives = [random_positive_sample(rng, hp, 5) for _ in range(int(rng.integers(1, 6)))]
         negatives = [
-            NegativeSample(probs=rng.dirichlet(np.ones(5)), gt_class=0)
+            NegativeSample(probs=rng.dirichlet(np.ones(5)))
             for _ in range(int(rng.integers(0, 5)))
         ]
         got = batch_objective(positives, negatives, compat).value
@@ -182,12 +184,12 @@ def test_criterion_07_refinement_gain_direction():
 
 
 def test_criterion_08_gradient_surface_structure():
-    p_grid = np.linspace(0.05, 1.0, 20)
-    loc_grid = np.linspace(0.0, 1.2, 13)
-    standard = gradient_surface(p_grid, loc_grid, "standard")
+    np.testing.assert_array_equal(SURFACE_P_GRID, np.linspace(0.05, 1.0, 20))
+    np.testing.assert_array_equal(SURFACE_LOC_GRID, np.linspace(0.0, 1.2, 13))
+    standard = gradient_surface("standard")
     for row in standard:
         np.testing.assert_array_equal(row, standard[0])
-    harmonic = gradient_surface(p_grid, loc_grid, "harmonic")
+    harmonic = gradient_surface("harmonic")
     assert np.all(harmonic < 0)
     magnitudes = np.abs(harmonic)
     assert np.all(np.diff(magnitudes, axis=0) < 0)
@@ -205,7 +207,8 @@ def test_criterion_09_metrics_sanity():
     scenes = [0] * 12
     gts = GroundTruthArrays(boxes, classes, scenes)
     dets = DetectionArrays(boxes, classes, [(k + 1) / 13.0 for k in range(12)], scenes)
-    result = average_precision(dets, gts, [0.5, 0.6, 0.7, 0.8, 0.9])
+    result = average_precision(dets, gts)
+    assert list(result.per_threshold) == [0.5, 0.6, 0.7, 0.8, 0.9]
     for threshold, value in result.per_threshold.items():
         assert value == pytest.approx(1.0), f"AP@{threshold} = {value}"
 

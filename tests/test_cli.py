@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hardet import cli, gate
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hardet.harness import ToyModel, generate_scenes, train_toy
-from hardet.metrics import DEFAULT_AP_THRESHOLDS, DetectionArrays
+from hardet.metrics import AP_THRESHOLDS, DetectionArrays
 
 import eval_reference
 
@@ -107,7 +107,7 @@ class TestConfigHandling:
         # beta_e_stop_grad is a library field; 1e-5, 4, [16, 16], [3], 0.5,
         # 20, True and the AP thresholds are their own values, so a config
         # that restates them is rejected too
-        values = (0.0, 1e-5, 4, 0.5, 20, True, [16.0, 16.0], [3.0], list(DEFAULT_AP_THRESHOLDS), {})
+        values = (0.0, 1e-5, 4, 0.5, 20, True, [16.0, 16.0], [3.0], list(AP_THRESHOLDS), {})
         # the train block is gone whole, so it is the unknown key
         path = block if block == "train" else f"{block}.{key}"
         for value in values:
@@ -996,7 +996,7 @@ def test_evaluation_equals_the_object_reference(setup, trained):
         model, _ = train_toy(scene_set, model, opt, hp)
     ap, kept, best_iou = cli._evaluate_trained(scene_set, model)
     ref_ap, ref_kept, ref_rows = eval_reference.evaluate(
-        scene_set, model, cli.NMS_THRESHOLD, list(DEFAULT_AP_THRESHOLDS)
+        scene_set, model, cli.NMS_THRESHOLD, AP_THRESHOLDS
     )
     rows = zip(kept.boxes.tolist(), kept.class_id.tolist(), kept.score.tolist(), kept.scene.tolist())
     assert repr(list(rows)) == repr(
@@ -1053,34 +1053,138 @@ def test_evaluation_lines_render_each_row_as_json_dumps_and_repr(rows):
     assert scatter_rows == [f"{p!r},{u!r}\n" for p, u in zip(scores, best_iou.tolist())]
 
 
-# sha256 of train's detections.jsonl and scatter.csv at seed 0: at the CLI
-# defaults, and at the train_dense benchmark workload's config
-_TRAIN_DIGESTS = {
-    "defaults": (
-        {},
-        "16c4b2bf630b9c055c7a0b23af5d549a2fde471632a185b7b0d8764c4af13422",
-        "44db0cd251723ae0e513ad5900839ef0c616ac028edae3b17300d29295ce2dcf",
-    ),
+# every command's run in the golden-output test, as (command, config file);
+# train_dense's and refine_long's configs are the benchmark workloads'
+_GOLDEN_SAMPLES = Path(__file__).parent / "golden_samples.jsonl"
+_GOLDEN_RUNS = {
+    "gradcheck": ("gradcheck", {}),
+    "loss-eval": ("loss-eval", {}),
+    "surface_standard": ("surface", {"surface": {"mode": "standard"}}),
+    "surface_harmonic": ("surface", {"surface": {"mode": "harmonic"}}),
+    "train": ("train", {}),
+    "train_standard": ("train", {"optimizer": {"loss_mode": "standard"}}),
     "train_dense": (
+        "train",
         {
             "scene": {"num_scenes": 16, "anchor_spacing": 1.0, "jitter": 0.12},
             "optimizer": {"steps": 20, "log_every": 5, "loss_mode": "standard"},
         },
-        "b630b2d7cfe02e10ab1f4793f5e538b46d9633b9bd4c6702860799d82baae194",
-        "5e8a58ac41ee37b2f2c1c8c8b3f25204cc5e1349bbf808e79ccbe2e766641fdc",
     ),
+    "refine": ("refine", {}),
+    "refine_long": ("refine", {"optimizer": {"steps": 100}}),
+}
+
+# sha256 of every file each golden run writes, by (run, seed); stdout is left
+# out, as loss-eval prints its output path. A change that moves an output byte
+# records the table anew and says which files moved and why
+_GOLDEN_DIGESTS = {
+    ("gradcheck", 0): {
+        "gradcheck_report.json": "8fea86ab7131519dfaf4cc081c89a6c56f90c446aaa500a60f9599691edabb7d",
+        "run_meta.json": "5edfbf321847d1f58f88f2d40ac329635f5571a3c0463f80a013ad95d8d8de05",
+    },
+    ("gradcheck", 3): {
+        "gradcheck_report.json": "9fd75093ddc835cd5a8fefb61313c8c5070917e1f808edb79d03c84d370abe79",
+        "run_meta.json": "76e56606a5647ed918ecd86670c153f1f6fb0d0775440443b4e6b964bf70b4e9",
+    },
+    ("loss-eval", 0): {
+        "breakdowns.jsonl": "f420bfb97c119d1efb1e5d3cebd93379fb048714be06d859d2c4c368a20d24b0",
+        "run_meta.json": "0755e6ddf5974bb2b0dd33a5453e6aae05db1b17bb939b78e958ac640a97a2be",
+    },
+    ("loss-eval", 3): {
+        "breakdowns.jsonl": "f420bfb97c119d1efb1e5d3cebd93379fb048714be06d859d2c4c368a20d24b0",
+        "run_meta.json": "3023d6422c901f278d4a76b504165f0c0f3ee240c77558df73948985ce4f0c41",
+    },
+    ("surface_standard", 0): {
+        "run_meta.json": "b3e857a22dd9a36219c7e581b0ce72fcc15f236cb18ab00ebd5f723585ad7133",
+        "surface.csv": "907864eb362047045acb656620d6b18f9741008f2976f74fe2e86f4b83f096fb",
+    },
+    ("surface_standard", 3): {
+        "run_meta.json": "d66b6c47136e233f10c05d24e713538777e940c144a89d18f3b5a2be5a7a83cf",
+        "surface.csv": "aa20b2dcde030777a71c2b6853eb17676280281807dfe25bfadf81efd954063d",
+    },
+    ("surface_harmonic", 0): {
+        "run_meta.json": "14a36efe3156a5b2b10f6f3581dd2adcb4daaedba4a3368dc4b194a2e98c321c",
+        "surface.csv": "fa3ae2873aac6de4a5c9e7dd1fd527e2c7e8fb2ca61e21406d2a581ddef40b8f",
+    },
+    ("surface_harmonic", 3): {
+        "run_meta.json": "f46912f7f404a72993379de8aa31bf07f284f48b4d0a32bb1f9eeab35d419a82",
+        "surface.csv": "bfaba25274753a5ce098265c0464115f1c1f5750bc2f152db90ba23b67457afa",
+    },
+    ("train", 0): {
+        "aic_summary.json": "cb245e522a9fee3b093fbf60b8fb84ef4ac5b9a9114275c8efed938872d67448",
+        "detections.jsonl": "16c4b2bf630b9c055c7a0b23af5d549a2fde471632a185b7b0d8764c4af13422",
+        "run_meta.json": "7c21c92c3939033fb450c23b9aed947d17ee5cc93ce46764b74f82307f2af672",
+        "scatter.csv": "44db0cd251723ae0e513ad5900839ef0c616ac028edae3b17300d29295ce2dcf",
+        "trainlog.csv": "0a799598df30a3df0b865b74e1569ba65986d5918fb83f48b226523cfea6fdb2",
+    },
+    ("train", 3): {
+        "aic_summary.json": "af6fcc0ec4cda748384c67f618e49eb0851603b0716f4cc8c0d987e284435480",
+        "detections.jsonl": "86216c4853f386dda3dc543ce4b91a4656723ec4af006bf63e75212d22a24e64",
+        "run_meta.json": "62121bb34ee0e3fe97cf7aabb840ffed66026d9674f64f2db9c299e487f9263a",
+        "scatter.csv": "5eefcc76535a916f0cbfefecbfab66e361005e67d38f940df1cfcb57d4cbc9d6",
+        "trainlog.csv": "08468f827ccb7c74f8e705223ec0601dc294543482991c9747dcdca2d0e1747e",
+    },
+    ("train_standard", 0): {
+        "aic_summary.json": "fec9a042987c69223da096fa55c28637bdfc23c2d14531e69d06c96b0ce28158",
+        "detections.jsonl": "deaa800e4dfece8938e4243890e2115eb04b5ab18f11b659c711a3aaab4ce184",
+        "run_meta.json": "daf1c272c15b9b498545a32aec47cbcaaa6d53d5dd5fae82619c68bcffaeb4e4",
+        "scatter.csv": "7a9bda5dca46dc7922234435588017963afefd9727cde7e10d0d437bfa80dc5a",
+        "trainlog.csv": "8f3f4263d6b9e4e138830baaea5b43c0dd093bc3210d35cab7cb72b5c439d4aa",
+    },
+    ("train_standard", 3): {
+        "aic_summary.json": "98c3e42c85f5b0019017c549aa906743d31b3cab8af02ac3b8e10e023dcb8583",
+        "detections.jsonl": "235f6395e5a7ce4643eb4c8357469047d478fd12b4161bdcdabece48d8f394bd",
+        "run_meta.json": "ad6412918ccca121b5797f542e70cd875e0781778802079d074a0946806d48a2",
+        "scatter.csv": "23011c701cde4ed8c04d3556e67066b3f5df946a0a9e7ecffea6b33e7e7c04b6",
+        "trainlog.csv": "6e21aae280dcba8aab3a9c7cae21216291aa6d39e2cfc4e1dfbaa6f6d2adb64a",
+    },
+    ("train_dense", 0): {
+        "aic_summary.json": "1c422337314aee4bd984e908d302c647ffb96a1e9b3ba32c9e8f5dc6f4c8e667",
+        "detections.jsonl": "b630b2d7cfe02e10ab1f4793f5e538b46d9633b9bd4c6702860799d82baae194",
+        "run_meta.json": "725bf10e528450978e15574549219edef78a05c677693e8f28544b79402be0a8",
+        "scatter.csv": "5e8a58ac41ee37b2f2c1c8c8b3f25204cc5e1349bbf808e79ccbe2e766641fdc",
+        "trainlog.csv": "72bd2027a9384ecfd950088800f0d6a4cbf1dd187132cc8db0235e0595087206",
+    },
+    ("train_dense", 3): {
+        "aic_summary.json": "d8fd3257b84ebb1ae29563c1e7a000e058fed64cd2e45f773986cb1194d6dd69",
+        "detections.jsonl": "b18d72069492934918af854d7951ed0ead0a6c0fc410da630aafff32537a4f87",
+        "run_meta.json": "042fbedfe6f38627c170627543a6f695990a90df9704e265d1be2c19558a1699",
+        "scatter.csv": "d8d6ff1157142fa8a5101f3ea6f03ce56e5cd6c202ebd3d5388f1c8f638274d9",
+        "trainlog.csv": "5dc233c0aa98c59f1e7f4c249cdfda60d4001edcb2dc104c33a20b89abc6b3b2",
+    },
+    ("refine", 0): {
+        "iou_histogram.csv": "62c4bbe43f2497e908e3fd0d18b6e76c2468ffad5d9f7811fce4054591039b7c",
+        "refine_gains.csv": "49daa8137dcb95ae2801a1499af24096c568d1ff70e3819e69a26858e141e1cc",
+        "run_meta.json": "bca13d22bab6874bf8ba9bc92af8621034cde40716b80fd7626eb9977e98c426",
+    },
+    ("refine", 3): {
+        "iou_histogram.csv": "d3ed06bc8130642060a9f2eb3d2f0eb9184649ec4e9d774c896be52a6270737a",
+        "refine_gains.csv": "94497f1391fc3b7653d9c6f5ee59784b49adfa1670744275b21a51ec66563f8d",
+        "run_meta.json": "ea506ef3e85d2490225f9659b6c53347a829052a1d5d4b1688bb2928d2393437",
+    },
+    ("refine_long", 0): {
+        "iou_histogram.csv": "a155493693e71bf7724b16260cd4c24d11c66acd99095c3927986df5f99d42bc",
+        "refine_gains.csv": "9967777c3e593eba0a0b5c259f31eb1d09374047ab816f64cfe5b76fd66c2eb8",
+        "run_meta.json": "2aa649c66c87de1fa42f548949ad89cc259d70078f62652384871e620e92d6a5",
+    },
+    ("refine_long", 3): {
+        "iou_histogram.csv": "ad0db54fe48cb0403be8a95641c8a60b57b53900289ee7159a1a8a1ced20503f",
+        "refine_gains.csv": "302e32655067b52a20316ac0b6d44806c8b0a6d6a7a44791d80e797601f5af11",
+        "run_meta.json": "a3cb5a45e9de02c57609d04e31e51825c2cf67a80362b86a68abb064c001b535",
+    },
 }
 
 
-@pytest.mark.parametrize("setup", sorted(_TRAIN_DIGESTS))
-def test_train_evaluation_files_keep_their_bytes(tmp_path, setup):
-    payload, detections, scatter = _TRAIN_DIGESTS[setup]
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, payload)
-    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    files = ("detections.jsonl", "scatter.csv")
-    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files]
-    assert digests == [detections, scatter]
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_command_keeps_its_output_bytes(tmp_path, capsys, seed):
+    for name, (command, payload) in _GOLDEN_RUNS.items():
+        out = tmp_path / name
+        argv = [command, "--config", write_config(tmp_path, payload, f"{name}.json")]
+        if command == "loss-eval":
+            argv += ["--samples", str(_GOLDEN_SAMPLES)]
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == EXIT_OK, name
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == _GOLDEN_DIGESTS[name, seed], name
 
 
 class TestRefineCommand:

@@ -1,5 +1,6 @@
 """NMS, average precision, AIC, histograms, refinement gains, scatter."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from hardet.metrics import (
     refinement_gain,
 )
 from hardet import metrics
-from hardet.metrics import DEFAULT_AP_THRESHOLDS, _ap_at, check_iou_thresholds
+from hardet.metrics import AP_THRESHOLDS, GAIN_BIN_EDGES, IOU_BIN_EDGES, _ap_at
 
 import eval_reference
 from eval_reference import Detection, GroundTruth, detection_arrays, ground_truth_arrays
@@ -54,8 +55,8 @@ def kept_rows(dets, iou_threshold):
     return nms(detection_arrays(dets), iou_threshold).tolist()
 
 
-def ap(dets, gts, *thresholds):
-    return average_precision(detection_arrays(dets), ground_truth_arrays(gts), *thresholds)
+def ap(dets, gts):
+    return average_precision(detection_arrays(dets), ground_truth_arrays(gts))
 
 
 def best_ious(dets, gts):
@@ -74,6 +75,16 @@ class TestNms:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             kept_rows([det(0, 0, 1, 1)], 0.0)
+
+    @pytest.mark.parametrize("threshold", [-0.5, 1.5, np.nan, np.inf, -np.inf])
+    def test_out_of_range_threshold_rejected(self, threshold):
+        message = rf"^IoU threshold must lie in \(0, 1\], got {float(threshold)}$"
+        with pytest.raises(ValueError, match=message):
+            kept_rows([det(0, 0, 1, 1)], threshold)
+
+    def test_threshold_one_suppresses_only_identical_boxes(self):
+        dets = [det(0, 0, 1, 1, score=0.9), det(0, 0, 1, 1, score=0.8), det(0, 0, 1, 1.1, score=0.7)]
+        assert kept_rows(dets, 1.0) == [0, 2]
 
     def test_different_classes_do_not_suppress(self):
         a = det(0, 0, 1, 1, cls=1, score=0.9)
@@ -135,7 +146,7 @@ class TestAveragePrecision:
         # flags (FP, TP) -> precision envelope area 0.5
         gts = [gt(0, 0, 2, 2)]
         dets = [det(0, 0, 2, 2, score=0.6), det(5, 5, 6, 6, score=0.9)]
-        result = ap(dets, gts, [0.5])
+        result = ap(dets, gts)
         assert result.per_threshold[0.5] == pytest.approx(0.5)
 
     def test_score_rescaling_invariance(self):
@@ -150,14 +161,14 @@ class TestAveragePrecision:
     def test_gt_matched_at_most_once(self):
         gts = [gt(0, 0, 2, 2)]
         dets = [det(0, 0, 2, 2, score=0.9), det(0, 0, 2, 2, score=0.8)]
-        result = ap(dets, gts, [0.5])
+        result = ap(dets, gts)
         # second duplicate is a false positive: envelope gives 1.0 up to recall 1
         assert result.per_threshold[0.5] == pytest.approx(1.0)
 
     def test_class_without_gt_is_absent(self):
         gts = [gt(0, 0, 2, 2, cls=1)]
         dets = [det(0, 0, 2, 2, cls=1, score=0.9), det(4, 4, 5, 5, cls=7, score=0.8)]
-        result = ap(dets, gts, [0.5])
+        result = ap(dets, gts)
         assert (0, 7) not in result.per_class
         assert result.per_threshold[0.5] == pytest.approx(1.0)
 
@@ -168,21 +179,6 @@ class TestAveragePrecision:
             result = ap(random_detections(rng, 10), gts)
             for v in result.per_threshold.values():
                 assert 0.0 <= v <= 1.0
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            ap([], [gt(0, 0, 1, 1)], [0.0])
-
-    def test_duplicate_thresholds_count_once(self):
-        gts = [gt(0, 0, 2, 2), gt(4, 4, 6, 6)]
-        dets = [det(0, 0, 2, 2, score=0.9), det(4, 4, 6, 6.2, score=0.8)]
-        result = ap(dets, gts, [0.5, 0.5])
-        assert result.per_threshold == {0.5: 1.0}
-        assert result.mean == 1.0
-        # the mean runs over the distinct thresholds, in first-seen order
-        twice = ap(dets, gts, [0.95, 0.5, 0.95, 1])
-        assert twice == ap(dets, gts, [0.95, 0.5, 1.0])
-        assert list(twice.per_threshold) == [0.95, 0.5, 1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(flags=st.lists(st.booleans(), max_size=40), extra_gt=st.integers(0, 5))
@@ -285,22 +281,22 @@ class TestIouHistogram:
         assert counts.sum() == np.count_nonzero(values >= 0.5)
 
     def test_full_cover_edges_partition_input(self):
+        # the bins cover [0.5, 1]
         rng = np.random.default_rng(37)
-        values = rng.uniform(0, 1, size=500)
-        counts = iou_histogram(values, np.linspace(0, 1, 11))
-        assert counts.sum() == 500
+        values = rng.uniform(0.5, 1, size=500)
+        assert iou_histogram(values).sum() == 500
 
     @pytest.mark.parametrize("value", [1.2, -0.1, np.nan])
     def test_out_of_range_value_rejected(self, value):
         with pytest.raises(ValueError, match="row 1: ious must lie in"):
             iou_histogram(np.array([0.5, value]))
 
-    @pytest.mark.parametrize(
-        "edges", [[0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.nan], [0.5]]
-    )
-    def test_bad_edges_rejected(self, edges):
-        with pytest.raises(ValueError, match="bin edges"):
-            iou_histogram(np.array([0.5]), edges)
+    @pytest.mark.parametrize("k", range(len(IOU_BIN_EDGES)))
+    def test_an_edge_value_opens_its_bin(self, k):
+        # [e_k, e_k+1) bins with the last one closed at 1.0
+        expected = np.zeros(len(IOU_BIN_EDGES) - 1, dtype=int)
+        expected[min(k, expected.size - 1)] = 1
+        np.testing.assert_array_equal(iou_histogram(np.array([IOU_BIN_EDGES[k]])), expected)
 
 
 class TestRefinementGain:
@@ -338,10 +334,21 @@ class TestRefinementGain:
         with pytest.raises(ValueError, match=message):
             refinement_gain(before, after)
 
-    @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [-0.1, 1.0]])
-    def test_bad_edges_rejected(self, edges):
-        with pytest.raises(ValueError, match="bin edges"):
-            refinement_gain(np.array([0.5]), np.array([0.6]), edges)
+
+class TestConstants:
+    """The fixed evaluation instruments meet the checks their callers no
+    longer run."""
+
+    def test_ap_thresholds_increase_within_the_nms_range(self):
+        assert AP_THRESHOLDS == (0.5, 0.6, 0.7, 0.8, 0.9)
+        assert all(0.0 < a < b <= 1.0 for a, b in zip(AP_THRESHOLDS, AP_THRESHOLDS[1:]))
+
+    @pytest.mark.parametrize("edges", [IOU_BIN_EDGES, GAIN_BIN_EDGES], ids=["iou", "gain"])
+    def test_bin_edges_increase_within_the_unit_interval(self, edges):
+        assert isinstance(edges, tuple) and len(edges) >= 2
+        assert all(isinstance(e, float) and math.isfinite(e) for e in edges)
+        assert 0.0 <= edges[0] and edges[-1] == 1.0
+        assert all(a < b for a, b in zip(edges, edges[1:]))
 
 
 class TestConsistencyScatter:
@@ -369,7 +376,6 @@ class TestConsistencyScatter:
 
 def oracle_nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy class-wise suppression; keeps score order, ties by input index."""
-    check_iou_thresholds([iou_threshold])
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept: list[int] = []
     for i in order:
@@ -411,17 +417,13 @@ def oracle_match_class(
     return flags
 
 
-def oracle_average_precision(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    iou_thresholds: Sequence[float] = DEFAULT_AP_THRESHOLDS,
-) -> APResult:
-    """COCO-style AP: greedy score-ordered matching, all-point envelope.
+def oracle_average_precision(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> APResult:
+    """COCO-style AP at each of AP_THRESHOLDS: greedy score-ordered matching,
+    all-point envelope.
 
     Classes without ground truth are absent from the report; detections for
     such classes do not enter any other class's precision.
     """
-    thresholds = check_iou_thresholds(iou_thresholds)
     classes = sorted({gt.class_id for gt in gts})
     per_class: dict[int, dict[float, float]] = {}
     for cls in classes:
@@ -429,13 +431,13 @@ def oracle_average_precision(
         cls_gts = [g for g in gts if g.class_id == cls]
         per_class[cls] = {
             t: _ap_at(np.flatnonzero(oracle_match_class(cls_dets, cls_gts, t)), len(cls_gts))
-            for t in thresholds
+            for t in AP_THRESHOLDS
         }
     per_threshold = {
         t: (sum(per_class[c][t] for c in classes) / len(classes)) if classes else 0.0
-        for t in thresholds
+        for t in AP_THRESHOLDS
     }
-    mean = sum(per_threshold.values()) / len(thresholds)
+    mean = sum(per_threshold.values()) / len(AP_THRESHOLDS)
     return APResult(per_threshold=per_threshold, mean=mean, per_class=per_class)
 
 
@@ -545,7 +547,7 @@ class TestMatchesScalarOracle:
         assert kept_rows(dets, threshold) == [flat_index[id(d)] for d in oracle_nms(flat, threshold)]
 
     @settings(max_examples=300, deadline=None)
-    @given(sets=_dets_and_gts(), thresholds=st.lists(_THRESHOLD, min_size=1, max_size=5))
+    @given(sets=_dets_and_gts())
     # the first detection overlaps both ground truths at IoU 0.5 and must take
     # the lower index, leaving the second detection nothing to match
     @example(
@@ -553,57 +555,24 @@ class TestMatchesScalarOracle:
             [det(0, 0, 2, 1, score=0.9), det(0, 0, 1, 1, score=0.8)],
             [gt(0, 0, 1, 1), gt(1, 0, 2, 1)],
         ),
-        thresholds=[0.5],
     )
     # tied scores rank by input index: the matching detection comes first
-    @example(
-        sets=([det(0, 0, 1, 1, score=0.5), det(2, 2, 3, 3, score=0.5)], [gt(0, 0, 1, 1)]),
-        thresholds=[0.5],
-    )
-    def test_average_precision(self, sets, thresholds):
-        dets, gts = sets
-        new = ap(dets, gts, thresholds)
-        old = oracle_average_precision(remapped(dets), remapped(gts), thresholds)
-        assert repr(new.per_threshold) == repr(old.per_threshold)
-        assert repr(new.mean) == repr(old.mean)
-        assert repr({s * 10_000 + c: v for (s, c), v in new.per_class.items()}) == repr(old.per_class)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        sets=_dets_and_gts(),
-        thresholds=st.lists(_THRESHOLD, min_size=1, max_size=5),
-        data=st.data(),
-    )
-    # no detection reaches 0.9 or 1.0 (IoU 0.75), and the second group's
-    # detection reaches no threshold at all: empty walks in both groups
+    @example(sets=([det(0, 0, 1, 1, score=0.5), det(2, 2, 3, 3, score=0.5)], [gt(0, 0, 1, 1)]))
+    # the first group's detection (IoU 0.75) reaches 0.7 but not 0.8, and the
+    # second group's reaches no threshold at all: an empty walk
     @example(
         sets=(
             [det(0, 0, 2, 1.5, score=0.9), Detection(Box(5, 5, 6, 6), 1, 0.8, scene=1)],
             [gt(0, 0, 2, 2), GroundTruth(Box(0, 0, 1, 1), 1, scene=1)],
         ),
-        thresholds=[0.9, 0.5, 1.0, 0.5],
-        data=None,
     )
-    def test_average_precision_at_a_threshold_ignores_the_others(self, sets, thresholds, data):
-        """Each threshold's AP, per group and averaged, is the AP of that
-        threshold alone, whatever thresholds come with it, in any order or
-        repeated; the mean runs over the distinct thresholds in first-seen
-        order."""
+    def test_average_precision(self, sets):
         dets, gts = sets
-        alone = {float(t): ap(dets, gts, [t]) for t in thresholds}
-        orders = [thresholds, thresholds[::-1] + thresholds[:2]]
-        if data is not None:
-            orders.append(data.draw(st.permutations(thresholds + thresholds[:1])))
-        for order in orders:
-            result = ap(dets, gts, order)
-            for t, single in alone.items():
-                assert repr(result.per_threshold[t]) == repr(single.per_threshold[t])
-                assert repr({k: v[t] for k, v in result.per_class.items()}) == repr(
-                    {k: v[t] for k, v in single.per_class.items()}
-                )
-            distinct = list(dict.fromkeys(float(t) for t in order))
-            mean = sum(alone[t].per_threshold[t] for t in distinct) / len(distinct)
-            assert repr(result.mean) == repr(mean)
+        new = ap(dets, gts)
+        old = oracle_average_precision(remapped(dets), remapped(gts))
+        assert repr(new.per_threshold) == repr(old.per_threshold)
+        assert repr(new.mean) == repr(old.mean)
+        assert repr({s * 10_000 + c: v for (s, c), v in new.per_class.items()}) == repr(old.per_class)
 
     @settings(max_examples=300, deadline=None)
     @given(sets=_dets_and_gts())
@@ -619,9 +588,6 @@ class TestMatchesScalarOracle:
 
 # few distinct values, the bin edges among them: ties and edge hits are common
 _UNIT = st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.8999999999999999, 1.0]) | st.floats(0.0, 1.0)
-_EDGES = st.sampled_from([
-    metrics.DEFAULT_IOU_BIN_EDGES, metrics.DEFAULT_GAIN_BIN_EDGES, (0.0, 1.0), (0.1, 0.7),
-])
 
 
 class TestSummariesMatchPairLoops:
@@ -636,17 +602,17 @@ class TestSummariesMatchPairLoops:
             assert aic(scores, ious, mode).hex() == oracle_aic(pairs, mode).hex()
 
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(_UNIT, max_size=40), edges=_EDGES)
-    def test_iou_histogram(self, values, edges):
-        counts = iou_histogram(np.array(values, dtype=float), edges)
-        assert counts.tolist() == oracle_iou_histogram(values, edges)
+    @given(values=st.lists(_UNIT, max_size=40))
+    def test_iou_histogram(self, values):
+        counts = iou_histogram(np.array(values, dtype=float))
+        assert counts.tolist() == oracle_iou_histogram(values, IOU_BIN_EDGES)
 
     @settings(max_examples=300, deadline=None)
-    @given(pairs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40), edges=_EDGES)
-    def test_refinement_gain(self, pairs, edges):
+    @given(pairs=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
+    def test_refinement_gain(self, pairs):
         before, after = np.array(pairs).T
-        result = refinement_gain(before, after, edges)
-        counts, means = oracle_refinement_gain(pairs, edges)
+        result = refinement_gain(before, after)
+        counts, means = oracle_refinement_gain(pairs, GAIN_BIN_EDGES)
         assert result.counts.tolist() == counts
         assert [m if m is None else m.hex() for m in result.means] == [
             m if m is None else m.hex() for m in means

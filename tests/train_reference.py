@@ -34,13 +34,13 @@ from hardet.losses import PROB_FLOOR, HyperParams
 def libm_power(base: np.ndarray, exponent: float | np.ndarray) -> np.ndarray:
     """``math.pow`` of each entry of 1-D ``base``, one float at a time, to
     ``exponent``, one value or one per entry: the C library's pow."""
-    return elementwise(math.pow, base, exponent)
+    return elementwise(math.pow, base, np.broadcast_to(exponent, base.shape))
 
 
 def hiou_loss_arrays(u: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     """Element-wise ``hiou_loss`` of 1-D ``u``; ``gamma`` is one value or one
     per element. ``u`` is not range-checked."""
-    return elementwise(pow, 1.0 + u, gamma) * (1.0 - u)
+    return elementwise(pow, 1.0 + u, np.broadcast_to(gamma, u.shape)) * (1.0 - u)
 
 
 def hiou_slope_arrays(
