@@ -24,7 +24,7 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import gate
-from .gate import MAX_GATE_SAMPLES, NumericalError, check_draw_floor, run_gradcheck
+from .gate import MAX_GATE_SAMPLES, NumericalError, run_gradcheck
 from .geom import check_decode
 from .geom import iou  # noqa: F401 - unused here; perfbench's tracer test patches hardet.cli.iou
 from .losses import (
@@ -105,18 +105,17 @@ _DEFAULTS: dict[str, Any] = {
     "scene": {},
     "optimizer": {},
     "gradcheck": {"samples": 500},
-    "surface": {"mode": "harmonic"},
 }
 
 
 # beta_e_stop_grad and freeze_factors are library fields (the gradient gate
-# and loss_mode "standard" set them); the scene seed is the top-level seed.
-# The other blocks are declared by their defaults.
+# and loss_mode "standard" set them), as are the scene's class count and
+# positive IoU threshold; the scene seed is the top-level seed.
 _BLOCK_KEYS = {
     "hyperparams": _schema(HyperParams, exclude=("beta_e_stop_grad", "freeze_factors")),
-    "scene": _schema(SceneConfig, exclude=("seed",)),
+    "scene": _schema(SceneConfig, exclude=("seed", "num_classes", "positive_iou_threshold")),
     "optimizer": _schema(OptimizerConfig),
-    **{name: {k: type(v) for k, v in _DEFAULTS[name].items()} for name in ("gradcheck", "surface")},
+    "gradcheck": {"samples": int},
 }
 _TOP_KEYS = {"seed": int, **{name: dict for name in _BLOCK_KEYS}}
 
@@ -192,21 +191,6 @@ def _build(cls: type, cfg: dict, name: str, **extra: Any) -> Any:
         raise ConfigError(f"config.{name}: {exc}") from exc
 
 
-def _check_command_blocks(cfg: dict) -> None:
-    """Check the gradcheck and surface blocks as the commands that read them
-    use them, so that every command judges them alike."""
-    gc, s = cfg["gradcheck"], cfg["surface"]
-    # a sweep over no samples would report PASS without checking anything
-    if gc["samples"] < 1:
-        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {gc['samples']}")
-    if gc["samples"] > MAX_GATE_SAMPLES:
-        raise ConfigError(
-            f"config.gradcheck.samples: must be <= {MAX_GATE_SAMPLES}, got {gc['samples']}"
-        )
-    if s["mode"] not in ("standard", "harmonic"):
-        raise ConfigError(f"config.surface.mode: expected standard|harmonic, got {s['mode']!r}")
-
-
 def command_setup(
     command: str, cfg: dict, seed: int | None = None
 ) -> tuple[dict, SceneConfig, HyperParams, OptimizerConfig]:
@@ -224,12 +208,13 @@ def command_setup(
     )
     scene = _build(SceneConfig, eff, "scene", seed=eff["seed"])
     hp = _build(HyperParams, eff, "hyperparams")
-    try:
-        check_draw_floor(scene.num_classes)
-    except ValueError as exc:
-        raise ConfigError(f"config.scene.num_classes: {exc}") from exc
     opt = _build(OptimizerConfig, eff, "optimizer")
-    _check_command_blocks(eff)
+    samples = eff["gradcheck"]["samples"]
+    # a sweep over no samples would report PASS without checking anything
+    if samples < 1:
+        raise ConfigError(f"config.gradcheck.samples: must be >= 1, got {samples}")
+    if samples > MAX_GATE_SAMPLES:
+        raise ConfigError(f"config.gradcheck.samples: must be <= {MAX_GATE_SAMPLES}, got {samples}")
     return eff, scene, hp, opt
 
 
@@ -323,14 +308,16 @@ def cmd_loss_eval(out: Path, breakdowns: list[LossBreakdown]) -> int:
 
 
 def cmd_surface(cfg: dict, out: Path) -> int:
-    mode = cfg["surface"]["mode"]
-    grid = gradient_surface(mode)
-    rows = [_csv_header(cfg), "p,loc,grad\n"]
+    """The standard and harmonic classification gradients side by side over
+    the (p, loc) grid, loc-major."""
+    standard, harmonic = gradient_surface("standard"), gradient_surface("harmonic")
+    rows = [_csv_header(cfg), "p,loc,grad_standard,grad_harmonic\n"]
     for i, loc in enumerate(SURFACE_LOC_GRID):
         for j, p in enumerate(SURFACE_P_GRID):
-            rows.append(f"{_fmt(p)},{_fmt(loc)},{_fmt(grid[i, j])}\n")
+            grads = f"{_fmt(standard[i, j])},{_fmt(harmonic[i, j])}"
+            rows.append(f"{_fmt(p)},{_fmt(loc)},{grads}\n")
     _write(out / "surface.csv", "".join(rows))
-    print(f"surface: wrote {grid.size} grid points ({mode} mode)")
+    print(f"surface: wrote {standard.size} grid points (standard and harmonic)")
     return EXIT_OK
 
 

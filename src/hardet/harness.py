@@ -295,7 +295,7 @@ def match_anchors(scene: Scene, anchors: np.ndarray, threshold: float) -> MatchR
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyModel:
     """Free per-anchor parameters: class logits and offsets, no backbone."""
 

@@ -88,7 +88,7 @@ def _validate_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveSample:
     """One matched anchor/ground-truth pair with the model's predictions;
     the regression target ``d_hat`` is ``encode(gt_box, anchor)``."""
@@ -121,7 +121,7 @@ class NegativeSample:
         object.__setattr__(self, "probs", _validate_probs(self.probs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossBreakdown:
     """Per-sample loss terms, harmonic factors, and assembled gradients."""
 
@@ -251,7 +251,7 @@ def hiou_slope(iou_value: float, gamma: float) -> float:
     return (1.0 + u) ** (gamma - 1.0) * (gamma * (1.0 - u) - (1.0 + u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LocParts:
     """Localization terms shared by the harmonic and TC losses."""
 
@@ -417,7 +417,7 @@ def standard_det_loss(
     return total / len(positives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchResult:
     """Batch objective value with per-sample introspection records.
 
@@ -456,7 +456,7 @@ def batch_objective(
     return BatchResult(total / len(positives), breakdowns, neg_grads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchArrays:
     """:func:`batch_objective_arrays` output.
 

@@ -339,7 +339,7 @@ def iou_histogram(ious: np.ndarray) -> np.ndarray:
     return np.bincount(bins[bins >= 0], minlength=edges.size - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedGain:
     """Mean IoU change per iou_before bin; empty bins report None."""
 

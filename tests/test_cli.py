@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hardet import cli, gate
 from hardet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from hardet.harness import ToyModel, generate_scenes, train_toy
+from hardet.losses import gradient_surface
 from hardet.metrics import AP_THRESHOLDS, DetectionArrays
 
 import eval_reference
@@ -59,26 +60,20 @@ class TestConfigHandling:
 
     def test_config_schema_keys(self):
         # every settable key: adding or removing a knob is an edit here.
-        # beta_e_stop_grad and freeze_factors are library fields, and the
-        # gradient gate's tolerance and batch draws, the canvas, the anchor
-        # side, the surface grid and train's NMS and AP thresholds are constants
+        # beta_e_stop_grad, freeze_factors and the scene's class count and
+        # positive IoU threshold are library fields; the gradient gate's
+        # tolerance and batch draws, the canvas, the anchor side, the surface
+        # grid and train's NMS and AP thresholds are constants; surface writes
+        # both gradient tables
         assert {name: set(keys) for name, keys in cli._BLOCK_KEYS.items()} == {
             "hyperparams": {"alpha", "gamma", "margin"},
-            "scene": {
-                "anchor_spacing",
-                "num_scenes",
-                "objects_per_scene",
-                "num_classes",
-                "jitter",
-                "positive_iou_threshold",
-            },
+            "scene": {"anchor_spacing", "num_scenes", "objects_per_scene", "jitter"},
             "optimizer": {"learning_rate", "steps", "log_every", "loss_mode", "gradcheck_samples"},
             "gradcheck": {"samples"},
-            "surface": {"mode"},
         }
         assert set(cli._TOP_KEYS) == {"seed", *cli._BLOCK_KEYS}
         # the settable keys, counting seed
-        assert 1 + sum(map(len, cli._BLOCK_KEYS.values())) == 17
+        assert 1 + sum(map(len, cli._BLOCK_KEYS.values())) == 14
 
     @pytest.mark.parametrize(
         "block, key",
@@ -88,6 +83,9 @@ class TestConfigHandling:
             ("optimizer", "gradcheck_tolerance"),
             ("scene", "canvas"),
             ("scene", "anchor_scales"),
+            ("scene", "num_classes"),
+            ("scene", "positive_iou_threshold"),
+            ("surface", "mode"),
             ("surface", "p_min"),
             ("surface", "p_max"),
             ("surface", "p_steps"),
@@ -99,17 +97,21 @@ class TestConfigHandling:
             ("hyperparams", "beta_e_stop_grad"),
             # the whole block: key None
             ("train", None),
+            ("surface", None),
         ],
     )
     def test_removed_gate_key_is_unknown_to_every_command(self, tmp_path, block, key):
         # the gate's tolerance and batch draws, the canvas, the anchor side,
         # the surface grid and train's thresholds are constants, and
-        # beta_e_stop_grad is a library field; 1e-5, 4, [16, 16], [3], 0.5,
-        # 20, True and the AP thresholds are their own values, so a config
-        # that restates them is rejected too
-        values = (0.0, 1e-5, 4, 0.5, 20, True, [16.0, 16.0], [3.0], list(AP_THRESHOLDS), {})
-        # the train block is gone whole, so it is the unknown key
-        path = block if block == "train" else f"{block}.{key}"
+        # beta_e_stop_grad and the scene's class count and positive IoU
+        # threshold are library fields; 1e-5, 4, 5, [16, 16], [3], 0.5, 20,
+        # True, the AP thresholds and "harmonic" are their own values, so a
+        # config that restates them is rejected too
+        values = (
+            0.0, 1e-5, 4, 5, 0.5, 20, True, [16.0, 16.0], [3.0], list(AP_THRESHOLDS), "harmonic", {},
+        )
+        # the train and surface blocks are gone whole, so each is the unknown key
+        path = f"{block}.{key}" if block in cli._BLOCK_KEYS else block
         for value in values:
             cfg = write_config(tmp_path, {block: value} if key is None else {block: {key: value}})
             for command, flags in [
@@ -314,15 +316,6 @@ class TestNoTracebacks:
         assert "Traceback" not in err
         assert not (out / "trainlog.csv").exists()
 
-    @pytest.mark.parametrize("command", ["gradcheck", "train"])
-    def test_unreachable_probability_floor_exits_2(self, tmp_path, capsys, command):
-        # 200 classes almost never all draw the oracle's 1e-3 probability floor;
-        # both the sweep and the gate before training draw the scene's classes
-        payload = {**FAST_TRAIN, "scene": {"num_classes": 200}, "gradcheck": {"samples": 1}}
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-        assert "numerical failure: gradcheck could not draw" in capsys.readouterr().err
-
     def test_huge_offset_sample_warns_nothing(self, tmp_path, capsys):
         record = {"probs": [0.5, 0.5], "gt_class": 1, "anchor": [0, 0, 2, 2], "gt_box": [0.5, 0.5, 2.5, 2.5]}
         samples = tmp_path / "samples.jsonl"
@@ -406,7 +399,6 @@ _COSTLY = {
     ("optimizer", "gradcheck_samples"): _SMALL_INT,
     ("gradcheck", "samples"): _SMALL_INT,
     ("scene", "num_scenes"): _SMALL_INT,
-    ("scene", "num_classes"): st.integers(-1, 6),
     ("scene", "objects_per_scene"): st.lists(st.integers(-1, 4), max_size=3),
     ("scene", "anchor_spacing"): _SCENE_FLOAT,
 }
@@ -538,16 +530,9 @@ def test_every_command_gives_a_config_file_one_verdict(tmp_path_factory, drawn):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"surface": {"mode": "x"}}, "config.surface.mode: expected standard|harmonic, got 'x'"),
         ({"gradcheck": {"samples": 0}}, "config.gradcheck.samples: must be >= 1, got 0"),
         ({"optimizer": {"steps": 0}}, "config.optimizer: steps must be >= 1, got 0"),
         ({"hyperparams": {"alpha": -1}}, "config.hyperparams: alpha must be >= 0, got -1"),
-        # the gradient gate's draw floor is judged against the scene's class count
-        (
-            {"scene": {"num_classes": 1000}},
-            "config.scene.num_classes: 1000 class probabilities summing to 1 cannot all reach "
-            "the gradient gate's draw floor 0.001",
-        ),
         # the fit check bounds jitter at ln(16 / 3), and with it every box area
         (
             {"scene": {"jitter": 1.68}},
@@ -639,26 +624,6 @@ class TestGradcheckCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in lines[:8]] == ["samples="] * 8
         assert [line.split()[2] for line in lines[:8]] == ["5"] * 7 + ["4"]
-
-    def test_scene_class_count_sets_the_draws(self, tmp_path):
-        # the entries a 3-class hyperparams block gave before the class
-        # count moved to the scene block, bit for bit, over the gate's 4
-        # batch draws
-        payload = {"scene": {"num_classes": 3}, "gradcheck": {"samples": 20}}
-        out = tmp_path / "out"
-        assert main(["gradcheck", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_OK
-        entries = json.loads((out / "gradcheck_report.json").read_text())["entries"]
-        assert [(e["op"], e["max_err"].hex(), e["worst_draw"]) for e in entries] == [
-            ("iou_grad", "0x1.8cf2020000000p-33", 17),
-            ("decode_jacobian", "0x1.9aebdc6f081bcp-31", 0),
-            ("harmonic_cls_grad", "0x1.c3cd400000000p-32", 16),
-            ("harmonic_reg_grad", "0x1.32d1a80000000p-31", 9),
-            ("full_loc_loss", "0x1.6af484b01f69cp-32", 0),
-            ("tc_loss", "0x1.e877000000000p-35", 11),
-            ("harmonic_det_loss", "0x1.6f1b280000000p-31", 15),
-            ("batch_objective", "0x1.aa8ab80000000p-33", 2),
-        ]
-
 
     @pytest.mark.parametrize(
         "block, key",
@@ -874,13 +839,12 @@ class TestLossEvalCommand:
 
 class TestSurfaceCommand:
     def test_standard_grad_independent_of_loc(self, tmp_path):
-        cfg = write_config(tmp_path, {"surface": {"mode": "standard"}})
         out = tmp_path / "out"
-        assert main(["surface", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["surface", "--out", str(out)]) == EXIT_OK
         _, rows = read_csv_rows(out / "surface.csv")
         by_p: dict[str, set[str]] = {}
         for row in rows:
-            by_p.setdefault(row["p"], set()).add(row["grad"])
+            by_p.setdefault(row["p"], set()).add(row["grad_standard"])
         assert all(len(grads) == 1 for grads in by_p.values())
 
     def test_harmonic_spot_row(self, tmp_path):
@@ -893,7 +857,19 @@ class TestSurfaceCommand:
             if abs(float(row["p"]) - 0.5) < 1e-9 and float(row["loc"]) == 0.0
         ]
         assert len(hits) == 1
-        assert float(hits[0]["grad"]) == pytest.approx(-4.0, abs=1e-6)
+        assert float(hits[0]["grad_harmonic"]) == pytest.approx(-4.0, abs=1e-6)
+
+    def test_columns_are_both_gradient_tables(self, tmp_path):
+        # one run writes the standard and the harmonic table side by side,
+        # each value the repr of gradient_surface's entry at the row's (loc, p)
+        out = tmp_path / "out"
+        assert main(["surface", "--out", str(out)]) == EXIT_OK
+        lines = (out / "surface.csv").read_text().splitlines()
+        assert lines[1] == "p,loc,grad_standard,grad_harmonic"
+        _, rows = read_csv_rows(out / "surface.csv")
+        for mode in ("standard", "harmonic"):
+            grid = gradient_surface(mode)
+            assert [r[f"grad_{mode}"] for r in rows] == [repr(float(g)) for g in grid.ravel()]
 
     def test_grid_size(self, tmp_path):
         out = tmp_path / "out"
@@ -1059,8 +1035,7 @@ _GOLDEN_SAMPLES = Path(__file__).parent / "golden_samples.jsonl"
 _GOLDEN_RUNS = {
     "gradcheck": ("gradcheck", {}),
     "loss-eval": ("loss-eval", {}),
-    "surface_standard": ("surface", {"surface": {"mode": "standard"}}),
-    "surface_harmonic": ("surface", {"surface": {"mode": "harmonic"}}),
+    "surface": ("surface", {}),
     "train": ("train", {}),
     "train_standard": ("train", {"optimizer": {"loss_mode": "standard"}}),
     "train_dense": (
@@ -1079,98 +1054,90 @@ _GOLDEN_RUNS = {
 # records the table anew and says which files moved and why
 _GOLDEN_DIGESTS = {
     ("gradcheck", 0): {
-        "gradcheck_report.json": "8fea86ab7131519dfaf4cc081c89a6c56f90c446aaa500a60f9599691edabb7d",
-        "run_meta.json": "5edfbf321847d1f58f88f2d40ac329635f5571a3c0463f80a013ad95d8d8de05",
+        "gradcheck_report.json": "bbbf2f7320f672b164e7e7f93f94728900be7648dfc0cb910c5de2b7846efce7",
+        "run_meta.json": "a8036693a41553f55a318ab6095e3e358f8de8aaee73feefac037e38e0b21ed1",
     },
     ("gradcheck", 3): {
-        "gradcheck_report.json": "9fd75093ddc835cd5a8fefb61313c8c5070917e1f808edb79d03c84d370abe79",
-        "run_meta.json": "76e56606a5647ed918ecd86670c153f1f6fb0d0775440443b4e6b964bf70b4e9",
+        "gradcheck_report.json": "444a8d5ebbd799a515b99412f37f874aefbfe33662325718fe35249c070a0b16",
+        "run_meta.json": "f0eac548e5bd6d810f25bc7bca2dc41196f06c4a526a135b0f24514a3e7e5db3",
     },
     ("loss-eval", 0): {
         "breakdowns.jsonl": "f420bfb97c119d1efb1e5d3cebd93379fb048714be06d859d2c4c368a20d24b0",
-        "run_meta.json": "0755e6ddf5974bb2b0dd33a5453e6aae05db1b17bb939b78e958ac640a97a2be",
+        "run_meta.json": "02366cba39eb61cd4788d8ad00a6e8ea7f71679d40d4d2f430d91c38257c2993",
     },
     ("loss-eval", 3): {
         "breakdowns.jsonl": "f420bfb97c119d1efb1e5d3cebd93379fb048714be06d859d2c4c368a20d24b0",
-        "run_meta.json": "3023d6422c901f278d4a76b504165f0c0f3ee240c77558df73948985ce4f0c41",
+        "run_meta.json": "dfa8dcab70b9a9b186bfb16c3cd3bcd20406a85907ae068d676297ec960b5f03",
     },
-    ("surface_standard", 0): {
-        "run_meta.json": "b3e857a22dd9a36219c7e581b0ce72fcc15f236cb18ab00ebd5f723585ad7133",
-        "surface.csv": "907864eb362047045acb656620d6b18f9741008f2976f74fe2e86f4b83f096fb",
+    ("surface", 0): {
+        "run_meta.json": "dfe00585fe07ccb5b870f01a46761cebdf10679242d250d85f2e17cbd7cb6c3c",
+        "surface.csv": "e79c1d1bd7ec954999a002b2271bec3e146608f957a741a02963217575467a17",
     },
-    ("surface_standard", 3): {
-        "run_meta.json": "d66b6c47136e233f10c05d24e713538777e940c144a89d18f3b5a2be5a7a83cf",
-        "surface.csv": "aa20b2dcde030777a71c2b6853eb17676280281807dfe25bfadf81efd954063d",
-    },
-    ("surface_harmonic", 0): {
-        "run_meta.json": "14a36efe3156a5b2b10f6f3581dd2adcb4daaedba4a3368dc4b194a2e98c321c",
-        "surface.csv": "fa3ae2873aac6de4a5c9e7dd1fd527e2c7e8fb2ca61e21406d2a581ddef40b8f",
-    },
-    ("surface_harmonic", 3): {
-        "run_meta.json": "f46912f7f404a72993379de8aa31bf07f284f48b4d0a32bb1f9eeab35d419a82",
-        "surface.csv": "bfaba25274753a5ce098265c0464115f1c1f5750bc2f152db90ba23b67457afa",
+    ("surface", 3): {
+        "run_meta.json": "eb59f2347df49cf7516cd7c617f96a9f314614911cce87c7f17522cf11bb63b8",
+        "surface.csv": "adce2cc2101236c1ce01b38e8f9b31f419ad723c84fa4feb87769d6d3c1efbab",
     },
     ("train", 0): {
-        "aic_summary.json": "cb245e522a9fee3b093fbf60b8fb84ef4ac5b9a9114275c8efed938872d67448",
-        "detections.jsonl": "16c4b2bf630b9c055c7a0b23af5d549a2fde471632a185b7b0d8764c4af13422",
-        "run_meta.json": "7c21c92c3939033fb450c23b9aed947d17ee5cc93ce46764b74f82307f2af672",
-        "scatter.csv": "44db0cd251723ae0e513ad5900839ef0c616ac028edae3b17300d29295ce2dcf",
-        "trainlog.csv": "0a799598df30a3df0b865b74e1569ba65986d5918fb83f48b226523cfea6fdb2",
+        "aic_summary.json": "3e18aea4250515cdebc30e243dd0ad294e946276906888e9e7bf72b6835150e2",
+        "detections.jsonl": "5decd15f9bb064d1e629b5066930fe80d1b7d1eb0321e04253870be9c7e5feb0",
+        "run_meta.json": "6ecf5339c8885199cff18a21a3e7f2421c29d6e0099f903df5a9e394068d95a3",
+        "scatter.csv": "873cc72f1915aa8626196948ee4552e1a164a9896bf838fb10c5b1cb2e6b022b",
+        "trainlog.csv": "1bd7f0eb5bfc2cb698ca67ce7a8f4e8eddece68a717a3cbe08c6c28dee9549f1",
     },
     ("train", 3): {
-        "aic_summary.json": "af6fcc0ec4cda748384c67f618e49eb0851603b0716f4cc8c0d987e284435480",
-        "detections.jsonl": "86216c4853f386dda3dc543ce4b91a4656723ec4af006bf63e75212d22a24e64",
-        "run_meta.json": "62121bb34ee0e3fe97cf7aabb840ffed66026d9674f64f2db9c299e487f9263a",
-        "scatter.csv": "5eefcc76535a916f0cbfefecbfab66e361005e67d38f940df1cfcb57d4cbc9d6",
-        "trainlog.csv": "08468f827ccb7c74f8e705223ec0601dc294543482991c9747dcdca2d0e1747e",
+        "aic_summary.json": "1f4350660f93e80a2fdd17c2fa8cf734a59064c959fd6bba7c3990c4ee31e757",
+        "detections.jsonl": "de838eca76141f5a90dae7a7e9682dffbbd1577736db70bc40457efdc2b5dea2",
+        "run_meta.json": "15786317b1634ca9035db45a44b271c846cfff06296b26547c2b44b1f76f6e24",
+        "scatter.csv": "160e8422dd34d6b7545136aa46bebc4dcc905a80fd77481eee8f4324221fdd4f",
+        "trainlog.csv": "6393ce821490499646ee51d45aab729fc154daca46f5aefe86fabb347e0828d5",
     },
     ("train_standard", 0): {
-        "aic_summary.json": "fec9a042987c69223da096fa55c28637bdfc23c2d14531e69d06c96b0ce28158",
-        "detections.jsonl": "deaa800e4dfece8938e4243890e2115eb04b5ab18f11b659c711a3aaab4ce184",
-        "run_meta.json": "daf1c272c15b9b498545a32aec47cbcaaa6d53d5dd5fae82619c68bcffaeb4e4",
-        "scatter.csv": "7a9bda5dca46dc7922234435588017963afefd9727cde7e10d0d437bfa80dc5a",
-        "trainlog.csv": "8f3f4263d6b9e4e138830baaea5b43c0dd093bc3210d35cab7cb72b5c439d4aa",
+        "aic_summary.json": "c5141f3e1bb1427fbe5ca36e75f646d189be037c1b9ba44a3a22c0708bc4eb36",
+        "detections.jsonl": "6fc9cd9846cc69c4bb8fc6a3a44ecdf9be1d771da17f546a3a7c63226fd45631",
+        "run_meta.json": "54f0cc1acb10528237a2d0f18fb411ca3b7b433764f83db675597e1800887248",
+        "scatter.csv": "39a272ce0286b9320450bf9462937358b9ff18d4db476d610fd7608a436a0b42",
+        "trainlog.csv": "0b6a670b98b54c8255f8fd344e0c48edf10e826f40f1e60dee48582f91341705",
     },
     ("train_standard", 3): {
-        "aic_summary.json": "98c3e42c85f5b0019017c549aa906743d31b3cab8af02ac3b8e10e023dcb8583",
-        "detections.jsonl": "235f6395e5a7ce4643eb4c8357469047d478fd12b4161bdcdabece48d8f394bd",
-        "run_meta.json": "ad6412918ccca121b5797f542e70cd875e0781778802079d074a0946806d48a2",
-        "scatter.csv": "23011c701cde4ed8c04d3556e67066b3f5df946a0a9e7ecffea6b33e7e7c04b6",
-        "trainlog.csv": "6e21aae280dcba8aab3a9c7cae21216291aa6d39e2cfc4e1dfbaa6f6d2adb64a",
+        "aic_summary.json": "674af03da87055bc82ad422a04923195aef7b54c864b6d70105b9200608c6bc0",
+        "detections.jsonl": "4a1020c2d4caf846a2bd3dc3b73165d084f49b8f928087319ecfaf2ad5d320e5",
+        "run_meta.json": "9ce6e4280d60c6ff917396cb645afabe4bf468ac5a43e46517e582fffb8ef364",
+        "scatter.csv": "60b30e731b6bb28391371aaf83143b979b75fb1ea2534991e76d704eaccd19f7",
+        "trainlog.csv": "871b18235b8fb62e6e99544120155fa8ccd57f193a38c7f649dee3ad8d50b177",
     },
     ("train_dense", 0): {
-        "aic_summary.json": "1c422337314aee4bd984e908d302c647ffb96a1e9b3ba32c9e8f5dc6f4c8e667",
-        "detections.jsonl": "b630b2d7cfe02e10ab1f4793f5e538b46d9633b9bd4c6702860799d82baae194",
-        "run_meta.json": "725bf10e528450978e15574549219edef78a05c677693e8f28544b79402be0a8",
-        "scatter.csv": "5e8a58ac41ee37b2f2c1c8c8b3f25204cc5e1349bbf808e79ccbe2e766641fdc",
-        "trainlog.csv": "72bd2027a9384ecfd950088800f0d6a4cbf1dd187132cc8db0235e0595087206",
+        "aic_summary.json": "97c6828fd65398d6de2fee2a0647b6b366af6fb5662d88ca6c91b6fa5c22d835",
+        "detections.jsonl": "9a894a4f1023fd07d5f857325385039e44fcebdbdff5de7734cebcf449f6cdcc",
+        "run_meta.json": "a1258c512610ec2c14e6f0eaab5bfda8a4a5daff9b5c104c37dd40d12d887170",
+        "scatter.csv": "7a3c3f660e1f4a072100d61d6bca92c1ed8218c542ccf8dafc052959ae422457",
+        "trainlog.csv": "9519aaf62cfbcf0076aac5a33c7619ad9ca000d075574b0e80b44d42cd2d28fa",
     },
     ("train_dense", 3): {
-        "aic_summary.json": "d8fd3257b84ebb1ae29563c1e7a000e058fed64cd2e45f773986cb1194d6dd69",
-        "detections.jsonl": "b18d72069492934918af854d7951ed0ead0a6c0fc410da630aafff32537a4f87",
-        "run_meta.json": "042fbedfe6f38627c170627543a6f695990a90df9704e265d1be2c19558a1699",
-        "scatter.csv": "d8d6ff1157142fa8a5101f3ea6f03ce56e5cd6c202ebd3d5388f1c8f638274d9",
-        "trainlog.csv": "5dc233c0aa98c59f1e7f4c249cdfda60d4001edcb2dc104c33a20b89abc6b3b2",
+        "aic_summary.json": "8e551c8b0366955b946fdeefe7a92f2686c5e0d7c0dff668770500a65c458950",
+        "detections.jsonl": "5811a1a3e5b0063883dca59a4ea02ac966302b9e9653affae0134e063cb4726a",
+        "run_meta.json": "f5b6ff40040577698544dd8c6f47cef448b492be7a7888022c3fe140167ed085",
+        "scatter.csv": "53df5abc24c7fd49880494ef1adb65cd46490c35bff09f0ce58ac36f1f864f24",
+        "trainlog.csv": "ca7f8ea3467f3b70d132394a8d81fdbe250ea110f94d1509bb442b05e507529b",
     },
     ("refine", 0): {
-        "iou_histogram.csv": "62c4bbe43f2497e908e3fd0d18b6e76c2468ffad5d9f7811fce4054591039b7c",
-        "refine_gains.csv": "49daa8137dcb95ae2801a1499af24096c568d1ff70e3819e69a26858e141e1cc",
-        "run_meta.json": "bca13d22bab6874bf8ba9bc92af8621034cde40716b80fd7626eb9977e98c426",
+        "iou_histogram.csv": "69cbb830cd0edf8386ee4789414e9286335b8e9b3f179c3604d7356cc9182fa1",
+        "refine_gains.csv": "a8c47a09e00a383670f0eb79c90e62b727985e09d0912657e1408865375e566c",
+        "run_meta.json": "4995e30372c3519d0da1d888aa2b7ede19cb3603836a4a37e913f61436885bda",
     },
     ("refine", 3): {
-        "iou_histogram.csv": "d3ed06bc8130642060a9f2eb3d2f0eb9184649ec4e9d774c896be52a6270737a",
-        "refine_gains.csv": "94497f1391fc3b7653d9c6f5ee59784b49adfa1670744275b21a51ec66563f8d",
-        "run_meta.json": "ea506ef3e85d2490225f9659b6c53347a829052a1d5d4b1688bb2928d2393437",
+        "iou_histogram.csv": "9eb96e0e8f6a6e4624f7b2e07d4c0133613e00f8583c90867c4c46330bd26719",
+        "refine_gains.csv": "4e79a7b86b6633ad86c9aaadeb944338ee31474796b66f1241b0c3c53ed81645",
+        "run_meta.json": "67699ae6a847ce883911c007251af4d85586149bbf86bf15d79e0481fd83ce31",
     },
     ("refine_long", 0): {
-        "iou_histogram.csv": "a155493693e71bf7724b16260cd4c24d11c66acd99095c3927986df5f99d42bc",
-        "refine_gains.csv": "9967777c3e593eba0a0b5c259f31eb1d09374047ab816f64cfe5b76fd66c2eb8",
-        "run_meta.json": "2aa649c66c87de1fa42f548949ad89cc259d70078f62652384871e620e92d6a5",
+        "iou_histogram.csv": "27f595ea1924e3db63a1cb156f6b8e69a2129b5ab9e9a09acd41885e29193515",
+        "refine_gains.csv": "0585aca975d56edef20c340b2ee161feb781f461a911e9e145dfdb1ee0d777c6",
+        "run_meta.json": "5b5748dd1ef9eaad2de98aa04530669c796696ce3c6b6adce140063fdd5e16b8",
     },
     ("refine_long", 3): {
-        "iou_histogram.csv": "ad0db54fe48cb0403be8a95641c8a60b57b53900289ee7159a1a8a1ced20503f",
-        "refine_gains.csv": "302e32655067b52a20316ac0b6d44806c8b0a6d6a7a44791d80e797601f5af11",
-        "run_meta.json": "a3cb5a45e9de02c57609d04e31e51825c2cf67a80362b86a68abb064c001b535",
+        "iou_histogram.csv": "e044722a2c702c9f0299bb756794731fff3134402cb80b7b5774407b74381356",
+        "refine_gains.csv": "b28778c7d18b1582b783802ec9393dac976c68acfa3a583c0b827055183a2d42",
+        "run_meta.json": "615fe0ed43af335ec641a78488642d0a82c4e9dbf3e0a1be45bab4829887fb50",
     },
 }
 

@@ -222,6 +222,21 @@ class TestGradCheck:
         # a floor within reach, however rarely drawn, is left to the sampler
         gate.check_draw_floor(999)
 
+    def test_three_classes_set_the_draws(self):
+        # the entries a 3-class sweep of 20 samples at seed 0 gave as the
+        # gradcheck command's report, bit for bit, over the gate's 4 batch draws
+        report = run_gradcheck(HyperParams(), 3, num_samples=20, seed=0)
+        assert [(e.op, e.max_err.hex(), e.worst_draw) for e in report.entries] == [
+            ("iou_grad", "0x1.8cf2020000000p-33", 17),
+            ("decode_jacobian", "0x1.9aebdc6f081bcp-31", 0),
+            ("harmonic_cls_grad", "0x1.c3cd400000000p-32", 16),
+            ("harmonic_reg_grad", "0x1.32d1a80000000p-31", 9),
+            ("full_loc_loss", "0x1.6af484b01f69cp-32", 0),
+            ("tc_loss", "0x1.e877000000000p-35", 11),
+            ("harmonic_det_loss", "0x1.6f1b280000000p-31", 15),
+            ("batch_objective", "0x1.aa8ab80000000p-33", 2),
+        ]
+
     def test_exhausted_draws_name_the_draw_floor_and_class_count(self):
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalError, match=r"num_classes 200 probabilities at or above the draw floor 0\.001$"):

@@ -35,7 +35,8 @@ from hardet.losses import (
     tc_loss,
 )
 from hardet.gate import random_positive_sample
-from hardet.harness import SceneConfig, generate_scenes
+from hardet.harness import SceneConfig, ToyModel, generate_scenes
+from hardet.metrics import refinement_gain
 
 from gate_reference import _fd_offsets, _fd_probs
 import train_reference
@@ -909,3 +910,29 @@ class TestGradientSurface:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown surface mode: 'other'"):
             gradient_surface("other")
+
+
+def _drawn_sample():
+    return random_positive_sample(np.random.default_rng(0), HP, 5)
+
+
+# records that hold arrays, each built twice alike: a field-by-field == on
+# them could only raise, as an array's truth value is ambiguous
+_ARRAY_RECORDS = {
+    "PositiveSample": _drawn_sample,
+    "LossBreakdown": lambda: harmonic_det_loss(_drawn_sample(), HP),
+    "_LocParts": lambda: losses._loc_parts(_drawn_sample(), HP),
+    "BatchResult": lambda: batch_objective([_drawn_sample()], [], HP),
+    "BatchArrays": lambda: batch_objective_arrays(*batch_arrays([_drawn_sample()], [], HP)),
+    "BinnedGain": lambda: refinement_gain(np.array([0.55, 0.75]), np.array([0.6, 0.8])),
+    "ToyModel": lambda: ToyModel.zeros(3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    a, b = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
