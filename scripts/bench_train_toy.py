@@ -83,10 +83,12 @@ def cases(workloads: dict):
     before ``train``, ``run_gradcheck`` on 20 samples of 5 classes, runs
     under both modes' hyperparameters. At refine_long's settings:
     ``generate_scenes``, ``refinement_experiment``, and
-    ``offset_iou_and_grad``, 100 calls at 12 (train_default's positives),
-    478 (refine's two stacked runs), 4 096 and 16 384 rows, cycling refine's
-    matched pairs under fixed random offsets, each call with e^tw and e^th
-    from a libm pass as train's kernel computes them.
+    ``offset_iou_and_grad``, the training kernel's geometry, 100 calls at 12
+    (train_default's positives), 478 (the rows of refine_long's two stacked
+    runs), 4 096 and 16 384 rows, cycling refine's matched pairs under fixed
+    random offsets, each call with e^tw and e^th from a libm pass as train's
+    kernel computes them. Refine's own descent chains by the closed form of
+    ``offset_iou_and_grad_rows`` instead; ``refinement_experiment`` times it.
     """
     from dataclasses import replace
 

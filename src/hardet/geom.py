@@ -4,7 +4,8 @@ Boxes use the (x1, y1, x2, y2) corner convention and serialize as plain
 4-element arrays everywhere in this package. Offsets follow the usual
 (dx, dy, log dw, log dh) parameterization relative to an anchor box.
 All functions are safe to call concurrently; none writes its arguments, but
-for the workspace its caller lends :func:`offset_iou_and_grad`.
+for the workspace and the output arrays their callers lend the training
+geometry (:func:`offset_iou_and_grad` and its siblings).
 """
 
 from __future__ import annotations
@@ -235,18 +236,24 @@ def _jittered_box(
 # training amplifies any last-bit difference into a different trajectory. They
 # validate nothing: callers check box order, positive anchor and ground-truth
 # size, and the decode log cap once at their own boundary. The training
-# kernel, :func:`offset_iou_and_grad` over :class:`AnchorTargets`, keeps the
-# (N, 4) interface but computes on axis-major (2, N) rows, contiguous per axis.
+# geometry over :class:`AnchorTargets` computes on axis-major (2, N) rows,
+# contiguous per axis: :func:`decoded_iou_and_grad` gives the IoU and its
+# corner gradient, and two chains take that gradient to the offsets. The
+# training kernel's, :func:`offset_iou_and_grad`, keeps the (N, 4) interface
+# and the BLAS product of the scalar forms; refine's,
+# :func:`offset_iou_and_grad_rows`, keeps the offsets axis-major and chains by
+# the decode Jacobian's closed form.
 #
 # The array forms here take exp and log from the C library through
 # :func:`elementwise`, like the scalar forms, and so do ``train``'s kernel and
 # every output of ``train``, ``gradcheck``, ``surface`` and ``loss-eval``: at
 # train's constant step, a last-bit change moves every trained float and
-# swings the mean AP by up to 0.11. :func:`offset_iou_and_grad` takes e^tw and
-# e^th from its caller. Refine's descent passes numpy's vectorized exp there
-# and takes its HIoU power from numpy too, saving a Python call per element;
-# at its small step the refined IoUs move by a few ulp. Its final IoUs decode
-# through libm again.
+# swings the mean AP by up to 0.11. The training geometry takes e^tw and e^th
+# from its caller. Refine's descent passes numpy's vectorized exp there and
+# takes its HIoU power from numpy too, saving a Python call per element; with
+# the closed-form chain, at its small step the refined IoUs move by a few ulp
+# from a libm descent through the BLAS product. Its final IoUs decode through
+# libm again.
 
 
 def elementwise(
@@ -356,33 +363,20 @@ class AnchorTargets:
             array.flags.writeable = False
 
 
-def offset_iou_and_grad(
-    d: np.ndarray, targets: AnchorTargets, scale: np.ndarray, jacobian: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``iou(decode(d, anchor), gt)`` of (N, 4) offsets and its
-    gradient w.r.t. them, ``decode_jacobian(d, anchor).T @ iou_grad(decode(d,
-    anchor), gt)``, as (N,) and (N, 4); every union must be positive.
-    ``scale`` holds the (2, N) rows e^tw and e^th, which the caller computes
-    with the exp of its choice. ``jacobian`` is the caller's workspace, a
-    writable copy of ``targets.jacobian``: the call fills its half-size
-    entries in place and returns no view of it, so one copy serves a whole
-    descent, one call at a time.
+def decoded_iou_and_grad(
+    shift: np.ndarray, half: np.ndarray, targets: AnchorTargets, out: np.ndarray
+) -> np.ndarray:
+    """Row-wise IoU of decoded boxes with their targets, as (N,), and its
+    gradient w.r.t. the decoded corners (x1, y1, x2, y2), written axis-major
+    into the caller's (4, N) ``out``; every union must be positive.
 
-    Works on the rows of ``d.T``, axis-major like ``targets``. Runs the
-    scalar forms' operations in their order, and the product as a stacked
-    (N, 4, 4) ``matmul``, the same matrix-vector product per row, so that it
-    agrees with them bit for bit; the decode's half size is the Jacobian's,
-    equal while ``size * scale`` is a normal float.
+    A box decodes from its (2, N) centre offsets ``shift`` (tx, ty) and its
+    (2, N) half sizes ``half``, axis-major like ``targets``. Runs the scalar
+    forms' operations in their order, so that it agrees with ``iou`` and
+    ``iou_grad`` of the decoded box bit for bit.
     """
-    rows = np.ascontiguousarray(d.T)
     t = targets
-    half = t.half_size * scale
-    # the Jacobian's only entries that change: the half size at its
-    # row-major slots 10 and 15, negated at 2 and 7
-    jac = jacobian.T
-    jac[10:16:5] = half
-    jac[2:8:5] = -half
-    center = rows[:2] * t.size + t.center
+    center = shift * t.size + t.center
     lo = center - half
     hi = center + half
     span = np.minimum(hi, t.gt_hi) - np.maximum(lo, t.gt_lo)
@@ -399,10 +393,39 @@ def offset_iou_and_grad(
     np.copyto(d_inter[2:], overlap[::-1], where=(hi < t.gt_hi) & active)
     height_width = size[::-1]
     d_union = np.concatenate([-height_width, height_width]) - d_inter
+    np.divide(d_inter * union - inter * d_union, union * union, out=out)
+    return inter / union
+
+
+def offset_iou_and_grad(
+    d: np.ndarray, targets: AnchorTargets, scale: np.ndarray, jacobian: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``iou(decode(d, anchor), gt)`` of (N, 4) offsets and its
+    gradient w.r.t. them, ``decode_jacobian(d, anchor).T @ iou_grad(decode(d,
+    anchor), gt)``, as (N,) and (N, 4); every union must be positive.
+    ``scale`` holds the (2, N) rows e^tw and e^th, which the caller computes
+    with the exp of its choice. ``jacobian`` is the caller's workspace, a
+    writable copy of ``targets.jacobian``: the call fills its half-size
+    entries in place and returns no view of it, so one copy serves a whole
+    descent, one call at a time.
+
+    Works on the rows of ``d.T``, axis-major like ``targets``, through
+    :func:`decoded_iou_and_grad`, and takes the product as a stacked
+    (N, 4, 4) ``matmul``, the same matrix-vector product per row, so that it
+    agrees with the scalar forms bit for bit; the decode's half size is the
+    Jacobian's, equal while ``size * scale`` is a normal float.
+    """
+    rows = np.ascontiguousarray(d.T)
+    half = targets.half_size * scale
+    # the Jacobian's only entries that change: the half size at its
+    # row-major slots 10 and 15, negated at 2 and 7
+    jac = jacobian.T
+    jac[10:16:5] = half
+    jac[2:8:5] = -half
     # written through the transpose, so that the matmul reads contiguous
     # (N, 4) rows, each laid out as the scalar form's vector
-    du_dcorners = np.empty((inter.size, 4))
-    np.divide(d_inter * union - inter * d_union, union * union, out=du_dcorners.T)
+    du_dcorners = np.empty((len(d), 4))
+    u = decoded_iou_and_grad(rows[:2], half, targets, du_dcorners.T)
     # The matmul stays, though only 8 of the 16 entries are non-zero: under
     # OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) it computes entry k
     # as the fused chain fma(J3k, g3, fma(J2k, g2, fma(J1k, g1, J0k * g0))),
@@ -410,4 +433,29 @@ def offset_iou_and_grad(
     # random rows. numpy has no fused multiply-add: a product-and-sum of the
     # non-zero entries differed from it in 391 of them.
     du_dd = np.matmul(jacobian.reshape(-1, 4, 4).transpose(0, 2, 1), du_dcorners[:, :, None])
-    return inter / union, du_dd[:, :, 0]
+    return u, du_dd[:, :, 0]
+
+
+def offset_iou_and_grad_rows(
+    rows: np.ndarray, targets: AnchorTargets, scale: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """:func:`offset_iou_and_grad` axis-major: the IoU of (4, N) offset rows
+    (tx, ty, tw, th), as (N,), and its gradient w.r.t. them written into the
+    caller's (4, N) ``out``, with ``scale`` as there.
+
+    Chains by the decode Jacobian's closed form, d/d(tx, ty) = size * (g_lo
+    + g_hi) and d/d(tw, th) = half * (g_hi - g_lo) for the corner gradient
+    g, with no Jacobian and no matrix product. It rounds each sum before its
+    product, where the BLAS product of :func:`offset_iou_and_grad` rounds
+    each product into a fused sum, so the two gradients can differ by a few
+    units in the last place of their terms, but neither depends on the BLAS
+    build.
+    """
+    half = targets.half_size * scale
+    u = decoded_iou_and_grad(rows[:2], half, targets, out)
+    g_lo, g_hi = out[:2], out[2:]
+    total = g_lo + g_hi
+    np.subtract(g_hi, g_lo, out=g_hi)
+    g_hi *= half
+    np.multiply(targets.size, total, out=g_lo)
+    return u

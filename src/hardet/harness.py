@@ -29,7 +29,7 @@ from .geom import (
     encode_arrays,
     iou_arrays,
     iou_matrix,
-    offset_iou_and_grad,
+    offset_iou_and_grad_rows,
 )
 from .losses import BatchArrays, HyperParams, KernelPlan, batch_objective_arrays
 from .metrics import DetectionArrays, GroundTruthArrays, aic
@@ -598,35 +598,39 @@ def _train_offsets_only(
     exponent; returns the positives' offsets, shaped (runs, positives, 4).
 
     Each positive of each run updates independently, so one step runs on all
-    of them at once, the runs stacked as blocks of rows. Raises
+    of them at once, the runs stacked as blocks of rows. The offsets are
+    held axis-major, as (4, rows), and chained to the IoU by the decode
+    Jacobian's closed form (:func:`offset_iou_and_grad_rows`). Raises
     :class:`DivergenceError` at the earliest step at which an offset of any
     run leaves the decode cap, naming the run and the model row.
 
     Each step takes the decode's (e^tw, e^th) and the HIoU slope's (1 +
     IoU)^(gamma - 1) from numpy's vectorized ``exp`` and ``power``, not from
-    libm like the scalar forms and the training kernel. numpy's results can
-    differ from libm's in the last bit. numpy gives an entry the same value
-    wherever it sits in the array, so a row does not depend on the rows
-    beside it.
+    libm like the scalar forms and the training kernel, and its chain sums
+    before it multiplies, where the training kernel's BLAS product fuses
+    them. numpy's results can differ from libm's in the last bit. numpy
+    gives an entry the same value wherever it sits in the array, so a row
+    does not depend on the rows beside it, and no step depends on the BLAS
+    build.
     """
     n_runs = len(runs)
     targets = AnchorTargets(np.tile(m.anchors, (n_runs, 1)), np.tile(m.gt, (n_runs, 1)))
-    jacobian = targets.jacobian.copy()
     gamma = np.repeat(list(runs.values()), m.pos_flat.size)
     exponent = gamma - 1.0
     names = [f" of the {name} run (gamma {g:g})" for name, g in runs.items()]
-    d = np.zeros((n_runs * m.pos_flat.size, 4))
+    d = np.zeros((4, n_runs * m.pos_flat.size))
+    grad = np.empty_like(d)
     # an overflow shows as an offset past the decode cap, not as a warning
     with np.errstate(all="ignore"):
         for step in range(opt.steps):
-            _check_decode_cap(step, d, m.pos_flat, names)
-            u, du_dd = offset_iou_and_grad(d, targets, np.exp(d.T[2:]), jacobian)
+            _check_decode_cap(step, d.T, m.pos_flat, names)
+            u = offset_iou_and_grad_rows(d, targets, np.exp(d[2:]), grad)
             # hiou_slope: (1 + u)^(gamma - 1) * (gamma * (1 - u) - (1 + u))
             one_plus_u = 1.0 + u
             slope = np.power(one_plus_u, exponent) * (gamma * (1.0 - u) - one_plus_u)
-            d -= (opt.learning_rate * slope)[:, None] * du_dd
-    _check_decode_cap(opt.steps, d, m.pos_flat, names)
-    return d.reshape(n_runs, -1, 4)
+            d -= (opt.learning_rate * slope) * grad
+    _check_decode_cap(opt.steps, d.T, m.pos_flat, names)
+    return d.T.reshape(n_runs, -1, 4)
 
 
 def refinement_experiment(

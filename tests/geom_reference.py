@@ -3,7 +3,9 @@ gradient, and the decode Jacobian's vector product, each its own array call.
 
 ``geom.offset_iou_and_grad`` runs them as one pass over hoisted
 ``AnchorTargets``; the tests hold it to these and to the scalar forms bit for
-bit, and ``train_reference`` builds the reference kernel from them.
+bit, and ``train_reference`` builds the reference kernel from them. Refine's
+chain, ``geom.offset_iou_and_grad_rows``, takes the product in the
+Jacobian's closed form instead, as :func:`decode_vjp_closed_form` does.
 """
 
 import math
@@ -66,13 +68,23 @@ def decode_vjp_arrays(
     return np.matmul(jac.reshape(-1, 4, 4).transpose(0, 2, 1), g[:, :, None])[:, :, 0]
 
 
+def decode_vjp_closed_form(
+    d: np.ndarray, anchors: np.ndarray, g: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """:func:`decode_vjp_arrays` by the Jacobian's closed form: size * (g_lo +
+    g_hi) for (tx, ty) and half size * (g_hi - g_lo) for (tw, th)."""
+    size = anchors[:, 2:] - anchors[:, :2]
+    half = 0.5 * size * scale
+    return np.concatenate([size * (g[:, :2] + g[:, 2:]), half * (g[:, 2:] - g[:, :2])], axis=1)
+
+
 def offset_iou_and_grad(
-    d: np.ndarray, anchors: np.ndarray, gt: np.ndarray, exp=libm_exp
+    d: np.ndarray, anchors: np.ndarray, gt: np.ndarray, exp=libm_exp, vjp=decode_vjp_arrays
 ) -> tuple[np.ndarray, np.ndarray]:
     """The four calls chained: IoU of the decoded boxes with ``gt`` and its
     gradient w.r.t. the offsets, one ``exp`` of the size offsets shared by
-    the decode and its VJP: libm for train's kernel, ``np.exp`` for refine's
-    descent."""
+    the decode and its VJP: libm and the BLAS product for train's kernel,
+    ``np.exp`` and :func:`decode_vjp_closed_form` for refine's descent."""
     scale = exp(d[:, 2:])
     u, du_dcorners = iou_and_grad_arrays(decode_arrays(d, anchors, scale), gt)
-    return u, decode_vjp_arrays(d, anchors, du_dcorners, scale)
+    return u, vjp(d, anchors, du_dcorners, scale)

@@ -1126,17 +1126,17 @@ _GOLDEN_DIGESTS = {
     },
     ("refine", 3): {
         "iou_histogram.csv": "9eb96e0e8f6a6e4624f7b2e07d4c0133613e00f8583c90867c4c46330bd26719",
-        "refine_gains.csv": "4e79a7b86b6633ad86c9aaadeb944338ee31474796b66f1241b0c3c53ed81645",
+        "refine_gains.csv": "b0ce9bec09f8a47a8c280a3434b56c484196198f2ee5bf1842ee6334dd8b5967",
         "run_meta.json": "67699ae6a847ce883911c007251af4d85586149bbf86bf15d79e0481fd83ce31",
     },
     ("refine_long", 0): {
         "iou_histogram.csv": "27f595ea1924e3db63a1cb156f6b8e69a2129b5ab9e9a09acd41885e29193515",
-        "refine_gains.csv": "0585aca975d56edef20c340b2ee161feb781f461a911e9e145dfdb1ee0d777c6",
+        "refine_gains.csv": "232e221daf3cba42460a1717770afbd5621a8f9cc26bcfe1ba485777fdcb6676",
         "run_meta.json": "5b5748dd1ef9eaad2de98aa04530669c796696ce3c6b6adce140063fdd5e16b8",
     },
     ("refine_long", 3): {
         "iou_histogram.csv": "e044722a2c702c9f0299bb756794731fff3134402cb80b7b5774407b74381356",
-        "refine_gains.csv": "b28778c7d18b1582b783802ec9393dac976c68acfa3a583c0b827055183a2d42",
+        "refine_gains.csv": "8489127713f5ac1e28abefb87a7282385d99d6054030cd2714f0f8d49d841760",
         "run_meta.json": "615fe0ed43af335ec641a78488642d0a82c4e9dbf3e0a1be45bab4829887fb50",
     },
 }

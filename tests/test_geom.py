@@ -22,6 +22,7 @@ from hardet.geom import (
     iou_grad,
     iou_matrix,
     offset_iou_and_grad,
+    offset_iou_and_grad_rows,
 )
 from hardet.gate import _random_box_pair, finite_diff_grad
 from hardet.harness import SceneConfig, generate_scenes
@@ -230,12 +231,15 @@ def scalar_offset_iou_and_grad(d, anchors, gts):
 
 
 def assert_fused_equals_scalar(d, anchors, gts):
-    """The fused call equals the scalar forms and the four-call reference,
-    bit for bit."""
+    """Both chains of the fused call equal their references bit for bit:
+    the training kernel's the scalar forms and the four-call reference,
+    refine's axis-major closed form the four-call reference with the
+    closed-form product, its IoU the scalar forms'."""
     a, g = corners(anchors), corners(gts)
     # the libm exp, as train's kernel passes it
     targets = AnchorTargets(a, g)
-    u, grad = offset_iou_and_grad(d, targets, geom_reference.libm_exp(d.T[2:]), targets.jacobian.copy())
+    scale = geom_reference.libm_exp(d.T[2:])
+    u, grad = offset_iou_and_grad(d, targets, scale, targets.jacobian.copy())
     assert u.shape == (len(d),) and grad.shape == (len(d), 4)
     want_u, want_grad = scalar_offset_iou_and_grad(d, anchors, gts)
     assert u.tobytes() == want_u.tobytes()
@@ -243,6 +247,13 @@ def assert_fused_equals_scalar(d, anchors, gts):
     ref_u, ref_grad = geom_reference.offset_iou_and_grad(d, a, g)
     assert u.tobytes() == ref_u.tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
+    rows = np.ascontiguousarray(d.T)
+    out = np.empty_like(rows)
+    assert offset_iou_and_grad_rows(rows, targets, scale, out).tobytes() == want_u.tobytes()
+    _, closed = geom_reference.offset_iou_and_grad(
+        d, a, g, vjp=geom_reference.decode_vjp_closed_form
+    )
+    assert out.T.tobytes() == closed.tobytes()
 
 
 TOUCHING = [

@@ -22,9 +22,12 @@ from hardet.geom import (
     corners,
     decode,
     decode_arrays,
+    decoded_iou_and_grad,
     iou,
     iou_arrays,
     iou_grad,
+    offset_iou_and_grad,
+    offset_iou_and_grad_rows,
 )
 from hardet.gate import GradientCheckError, random_positive_sample, run_gradcheck
 from hardet.losses import HyperParams, KernelPlan, NegativeSample, PositiveSample, batch_objective
@@ -1099,10 +1102,12 @@ class TestRefinementExperiment:
     @pytest.mark.parametrize("steps", [20, 100])
     def test_refine_stays_within_64_ulp_of_the_libm_descent(self, steps):
         # the descent takes numpy's exp and power, which can differ from
-        # libm's in the last bit; at refine's step the refined IoUs stay
-        # within 64 units of 2^-52, the ulp of IoU 1 (at most 7 at 20 steps
-        # and 17 at 100 over seeds 0-20, under numpy 2.4's AVX-512 exp and
-        # power)
+        # libm's in the last bit, and the Jacobian's closed form, which can
+        # differ from the BLAS product's fused sums; at refine's step the
+        # refined IoUs stay within 64 units of 2^-52, the ulp of IoU 1, of
+        # the descent on libm and the BLAS product (at most 7 at 20 steps
+        # and 20.5 at 100 over seeds 0-20, under numpy 2.4's AVX-512 exp
+        # and power)
         for seed in range(10):
             ss, hp, opt = cli_setup("refine", {"optimizer": {"steps": steps}}, seed)
             m = ss.matching
@@ -1113,10 +1118,57 @@ class TestRefinementExperiment:
                 opt,
                 geom_reference.libm_exp,
                 train_reference.libm_power,
+                geom_reference.decode_vjp_arrays,
             )
             for got, d in zip((res.iou_plain, res.iou_weighted), libm):
                 want = iou_arrays(decode_arrays(d, m.anchors), m.gt)
                 assert np.abs(got - want).max() <= 64 * np.finfo(float).eps, seed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_chain_matches_differences_and_the_blas_product(self, seed):
+        # no gate entry covers refine's chain. Over its stacked rows, at the
+        # anchors and at the offsets its descent reaches, central differences
+        # of each row's IoU match the closed-form gradient on the rows whose
+        # decoded box is clear of the IoU's kinks, as the gate's draws are
+        # (the descent drives corners onto their targets')
+        ss, hp, opt = cli_setup("refine", {}, seed)
+        m = ss.matching
+        anchors, gt = np.tile(m.anchors, (2, 1)), np.tile(m.gt, (2, 1))
+        targets = AnchorTargets(anchors, gt)
+        reached = harness._train_offsets_only(m, {"plain": 0.0, "weighted": hp.gamma}, opt)
+        for d in (np.zeros_like(anchors), reached.reshape(-1, 4)):
+            rows = np.ascontiguousarray(d.T)
+            scale = np.exp(rows[2:])
+            grad = np.empty_like(rows)
+            offset_iou_and_grad_rows(rows, targets, scale, grad)
+
+            def ious(steps):
+                # each (tx, ty, tw, th) step moves every row alike
+                return [
+                    offset_iou_and_grad_rows(r, targets, np.exp(r[2:]), np.empty_like(r))
+                    for r in rows + steps[:, :, None]
+                ]
+
+            numeric = gate.finite_diff_grad(ious, np.zeros(4))
+            clear = np.array(
+                [
+                    gate._kink_free_overlap(Box.from_array(b), Box.from_array(g))
+                    for b, g in zip(decode_arrays(d, anchors), gt)
+                ]
+            )
+            assert clear.sum() >= 0.8 * clear.size
+            assert gate._grad_err(grad.T[clear], numeric[clear]).max() <= gate.GRADCHECK_TOLERANCE
+            # the training kernel's BLAS product rounds each product into a
+            # fused sum, the closed form each sum before its product: they
+            # differ by at most an ulp of the sum of the terms' magnitudes
+            # (0.9987 at most here)
+            _, blas = offset_iou_and_grad(d, targets, scale, targets.jacobian.copy())
+            half = targets.half_size * scale
+            corner_grad = np.empty_like(rows)
+            decoded_iou_and_grad(rows[:2], half, targets, corner_grad)
+            magnitude = np.abs(corner_grad[:2]) + np.abs(corner_grad[2:])
+            terms = np.concatenate([targets.size * magnitude, half * magnitude])
+            assert np.all(np.abs(grad - blas.T) <= 2 * np.finfo(float).eps * terms)
 
     def test_a_refine_row_does_not_depend_on_the_rows_beside_it(self):
         # numpy's vectorized exp and power give an entry the same value at
@@ -1142,9 +1194,9 @@ class TestRefinementExperiment:
 
 
 def numpy_exp_decode(d, anchor):
-    """``decode(d, anchor)`` and ``decode_jacobian(d, anchor)``, their e^tw
-    and e^th taken from ``np.exp`` on an array, as refine's descent takes
-    them."""
+    """``decode(d, anchor)`` and the half sizes of the decode Jacobian,
+    their e^tw and e^th taken from ``np.exp`` on an array, as refine's
+    descent takes them."""
     ew, eh = np.exp(np.array([d.tw, d.th])).tolist()
     wa, ha = anchor.width, anchor.height
     acx, acy = anchor.center
@@ -1153,17 +1205,17 @@ def numpy_exp_decode(d, anchor):
     w = wa * ew
     h = ha * eh
     box = Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
-    half_w = 0.5 * wa * ew
-    half_h = 0.5 * ha * eh
-    jacobian = np.array(
-        [
-            [wa, 0.0, -half_w, 0.0],
-            [0.0, ha, 0.0, -half_h],
-            [wa, 0.0, half_w, 0.0],
-            [0.0, ha, 0.0, half_h],
-        ]
+    return box, (0.5 * wa * ew, 0.5 * ha * eh)
+
+
+def closed_form_chain(g, anchor, half):
+    """``decode_jacobian(d, anchor).T @ g`` by the Jacobian's closed form,
+    as refine's descent chains: anchor size * (g_lo + g_hi) for (tx, ty),
+    half size * (g_hi - g_lo) for (tw, th)."""
+    (g0, g1, g2, g3), (half_w, half_h) = g.tolist(), half
+    return np.array(
+        [anchor.width * (g0 + g2), anchor.height * (g1 + g3), half_w * (g2 - g0), half_h * (g3 - g1)]
     )
-    return box, jacobian
 
 
 def numpy_power_slope(u, gamma):
@@ -1185,8 +1237,8 @@ def scalar_refine_ious(ss, gamma, opt):
             anchor, gt = Box.from_array(ss.anchors[a]), Box.from_array(scene.gt_boxes[g])
             d = Offsets(0.0, 0.0, 0.0, 0.0)
             for _ in range(opt.steps):
-                decoded, jacobian = numpy_exp_decode(d, anchor)
-                du_dd = jacobian.T @ iou_grad(decoded, gt)
+                decoded, half = numpy_exp_decode(d, anchor)
+                du_dd = closed_form_chain(iou_grad(decoded, gt), anchor, half)
                 step = opt.learning_rate * numpy_power_slope(iou(decoded, gt), gamma) * du_dd
                 d = Offsets.from_array(d.as_array() - step)
             pairs.append((iou(anchor, gt), iou(decode(d, anchor), gt)))

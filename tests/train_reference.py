@@ -6,7 +6,8 @@ libm passes and the lazily read objective.
 geometry calls of ``geom_reference``; ``train_toy`` checks the objective's
 value at every step and sums each record's AIC one (p_gt, IoU) pair at a
 time; ``train_offsets_only`` is refine's descent over the same four calls,
-on numpy's exp and power where the rest take libm's. The tests hold
+on numpy's exp and power where the rest take libm's, and on the Jacobian's
+closed form where the rest take the BLAS product. The tests hold
 ``losses.batch_objective_arrays``, ``harness.train_toy`` and
 ``harness._train_offsets_only`` to them bit for bit.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geom_reference import offset_iou_and_grad
+from geom_reference import decode_vjp_closed_form, offset_iou_and_grad
 from hardet.geom import elementwise
 from hardet.harness import (
     DivergenceError,
@@ -218,13 +219,19 @@ def train_toy(
 
 
 def train_offsets_only(
-    m: Matching, runs: dict[str, float], opt: OptimizerConfig, exp=np.exp, power=np.power
+    m: Matching,
+    runs: dict[str, float],
+    opt: OptimizerConfig,
+    exp=np.exp,
+    power=np.power,
+    vjp=decode_vjp_closed_form,
 ) -> np.ndarray:
     """Refine's stacked descent of the IoU-based loss, shaped (runs,
-    positives, 4), over the four geometry calls. Its exp and power are
-    numpy's, as refine takes them; with ``geom_reference.libm_exp`` and
-    ``libm_power`` it is the same descent on libm, which the tests bound
-    refine's drift from."""
+    positives, 4), over the four geometry calls. Its exp, power and chain
+    are numpy's and the closed form, as refine takes them; with
+    ``geom_reference.libm_exp``, ``libm_power`` and
+    ``geom_reference.decode_vjp_arrays`` it is the same descent on libm and
+    the BLAS product, which the tests bound refine's drift from."""
     n_runs = len(runs)
     anchors = np.tile(m.anchors, (n_runs, 1))
     gt = np.tile(m.gt, (n_runs, 1))
@@ -233,7 +240,7 @@ def train_offsets_only(
     d = np.zeros_like(anchors)
     for step in range(opt.steps):
         _check_decode_cap(step, d, m.pos_flat, names)
-        u, du_dd = offset_iou_and_grad(d, anchors, gt, exp)
+        u, du_dd = offset_iou_and_grad(d, anchors, gt, exp, vjp)
         d -= (opt.learning_rate * hiou_slope_arrays(u, gamma, power))[:, None] * du_dd
     _check_decode_cap(opt.steps, d, m.pos_flat, names)
     return d.reshape(n_runs, -1, 4)
